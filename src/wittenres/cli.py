@@ -70,6 +70,9 @@ def _ledger_json(led: TermLedger) -> dict[str, dict]:
 
 def evaluate_ledger(bianchi: bool, workers: int) -> dict[str, dict]:
     """Label -> {atom -> coefficient list} for the full ledger."""
+    # more processes than parts or CPUs cannot help, so the pool never
+    # starts more than that, whatever was asked for
+    workers = min(workers, len(_PARTS), os.cpu_count() or 1)
     if workers > 1:
         # fan the independent parts out; totals are reassembled exactly
         from concurrent.futures import ProcessPoolExecutor

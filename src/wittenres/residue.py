@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from . import clifford, sphere
 from .operators import (build_laplace_data, cu_cw_symbol, order_zero_pieces,
                         parametrix_symbols, symbol_of_a, symbol_of_b)
-from .pdo import Component, compose, composition_summand
-from .tensor import ScalarInvariantExpr, canonicalize, collect
-from .terms import Term, mul_sums, normalize
+from .pdo import Component, TruncationError, compose, composition_summand
+from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
+from .terms import (ContractViolation, NormalizeError, Term, mul_sums,
+                    normalize)
 
 LEDGER_ORDER = (
     "I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7", "S1",
@@ -99,10 +100,10 @@ def wres_density(terms, bianchi: bool = True) -> ScalarInvariantExpr:
     for t in _drop_norm(traced):
         integrated.extend(sphere.integrate_term(t))
     try:
-        expr = collect(canonicalize(integrated, bianchi=bianchi))
-    except Exception as exc:
+        return collect(canonicalize(integrated, bianchi=bianchi)).check_real()
+    except (NormalizeError, ContractViolation, CollectError, TruncationError,
+            ValueError) as exc:
         raise ResidueError(str(exc)) from exc
-    return expr.check_real()
 
 
 def compute_metric_functional(bianchi: bool = True,

@@ -15,14 +15,19 @@ normalize() rewrites a sum of terms to a canonical merged form:
     equal adjacent pairs contracted) with the anticommutator delta branches,
   * xi / x monomial labels are symmetrized (the monomials are symmetric),
   * dummies are renamed canonically and monoterm tensor symmetries are
-    resolved by a minimal-presentation search with antisymmetry zero
-    detection,
+    resolved by building the lexicographically minimal presentation slot by
+    slot, keeping only partial presentations with the minimal prefix (the
+    double-coset idea of Manssur, Portugal & Svaiter, IJMPC 13 (2002), and
+    of xPerm, CPC 179 (2008)); a term equal to its own negative is dropped
+    as an antisymmetric zero, and a search whose frontier passes
+    _MAX_FRONTIER partial presentations raises NormalizeError,
   * identical presentations are merged, zero coefficients dropped.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .scalars import S_N, S_ONE, S_ZERO, Scalar
@@ -76,8 +81,14 @@ _RIEM_VARIANTS = (
     ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1),
 )
 _SYM2_VARIANTS = (((0, 1), 1), ((1, 0), 1))
+# kind -> (slot getter, sign) per variant
+_SYMMETRIES = {kind: tuple((itemgetter(*perm), s) for perm, s in variants)
+               for kind, variants in (("riem", _RIEM_VARIANTS),
+                                      ("ric", _SYM2_VARIANTS),
+                                      ("delta", _SYM2_VARIANTS))}
 
 _MAX_REQUEUE = 60
+_MAX_FRONTIER = 200000
 
 
 def fct(kind: str, *idx: Idx) -> F:
@@ -414,7 +425,18 @@ def _symmetrize(t: Term) -> list[Term]:
     return out
 
 
+def _variants(f: F):
+    """The factor's monoterm symmetry variants, each with its sign."""
+    perms = _SYMMETRIES.get(f.kind)
+    if perms is None:
+        return [(f, 1)]
+    return [(F(f.kind, get(f.idx)), s) for get, s in perms]
+
+
 def _structural_key(f: F, counts):
+    """Kind rank and slot classes (concrete index, free label, dummy),
+    minimal over the symmetry variants, so the key does not depend on the
+    slot order a factor arrived in."""
     cls = []
     for i in f.idx:
         if isinstance(i, int):
@@ -423,23 +445,30 @@ def _structural_key(f: F, counts):
             cls.append((1, 0, i))
         else:
             cls.append((2, 0, ""))
-    return (KIND_RANK[f.kind], tuple(cls))
-
-
-def _variants(f: F):
-    if f.kind == "riem":
-        return [(F("riem", tuple(f.idx[p] for p in perm)), s)
-                for perm, s in _RIEM_VARIANTS]
-    if f.kind in ("delta", "ric"):
-        return [(F(f.kind, tuple(f.idx[p] for p in perm)), s)
-                for perm, s in _SYM2_VARIANTS]
-    return [(f, 1)]
+    perms = _SYMMETRIES.get(f.kind)
+    if perms is None:
+        return (KIND_RANK[f.kind], tuple(cls))
+    return (KIND_RANK[f.kind], min(get(cls) for get, _ in perms))
 
 
 def _finalize(t: Term, counts):
     """Canonical minimal presentation, or a requeue list if the word must be
     re-sorted under canonical dummy names, or None when the term vanishes
-    by antisymmetry."""
+    by antisymmetry.
+
+    The factors are sorted into slots by structural key; a presentation
+    fills each slot with a distinct factor of that slot's key, in one of its
+    symmetry variants, and names dummies in first-seen order after the word
+    dummies.  The canonical presentation is the one whose factor keys are
+    lexicographically minimal.  It is built slot by slot: a frontier holds
+    the partial presentations whose output so far equals the minimal
+    prefix, and each slot keeps only the extensions with the minimal factor
+    key, since names are assigned in traversal order and a larger prefix
+    can never complete to the minimum.  Entries with the same chosen
+    factors and dummy renaming have the same completions; if their signs
+    differ, or the complete presentations coincide with opposite signs,
+    the term equals its own negative and vanishes.
+    """
     # canonical names for word dummies come from the word scan alone
     wmap: dict[str, str] = {}
     for g in t.word:
@@ -461,65 +490,62 @@ def _finalize(t: Term, counts):
                             and i not in full):
                         full[i] = f"_q{len(full):02d}"
             return "requeue", _reduce(map_labels(t, full))
-    # enumerate factor symmetry variants and orderings of structurally
-    # identical factors; pick the lexicographically minimal presentation
+    skeys = [_structural_key(f, counts) for f in t.fac]
+    slots = sorted(range(len(t.fac)), key=skeys.__getitem__)
+    groups = {}
+    for k in slots:
+        groups.setdefault(skeys[k], []).append(k)
     variant_lists = [_variants(f) for f in t.fac]
-    base = sorted(range(len(t.fac)),
-                  key=lambda k: _structural_key(t.fac[k], counts))
-    groups = []
-    start = 0
-    for k in range(1, len(base) + 1):
-        if (k == len(base)
-                or _structural_key(t.fac[base[k]], counts)
-                != _structural_key(t.fac[base[start]], counts)):
-            groups.append(base[start:k])
-            start = k
-    orderings = [[]]
-    for grp in groups:
-        orderings = [o + list(p) for o in orderings
-                     for p in permutations(grp)]
-    choices = [[]]
-    for vl in variant_lists:
-        choices = [c + [v] for c in choices for v in vl]
-    if len(orderings) * len(choices) > 200000:
-        raise NormalizeError("canonical search space too large")
-
-    best = None
-    best_sign = 1
-    sign_seen: dict[tuple, int] = {}
-    for order in orderings:
-        for choice in choices:
-            sign = 1
-            for _, s in choice:
-                sign *= s
-            sub = dict(wmap)
-            fac_out = []
-            for k in order:
-                vf = choice[k][0]
-                nidx = []
-                for i in vf.idx:
-                    if isinstance(i, str) and counts.get(i) == 2:
-                        if i not in sub:
-                            sub[i] = f"_d{len(sub):02d}"
-                        nidx.append(sub[i])
-                    else:
-                        nidx.append(i)
-                fac_out.append(F(vf.kind, tuple(nidx)))
-            pres = (tuple(fac_out), renamed_word)
-            prev = sign_seen.get(pres)
+    # frontier: (chosen factor bitmask, dummies named so far) ->
+    # (label -> canonical name, sign); every entry has output fac_out
+    frontier = {(0, ()): (wmap, 1)}
+    fac_out = []
+    for slot in slots:
+        best = None
+        cands = []
+        for (used, named), (sub, sign) in frontier.items():
+            for k in groups[skeys[slot]]:
+                if used >> k & 1:
+                    continue
+                for vf, s in variant_lists[k]:
+                    new = []
+                    nidx = []
+                    for i in vf.idx:
+                        if isinstance(i, str) and counts.get(i) == 2:
+                            name = sub.get(i)
+                            if name is None:
+                                if i not in new:
+                                    new.append(i)
+                                name = f"_d{len(sub) + new.index(i):02d}"
+                            nidx.append(name)
+                        else:
+                            nidx.append(i)
+                    key = tuple(idx_key(i) for i in nidx)
+                    if best is None or key < best:
+                        best, best_idx, cands = key, nidx, []
+                    elif key > best:
+                        continue
+                    cands.append((used | 1 << k, named + tuple(new), new,
+                                  sub, sign * s))
+            if len(cands) > _MAX_FRONTIER:
+                raise NormalizeError("canonical search space too large")
+        fac_out.append(F(t.fac[slot].kind, tuple(best_idx)))
+        frontier = {}
+        for used, named, new, sub, sign in cands:
+            prev = frontier.get((used, named))
             if prev is None:
-                sign_seen[pres] = sign
-            elif prev != sign:
+                if new:
+                    sub = dict(sub)
+                    for i in new:
+                        sub[i] = f"_d{len(sub):02d}"
+                frontier[used, named] = (sub, sign)
+            elif prev[1] != sign:
                 return None  # t = -t under a symmetry: antisymmetric zero
-            key = tuple(factor_key(f) for f in fac_out)
-            if best is None or key < best[0]:
-                best = (key, fac_out)
-                best_sign = sign
-    if best is None:
-        out = Term(t.coeff, (), renamed_word, t.norm, t.trid, t.vol)
-        return "done", out
-    coeff = t.coeff if best_sign == 1 else -t.coeff
-    return "done", Term(coeff, tuple(best[1]), renamed_word, t.norm,
+    signs = {sign for _, sign in frontier.values()}
+    if len(signs) > 1:
+        return None  # the minimum is reached with both signs
+    coeff = t.coeff if signs == {1} else -t.coeff
+    return "done", Term(coeff, tuple(fac_out), renamed_word, t.norm,
                         t.trid, t.vol)
 
 

@@ -158,3 +158,38 @@ def test_bad_dimension_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dimension", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cpus, pools", [(64, [8]), (3, [3]), (None, [])])
+def test_worker_count_is_clamped(monkeypatch, cpus, pools):
+    # an inline stand-in records the pool size and starts no process
+    import concurrent.futures
+
+    from wittenres import cli
+    from wittenres.residue import TermLedger
+
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_compute_part", lambda part, bianchi: {
+        lab: {} for lab in cli._PART_LABELS[part]})
+    monkeypatch.setattr(cli, "compute_einstein_functional",
+                        lambda bianchi: TermLedger())
+    cli.evaluate_ledger(True, 10 ** 6)
+    assert seen == pools
