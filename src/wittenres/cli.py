@@ -1,30 +1,29 @@
 """Batch command-line driver.
 
-`wittenres verify` runs the functionals, diffs every labeled term against
-the stored reference ledger, and reports MATCH / PAPER_TYPO / MISMATCH per
-label (exit 0 only when nothing mismatches).  `wittenres query` evaluates
-one-off traces and sphere integrals from a tiny expression grammar.
+`wittenres verify` evaluates ledger labels in this process, diffs each
+against the stored reference ledger, and reports MATCH / PAPER_TYPO /
+MISMATCH per label (exit 0 only when nothing mismatches).  `--functional`
+selects a functional's label and every label it sums over, `--term` a list
+of labels; either way only those labels and their children are computed.
+`wittenres query` evaluates one-off traces and sphere integrals from a tiny
+expression grammar.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import clifford, reference, sphere
-from .residue import (LEDGER_ORDER, TermLedger, compute_einstein_functional,
-                      compute_metric_functional, part1_top_norm_exponent)
-from .scalars import vol_sphere_value
+from .residue import evaluate_labels, part1_top_norm_exponent, with_children
+from .scalars import PolyM, vol_sphere_value
 from .tensor import ScalarInvariantExpr
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-WORKERS_ENV = "WITTENRES_WORKERS"
 
 
 class QueryError(Exception):
@@ -34,29 +33,7 @@ class QueryError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# ledger evaluation (optionally fanned out over processes)
-
-_PARTS = ("metric", "I", "II-1", "II-2", "II-3", "II-4", "II-5", "II-6")
-
-_PART_LABELS = {
-    "metric": ("metric",),
-    "I": ("I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7"),
-    "II-1": ("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E"),
-    "II-2": ("II-2",),
-    "II-3": ("II-3-A", "II-3-B", "II-3-C", "II-3-D", "II-3-E", "II-3-F",
-             "II-3-G"),
-    "II-4": ("II-4-A", "II-4-B", "II-4-C"),
-    "II-5": ("II-5",),
-    "II-6": ("II-6",),
-}
-
-
-def _compute_part(part: str, bianchi: bool) -> dict[str, dict]:
-    """Worker entry: evaluate one ledger part, JSON-safe output."""
-    if part == "metric":
-        return {"metric": _expr_json(compute_metric_functional(bianchi))}
-    led = compute_einstein_functional(bianchi=bianchi)
-    return {lab: _expr_json(led[lab]) for lab in _PART_LABELS[part]}
+# ledger evaluation and report rendering
 
 
 def _expr_json(expr: ScalarInvariantExpr) -> dict:
@@ -64,77 +41,26 @@ def _expr_json(expr: ScalarInvariantExpr) -> dict:
             for atom, coeffs in expr.coeff_lists().items()}
 
 
-def _ledger_json(led: TermLedger) -> dict[str, dict]:
-    return {lab: _expr_json(led[lab]) for lab in led.labels()}
-
-
-def evaluate_ledger(bianchi: bool, workers: int) -> dict[str, dict]:
-    """Label -> {atom -> coefficient list} for the full ledger."""
-    # more processes than parts or CPUs cannot help, so the pool never
-    # starts more than that, whatever was asked for
-    workers = min(workers, len(_PARTS), os.cpu_count() or 1)
-    if workers > 1:
-        # fan the independent parts out; totals are reassembled exactly
-        from concurrent.futures import ProcessPoolExecutor
-        values: dict[str, dict] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {part: pool.submit(_compute_part, part, bianchi)
-                    for part in _PARTS}
-            for part in _PARTS:
-                values.update(futs[part].result())
-        for total, members in (
-                ("S1", _PART_LABELS["I"]),
-                ("II-1", _PART_LABELS["II-1"]),
-                ("II-3", _PART_LABELS["II-3"]),
-                ("II-4", _PART_LABELS["II-4"])):
-            values[total] = _sum_json(values[m] for m in members)
-        values["S2"] = _sum_json(values[l] for l in
-                                 ("II-1", "II-2", "II-3", "II-4", "II-5",
-                                  "II-6"))
-        values["einstein"] = _sum_json((values["S1"], values["S2"]))
-        return {lab: values[lab] for lab in LEDGER_ORDER}
-    led = compute_einstein_functional(bianchi=bianchi)
-    return _ledger_json(led)
-
-
-def _sum_json(parts) -> dict:
-    acc: dict[str, list[Fraction]] = {}
-    for part in parts:
-        for atom, coeffs in part.items():
-            cur = acc.setdefault(atom, [])
-            for k, cstr in enumerate(coeffs):
-                while len(cur) <= k:
-                    cur.append(Fraction(0))
-                cur[k] += Fraction(cstr)
-    out = {}
-    for atom, coeffs in sorted(acc.items()):
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if coeffs:
-            out[atom] = [str(c) for c in coeffs]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# report rendering
-
-
-def _poly_str(coeffs: list[str]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for deg in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[deg])
-        if c == 0:
+def evaluate_ledger(labels: list[str], bianchi: bool,
+                    ref: dict) -> dict[str, dict]:
+    """Report entries for the labels, in ledger order: the value as
+    {atom -> coefficient list}, its status against the reference, and the
+    stored note and printed value if any."""
+    led = evaluate_labels(labels, bianchi=bianchi)
+    entries = {}
+    for lab in led.labels():
+        if lab not in labels:
             continue
-        mono = "" if deg == 0 else ("m" if deg == 1 else f"m^{deg}")
-        mag = "" if (abs(c) == 1 and mono) else str(abs(c))
-        body = (mag + ("*" if mag and mono else "") + mono) or str(abs(c))
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+        entry = {"value": _expr_json(led[lab]),
+                 "status": reference.compare_entry(led[lab], ref, lab)}
+        note = ref.get("notes", {}).get(lab)
+        if note:
+            entry["note"] = note
+        printed = ref.get("printed", {}).get(lab)
+        if printed is not None:
+            entry["printed"] = printed
+        entries[lab] = entry
+    return entries
 
 
 def _poly_latex(coeffs: list[str]) -> str:
@@ -161,7 +87,7 @@ def _poly_latex(coeffs: list[str]) -> str:
 def _entry_str(value: dict, latex=False) -> str:
     if not value:
         return "0"
-    render = _poly_latex if latex else _poly_str
+    render = _poly_latex if latex else PolyM  # a PolyM prints as text
     bits = []
     for atom, coeffs in sorted(value.items()):
         shown = atom if not latex else atom.replace("|V|^2", "|V|^{2}")
@@ -198,47 +124,19 @@ def cmd_verify(args) -> int:
     else:
         ref = reference.load_reference()
 
-    try:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        print(f"bad {WORKERS_ENV} value", file=sys.stderr)
-        return EXIT_USAGE
-
-    bianchi = args.bianchi == "on"
-    if args.functional == "metric":
-        values = {"metric": _expr_json(compute_metric_functional(bianchi))}
-    else:
-        values = evaluate_ledger(bianchi, workers)
-        if args.functional == "einstein":
-            values.pop("metric", None)
-
+    tops = (("metric", "einstein") if args.functional == "both"
+            else (args.functional,))
+    labels = with_children(tops)
     wanted = None
     if args.term:
         wanted = [t.strip() for ts in args.term for t in ts.split(",")]
-        missing = [t for t in wanted if t not in values]
+        missing = [t for t in wanted if t not in labels]
         if missing:
             print(f"unknown term label(s): {', '.join(missing)}",
                   file=sys.stderr)
             return EXIT_USAGE
-        values = {lab: values[lab] for lab in wanted}
-
-    statuses = {}
-    for lab, val in values.items():
-        stored = ref["values"].get(lab)
-        if stored is None:
-            statuses[lab] = reference.MISMATCH
-            continue
-        norm_stored = reference._coeffs(stored)
-        norm_val = {a: tuple(Fraction(x) for x in cs)
-                    for a, cs in val.items()}
-        if norm_val != norm_stored:
-            statuses[lab] = reference.MISMATCH
-        else:
-            printed = ref.get("printed", {}).get(lab)
-            if printed is not None and reference._coeffs(printed) != norm_stored:
-                statuses[lab] = reference.PAPER_TYPO
-            else:
-                statuses[lab] = reference.MATCH
+        labels = wanted
+    entries = evaluate_ledger(labels, args.bianchi == "on", ref)
 
     diagnostics = []
     if args.functional != "metric" and not wanted:
@@ -258,20 +156,10 @@ def cmd_verify(args) -> int:
         "units": ref.get("units", "TrId*Vol"),
         "dimension": dim,
         "bianchi": args.bianchi,
-        "entries": {},
+        "entries": entries,
         "diagnostics": diagnostics,
     }
-    for lab in (l for l in LEDGER_ORDER if l in values):
-        entry = {"value": values[lab], "status": statuses[lab]}
-        note = ref.get("notes", {}).get(lab)
-        if note:
-            entry["note"] = note
-        printed = ref.get("printed", {}).get(lab)
-        if printed is not None:
-            entry["printed"] = printed
-        report["entries"][lab] = entry
-
-    ok = all(s != reference.MISMATCH for s in statuses.values())
+    ok = all(e["status"] != reference.MISMATCH for e in entries.values())
     report["status"] = "pass" if ok else "mismatch"
 
     if args.format == "json":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import S_ONE, Scalar
-from .terms import (ContractViolation, F, G, Idx, Term, mul_sums, normalize)
+from .terms import ContractViolation, F, G, Idx, Term, normalize
 
 Word = tuple[G, ...]
 
@@ -45,18 +45,6 @@ def chat_v(label: str) -> Term:
 def c_xi(label: str) -> Term:
     """c(xi) expanded: xi-component factor times frame generator."""
     return Term(S_ONE, (F("xi", (label,)),), (c(label),))
-
-
-def multiply(a: Iterable[Term], b: Iterable[Term]) -> tuple[Term, ...]:
-    """Bilinear product; words are concatenated, not reduced."""
-    return mul_sums(a, b)
-
-
-def normal_order(w: Word | Term) -> tuple[Term, ...]:
-    """Rewrite to canonical form: c family first, indices ascending, equal
-    adjacent pairs contracted, anticommutator deltas emitted."""
-    t = w if isinstance(w, Term) else word_term(w)
-    return normalize([t])
 
 
 def scalar_part(w: Word) -> tuple[Term, ...]:

@@ -119,13 +119,6 @@ def sphere_integral_exact(exponents, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def vol_sphere_exact(m: int):
-    """(rational, pi power) with Vol(S^{2m-1}) = 2 pi^m / Gamma(m)."""
-    if m < 1:
-        raise ValueError("half-dimension must be positive")
-    return Fraction(2, factorial(m - 1)), m
-
-
 class TensorAssignment:
     """Random exact numeric tensors with the full Riemann symmetries."""
 

@@ -67,10 +67,10 @@ class PDOSymbol:
         raise TruncationError(f"order {order} outside stored truncation "
                               f"{sorted(self.comps)}")
 
-    def map_terms(self, fn) -> "PDOSymbol":
-        return PDOSymbol({o: Component(fn(c.terms), c.xtrunc)
-                          for o, c in self.comps.items()},
-                         self.exact, self.at_origin, check=False)
+
+def origin_terms(terms: Iterable[Term]) -> list[Term]:
+    """The terms that survive at the origin: those without an x factor."""
+    return [t for t in terms if not any(f.kind == "x" for f in t.fac)]
 
 
 def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
@@ -116,13 +116,6 @@ def d_x_terms(terms: Iterable[Term], j: Idx,
                 raise NormalizeError("second derivative of a vector field "
                                      "is not representable")
     return normalize(out)
-
-
-def d_xi(sym: PDOSymbol, j: Idx) -> PDOSymbol:
-    return PDOSymbol(
-        {(o[0] - 1, o[1]): Component(d_xi_terms(c.terms, j), c.xtrunc)
-         for o, c in sym.comps.items()},
-        sym.exact, sym.at_origin, check=False)
 
 
 def d_x(sym: PDOSymbol, j: Idx) -> PDOSymbol:
@@ -272,10 +265,6 @@ def compose(P: PDOSymbol, Q: PDOSymbol,
     return PDOSymbol(comps, exact=False)
 
 
-def _origin_terms(terms) -> list[Term]:
-    return [t for t in terms if not any(f.kind == "x" for f in t.fac)]
-
-
 def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
                        xorder: int = 2) -> bool:
     """Equality of two symbol term sums as the Taylor data they carry.
@@ -290,7 +279,7 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
     lab = _fresh_labels((a, b), xorder)
     ca, cb = tuple(a), tuple(b)
     for k in range(xorder + 1):
-        if not sums_equal(_origin_terms(ca), _origin_terms(cb)):
+        if not sums_equal(origin_terms(ca), origin_terms(cb)):
             return False
         if k == xorder:
             break
@@ -307,7 +296,5 @@ def evaluate_at_origin(sym: PDOSymbol) -> PDOSymbol:
         if compo.xtrunc is not None and compo.xtrunc < 0:
             raise TruncationError("component no longer carries its value at "
                                   "the origin")
-        kept = tuple(t for t in compo.terms
-                     if not any(f.kind == "x" for f in t.fac))
-        comps[order] = Component(kept, None)
+        comps[order] = Component(tuple(origin_terms(compo.terms)), None)
     return PDOSymbol(comps, sym.exact, at_origin=True, check=False)

@@ -82,9 +82,10 @@ def expr_coeffs(expr) -> dict[str, tuple[Fraction, ...]]:
 
 
 def compare_entry(expr, ref: dict, label: str) -> str:
-    """Status of one ledger entry against the stored reference."""
+    """Status of one ledger entry against the stored reference; a label
+    the reference does not store is a MISMATCH."""
     if label not in ref["values"]:
-        raise KeyError(f"label {label!r} missing from the reference ledger")
+        return MISMATCH
     derived = expr_coeffs(expr)
     stored = _coeffs(ref["values"][label])
     if derived != stored:

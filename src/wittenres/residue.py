@@ -5,32 +5,25 @@ fiber trace of the order -2m symbol component: trace, then monomial
 integration, then contraction and collection into invariant atoms.  The
 Einstein functional splits into Part I (the c(u)c(w) inverse-square-reduced
 power) and Part II (the six composition summands of the A B inverse-power
-product); every labeled intermediate is evaluated separately so it can be
-diffed against stored reference values.
+product).  `LEDGER` is the whole ledger in report order: each leaf label
+names its job (left and right symbol piece, derivative order, class of the
+right piece) and each total lists the labels it sums, so every labeled
+intermediate can be evaluated on its own and diffed against stored
+reference values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from . import clifford, sphere
 from .operators import (build_laplace_data, cu_cw_symbol, order_zero_pieces,
                         parametrix_symbols, symbol_of_a, symbol_of_b)
-from .pdo import Component, TruncationError, compose, composition_summand
+from .pdo import (Component, TruncationError, compose, composition_summand,
+                  origin_terms)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
-from .terms import (ContractViolation, NormalizeError, Term, mul_sums,
-                    normalize)
-
-LEDGER_ORDER = (
-    "I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7", "S1",
-    "II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E", "II-1",
-    "II-2",
-    "II-3-A", "II-3-B", "II-3-C", "II-3-D", "II-3-E", "II-3-F", "II-3-G",
-    "II-3",
-    "II-4-A", "II-4-B", "II-4-C", "II-4",
-    "II-5", "II-6", "S2",
-    "metric", "einstein",
-)
+from .terms import ContractViolation, NormalizeError, Term, mul_sums
 
 
 class ResidueError(Exception):
@@ -48,7 +41,7 @@ class TermLedger:
         return self.entries[label]
 
     def labels(self) -> list[str]:
-        return [l for l in LEDGER_ORDER if l in self.entries]
+        return [l for l in LEDGER if l in self.entries]
 
     @property
     def s1(self):
@@ -59,10 +52,6 @@ class TermLedger:
         return self.entries["S2"]
 
     @property
-    def metric(self):
-        return self.entries["metric"]
-
-    @property
     def einstein(self):
         return self.entries["einstein"]
 
@@ -70,10 +59,6 @@ class TermLedger:
 def _drop_norm(terms) -> list[Term]:
     return [Term(t.coeff, t.fac, t.word, (0, 0), t.trid, t.vol)
             for t in terms]
-
-
-def _origin(terms) -> list[Term]:
-    return [t for t in terms if not any(f.kind == "x" for f in t.fac)]
 
 
 def wres_density(terms, bianchi: bool = True) -> ScalarInvariantExpr:
@@ -106,167 +91,242 @@ def wres_density(terms, bianchi: bool = True) -> ScalarInvariantExpr:
         raise ResidueError(str(exc)) from exc
 
 
-def compute_metric_functional(bianchi: bool = True,
-                              with_field: bool = True) -> ScalarInvariantExpr:
-    """Density of Wres(c(u) c(w) D^{-2m}): exactly -g(u,w) TrId Vol."""
-    par = parametrix_symbols(build_laplace_data(with_field), 0)
-    prod = mul_sums(cu_cw_symbol().comps[(0, 0)].terms,
-                    par.comps[(0, -2)].terms)
-    return wres_density(_origin(prod), bianchi=bianchi)
+class Leaf(NamedTuple):
+    """One residue job: Wres of the alpha-th composition summand of a left
+    and a right symbol piece (their plain product when alpha is 0), with
+    the right piece cut down to one `_signature` class when cls is set.
+    The pieces are named in `_BUILD`."""
+
+    left: str
+    right: str
+    alpha: int = 0
+    cls: str | None = None
 
 
-def _classify(terms, labels: dict[str, str], where: str):
-    """Split parametrix-side terms into the labeled classes by their factor
-    and word signature."""
-    out = {lab: [] for lab in labels.values()}
-    for t in terms:
-        kinds = {f.kind for f in t.fac}
+class Total(NamedTuple):
+    """The sum of the labels in children; check, when set, is a job whose
+    value the sum must equal."""
+
+    children: tuple[str, ...]
+    check: Leaf | None = None
+
+
+# The whole ledger in report order; a total follows the labels it sums.
+# Part I: c(u) c(w) against the order -2m component of the reduced power.
+# Its xi-contracted curvature lines (I-2, I-3) vanish already at the symbol
+# level by first-slot antisymmetry, so those classes are empty.
+# Part II: the A B product symbol against the full-power parametrix.  II-1
+# is the order-zero product against |xi|^{-2m}, split into the pieces of the
+# factor symbols: the first xi/x derivative pairing of sigma_1(A) with each
+# piece of sigma_0(B) (the vector piece split by which field the derivative
+# hit) plus the plain order-zero product, where only c(u)ch(V)c(w)ch(V)
+# survives at the origin.  II-2 is the order-one product against the wholly
+# x-linear component, II-3 the order-two product against the order -2m-2
+# component, II-4 the first derivative pairing with the order -2m-1
+# component, II-5 and II-6 the first and second pairings with the top one.
+LEDGER: dict[str, Leaf | Total] = {
+    "I-1": Leaf("cu_cw", "par1_top", 0, "ric"),
+    "I-2": Leaf("cu_cw", "par1_top", 0, "riem20"),
+    "I-3": Leaf("cu_cw", "par1_top", 0, "riem02"),
+    "I-4": Leaf("cu_cw", "par1_top", 0, "riem22"),
+    "I-5": Leaf("cu_cw", "par1_top", 0, "scal"),
+    "I-6": Leaf("cu_cw", "par1_top", 0, "dv"),
+    "I-7": Leaf("cu_cw", "par1_top", 0, "vv"),
+    "S1": Total(("I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7")),
+    "II-1-A": Leaf("a1_conn_c", "par0_top"),
+    "II-1-B": Leaf("a1_conn_h", "par0_top"),
+    "II-1-C": Leaf("a1_dw", "par0_top"),
+    "II-1-D": Leaf("a1_dv", "par0_top"),
+    "II-1-E": Leaf("a0_b0", "par0_top"),
+    "II-1": Total(("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E"),
+                  check=Leaf("ab0", "par0_top")),
+    "II-2": Leaf("ab1", "par0_mid"),
+    "II-3-A": Leaf("ab2", "par0_low", 0, "ric"),
+    "II-3-B": Leaf("ab2", "par0_low", 0, "riem20"),
+    "II-3-C": Leaf("ab2", "par0_low", 0, "riem02"),
+    "II-3-D": Leaf("ab2", "par0_low", 0, "riem22"),
+    "II-3-E": Leaf("ab2", "par0_low", 0, "scal"),
+    "II-3-F": Leaf("ab2", "par0_low", 0, "dv"),
+    "II-3-G": Leaf("ab2", "par0_low", 0, "vv"),
+    "II-3": Total(("II-3-A", "II-3-B", "II-3-C", "II-3-D", "II-3-E",
+                   "II-3-F", "II-3-G")),
+    "II-4-A": Leaf("ab2", "par0_mid", 1, "ric"),
+    "II-4-B": Leaf("ab2", "par0_mid", 1, "riem20"),
+    "II-4-C": Leaf("ab2", "par0_mid", 1, "riem02"),
+    "II-4": Total(("II-4-A", "II-4-B", "II-4-C")),
+    "II-5": Leaf("ab1", "par0_top", 1),
+    "II-6": Leaf("ab2", "par0_top", 2),
+    "S2": Total(("II-1", "II-2", "II-3", "II-4", "II-5", "II-6")),
+    "metric": Leaf("cu_cw", "par0_top"),
+    "einstein": Total(("S1", "S2")),
+}
+
+# piece -> the classes the table draws from it; a term of any other class
+# would be lost, so splitting the piece refuses it
+_CLASSES: dict[str, set[str]] = {}
+for _row in LEDGER.values():
+    if isinstance(_row, Leaf) and _row.cls is not None:
+        _CLASSES.setdefault(_row.right, set()).add(_row.cls)
+
+
+def _signature(t: Term) -> str:
+    """The class of a parametrix-side term, by its factor and word
+    signature."""
+    kinds = {f.kind for f in t.fac}
+    if "ric" in kinds:
+        return "ric"
+    if "scal" in kinds:
+        return "scal"
+    if "dv" in kinds:
+        return "dv"
+    if "dw" in kinds:
+        return "dw"
+    if "vsq" in kinds or sum(1 for f in t.fac if f.kind == "v") == 2:
+        return "vv"
+    if "riem" in kinds:
         cs = sum(1 for g in t.word if g.fam == "c")
         hs = sum(1 for g in t.word if g.fam == "h")
-        if "ric" in kinds:
-            sig = "ric"
-        elif "scal" in kinds:
-            sig = "scal"
-        elif "dv" in kinds:
-            sig = "dv"
-        elif "dw" in kinds:
-            sig = "dw"
-        elif "vsq" in kinds or sum(1 for f in t.fac if f.kind == "v") == 2:
-            sig = "vv"
-        elif "riem" in kinds:
-            sig = f"riem{cs}{hs}"
-        else:
-            sig = "?"
-        if sig not in labels:
-            raise ResidueError(f"unclassifiable term in {where}: {t}")
-        out[labels[sig]].append(t)
-    return out
+        return f"riem{cs}{hs}"
+    return "?"
+
+
+def _a1_with(pieces: _Pieces, piece: str) -> Component:
+    """sigma_1(A) paired once with one piece of sigma_0(B), at the origin."""
+    b0 = order_zero_pieces("w", pieces.with_field)[piece]
+    terms, _ = composition_summand(pieces["A"].comps[(1, 0)],
+                                   Component(b0, None), 1)
+    return Component(tuple(origin_terms(terms)), None)
+
+
+def _vector_split(pieces: _Pieces) -> tuple[Component, Component]:
+    """The sigma_1(A) pairing with c(w) ch(V), split by the field the
+    derivative hit."""
+    terms = _a1_with(pieces, "vec").terms
+    dw = tuple(t for t in terms if any(f.kind == "dw" for f in t.fac))
+    dv = tuple(t for t in terms if any(f.kind == "dv" for f in t.fac))
+    if len(dw) + len(dv) != len(terms):
+        raise ResidueError("vector-derivative split lost a term in II-1")
+    return Component(dw, None), Component(dv, None)
+
+
+def _origin_product(a: Component, b: Component) -> Component:
+    # a product keeps every x factor, so each side is cut first
+    return Component(mul_sums(origin_terms(a.terms), origin_terms(b.terms)),
+                     None)
+
+
+# how each piece is built from the others
+_BUILD = {
+    "data": lambda p: build_laplace_data(p.with_field),
+    "par0": lambda p: parametrix_symbols(p["data"], 0),
+    "par1": lambda p: parametrix_symbols(p["data"], 1),
+    "A": lambda p: symbol_of_a(p.with_field),
+    "B": lambda p: symbol_of_b(p.with_field),
+    "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)]),
+    "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
+    "par0_top": lambda p: p["par0"].comps[(0, -2)],
+    "par0_mid": lambda p: p["par0"].comps[(-1, -2)],
+    "par0_low": lambda p: p["par0"].comps[(-2, -2)],
+    "par1_top": lambda p: p["par1"].comps[(0, -2)],
+    "ab0": lambda p: p["AB"].comps[(0, 0)],
+    "ab1": lambda p: p["AB"].comps[(1, 0)],
+    "ab2": lambda p: p["AB"].comps[(2, 0)],
+    "a0_b0": lambda p: _origin_product(p["A"].comps[(0, 0)],
+                                       p["B"].comps[(0, 0)]),
+    "a1_conn_c": lambda p: _a1_with(p, "conn_c"),
+    "a1_conn_h": lambda p: _a1_with(p, "conn_h"),
+    "a1_vec": _vector_split,
+    "a1_dw": lambda p: p["a1_vec"][0],
+    "a1_dv": lambda p: p["a1_vec"][1],
+}
+
+
+class _Pieces(dict):
+    """The symbol pieces the jobs draw on, by name, each built at most once
+    and only when a job asks for it.  The key (piece, class) is the piece
+    cut down to one `_signature` class."""
+
+    def __init__(self, with_field: bool):
+        super().__init__()
+        self.with_field = with_field
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            self[key] = _BUILD[key](self)
+            return self[key]
+        piece, _ = key
+        comp = self[piece]
+        split: dict[str, list[Term]] = {cls: [] for cls in _CLASSES[piece]}
+        for t in comp.terms:
+            cls = _signature(t)
+            if cls not in split:
+                raise ResidueError(f"unclassifiable term in {piece}: {t}")
+            split[cls].append(t)
+        for cls, terms in split.items():
+            self[piece, cls] = Component(tuple(terms), comp.xtrunc)
+        return self[key]
+
+
+def _run(job: Leaf, pieces: _Pieces, bianchi: bool) -> ScalarInvariantExpr:
+    left = pieces[job.left]
+    right = pieces[job.right if job.cls is None else (job.right, job.cls)]
+    if job.alpha:
+        terms, _ = composition_summand(left, right, job.alpha)
+        return wres_density(origin_terms(terms), bianchi=bianchi)
+    return wres_density(_origin_product(left, right).terms, bianchi=bianchi)
+
+
+def with_children(labels: Iterable[str]) -> list[str]:
+    """The labels and every label they sum over, in table order."""
+    found: set[str] = set()
+    stack = list(labels)
+    while stack:
+        label = stack.pop()
+        if label not in found:
+            found.add(label)
+            row = LEDGER[label]
+            if isinstance(row, Total):
+                stack.extend(row.children)
+    return [label for label in LEDGER if label in found]
+
+
+def evaluate_labels(labels: Iterable[str], bianchi: bool = True,
+                    with_field: bool = True) -> TermLedger:
+    """Evaluate the labels and every label they sum over.
+
+    The symbol pieces are shared between the jobs of one call.  A total is
+    the ScalarInvariantExpr sum of its children, and its check job, if any,
+    must give the same value.
+    """
+    pieces = _Pieces(with_field)
+    led = TermLedger()
+    for label in with_children(labels):
+        row = LEDGER[label]
+        if isinstance(row, Leaf):
+            led.entries[label] = _run(row, pieces, bianchi)
+            continue
+        total = ScalarInvariantExpr.zero()
+        for child in row.children:
+            total = total + led.entries[child]
+        if row.check and not (_run(row.check, pieces, bianchi)
+                              - total).is_zero():
+            raise ResidueError(f"{label} sub-term split disagrees with "
+                               f"{row.check.left} times {row.check.right}")
+        led.entries[label] = total
+    return led
 
 
 def compute_einstein_functional(bianchi: bool = True,
                                 with_field: bool = True) -> TermLedger:
-    """Evaluate every labeled term of the Einstein functional and the
-    totals; asserts the ledger's internal sum identities."""
-    data = build_laplace_data(with_field)
-    par0 = parametrix_symbols(data, 0)
-    par1 = parametrix_symbols(data, 1)
-    ab = compose(symbol_of_a(with_field), symbol_of_b(with_field),
-                 [(2, 0), (1, 0), (0, 0)])
-    uw = cu_cw_symbol().comps[(0, 0)].terms
+    """Evaluate every labeled term of the Einstein functional, the metric
+    functional and the totals."""
+    return evaluate_labels(LEDGER, bianchi, with_field)
 
-    led = TermLedger()
 
-    def wres(terms):
-        return wres_density(terms, bianchi=bianchi)
-
-    # Part I: c(u) c(w) times the order -2m component of the reduced power.
-    # The xi-contracted curvature lines (I-2, I-3) vanish already at the
-    # symbol level by first-slot antisymmetry, so those classes are empty.
-    part1_classes = _classify(
-        par1.comps[(0, -2)].terms,
-        {"ric": "I-1", "riem20": "I-2", "riem02": "I-3", "riem22": "I-4",
-         "scal": "I-5", "dv": "I-6", "vv": "I-7"},
-        "part I")
-    s1 = ScalarInvariantExpr.zero()
-    for lab in ("I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7"):
-        led.entries[lab] = wres(_origin(mul_sums(uw, part1_classes[lab])))
-        s1 = s1 + led.entries[lab]
-    led.entries["S1"] = s1
-
-    sig0 = _origin(ab.comps[(0, 0)].terms)
-    sig1 = ab.comps[(1, 0)].terms
-    sig2 = ab.comps[(2, 0)].terms
-
-    # II-1: order-zero product against |xi|^{-2m}.  The sub-terms are built
-    # from the pieces of the factor symbols: the plain order-zero product
-    # (only c(u)ch(V)c(w)ch(V) survives at the origin) plus the first
-    # xi/x derivative pairing of sigma_1(A) against each piece of
-    # sigma_0(B); the latter's vector piece splits by which field the
-    # derivative hit.
-    a_sym = symbol_of_a(with_field)
-    s1a = a_sym.comps[(1, 0)]
-    s0a = a_sym.comps[(0, 0)].terms
-    s0b_pieces = order_zero_pieces("w", with_field)
-    top0 = par0.comps[(0, -2)].terms
-
-    conn_c, _ = composition_summand(
-        s1a, Component(s0b_pieces["conn_c"], None), 1)
-    conn_h, _ = composition_summand(
-        s1a, Component(s0b_pieces["conn_h"], None), 1)
-    dvec, _ = composition_summand(
-        s1a, Component(s0b_pieces["vec"], None), 1)
-    dvec = _origin(dvec)
-    dw_part = [t for t in dvec if any(f.kind == "dw" for f in t.fac)]
-    dv_part = [t for t in dvec if any(f.kind == "dv" for f in t.fac)]
-    if len(dw_part) + len(dv_part) != len(dvec):
-        raise ResidueError("vector-derivative split lost a term in II-1")
-    plain = _origin(mul_sums(s0a, normalize(
-        s0b_pieces["conn_c"] + s0b_pieces["conn_h"] + s0b_pieces["vec"])))
-    ii1_classes = {
-        "II-1-A": _origin(conn_c), "II-1-B": _origin(conn_h),
-        "II-1-C": dw_part, "II-1-D": dv_part, "II-1-E": plain,
-    }
-    ii1 = ScalarInvariantExpr.zero()
-    for lab in ("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E"):
-        led.entries[lab] = wres(_origin(mul_sums(ii1_classes[lab], top0)))
-        ii1 = ii1 + led.entries[lab]
-    led.entries["II-1"] = ii1
-    composed = wres(_origin(mul_sums(sig0, top0)))
-    if not (composed - ii1).is_zero():
-        raise ResidueError("II-1 sub-term split disagrees with the composed "
-                           "order-zero symbol")
-
-    # II-2: order-one product against the wholly x-linear component
-    led.entries["II-2"] = wres(
-        _origin(mul_sums(sig1, par0.comps[(-1, -2)].terms)))
-
-    # II-3: order-two product against the order -2m-2 component
-    ii3_classes = _classify(
-        par0.comps[(-2, -2)].terms,
-        {"ric": "II-3-A", "riem20": "II-3-B", "riem02": "II-3-C",
-         "riem22": "II-3-D", "scal": "II-3-E", "dv": "II-3-F",
-         "vv": "II-3-G"},
-        "II-3")
-    ii3 = ScalarInvariantExpr.zero()
-    for lab in ("II-3-A", "II-3-B", "II-3-C", "II-3-D", "II-3-E", "II-3-F",
-                "II-3-G"):
-        led.entries[lab] = wres(_origin(mul_sums(sig2, ii3_classes[lab])))
-        ii3 = ii3 + led.entries[lab]
-    led.entries["II-3"] = ii3
-
-    # II-4: first xi/x derivative pairing with the order -2m-1 component
-    ii4_classes = _classify(
-        par0.comps[(-1, -2)].terms,
-        {"ric": "II-4-A", "riem20": "II-4-B", "riem02": "II-4-C"},
-        "II-4")
-    ii4 = ScalarInvariantExpr.zero()
-    for lab in ("II-4-A", "II-4-B", "II-4-C"):
-        terms, _ = composition_summand(
-            Component(tuple(sig2), None),
-            Component(tuple(ii4_classes[lab]), 1), 1)
-        led.entries[lab] = wres(_origin(terms))
-        ii4 = ii4 + led.entries[lab]
-    led.entries["II-4"] = ii4
-
-    # II-5: first derivative pairing with the top component
-    terms, _ = composition_summand(Component(tuple(sig1), None),
-                                   par0.comps[(0, -2)], 1)
-    led.entries["II-5"] = wres(_origin(terms))
-
-    # II-6: second derivative pairing with the top component
-    terms, _ = composition_summand(Component(tuple(sig2), None),
-                                   par0.comps[(0, -2)], 2)
-    led.entries["II-6"] = wres(_origin(terms))
-
-    s2 = ScalarInvariantExpr.zero()
-    for lab in ("II-1", "II-2", "II-3", "II-4", "II-5", "II-6"):
-        s2 = s2 + led.entries[lab]
-    led.entries["S2"] = s2
-
-    led.entries["metric"] = compute_metric_functional(bianchi=bianchi,
-                                                      with_field=with_field)
-    led.entries["einstein"] = s1 + s2
-    return led
+def compute_metric_functional(bianchi: bool = True,
+                              with_field: bool = True) -> ScalarInvariantExpr:
+    """Density of Wres(c(u) c(w) D^{-2m}): exactly -g(u,w) TrId Vol."""
+    return _run(LEDGER["metric"], _Pieces(with_field), bianchi)
 
 
 def part2_compose_check(bianchi: bool = True) -> ScalarInvariantExpr:
@@ -276,7 +336,8 @@ def part2_compose_check(bianchi: bool = True) -> ScalarInvariantExpr:
     par0 = parametrix_symbols(data, 0)
     ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     full = compose(ab, par0, [(0, -2)])
-    return wres_density(_origin(full.comps[(0, -2)].terms), bianchi=bianchi)
+    return wres_density(origin_terms(full.comps[(0, -2)].terms),
+                        bianchi=bianchi)
 
 
 def part1_top_norm_exponent() -> tuple[int, int]:

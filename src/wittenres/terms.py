@@ -314,6 +314,8 @@ def _partner_keys(t: Term, counts):
     frame index, a free label, a factor slot, or another word position),
     never by the arbitrary dummy name, so normal ordering is stable under
     relabeling and different derivation paths straighten to the same form.
+    A pair inside the word is keyed by its first position, so a crossed
+    pair is swapped until the partners meet and contract.
     """
     fmap: dict[str, tuple] = {}
     for f in t.fac:
@@ -321,6 +323,9 @@ def _partner_keys(t: Term, counts):
         for slot, i in enumerate(f.idx):
             if isinstance(i, str) and counts.get(i) == 2:
                 fmap[i] = (KIND_RANK[f.kind], slot, skey)
+    first: dict[Idx, int] = {}
+    for p, g in enumerate(t.word):
+        first.setdefault(g.idx, p)
     keys = []
     for g in t.word:
         fam = 0 if g.fam == "c" else 1
@@ -333,7 +338,7 @@ def _partner_keys(t: Term, counts):
             rank, slot, skey = fmap[i]
             keys.append((fam, (2, (rank, slot), skey)))
         else:
-            keys.append((fam, (3, (0,), ())))  # paired inside the word
+            keys.append((fam, (3, (first[i],), ())))  # paired in the word
     return keys
 
 

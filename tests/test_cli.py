@@ -1,26 +1,17 @@
 import json
-import os
 import re
+from pathlib import Path
 
 import pytest
 
+from wittenres import pdo, residue
 from wittenres.cli import canonical_json, main
 
+EXPECTED_REPORT = Path(__file__).parents[1] / "bench" / "expected_report.json"
 
-def run(capsys, *argv, env=None):
-    old = {}
-    if env:
-        for k, v in env.items():
-            old[k] = os.environ.get(k)
-            os.environ[k] = v
-    try:
-        code = main(list(argv))
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+
+def run(capsys, *argv):
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -70,6 +61,31 @@ def test_verify_term_filter(capsys):
     assert entry_lines[0].split()[:2] == ["I-2", "0"]
 
 
+def test_verify_term_evaluates_only_its_job(monkeypatch, capsys):
+    calls = {"wres_density": 0, "composition_summand": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(residue, "wres_density")
+    for module in (residue, pdo):
+        counted(module, "composition_summand")
+    code, _, _ = run(capsys, "verify", "--term", "I-2")
+    assert code == 0
+    assert calls == {"wres_density": 1, "composition_summand": 0}
+
+
+def test_verify_json_matches_recorded_report(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert out == EXPECTED_REPORT.read_text(encoding="utf-8")
+
+
 def test_verify_unknown_term_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--term", "I-99")
     assert code == 2
@@ -117,16 +133,6 @@ def test_concrete_dimension_report(capsys):
     assert "(-32)*pi^2 g(u,w)" in out
 
 
-def test_workers_fanout_matches_sequential(capsys):
-    code, seq, _ = run(capsys, "verify", "--functional", "einstein",
-                       "--format", "json")
-    assert code == 0
-    code, par, _ = run(capsys, "verify", "--functional", "einstein",
-                       "--format", "json", env={"WITTENRES_WORKERS": "2"})
-    assert code == 0
-    assert seq == par
-
-
 def test_query_trace(capsys):
     code, out, _ = run(capsys, "query", "trace", "c1 c1",
                        "--dimension", "4")
@@ -158,38 +164,3 @@ def test_bad_dimension_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dimension", "5"])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("cpus, pools", [(64, [8]), (3, [3]), (None, [])])
-def test_worker_count_is_clamped(monkeypatch, cpus, pools):
-    # an inline stand-in records the pool size and starts no process
-    import concurrent.futures
-
-    from wittenres import cli
-    from wittenres.residue import TermLedger
-
-    seen = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "_compute_part", lambda part, bianchi: {
-        lab: {} for lab in cli._PART_LABELS[part]})
-    monkeypatch.setattr(cli, "compute_einstein_functional",
-                        lambda bianchi: TermLedger())
-    cli.evaluate_ledger(True, 10 ** 6)
-    assert seen == pools

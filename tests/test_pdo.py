@@ -7,7 +7,7 @@ from wittenres.operators import (build_laplace_data, cu_cw_symbol,
                                  parametrix_symbols, symbol_of_a,
                                  symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
-                           d_x, d_x_terms, d_xi, d_xi_terms,
+                           d_x, d_x_terms, d_xi_terms,
                            evaluate_at_origin, terms_equal_taylor)
 from wittenres.scalars import S_I, S_ONE, Scalar
 from wittenres.terms import (F, NormalizeError, Term, fct, normalize,

@@ -7,11 +7,15 @@ from wittenres.operators import (build_laplace_data, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import compose
 from wittenres.oracle import random_tensor_instantiation
-from wittenres.residue import (ResidueError, compute_einstein_functional,
-                               compute_metric_functional,
+from wittenres import residue
+from wittenres.reference import load_reference
+from wittenres.residue import (LEDGER, Leaf, ResidueError, Total,
+                               compute_einstein_functional,
+                               compute_metric_functional, evaluate_labels,
                                part1_top_norm_exponent, part2_compose_check,
                                wres_density)
 from wittenres.scalars import S_I, S_ONE, Scalar
+from wittenres.tensor import ScalarInvariantExpr
 from wittenres.terms import Term, fct
 
 FR = Fraction
@@ -105,6 +109,44 @@ def test_sub_term_sums(ledger):
             e = ledger[f"{total}-{s}"]
             acc = e if acc is None else acc + e
         assert acc == ledger[total], total
+
+
+def test_table_labels_follow_the_reference_ledger():
+    # the reference stores every label once, in report order
+    assert list(LEDGER) == list(load_reference()["values"])
+
+
+def test_each_total_is_the_sum_of_its_children(ledger):
+    order = list(LEDGER)
+    for label, row in LEDGER.items():
+        if isinstance(row, Total):
+            acc = ScalarInvariantExpr.zero()
+            for child in row.children:
+                assert order.index(child) < order.index(label)
+                acc = acc + ledger[child]
+            assert acc == ledger[label], label
+
+
+def test_selected_labels_match_the_full_ledger(ledger):
+    led = evaluate_labels(["II-4-B", "II-1"])
+    assert led.labels() == ["II-1-A", "II-1-B", "II-1-C", "II-1-D",
+                            "II-1-E", "II-1", "II-4-B"]
+    for lab in led.labels():
+        assert led[lab] == ledger[lab], lab
+
+
+def test_total_check_guards_the_split(monkeypatch):
+    row = LEDGER["II-1"]
+    monkeypatch.setitem(LEDGER, "II-1",
+                        row._replace(check=Leaf("cu_cw", "par0_top")))
+    with pytest.raises(ResidueError, match="II-1 sub-term split"):
+        evaluate_labels(["II-1"])
+
+
+def test_class_split_refuses_an_unused_class(monkeypatch):
+    monkeypatch.setitem(residue._CLASSES, "par1_top", {"ric", "scal"})
+    with pytest.raises(ResidueError, match="unclassifiable term"):
+        evaluate_labels(["I-1"])
 
 
 def test_compose_path_agrees_with_summand_path(ledger):

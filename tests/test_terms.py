@@ -58,12 +58,18 @@ def test_symmetric_monomial_coefficient_antisymmetry_cancels():
 
 
 def test_word_internal_tie_contracts_inner_pair():
-    # c_a c_b c_b c_a: both dummies pair inside the word, so their keys tie;
-    # the inner and then the outer pair each sum to -n (to +n for chat)
+    # c_a c_b c_b c_a: both dummies pair inside the word; the inner and then
+    # the outer pair each sum to -n (to +n for chat)
     n_sq = Scalar.poly((0, 0, 4))  # n = 2m
     for gen in (cl.c, cl.chat):
         t = Term(S_ONE, (), (gen("a"), gen("b"), gen("b"), gen("a")))
         assert normalize([t]) == (Term(n_sq, ()),)
+    # crossed pairs c_a c_b c_a c_b: one anticommutator brings the partners
+    # together, -n^2 + 2n for either family
+    crossed = Scalar.poly((0, 4, -4))
+    for gen in (cl.c, cl.chat):
+        t = Term(S_ONE, (), (gen("a"), gen("b"), gen("a"), gen("b")))
+        assert normalize([t]) == (Term(crossed, ()),)
 
 
 def test_canonical_form_is_label_independent():
