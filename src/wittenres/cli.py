@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import clifford, reference, sphere
-from .residue import evaluate_labels, part1_top_norm_exponent, with_children
+from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
+                      with_children)
 from .scalars import PolyM, vol_sphere_value
 from .tensor import ScalarInvariantExpr
 
@@ -41,12 +42,13 @@ def _expr_json(expr: ScalarInvariantExpr) -> dict:
             for atom, coeffs in expr.coeff_lists().items()}
 
 
-def evaluate_ledger(labels: list[str], bianchi: bool,
-                    ref: dict) -> dict[str, dict]:
+def evaluate_ledger(labels: list[str], bianchi: bool, ref: dict,
+                    pieces: Pieces) -> dict[str, dict]:
     """Report entries for the labels, in ledger order: the value as
     {atom -> coefficient list}, its status against the reference, and the
-    stored note and printed value if any."""
-    led = evaluate_labels(labels, bianchi=bianchi)
+    stored note and printed value if any.  The symbol pieces built on the
+    way stay in `pieces`."""
+    led = evaluate_labels(labels, bianchi=bianchi, pieces=pieces)
     entries = {}
     for lab in led.labels():
         if lab not in labels:
@@ -136,12 +138,20 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         labels = wanted
-    entries = evaluate_ledger(labels, args.bianchi == "on", ref)
+    diagnose = args.functional != "metric" and not wanted
+    if diagnose:
+        try:
+            printed = reference.printed_part1_top_norm(ref)
+        except reference.ReferenceFormatError as exc:
+            print(f"golden file error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    pieces = Pieces()
+    entries = evaluate_ledger(labels, args.bianchi == "on", ref, pieces)
 
     diagnostics = []
-    if args.functional != "metric" and not wanted:
-        derived = part1_top_norm_exponent()
-        printed = reference.printed_part1_top_norm(ref)
+    if diagnose:
+        # the ledger's Part I labels have built this piece already
+        derived = part1_top_norm_exponent(pieces["par1_top"])
         diagnostics.append({
             "check": "part1-top-norm-exponent",
             "derived": _norm_str(derived),

@@ -91,30 +91,39 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
 _DERIV = {"u": "du", "w": "dw", "v": "dv"}
 
 
-def d_x_terms(terms: Iterable[Term], j: Idx,
-              strict: bool = True) -> tuple[Term, ...]:
-    """Termwise x-derivative.
+def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
+              xmax: int | None = None) -> tuple[Term, ...]:
+    """Termwise x-derivative, normalized.
 
     Coordinate factors differentiate to deltas; vector-field components
     produce first-derivative atoms.  Curvature data is a Taylor coefficient
     at the base point and is constant.  Second derivatives of vector fields
     are not representable and raise in strict mode; non-strict mode treats
     the derivative atoms as carried constants (used when diffing the Taylor
-    sectors two symbols actually store).
+    sectors two symbols actually store).  The result is normalized, and that
+    is part of its meaning: normalizing folds contracted field pairs such as
+    u_a w_a into the constant atoms (`guw`, `ricuw`, `vsq`), so a further
+    derivative treats them as constants.
+
+    With xmax set, derivative terms with more than xmax x factors are
+    dropped before normalizing (every input term is still checked).
     """
     out = []
     for t in terms:
+        deg = sum(1 for f in t.fac if f.kind == "x")
         for k, f in enumerate(t.fac):
             if f.kind == "x":
-                fac = t.fac[:k] + (F("delta", (f.idx[0], j)),) + t.fac[k + 1:]
-                out.append(Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol))
+                new, new_deg = F("delta", (f.idx[0], j)), deg - 1
             elif f.kind in _DERIV:
-                fac = (t.fac[:k] + (F(_DERIV[f.kind], (j, f.idx[0])),)
-                       + t.fac[k + 1:])
+                new, new_deg = F(_DERIV[f.kind], (j, f.idx[0])), deg
+            else:
+                if f.kind in ("du", "dw", "dv") and strict:
+                    raise NormalizeError("second derivative of a vector "
+                                         "field is not representable")
+                continue
+            if xmax is None or new_deg <= xmax:
+                fac = t.fac[:k] + (new,) + t.fac[k + 1:]
                 out.append(Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol))
-            elif f.kind in ("du", "dw", "dv") and strict:
-                raise NormalizeError("second derivative of a vector field "
-                                     "is not representable")
     return normalize(out)
 
 
@@ -274,6 +283,14 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
     of x-truncated symbol data, and the free labels pin down factor sectors
     that pure relabeling cannot (two structurally identical curvature
     factors, say).
+
+    Derivative k (counting from one) keeps only terms with at most
+    xorder - k x factors, cut before they are normalized.  The cut is
+    exact: every normalize rule keeps a term's number of x factors and
+    merging joins only equal presentations, so normalizing commutes with
+    grading by x-degree; a derivative lowers the x-degree by at most one,
+    so a term above the cut cannot lose its x factors in the xorder - k
+    derivatives left, and never reaches an origin comparison.
     """
     from .terms import sums_equal
     lab = _fresh_labels((a, b), xorder)
@@ -283,8 +300,9 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
             return False
         if k == xorder:
             break
-        ca = d_x_terms(ca, lab[k], strict=False)
-        cb = d_x_terms(cb, lab[k], strict=False)
+        cut = xorder - k - 1
+        ca = d_x_terms(ca, lab[k], strict=False, xmax=cut)
+        cb = d_x_terms(cb, lab[k], strict=False, xmax=cut)
     return True
 
 

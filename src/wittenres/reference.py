@@ -63,6 +63,16 @@ def validate_reference(ref) -> None:
                         ) from exc
     if "values" not in ref:
         raise ReferenceFormatError("reference file lacks a values table")
+    norms = ref.get("printed_norm_exponents", {})
+    if not isinstance(norms, dict):
+        raise ReferenceFormatError("printed_norm_exponents must be an object")
+    if "part1-top" in norms:
+        pair = norms["part1-top"]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) is int for x in pair)):
+            raise ReferenceFormatError(
+                "printed_norm_exponents[part1-top] must be a list of two "
+                "integers")
 
 
 def _coeffs(table: dict) -> dict[str, tuple[Fraction, ...]]:
@@ -97,8 +107,15 @@ def compare_entry(expr, ref: dict, label: str) -> str:
 
 
 def printed_part1_top_norm(ref: dict) -> tuple[int, int]:
-    c0, c1 = ref["printed_norm_exponents"]["part1-top"]
-    return (int(c0), int(c1))
+    """The printed |xi| exponent of the Part I top component; a validated
+    reference that lacks it raises ReferenceFormatError."""
+    try:
+        c0, c1 = ref["printed_norm_exponents"]["part1-top"]
+    except KeyError:
+        raise ReferenceFormatError(
+            "reference lacks printed_norm_exponents[part1-top], which the "
+            "Einstein norm-exponent check needs") from None
+    return (c0, c1)
 
 
 # ---------------------------------------------------------------------------

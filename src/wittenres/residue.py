@@ -190,7 +190,7 @@ def _signature(t: Term) -> str:
     return "?"
 
 
-def _a1_with(pieces: _Pieces, piece: str) -> Component:
+def _a1_with(pieces: Pieces, piece: str) -> Component:
     """sigma_1(A) paired once with one piece of sigma_0(B), at the origin."""
     b0 = order_zero_pieces("w", pieces.with_field)[piece]
     terms, _ = composition_summand(pieces["A"].comps[(1, 0)],
@@ -198,7 +198,7 @@ def _a1_with(pieces: _Pieces, piece: str) -> Component:
     return Component(tuple(origin_terms(terms)), None)
 
 
-def _vector_split(pieces: _Pieces) -> tuple[Component, Component]:
+def _vector_split(pieces: Pieces) -> tuple[Component, Component]:
     """The sigma_1(A) pairing with c(w) ch(V), split by the field the
     derivative hit."""
     terms = _a1_with(pieces, "vec").terms
@@ -241,12 +241,12 @@ _BUILD = {
 }
 
 
-class _Pieces(dict):
+class Pieces(dict):
     """The symbol pieces the jobs draw on, by name, each built at most once
     and only when a job asks for it.  The key (piece, class) is the piece
     cut down to one `_signature` class."""
 
-    def __init__(self, with_field: bool):
+    def __init__(self, with_field: bool = True):
         super().__init__()
         self.with_field = with_field
 
@@ -267,7 +267,7 @@ class _Pieces(dict):
         return self[key]
 
 
-def _run(job: Leaf, pieces: _Pieces, bianchi: bool) -> ScalarInvariantExpr:
+def _run(job: Leaf, pieces: Pieces, bianchi: bool) -> ScalarInvariantExpr:
     left = pieces[job.left]
     right = pieces[job.right if job.cls is None else (job.right, job.cls)]
     if job.alpha:
@@ -291,14 +291,16 @@ def with_children(labels: Iterable[str]) -> list[str]:
 
 
 def evaluate_labels(labels: Iterable[str], bianchi: bool = True,
-                    with_field: bool = True) -> TermLedger:
+                    pieces: Pieces | None = None) -> TermLedger:
     """Evaluate the labels and every label they sum over.
 
-    The symbol pieces are shared between the jobs of one call.  A total is
-    the ScalarInvariantExpr sum of its children, and its check job, if any,
-    must give the same value.
+    The jobs share the symbol pieces in `pieces` (a fresh `Pieces` with the
+    field by default); a caller that passes its own can reuse the pieces
+    afterwards.  A total is the ScalarInvariantExpr sum of its children, and
+    its check job, if any, must give the same value.
     """
-    pieces = _Pieces(with_field)
+    if pieces is None:
+        pieces = Pieces()
     led = TermLedger()
     for label in with_children(labels):
         row = LEDGER[label]
@@ -320,13 +322,13 @@ def compute_einstein_functional(bianchi: bool = True,
                                 with_field: bool = True) -> TermLedger:
     """Evaluate every labeled term of the Einstein functional, the metric
     functional and the totals."""
-    return evaluate_labels(LEDGER, bianchi, with_field)
+    return evaluate_labels(LEDGER, bianchi, Pieces(with_field))
 
 
 def compute_metric_functional(bianchi: bool = True,
                               with_field: bool = True) -> ScalarInvariantExpr:
     """Density of Wres(c(u) c(w) D^{-2m}): exactly -g(u,w) TrId Vol."""
-    return _run(LEDGER["metric"], _Pieces(with_field), bianchi)
+    return _run(LEDGER["metric"], Pieces(with_field), bianchi)
 
 
 def part2_compose_check(bianchi: bool = True) -> ScalarInvariantExpr:
@@ -340,11 +342,11 @@ def part2_compose_check(bianchi: bool = True) -> ScalarInvariantExpr:
                         bianchi=bianchi)
 
 
-def part1_top_norm_exponent() -> tuple[int, int]:
+def part1_top_norm_exponent(par1_top: Component) -> tuple[int, int]:
     """Derived |xi| exponent on the curvature lines of the reduced-power
-    order -2m component (homogeneity forces -2m-2)."""
-    par1 = parametrix_symbols(build_laplace_data(), 1)
-    for t in par1.comps[(0, -2)].terms:
+    order -2m component, the `par1_top` piece (homogeneity forces
+    -2m-2)."""
+    for t in par1_top.terms:
         if any(f.kind == "ric" for f in t.fac):
             return t.norm
     raise ResidueError("missing Ricci term in the reduced-power component")

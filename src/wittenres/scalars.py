@@ -4,6 +4,13 @@ Every coefficient in the engine lives in Q(i)(m): Gaussian rationals whose
 real and imaginary parts are rational functions of the half-dimension
 symbol m.  All arithmetic is exact (fractions.Fraction underneath); nothing
 here ever touches floating point.
+
+Most coefficients are polynomials with a real value, so the arithmetic has
+fast paths for them that give the same reduced (num, den) pairs as the
+general route: a RatM with a constant denominator is reduced without a
+polynomial gcd, sums and products of two polynomials skip the cross
+multiplication by denominators, and a Scalar product with a real factor
+takes two RatM products (one when both are real) instead of four.
 """
 
 from __future__ import annotations
@@ -125,6 +132,7 @@ class PolyM:
 
 P_ZERO = PolyM()
 P_ONE = PolyM.const(1)
+_ONE = P_ONE.c
 P_M = PolyM((0, 1))
 P_N = PolyM((0, 2))  # the dimension n = 2m
 
@@ -148,10 +156,12 @@ class RatM:
             self.num, self.den = P_ZERO, P_ONE
             return
         if not _reduced:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
+            # a constant denominator has no factor to cancel
+            if den.degree() > 0:
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num, _ = num.divmod(g)
+                    den, _ = den.divmod(g)
             lead = den.c[-1]
             if lead != 1:
                 num = num.scale(Fraction(1, 1) / lead)
@@ -180,6 +190,8 @@ class RatM:
         return hash((self.num, self.den))
 
     def __add__(self, other):
+        if self.den.c == _ONE and other.den.c == _ONE:
+            return RatM(self.num + other.num, P_ONE, _reduced=True)
         return RatM(self.num * other.den + other.num * self.den,
                     self.den * other.den)
 
@@ -190,6 +202,8 @@ class RatM:
         return self + (-other)
 
     def __mul__(self, other):
+        if self.den.c == _ONE and other.den.c == _ONE:
+            return RatM(self.num * other.num, P_ONE, _reduced=True)
         return RatM(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -268,6 +282,12 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
+        if not other.im:
+            if not self.im:
+                return Scalar(self.re * other.re)
+            return Scalar(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return Scalar(self.re * other.re, self.re * other.im)
         return Scalar(self.re * other.re - self.im * other.im,
                       self.re * other.im + self.im * other.re)
 

@@ -12,7 +12,7 @@ from wittenres import clifford as cl
 from wittenres import oracle, reference, sphere
 from wittenres.operators import build_laplace_data, parametrix_symbols
 from wittenres.oracle import random_tensor_instantiation
-from wittenres.residue import (compute_einstein_functional,
+from wittenres.residue import (Pieces, compute_einstein_functional,
                                compute_metric_functional,
                                part1_top_norm_exponent)
 from wittenres.terms import sums_equal
@@ -158,7 +158,7 @@ def test_criterion_8_typo_detection(ledger, ref):
         "g(u,w)*s": [FR(1, 4), FR(-1, 4)]}
     total_ok = reference.compare_entry(ledger["II-3"], ref, "II-3") == \
         reference.MATCH
-    derived = part1_top_norm_exponent()
+    derived = part1_top_norm_exponent(Pieces()["par1_top"])
     printed = reference.printed_part1_top_norm(ref)
     exp_ok = derived == (-2, -2) and printed == (-4, -2) and \
         derived != printed

@@ -62,11 +62,10 @@ _CONCRETE = (1, 2)
 
 
 @st.composite
-def small_terms(draw):
+def small_terms(draw, vectors=("u", "w", "xi")):
     kinds = (["riem"] * draw(st.integers(0, 2))
              + draw(st.lists(st.sampled_from(("ric", "delta")), max_size=2))
-             + draw(st.lists(st.sampled_from(("u", "w", "xi")),
-                             max_size=3)))
+             + draw(st.lists(st.sampled_from(vectors), max_size=3)))
     left = dict.fromkeys(_LABELS, 2)
 
     def label():

@@ -101,6 +101,53 @@ def test_verify_bad_golden_is_usage_error(tmp_path, capsys):
     assert "golden file error" in err
 
 
+METRIC_ONLY = {"units": "TrId*Vol",
+               "values": {"metric": {"g(u,w)": ["-1"]}}}
+
+
+def test_verify_golden_without_norm_exponent(tmp_path, capsys,
+                                             monkeypatch):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(METRIC_ONLY))
+    calls = []
+    monkeypatch.setattr(residue, "wres_density",
+                        lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "verify", "--golden", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert "golden file error" in err and "printed_norm_exponents" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", "--functional", "metric",
+                       "--golden", str(path))
+    assert code == 0
+    assert "[MATCH]" in out
+
+
+@pytest.mark.parametrize("norms", [{"part1-top": [-4]},
+                                   {"part1-top": ["-4", "-2"]},
+                                   {"part1-top": -4}, [[-4, -2]]])
+def test_verify_golden_bad_norm_exponent_shape(tmp_path, capsys, norms):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({**METRIC_ONLY,
+                                "printed_norm_exponents": norms}))
+    code, _, err = run(capsys, "verify", "--functional", "metric",
+                       "--golden", str(path))
+    assert code == 2
+    assert "golden file error" in err
+
+
+def test_verify_builds_each_parametrix_once(monkeypatch, capsys):
+    offsets = []
+    original = residue.parametrix_symbols
+
+    def counted(data, offset):
+        offsets.append(offset)
+        return original(data, offset)
+    monkeypatch.setattr(residue, "parametrix_symbols", counted)
+    code, _, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    assert sorted(offsets) == [0, 1]
+
+
 def test_verify_mismatching_golden_exits_one(tmp_path, capsys):
     golden = {
         "units": "TrId*Vol",

@@ -9,7 +9,7 @@ from wittenres.pdo import compose
 from wittenres.oracle import random_tensor_instantiation
 from wittenres import residue
 from wittenres.reference import load_reference
-from wittenres.residue import (LEDGER, Leaf, ResidueError, Total,
+from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                compute_einstein_functional,
                                compute_metric_functional, evaluate_labels,
                                part1_top_norm_exponent, part2_compose_check,
@@ -165,7 +165,7 @@ def test_associativity_through_the_residue(ledger):
 
 
 def test_norm_exponent_is_derived():
-    assert part1_top_norm_exponent() == (-2, -2)
+    assert part1_top_norm_exponent(Pieces()["par1_top"]) == (-2, -2)
 
 
 def test_field_free_run_gives_hodge_density():

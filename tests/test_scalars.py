@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from wittenres.scalars import (PolyM, RatM, S_I, S_M, S_ONE, Scalar,
-                               vol_sphere_value)
+from wittenres.scalars import (PolyM, R_ZERO, RatM, S_I, S_M, S_ONE, S_ZERO,
+                               Scalar, poly_gcd, vol_sphere_value)
 
 
 def test_poly_arithmetic():
@@ -55,3 +56,70 @@ def test_vol_sphere_value():
     assert vol_sphere_value(3) == (Fraction(1), 3)    # pi^3
     with pytest.raises(ValueError):
         vol_sphere_value(0)
+
+
+# the general route: cross-multiply, cancel an explicit gcd, make the
+# denominator monic; it never goes through RatM.__init__
+def _reduced(num: PolyM, den: PolyM):
+    if num.is_zero():
+        return (), (Fraction(1),)
+    g = poly_gcd(num, den)
+    num, _ = num.divmod(g)
+    den, _ = den.divmod(g)
+    lead = den.c[-1]
+    return num.scale(1 / lead).c, den.monic().c
+
+
+def _random_poly(rng, degree):
+    return PolyM([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(degree + 1)])
+
+
+def _random_ratm(rng):
+    num = _random_poly(rng, rng.randint(0, 2))
+    den = _random_poly(rng, rng.randint(1, 2)) if rng.random() < 0.4 \
+        else PolyM((1,))
+    if den.is_zero():
+        den = PolyM((1,))
+    return RatM(*map(PolyM, _reduced(num, den)), _reduced=True)
+
+
+def _pair(r: RatM):
+    return r.num.c, r.den.c
+
+
+def test_ratm_fast_paths_match_the_gcd_route():
+    rng = random.Random(11)
+    for _ in range(400):
+        a, b = _random_ratm(rng), _random_ratm(rng)
+        assert _pair(a + b) == _reduced(a.num * b.den + b.num * a.den,
+                                        a.den * b.den)
+        assert _pair(a - b) == _reduced(a.num * b.den - b.num * a.den,
+                                        a.den * b.den)
+        assert _pair(a * b) == _reduced(a.num * b.num, a.den * b.den)
+        const = PolyM((Fraction(rng.randint(1, 5), rng.randint(1, 3)),))
+        assert _pair(RatM(a.num, const)) == _reduced(a.num, const)
+
+
+def _four_products(x: Scalar, y: Scalar) -> Scalar:
+    return Scalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def _parts(z: Scalar):
+    return _pair(z.re), _pair(z.im)
+
+
+def test_scalar_product_fast_paths_match_four_products():
+    rng = random.Random(5)
+    for _ in range(200):
+        re1, im1, re2, im2 = (_random_ratm(rng) for _ in range(4))
+        real1, real2 = Scalar(re1), Scalar(re2)
+        cases = [(real1, real2), (real1, Scalar(re2, im2)),
+                 (Scalar(re1, im1), real2), (Scalar(re1, im1),
+                                             Scalar(re2, im2)),
+                 (real1, S_ZERO), (S_ZERO, Scalar(re2, im2)),
+                 (Scalar(R_ZERO, im1), Scalar(R_ZERO, im2))]
+        for x, y in cases:
+            assert _parts(x * y) == _parts(_four_products(x, y))
+        zero = Scalar(re1, im1) - Scalar(re1, im1)
+        assert _parts(zero) == (_pair(R_ZERO), _pair(R_ZERO))
