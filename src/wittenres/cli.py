@@ -276,16 +276,7 @@ def cmd_query(args) -> int:
             exps = exps + [0] * (n - len(exps))
         if len(exps) != n:
             raise QueryError(f"{len(exps)} exponents for dimension {n}")
-        # expand the monomial indices and integrate symbolically
-        indices = []
-        for slot, e in enumerate(exps, start=1):
-            indices.extend([slot] * e)
-        total = Fraction(0)
-        for t in sphere.integrate_monomial(indices, n):
-            ok = all(f.idx[0] == f.idx[1] for f in t.fac)
-            if ok:
-                re, im = t.coeff.evaluate(Fraction(n, 2))
-                total += re
+        total = sphere.concrete_moment(exps, n)
         if total == 0:
             print("0")
         else:

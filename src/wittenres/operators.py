@@ -161,9 +161,11 @@ def _first_order_symbol(field: str, with_field: bool) -> PDOSymbol:
     top = mul_terms(c_vec(field, "r"), c_xi("f"))
     top = Term(top.coeff * S_I, top.fac, top.word, top.norm, top.trid,
                top.vol)
+    # x-linear Taylor data only: no x^2 terms of the coframe, the
+    # connection or the fields
     comps = {
-        (1, 0): Component(normalize([top]), None),
-        (0, 0): Component(normalize(_order_zero(field, with_field)), None),
+        (1, 0): Component(normalize([top]), 1),
+        (0, 0): Component(normalize(_order_zero(field, with_field)), 1),
     }
     return PDOSymbol(comps, exact=True)
 

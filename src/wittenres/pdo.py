@@ -284,25 +284,24 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
     that pure relabeling cannot (two structurally identical curvature
     factors, say).
 
-    Derivative k (counting from one) keeps only terms with at most
-    xorder - k x factors, cut before they are normalized.  The cut is
-    exact: every normalize rule keeps a term's number of x factors and
-    merging joins only equal presentations, so normalizing commutes with
-    grading by x-degree; a derivative lowers the x-degree by at most one,
-    so a term above the cut cannot lose its x factors in the xorder - k
-    derivatives left, and never reaches an origin comparison.
+    One derivative chain runs on a - b.  normalize reduces each term on its
+    own and merges equal presentations, so differentiating the difference
+    equals differencing the derivatives, and terms common to both sides
+    cancel at the first derivative.  The raw inputs are differentiated
+    before any normalize, so u_a w_a folds into guw where d_x_terms says.
+    The origin part is normalized at each step, not just tested for
+    emptiness: normalize is not idempotent yet, and a second pass can
+    cancel terms a first pass left.  Derivative k (from one) keeps only
+    terms with at most xorder - k x factors, an exact cut: normalize keeps
+    each term's x-degree and a derivative lowers it by at most one.
     """
-    from .terms import sums_equal
     lab = _fresh_labels((a, b), xorder)
-    ca, cb = tuple(a), tuple(b)
+    d = tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)
     for k in range(xorder + 1):
-        if not sums_equal(origin_terms(ca), origin_terms(cb)):
+        if normalize(origin_terms(d)):
             return False
-        if k == xorder:
-            break
-        cut = xorder - k - 1
-        ca = d_x_terms(ca, lab[k], strict=False, xmax=cut)
-        cb = d_x_terms(cb, lab[k], strict=False, xmax=cut)
+        if k < xorder:
+            d = d_x_terms(d, lab[k], strict=False, xmax=xorder - k - 1)
     return True
 
 

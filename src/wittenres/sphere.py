@@ -2,13 +2,15 @@
 
 A monomial xi_{g1}...xi_{g2k} integrates to the sum over all (2k-1)!!
 perfect pairings of delta products, times Vol(S^{n-1})/(n(n+2)...(n+2k-2)).
-Pairings are enumerated directly; degrees here never exceed a handful, so
-enumeration is cheap and symmetric by construction.
+Pairings are enumerated directly, leaving out pairs of two distinct concrete
+indices, whose delta is zero; symbolic degrees here never exceed a handful.
+A monomial in concrete indices alone has the closed form `concrete_moment`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from .scalars import PolyM, P_ONE, RatM, Scalar, vol_sphere_value
@@ -16,11 +18,16 @@ from .terms import F, Idx, Term
 
 
 def _pairings(slots: list):
+    """Perfect pairings of the slots, without pairs of two distinct concrete
+    indices (their delta is zero)."""
     if not slots:
         yield ()
         return
     first = slots[0]
     for j in range(1, len(slots)):
+        if (isinstance(first, int) and isinstance(slots[j], int)
+                and first != slots[j]):
+            continue
         rest = slots[1:j] + slots[j + 1:]
         for tail in _pairings(rest):
             yield ((first, slots[j]),) + tail
@@ -33,10 +40,20 @@ def _moment_scalar(k: int, n) -> Scalar:
         for j in range(k):
             den = den * PolyM((2 * j, 2))
         return Scalar(RatM(P_ONE, den))
-    val = Fraction(1)
-    for j in range(k):
-        val /= n + 2 * j
-    return Scalar.of(val)
+    return Scalar.of(concrete_moment((2,) * k, n))  # each (2-1)!! is 1
+
+
+def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:
+    """Integral of prod_i xi_i^(e_i) over S^(n-1), in units of its volume.
+
+    A concrete index pairs only with itself, so the pairing sum collapses to
+    prod (e_i - 1)!! / (n (n+2) ... (n+|e|-2)); an odd exponent gives zero.
+    """
+    exps = list(exponents)
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    num = prod(prod(range(e - 1, 0, -2)) for e in exps)
+    return Fraction(num, prod(n + 2 * j for j in range(sum(exps) // 2)))
 
 
 def integrate_monomial(indices: Iterable[Idx], n="sym") -> tuple[Term, ...]:

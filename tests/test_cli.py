@@ -1,10 +1,11 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from wittenres import pdo, residue
+from wittenres import oracle, pdo, residue
 from wittenres.cli import canonical_json, main
 
 EXPECTED_REPORT = Path(__file__).parents[1] / "bench" / "expected_report.json"
@@ -196,6 +197,18 @@ def test_query_sphere(capsys):
     assert (code, out.strip()) == (0, "(1/4) * Vol(S^3)")
     code, out, _ = run(capsys, "query", "sphere", "1,1,0,0@n=4")
     assert (code, out.strip()) == (0, "0")
+    for expr, want in (("2,2@n=4", "(1/24) * Vol(S^3)"),
+                       ("4,2@n=6", "(1/160) * Vol(S^5)"),
+                       ("0@n=2", "(1) * Vol(S^1)"), ("3,1@n=4", "0")):
+        assert run(capsys, "query", "sphere", expr)[:2] == (0, want + "\n")
+
+
+def test_query_sphere_closed_form_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "query", "sphere", "30@n=4")
+    assert time.perf_counter() - start < 1.0
+    want = oracle.sphere_integral_exact([30, 0, 0, 0], 4)
+    assert (code, out.strip()) == (0, f"({want}) * Vol(S^3)")
 
 
 def test_query_parse_error_positions(capsys):

@@ -118,6 +118,14 @@ def test_evaluate_guards_truncation():
         evaluate_at_origin(d_x(d_x(par, "j"), "l"))  # order -2m-2 data gone
 
 
+def test_first_order_symbols_keep_x_linear_data_only():
+    for sym in (symbol_of_a(), symbol_of_b()):
+        assert {c.xtrunc for c in sym.comps.values()} == {1}
+        assert evaluate_at_origin(d_x(sym, "j")).comps[(0, 0)].terms
+        with pytest.raises(TruncationError):
+            evaluate_at_origin(d_x(d_x(sym, "j"), "k"))
+
+
 def test_associativity_random_symbols_concrete():
     rng = random.Random(31)
     n = 4

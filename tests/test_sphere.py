@@ -75,6 +75,29 @@ def test_pairing_matches_gamma_oracle_spot():
                 indices.extend([slot] * e)
             got = total(sphere.integrate_monomial(indices, n), n)
             assert got == oracle.sphere_integral_exact(exps, n)
+            assert sphere.concrete_moment(exps, n) == got
+
+
+def _all_pairings(slots):
+    if not slots:
+        yield ()
+        return
+    for j in range(1, len(slots)):
+        for tail in _all_pairings(slots[1:j] + slots[j + 1:]):
+            yield ((slots[0], slots[j]),) + tail
+
+
+@pytest.mark.parametrize("slots", [
+    [1, 2, "a", "b"], [1, "a", 2, 1, "b", 2], ["a", 1, "a", 2],
+    [1, 2, 3, "a", "b", "c"], [2, 1, 1, 2, "a", "a"], [1, 1, 2, 3, 3, 2],
+])
+def test_pruned_pairings_equal_the_full_enumeration(slots):
+    pruned = sphere.integrate_monomial(slots)
+    full = [Term(pruned[0].coeff,
+                 tuple(fct("delta", a, b) for a, b in pairing), (), (0, 0),
+                 0, 1) for pairing in _all_pairings(slots)]
+    assert len(pruned) < len(full)
+    assert normalize(pruned) == normalize(full)
 
 
 def test_integrate_term_requires_unit_norm():

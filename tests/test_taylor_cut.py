@@ -1,10 +1,14 @@
-"""The x-degree cut in `pdo.terms_equal_taylor` against the unpruned loop.
+"""`pdo.terms_equal_taylor` against the loops it replaced.
 
-The cut rests on one invariant: `normalize` keeps each term's number of x
-factors and merges only equal presentations, so normalizing a sum equals
-normalizing each x-degree part of it on its own.  A derivative lowers the
-x-degree by at most one, so after derivative k a term with more than
-xorder - k x factors cannot reach an origin comparison.
+It runs one derivative chain on the difference of its two sides, cut by
+x-degree.  The chain rests on two invariants of `normalize`.  It is split
+linear: each input term is reduced on its own and equal presentations are
+merged, so normalizing a sum equals merging the normalized parts, and
+differentiating a difference equals differencing the derivatives.  It keeps
+each term's number of x factors, so normalizing commutes with grading by
+x-degree; a derivative lowers the x-degree by at most one, so after
+derivative k a term with more than xorder - k x factors cannot reach an
+origin comparison.
 """
 
 import random
@@ -74,6 +78,89 @@ def unpruned_taylor_equal(a, b, xorder=XORDER) -> bool:
             ca = d_x_terms(ca, labels[k], strict=False)
             cb = d_x_terms(cb, labels[k], strict=False)
     return True
+
+
+def two_chain_taylor_equal(a, b, xorder=XORDER) -> bool:
+    """The cut comparison with one derivative chain per side."""
+    lab = _fresh_labels((a, b), xorder)
+    ca, cb = tuple(a), tuple(b)
+    for k in range(xorder + 1):
+        if not sums_equal(origin_terms(ca), origin_terms(cb)):
+            return False
+        if k == xorder:
+            break
+        cut = xorder - k - 1
+        ca = d_x_terms(ca, lab[k], strict=False, xmax=cut)
+        cb = d_x_terms(cb, lab[k], strict=False, xmax=cut)
+    return True
+
+
+def merge(*sums) -> tuple[Term, ...]:
+    """Sort by presentation, sum the coefficients of equal presentations
+    and drop zeros: the last step of `normalize`."""
+    acc: dict[tuple, Term] = {}
+    for t in (t for terms in sums for t in terms):
+        key = term_key(t)
+        if key in acc:
+            t = t._replace(coeff=acc[key].coeff + t.coeff)
+        acc[key] = t
+    return tuple(acc[key] for key in sorted(acc)
+                 if not acc[key].coeff.is_zero())
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(x_graded_sums(), st.data())
+def test_normalize_is_split_linear(terms, data):
+    where = data.draw(st.lists(st.booleans(), min_size=len(terms),
+                               max_size=len(terms)))
+    p = [t for t, left in zip(terms, where) if left]
+    q = [t for t, left in zip(terms, where) if not left]
+    assert normalize(p + q) == merge(normalize(p), normalize(q))
+
+
+@st.composite
+def equal_copies(draw):
+    """A sum, a copy of equal value and a copy with one coefficient changed.
+
+    The equal copy renames every term's dummies, shuffles the terms and
+    splits one coefficient as a = b + (a - b)."""
+    terms = draw(x_graded_sums())
+    copy = []
+    for n, t in enumerate(terms):
+        dummies = sorted(lab for lab, c in label_counts(t).items() if c == 2)
+        copy.append(map_labels(t, {lab: f"r{n}_{k}"
+                                   for k, lab in enumerate(dummies)}))
+    k = draw(st.integers(0, len(copy) - 1))
+    part = Scalar.of(draw(st.sampled_from((-1, 2, 5))))
+    split = copy[k]
+    copy[k] = split._replace(coeff=part)
+    copy.append(split._replace(coeff=split.coeff - part))
+    copy = draw(st.permutations(copy))
+    changed = list(copy)
+    changed[0] = changed[0]._replace(coeff=changed[0].coeff + S_ONE)
+    return terms, copy, changed
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(equal_copies())
+def test_one_chain_agrees_with_two_chains(case):
+    terms, copy, changed = case
+    assert terms_equal_taylor(terms, copy) is True
+    assert two_chain_taylor_equal(terms, copy) is True
+    assert (terms_equal_taylor(terms, changed)
+            is two_chain_taylor_equal(terms, changed))
+
+
+def test_raw_inputs_are_differentiated_first():
+    # u_a w_a and guw agree at the origin, but only u_a w_a has an
+    # x-derivative; normalizing before differentiating would fold it away
+    uw = Term(S_ONE, (fct("u", "a"), fct("w", "a")))
+    guw = Term(S_ONE, (fct("guw"),))
+    assert normalize([uw]) == normalize([guw])
+    assert terms_equal_taylor([uw], [guw]) is False
+    assert two_chain_taylor_equal([uw], [guw]) is False
 
 
 @pytest.fixture(scope="module")
