@@ -26,6 +26,11 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# The largest trace word length, total sphere degree and dimension a query
+# accepts.  Answers within these bounds print in under 2 kB, far below the
+# interpreter's 4300-digit limit on printing an integer.
+QUERY_LIMIT = 1000
+
 
 class QueryError(Exception):
     def __init__(self, message, pos=None):
@@ -203,10 +208,18 @@ def _norm_str(norm: tuple[int, int]) -> str:
 # query subcommand
 
 
+def _bounded(what: str, size: int) -> int:
+    if size > QUERY_LIMIT:
+        raise QueryError(f"{what} {size} is above {QUERY_LIMIT}")
+    return size
+
+
 def _parse_word(text: str):
+    tokens = text.split()
+    _bounded("word length", len(tokens))
     word = []
     pos = 0
-    for tok in text.split():
+    for tok in tokens:
         pos = text.index(tok, pos)
         low = tok.lower()
         fam, rest = ("h", low[4:]) if low.startswith("chat") else \
@@ -246,37 +259,29 @@ def _parse_sphere(text: str):
             raise QueryError("exponents must be non-negative", pos)
         exps.append(e)
         pos += len(part)
+    _bounded("total degree", sum(exps))
     return exps, n
 
 
 def cmd_query(args) -> int:
     try:
+        dim = None if args.dimension == "symbolic" else int(args.dimension)
         if args.kind == "trace":
-            word = _parse_word(args.expression)
-            out = clifford.trace([clifford.word_term(word)])
-            if not out:
-                print("0")
-                return EXIT_OK
-            (term,) = out
-            if args.dimension == "symbolic":
-                print(f"({term.coeff}) * TrId")
+            val = clifford.concrete_trace(_parse_word(args.expression))
+            if dim is None:
+                print(f"({val}) * TrId" if val else "0")
             else:
-                n = int(args.dimension)
-                re, im = term.coeff.evaluate(Fraction(n, 2))
-                val = (re + im * 1j) if im else re
-                print(val * 2 ** n if not im else f"({val})*{2 ** n}")
+                print(val * 2 ** _bounded("dimension", dim))
             return EXIT_OK
         exps, n = _parse_sphere(args.expression)
-        if n is None and args.dimension != "symbolic":
-            n = int(args.dimension)
+        if n is None:
+            n = dim
         if n is None:
             raise QueryError("sphere query needs a dimension "
                              "(append @n=<even> or pass --dimension)")
-        if len(exps) < n:
-            exps = exps + [0] * (n - len(exps))
-        if len(exps) != n:
+        if len(exps) > n:
             raise QueryError(f"{len(exps)} exponents for dimension {n}")
-        total = sphere.concrete_moment(exps, n)
+        total = sphere.concrete_moment(exps, _bounded("dimension", n))
         if total == 0:
             print("0")
         else:

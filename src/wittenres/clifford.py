@@ -9,6 +9,7 @@ construction into component factor times frame generator.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .scalars import S_ONE, Scalar
@@ -51,7 +52,8 @@ def scalar_part(w: Word) -> tuple[Term, ...]:
     """Scalar component of a single-family word as a signed delta sum.
 
     Recursive contraction against the first generator; odd words vanish.
-    The c family contracts to -delta, the hat family to +delta.
+    The c family contracts to -delta, the hat family to +delta.  A pair of
+    two distinct concrete indices is left out, since its delta is zero.
     """
     w = tuple(w)
     fams = {g.fam for g in w}
@@ -63,14 +65,49 @@ def scalar_part(w: Word) -> tuple[Term, ...]:
         return ()
     pair_sign = Fraction(-1) if w[0].fam == "c" else Fraction(1)
     out = []
+    first = w[0].idx
     for j in range(1, len(w)):
+        if (isinstance(first, int) and isinstance(w[j].idx, int)
+                and first != w[j].idx):
+            continue
         rest = w[1:j] + w[j + 1:]
         swap = Fraction(-1) ** (j - 1)
         coeff = Scalar.of(swap * pair_sign)
-        delta = F("delta", (w[0].idx, w[j].idx))
+        delta = F("delta", (first, w[j].idx))
         for sub in scalar_part(rest):
             out.append(Term(coeff * sub.coeff, (delta,) + sub.fac))
     return tuple(out)
+
+
+def concrete_trace(word: Word) -> int:
+    """tr(word) / tr(id) for a word in concrete indices: 1, -1 or 0.
+
+    Distinct generators anticommute, so a stable sort by (family, index)
+    multiplies the word by the sign of the sorting permutation.  Each equal
+    pair then squares to -1 (c family) or +1 (hat family), and a leftover
+    generator leaves a product of distinct generators, whose trace is zero.
+    """
+    word = tuple(word)
+    if not all(isinstance(g.idx, int) for g in word):
+        raise ContractViolation("concrete_trace needs concrete indices")
+    order = sorted(range(len(word)), key=word.__getitem__)
+    sign = 1
+    seen = [False] * len(word)
+    for start in range(len(word)):
+        p, length = start, 0
+        while not seen[p]:
+            seen[p] = True
+            p = order[p]
+            length += 1
+        if length and length % 2 == 0:  # an even cycle flips the sign
+            sign = -sign
+    for g, run in groupby(word[p] for p in order):
+        k = len(list(run))
+        if k % 2:
+            return 0
+        if g.fam == "c" and k // 2 % 2:
+            sign = -sign
+    return sign
 
 
 def _family_split(word: Word):

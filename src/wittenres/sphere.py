@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable
 
-from .scalars import PolyM, P_ONE, RatM, Scalar, vol_sphere_value
+from .scalars import PolyM, P_ONE, RatM, Scalar
 from .terms import F, Idx, Term
 
 
@@ -91,17 +91,3 @@ def integrate_term(t: Term, n="sym") -> tuple[Term, ...]:
                         t.trid, t.vol + p.vol))
     return tuple(out)
 
-
-def vol_sphere(m):
-    """Volume of the unit sphere S^{2m-1}.
-
-    Symbolic m returns the token name; a concrete half-dimension returns the
-    exact (rational, pi power) pair, demanding m >= 2 to match the engine's
-    dimension contract.
-    """
-    if m == "sym":
-        return "VolSphere"
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"concrete half-dimension must be an int >= 2, "
-                         f"got {m!r}")
-    return vol_sphere_value(m)

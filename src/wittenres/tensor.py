@@ -1,4 +1,7 @@
-"""Abstract-index tensor terms: contraction, canonical form, collection.
+"""Abstract-index tensor terms: canonical form and collection.
+
+Delta contraction and the curvature self-contractions are rules of
+terms.normalize.
 
 Sign conventions fixed here: Ric_ab = sum_l R_lalb and s = sum_a Ric_aa.
 The optional first-Bianchi pass rewrites Riemann terms whose canonical
@@ -12,8 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .scalars import Scalar
-from .terms import (ATOM_KINDS, ContractViolation, F, Term, label_counts,
-                    map_labels, normalize, term_key)
+from .terms import ATOM_KINDS, F, Term, normalize, term_key
 
 
 class CollectError(Exception):
@@ -22,44 +24,6 @@ class CollectError(Exception):
     def __init__(self, message, leftovers=()):
         super().__init__(message)
         self.leftovers = tuple(leftovers)
-
-
-def contract_deltas(t: Term) -> Term | None:
-    """Eliminate every delta carrying a dummy slot; delta(a,a) gives n = 2m.
-
-    Free-index deltas are kept.  Returns None for a vanished term.
-    """
-    from .scalars import S_N
-    cur = t
-    while True:
-        counts = label_counts(cur)
-        for k, f in enumerate(cur.fac):
-            if f.kind != "delta":
-                continue
-            i, j = f.idx
-            rest = cur.fac[:k] + cur.fac[k + 1:]
-            if isinstance(i, int) and isinstance(j, int):
-                if i != j:
-                    return None
-                cur = Term(cur.coeff, rest, cur.word, cur.norm, cur.trid,
-                           cur.vol)
-                break
-            if i == j:
-                cur = Term(cur.coeff * S_N, rest, cur.word, cur.norm,
-                           cur.trid, cur.vol)
-                break
-            hit = False
-            for a, b in ((i, j), (j, i)):
-                if isinstance(a, str) and counts.get(a) == 2:
-                    cur = map_labels(
-                        Term(cur.coeff, rest, cur.word, cur.norm, cur.trid,
-                             cur.vol), {a: b})
-                    hit = True
-                    break
-            if hit:
-                break
-        else:
-            return cur
 
 
 def _bianchi_orbit(t: Term, k: int):

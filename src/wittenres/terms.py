@@ -20,7 +20,9 @@ normalize() rewrites a sum of terms to a canonical merged form:
     order and are replaced by half their anticommutator: -delta(a,b) for
     C, +delta(a,b) for CHAT,
   * xi / x monomial labels are symmetrized (the monomials are symmetric),
-    except labels that pair with themselves inside the monomial,
+    except labels that pair with themselves inside the monomial; only a
+    reduced term with at least two such dummies of one kind is averaged,
+    and its copies are reduced again,
   * dummies are renamed canonically and monoterm tensor symmetries are
     resolved by building the lexicographically minimal presentation slot by
     slot, keeping only partial presentations with the minimal prefix (the
@@ -29,11 +31,22 @@ normalize() rewrites a sum of terms to a canonical merged form:
     as an antisymmetric zero, and a search whose frontier passes
     _MAX_FRONTIER partial presentations raises NormalizeError,
   * identical presentations are merged, zero coefficients dropped.
+
+Each input term is reduced on its own.  The label counts and the factors'
+structural keys travel with a term through `_reduce`: they are computed
+when a term enters and after a factor rule fires, and kept across word
+rewrites, which never change the factors of a reorder and never change the
+labels' multiset except by dropping a contracted pair.  `_finalize` takes
+the reduced term with those facts and trusts its word order.
+
+normalize is not idempotent yet: a word generator is keyed by the raw slot
+of its factor partner, and `_finalize` may then pick another symmetry
+variant of that factor, so a second pass can reorder the word again.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -95,8 +108,10 @@ _SYMMETRIES = {kind: tuple((itemgetter(*perm), s) for perm, s in variants)
                                       ("ric", _SYM2_VARIANTS),
                                       ("delta", _SYM2_VARIANTS))}
 
-_MAX_REQUEUE = 60
 _MAX_FRONTIER = 200000
+# g_a g_b + g_b g_a = -2 delta(a,b) for the C family, +2 delta(a,b) for CHAT
+_ANTICOMMUTATOR = {"c": Scalar.of(-2), "h": Scalar.of(2)}
+_DUMMY_NAMES = tuple(f"_d{k:02d}" for k in range(100))
 
 
 def fct(kind: str, *idx: Idx) -> F:
@@ -307,7 +322,26 @@ def _contract_once(t: Term, counts):
     return None
 
 
-def _partner_keys(t: Term, counts):
+def _factor_facts(t: Term, counts):
+    """The factor side of the word sort keys.
+
+    Returns each factor's structural key, and a map from every dummy that
+    a factor holds to that generator's word key (kind rank, slot,
+    structural key).  Both read only the factors and the label counts, so
+    `_reduce` computes them once per factor set and keeps them across word
+    reorders.
+    """
+    skeys = [_structural_key(f, counts) for f in t.fac]
+    fmap: dict[str, tuple] = {}
+    for f, skey in zip(t.fac, skeys):
+        rank = KIND_RANK[f.kind]
+        for slot, i in enumerate(f.idx):
+            if isinstance(i, str) and counts.get(i) == 2:
+                fmap[i] = (2, (rank, slot), skey)
+    return skeys, fmap
+
+
+def _partner_keys(word, counts, fmap):
     """Intrinsic sort keys for the word generators.
 
     A generator's index is ordered by what it contracts against (a concrete
@@ -315,19 +349,14 @@ def _partner_keys(t: Term, counts):
     never by the arbitrary dummy name, so normal ordering is stable under
     relabeling and different derivation paths straighten to the same form.
     A pair inside the word is keyed by its first position, so a crossed
-    pair is swapped until the partners meet and contract.
+    pair is swapped until the partners meet and contract.  The factor slot
+    keys come from `_factor_facts`.
     """
-    fmap: dict[str, tuple] = {}
-    for f in t.fac:
-        skey = _structural_key(f, counts)
-        for slot, i in enumerate(f.idx):
-            if isinstance(i, str) and counts.get(i) == 2:
-                fmap[i] = (KIND_RANK[f.kind], slot, skey)
     first: dict[Idx, int] = {}
-    for p, g in enumerate(t.word):
+    for p, g in enumerate(word):
         first.setdefault(g.idx, p)
     keys = []
-    for g in t.word:
+    for g in word:
         fam = 0 if g.fam == "c" else 1
         i = g.idx
         if isinstance(i, int):
@@ -335,114 +364,141 @@ def _partner_keys(t: Term, counts):
         elif counts.get(i) == 1:
             keys.append((fam, (1, (0,), (i,))))
         elif i in fmap:
-            rank, slot, skey = fmap[i]
-            keys.append((fam, (2, (rank, slot), skey)))
+            keys.append((fam, fmap[i]))
         else:
             keys.append((fam, (3, (first[i],), ())))  # paired in the word
     return keys
 
 
-def _word_once(t: Term, counts):
-    """One word rewriting step toward normal order, or None if ordered."""
+def _word_once(t: Term, counts, facts):
+    """One word rewriting step toward normal order, or None if ordered.
+
+    Returns the rewritten terms as (term, label counts, factor facts).  No
+    branch changes the labels' multiset except a contracted equal pair,
+    which drops its label, so the counts travel with every branch.  The
+    factor facts travel with the branches that keep the factors (a
+    reorder, a contracted equal pair) and are None where a delta factor
+    was added.
+    """
     w = t.word
-    keys = _partner_keys(t, counts)
+    keys = _partner_keys(w, counts, facts[1])
     for p in range(len(w) - 1):
         g1, g2 = w[p], w[p + 1]
         if g1.fam == "h" and g2.fam == "c":
             nw = w[:p] + (g2, g1) + w[p + 2:]
-            return [Term(-t.coeff, t.fac, nw, t.norm, t.trid, t.vol)]
+            return [(Term(-t.coeff, t.fac, nw, t.norm, t.trid, t.vol),
+                     counts, facts)]
         if g1.fam != g2.fam:
             continue
         if g1.idx == g2.idx:
             sign = -S_ONE if g1.fam == "c" else S_ONE
             coeff = t.coeff * sign
+            left = counts
             if isinstance(g1.idx, str):
-                if counts.get(g1.idx) == 2:
-                    coeff = coeff * S_N  # the dummy pair sums to n
-                else:
+                if counts.get(g1.idx) != 2:
                     raise ContractViolation(
                         f"word label {g1.idx!r} occurs {counts.get(g1.idx)} "
                         "times")
+                coeff = coeff * S_N  # the dummy pair sums to n
+                left = {lab: c for lab, c in counts.items() if lab != g1.idx}
             nw = w[:p] + w[p + 2:]
-            return [Term(coeff, t.fac, nw, t.norm, t.trid, t.vol)]
+            return [(Term(coeff, t.fac, nw, t.norm, t.trid, t.vol),
+                     left, facts)]
         if keys[p] == keys[p + 1]:
             cls, part, _ = keys[p][1]
             if cls == 2 and part[0] in _MONOMIAL_RANKS:
                 # both dummies contract into one symmetric monomial (xi_a xi_b
                 # or x_a x_b), so the pair equals half its anticommutator
                 sign = -S_ONE if g1.fam == "c" else S_ONE
-                return [Term(t.coeff * sign,
-                             t.fac + (F("delta", (g1.idx, g2.idx)),),
-                             w[:p] + w[p + 2:], t.norm, t.trid, t.vol)]
+                return [(Term(t.coeff * sign,
+                              t.fac + (F("delta", (g1.idx, g2.idx)),),
+                              w[:p] + w[p + 2:], t.norm, t.trid, t.vol),
+                         counts, None)]
         if keys[p] > keys[p + 1]:
             swapped = w[:p] + (g2, g1) + w[p + 2:]
-            two = Scalar.of(-2) if g1.fam == "c" else Scalar.of(2)
             contracted = w[:p] + w[p + 2:]
             return [
-                Term(-t.coeff, t.fac, swapped, t.norm, t.trid, t.vol),
-                Term(t.coeff * two, t.fac + (F("delta", (g1.idx, g2.idx)),),
-                     contracted, t.norm, t.trid, t.vol),
+                (Term(-t.coeff, t.fac, swapped, t.norm, t.trid, t.vol),
+                 counts, facts),
+                (Term(t.coeff * _ANTICOMMUTATOR[g1.fam],
+                      t.fac + (F("delta", (g1.idx, g2.idx)),),
+                      contracted, t.norm, t.trid, t.vol), counts, None),
             ]
     return None
 
 
-def _reduce(t: Term) -> list[Term]:
+def _reduce(t: Term) -> list[tuple[Term, dict, list]]:
+    """Rewrite a term until no rule applies; returns each reduced term with
+    its label counts and its factors' structural keys.
+
+    The facts travel with a term on the rewrite stack.  The label counts
+    are computed fresh only for the input and for the output of a factor
+    rule (`_contract_once`); the word rules keep the labels.  The factor
+    facts are computed once per factor set: a word reorder or a contracted
+    equal pair keeps the factors and the counts of their labels, and
+    `_contract_once`, which reads nothing else, has already found nothing
+    to do on them.
+    """
     out = []
-    stack = [t]
+    stack = [(t, None, None)]
     while stack:
-        cur = stack.pop()
+        cur, counts, facts = stack.pop()
         if cur.coeff.is_zero():
             continue
-        counts = label_counts(cur)
-        if any(c > 2 for c in counts.values()):
-            bad = [la for la, c in counts.items() if c > 2]
-            raise ContractViolation(f"labels {bad} occur more than twice")
-        step = _contract_once(cur, counts)
-        if step == "zero":
-            continue
-        if step is not None:
-            stack.append(step)
-            continue
-        wstep = _word_once(cur, counts)
-        if wstep is not None:
-            stack.extend(wstep)
-            continue
-        out.append(cur)
+        if counts is None:
+            counts = label_counts(cur)
+            if any(c > 2 for c in counts.values()):
+                bad = [la for la, c in counts.items() if c > 2]
+                raise ContractViolation(f"labels {bad} occur more than twice")
+        if facts is None:
+            step = _contract_once(cur, counts)
+            if step == "zero":
+                continue
+            if step is not None:
+                stack.append((step, None, None))
+                continue
+            facts = _factor_facts(cur, counts)
+        rewritten = _word_once(cur, counts, facts)
+        if rewritten is None:
+            out.append((cur, counts, facts[0]))
+        else:
+            stack.extend(rewritten)
     return out
 
 
-def _symmetrize(t: Term) -> list[Term]:
-    """Average over permutations of the dummy xi (and x) monomial labels;
-    the monomials are symmetric so this is value preserving.  Labels paired
-    with themselves (x_a x_a) are left out."""
-    out = [t]
-    for kind in ("xi", "x"):
-        nxt = []
-        for cur in out:
-            counts = label_counts(cur)
-            cross = {f.idx[0] for f in cur.fac
-                     if f.kind in ("xi", "x") and f.kind != kind}
-            own = [f.idx[0] for f in cur.fac if f.kind == kind]
-            labs = [i for i in own
-                    if isinstance(i, str) and counts.get(i) == 2
-                    and own.count(i) == 1 and i not in cross]
-            if len(labs) < 2:
-                nxt.append(cur)
-                continue
-            perms = list(permutations(labs))
-            inv = Scalar.frac(1, len(perms))
-            slots = [k for k, f in enumerate(cur.fac)
-                     if f.kind == kind and f.idx[0] in labs]
-            for perm in perms:
-                sub = dict(zip(labs, perm))
-                moved = map_labels(cur, sub)
-                # restore the monomial slots themselves (relabel the rest)
-                fac = list(moved.fac)
-                for k in slots:
-                    fac[k] = cur.fac[k]
-                nxt.append(Term(cur.coeff * inv, tuple(fac), moved.word,
-                                cur.norm, cur.trid, cur.vol))
-        out = nxt
+def _monomial_groups(t: Term, counts) -> list[list[str]]:
+    """The dummy labels `_symmetrize` permutes: one list per monomial kind
+    with at least two of them.  Labels paired with themselves (x_a x_a) or
+    shared with the other kind are left out."""
+    groups = []
+    for kind, other in (("xi", "x"), ("x", "xi")):
+        cross = {f.idx[0] for f in t.fac if f.kind == other}
+        own = [f.idx[0] for f in t.fac if f.kind == kind]
+        labs = [i for i in own
+                if isinstance(i, str) and counts.get(i) == 2
+                and own.count(i) == 1 and i not in cross]
+        if len(labs) >= 2:
+            groups.append(labs)
+    return groups
+
+
+def _symmetrize(t: Term, groups) -> list[Term]:
+    """Average over permutations of each group of dummy xi (and x) monomial
+    labels; the monomials are symmetric so this is value preserving.  The
+    monomial slots keep their labels and every other occurrence moves."""
+    labs = [lab for group in groups for lab in group]
+    slots = [k for k, f in enumerate(t.fac)
+             if f.kind in ("xi", "x") and f.idx[0] in labs]
+    perms = list(product(*(permutations(group) for group in groups)))
+    inv = Scalar.frac(1, len(perms))
+    out = []
+    for parts in perms:
+        moved = map_labels(t, dict(zip(labs, chain.from_iterable(parts))))
+        fac = list(moved.fac)
+        for k in slots:
+            fac[k] = t.fac[k]
+        out.append(Term(t.coeff * inv, tuple(fac), moved.word,
+                        t.norm, t.trid, t.vol))
     return out
 
 
@@ -472,10 +528,22 @@ def _structural_key(f: F, counts):
     return (KIND_RANK[f.kind], min(get(cls) for get, _ in perms))
 
 
-def _finalize(t: Term, counts):
-    """Canonical minimal presentation, or a requeue list if the word must be
-    re-sorted under canonical dummy names, or None when the term vanishes
-    by antisymmetry.
+def _dummy_names(count: int) -> tuple[str, ...]:
+    """The canonical dummy names _d00, _d01, ..., enough for count."""
+    if count <= len(_DUMMY_NAMES):
+        return _DUMMY_NAMES
+    return tuple(f"_d{k:02d}" for k in range(count))
+
+
+def _finalize(t: Term, counts, skeys):
+    """Canonical minimal presentation of a reduced term, or None when the
+    term vanishes by antisymmetry.
+
+    `counts` and `skeys` are the label counts and factor structural keys
+    `_reduce` returned with the term.  The word is taken as `_reduce` left
+    it: `_word_once` found it sorted under partner keys built from these
+    same counts, and partner keys do not depend on dummy names, so renaming
+    the dummies cannot unsort it.
 
     The factors are sorted into slots by structural key; a presentation
     fills each slot with a distinct factor of that slot's key, in one of its
@@ -490,33 +558,26 @@ def _finalize(t: Term, counts):
     differ, or the complete presentations coincide with opposite signs,
     the term equals its own negative and vanishes.
     """
+    dummies = {lab for lab, c in counts.items() if c == 2}
+    names = _dummy_names(len(dummies))
     # canonical names for word dummies come from the word scan alone
     wmap: dict[str, str] = {}
     for g in t.word:
-        i = g.idx
-        if isinstance(i, str) and counts.get(i) == 2 and i not in wmap:
-            wmap[i] = f"_d{len(wmap):02d}"
-    renamed_word = tuple(G(g.fam, wmap.get(g.idx, g.idx))
-                         if isinstance(g.idx, str) else g for g in t.word)
-    keys = _partner_keys(t, counts)
-    for p in range(len(keys) - 1):
-        if keys[p] > keys[p + 1]:
-            # partner keys are rename invariant, so a reduced word can only
-            # be unsorted here if a rewrite above left it stale: relabel
-            # every dummy at once and re-sort
-            full = {lab: f"_q{k:02d}" for k, lab in enumerate(wmap)}
-            for f in t.fac:
-                for i in f.idx:
-                    if (isinstance(i, str) and counts.get(i) == 2
-                            and i not in full):
-                        full[i] = f"_q{len(full):02d}"
-            return "requeue", _reduce(map_labels(t, full))
-    skeys = [_structural_key(f, counts) for f in t.fac]
+        if g.idx in dummies and g.idx not in wmap:
+            wmap[g.idx] = names[len(wmap)]
+    renamed_word = tuple(G(g.fam, wmap[g.idx]) if g.idx in dummies else g
+                         for g in t.word)
+    # idx_key of every index a presentation can hold
+    ikey = {name: idx_key(name) for name in names[:len(dummies)]}
+    for f in t.fac:
+        for i in f.idx:
+            if i not in dummies and i not in ikey:
+                ikey[i] = idx_key(i)
     slots = sorted(range(len(t.fac)), key=skeys.__getitem__)
     groups = {}
     for k in slots:
         groups.setdefault(skeys[k], []).append(k)
-    variant_lists = [_variants(f) for f in t.fac]
+    variant_lists = [[(vf.idx, s) for vf, s in _variants(f)] for f in t.fac]
     # frontier: (chosen factor bitmask, dummies named so far) ->
     # (label -> canonical name, sign); every entry has output fac_out
     frontier = {(0, ()): (wmap, 1)}
@@ -524,24 +585,26 @@ def _finalize(t: Term, counts):
     for slot in slots:
         best = None
         cands = []
+        group = groups[skeys[slot]]
         for (used, named), (sub, sign) in frontier.items():
-            for k in groups[skeys[slot]]:
+            base = len(sub)
+            for k in group:
                 if used >> k & 1:
                     continue
-                for vf, s in variant_lists[k]:
+                for vidx, s in variant_lists[k]:
                     new = []
                     nidx = []
-                    for i in vf.idx:
-                        if isinstance(i, str) and counts.get(i) == 2:
+                    for i in vidx:
+                        if i in dummies:
                             name = sub.get(i)
                             if name is None:
                                 if i not in new:
                                     new.append(i)
-                                name = f"_d{len(sub) + new.index(i):02d}"
+                                name = names[base + new.index(i)]
                             nidx.append(name)
                         else:
                             nidx.append(i)
-                    key = tuple(idx_key(i) for i in nidx)
+                    key = tuple([ikey[i] for i in nidx])
                     if best is None or key < best:
                         best, best_idx, cands = key, nidx, []
                     elif key > best:
@@ -558,7 +621,7 @@ def _finalize(t: Term, counts):
                 if new:
                     sub = dict(sub)
                     for i in new:
-                        sub[i] = f"_d{len(sub):02d}"
+                        sub[i] = names[len(sub)]
                 frontier[used, named] = (sub, sign)
             elif prev[1] != sign:
                 return None  # t = -t under a symmetry: antisymmetric zero
@@ -566,38 +629,25 @@ def _finalize(t: Term, counts):
     if len(signs) > 1:
         return None  # the minimum is reached with both signs
     coeff = t.coeff if signs == {1} else -t.coeff
-    return "done", Term(coeff, tuple(fac_out), renamed_word, t.norm,
-                        t.trid, t.vol)
+    return Term(coeff, tuple(fac_out), renamed_word, t.norm, t.trid, t.vol)
 
 
 def normalize(terms: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict[tuple, tuple[Scalar, Term]] = {}
-    work = [(t, False, 0) for t in terms]
-    while work:
-        t, symmetrized, depth = work.pop()
-        if t.coeff.is_zero():
-            continue
-        if depth > _MAX_REQUEUE:
-            raise NormalizeError("canonical labeling did not stabilize")
-        reduced = _reduce(t)
-        if not symmetrized:
-            for r in reduced:
-                work.extend((s, True, depth) for s in _symmetrize(r))
-            continue
-        for r in reduced:
-            res = _finalize(r, label_counts(r))
-            if res is None:
-                continue
-            tag, payload = res
-            if tag == "requeue":
-                work.extend((x, True, depth + 1) for x in payload)
-                continue
-            out = payload
-            key = term_key(out)
-            if key in acc:
-                acc[key] = (acc[key][0] + out.coeff, out)
-            else:
-                acc[key] = (out.coeff, out)
+    for t in terms:
+        for red in _reduce(t):
+            groups = _monomial_groups(red[0], red[1])
+            batch = ([x for s in _symmetrize(red[0], groups)
+                      for x in _reduce(s)] if groups else (red,))
+            for r, counts, skeys in batch:
+                out = _finalize(r, counts, skeys)
+                if out is None:
+                    continue
+                key = term_key(out)
+                if key in acc:
+                    acc[key] = (acc[key][0] + out.coeff, out)
+                else:
+                    acc[key] = (out.coeff, out)
     final = []
     for key in sorted(acc):
         coeff, proto = acc[key]

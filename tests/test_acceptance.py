@@ -15,6 +15,7 @@ from wittenres.oracle import random_tensor_instantiation
 from wittenres.residue import (Pieces, compute_einstein_functional,
                                compute_metric_functional,
                                part1_top_norm_exponent)
+from wittenres.scalars import vol_sphere_value
 from wittenres.terms import sums_equal
 
 FR = Fraction
@@ -41,7 +42,7 @@ def test_criterion_1_metric_functional():
     elapsed = time.time() - t0
     exact = expr.coeff_lists() == {"g(u,w)": [FR(-1)]}
     # with the tokens substituted at m = 2: -2^{2m} * 2 pi^m / Gamma(m)
-    vol_rat, vol_pi = sphere.vol_sphere(2)
+    vol_rat, vol_pi = vol_sphere_value(2)
     subst = expr.evaluate(2)["g(u,w)"] * 2 ** 4 * vol_rat
     report(1, "metric functional -g(u,w)*TrId*Vol in "
               f"{elapsed:.2f}s", exact and subst == -32 and vol_pi == 2
@@ -143,10 +144,11 @@ def test_criterion_7_sphere_oracle():
                     indices.extend([slot] * e)
                 got = FR(0)
                 for t in sphere.integrate_monomial(indices, n):
-                    if all(f.idx[0] == f.idx[1] for f in t.fac):
-                        re, im = t.coeff.evaluate(FR(n, 2))
-                        assert im == 0
-                        got += re
+                    # pairs of distinct concrete indices are never built
+                    assert all(f.idx[0] == f.idx[1] for f in t.fac)
+                    re, im = t.coeff.evaluate(FR(n, 2))
+                    assert im == 0
+                    got += re
                 ok = ok and got == oracle.sphere_integral_exact(vec, n)
                 checked += 1
     report(7, f"{checked} sphere monomials equal the Gamma oracle", ok)

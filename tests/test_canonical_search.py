@@ -1,23 +1,32 @@
-"""The slot-by-slot canonical search against the exhaustive one it replaced.
+"""The normalize kernel against the loops it replaced.
 
 `reference_finalize` enumerates every ordering of structurally equal factors
 times every symmetry variant of every factor, and keeps the lexicographically
 least presentation; a presentation reached with both signs makes the term
 vanish.  `terms._finalize` must give the same result on every input.
+
+`reference_normalize` is the driver loop before label counts and factor
+keys travelled with a term: fresh counts and keys for every popped term,
+symmetrization and a second reduction for every reduced term, and a check
+that the word is still sorted before it is finalized.  It runs the module's
+own rules, and `normalize` must give the same result on every input.
 """
 
+import importlib.util
 import random
 from itertools import groupby, permutations, product
 from math import prod
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wittenres import terms
+from wittenres import clifford, pdo, terms
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (F, G, NormalizeError, Term, fct, label_counts,
-                             map_labels, normalize)
+from wittenres.terms import (F, G, ContractViolation, NormalizeError, Term,
+                             fct, label_counts, map_labels, normalize,
+                             term_key)
 
 
 def reference_finalize(t, counts):
@@ -61,8 +70,62 @@ _LABELS = ("a", "b", "c", "d", "e", "f", "g")
 _CONCRETE = (1, 2)
 
 
+def reference_reduce(t):
+    out = []
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if cur.coeff.is_zero():
+            continue
+        counts = label_counts(cur)
+        if any(c > 2 for c in counts.values()):
+            raise ContractViolation("a label occurs more than twice")
+        step = terms._contract_once(cur, counts)
+        if step == "zero":
+            continue
+        if step is not None:
+            stack.append(step)
+            continue
+        wstep = terms._word_once(cur, counts,
+                                 terms._factor_facts(cur, counts))
+        if wstep is not None:
+            stack.extend(term for term, _, _ in wstep)
+            continue
+        out.append(cur)
+    return out
+
+
+def reference_normalize(terms_in):
+    acc = {}
+    work = [(t, False) for t in terms_in]
+    while work:
+        t, symmetrized = work.pop()
+        if t.coeff.is_zero():
+            continue
+        reduced = reference_reduce(t)
+        if not symmetrized:
+            for r in reduced:
+                groups = terms._monomial_groups(r, label_counts(r))
+                work.extend((s, True) for s in terms._symmetrize(r, groups))
+            continue
+        for r in reduced:
+            counts = label_counts(r)
+            skeys, fmap = terms._factor_facts(r, counts)
+            keys = terms._partner_keys(r.word, counts, fmap)
+            # the old loop relabelled and requeued an unsorted word here
+            assert keys == sorted(keys), r
+            out = terms._finalize(r, counts, skeys)
+            if out is not None:
+                key = term_key(out)
+                prev = acc.get(key)
+                acc[key] = out if prev is None else out._replace(
+                    coeff=prev.coeff + out.coeff)
+    return tuple(acc[key] for key in sorted(acc)
+                 if not acc[key].coeff.is_zero())
+
+
 @st.composite
-def small_terms(draw, vectors=("u", "w", "xi")):
+def small_terms(draw, vectors=("u", "w", "xi"), max_word=2, fams=("c",)):
     kinds = (["riem"] * draw(st.integers(0, 2))
              + draw(st.lists(st.sampled_from(("ric", "delta")), max_size=2))
              + draw(st.lists(st.sampled_from(vectors), max_size=3)))
@@ -80,7 +143,8 @@ def small_terms(draw, vectors=("u", "w", "xi")):
 
     fac = tuple(fct(kind, *(label() for _ in range(terms.KIND_ARITY[kind])))
                 for kind in draw(st.permutations(kinds)))
-    word = tuple(G("c", label()) for _ in range(draw(st.integers(0, 2))))
+    word = tuple(G(draw(st.sampled_from(fams)), label())
+                 for _ in range(draw(st.integers(0, max_word))))
     return Term(S_ONE, fac, word)
 
 
@@ -89,10 +153,70 @@ def small_terms(draw, vectors=("u", "w", "xi")):
 @given(small_terms())
 def test_finalize_matches_exhaustive_reference(t):
     counts = label_counts(t)
-    got = terms._finalize(t, counts)
-    # an unsorted word is re-sorted before any search; that path is shared
-    assume(got is None or got[0] == "done")
-    assert got == reference_finalize(t, counts)
+    skeys = [terms._structural_key(f, counts) for f in t.fac]
+    got = terms._finalize(t, counts, skeys)
+    want = reference_finalize(t, counts)
+    assert got == (None if want is None else want[1])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(small_terms(vectors=("u", "w", "v", "xi", "x"),
+                            max_word=6, fams=("c", "h")),
+                min_size=1, max_size=3))
+# the monomial tie, a crossed word pair, and a tie behind a reorder
+@example([Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
+               (G("h", "a"), G("h", "b")))])
+@example([Term(S_ONE, (fct("u", "c"),), (G("c", "a"), G("c", "c"),
+                                        G("c", "b"), G("c", "a")))])
+@example([Term(S_ONE, (fct("x", "a"), fct("x", "b"), fct("ric", "c", 1)),
+               (G("c", "c"), G("h", 2), G("c", "b"), G("c", "a")))])
+def test_normalize_matches_reference_loop(ts):
+    assert normalize(ts) == reference_normalize(ts)
+
+
+def _first_derivative_raw_terms(monkeypatch):
+    """The raw terms the first x-derivative of the taylor_diff benchmark's
+    seed-101 comparison hands to normalize."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.taylor_inputs(101)
+    a, b = inputs.derived, inputs.printed
+    d = a + tuple(t._replace(coeff=-t.coeff) for t in b)
+    seen = []
+
+    def recorded(ts):
+        seen.append(tuple(ts))
+        return normalize(seen[-1])
+    monkeypatch.setattr(pdo, "normalize", recorded)
+    pdo.d_x_terms(d, pdo._fresh_labels((a, b), 1)[0], strict=False, xmax=1)
+    (raw,) = seen
+    return raw
+
+
+def test_normalize_matches_reference_on_taylor_terms(monkeypatch):
+    raw = _first_derivative_raw_terms(monkeypatch)
+    assert len(raw) == 182
+    assert normalize(raw) == reference_normalize(raw)
+
+
+def test_word_reorders_reuse_label_counts(monkeypatch):
+    calls = []
+    original = terms.label_counts
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+    monkeypatch.setattr(terms, "label_counts", counted)
+    c, h = clifford.c, clifford.chat
+    word = (c(4), c(3), c(2), c(1), h(2), h(1))
+    got = normalize([clifford.word_term(word)])
+    # seven transpositions, each with a swapped and a delta branch; the
+    # word rules keep the labels, so only the input's counts are computed
+    assert len(calls) == 1
+    assert got == (Term(-S_ONE, (), (c(1), c(2), c(3), c(4), h(1), h(2))),)
 
 
 def _ring(ends):

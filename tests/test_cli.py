@@ -211,6 +211,28 @@ def test_query_sphere_closed_form_is_fast(capsys):
     assert (code, out.strip()) == (0, f"({want}) * Vol(S^3)")
 
 
+def test_query_trace_closed_form_is_fast(capsys):
+    # (c1 c2 chat3)^2 = -1, c4 c4 = -1 and chat1 chat1 = 1: 40 generators
+    word = " ".join(["c1 c2 chat3"] * 12 + ["c4 c4 chat1 chat1"])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "query", "trace", word, "--dimension", "4")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.strip()) == (0, "-16")
+    code, out, _ = run(capsys, "query", "trace", " ".join(["c1"] * 14))
+    assert (code, out.strip()) == (0, "(-1) * TrId")
+
+
+@pytest.mark.parametrize("kind, expression, what", [
+    ("sphere", "20000@n=2", "total degree 20000"),
+    ("sphere", "2@n=1002", "dimension 1002"),
+    ("trace", " ".join(["c1"] * 1001), "word length 1001"),
+], ids=["degree", "dimension", "word"])
+def test_query_size_is_bounded(capsys, kind, expression, what):
+    code, out, err = run(capsys, "query", kind, expression)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {what} is above 1000\n"
+
+
 def test_query_parse_error_positions(capsys):
     code, _, err = run(capsys, "query", "trace", "c1 q2")
     assert code == 2

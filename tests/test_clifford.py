@@ -62,6 +62,11 @@ def test_scalar_part_examples():
         Term(S_ONE, (fct("delta", "r", "p"), fct("delta", "j", "f"))),
     ]
     assert sums_equal(got, want)
+    # pairs of distinct concrete indices are left out as they are built
+    got = cl.scalar_part((cl.c(1), cl.c(2), cl.c("a"), cl.c(1)))
+    assert got == (
+        Term(S_ONE, (fct("delta", 1, 1), fct("delta", 2, "a"))),
+    )
 
 
 def test_scalar_part_hat_family_sign():
@@ -124,6 +129,22 @@ def test_trace_matches_matrix_oracle_randomized():
                 assert im == 0
                 val = re * 2 ** n
             assert val == rep.word_trace(word)
+
+
+def test_concrete_trace_matches_matrix_oracle():
+    rng = random.Random(31)
+    for n in (4, 6):
+        rep = oracle.matrix_rep(n)
+        for _ in range(300):
+            word = tuple((cl.c if rng.random() < 0.5 else cl.chat)
+                         (rng.randint(1, n))
+                         for _ in range(rng.randint(0, 8)))
+            assert cl.concrete_trace(word) * 2 ** n == rep.word_trace(word)
+
+
+def test_concrete_trace_rejects_symbolic_indices():
+    with pytest.raises(ContractViolation):
+        cl.concrete_trace((cl.c(1), cl.c("a")))
 
 
 def test_trace_cyclicity_via_matrix_oracle():

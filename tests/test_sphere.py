@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wittenres import oracle, sphere
-from wittenres.scalars import Scalar
+from wittenres.scalars import Scalar, vol_sphere_value
 from wittenres.terms import F, Term, fct, normalize, sums_equal
 
 
@@ -107,10 +107,8 @@ def test_integrate_term_requires_unit_norm():
 
 
 def test_vol_sphere():
-    assert sphere.vol_sphere("sym") == "VolSphere"
-    assert sphere.vol_sphere(2) == (Fraction(2), 2)
-    assert sphere.vol_sphere(3) == (Fraction(1), 3)
-    with pytest.raises(ValueError):
-        sphere.vol_sphere(1)
-    with pytest.raises(ValueError):
-        sphere.vol_sphere(-2)
+    assert vol_sphere_value(2) == (Fraction(2), 2)
+    assert vol_sphere_value(3) == (Fraction(1), 3)
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            vol_sphere_value(m)
