@@ -5,8 +5,11 @@ against the stored reference ledger, and reports MATCH / PAPER_TYPO /
 MISMATCH per label (exit 0 only when nothing mismatches).  `--functional`
 selects a functional's label and every label it sums over, `--term` a list
 of labels; either way only those labels and their children are computed.
+The report's "bianchi" key is always "on": the first-Bianchi pass of
+`tensor.canonicalize` is not optional.
 `wittenres query` evaluates one-off traces and sphere integrals from a tiny
-expression grammar.
+expression grammar.  A concrete `--dimension` of either subcommand is an
+even integer from 4 to `QUERY_LIMIT`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 # The largest trace word length, total sphere degree and dimension a query
-# accepts.  Answers within these bounds print in under 2 kB, far below the
-# interpreter's 4300-digit limit on printing an integer.
+# accepts, and the largest concrete dimension of either subcommand.  Every
+# number printed within these bounds stays far below the interpreter's
+# 4300-digit limit on printing an integer.
 QUERY_LIMIT = 1000
 
 
@@ -47,13 +51,13 @@ def _expr_json(expr: ScalarInvariantExpr) -> dict:
             for atom, coeffs in expr.coeff_lists().items()}
 
 
-def evaluate_ledger(labels: list[str], bianchi: bool, ref: dict,
+def evaluate_ledger(labels: list[str], ref: dict,
                     pieces: Pieces) -> dict[str, dict]:
     """Report entries for the labels, in ledger order: the value as
     {atom -> coefficient list}, its status against the reference, and the
     stored note and printed value if any.  The symbol pieces built on the
     way stay in `pieces`."""
-    led = evaluate_labels(labels, bianchi=bianchi, pieces=pieces)
+    led = evaluate_labels(labels, pieces)
     entries = {}
     for lab in led.labels():
         if lab not in labels:
@@ -151,7 +155,7 @@ def cmd_verify(args) -> int:
             print(f"golden file error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     pieces = Pieces()
-    entries = evaluate_ledger(labels, args.bianchi == "on", ref, pieces)
+    entries = evaluate_ledger(labels, ref, pieces)
 
     diagnostics = []
     if diagnose:
@@ -170,7 +174,7 @@ def cmd_verify(args) -> int:
         "schema": "wittenres-report/1",
         "units": ref.get("units", "TrId*Vol"),
         "dimension": dim,
-        "bianchi": args.bianchi,
+        "bianchi": "on",
         "entries": entries,
         "diagnostics": diagnostics,
     }
@@ -208,10 +212,9 @@ def _norm_str(norm: tuple[int, int]) -> str:
 # query subcommand
 
 
-def _bounded(what: str, size: int) -> int:
+def _bounded(what: str, size: int) -> None:
     if size > QUERY_LIMIT:
         raise QueryError(f"{what} {size} is above {QUERY_LIMIT}")
-    return size
 
 
 def _parse_word(text: str):
@@ -247,6 +250,7 @@ def _parse_sphere(text: str):
         if n % 2 or n < 2:
             raise QueryError(f"dimension must be even and positive, got {n}",
                              len(body) + 3)
+        _bounded("dimension", n)
     pos = 0
     exps = []
     for part in body.split(","):
@@ -271,7 +275,7 @@ def cmd_query(args) -> int:
             if dim is None:
                 print(f"({val}) * TrId" if val else "0")
             else:
-                print(val * 2 ** _bounded("dimension", dim))
+                print(val * 2 ** dim)
             return EXIT_OK
         exps, n = _parse_sphere(args.expression)
         if n is None:
@@ -281,7 +285,7 @@ def cmd_query(args) -> int:
                              "(append @n=<even> or pass --dimension)")
         if len(exps) > n:
             raise QueryError(f"{len(exps)} exponents for dimension {n}")
-        total = sphere.concrete_moment(exps, _bounded("dimension", n))
+        total = sphere.concrete_moment(exps, n)
         if total == 0:
             print("0")
         else:
@@ -305,6 +309,9 @@ def _dimension(value: str) -> str:
     if n % 2 or n < 4:
         raise argparse.ArgumentTypeError(
             f"concrete dimension must be even and >= 4, got {n}")
+    if n > QUERY_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"dimension {n} is above {QUERY_LIMIT}")
     return value
 
 
@@ -320,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dimension", type=_dimension, default="symbolic")
     v.add_argument("--functional", choices=("metric", "einstein", "both"),
                    default="both")
-    v.add_argument("--bianchi", choices=("on", "off"), default="on")
     v.add_argument("--format", choices=("text", "json", "latex"),
                    default="text")
     v.add_argument("--golden", help="path to an alternative reference "

@@ -8,10 +8,10 @@ construction into component factor times frame generator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
+from . import sphere
 from .scalars import S_ONE, Scalar
 from .terms import ContractViolation, F, G, Idx, Term, normalize
 
@@ -51,32 +51,20 @@ def c_xi(label: str) -> Term:
 def scalar_part(w: Word) -> tuple[Term, ...]:
     """Scalar component of a single-family word as a signed delta sum.
 
-    Recursive contraction against the first generator; odd words vanish.
-    The c family contracts to -delta, the hat family to +delta.  A pair of
+    One term per perfect pairing of the generators (`sphere.pairings`),
+    with one delta per pair and the sign of the pairing; odd words vanish.
+    Each c pair contracts to -delta, each hat pair to +delta.  A pair of
     two distinct concrete indices is left out, since its delta is zero.
     """
     w = tuple(w)
-    fams = {g.fam for g in w}
-    if len(fams) > 1:
+    if len({g.fam for g in w}) > 1:
         raise ContractViolation("scalar_part requires a single-family word")
-    if not w:
-        return (Term(S_ONE, ()),)
     if len(w) % 2:
         return ()
-    pair_sign = Fraction(-1) if w[0].fam == "c" else Fraction(1)
-    out = []
-    first = w[0].idx
-    for j in range(1, len(w)):
-        if (isinstance(first, int) and isinstance(w[j].idx, int)
-                and first != w[j].idx):
-            continue
-        rest = w[1:j] + w[j + 1:]
-        swap = Fraction(-1) ** (j - 1)
-        coeff = Scalar.of(swap * pair_sign)
-        delta = F("delta", (first, w[j].idx))
-        for sub in scalar_part(rest):
-            out.append(Term(coeff * sub.coeff, (delta,) + sub.fac))
-    return tuple(out)
+    flip = -1 if w and w[0].fam == "c" and len(w) // 2 % 2 else 1
+    return tuple(Term(Scalar.of(sign * flip),
+                      tuple(F("delta", pair) for pair in pairs))
+                 for pairs, sign in sphere.pairings([g.idx for g in w]))
 
 
 def concrete_trace(word: Word) -> int:

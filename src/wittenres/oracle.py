@@ -230,7 +230,3 @@ class TensorAssignment:
             re += cre * nval * total
             im += cim * nval * total
         return re, im
-
-
-def random_tensor_instantiation(seed: int, n: int = 4) -> TensorAssignment:
-    return TensorAssignment(seed, n)

@@ -50,9 +50,6 @@ class PDOSymbol:
                             f"term of homogeneity {got} stored at {order}: "
                             f"{t}")
 
-    def orders(self) -> list[Order]:
-        return sorted(self.comps)
-
     def component(self, order: Order) -> Component:
         if order in self.comps:
             return self.comps[order]

@@ -61,7 +61,7 @@ def _drop_norm(terms) -> list[Term]:
             for t in terms]
 
 
-def wres_density(terms, bianchi: bool = True) -> ScalarInvariantExpr:
+def wres_density(terms) -> ScalarInvariantExpr:
     """Residue density of an order -2m, origin-evaluated term sum.
 
     Pipeline: fiber trace, cosphere monomial integration on the unit
@@ -85,7 +85,7 @@ def wres_density(terms, bianchi: bool = True) -> ScalarInvariantExpr:
     for t in _drop_norm(traced):
         integrated.extend(sphere.integrate_term(t))
     try:
-        return collect(canonicalize(integrated, bianchi=bianchi)).check_real()
+        return collect(canonicalize(integrated)).check_real()
     except (NormalizeError, ContractViolation, CollectError, TruncationError,
             ValueError) as exc:
         raise ResidueError(str(exc)) from exc
@@ -267,13 +267,13 @@ class Pieces(dict):
         return self[key]
 
 
-def _run(job: Leaf, pieces: Pieces, bianchi: bool) -> ScalarInvariantExpr:
+def _run(job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
     left = pieces[job.left]
     right = pieces[job.right if job.cls is None else (job.right, job.cls)]
     if job.alpha:
         terms, _ = composition_summand(left, right, job.alpha)
-        return wres_density(origin_terms(terms), bianchi=bianchi)
-    return wres_density(_origin_product(left, right).terms, bianchi=bianchi)
+        return wres_density(origin_terms(terms))
+    return wres_density(_origin_product(left, right).terms)
 
 
 def with_children(labels: Iterable[str]) -> list[str]:
@@ -290,7 +290,7 @@ def with_children(labels: Iterable[str]) -> list[str]:
     return [label for label in LEDGER if label in found]
 
 
-def evaluate_labels(labels: Iterable[str], bianchi: bool = True,
+def evaluate_labels(labels: Iterable[str],
                     pieces: Pieces | None = None) -> TermLedger:
     """Evaluate the labels and every label they sum over.
 
@@ -305,41 +305,37 @@ def evaluate_labels(labels: Iterable[str], bianchi: bool = True,
     for label in with_children(labels):
         row = LEDGER[label]
         if isinstance(row, Leaf):
-            led.entries[label] = _run(row, pieces, bianchi)
+            led.entries[label] = _run(row, pieces)
             continue
         total = ScalarInvariantExpr.zero()
         for child in row.children:
             total = total + led.entries[child]
-        if row.check and not (_run(row.check, pieces, bianchi)
-                              - total).is_zero():
+        if row.check and not (_run(row.check, pieces) - total).is_zero():
             raise ResidueError(f"{label} sub-term split disagrees with "
                                f"{row.check.left} times {row.check.right}")
         led.entries[label] = total
     return led
 
 
-def compute_einstein_functional(bianchi: bool = True,
-                                with_field: bool = True) -> TermLedger:
+def compute_einstein_functional(with_field: bool = True) -> TermLedger:
     """Evaluate every labeled term of the Einstein functional, the metric
     functional and the totals."""
-    return evaluate_labels(LEDGER, bianchi, Pieces(with_field))
+    return evaluate_labels(LEDGER, Pieces(with_field))
 
 
-def compute_metric_functional(bianchi: bool = True,
-                              with_field: bool = True) -> ScalarInvariantExpr:
+def compute_metric_functional(with_field: bool = True) -> ScalarInvariantExpr:
     """Density of Wres(c(u) c(w) D^{-2m}): exactly -g(u,w) TrId Vol."""
-    return _run(LEDGER["metric"], Pieces(with_field), bianchi)
+    return _run(LEDGER["metric"], Pieces(with_field))
 
 
-def part2_compose_check(bianchi: bool = True) -> ScalarInvariantExpr:
+def part2_compose_check() -> ScalarInvariantExpr:
     """Part II evaluated through the general composition machinery instead
     of the six explicit summands; must equal the ledger's S2."""
     data = build_laplace_data()
     par0 = parametrix_symbols(data, 0)
     ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     full = compose(ab, par0, [(0, -2)])
-    return wres_density(origin_terms(full.comps[(0, -2)].terms),
-                        bianchi=bianchi)
+    return wres_density(origin_terms(full.comps[(0, -2)].terms))
 
 
 def part1_top_norm_exponent(par1_top: Component) -> tuple[int, int]:

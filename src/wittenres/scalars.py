@@ -133,8 +133,6 @@ class PolyM:
 P_ZERO = PolyM()
 P_ONE = PolyM.const(1)
 _ONE = P_ONE.c
-P_M = PolyM((0, 1))
-P_N = PolyM((0, 2))  # the dimension n = 2m
 
 
 def poly_gcd(a: PolyM, b: PolyM) -> PolyM:
@@ -229,7 +227,6 @@ class RatM:
 
 
 R_ZERO = RatM.const(0)
-R_ONE = RatM.const(1)
 
 
 class Scalar:
@@ -297,9 +294,6 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         return Scalar((self.re * other.re + self.im * other.im) / n2,
                       (self.im * other.re - self.re * other.im) / n2)
-
-    def times_i(self) -> "Scalar":
-        return Scalar(-self.im, self.re)
 
     def evaluate(self, m):
         return self.re.evaluate(m), self.im.evaluate(m)

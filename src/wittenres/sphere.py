@@ -4,6 +4,7 @@ A monomial xi_{g1}...xi_{g2k} integrates to the sum over all (2k-1)!!
 perfect pairings of delta products, times Vol(S^{n-1})/(n(n+2)...(n+2k-2)).
 Pairings are enumerated directly, leaving out pairs of two distinct concrete
 indices, whose delta is zero; symbolic degrees here never exceed a handful.
+The same signed enumeration gives `clifford.scalar_part`.
 A monomial in concrete indices alone has the closed form `concrete_moment`.
 """
 
@@ -17,20 +18,22 @@ from .scalars import PolyM, P_ONE, RatM, Scalar
 from .terms import F, Idx, Term
 
 
-def _pairings(slots: list):
-    """Perfect pairings of the slots, without pairs of two distinct concrete
-    indices (their delta is zero)."""
+def pairings(slots):
+    """Perfect pairings of the slots, each with its sign as a permutation.
+
+    Pairing the first slot with slot j contributes (-1)^(j-1).  A pair of
+    two distinct concrete indices is left out, since its delta is zero.
+    """
     if not slots:
-        yield ()
+        yield (), 1
         return
     first = slots[0]
     for j in range(1, len(slots)):
         if (isinstance(first, int) and isinstance(slots[j], int)
                 and first != slots[j]):
             continue
-        rest = slots[1:j] + slots[j + 1:]
-        for tail in _pairings(rest):
-            yield ((first, slots[j]),) + tail
+        for tail, sign in pairings(slots[1:j] + slots[j + 1:]):
+            yield ((first, slots[j]),) + tail, sign if j % 2 else -sign
 
 
 def _moment_scalar(k: int, n) -> Scalar:
@@ -68,7 +71,7 @@ def integrate_monomial(indices: Iterable[Idx], n="sym") -> tuple[Term, ...]:
     k = len(slots) // 2
     pref = _moment_scalar(k, n)
     out = []
-    for pairing in _pairings(slots):
+    for pairing, _ in pairings(slots):
         fac = tuple(F("delta", (a, b)) for a, b in pairing)
         out.append(Term(pref, fac, (), (0, 0), 0, 1))
     return tuple(out)

@@ -4,9 +4,11 @@ Delta contraction and the curvature self-contractions are rules of
 terms.normalize.
 
 Sign conventions fixed here: Ric_ab = sum_l R_lalb and s = sum_a Ric_aa.
-The optional first-Bianchi pass rewrites Riemann terms whose canonical
-pattern is maximal in its three-term cyclic orbit; for every sum this
-pipeline produces the pass is a no-op, but it is available and tested.
+`canonicalize` is normalize followed, whenever a Riemann factor survives,
+by the first-Bianchi pass, which rewrites Riemann terms whose canonical
+pattern is maximal in its three-term cyclic orbit.  No sum the ledger
+produces keeps a Riemann factor past normalize, so there the pass is never
+entered.
 """
 
 from __future__ import annotations
@@ -68,12 +70,11 @@ def bianchi_pass(terms: Iterable[Term]) -> tuple[Term, ...]:
     return normalize(out)
 
 
-def canonicalize(terms: Term | Iterable[Term],
-                 bianchi: bool = True) -> tuple[Term, ...]:
+def canonicalize(terms: Term | Iterable[Term]) -> tuple[Term, ...]:
     if isinstance(terms, Term):
         terms = [terms]
     out = normalize(terms)
-    if bianchi and any(f.kind == "riem" for t in out for f in t.fac):
+    if any(f.kind == "riem" for t in out for f in t.fac):
         out = bianchi_pass(out)
     return out
 

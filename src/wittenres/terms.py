@@ -19,10 +19,6 @@ normalize() rewrites a sum of terms to a canonical merged form:
     symmetric monomial (xi_a xi_b c_a c_b, or the x analogue) tie in the
     order and are replaced by half their anticommutator: -delta(a,b) for
     C, +delta(a,b) for CHAT,
-  * xi / x monomial labels are symmetrized (the monomials are symmetric),
-    except labels that pair with themselves inside the monomial; only a
-    reduced term with at least two such dummies of one kind is averaged,
-    and its copies are reduced again,
   * dummies are renamed canonically and monoterm tensor symmetries are
     resolved by building the lexicographically minimal presentation slot by
     slot, keeping only partial presentations with the minimal prefix (the
@@ -31,6 +27,12 @@ normalize() rewrites a sum of terms to a canonical merged form:
     as an antisymmetric zero, and a search whose frontier passes
     _MAX_FRONTIER partial presentations raises NormalizeError,
   * identical presentations are merged, zero coefficients dropped.
+
+The xi / x monomial dummies need no symmetrization pass.  Permuting them
+while the monomial slots keep their labels is a relabelling of the dummies
+plus a reorder of structurally equal xi (or x) factors; the canonical
+search in `_finalize` maps both to the same presentation, and the partner
+keys that order the word never read dummy names.
 
 Each input term is reduced on its own.  The label counts and the factors'
 structural keys travel with a term through `_reduce`: they are computed
@@ -46,11 +48,10 @@ variant of that factor, so a second pass can reorder the word again.
 
 from __future__ import annotations
 
-from itertools import chain, permutations, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .scalars import S_N, S_ONE, S_ZERO, Scalar
+from .scalars import S_N, S_ONE, Scalar
 
 Idx = int | str
 
@@ -160,10 +161,6 @@ def map_labels(t: Term, sub: dict[str, Idx]) -> Term:
     word = tuple(G(g.fam, sub.get(g.idx, g.idx) if isinstance(g.idx, str)
                    else g.idx) for g in t.word)
     return Term(t.coeff, fac, word, t.norm, t.trid, t.vol)
-
-
-def free_labels(t: Term) -> set[str]:
-    return {lab for lab, c in label_counts(t).items() if c == 1}
 
 
 def mul_terms(a: Term, b: Term) -> Term:
@@ -466,42 +463,6 @@ def _reduce(t: Term) -> list[tuple[Term, dict, list]]:
     return out
 
 
-def _monomial_groups(t: Term, counts) -> list[list[str]]:
-    """The dummy labels `_symmetrize` permutes: one list per monomial kind
-    with at least two of them.  Labels paired with themselves (x_a x_a) or
-    shared with the other kind are left out."""
-    groups = []
-    for kind, other in (("xi", "x"), ("x", "xi")):
-        cross = {f.idx[0] for f in t.fac if f.kind == other}
-        own = [f.idx[0] for f in t.fac if f.kind == kind]
-        labs = [i for i in own
-                if isinstance(i, str) and counts.get(i) == 2
-                and own.count(i) == 1 and i not in cross]
-        if len(labs) >= 2:
-            groups.append(labs)
-    return groups
-
-
-def _symmetrize(t: Term, groups) -> list[Term]:
-    """Average over permutations of each group of dummy xi (and x) monomial
-    labels; the monomials are symmetric so this is value preserving.  The
-    monomial slots keep their labels and every other occurrence moves."""
-    labs = [lab for group in groups for lab in group]
-    slots = [k for k, f in enumerate(t.fac)
-             if f.kind in ("xi", "x") and f.idx[0] in labs]
-    perms = list(product(*(permutations(group) for group in groups)))
-    inv = Scalar.frac(1, len(perms))
-    out = []
-    for parts in perms:
-        moved = map_labels(t, dict(zip(labs, chain.from_iterable(parts))))
-        fac = list(moved.fac)
-        for k in slots:
-            fac[k] = t.fac[k]
-        out.append(Term(t.coeff * inv, tuple(fac), moved.word,
-                        t.norm, t.trid, t.vol))
-    return out
-
-
 def _variants(f: F):
     """The factor's monoterm symmetry variants, each with its sign."""
     perms = _SYMMETRIES.get(f.kind)
@@ -636,18 +597,14 @@ def normalize(terms: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict[tuple, tuple[Scalar, Term]] = {}
     for t in terms:
         for red in _reduce(t):
-            groups = _monomial_groups(red[0], red[1])
-            batch = ([x for s in _symmetrize(red[0], groups)
-                      for x in _reduce(s)] if groups else (red,))
-            for r, counts, skeys in batch:
-                out = _finalize(r, counts, skeys)
-                if out is None:
-                    continue
-                key = term_key(out)
-                if key in acc:
-                    acc[key] = (acc[key][0] + out.coeff, out)
-                else:
-                    acc[key] = (out.coeff, out)
+            out = _finalize(*red)
+            if out is None:
+                continue
+            key = term_key(out)
+            if key in acc:
+                acc[key] = (acc[key][0] + out.coeff, out)
+            else:
+                acc[key] = (out.coeff, out)
     final = []
     for key in sorted(acc):
         coeff, proto = acc[key]

@@ -11,7 +11,7 @@ import pytest
 from wittenres import clifford as cl
 from wittenres import oracle, reference, sphere
 from wittenres.operators import build_laplace_data, parametrix_symbols
-from wittenres.oracle import random_tensor_instantiation
+from wittenres.oracle import TensorAssignment
 from wittenres.residue import (Pieces, compute_einstein_functional,
                                compute_metric_functional,
                                part1_top_norm_exponent)
@@ -174,7 +174,7 @@ def test_criterion_9_degeneracies(ledger):
     hodge = led0.einstein.coeff_lists() == {
         "g(u,w)*s": [FR(1, 12)], "Ric(u,w)": [FR(-1, 6)],
     }
-    assign = random_tensor_instantiation(77, 4)
+    assign = TensorAssignment(77, 4)
     u = assign.vec["u"]
     assign.vec["w"] = {1: u[2], 2: -u[1], 3: u[4], 4: -u[3]}
     guw = sum(assign.vec["u"][a] * assign.vec["w"][a] for a in range(1, 5))

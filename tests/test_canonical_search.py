@@ -7,19 +7,21 @@ vanish.  `terms._finalize` must give the same result on every input.
 
 `reference_normalize` is the driver loop before label counts and factor
 keys travelled with a term: fresh counts and keys for every popped term,
-symmetrization and a second reduction for every reduced term, and a check
-that the word is still sorted before it is finalized.  It runs the module's
-own rules, and `normalize` must give the same result on every input.
+symmetrization over the xi / x monomial dummies (`_monomial_groups` and
+`_symmetrize`, the pass `normalize` once ran) and a second reduction for
+every reduced term, and a check that the word is still sorted before it is
+finalized.  It runs the module's own rules, and `normalize`, which no
+longer symmetrizes, must give the same result on every input.
 """
 
 import importlib.util
 import random
-from itertools import groupby, permutations, product
+from itertools import chain, groupby, permutations, product
 from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wittenres import clifford, pdo, terms
@@ -95,6 +97,42 @@ def reference_reduce(t):
     return out
 
 
+def _monomial_groups(t: Term, counts) -> list[list[str]]:
+    """The dummy labels `_symmetrize` permutes: one list per monomial kind
+    with at least two of them.  Labels paired with themselves (x_a x_a) or
+    shared with the other kind are left out."""
+    groups = []
+    for kind, other in (("xi", "x"), ("x", "xi")):
+        cross = {f.idx[0] for f in t.fac if f.kind == other}
+        own = [f.idx[0] for f in t.fac if f.kind == kind]
+        labs = [i for i in own
+                if isinstance(i, str) and counts.get(i) == 2
+                and own.count(i) == 1 and i not in cross]
+        if len(labs) >= 2:
+            groups.append(labs)
+    return groups
+
+
+def _symmetrize(t: Term, groups) -> list[Term]:
+    """Average over permutations of each group of dummy xi (and x) monomial
+    labels; the monomials are symmetric so this is value preserving.  The
+    monomial slots keep their labels and every other occurrence moves."""
+    labs = [lab for group in groups for lab in group]
+    slots = [k for k, f in enumerate(t.fac)
+             if f.kind in ("xi", "x") and f.idx[0] in labs]
+    perms = list(product(*(permutations(group) for group in groups)))
+    inv = Scalar.frac(1, len(perms))
+    out = []
+    for parts in perms:
+        moved = map_labels(t, dict(zip(labs, chain.from_iterable(parts))))
+        fac = list(moved.fac)
+        for k in slots:
+            fac[k] = t.fac[k]
+        out.append(Term(t.coeff * inv, tuple(fac), moved.word,
+                        t.norm, t.trid, t.vol))
+    return out
+
+
 def reference_normalize(terms_in):
     acc = {}
     work = [(t, False) for t in terms_in]
@@ -105,8 +143,8 @@ def reference_normalize(terms_in):
         reduced = reference_reduce(t)
         if not symmetrized:
             for r in reduced:
-                groups = terms._monomial_groups(r, label_counts(r))
-                work.extend((s, True) for s in terms._symmetrize(r, groups))
+                groups = _monomial_groups(r, label_counts(r))
+                work.extend((s, True) for s in _symmetrize(r, groups))
             continue
         for r in reduced:
             counts = label_counts(r)
@@ -173,6 +211,45 @@ def test_finalize_matches_exhaustive_reference(t):
                (G("c", "c"), G("h", 2), G("c", "b"), G("c", "a")))])
 def test_normalize_matches_reference_loop(ts):
     assert normalize(ts) == reference_normalize(ts)
+
+
+@st.composite
+def monomial_terms(draw):
+    """A small term plus two or three xi (or x) monomial factors whose
+    labels are dummies contracted into a vector, a Ricci slot or the
+    word, so the reduced term has a group for `_symmetrize`."""
+    base = draw(small_terms(vectors=("u", "w", "v", "xi", "x"), max_word=3,
+                            fams=("c", "h")))
+    kind = draw(st.sampled_from(("xi", "x")))
+    fac, word = list(base.fac), list(base.word)
+    for lab in ("p", "q", "r")[:draw(st.integers(2, 3))]:
+        fac.append(fct(kind, lab))
+        partner = draw(st.sampled_from(("u", "w", "v", "ric", "c", "h")))
+        if partner in ("c", "h"):
+            word.insert(draw(st.integers(0, len(word))), G(partner, lab))
+        elif partner == "ric":
+            fac.append(fct("ric", lab, draw(st.sampled_from(_CONCRETE))))
+        else:
+            fac.append(fct(partner, lab))
+    return Term(S_ONE, tuple(draw(st.permutations(fac))), tuple(word))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_terms())
+def test_each_monomial_permutation_normalizes_alike(t):
+    """Why `normalize` needs no symmetrization pass: every permutation copy
+    of a reduced term's monomial dummies, at the term's own coefficient,
+    already has the term's normal form."""
+    checked = 0
+    for r, counts, _ in terms._reduce(t):
+        groups = _monomial_groups(r, counts)
+        if not groups:
+            continue
+        want = normalize([r])
+        for copy in _symmetrize(r, groups):
+            assert normalize([copy._replace(coeff=r.coeff)]) == want, copy
+            checked += 1
+    assume(checked)
 
 
 def _first_derivative_raw_terms(monkeypatch):

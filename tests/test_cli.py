@@ -179,6 +179,12 @@ def test_concrete_dimension_report(capsys):
     assert code == 0
     # -1 * 2^{2m} * 2 pi^m / Gamma(m) at m=2: -32 pi^2
     assert "(-32)*pi^2 g(u,w)" in out
+    # the largest dimension accepted
+    code, out, _ = run(capsys, "verify", "--functional", "metric",
+                       "--dimension", "1000")
+    assert code == 0
+    assert out.startswith("metric   (-1) g(u,w)   [MATCH]   = (-")
+    assert ")*pi^500 g(u,w)\n" in out
 
 
 def test_query_trace(capsys):
@@ -246,3 +252,15 @@ def test_bad_dimension_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dimension", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["verify", "--functional", "metric", "--dimension", "20000"], 20000),
+    (["query", "trace", "c1 c1", "--dimension", "1002"], 1002),
+], ids=["verify", "query"])
+def test_dimension_flag_is_bounded(capsys, argv, dim):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"dimension {dim} is above 1000" in capsys.readouterr().err
+

@@ -22,7 +22,7 @@ def test_taylor_coefficient_antisymmetry():
     both = list(data.t_ab("a", "b")) + list(data.t_ab("b", "a"))
     assert normalize(both) == ()
     # and the instantiated coefficient tensors agree with that sign
-    assign = oracle.random_tensor_instantiation(3, 4)
+    assign = oracle.TensorAssignment(3, 4)
     assert assign.riem[(2, 1, 4, 3)] == -assign.riem[(1, 2, 4, 3)]
 
 

@@ -38,7 +38,7 @@ def test_sphere_integral_exact_values():
 
 
 def test_instantiation_has_riemann_symmetries():
-    a = oracle.random_tensor_instantiation(1, 4)
+    a = oracle.TensorAssignment(1, 4)
     idx = range(1, 5)
     assert a.riem[(1, 1, 2, 3)] == 0
     found = False
@@ -64,6 +64,6 @@ def test_instantiation_has_riemann_symmetries():
 def test_evaluate_requires_contracted_wordless_terms():
     from wittenres.scalars import S_ONE
     from wittenres.terms import Term, fct
-    a = oracle.random_tensor_instantiation(2, 4)
+    a = oracle.TensorAssignment(2, 4)
     with pytest.raises(ValueError):
         a.evaluate([Term(S_ONE, (fct("u", "a"),))])  # free index

@@ -6,8 +6,8 @@ from wittenres import clifford as cl
 from wittenres.operators import (build_laplace_data, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import compose
-from wittenres.oracle import random_tensor_instantiation
-from wittenres import residue
+from wittenres.oracle import TensorAssignment
+from wittenres import residue, tensor
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                compute_einstein_functional,
@@ -177,14 +177,17 @@ def test_field_free_run_gives_hodge_density():
         assert led[lab].is_zero()
 
 
-def test_bianchi_flag_is_a_no_op_here(ledger):
-    led_off = compute_einstein_functional(bianchi=False)
+def test_ledger_never_enters_the_bianchi_pass(ledger, monkeypatch):
+    def refuse(terms):
+        raise AssertionError("a Riemann factor survived normalize")
+    monkeypatch.setattr(tensor, "bianchi_pass", refuse)
+    led = compute_einstein_functional()
     for lab in ledger.labels():
-        assert led_off[lab] == ledger[lab], lab
+        assert led[lab] == ledger[lab], lab
 
 
 def test_orthogonal_fields_kill_metric_atoms(ledger):
-    assign = random_tensor_instantiation(21, 4)
+    assign = TensorAssignment(21, 4)
     u = assign.vec["u"]
     assign.vec["w"] = {1: u[2], 2: -u[1], 3: u[4], 4: -u[3]}
     guw = sum(assign.vec["u"][a] * assign.vec["w"][a] for a in range(1, 5))

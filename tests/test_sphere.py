@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittenres import oracle, sphere
+from wittenres import clifford, oracle, sphere
 from wittenres.scalars import Scalar, vol_sphere_value
 from wittenres.terms import F, Term, fct, normalize, sums_equal
 
@@ -79,12 +79,13 @@ def test_pairing_matches_gamma_oracle_spot():
 
 
 def _all_pairings(slots):
+    """Every perfect pairing with its sign as a permutation."""
     if not slots:
-        yield ()
+        yield (), 1
         return
     for j in range(1, len(slots)):
-        for tail in _all_pairings(slots[1:j] + slots[j + 1:]):
-            yield ((slots[0], slots[j]),) + tail
+        for tail, sign in _all_pairings(slots[1:j] + slots[j + 1:]):
+            yield ((slots[0], slots[j]),) + tail, (-1) ** (j - 1) * sign
 
 
 @pytest.mark.parametrize("slots", [
@@ -95,9 +96,17 @@ def test_pruned_pairings_equal_the_full_enumeration(slots):
     pruned = sphere.integrate_monomial(slots)
     full = [Term(pruned[0].coeff,
                  tuple(fct("delta", a, b) for a, b in pairing), (), (0, 0),
-                 0, 1) for pairing in _all_pairings(slots)]
+                 0, 1) for pairing, _ in _all_pairings(slots)]
     assert len(pruned) < len(full)
     assert normalize(pruned) == normalize(full)
+    # signed: the scalar part of a c word, each pair contracting to -delta
+    flip = (-1) ** (len(slots) // 2)
+    signed = [Term(Scalar.of(sign * flip),
+                   tuple(fct("delta", a, b) for a, b in pairing))
+              for pairing, sign in _all_pairings(slots)]
+    got = clifford.scalar_part([clifford.c(i) for i in slots])
+    assert len(got) < len(signed)
+    assert normalize(got) == normalize(signed)
 
 
 def test_integrate_term_requires_unit_norm():

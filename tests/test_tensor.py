@@ -73,7 +73,7 @@ def test_canonicalize_idempotent_and_odd():
 def test_canonicalize_value_preserved_random_instantiation():
     rng = random.Random(17)
     n = 4
-    assign = oracle.random_tensor_instantiation(99, n)
+    assign = oracle.TensorAssignment(99, n)
     labs = ["a", "b", "c", "d", "e"]
     done = 0
     trials = 0
@@ -114,15 +114,15 @@ def test_first_bianchi_pass_kills_cyclic_sum():
         T(1, fct("riem", "a", "c", "d", "b")),
         T(1, fct("riem", "a", "d", "b", "c")),
     ]
-    assert canonicalize(free, bianchi=True) == ()
-    # the monoterm pass alone does not see the relation
-    assert canonicalize(free, bianchi=False) != ()
+    assert canonicalize(free) == ()
+    # the monoterm rules of normalize alone do not see the relation
+    assert normalize(free) != ()
     # and the rewrite preserves values on contracted input
     t = T(1, fct("riem", "a", "b", "c", "d"), fct("u", "a"), fct("xi", "b"),
           fct("w", "c"), fct("xi", "d"))
-    assign = oracle.random_tensor_instantiation(5, 4)
-    assert assign.evaluate(canonicalize(t, bianchi=True)) == \
-        assign.evaluate(canonicalize(t, bianchi=False))
+    assign = oracle.TensorAssignment(5, 4)
+    assert assign.evaluate(canonicalize(t)) == \
+        assign.evaluate(normalize([t]))
 
 
 def test_collect_invariants():
