@@ -9,7 +9,8 @@ The report's "bianchi" key is always "on": the first-Bianchi pass of
 `tensor.canonicalize` is not optional.
 `wittenres query` evaluates one-off traces and sphere integrals from a tiny
 expression grammar.  A concrete `--dimension` of either subcommand is an
-even integer from 4 to `QUERY_LIMIT`.
+even integer from 4 to `QUERY_LIMIT`; under it a trace word's indices lie
+in 1..n, and a sphere query's own `@n=` must equal it.
 """
 
 from __future__ import annotations
@@ -217,7 +218,9 @@ def _bounded(what: str, size: int) -> None:
         raise QueryError(f"{what} {size} is above {QUERY_LIMIT}")
 
 
-def _parse_word(text: str):
+def _parse_word(text: str, dim: int | None):
+    """The word's generators; under a concrete dimension an index must be
+    one of its frame indices 1..dim."""
     tokens = text.split()
     _bounded("word length", len(tokens))
     word = []
@@ -230,15 +233,20 @@ def _parse_word(text: str):
         if fam is None or not rest.isdigit() or int(rest) < 1:
             raise QueryError(
                 f"expected c<k> or chat<k>, got {tok!r}", pos)
+        if dim is not None and int(rest) > dim:
+            raise QueryError(f"generator {tok} is past dimension {dim}",
+                             pos)
         word.append(clifford.c(int(rest)) if fam == "c"
                     else clifford.chat(int(rest)))
         pos += len(tok)
     return tuple(word)
 
 
-def _parse_sphere(text: str):
+def _parse_sphere(text: str, dim: int | None):
+    """The exponents and the dimension, from `@n=` or else from `dim`; an
+    `@n=` that differs from a concrete `dim` is refused."""
     body, _, tail = text.partition("@")
-    n = None
+    n = dim
     if tail:
         if not tail.startswith("n="):
             raise QueryError(f"expected n=<even>, got {tail!r}",
@@ -251,6 +259,9 @@ def _parse_sphere(text: str):
             raise QueryError(f"dimension must be even and positive, got {n}",
                              len(body) + 3)
         _bounded("dimension", n)
+        if dim is not None and n != dim:
+            raise QueryError(f"dimension {n} conflicts with --dimension "
+                             f"{dim}", len(body) + 3)
     pos = 0
     exps = []
     for part in body.split(","):
@@ -271,15 +282,13 @@ def cmd_query(args) -> int:
     try:
         dim = None if args.dimension == "symbolic" else int(args.dimension)
         if args.kind == "trace":
-            val = clifford.concrete_trace(_parse_word(args.expression))
+            val = clifford.concrete_trace(_parse_word(args.expression, dim))
             if dim is None:
                 print(f"({val}) * TrId" if val else "0")
             else:
                 print(val * 2 ** dim)
             return EXIT_OK
-        exps, n = _parse_sphere(args.expression)
-        if n is None:
-            n = dim
+        exps, n = _parse_sphere(args.expression, dim)
         if n is None:
             raise QueryError("sphere query needs a dimension "
                              "(append @n=<even> or pass --dimension)")

@@ -283,9 +283,12 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
 
     One derivative chain runs on a - b.  normalize reduces each term on its
     own and merges equal presentations, so differentiating the difference
-    equals differencing the derivatives, and terms common to both sides
-    cancel at the first derivative.  The raw inputs are differentiated
-    before any normalize, so u_a w_a folds into guw where d_x_terms says.
+    equals differencing the derivatives.  The difference is first
+    normalized with fold_fields=False: every rule but the field folds is an
+    identity pointwise in x, so terms common to both sides cancel before
+    anything is differentiated, and the inputs are still differentiated
+    before any field fold, so u_a w_a folds into guw only where d_x_terms
+    says.  Every later derivative takes d_x_terms' own normalized output.
     The origin part is normalized at each step, not just tested for
     emptiness: normalize is not idempotent yet, and a second pass can
     cancel terms a first pass left.  Derivative k (from one) keeps only
@@ -293,7 +296,8 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
     each term's x-degree and a derivative lowers it by at most one.
     """
     lab = _fresh_labels((a, b), xorder)
-    d = tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)
+    d = normalize(tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b),
+                  fold_fields=False)
     for k in range(xorder + 1):
         if normalize(origin_terms(d)):
             return False

@@ -13,6 +13,8 @@ normalize() rewrites a sum of terms to a canonical merged form:
   * Riemann/Ricci self-contractions reduce to Ricci / scalar curvature,
   * a contracted xi_a xi_a pair becomes |xi|^2; a contracted x_a x_a pair
     has no carrier and is kept as two x factors,
+  * contracted field pairs fold into the atoms u_a w_a -> guw,
+    u_a ric_ab w_b -> ricuw and v_a v_a -> vsq,
   * words are normal ordered (C family before CHAT, indices ascending,
     equal adjacent pairs contracted) with the anticommutator delta branches;
     two adjacent same-family dummies that both contract into the same
@@ -27,6 +29,13 @@ normalize() rewrites a sum of terms to a canonical merged form:
     as an antisymmetric zero, and a search whose frontier passes
     _MAX_FRONTIER partial presentations raises NormalizeError,
   * identical presentations are merged, zero coefficients dropped.
+
+normalize(terms, fold_fields=False) runs every rule but the three field
+folds.  Each remaining rule is an identity pointwise in x, with u, w and v
+read as functions, so its output has the input's value as a function of x
+and may be x-differentiated in its place; the folds are the only rules
+that turn a field pair into a constant atom, and a fold may only run after
+the derivative (see `pdo.d_x_terms`).
 
 The xi / x monomial dummies need no symmetrization pass.  Permuting them
 while the monomial slots keep their labels is a relabelling of the dummies
@@ -219,9 +228,10 @@ def _riem_pair_sign(p: int, q: int):
     return sign, rest
 
 
-def _contract_once(t: Term, counts):
+def _contract_once(t: Term, counts, fold_fields: bool = True):
     """Apply one reduction rule. Returns None (no rule fired), 'zero',
-    or a replacement Term."""
+    or a replacement Term.  Without fold_fields the field-atom folds
+    (u_a w_a -> guw, u_a ric_ab w_b -> ricuw, v_a v_a -> vsq) never fire."""
     for k, f in enumerate(t.fac):
         if f.kind == "riem":
             if f.idx[0] == f.idx[1] or f.idx[2] == f.idx[3]:
@@ -279,6 +289,8 @@ def _contract_once(t: Term, counts):
                     return Term(t.coeff, fac, t.word,
                                 (t.norm[0] + 2, t.norm[1]), t.trid, t.vol)
                 seen[i] = k
+    if not fold_fields:
+        return None
     # atom recognition on fully contracted pieces
     by_kind: dict[str, list[int]] = {}
     for k, f in enumerate(t.fac):
@@ -424,7 +436,8 @@ def _word_once(t: Term, counts, facts):
     return None
 
 
-def _reduce(t: Term) -> list[tuple[Term, dict, list]]:
+def _reduce(t: Term, fold_fields: bool = True
+            ) -> list[tuple[Term, dict, list]]:
     """Rewrite a term until no rule applies; returns each reduced term with
     its label counts and its factors' structural keys.
 
@@ -448,7 +461,7 @@ def _reduce(t: Term) -> list[tuple[Term, dict, list]]:
                 bad = [la for la, c in counts.items() if c > 2]
                 raise ContractViolation(f"labels {bad} occur more than twice")
         if facts is None:
-            step = _contract_once(cur, counts)
+            step = _contract_once(cur, counts, fold_fields)
             if step == "zero":
                 continue
             if step is not None:
@@ -593,10 +606,11 @@ def _finalize(t: Term, counts, skeys):
     return Term(coeff, tuple(fac_out), renamed_word, t.norm, t.trid, t.vol)
 
 
-def normalize(terms: Iterable[Term]) -> tuple[Term, ...]:
+def normalize(terms: Iterable[Term], *,
+              fold_fields: bool = True) -> tuple[Term, ...]:
     acc: dict[tuple, tuple[Scalar, Term]] = {}
     for t in terms:
-        for red in _reduce(t):
+        for red in _reduce(t, fold_fields):
             out = _finalize(*red)
             if out is None:
                 continue

@@ -252,14 +252,21 @@ def test_each_monomial_permutation_normalizes_alike(t):
     assume(checked)
 
 
-def _first_derivative_raw_terms(monkeypatch):
-    """The raw terms the first x-derivative of the taylor_diff benchmark's
-    seed-101 comparison hands to normalize."""
+def bench_workloads():
+    """`bench/workloads.py`, loaded from its path: the inputs of the
+    taylor_diff benchmark."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    inputs = workloads.taylor_inputs(101)
+    return workloads
+
+
+def _first_derivative_raw_terms(monkeypatch):
+    """The raw terms that x-differentiating the raw difference of the
+    taylor_diff benchmark's seed-101 comparison hands to normalize (the
+    comparison itself now cancels the difference first)."""
+    inputs = bench_workloads().taylor_inputs(101)
     a, b = inputs.derived, inputs.printed
     d = a + tuple(t._replace(coeff=-t.coeff) for t in b)
     seen = []

@@ -248,6 +248,32 @@ def test_query_parse_error_positions(capsys):
     assert "parse error" in err
 
 
+def test_query_trace_index_past_dimension(capsys):
+    code, out, err = run(capsys, "query", "trace", "c1 c5 c5",
+                         "--dimension", "4")
+    assert (code, out) == (2, "")
+    assert err == ("parse error at position 3: generator c5 is past "
+                   "dimension 4\n")
+    code, out, _ = run(capsys, "query", "trace", "chat4 chat4",
+                       "--dimension", "4")
+    assert (code, out.strip()) == (0, "16")
+    # a symbolic dimension has every frame index
+    code, out, _ = run(capsys, "query", "trace", "c5 c5")
+    assert (code, out.strip()) == (0, "(-1) * TrId")
+
+
+def test_query_sphere_conflicting_dimensions(capsys):
+    code, out, err = run(capsys, "query", "sphere", "2@n=4",
+                         "--dimension", "6")
+    assert (code, out) == (2, "")
+    assert err == ("parse error at position 4: dimension 4 conflicts with "
+                   "--dimension 6\n")
+    for argv in (["2@n=4", "--dimension", "4"], ["2@n=4"],
+                 ["2", "--dimension", "4"]):
+        code, out, _ = run(capsys, "query", "sphere", *argv)
+        assert (code, out.strip()) == (0, "(1/4) * Vol(S^3)")
+
+
 def test_bad_dimension_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dimension", "5"])

@@ -1,24 +1,32 @@
 """`pdo.terms_equal_taylor` against the loops it replaced.
 
 It runs one derivative chain on the difference of its two sides, cut by
-x-degree.  The chain rests on two invariants of `normalize`.  It is split
-linear: each input term is reduced on its own and equal presentations are
-merged, so normalizing a sum equals merging the normalized parts, and
-differentiating a difference equals differencing the derivatives.  It keeps
-each term's number of x factors, so normalizing commutes with grading by
-x-degree; a derivative lowers the x-degree by at most one, so after
-derivative k a term with more than xorder - k x factors cannot reach an
-origin comparison.
+x-degree, and canonicalizes the raw difference with the field folds off
+before the first derivative.  The chain rests on three invariants of
+`normalize`.  It is split linear: each input term is reduced on its own
+and equal presentations are merged, so normalizing a sum equals merging
+the normalized parts, and differentiating a difference equals differencing
+the derivatives.  It keeps each term's number of x factors, so normalizing
+commutes with grading by x-degree; a derivative lowers the x-degree by at
+most one, so after derivative k a term with more than xorder - k x factors
+cannot reach an origin comparison.  And with `fold_fields=False` it keeps
+a sum's value as a function of x: only the folds u_a w_a -> guw,
+u_a ric_ab w_b -> ricuw and v_a v_a -> vsq turn a field pair into a
+constant, so only they must wait until after the derivative.
+`fold_after_derivative_taylor_equal`, the chain without that pre-pass, is
+the reference the pre-pass must agree with.
 """
 
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from test_canonical_search import small_terms
+from test_canonical_search import bench_workloads, small_terms
 
+from wittenres import pdo
 from wittenres.operators import symbol_of_a, symbol_of_b
+from wittenres.oracle import TensorAssignment
 from wittenres.pdo import (_fresh_labels, compose, d_x_terms, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
@@ -27,6 +35,10 @@ from wittenres.terms import (NormalizeError, Term, fct, label_counts,
                              map_labels, normalize, sums_equal, term_key)
 
 XORDER = 2
+FIELDS = ("u", "w", "v")
+# c / chat words whose labels contract into u, w, v, x and xi slots
+FIELD_WORD_TERMS = small_terms(vectors=FIELDS + ("xi", "x"), max_word=4,
+                               fams=("c", "h"))
 
 
 def x_degree(t: Term) -> int:
@@ -34,12 +46,11 @@ def x_degree(t: Term) -> int:
 
 
 @st.composite
-def x_graded_sums(draw):
+def x_graded_sums(draw, terms=small_terms(vectors=("u", "w", "xi", "x"))):
     """Random terms with x factors, some joined by a copy with renamed
     dummies, so that normalizing merges and cancels terms."""
     out = []
-    for t in draw(st.lists(small_terms(vectors=("u", "w", "xi", "x")),
-                           min_size=1, max_size=4)):
+    for t in draw(st.lists(terms, min_size=1, max_size=4)):
         coeff = Scalar.of(draw(st.sampled_from((-2, -1, 1, 3))))
         out.append(t._replace(coeff=coeff))
         if draw(st.booleans()):
@@ -95,6 +106,20 @@ def two_chain_taylor_equal(a, b, xorder=XORDER) -> bool:
     return True
 
 
+def fold_after_derivative_taylor_equal(a, b, xorder=XORDER) -> bool:
+    """The one-chain comparison without the fold-free pre-pass: the raw
+    difference is differentiated, and canonicalized only inside
+    `d_x_terms`."""
+    lab = _fresh_labels((a, b), xorder)
+    d = tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)
+    for k in range(xorder + 1):
+        if normalize(origin_terms(d)):
+            return False
+        if k < xorder:
+            d = d_x_terms(d, lab[k], strict=False, xmax=xorder - k - 1)
+    return True
+
+
 def merge(*sums) -> tuple[Term, ...]:
     """Sort by presentation, sum the coefficients of equal presentations
     and drop zeros: the last step of `normalize`."""
@@ -120,12 +145,12 @@ def test_normalize_is_split_linear(terms, data):
 
 
 @st.composite
-def equal_copies(draw):
+def equal_copies(draw, sums=x_graded_sums()):
     """A sum, a copy of equal value and a copy with one coefficient changed.
 
     The equal copy renames every term's dummies, shuffles the terms and
     splits one coefficient as a = b + (a - b)."""
-    terms = draw(x_graded_sums())
+    terms = draw(sums)
     copy = []
     for n, t in enumerate(terms):
         dummies = sorted(lab for lab, c in label_counts(t).items() if c == 2)
@@ -161,6 +186,103 @@ def test_raw_inputs_are_differentiated_first():
     assert normalize([uw]) == normalize([guw])
     assert terms_equal_taylor([uw], [guw]) is False
     assert two_chain_taylor_equal([uw], [guw]) is False
+    assert fold_after_derivative_taylor_equal([uw], [guw]) is False
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(equal_copies(x_graded_sums(FIELD_WORD_TERMS)))
+def test_fold_free_prepass_agrees_with_fold_after_derivative(case):
+    terms, copy, changed = case
+    assert terms_equal_taylor(terms, copy) is True
+    assert fold_after_derivative_taylor_equal(terms, copy) is True
+    assert (terms_equal_taylor(terms, changed)
+            is fold_after_derivative_taylor_equal(terms, changed))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return bench_workloads()
+
+
+@pytest.mark.parametrize("seed", [2, 101, 205])
+def test_seeded_inputs_agree_with_fold_after_derivative(workloads, seed):
+    inputs = workloads.taylor_inputs(seed)
+    doubled = workloads.with_control_doubled(inputs)
+    for pair, want in ((inputs, True), (doubled, False)):
+        assert terms_equal_taylor(pair.derived, pair.printed) is want
+        assert (fold_after_derivative_taylor_equal(pair.derived,
+                                                   pair.printed) is want)
+
+
+def test_derivatives_see_the_cancelled_difference(workloads, monkeypatch):
+    """A count, not a time: the chain's x-derivatives of the seed-101
+    taylor_diff comparison return 12 terms in all (140 when the raw
+    difference is differentiated)."""
+    inputs = workloads.taylor_inputs(101)
+    sizes = []
+    original = pdo.d_x_terms
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+    monkeypatch.setattr(pdo, "d_x_terms", counted)
+    assert terms_equal_taylor(inputs.derived, inputs.printed) is True
+    assert len(sizes) == XORDER
+    assert sum(sizes) <= 12
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(FIELD_WORD_TERMS, min_size=1, max_size=3))
+@example([Term(S_ONE, (fct("u", "a"), fct("ric", "a", "b"), fct("w", "b"),
+                       fct("v", "c"), fct("v", "c")))])
+def test_fold_free_normalize_keeps_field_pairs(ts):
+    unfolded = normalize(ts, fold_fields=False)
+    assert not any(f.kind in ("guw", "ricuw", "vsq")
+                   for t in unfolded for f in t.fac)
+    assert sums_equal(normalize(unfolded), normalize(ts))
+
+
+@st.composite
+def contracted_field_sums(draw):
+    """Wordless sums whose labels are all dummies: each free label of a
+    small term is closed by one more field or monomial factor."""
+    out = []
+    for t in draw(st.lists(small_terms(vectors=FIELDS + ("xi", "x"),
+                                       max_word=0),
+                           min_size=1, max_size=3)):
+        counts = label_counts(t)
+        assume(len(counts) <= 5)
+        extra = tuple(fct(draw(st.sampled_from(FIELDS + ("xi", "x"))), lab)
+                      for lab, n in sorted(counts.items()) if n == 1)
+        out.append(Term(Scalar.of(draw(st.sampled_from((-2, 1, 3)))),
+                        t.fac + extra))
+    return out
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(contracted_field_sums())
+def test_fold_free_normalize_preserves_values(ts):
+    assign = TensorAssignment(11, 4)
+    want = assign.evaluate(ts)
+    unfolded = normalize(ts, fold_fields=False)
+    assert assign.evaluate(unfolded) == want
+    assert assign.evaluate(normalize(unfolded)) == want
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(((), ("u",), ("w",))).flatmap(
+    lambda field: st.lists(small_terms(vectors=field + ("xi", "x"),
+                                       max_word=4, fams=("c", "h")),
+                           min_size=1, max_size=3)))
+def test_fold_free_normalize_is_normalize_without_field_pairs(ts):
+    # one field kind alone, or none, has no pair to fold
+    assert normalize(ts, fold_fields=False) == normalize(ts)
 
 
 @pytest.fixture(scope="module")
