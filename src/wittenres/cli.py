@@ -129,8 +129,10 @@ def cmd_verify(args) -> int:
             with open(args.golden, encoding="utf-8") as fh:
                 ref = json.load(fh)
             reference.validate_reference(ref)
-        except (OSError, json.JSONDecodeError,
+        except (OSError, ValueError, RecursionError,
                 reference.ReferenceFormatError) as exc:
+            # ValueError covers malformed JSON, bytes that are not UTF-8
+            # and integers past the interpreter's digit limit
             print(f"golden file error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:

@@ -1,13 +1,16 @@
 """Concrete symbol data for the deformed de Rham operator.
 
-Builds the Laplace-type data (first-order connection term's Taylor
-coefficients and the endomorphism), the three leading inverse-power symbol
-components for the generalized laplacian, and the order-one symbols of the
-left/right vector-field contractions A = c(u) D and B = c(w) D.
+Builds the Laplace-type data (the x-linear Taylor coefficient T_ab of the
+first-order connection term, and the endomorphism), the three leading
+inverse-power symbol components for the generalized laplacian, and the
+order-one symbols of the left/right vector-field contractions A = c(u) D and
+B = c(w) D.
 
 Normal coordinates throughout: the connection matrix vanishes at the base
 point and its first Taylor coefficient is half a Riemann component, so
-omega_st(e_p) = -<grad_p e_s, e_t> expands as -(1/2) R_lpts x^l.
+omega_st(e_p) = -<grad_p e_s, e_t> expands as -(1/2) R_lpts x^l.  The
+first-order term's value T_a at the base point is therefore zero, and every
+T_a product of the inverse-symbol recursion drops out.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ from typing import Callable, NamedTuple
 from .clifford import c, c_vec, c_xi, chat, chat_v
 from .pdo import Component, PDOSymbol
 from .scalars import S_I, S_ONE, Scalar
-from .terms import F, Term, fct, map_labels, mul_sums, mul_terms, normalize
+from .terms import F, Term, fct, mul_terms, normalize
 
 
 class LaplaceData(NamedTuple):
     """Witten-deformation data entering the inverse-symbol construction."""
-    t_a: Callable[[str], tuple[Term, ...]]
     t_ab: Callable[[str, str], tuple[Term, ...]]
     endo: tuple[Term, ...]
 
@@ -31,16 +33,12 @@ def _scal(p, q=1) -> Scalar:
     return Scalar.frac(p, q)
 
 
-def build_laplace_data(with_field: bool = True) -> LaplaceData:
-    """T_a = 0, T_ab = -1/8 R_bats c_s c_t + 1/8 R_bats ch_s ch_t, and the
+def build_laplace_data() -> LaplaceData:
+    """T_ab = -1/8 R_bats c_s c_t + 1/8 R_bats ch_s ch_t, and the
     endomorphism 1/8 R_ijkl ch_i ch_j c_k c_l + s/4 + c_i ch(dV_i) + |V|^2.
 
-    with_field=False drops the deformation field V entirely (the plain
-    de Rham-Hodge operator), for the degeneracy checks.
+    T_a = 0 in normal coordinates, so it is not stored.
     """
-
-    def t_a(a: str) -> tuple[Term, ...]:
-        return ()
 
     def t_ab(a: str, b: str) -> tuple[Term, ...]:
         return (
@@ -54,13 +52,10 @@ def build_laplace_data(with_field: bool = True) -> LaplaceData:
         Term(_scal(1, 8), (fct("riem", "i", "j", "k", "l"),),
              (chat("i"), chat("j"), c("k"), c("l"))),
         Term(_scal(1, 4), (fct("scal"),)),
+        Term(S_ONE, (fct("dv", "i", "b"),), (c("i"), chat("b"))),
+        Term(S_ONE, (fct("vsq"),)),
     )
-    if with_field:
-        endo = endo + (
-            Term(S_ONE, (fct("dv", "i", "b"),), (c("i"), chat("b"))),
-            Term(S_ONE, (fct("vsq"),)),
-        )
-    return LaplaceData(t_a, t_ab, endo)
+    return LaplaceData(t_ab, endo)
 
 
 def _with(t: Term, coeff: Scalar, extra: tuple[F, ...],
@@ -99,8 +94,6 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
              (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
              n_main),
     ]
-    for t in data.t_a("a"):
-        mid.append(_with(t, _scal(-2) * mt * S_I, (fct("xi", "a"),), n_main))
     for t in data.t_ab("a", "b"):
         mid.append(_with(t, _scal(-2) * mt * S_I,
                          (fct("x", "b"), fct("xi", "a")), n_main))
@@ -110,13 +103,6 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
              (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
              n_low),
     ]
-    # -2 mt(mt+1) T_a T_b xi_a xi_b and mt T_a T_a (empty products when the
-    # first-order term vanishes, as it does for this deformation)
-    for t in mul_sums(data.t_a("a"), data.t_a("b")):
-        low.append(_with(t, _scal(-2) * mt * mt1,
-                         (fct("xi", "a"), fct("xi", "b")), n_low))
-    for t in mul_sums(data.t_a("a"), data.t_a("a2")):
-        low.append(_with(map_labels(t, {"a2": "a"}), mt, (), n_main))
     for t in data.t_ab("a", "b"):
         low.append(_with(t, _scal(2) * mt * mt1,
                          (fct("xi", "a"), fct("xi", "b")), n_low))
@@ -133,8 +119,7 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
     return PDOSymbol(comps)
 
 
-def order_zero_pieces(field: str,
-                      with_field: bool = True) -> dict[str, tuple[Term, ...]]:
+def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:
     """The three pieces of the order-zero symbol of c(field) D: the two
     connection words (with the x-linear curvature value of omega
     substituted) and c(field) chat(V)."""
@@ -148,36 +133,33 @@ def order_zero_pieces(field: str,
     return {
         "conn_c": (mul_terms(vec, conn_c),),
         "conn_h": (mul_terms(vec, conn_h),),
-        "vec": (mul_terms(vec, chat_v("b")),) if with_field else (),
+        "vec": (mul_terms(vec, chat_v("b")),),
     }
 
 
-def _order_zero(field: str, with_field: bool) -> tuple[Term, ...]:
-    pieces = order_zero_pieces(field, with_field)
-    return pieces["conn_c"] + pieces["conn_h"] + pieces["vec"]
-
-
-def _first_order_symbol(field: str, with_field: bool) -> PDOSymbol:
+def _first_order_symbol(field: str) -> PDOSymbol:
     top = mul_terms(c_vec(field, "r"), c_xi("f"))
     top = Term(top.coeff * S_I, top.fac, top.word, top.norm, top.trid,
                top.vol)
+    pieces = order_zero_pieces(field)
     # x-linear Taylor data only: no x^2 terms of the coframe, the
     # connection or the fields
     comps = {
         (1, 0): Component(normalize([top]), 1),
-        (0, 0): Component(normalize(_order_zero(field, with_field)), 1),
+        (0, 0): Component(normalize(pieces["conn_c"] + pieces["conn_h"]
+                                    + pieces["vec"]), 1),
     }
     return PDOSymbol(comps, exact=True)
 
 
-def symbol_of_a(with_field: bool = True) -> PDOSymbol:
+def symbol_of_a() -> PDOSymbol:
     """sigma(c(u) D): i c(u) c(xi) at order one plus the order-zero part."""
-    return _first_order_symbol("u", with_field)
+    return _first_order_symbol("u")
 
 
-def symbol_of_b(with_field: bool = True) -> PDOSymbol:
+def symbol_of_b() -> PDOSymbol:
     """sigma(c(w) D): i c(w) c(xi) at order one plus the order-zero part."""
-    return _first_order_symbol("w", with_field)
+    return _first_order_symbol("w")
 
 
 def cu_cw_symbol() -> PDOSymbol:

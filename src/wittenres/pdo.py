@@ -2,9 +2,11 @@
 
 Orders are affine in the half-dimension symbol: (const, slope) stands for
 const + slope*m, so a parametrix component sits at (c, -2) and a
-differential operator's at (k, 0).  Each component records how many x-Taylor
-orders it is exact to; requesting data beyond that raises TruncationError
-rather than returning a silent zero.
+differential operator's at (k, 0).  A component's terms are x-Taylor data
+around the base point, and it records how many x-Taylor orders they are
+exact to; requesting data beyond that raises TruncationError rather than
+returning a silent zero.  A symbol is never replaced by its origin value:
+callers take that from a term sum with `origin_terms`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .scalars import S_I, S_ONE, Scalar
-from .terms import F, G, Idx, NormalizeError, Term, mul_terms, normalize
+from .terms import F, Idx, NormalizeError, Term, mul_terms, normalize
 
 Order = tuple[int, int]
 
@@ -23,7 +25,7 @@ class TruncationError(Exception):
 
 class Component(NamedTuple):
     terms: tuple[Term, ...]
-    # exact up to this x degree; None means exact, negative means no data
+    # exact up to this x degree (at least 0); None means exact
     xtrunc: int | None
 
 
@@ -35,20 +37,16 @@ class PDOSymbol:
     zero and everything below the lowest stored order is unknown.
     """
 
-    def __init__(self, comps: dict[Order, Component], exact: bool = False,
-                 at_origin: bool = False, check: bool = True):
+    def __init__(self, comps: dict[Order, Component], exact: bool = False):
         self.comps = dict(comps)
         self.exact = exact
-        self.at_origin = at_origin
-        if check:
-            for order, comp in self.comps.items():
-                for t in comp.terms:
-                    deg = sum(1 for f in t.fac if f.kind == "xi")
-                    got = (t.norm[0] + deg, t.norm[1])
-                    if got != order:
-                        raise ValueError(
-                            f"term of homogeneity {got} stored at {order}: "
-                            f"{t}")
+        for order, comp in self.comps.items():
+            for t in comp.terms:
+                deg = sum(1 for f in t.fac if f.kind == "xi")
+                got = (t.norm[0] + deg, t.norm[1])
+                if got != order:
+                    raise ValueError(
+                        f"term of homogeneity {got} stored at {order}: {t}")
 
     def component(self, order: Order) -> Component:
         if order in self.comps:
@@ -124,29 +122,6 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     return normalize(out)
 
 
-def d_x(sym: PDOSymbol, j: Idx) -> PDOSymbol:
-    """Componentwise x-derivative; each component's xtrunc drops by one.
-
-    A component exact only to x-degree zero (or already without data) holds
-    no derivative data: it is not differentiated but marked xtrunc=-1 with
-    no terms, so evaluate_at_origin and composition refuse it.
-    """
-    if sym.at_origin:
-        raise NormalizeError("cannot x-differentiate an origin value")
-    comps = {}
-    for o, c in sym.comps.items():
-        if c.xtrunc is not None and c.xtrunc < 1:
-            comps[o] = Component((), -1)
-        else:
-            comps[o] = Component(d_x_terms(c.terms, j),
-                                 _xt_sub(c.xtrunc, 1))
-    return PDOSymbol(comps, sym.exact, check=False)
-
-
-def _xt_sub(xt: int | None, k: int) -> int | None:
-    return None if xt is None else xt - k
-
-
 def _xt_min(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -188,7 +163,7 @@ def composition_summand(p: Component, q: Component,
         left = d_xi_terms(left, lab)
         if not left:
             return (), None
-    qx = _xt_sub(q.xtrunc, nalpha)
+    qx = None if q.xtrunc is None else q.xtrunc - nalpha
     if qx is not None and qx < 0:
         raise TruncationError(
             f"{nalpha} x-derivative(s) exceed the stored x-Taylor order")
@@ -216,12 +191,12 @@ def compose(P: PDOSymbol, Q: PDOSymbol,
     """Symbol composition truncated to the requested orders.
 
     sigma(PQ) = sum_alpha (-i)^|a|/a! d_xi^a sigma(P) d_x^a sigma(Q), with
-    |a| forced by homogeneity per component pair.  Missing but needed data
-    raises TruncationError; a vanishing xi-derivative side short-circuits
-    before the x side is examined.
+    |a| forced by homogeneity per component pair.  An order of Q that a
+    pair reaches and Q does not hold raises TruncationError, whether or not
+    the xi-derivative side survives; a vanishing xi-derivative side only
+    short-circuits the check of Q's x-Taylor order in
+    `composition_summand`.
     """
-    if P.at_origin or Q.at_origin:
-        raise NormalizeError("cannot compose origin values")
     comps: dict[Order, Component] = {}
     for target in targets:
         if not P.exact and P.comps:
@@ -248,18 +223,7 @@ def compose(P: PDOSymbol, Q: PDOSymbol,
                 continue
             for nalpha in range(_ALPHA_CAP + 1):
                 q_ord = (target[0] - p_ord[0] + nalpha, target[1] - p_ord[1])
-                try:
-                    qcomp = Q.component(q_ord)
-                except TruncationError:
-                    # only fatal if the xi side survives differentiation
-                    probe = pcomp.terms
-                    for lab in _fresh_labels((pcomp.terms,), nalpha):
-                        probe = d_xi_terms(probe, lab)
-                        if not probe:
-                            break
-                    if probe:
-                        raise
-                    continue
+                qcomp = Q.component(q_ord)
                 if not qcomp.terms:
                     continue
                 terms, sxt = composition_summand(pcomp, qcomp, nalpha)
@@ -305,14 +269,3 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
             d = d_x_terms(d, lab[k], strict=False, xmax=xorder - k - 1)
     return True
 
-
-def evaluate_at_origin(sym: PDOSymbol) -> PDOSymbol:
-    """Drop every term of positive x-degree; requires each component's
-    x-Taylor data to be valid at degree zero."""
-    comps = {}
-    for order, compo in sym.comps.items():
-        if compo.xtrunc is not None and compo.xtrunc < 0:
-            raise TruncationError("component no longer carries its value at "
-                                  "the origin")
-        comps[order] = Component(tuple(origin_terms(compo.terms)), None)
-    return PDOSymbol(comps, sym.exact, at_origin=True, check=False)

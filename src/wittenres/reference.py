@@ -12,6 +12,7 @@ printed line differs), MISMATCH (derived disagrees with the stored value).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -37,6 +38,24 @@ class ReferenceFormatError(Exception):
     pass
 
 
+# a coefficient is an integer or a fraction of integers, written out: no
+# exponent, which Fraction would expand digit by digit, and no float
+_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _check_coeff(x, where: str) -> None:
+    # a bad value can be any length; the message shows 40 characters
+    if not (type(x) is int or isinstance(x, str) and _COEFF.fullmatch(x)):
+        raise ReferenceFormatError(
+            f"bad coefficient {x!r:.40} in {where}: expected an integer or "
+            f"a string such as \"-1/6\"")
+    try:
+        Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ReferenceFormatError(
+            f"bad coefficient {x!r:.40} in {where}") from exc
+
+
 def validate_reference(ref) -> None:
     if not isinstance(ref, dict):
         raise ReferenceFormatError("reference file must be a JSON object")
@@ -55,14 +74,13 @@ def validate_reference(ref) -> None:
                     raise ReferenceFormatError(
                         f"{section}[{label}][{atom}] must be a list")
                 for x in coeffs:
-                    try:
-                        Fraction(x)
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise ReferenceFormatError(
-                            f"bad coefficient {x!r} in {label}/{atom}"
-                        ) from exc
+                    _check_coeff(x, f"{label}/{atom}")
     if "values" not in ref:
         raise ReferenceFormatError("reference file lacks a values table")
+    notes = ref.get("notes", {})
+    if not (isinstance(notes, dict)
+            and all(isinstance(n, str) for n in notes.values())):
+        raise ReferenceFormatError("notes must map labels to strings")
     norms = ref.get("printed_norm_exponents", {})
     if not isinstance(norms, dict):
         raise ReferenceFormatError("printed_norm_exponents must be an object")

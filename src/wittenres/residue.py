@@ -192,7 +192,7 @@ def _signature(t: Term) -> str:
 
 def _a1_with(pieces: Pieces, piece: str) -> Component:
     """sigma_1(A) paired once with one piece of sigma_0(B), at the origin."""
-    b0 = order_zero_pieces("w", pieces.with_field)[piece]
+    b0 = order_zero_pieces("w")[piece]
     terms, _ = composition_summand(pieces["A"].comps[(1, 0)],
                                    Component(b0, None), 1)
     return Component(tuple(origin_terms(terms)), None)
@@ -217,11 +217,11 @@ def _origin_product(a: Component, b: Component) -> Component:
 
 # how each piece is built from the others
 _BUILD = {
-    "data": lambda p: build_laplace_data(p.with_field),
+    "data": lambda p: build_laplace_data(),
     "par0": lambda p: parametrix_symbols(p["data"], 0),
     "par1": lambda p: parametrix_symbols(p["data"], 1),
-    "A": lambda p: symbol_of_a(p.with_field),
-    "B": lambda p: symbol_of_b(p.with_field),
+    "A": lambda p: symbol_of_a(),
+    "B": lambda p: symbol_of_b(),
     "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)]),
     "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
     "par0_top": lambda p: p["par0"].comps[(0, -2)],
@@ -246,10 +246,6 @@ class Pieces(dict):
     and only when a job asks for it.  The key (piece, class) is the piece
     cut down to one `_signature` class."""
 
-    def __init__(self, with_field: bool = True):
-        super().__init__()
-        self.with_field = with_field
-
     def __missing__(self, key):
         if isinstance(key, str):
             self[key] = _BUILD[key](self)
@@ -267,13 +263,18 @@ class Pieces(dict):
         return self[key]
 
 
-def _run(job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
-    left = pieces[job.left]
-    right = pieces[job.right if job.cls is None else (job.right, job.cls)]
-    if job.alpha:
-        terms, _ = composition_summand(left, right, job.alpha)
-        return wres_density(origin_terms(terms))
-    return wres_density(_origin_product(left, right).terms)
+def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
+    """The job's value; a ResidueError on the way names the label."""
+    try:
+        left = pieces[job.left]
+        right = pieces[job.right if job.cls is None
+                       else (job.right, job.cls)]
+        if job.alpha:
+            terms, _ = composition_summand(left, right, job.alpha)
+            return wres_density(origin_terms(terms))
+        return wres_density(_origin_product(left, right).terms)
+    except ResidueError as exc:
+        raise ResidueError(f"{label}: {exc}") from exc
 
 
 def with_children(labels: Iterable[str]) -> list[str]:
@@ -294,8 +295,8 @@ def evaluate_labels(labels: Iterable[str],
                     pieces: Pieces | None = None) -> TermLedger:
     """Evaluate the labels and every label they sum over.
 
-    The jobs share the symbol pieces in `pieces` (a fresh `Pieces` with the
-    field by default); a caller that passes its own can reuse the pieces
+    The jobs share the symbol pieces in `pieces` (a fresh `Pieces` by
+    default); a caller that passes its own can reuse the pieces
     afterwards.  A total is the ScalarInvariantExpr sum of its children, and
     its check job, if any, must give the same value.
     """
@@ -305,27 +306,28 @@ def evaluate_labels(labels: Iterable[str],
     for label in with_children(labels):
         row = LEDGER[label]
         if isinstance(row, Leaf):
-            led.entries[label] = _run(row, pieces)
+            led.entries[label] = _run(label, row, pieces)
             continue
         total = ScalarInvariantExpr.zero()
         for child in row.children:
             total = total + led.entries[child]
-        if row.check and not (_run(row.check, pieces) - total).is_zero():
+        if (row.check
+                and not (_run(label, row.check, pieces) - total).is_zero()):
             raise ResidueError(f"{label} sub-term split disagrees with "
                                f"{row.check.left} times {row.check.right}")
         led.entries[label] = total
     return led
 
 
-def compute_einstein_functional(with_field: bool = True) -> TermLedger:
+def compute_einstein_functional() -> TermLedger:
     """Evaluate every labeled term of the Einstein functional, the metric
     functional and the totals."""
-    return evaluate_labels(LEDGER, Pieces(with_field))
+    return evaluate_labels(LEDGER)
 
 
-def compute_metric_functional(with_field: bool = True) -> ScalarInvariantExpr:
+def compute_metric_functional() -> ScalarInvariantExpr:
     """Density of Wres(c(u) c(w) D^{-2m}): exactly -g(u,w) TrId Vol."""
-    return _run(LEDGER["metric"], Pieces(with_field))
+    return evaluate_labels(["metric"])["metric"]
 
 
 def part2_compose_check() -> ScalarInvariantExpr:

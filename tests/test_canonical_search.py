@@ -341,3 +341,14 @@ def test_frontier_guard_raises_typed_error(monkeypatch):
     monkeypatch.setattr(terms, "_MAX_FRONTIER", 4)
     with pytest.raises(NormalizeError):
         normalize([_ring(("u", "w"))])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_normalize_is_idempotent_on_curvature_word():
+    # the output's word is unsorted under its own partner keys, so a second
+    # pass still rewrites it
+    t = Term(S_ONE, (fct("ric", "c", "b"), fct("u", "a"),
+                     fct("ric", "e", "d")),
+             (clifford.c("e"), clifford.c("b")))
+    once = normalize([t])
+    assert normalize(once) == once

@@ -106,6 +106,31 @@ METRIC_ONLY = {"units": "TrId*Vol",
                "values": {"metric": {"g(u,w)": ["-1"]}}}
 
 
+def _golden(coeff: str, extra: str = "") -> bytes:
+    return (f'{{"units": "TrId*Vol", "values": {{"I-2": {{"g(u,w)": '
+            f'[{coeff}]}}}}{extra}}}').encode()
+
+
+@pytest.mark.parametrize("content", [
+    _golden('"1e6000000"'),              # Fraction expands the exponent
+    _golden("1" * 5000),                 # past the integer digit limit
+    b"[" * 100000,                       # past the recursion limit
+    b'{"units": "TrId*Vol\xff"}',       # not UTF-8
+    _golden('"1"', ', "notes": ["x"]'),  # notes not an object
+    _golden("0.5"),                      # a float coefficient
+], ids=["exponent", "digits", "nesting", "encoding", "notes", "float"])
+def test_verify_malformed_golden_exits_two_promptly(tmp_path, capsys,
+                                                    content):
+    path = tmp_path / "golden.json"
+    path.write_bytes(content)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--golden", str(path),
+                         "--term", "I-2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "golden file error" in err
+
+
 def test_verify_golden_without_norm_exponent(tmp_path, capsys,
                                              monkeypatch):
     path = tmp_path / "golden.json"

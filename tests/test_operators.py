@@ -3,17 +3,12 @@ import pytest
 from wittenres import clifford as cl
 from wittenres import oracle
 from wittenres.operators import (build_laplace_data, cu_cw_symbol,
-                                 order_zero_pieces, parametrix_symbols,
-                                 symbol_of_a, symbol_of_b)
-from wittenres.pdo import compose, evaluate_at_origin, terms_equal_taylor
+                                 parametrix_symbols, symbol_of_a,
+                                 symbol_of_b)
+from wittenres.pdo import compose, origin_terms, terms_equal_taylor
 from wittenres.reference import ab_symbol_reference, inverse_symbol_reference
 from wittenres.tensor import collect
-from wittenres.terms import Term, fct, mul_terms, normalize, sums_equal
-
-
-def test_first_order_term_vanishes():
-    data = build_laplace_data()
-    assert data.t_a("a") == ()
+from wittenres.terms import mul_terms, normalize, sums_equal
 
 
 def test_taylor_coefficient_antisymmetry():
@@ -70,9 +65,9 @@ def test_derived_inverse_symbols_match_printed_display():
 
 
 def test_order_zero_symbol_at_origin():
-    a = evaluate_at_origin(symbol_of_a())
+    a = origin_terms(symbol_of_a().comps[(0, 0)].terms)
     want = normalize([mul_terms(cl.c_vec("u", "r"), cl.chat_v("b"))])
-    assert sums_equal(a.comps[(0, 0)].terms, want)
+    assert sums_equal(a, want)
 
 
 def test_first_order_symbol():
@@ -96,14 +91,6 @@ def test_product_symbol_order_zero_matches_printed_display_slow():
     ab = compose(symbol_of_a(), symbol_of_b(), [(0, 0)])
     ref = ab_symbol_reference()
     assert terms_equal_taylor(ab.comps[(0, 0)].terms, ref[(0, 0)])
-
-
-def test_field_free_variant_drops_deformation():
-    data = build_laplace_data(with_field=False)
-    kinds = {f.kind for t in data.endo for f in t.fac}
-    assert "dv" not in kinds and "vsq" not in kinds
-    pieces = order_zero_pieces("w", with_field=False)
-    assert pieces["vec"] == ()
 
 
 def test_cu_cw_symbol_is_multiplication_operator():

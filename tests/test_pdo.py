@@ -7,9 +7,9 @@ from wittenres.operators import (build_laplace_data, cu_cw_symbol,
                                  parametrix_symbols, symbol_of_a,
                                  symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
-                           d_x, d_x_terms, d_xi_terms,
-                           evaluate_at_origin, terms_equal_taylor)
-from wittenres.scalars import S_I, S_ONE, Scalar
+                           composition_summand, d_x_terms, d_xi_terms,
+                           origin_terms, terms_equal_taylor)
+from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import (F, NormalizeError, Term, fct, normalize,
                              sums_equal)
 
@@ -94,36 +94,43 @@ def test_compose_homogeneity_bookkeeping():
             assert (t.norm[0] + deg, t.norm[1]) == order
 
 
+# |xi|^-2 survives every xi-derivative, so composing it with a component
+# takes that component's x-derivatives for real
+XI_SIDE = Component((Term(S_ONE, (), (), (-2, 0)),), None)
+
+
+def x_derivative_at_origin(comp, nalpha):
+    terms, _ = composition_summand(XI_SIDE, comp, nalpha)
+    return normalize(origin_terms(terms))
+
+
 def test_evaluate_at_origin_ordering():
     par = parametrix_symbols(build_laplace_data(), 0)
-    # evaluate then differentiate is rejected
-    ev = evaluate_at_origin(par)
-    with pytest.raises(NormalizeError):
-        d_x(ev, "j")
-    # the order -2m-2 component is exact only at x-degree zero, so its
-    # value is gone after one x-derivative
-    with pytest.raises(TruncationError):
-        evaluate_at_origin(d_x(par, "j"))
     # differentiate then evaluate retains the linear Taylor coefficient
-    top = PDOSymbol({o: par.comps[o] for o in ((0, -2), (-1, -2))})
-    at0 = evaluate_at_origin(d_x(top, "j"))
-    assert at0.comps[(-1, -2)].terms  # the Ricci line survived
+    at0 = x_derivative_at_origin(par.comps[(-1, -2)], 1)
+    assert any(f.kind == "ric" for t in at0 for f in t.fac)
     # the x-linear component vanishes when evaluated directly
-    assert evaluate_at_origin(par).comps[(-1, -2)].terms == ()
+    assert origin_terms(par.comps[(-1, -2)].terms) == []
 
 
 def test_evaluate_guards_truncation():
     par = parametrix_symbols(build_laplace_data(), 0)
+    # the order -2m-2 component is exact only at x-degree zero, so its
+    # value is gone after one x-derivative
     with pytest.raises(TruncationError):
-        evaluate_at_origin(d_x(d_x(par, "j"), "l"))  # order -2m-2 data gone
+        x_derivative_at_origin(par.comps[(-2, -2)], 1)
+    # the top component carries x-Taylor data to degree two, no further
+    assert x_derivative_at_origin(par.comps[(0, -2)], 2)
+    with pytest.raises(TruncationError):
+        x_derivative_at_origin(par.comps[(0, -2)], 3)
 
 
 def test_first_order_symbols_keep_x_linear_data_only():
     for sym in (symbol_of_a(), symbol_of_b()):
         assert {c.xtrunc for c in sym.comps.values()} == {1}
-        assert evaluate_at_origin(d_x(sym, "j")).comps[(0, 0)].terms
+        assert x_derivative_at_origin(sym.comps[(0, 0)], 1)
         with pytest.raises(TruncationError):
-            evaluate_at_origin(d_x(d_x(sym, "j"), "k"))
+            x_derivative_at_origin(sym.comps[(0, 0)], 2)
 
 
 def test_associativity_random_symbols_concrete():
@@ -150,7 +157,7 @@ def test_associativity_random_symbols_concrete():
     def as_exact(sym):
         # products of differential symbols are again polynomial: nothing
         # lives below the stored orders
-        return PDOSymbol(sym.comps, exact=True, check=False)
+        return PDOSymbol(sym.comps, exact=True)
 
     for _ in range(12):
         p, q, r = rand_symbol(), rand_symbol(), rand_symbol()
