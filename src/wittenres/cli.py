@@ -10,13 +10,15 @@ The report's "bianchi" key is always "on": the first-Bianchi pass of
 `wittenres query` evaluates one-off traces and sphere integrals from a tiny
 expression grammar.  A concrete `--dimension` of either subcommand is an
 even integer from 4 to `QUERY_LIMIT`; under it a trace word's indices lie
-in 1..n, and a sphere query's own `@n=` must equal it.
+in 1..n, and a sphere query's own `@n=` must equal it.  Every integer the
+user writes (a dimension, an index, an exponent) is ASCII digits only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +37,21 @@ EXIT_USAGE = 2
 # number printed within these bounds stays far below the interpreter's
 # 4300-digit limit on printing an integer.
 QUERY_LIMIT = 1000
+
+# an integer on the command line or in a query is ASCII digits only; int()
+# would also take signs, spaces, underscores and other scripts' digits
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _natural(text: str) -> int | None:
+    """The value of a string of ASCII digits, or None for any other string
+    (and for one past the interpreter's digit limit)."""
+    if not _DIGITS.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 class QueryError(Exception):
@@ -58,13 +75,12 @@ def evaluate_ledger(labels: list[str], ref: dict,
     {atom -> coefficient list}, its status against the reference, and the
     stored note and printed value if any.  The symbol pieces built on the
     way stay in `pieces`."""
-    led = evaluate_labels(labels, pieces)
     entries = {}
-    for lab in led.labels():
+    for lab, value in evaluate_labels(labels, pieces).items():
         if lab not in labels:
             continue
-        entry = {"value": _expr_json(led[lab]),
-                 "status": reference.compare_entry(led[lab], ref, lab)}
+        entry = {"value": _expr_json(value),
+                 "status": reference.compare_entry(value, ref, lab)}
         note = ref.get("notes", {}).get(lab)
         if note:
             entry["note"] = note
@@ -232,14 +248,14 @@ def _parse_word(text: str, dim: int | None):
         low = tok.lower()
         fam, rest = ("h", low[4:]) if low.startswith("chat") else \
             (("c", low[1:]) if low.startswith("c") else (None, ""))
-        if fam is None or not rest.isdigit() or int(rest) < 1:
+        k = _natural(rest)
+        if fam is None or k is None or k < 1:
             raise QueryError(
                 f"expected c<k> or chat<k>, got {tok!r}", pos)
-        if dim is not None and int(rest) > dim:
+        if dim is not None and k > dim:
             raise QueryError(f"generator {tok} is past dimension {dim}",
                              pos)
-        word.append(clifford.c(int(rest)) if fam == "c"
-                    else clifford.chat(int(rest)))
+        word.append(clifford.c(k) if fam == "c" else clifford.chat(k))
         pos += len(tok)
     return tuple(word)
 
@@ -253,9 +269,8 @@ def _parse_sphere(text: str, dim: int | None):
         if not tail.startswith("n="):
             raise QueryError(f"expected n=<even>, got {tail!r}",
                              len(body) + 1)
-        try:
-            n = int(tail[2:])
-        except ValueError:
+        n = _natural(tail[2:])
+        if n is None:
             raise QueryError(f"bad dimension {tail[2:]!r}", len(body) + 3)
         if n % 2 or n < 2:
             raise QueryError(f"dimension must be even and positive, got {n}",
@@ -268,12 +283,9 @@ def _parse_sphere(text: str, dim: int | None):
     exps = []
     for part in body.split(","):
         pos = text.index(part, pos) if part else pos
-        try:
-            e = int(part.strip())
-        except ValueError:
+        e = _natural(part.strip())
+        if e is None:
             raise QueryError(f"bad exponent {part.strip()!r}", pos)
-        if e < 0:
-            raise QueryError("exponents must be non-negative", pos)
         exps.append(e)
         pos += len(part)
     _bounded("total degree", sum(exps))
@@ -311,9 +323,8 @@ def cmd_query(args) -> int:
 def _dimension(value: str) -> str:
     if value == "symbolic":
         return value
-    try:
-        n = int(value)
-    except ValueError:
+    n = _natural(value)
+    if n is None:
         raise argparse.ArgumentTypeError(
             f"dimension must be 'symbolic' or an even integer >= 4, "
             f"got {value!r}")
@@ -323,7 +334,7 @@ def _dimension(value: str) -> str:
     if n > QUERY_LIMIT:
         raise argparse.ArgumentTypeError(
             f"dimension {n} is above {QUERY_LIMIT}")
-    return value
+    return str(n)
 
 
 def build_parser() -> argparse.ArgumentParser:

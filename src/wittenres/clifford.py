@@ -9,7 +9,7 @@ construction into component factor times frame generator.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import sphere
 from .scalars import S_ONE, Scalar
@@ -24,11 +24,6 @@ def c(i: Idx) -> G:
 
 def chat(i: Idx) -> G:
     return G("h", i)
-
-
-def word_term(word: Sequence[G], coeff: Scalar = S_ONE,
-              fac: Sequence[F] = ()) -> Term:
-    return Term(coeff, tuple(fac), tuple(word))
 
 
 def c_vec(field: str, label: str) -> Term:

@@ -1,12 +1,12 @@
-"""Stored reference values and literal transcriptions of the published
-displays.
+"""Stored reference values and the literal A B product-symbol display.
 
 The golden ledger records the published per-label values (with the two
-documented corrections noted); the symbol transcriptions below reproduce the
-printed component displays verbatim so the engine's derived symbols can be
-diffed against them.  Comparison statuses: MATCH (derived equals the stored
-and printed value), PAPER_TYPO (derived equals the stored value while the
-printed line differs), MISMATCH (derived disagrees with the stored value).
+documented corrections noted).  Comparison statuses: MATCH (derived equals
+the stored and printed value), PAPER_TYPO (derived equals the stored value
+while the printed line differs), MISMATCH (derived disagrees with the stored
+value).  `ab_symbol_reference` transcribes the printed A B product-symbol
+display verbatim; the package never calls it, and it stays here because the
+benchmark's `taylor_diff` workload diffs the derived symbol against it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 from importlib import resources
 
 from .clifford import c, chat
-from .pdo import Component, PDOSymbol
 from .scalars import S_I, S_ONE, Scalar
 from .terms import Term, fct
 
@@ -137,72 +136,11 @@ def printed_part1_top_norm(ref: dict) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# literal transcriptions of the printed symbol displays
+# literal transcription of the printed A B display
 
 
 def _sc(p, q=1) -> Scalar:
     return Scalar.frac(p, q)
-
-
-def inverse_symbol_reference(power_offset: int) -> PDOSymbol:
-    """The printed inverse-power symbol components for the deformed
-    operator.
-
-    power_offset 0 is the full-power display (three components);
-    power_offset 1 is the reduced-power order -2m display, with the norm
-    exponents corrected to the values homogeneity forces (the printed
-    lines carry impossible exponents there; see the diagnostics).
-    """
-    if power_offset not in (0, 1):
-        raise ValueError("power_offset must be 0 or 1")
-    off = power_offset
-    mt = Scalar.poly((-off, 1))             # effective half-dimension
-    mt1 = Scalar.poly((1 - off, 1))
-    base = 2 * off
-    n_main = (base - 2, -2)
-    n_low = (base - 4, -2)
-
-    sig_top = Component((
-        Term(S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
-             (), n_main),
-        Term(_sc(-1, 3) * mt,
-             (fct("riem", "a", "j", "b", "k"), fct("x", "j"), fct("x", "k"),
-              fct("xi", "a"), fct("xi", "b")), (), n_main),
-    ), 2)
-    sig_mid = Component((
-        Term(_sc(-2, 3) * mt * S_I,
-             (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
-             n_main),
-        Term(_sc(1, 4) * mt * S_I,
-             (fct("riem", "b", "a", "t", "s"), fct("x", "b"),
-              fct("xi", "a")), (c("s"), c("t")), n_main),
-        Term(_sc(-1, 4) * mt * S_I,
-             (fct("riem", "b", "a", "t", "s"), fct("x", "b"),
-              fct("xi", "a")), (chat("s"), chat("t")), n_main),
-    ), 1)
-    sig_low = Component((
-        Term(_sc(1, 3) * mt * mt1,
-             (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
-             n_low),
-        Term(_sc(-1, 4) * mt * mt1,
-             (fct("riem", "b", "a", "t", "s"), fct("xi", "a"),
-              fct("xi", "b")), (c("s"), c("t")), n_low),
-        Term(_sc(1, 4) * mt * mt1,
-             (fct("riem", "b", "a", "t", "s"), fct("xi", "a"),
-              fct("xi", "b")), (chat("s"), chat("t")), n_low),
-        Term(_sc(-1, 8) * mt, (fct("riem", "i", "j", "k", "l"),),
-             (chat("i"), chat("j"), c("k"), c("l")), n_main),
-        Term(_sc(-1, 4) * mt, (fct("scal"),), (), n_main),
-        Term(-mt, (fct("dv", "i", "b"),), (c("i"), chat("b")), n_main),
-        Term(-mt, (fct("vsq"),), (), n_main),
-    ), 0)
-    if power_offset == 0:
-        comps = {(base, -2): sig_top, (base - 1, -2): sig_mid,
-                 (base - 2, -2): sig_low}
-    else:
-        # only the order -2m display is printed for the reduced power
-        comps = {(base - 2, -2): sig_low}
-    return PDOSymbol(comps)
 
 
 def ab_symbol_reference() -> dict[tuple[int, int], tuple[Term, ...]]:

@@ -9,12 +9,13 @@ product).  `LEDGER` is the whole ledger in report order: each leaf label
 names its job (left and right symbol piece, derivative order, class of the
 right piece) and each total lists the labels it sums, so every labeled
 intermediate can be evaluated on its own and diffed against stored
-reference values.
+reference values.  `evaluate_labels` returns a plain dict from label to
+value in ledger order; its "metric" entry is the metric functional,
+exactly -g(u,w) TrId Vol, and its "einstein" entry the Einstein one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from . import clifford, sphere
@@ -29,31 +30,6 @@ from .terms import ContractViolation, NormalizeError, Term, mul_sums
 class ResidueError(Exception):
     """A density violated the residue contracts (free index, imaginary
     part, surviving derivative atom)."""
-
-
-@dataclass
-class TermLedger:
-    """Ordered map from term label to its exact invariant-atom value."""
-
-    entries: dict[str, ScalarInvariantExpr] = field(default_factory=dict)
-
-    def __getitem__(self, label: str) -> ScalarInvariantExpr:
-        return self.entries[label]
-
-    def labels(self) -> list[str]:
-        return [l for l in LEDGER if l in self.entries]
-
-    @property
-    def s1(self):
-        return self.entries["S1"]
-
-    @property
-    def s2(self):
-        return self.entries["S2"]
-
-    @property
-    def einstein(self):
-        return self.entries["einstein"]
 
 
 def _drop_norm(terms) -> list[Term]:
@@ -292,8 +268,10 @@ def with_children(labels: Iterable[str]) -> list[str]:
 
 
 def evaluate_labels(labels: Iterable[str],
-                    pieces: Pieces | None = None) -> TermLedger:
-    """Evaluate the labels and every label they sum over.
+                    pieces: Pieces | None = None
+                    ) -> dict[str, ScalarInvariantExpr]:
+    """Evaluate the labels and every label they sum over, as a dict from
+    label to value in ledger order (the order of `with_children`).
 
     The jobs share the symbol pieces in `pieces` (a fresh `Pieces` by
     default); a caller that passes its own can reuse the pieces
@@ -302,42 +280,21 @@ def evaluate_labels(labels: Iterable[str],
     """
     if pieces is None:
         pieces = Pieces()
-    led = TermLedger()
+    led: dict[str, ScalarInvariantExpr] = {}
     for label in with_children(labels):
         row = LEDGER[label]
         if isinstance(row, Leaf):
-            led.entries[label] = _run(label, row, pieces)
+            led[label] = _run(label, row, pieces)
             continue
-        total = ScalarInvariantExpr.zero()
+        total = ScalarInvariantExpr()
         for child in row.children:
-            total = total + led.entries[child]
+            total = total + led[child]
         if (row.check
                 and not (_run(label, row.check, pieces) - total).is_zero()):
             raise ResidueError(f"{label} sub-term split disagrees with "
                                f"{row.check.left} times {row.check.right}")
-        led.entries[label] = total
+        led[label] = total
     return led
-
-
-def compute_einstein_functional() -> TermLedger:
-    """Evaluate every labeled term of the Einstein functional, the metric
-    functional and the totals."""
-    return evaluate_labels(LEDGER)
-
-
-def compute_metric_functional() -> ScalarInvariantExpr:
-    """Density of Wres(c(u) c(w) D^{-2m}): exactly -g(u,w) TrId Vol."""
-    return evaluate_labels(["metric"])["metric"]
-
-
-def part2_compose_check() -> ScalarInvariantExpr:
-    """Part II evaluated through the general composition machinery instead
-    of the six explicit summands; must equal the ledger's S2."""
-    data = build_laplace_data()
-    par0 = parametrix_symbols(data, 0)
-    ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
-    full = compose(ab, par0, [(0, -2)])
-    return wres_density(origin_terms(full.comps[(0, -2)].terms))
 
 
 def part1_top_norm_exponent(par1_top: Component) -> tuple[int, int]:

@@ -316,10 +316,8 @@ class Scalar:
     __repr__ = __str__
 
 
-S_ZERO = Scalar.of(0)
 S_ONE = Scalar.of(1)
 S_I = Scalar.imag(1)
-S_M = Scalar.poly((0, 1))
 S_N = Scalar.poly((0, 2))
 
 

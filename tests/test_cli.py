@@ -3,12 +3,14 @@ import re
 import time
 from pathlib import Path
 
+import oracle
 import pytest
 
-from wittenres import oracle, pdo, residue
+from wittenres import pdo, residue
 from wittenres.cli import canonical_json, main
 
 EXPECTED_REPORT = Path(__file__).parents[1] / "bench" / "expected_report.json"
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -85,6 +87,17 @@ def test_verify_json_matches_recorded_report(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
     assert out == EXPECTED_REPORT.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    ([], "report.txt"),
+    (["--format", "latex"], "report.tex"),
+    (["--dimension", "6"], "report_dim6.txt"),
+], ids=["text", "latex", "dimension6"])
+def test_verify_report_matches_recorded(capsys, argv, recorded):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert out == (DATA / recorded).read_text(encoding="utf-8")
 
 
 def test_verify_unknown_term_is_usage_error(capsys):
@@ -271,6 +284,19 @@ def test_query_parse_error_positions(capsys):
     code, _, err = run(capsys, "query", "sphere", "2,x@n=4")
     assert code == 2
     assert "parse error" in err
+    # an index, exponent or dimension is ASCII digits only: int() alone
+    # takes each of these, and an index past its digit limit raised
+    for kind, expression, pos in (
+            ("trace", "c1 c\u0661", 3),          # an Arabic-Indic one
+            ("trace", "c" + "1" * 5000, 0),
+            ("sphere", "+2,0@n=4", 0),
+            ("sphere", "2_0,0@n=4", 0),
+            ("sphere", "2,0@n=+4", 6),
+            ("sphere", "2,0@n=4_0", 6),
+            ("sphere", "2,0@n=\uff14", 6)):     # a fullwidth four
+        code, out, err = run(capsys, "query", kind, expression)
+        assert (code, out) == (2, ""), expression
+        assert err.startswith(f"parse error at position {pos}: "), err
 
 
 def test_query_trace_index_past_dimension(capsys):
@@ -300,9 +326,19 @@ def test_query_sphere_conflicting_dimensions(capsys):
 
 
 def test_bad_dimension_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--dimension", "5"])
-    assert exc.value.code == 2
+    # an odd dimension, and text that int() reads but that is not ASCII
+    # digits: a space, a sign, a fullwidth four and an underscore
+    for value in ("5", " 4", "+4", "\uff14", "4_0"):
+        for command in (["verify"], ["query", "trace", "c1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--dimension", value])
+            assert exc.value.code == 2, (command, value)
+            assert "dimension" in capsys.readouterr().err
+    # a leading zero is read, and the report carries the number
+    code, out, _ = run(capsys, "verify", "--functional", "metric",
+                       "--dimension", "04", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dimension"] == "4"
 
 
 @pytest.mark.parametrize("argv, dim", [

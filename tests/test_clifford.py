@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
+from oracle import sums_equal, word_term
 
 from wittenres import clifford as cl
-from wittenres import oracle
 from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import (ContractViolation, F, Term, fct, mul_sums,
-                             normalize, sums_equal)
+                             normalize)
 
 
 def one(terms):
@@ -16,25 +17,25 @@ def one(terms):
 
 
 def test_multiply_concatenates_without_reduction():
-    a = (cl.word_term((cl.c(1),)),)
+    a = (word_term((cl.c(1),)),)
     prod = mul_sums(a, a)
     assert len(prod) == 1
     assert prod[0].word == (cl.c(1), cl.c(1))
     # identity times p is p
-    ident = (cl.word_term(()),)
-    p = (cl.word_term((cl.c(1), cl.chat(2))),)
+    ident = (word_term(()),)
+    p = (word_term((cl.c(1), cl.chat(2))),)
     assert mul_sums(ident, p)[0].word == p[0].word
-    mixed = mul_sums((cl.word_term((cl.c(1),)),),
-                        (cl.word_term((cl.chat(2),)),))
+    mixed = mul_sums((word_term((cl.c(1),)),),
+                        (word_term((cl.chat(2),)),))
     assert mixed[0].word == (cl.c(1), cl.chat(2))
 
 
 def test_normal_order_contractions():
-    t = one(normalize([cl.word_term((cl.c(1), cl.c(1)))]))
+    t = one(normalize([word_term((cl.c(1), cl.c(1)))]))
     assert t.word == () and t.coeff == Scalar.of(-1)
-    t = one(normalize([cl.word_term((cl.chat(1), cl.chat(1)))]))
+    t = one(normalize([word_term((cl.chat(1), cl.chat(1)))]))
     assert t.word == () and t.coeff == Scalar.of(1)
-    t = one(normalize([cl.word_term((cl.chat(2), cl.c(1)))]))
+    t = one(normalize([word_term((cl.chat(2), cl.c(1)))]))
     assert t.word == (cl.c(1), cl.chat(2)) and t.coeff == Scalar.of(-1)
 
 
@@ -43,7 +44,7 @@ def test_normal_order_idempotent():
     for _ in range(120):
         word = tuple((cl.c if rng.random() < 0.5 else cl.chat)
                      (rng.randint(1, 4)) for _ in range(rng.randint(0, 6)))
-        once = normalize([cl.word_term(word)])
+        once = normalize([word_term(word)])
         again = normalize(once)
         assert once == again
 
@@ -85,8 +86,8 @@ def test_trace_basic_values():
                                  (cl.c_vec("w", "k"),))))
     assert t.fac == (F("guw", ()),) and t.coeff == Scalar.of(-1)
     assert t.trid == 1
-    assert cl.trace([cl.word_term((cl.c(1), cl.chat(1)))]) == ()
-    ident = one(cl.trace([cl.word_term(())]))
+    assert cl.trace([word_term((cl.c(1), cl.chat(1)))]) == ()
+    ident = one(cl.trace([word_term(())]))
     assert ident.trid == 1 and ident.coeff == S_ONE
     # with m substituted, tr[id] = 2^(2m) is applied by the caller: 16 at m=2
     re, im = ident.coeff.evaluate(2)
@@ -94,8 +95,8 @@ def test_trace_basic_values():
 
 
 def test_trace_odd_family_count_vanishes():
-    assert cl.trace([cl.word_term((cl.c(1), cl.c(2), cl.c(3)))]) == ()
-    assert cl.trace([cl.word_term((cl.c(1), cl.c(2), cl.chat(1)))]) == ()
+    assert cl.trace([word_term((cl.c(1), cl.c(2), cl.c(3)))]) == ()
+    assert cl.trace([word_term((cl.c(1), cl.c(2), cl.chat(1)))]) == ()
 
 
 def test_trace_six_c_generators_against_curvature():
@@ -121,7 +122,7 @@ def test_trace_matches_matrix_oracle_randomized():
             word = tuple((cl.c if rng.random() < 0.5 else cl.chat)
                          (rng.randint(1, n))
                          for _ in range(rng.randint(0, 8)))
-            sym = cl.trace([cl.word_term(word)])
+            sym = cl.trace([word_term(word)])
             if not sym:
                 val = Fraction(0)
             else:

@@ -1,23 +1,28 @@
-"""Every name the package defines is used somewhere.
+"""The package holds only what it runs, and imports only what it uses.
 
 The definitions are the module-level functions, classes and constants of
 `src/wittenres` and every method whose name is not a dunder.  A name counts
-as used when it occurs outside its own definition in `src/`, `tests/` or
-`bench/`: as a name, an attribute, an imported name, a keyword argument or
-a string that spells it (the benchmark wraps functions by name).  Methods
-are matched by name alone, so a method is kept alive by any use of a
-same-named attribute.
+as used when it occurs outside its own definition in `src/` or `bench/`: as
+a name, an attribute, a keyword argument or a string that spells it (the
+benchmark wraps functions by name).  Uses in `tests/` do not count, so a
+name only the tests reach belongs in `tests/`, and an import alone is not a
+use.  Methods are matched by name alone, so a method is kept alive by any
+use of a same-named attribute.
+
+Every name a module of `src/` or `tests/` imports must be used in that
+module, and the package imports nothing outside the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wittenres"
 
 
-def _sources():
-    for top in ("src", "tests", "bench"):
+def _sources(*tops):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             yield path, ast.parse(path.read_text(encoding="utf-8"))
 
@@ -49,9 +54,6 @@ def _uses(tree):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                yield alias.name, node.lineno
         elif isinstance(node, ast.keyword) and node.arg:
             yield node.arg, node.lineno
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -62,7 +64,7 @@ def _uses(tree):
 def test_every_definition_is_used():
     uses: dict[str, list[tuple[Path, int]]] = {}
     defined = []
-    for path, tree in _sources():
+    for path, tree in _sources("src", "bench"):
         for name, line in _uses(tree):
             uses.setdefault(name, []).append((path, line))
         if path.parent == PACKAGE:
@@ -73,3 +75,52 @@ def test_every_definition_is_used():
         if not any(p != path or not first <= line <= last
                    for p, line in uses.get(name, ())))
     assert unused == []
+
+
+def _imported(tree):
+    """(bound name, line) of each name a module's imports bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0],
+                       node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    """The names a module's `__all__` lists."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            for elt in node.value.elts:
+                yield elt.value
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in _sources("src", "tests"):
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        used.update(_exported(tree))
+        unused.extend(f"{path.relative_to(ROOT)}:{line} {name}"
+                      for name, line in _imported(tree) if name not in used)
+    assert unused == []
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path, tree in _sources("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside.extend(f"{path.relative_to(ROOT)}:{node.lineno} {top}"
+                           for top in tops
+                           if top not in sys.stdlib_module_names)
+    assert outside == []

@@ -1,14 +1,15 @@
+import oracle
 import pytest
+from oracle import inverse_symbol_reference, sums_equal
 
 from wittenres import clifford as cl
-from wittenres import oracle
 from wittenres.operators import (build_laplace_data, cu_cw_symbol,
                                  parametrix_symbols, symbol_of_a,
                                  symbol_of_b)
 from wittenres.pdo import compose, origin_terms, terms_equal_taylor
-from wittenres.reference import ab_symbol_reference, inverse_symbol_reference
+from wittenres.reference import ab_symbol_reference
 from wittenres.tensor import collect
-from wittenres.terms import mul_terms, normalize, sums_equal
+from wittenres.terms import mul_terms, normalize
 
 
 def test_taylor_coefficient_antisymmetry():

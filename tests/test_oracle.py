@@ -1,9 +1,8 @@
 from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
-
-from wittenres import oracle
 
 
 def test_relations_hold_at_construction():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracle import sums_equal
 
 from wittenres import clifford as cl
 from wittenres.operators import (build_laplace_data, cu_cw_symbol,
@@ -10,8 +11,7 @@ from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            composition_summand, d_x_terms, d_xi_terms,
                            origin_terms, terms_equal_taylor)
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (F, NormalizeError, Term, fct, normalize,
-                             sums_equal)
+from wittenres.terms import F, NormalizeError, Term, fct, normalize
 
 
 def test_d_xi_norm_power():

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from wittenres.scalars import (PolyM, R_ZERO, RatM, S_I, S_M, S_ONE, S_ZERO,
-                               Scalar, poly_gcd, vol_sphere_value)
+from wittenres.scalars import (PolyM, R_ZERO, RatM, S_I, S_ONE, Scalar,
+                               poly_gcd, vol_sphere_value)
+
+S_ZERO = Scalar.of(0)
+S_M = Scalar.poly((0, 1))
 
 
 def test_poly_arithmetic():

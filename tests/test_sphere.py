@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import oracle
 import pytest
+from oracle import sums_equal
 
-from wittenres import clifford, oracle, sphere
+from wittenres import clifford, sphere
 from wittenres.scalars import Scalar, vol_sphere_value
-from wittenres.terms import F, Term, fct, normalize, sums_equal
+from wittenres.terms import F, Term, fct, normalize
 
 
 def total(terms, n):

@@ -22,17 +22,17 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from oracle import TensorAssignment, sums_equal
 from test_canonical_search import bench_workloads, small_terms
 
 from wittenres import pdo
 from wittenres.operators import symbol_of_a, symbol_of_b
-from wittenres.oracle import TensorAssignment
 from wittenres.pdo import (_fresh_labels, compose, d_x_terms, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
 from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import (NormalizeError, Term, fct, label_counts,
-                             map_labels, normalize, sums_equal, term_key)
+                             map_labels, normalize, term_key)
 
 XORDER = 2
 FIELDS = ("u", "w", "v")
