@@ -20,7 +20,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import clifford, reference, sphere
 from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
@@ -91,46 +90,24 @@ def evaluate_ledger(labels: list[str], ref: dict,
     return entries
 
 
-def _poly_latex(coeffs: list[str]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for deg in range(len(coeffs) - 1, -1, -1):
-        c = Fraction(coeffs[deg])
-        if c == 0:
-            continue
-        mono = "" if deg == 0 else ("m" if deg == 1 else f"m^{{{deg}}}")
-        a = abs(c)
-        mag = "" if (a == 1 and mono) else (
-            str(a) if a.denominator == 1
-            else f"\\frac{{{a.numerator}}}{{{a.denominator}}}")
-        body = (mag + (" " if mag and mono else "") + mono) or str(a)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 def _entry_str(value: dict, latex=False) -> str:
     if not value:
         return "0"
-    render = _poly_latex if latex else PolyM  # a PolyM prints as text
     bits = []
     for atom, coeffs in sorted(value.items()):
         shown = atom if not latex else atom.replace("|V|^2", "|V|^{2}")
-        bits.append(f"({render(coeffs)}) {shown}")
+        bits.append(f"({PolyM(coeffs).render(latex)}) {shown}")
     return " + ".join(bits)
 
 
 def _substitute(value: dict, m: int) -> str:
-    """Concrete-dimension rendering with the tokens substituted."""
+    """Concrete-dimension rendering with the units substituted: TrId is
+    2^(2m) and Vol the volume of S^(2m-1)."""
     trid = 2 ** (2 * m)
     vol_rat, vol_pi = vol_sphere_value(m)
     bits = []
     for atom, coeffs in sorted(value.items()):
-        c = sum(Fraction(x) * m ** k for k, x in enumerate(coeffs))
-        total = c * trid * vol_rat
+        total = PolyM(coeffs).evaluate(m) * trid * vol_rat
         bits.append(f"({total})*pi^{vol_pi} {atom}")
     return " + ".join(bits) if bits else "0"
 

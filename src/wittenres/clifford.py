@@ -109,9 +109,9 @@ def _family_split(word: Word):
 def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
     """Fiberwise trace over the exterior bundle.
 
-    Words split into their c and hat parts (with the anticommutation sign),
-    each part contracts to its scalar component, and one tr[id] token is
-    attached.  Linear over terms; normalized output.
+    Words split into their c and hat parts (with the anticommutation sign)
+    and each part contracts to its scalar component, so the value is in
+    units of tr[id].  Linear over terms; normalized output.
     """
     out = []
     for t in terms:
@@ -126,6 +126,5 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
         for a in sc_c:
             for b in sc_h:
                 out.append(Term(base * a.coeff * b.coeff,
-                                t.fac + a.fac + b.fac, (),
-                                t.norm, t.trid + 1, t.vol))
+                                t.fac + a.fac + b.fac, (), t.norm))
     return normalize(out)

@@ -29,10 +29,6 @@ class LaplaceData(NamedTuple):
     endo: tuple[Term, ...]
 
 
-def _scal(p, q=1) -> Scalar:
-    return Scalar.frac(p, q)
-
-
 def build_laplace_data() -> LaplaceData:
     """T_ab = -1/8 R_bats c_s c_t + 1/8 R_bats ch_s ch_t, and the
     endomorphism 1/8 R_ijkl ch_i ch_j c_k c_l + s/4 + c_i ch(dV_i) + |V|^2.
@@ -42,16 +38,16 @@ def build_laplace_data() -> LaplaceData:
 
     def t_ab(a: str, b: str) -> tuple[Term, ...]:
         return (
-            Term(_scal(-1, 8), (fct("riem", b, a, "t", "s"),),
+            Term(Scalar.of(-1, 8), (fct("riem", b, a, "t", "s"),),
                  (c("s"), c("t"))),
-            Term(_scal(1, 8), (fct("riem", b, a, "t", "s"),),
+            Term(Scalar.of(1, 8), (fct("riem", b, a, "t", "s"),),
                  (chat("s"), chat("t"))),
         )
 
     endo = (
-        Term(_scal(1, 8), (fct("riem", "i", "j", "k", "l"),),
+        Term(Scalar.of(1, 8), (fct("riem", "i", "j", "k", "l"),),
              (chat("i"), chat("j"), c("k"), c("l"))),
-        Term(_scal(1, 4), (fct("scal"),)),
+        Term(Scalar.of(1, 4), (fct("scal"),)),
         Term(S_ONE, (fct("dv", "i", "b"),), (c("i"), chat("b"))),
         Term(S_ONE, (fct("vsq"),)),
     )
@@ -61,7 +57,7 @@ def build_laplace_data() -> LaplaceData:
 def _with(t: Term, coeff: Scalar, extra: tuple[F, ...],
           norm: tuple[int, int]) -> Term:
     return Term(t.coeff * coeff, t.fac + extra, t.word,
-                (t.norm[0] + norm[0], t.norm[1] + norm[1]), t.trid, t.vol)
+                (t.norm[0] + norm[0], t.norm[1] + norm[1]))
 
 
 def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
@@ -84,27 +80,27 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
     top = [
         Term(S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
              (), n_main),
-        Term(_scal(-1, 3) * mt,
+        Term(Scalar.of(-1, 3) * mt,
              (fct("riem", "a", "j", "b", "k"), fct("x", "j"), fct("x", "k"),
               fct("xi", "a"), fct("xi", "b")), (), n_main),
     ]
 
     mid = [
-        Term(_scal(-2, 3) * mt * S_I,
+        Term(Scalar.of(-2, 3) * mt * S_I,
              (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
              n_main),
     ]
     for t in data.t_ab("a", "b"):
-        mid.append(_with(t, _scal(-2) * mt * S_I,
+        mid.append(_with(t, Scalar.of(-2) * mt * S_I,
                          (fct("x", "b"), fct("xi", "a")), n_main))
 
     low = [
-        Term(_scal(1, 3) * mt * mt1,
+        Term(Scalar.of(1, 3) * mt * mt1,
              (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
              n_low),
     ]
     for t in data.t_ab("a", "b"):
-        low.append(_with(t, _scal(2) * mt * mt1,
+        low.append(_with(t, Scalar.of(2) * mt * mt1,
                          (fct("xi", "a"), fct("xi", "b")), n_low))
     for t in data.t_ab("a", "a"):
         low.append(_with(t, -mt, (), n_main))
@@ -124,10 +120,10 @@ def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:
     connection words (with the x-linear curvature value of omega
     substituted) and c(field) chat(V)."""
     vec = c_vec(field, "r")
-    conn_c = Term(_scal(1, 8),
+    conn_c = Term(Scalar.of(1, 8),
                   (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
                   (c("p"), c("s"), c("t")))
-    conn_h = Term(_scal(-1, 8),
+    conn_h = Term(Scalar.of(-1, 8),
                   (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
                   (c("p"), chat("s"), chat("t")))
     return {
@@ -139,8 +135,7 @@ def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:
 
 def _first_order_symbol(field: str) -> PDOSymbol:
     top = mul_terms(c_vec(field, "r"), c_xi("f"))
-    top = Term(top.coeff * S_I, top.fac, top.word, top.norm, top.trid,
-               top.vol)
+    top = Term(top.coeff * S_I, top.fac, top.word, top.norm)
     pieces = order_zero_pieces(field)
     # x-linear Taylor data only: no x^2 terms of the coframe, the
     # connection or the fields

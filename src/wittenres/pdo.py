@@ -75,11 +75,11 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
         for k, f in enumerate(t.fac):
             if f.kind == "xi":
                 fac = t.fac[:k] + (F("delta", (f.idx[0], j)),) + t.fac[k + 1:]
-                out.append(Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol))
+                out.append(Term(t.coeff, fac, t.word, t.norm))
         if t.norm != (0, 0):
             p = Scalar.poly((t.norm[0], t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
-                            (t.norm[0] - 2, t.norm[1]), t.trid, t.vol))
+                            (t.norm[0] - 2, t.norm[1])))
     return normalize(out)
 
 
@@ -118,7 +118,7 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
                 continue
             if xmax is None or new_deg <= xmax:
                 fac = t.fac[:k] + (new,) + t.fac[k + 1:]
-                out.append(Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol))
+                out.append(Term(t.coeff, fac, t.word, t.norm))
     return normalize(out)
 
 
@@ -173,10 +173,10 @@ def composition_summand(p: Component, q: Component,
     pref = S_ONE
     for k in range(nalpha):
         pref = pref * (-S_I)
-        pref = pref * Scalar.frac(1, k + 1)
+        pref = pref * Scalar.of(1, k + 1)
     out = [mul_terms(a, b) for a in left for b in right]
     if nalpha:
-        out = [Term(t.coeff * pref, t.fac, t.word, t.norm, t.trid, t.vol)
+        out = [Term(t.coeff * pref, t.fac, t.word, t.norm)
                for t in out]
     # left unnormalized: callers evaluate at the origin first, which is far
     # cheaper than canonicalizing x-heavy products that are about to vanish

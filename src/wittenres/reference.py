@@ -139,10 +139,6 @@ def printed_part1_top_norm(ref: dict) -> tuple[int, int]:
 # literal transcription of the printed A B display
 
 
-def _sc(p, q=1) -> Scalar:
-    return Scalar.frac(p, q)
-
-
 def ab_symbol_reference() -> dict[tuple[int, int], tuple[Term, ...]]:
     """The printed product-symbol displays for A B, with the connection
     coefficient's x-linear value substituted.
@@ -163,13 +159,13 @@ def ab_symbol_reference() -> dict[tuple[int, int], tuple[Term, ...]]:
              (c("r"), c("f"), c("k"), c("g"))),
     )
     sigma1 = (
-        Term(_sc(1, 8) * S_I, (u, xi_f, w, riem, xl),
+        Term(Scalar.of(1, 8) * S_I, (u, xi_f, w, riem, xl),
              (c("r"), c("f"), c("k"), c("p"), c("s"), c("t"))),
-        Term(_sc(-1, 8) * S_I, (u, xi_f, w, riem, xl),
+        Term(Scalar.of(-1, 8) * S_I, (u, xi_f, w, riem, xl),
              (c("r"), c("f"), c("k"), c("p"), chat("s"), chat("t"))),
-        Term(_sc(1, 8) * S_I, (u, riem, xl, w, xi_f),
+        Term(Scalar.of(1, 8) * S_I, (u, riem, xl, w, xi_f),
              (c("r"), c("p"), c("s"), c("t"), c("k"), c("f"))),
-        Term(_sc(-1, 8) * S_I, (u, riem, xl, w, xi_f),
+        Term(Scalar.of(-1, 8) * S_I, (u, riem, xl, w, xi_f),
              (c("r"), c("p"), chat("s"), chat("t"), c("k"), c("f"))),
         Term(S_I, (u, xi_f, w, v), (c("r"), c("f"), c("k"), chat("b"))),
         Term(S_I, (u, v, w, xi_f), (c("r"), chat("b"), c("k"), c("f"))),
@@ -177,33 +173,33 @@ def ab_symbol_reference() -> dict[tuple[int, int], tuple[Term, ...]]:
              (c("r"), c("j"), c("g"), c("f"))),
     )
     sigma0 = (
-        Term(_sc(1, 64), (u, riem, xl, w, riem2, xe),
+        Term(Scalar.of(1, 64), (u, riem, xl, w, riem2, xe),
              (c("r"), c("p"), c("s"), c("t"),
               c("k"), c("q"), c("y"), c("z"))),
-        Term(_sc(-1, 64), (u, riem, xl, w, riem2, xe),
+        Term(Scalar.of(-1, 64), (u, riem, xl, w, riem2, xe),
              (c("r"), c("p"), c("s"), c("t"),
               c("k"), c("q"), chat("y"), chat("z"))),
-        Term(_sc(-1, 64), (u, riem2, xe, w, riem, xl),
+        Term(Scalar.of(-1, 64), (u, riem2, xe, w, riem, xl),
              (c("r"), c("q"), chat("y"), chat("z"),
               c("k"), c("p"), c("s"), c("t"))),
-        Term(_sc(1, 64), (u, riem, xl, w, riem2, xe),
+        Term(Scalar.of(1, 64), (u, riem, xl, w, riem2, xe),
              (c("r"), c("p"), chat("s"), chat("t"),
               c("k"), c("q"), chat("y"), chat("z"))),
-        Term(_sc(1, 8), (u, riem, xl, w, v),
+        Term(Scalar.of(1, 8), (u, riem, xl, w, v),
              (c("r"), c("p"), c("s"), c("t"), c("k"), chat("b"))),
-        Term(_sc(-1, 8), (u, riem, xl, w, v),
+        Term(Scalar.of(-1, 8), (u, riem, xl, w, v),
              (c("r"), c("p"), chat("s"), chat("t"), c("k"), chat("b"))),
-        Term(_sc(1, 8), (u, v, w, riem2, xe),
+        Term(Scalar.of(1, 8), (u, v, w, riem2, xe),
              (c("r"), chat("b"), c("k"), c("q"), c("y"), c("z"))),
-        Term(_sc(-1, 8), (u, v, w, riem2, xe),
+        Term(Scalar.of(-1, 8), (u, v, w, riem2, xe),
              (c("r"), chat("b"), c("k"), c("q"), chat("y"), chat("z"))),
-        Term(_sc(1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
+        Term(Scalar.of(1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
              (c("r"), c("j"), c("k"), c("p"), c("s"), c("t"))),
-        Term(_sc(-1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
+        Term(Scalar.of(-1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
              (c("r"), c("j"), c("k"), c("p"), chat("s"), chat("t"))),
-        Term(_sc(1, 8), (u, riem, xl, fct("dw", "j", "g")),
+        Term(Scalar.of(1, 8), (u, riem, xl, fct("dw", "j", "g")),
              (c("r"), c("j"), c("g"), c("p"), c("s"), c("t"))),
-        Term(_sc(-1, 8), (u, riem, xl, fct("dw", "j", "g")),
+        Term(Scalar.of(-1, 8), (u, riem, xl, fct("dw", "j", "g")),
              (c("r"), c("j"), c("g"), c("p"), chat("s"), chat("t"))),
         Term(S_ONE, (u, fct("dw", "j", "g"), v),
              (c("r"), c("j"), c("g"), chat("b"))),

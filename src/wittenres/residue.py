@@ -32,13 +32,9 @@ class ResidueError(Exception):
     part, surviving derivative atom)."""
 
 
-def _drop_norm(terms) -> list[Term]:
-    return [Term(t.coeff, t.fac, t.word, (0, 0), t.trid, t.vol)
-            for t in terms]
-
-
 def wres_density(terms) -> ScalarInvariantExpr:
-    """Residue density of an order -2m, origin-evaluated term sum.
+    """Residue density of an order -2m, origin-evaluated term sum, in
+    units of TrId*Vol: tr[id] times Vol(S^{2m-1}).
 
     Pipeline: fiber trace, cosphere monomial integration on the unit
     sphere (norm powers become one), delta contraction and canonical form,
@@ -54,11 +50,10 @@ def wres_density(terms) -> ScalarInvariantExpr:
             raise ResidueError(
                 f"term is not homogeneous of order -2m: {t}")
         staged.append(t)
-    # on the unit cosphere every norm power is one; normalization may move
-    # xi pairs into the norm, so norms are dropped after the trace
-    traced = clifford.trace(staged)
+    # the trace's normalization may move xi pairs into the norm; the
+    # integration sets every norm power to one
     integrated = []
-    for t in _drop_norm(traced):
+    for t in clifford.trace(staged):
         integrated.extend(sphere.integrate_term(t))
     try:
         return collect(canonicalize(integrated)).check_real()

@@ -106,26 +106,33 @@ class PolyM:
         lead = self.c[-1]
         return PolyM([x / lead for x in self.c])
 
-    def __str__(self):
-        if not self.c:
-            return "0"
+    def render(self, latex=False) -> str:
+        """Descending powers of m, as text ("2/3*m^2 - 1") or as latex
+        ("\\frac{2}{3} m^{2} - 1")."""
         parts = []
         for d in range(len(self.c) - 1, -1, -1):
             a = self.c[d]
             if a == 0:
                 continue
-            mono = "" if d == 0 else ("m" if d == 1 else f"m^{d}")
-            if mono and abs(a) == 1:
+            mag = abs(a)
+            if latex and mag.denominator != 1:
+                mag = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            mono = ("" if d == 0 else "m" if d == 1
+                    else f"m^{{{d}}}" if latex else f"m^{d}")
+            if not mono:
+                body = str(mag)
+            elif abs(a) == 1:
                 body = mono
-            elif mono:
-                body = f"{abs(a)}*{mono}"
             else:
-                body = f"{abs(a)}"
+                body = f"{mag}{' ' if latex else '*'}{mono}"
             if not parts:
                 parts.append(body if a > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if a > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
+
+    def __str__(self):
+        return self.render()
 
     __repr__ = __str__
 
@@ -209,12 +216,6 @@ class RatM:
             raise ZeroDivisionError("division by zero rational function")
         return RatM(self.num * other.den, self.den * other.num)
 
-    def evaluate(self, m) -> Fraction:
-        d = self.den.evaluate(m)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at m={m}")
-        return self.num.evaluate(m) / d
-
     def is_polynomial(self) -> bool:
         return self.den == P_ONE
 
@@ -238,11 +239,7 @@ class Scalar:
         self.re, self.im = re, im
 
     @staticmethod
-    def of(x) -> "Scalar":
-        return Scalar(RatM.const(Fraction(x)))
-
-    @staticmethod
-    def frac(p, q=1) -> "Scalar":
+    def of(p, q=1) -> "Scalar":
         return Scalar(RatM.const(Fraction(p, q)))
 
     @staticmethod
@@ -294,9 +291,6 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         return Scalar((self.re * other.re + self.im * other.im) / n2,
                       (self.im * other.re - self.re * other.im) / n2)
-
-    def evaluate(self, m):
-        return self.re.evaluate(m), self.im.evaluate(m)
 
     def real_poly_coeffs(self):
         """Ascending Fraction coefficients; requires a real polynomial value."""

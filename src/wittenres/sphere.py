@@ -36,14 +36,12 @@ def pairings(slots):
             yield ((first, slots[j]),) + tail, sign if j % 2 else -sign
 
 
-def _moment_scalar(k: int, n) -> Scalar:
-    """1 / (n (n+2) ... (n+2k-2)) with n either an int or the symbol 2m."""
-    if n == "sym":
-        den = P_ONE
-        for j in range(k):
-            den = den * PolyM((2 * j, 2))
-        return Scalar(RatM(P_ONE, den))
-    return Scalar.of(concrete_moment((2,) * k, n))  # each (2-1)!! is 1
+def _moment_scalar(k: int) -> Scalar:
+    """1 / (n (n+2) ... (n+2k-2)) with n the symbol 2m."""
+    den = P_ONE
+    for j in range(k):
+        den = den * PolyM((2 * j, 2))
+    return Scalar(RatM(P_ONE, den))
 
 
 def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:
@@ -59,38 +57,32 @@ def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:
     return Fraction(num, prod(n + 2 * j for j in range(sum(exps) // 2)))
 
 
-def integrate_monomial(indices: Iterable[Idx], n="sym") -> tuple[Term, ...]:
-    """Integral of the xi-monomial with the given index slots.
+def integrate_monomial(indices: Iterable[Idx]) -> tuple[Term, ...]:
+    """Integral of the xi-monomial with the given index slots over
+    S^{2m-1}, in units of its volume.
 
-    Returns delta-pairing terms carrying one VolSphere token; odd length
-    integrates to zero.
+    Returns delta-pairing terms; odd length integrates to zero.
     """
     slots = list(indices)
     if len(slots) % 2:
         return ()
     k = len(slots) // 2
-    pref = _moment_scalar(k, n)
+    pref = _moment_scalar(k)
     out = []
     for pairing, _ in pairings(slots):
         fac = tuple(F("delta", (a, b)) for a, b in pairing)
-        out.append(Term(pref, fac, (), (0, 0), 0, 1))
+        out.append(Term(pref, fac))
     return tuple(out)
 
 
-def integrate_term(t: Term, n="sym") -> tuple[Term, ...]:
-    """Replace the xi factors of a term by their cosphere integral.
-
-    The norm power must already have been consumed (set to one) by the
-    caller; x factors must be gone.
+def integrate_term(t: Term) -> tuple[Term, ...]:
+    """Replace the xi factors of a term by their integral over the unit
+    cosphere, where every norm power is one; x factors must be gone.
     """
-    if t.norm != (0, 0):
-        raise ValueError(f"norm power {t.norm} not reduced before "
-                         "integration")
     slots = [f.idx[0] for f in t.fac if f.kind == "xi"]
     rest = tuple(f for f in t.fac if f.kind != "xi")
     out = []
-    for p in integrate_monomial(slots, n):
-        out.append(Term(t.coeff * p.coeff, rest + p.fac, t.word, (0, 0),
-                        t.trid, t.vol + p.vol))
+    for p in integrate_monomial(slots):
+        out.append(Term(t.coeff * p.coeff, rest + p.fac, t.word))
     return tuple(out)
 

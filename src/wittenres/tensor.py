@@ -36,7 +36,7 @@ def _bianchi_orbit(t: Term, k: int):
     out = []
     for idx in variants:
         nt = Term(t.coeff, t.fac[:k] + (F("riem", idx),) + t.fac[k + 1:],
-                  t.word, t.norm, t.trid, t.vol)
+                  t.word, t.norm)
         out.append(normalize([nt]))
     return out
 
@@ -61,8 +61,8 @@ def bianchi_pass(terms: Iterable[Term]) -> tuple[Term, ...]:
                     for branch in (orig, cyc1, cyc2)]
             if (len(orig) == 1 and keys[0] > keys[1] and keys[0] > keys[2]):
                 for branch in (cyc1, cyc2):
-                    work.extend(Term(-x.coeff, x.fac, x.word, x.norm,
-                                     x.trid, x.vol) for x in branch)
+                    work.extend(Term(-x.coeff, x.fac, x.word, x.norm)
+                                for x in branch)
                 rewritten = True
                 break
         if not rewritten:
@@ -83,28 +83,26 @@ ATOM_NAMES = {"scal": "s", "guw": "g(u,w)", "ricuw": "Ric(u,w)",
               "vsq": "|V|^2"}
 
 
-def _atom_key(t: Term) -> tuple:
-    kinds = sorted(f.kind for f in t.fac)
+def _atom_name(t: Term) -> str:
+    """The printed name of the term's atom, such as "g(u,w)*s"."""
     for f in t.fac:
         if f.kind not in ATOM_KINDS:
             raise CollectError(
                 f"unrecognized factor in collected term: {f}", [t])
     if t.word:
         raise CollectError("Clifford word survived to collection", [t])
-    return (tuple(kinds), t.norm, t.trid, t.vol)
-
-
-def atom_label(key: tuple) -> str:
-    kinds, norm, trid, vol = key
-    parts = [ATOM_NAMES[k] for k in kinds] or ["1"]
-    return "*".join(parts)
+    if t.norm != (0, 0):
+        raise CollectError("norm power survived to collection", [t])
+    kinds = sorted(f.kind for f in t.fac)
+    return "*".join(ATOM_NAMES[k] for k in kinds) or "1"
 
 
 class ScalarInvariantExpr:
-    """Exact expression over the fully contracted invariant atoms."""
+    """Exact expression over the fully contracted invariant atoms, keyed
+    by atom name."""
 
     def __init__(self, entries: dict | None = None):
-        self.entries: dict[tuple, Scalar] = {}
+        self.entries: dict[str, Scalar] = {}
         for k, v in (entries or {}).items():
             if not v.is_zero():
                 self.entries[k] = v
@@ -136,30 +134,20 @@ class ScalarInvariantExpr:
     def check_real(self):
         for k, v in self.entries.items():
             if not v.is_real():
-                raise ValueError(
-                    f"imaginary part survived in {atom_label(k)}: {v}")
+                raise ValueError(f"imaginary part survived in {k}: {v}")
         return self
 
     def coeff_lists(self) -> dict[str, list[Fraction]]:
         """Atom name -> ascending polynomial-in-m coefficients (exact)."""
-        return {atom_label(k): v.real_poly_coeffs()
+        return {k: v.real_poly_coeffs()
                 for k, v in sorted(self.entries.items())}
-
-    def evaluate(self, m) -> dict[str, Fraction]:
-        out = {}
-        for k, v in sorted(self.entries.items()):
-            re, im = v.evaluate(m)
-            if im != 0:
-                raise ValueError("imaginary coefficient")
-            out[atom_label(k)] = re
-        return out
 
     def __str__(self):
         if not self.entries:
             return "0"
         bits = []
         for k, v in sorted(self.entries.items()):
-            bits.append(f"({v}) * {atom_label(k)}")
+            bits.append(f"({v}) * {k}")
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -169,13 +157,14 @@ def collect(terms: Iterable[Term]) -> ScalarInvariantExpr:
     """Group fully contracted canonical terms by invariant atom.
 
     Terms with leftover indexed factors (free indices, derivative atoms,
-    unrecognized kinds) raise CollectError carrying the offenders.
+    unrecognized kinds), a Clifford word or a norm power raise CollectError
+    carrying the offenders.
     """
-    entries: dict[tuple, Scalar] = {}
+    entries: dict[str, Scalar] = {}
     bad = []
     for t in terms:
         try:
-            key = _atom_key(t)
+            key = _atom_name(t)
         except CollectError:
             bad.append(t)
             continue

@@ -1,12 +1,11 @@
 """Shared exact term algebra.
 
 A Term couples a Q(i)(m) coefficient with a multiset of indexed tensor
-factors, an ordered word in the two Clifford generator families, a power of
-|xi|, and unit tokens for tr[id] and Vol(S^{n-1}).  Index labels are either
-concrete frame indices (int, 1-based) or symbolic labels (str).  A symbolic
-label occurring exactly twice in a term is a dummy summed over 1..n; a label
-occurring once is free.  Labels starting with "_" are reserved for generated
-names.
+factors, an ordered word in the two Clifford generator families and a
+power of |xi|.  Index labels are either concrete frame indices (int,
+1-based) or symbolic labels (str).  A symbolic label occurring exactly twice
+in a term is a dummy summed over 1..n; a label occurring once is free.
+Labels starting with "_" are reserved for generated names.
 
 normalize() rewrites a sum of terms to a canonical merged form:
   * deltas with a dummy slot are substituted away (delta(a,a) -> n = 2m),
@@ -80,8 +79,6 @@ class Term(NamedTuple):
     fac: tuple[F, ...]
     word: tuple[G, ...] = ()
     norm: tuple[int, int] = (0, 0)  # |xi| exponent: const + slope*m
-    trid: int = 0
-    vol: int = 0
 
 
 class ContractViolation(Exception):
@@ -146,8 +143,7 @@ def factor_key(f: F):
 
 def term_key(t: Term):
     return (tuple(factor_key(f) for f in t.fac),
-            tuple(gen_key(g) for g in t.word),
-            t.norm, t.trid, t.vol)
+            tuple(gen_key(g) for g in t.word), t.norm)
 
 
 def label_counts(t: Term) -> dict[str, int]:
@@ -169,7 +165,7 @@ def map_labels(t: Term, sub: dict[str, Idx]) -> Term:
                                 for i in f.idx)) for f in t.fac)
     word = tuple(G(g.fam, sub.get(g.idx, g.idx) if isinstance(g.idx, str)
                    else g.idx) for g in t.word)
-    return Term(t.coeff, fac, word, t.norm, t.trid, t.vol)
+    return Term(t.coeff, fac, word, t.norm)
 
 
 def mul_terms(a: Term, b: Term) -> Term:
@@ -196,8 +192,7 @@ def mul_terms(a: Term, b: Term) -> Term:
     a = map_labels(a, rename(ca))
     b = map_labels(b, rename(cb))
     return Term(a.coeff * b.coeff, a.fac + b.fac, a.word + b.word,
-                (a.norm[0] + b.norm[0], a.norm[1] + b.norm[1]),
-                a.trid + b.trid, a.vol + b.vol)
+                (a.norm[0] + b.norm[0], a.norm[1] + b.norm[1]))
 
 
 def mul_sums(aa: Iterable[Term], bb: Iterable[Term]) -> tuple[Term, ...]:
@@ -243,31 +238,29 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                             nf = F("ric", (f.idx[rest[0]], f.idx[rest[1]]))
                             coeff = t.coeff if sign == 1 else -t.coeff
                             fac = t.fac[:k] + (nf,) + t.fac[k + 1:]
-                            return Term(coeff, fac, t.word, t.norm,
-                                        t.trid, t.vol)
+                            return Term(coeff, fac, t.word, t.norm)
         elif f.kind == "ric":
             i = f.idx[0]
             if (f.idx[1] == i and isinstance(i, str)
                     and counts.get(i) == 2):
                 fac = t.fac[:k] + (F("scal", ()),) + t.fac[k + 1:]
-                return Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol)
+                return Term(t.coeff, fac, t.word, t.norm)
         elif f.kind == "delta":
             i, j = f.idx
             rest = t.fac[:k] + t.fac[k + 1:]
             if isinstance(i, int) and isinstance(j, int):
                 if i == j:
-                    return Term(t.coeff, rest, t.word, t.norm, t.trid, t.vol)
+                    return Term(t.coeff, rest, t.word, t.norm)
                 return "zero"
             if i == j:  # same symbolic label: trace of the identity
                 if counts.get(i) != 2:
                     raise ContractViolation(
                         f"delta({i},{i}) with label count {counts.get(i)}")
-                return Term(t.coeff * S_N, rest, t.word, t.norm,
-                            t.trid, t.vol)
+                return Term(t.coeff * S_N, rest, t.word, t.norm)
             for a, b in ((i, j), (j, i)):
                 if isinstance(a, str) and counts.get(a) == 2:
                     out = map_labels(
-                        Term(t.coeff, rest, t.word, t.norm, t.trid, t.vol),
+                        Term(t.coeff, rest, t.word, t.norm),
                         {a: b})
                     return out
             # both slots free (or free/concrete): delta is kept
@@ -282,7 +275,7 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                     fac = tuple(ff for n, ff in enumerate(t.fac)
                                 if n not in (seen[i], k))
                     return Term(t.coeff, fac, t.word,
-                                (t.norm[0] + 2, t.norm[1]), t.trid, t.vol)
+                                (t.norm[0] + 2, t.norm[1]))
                 seen[i] = k
     if not fold_fields:
         return None
@@ -299,7 +292,7 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                 if t.fac[kw].idx[0] == lu:
                     fac = tuple(ff for n, ff in enumerate(t.fac)
                                 if n not in (ku, kw)) + (F("guw", ()),)
-                    return Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol)
+                    return Term(t.coeff, fac, t.word, t.norm)
             for kr in by_kind.get("ric", ()):
                 ric = t.fac[kr]
                 if lu not in ric.idx:
@@ -311,8 +304,7 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                     if t.fac[kw].idx[0] == other:
                         fac = tuple(ff for n, ff in enumerate(t.fac)
                                     if n not in (ku, kw, kr)) + (F("ricuw", ()),)
-                        return Term(t.coeff, fac, t.word, t.norm,
-                                    t.trid, t.vol)
+                        return Term(t.coeff, fac, t.word, t.norm)
     vs = by_kind.get("v", ())
     for a in range(len(vs)):
         la = t.fac[vs[a]].idx[0]
@@ -322,7 +314,7 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
             if t.fac[vs[b]].idx[0] == la:
                 fac = tuple(ff for n, ff in enumerate(t.fac)
                             if n not in (vs[a], vs[b])) + (F("vsq", ()),)
-                return Term(t.coeff, fac, t.word, t.norm, t.trid, t.vol)
+                return Term(t.coeff, fac, t.word, t.norm)
     return None
 
 
@@ -390,7 +382,7 @@ def _word_once(t: Term, counts, facts):
         g1, g2 = w[p], w[p + 1]
         if g1.fam == "h" and g2.fam == "c":
             nw = w[:p] + (g2, g1) + w[p + 2:]
-            return [(Term(-t.coeff, t.fac, nw, t.norm, t.trid, t.vol),
+            return [(Term(-t.coeff, t.fac, nw, t.norm),
                      counts, facts)]
         if g1.fam != g2.fam:
             continue
@@ -406,7 +398,7 @@ def _word_once(t: Term, counts, facts):
                 coeff = coeff * S_N  # the dummy pair sums to n
                 left = {lab: c for lab, c in counts.items() if lab != g1.idx}
             nw = w[:p] + w[p + 2:]
-            return [(Term(coeff, t.fac, nw, t.norm, t.trid, t.vol),
+            return [(Term(coeff, t.fac, nw, t.norm),
                      left, facts)]
         if keys[p] == keys[p + 1]:
             cls, part, _ = keys[p][1]
@@ -416,17 +408,17 @@ def _word_once(t: Term, counts, facts):
                 sign = -S_ONE if g1.fam == "c" else S_ONE
                 return [(Term(t.coeff * sign,
                               t.fac + (F("delta", (g1.idx, g2.idx)),),
-                              w[:p] + w[p + 2:], t.norm, t.trid, t.vol),
+                              w[:p] + w[p + 2:], t.norm),
                          counts, None)]
         if keys[p] > keys[p + 1]:
             swapped = w[:p] + (g2, g1) + w[p + 2:]
             contracted = w[:p] + w[p + 2:]
             return [
-                (Term(-t.coeff, t.fac, swapped, t.norm, t.trid, t.vol),
+                (Term(-t.coeff, t.fac, swapped, t.norm),
                  counts, facts),
                 (Term(t.coeff * _ANTICOMMUTATOR[g1.fam],
                       t.fac + (F("delta", (g1.idx, g2.idx)),),
-                      contracted, t.norm, t.trid, t.vol), counts, None),
+                      contracted, t.norm), counts, None),
             ]
     return None
 
@@ -598,7 +590,7 @@ def _finalize(t: Term, counts, skeys):
     if len(signs) > 1:
         return None  # the minimum is reached with both signs
     coeff = t.coeff if signs == {1} else -t.coeff
-    return Term(coeff, tuple(fac_out), renamed_word, t.norm, t.trid, t.vol)
+    return Term(coeff, tuple(fac_out), renamed_word, t.norm)
 
 
 def normalize(terms: Iterable[Term], *,
@@ -618,6 +610,5 @@ def normalize(terms: Iterable[Term], *,
     for key in sorted(acc):
         coeff, proto = acc[key]
         if not coeff.is_zero():
-            final.append(Term(coeff, proto.fac, proto.word, proto.norm,
-                              proto.trid, proto.vol))
+            final.append(Term(coeff, proto.fac, proto.word, proto.norm))
     return tuple(final)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import oracle
 import pytest
-from oracle import TensorAssignment
+from oracle import TensorAssignment, at_m
 
 from wittenres import clifford as cl
 from wittenres import reference, sphere
@@ -40,9 +40,9 @@ def test_criterion_1_metric_functional():
     expr = evaluate_labels(["metric"])["metric"]
     elapsed = time.time() - t0
     exact = expr.coeff_lists() == {"g(u,w)": [FR(-1)]}
-    # with the tokens substituted at m = 2: -2^{2m} * 2 pi^m / Gamma(m)
+    # with the units substituted at m = 2: -2^{2m} * 2 pi^m / Gamma(m)
     vol_rat, vol_pi = vol_sphere_value(2)
-    subst = expr.evaluate(2)["g(u,w)"] * 2 ** 4 * vol_rat
+    subst = at_m(expr.entries["g(u,w)"], 2)[0] * 2 ** 4 * vol_rat
     report(1, "metric functional -g(u,w)*TrId*Vol in "
               f"{elapsed:.2f}s", exact and subst == -32 and vol_pi == 2
            and elapsed < 1.0)
@@ -117,7 +117,7 @@ def test_criterion_6_trace_oracle():
                          for _ in range(rng.randint(0, 8)))
             sym = cl.trace([oracle.word_term(word)])
             if sym:
-                re, im = sym[0].coeff.evaluate(FR(n, 2))
+                re, im = at_m(sym[0].coeff, FR(n, 2))
                 val = re * 2 ** n
                 ok = ok and im == 0
             else:
@@ -142,10 +142,10 @@ def test_criterion_7_sphere_oracle():
                 for slot, e in enumerate(vec, start=1):
                     indices.extend([slot] * e)
                 got = FR(0)
-                for t in sphere.integrate_monomial(indices, n):
+                for t in sphere.integrate_monomial(indices):
                     # pairs of distinct concrete indices are never built
                     assert all(f.idx[0] == f.idx[1] for f in t.fac)
-                    re, im = t.coeff.evaluate(FR(n, 2))
+                    re, im = at_m(t.coeff, FR(n, 2))
                     assert im == 0
                     got += re
                 ok = ok and got == oracle.sphere_integral_exact(vec, n)

@@ -65,7 +65,7 @@ def reference_finalize(t, counts):
             if best is None or key < best[0]:
                 best = (key, fac, sign)
     coeff = t.coeff if best[2] == 1 else -t.coeff
-    return "done", Term(coeff, best[1], word, t.norm, t.trid, t.vol)
+    return "done", Term(coeff, best[1], word, t.norm)
 
 
 # each symbolic label is drawn at most twice: once it is free, twice a dummy
@@ -122,7 +122,7 @@ def _symmetrize(t: Term, groups) -> list[Term]:
     slots = [k for k, f in enumerate(t.fac)
              if f.kind in ("xi", "x") and f.idx[0] in labs]
     perms = list(product(*(permutations(group) for group in groups)))
-    inv = Scalar.frac(1, len(perms))
+    inv = Scalar.of(1, len(perms))
     out = []
     for parts in perms:
         moved = map_labels(t, dict(zip(labs, chain.from_iterable(parts))))
@@ -130,7 +130,7 @@ def _symmetrize(t: Term, groups) -> list[Term]:
         for k in slots:
             fac[k] = t.fac[k]
         out.append(Term(t.coeff * inv, tuple(fac), moved.word,
-                        t.norm, t.trid, t.vol))
+                        t.norm))
     return out
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import oracle
 import pytest
-from oracle import sums_equal, word_term
+from oracle import at_m, sums_equal, word_term
 
 from wittenres import clifford as cl
 from wittenres.scalars import S_ONE, Scalar
@@ -85,12 +85,11 @@ def test_trace_basic_values():
     t = one(cl.trace(mul_sums((cl.c_vec("u", "r"),),
                                  (cl.c_vec("w", "k"),))))
     assert t.fac == (F("guw", ()),) and t.coeff == Scalar.of(-1)
-    assert t.trid == 1
     assert cl.trace([word_term((cl.c(1), cl.chat(1)))]) == ()
     ident = one(cl.trace([word_term(())]))
-    assert ident.trid == 1 and ident.coeff == S_ONE
+    assert ident.coeff == S_ONE
     # with m substituted, tr[id] = 2^(2m) is applied by the caller: 16 at m=2
-    re, im = ident.coeff.evaluate(2)
+    re, im = at_m(ident.coeff, 2)
     assert re * 2 ** 4 == 16 and im == 0
 
 
@@ -101,7 +100,7 @@ def test_trace_odd_family_count_vanishes():
 
 def test_trace_six_c_generators_against_curvature():
     # (1/8) R_jpts tr[c(u)c_j c(w)c_p c_s c_t] = (1/4 s g - 1/2 Ric) tr[id]
-    base = Term(Scalar.frac(1, 8),
+    base = Term(Scalar.of(1, 8),
                 (fct("riem", "j", "p", "t", "s"), fct("u", "r"),
                  fct("w", "k")),
                 (cl.c("r"), cl.c("j"), cl.c("k"), cl.c("p"), cl.c("s"),
@@ -126,7 +125,7 @@ def test_trace_matches_matrix_oracle_randomized():
             if not sym:
                 val = Fraction(0)
             else:
-                re, im = one(sym).coeff.evaluate(Fraction(n, 2))
+                re, im = at_m(one(sym).coeff, Fraction(n, 2))
                 assert im == 0
                 val = re * 2 ** n
             assert val == rep.word_trace(word)
@@ -167,7 +166,7 @@ def test_trace_cyclicity_via_matrix_oracle():
         def tr_val(terms):
             total = Fraction(0)
             for t in cl.trace(terms):
-                re, im = t.coeff.evaluate(Fraction(n, 2))
+                re, im = at_m(t.coeff, Fraction(n, 2))
                 assert im == 0
                 total += re * 2 ** n
             return total
@@ -175,7 +174,7 @@ def test_trace_cyclicity_via_matrix_oracle():
         pq, qp = tr_val(mul_sums(p, q)), tr_val(mul_sums(q, p))
         assert pq == qp
         # and both agree with the matrix trace
-        mat = sum(int(a.coeff.evaluate(2)[0]) * int(b.coeff.evaluate(2)[0])
+        mat = sum(int(at_m(a.coeff, 2)[0]) * int(at_m(b.coeff, 2)[0])
                   * rep.word_trace(a.word + b.word)
                   for a in p for b in q)
         assert pq == mat

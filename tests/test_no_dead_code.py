@@ -2,12 +2,14 @@
 
 The definitions are the module-level functions, classes and constants of
 `src/wittenres` and every method whose name is not a dunder.  A name counts
-as used when it occurs outside its own definition in `src/` or `bench/`: as
-a name, an attribute, a keyword argument or a string that spells it (the
-benchmark wraps functions by name).  Uses in `tests/` do not count, so a
-name only the tests reach belongs in `tests/`, and an import alone is not a
-use.  Methods are matched by name alone, so a method is kept alive by any
-use of a same-named attribute.
+as used when it occurs in `src/` or `bench/` outside every definition of
+that name: as a name, an attribute, a keyword argument or a string that
+spells it (the benchmark wraps functions by name).  Uses in `tests/` do not
+count, so a name only the tests reach belongs in `tests/`, and an import
+alone is not a use.  Methods are matched by name alone, so a method is kept
+alive by any use of a same-named attribute, but not by one inside a
+same-named method: `RatM.evaluate` calling `self.den.evaluate` keeps no
+`evaluate` alive.
 
 Every name a module of `src/` or `tests/` imports must be used in that
 module, and the package imports nothing outside the standard library.
@@ -70,10 +72,14 @@ def test_every_definition_is_used():
         if path.parent == PACKAGE:
             defined.extend((path, *d) for d in _definitions(tree))
     assert defined
+    spans: dict[str, list[tuple[Path, int, int]]] = {}
+    for path, name, first, last in defined:
+        spans.setdefault(name, []).append((path, first, last))
     unused = sorted(
-        f"{path.stem}.{name}" for path, name, first, last in defined
-        if not any(p != path or not first <= line <= last
-                   for p, line in uses.get(name, ())))
+        f"{path.stem}.{name}" for path, name, _, _ in defined
+        if all(any(p == q and first <= line <= last
+                   for q, first, last in spans[name])
+               for p, line in uses.get(name, ())))
     assert unused == []
 
 
