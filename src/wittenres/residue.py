@@ -241,6 +241,9 @@ def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
         right = pieces[job.right if job.cls is None
                        else (job.right, job.cls)]
         if job.alpha:
+            # xi-derivatives and products keep every x factor, so a left
+            # term with one cannot reach the origin
+            left = Component(tuple(origin_terms(left.terms)), left.xtrunc)
             terms, _ = composition_summand(left, right, job.alpha)
             return wres_density(origin_terms(terms))
         return wres_density(_origin_product(left, right).terms)

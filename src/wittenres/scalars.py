@@ -9,8 +9,12 @@ Most coefficients are polynomials with a real value, so the arithmetic has
 fast paths for them that give the same reduced (num, den) pairs as the
 general route: a RatM with a constant denominator is reduced without a
 polynomial gcd, sums and products of two polynomials skip the cross
-multiplication by denominators, and a Scalar product with a real factor
-takes two RatM products (one when both are real) instead of four.
+multiplication by denominators, a product with a constant polynomial
+scales the coefficients in place, a Scalar product with a real factor
+takes two RatM products (one when both are real) instead of four, and a
+sum or negation of real Scalars keeps the zero imaginary part as it is.
+Negation rebuilds nothing it need not: a negated polynomial has no new
+trailing zero and a negated reduced fraction stays reduced.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ class PolyM:
     def const(x) -> "PolyM":
         return PolyM((Fraction(x),))
 
+    @staticmethod
+    def _raw(c: tuple) -> "PolyM":
+        """The polynomial with coefficient tuple c, which must already be
+        Fractions without trailing zeros: no conversion, no strip."""
+        out = object.__new__(PolyM)
+        out.c = c
+        return out
+
     def is_zero(self) -> bool:
         return not self.c
 
@@ -56,7 +68,7 @@ class PolyM:
                       for i in range(n)])
 
     def __neg__(self):
-        return PolyM([-x for x in self.c])
+        return PolyM._raw(tuple([-x for x in self.c]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -64,6 +76,14 @@ class PolyM:
     def __mul__(self, other):
         if not self.c or not other.c:
             return PolyM()
+        # a nonzero constant factor scales each coefficient in place and
+        # keeps the leading one nonzero
+        if len(other.c) == 1:
+            k = other.c[0]
+            return PolyM._raw(tuple([a * k for a in self.c]))
+        if len(self.c) == 1:
+            k = self.c[0]
+            return PolyM._raw(tuple([k * b for b in other.c]))
         out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
             if a:
@@ -201,7 +221,10 @@ class RatM:
                     self.den * other.den)
 
     def __neg__(self):
-        return RatM(-self.num, self.den, _reduced=True)
+        # -num/den is reduced and monic when num/den is
+        out = object.__new__(RatM)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -267,9 +290,13 @@ class Scalar:
         return hash((self.re, self.im))
 
     def __add__(self, other):
+        if self.im.is_zero() and other.im.is_zero():
+            return Scalar(self.re + other.re)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __neg__(self):
+        if self.im.is_zero():  # a real value keeps its zero imaginary part
+            return Scalar(-self.re, self.im)
         return Scalar(-self.re, -self.im)
 
     def __sub__(self, other):

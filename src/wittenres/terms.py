@@ -42,12 +42,21 @@ plus a reorder of structurally equal xi (or x) factors; the canonical
 search in `_finalize` maps both to the same presentation, and the partner
 keys that order the word never read dummy names.
 
-Each input term is reduced on its own.  The label counts and the factors'
-structural keys travel with a term through `_reduce`: they are computed
-when a term enters and after a factor rule fires, and kept across word
-rewrites, which never change the factors of a reorder and never change the
-labels' multiset except by dropping a contracted pair.  `_finalize` takes
-the reduced term with those facts and trusts its word order.
+Each input term is reduced on its own, and facts about it travel with it
+through `_reduce` instead of being computed again:
+  * the label counts are computed when a term enters and after a factor
+    rule fires; a word rewrite carries them, less the label of a
+    contracted pair, and so does an anticommutator branch, which
+    substitutes its delta away at once (`_substitute_delta`, which the
+    delta rule also runs) and drops the substituted label,
+  * the factors' structural keys and the partner keys of factor dummies
+    are computed once per input and per factor-rule output; a word
+    rewrite keeps them, and a delta branch that renamed a label inside
+    one factor rebuilds that factor's keys alone,
+  * the word's partner keys are built once per word order: a swap carries
+    the two swapped keys, unless one names a word position.
+`_finalize` takes the reduced term with its counts and structural keys and
+trusts its word order.
 
 normalize is not idempotent yet: a word generator is keyed by the raw slot
 of its factor partner, and `_finalize` may then pick another symmetry
@@ -56,10 +65,9 @@ variant of that factor, so a second pass can reorder the word again.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .scalars import S_N, S_ONE, Scalar
+from .scalars import S_N, Scalar
 
 Idx = int | str
 
@@ -109,15 +117,18 @@ _RIEM_VARIANTS = (
     ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1),
 )
 _SYM2_VARIANTS = (((0, 1), 1), ((1, 0), 1))
-# kind -> (slot getter, sign) per variant
-_SYMMETRIES = {kind: tuple((itemgetter(*perm), s) for perm, s in variants)
-               for kind, variants in (("riem", _RIEM_VARIANTS),
-                                      ("ric", _SYM2_VARIANTS),
-                                      ("delta", _SYM2_VARIANTS))}
-
+# kind -> (slot permutation, sign) per variant, the identity alone for a
+# kind without monoterm symmetry
+_VARIANTS = {kind: ((tuple(range(arity)), 1),)
+             for kind, arity in KIND_ARITY.items()}
+_VARIANTS.update(riem=_RIEM_VARIANTS, ric=_SYM2_VARIANTS,
+                 delta=_SYM2_VARIANTS)
+_DUMMY_CLASS = (2, 0, "")
 _MAX_FRONTIER = 200000
-# g_a g_b + g_b g_a = -2 delta(a,b) for the C family, +2 delta(a,b) for CHAT
-_ANTICOMMUTATOR = {"c": Scalar.of(-2), "h": Scalar.of(2)}
+# g_a g_b + g_b g_a = -2 delta(a,b) for the C family, +2 delta(a,b) for
+# CHAT; keyed by family and by the sign the word's swaps have built up
+_ANTICOMMUTATOR = {("c", 1): Scalar.of(-2), ("c", -1): Scalar.of(2),
+                   ("h", 1): Scalar.of(2), ("h", -1): Scalar.of(-2)}
 _DUMMY_NAMES = tuple(f"_d{k:02d}" for k in range(100))
 
 
@@ -161,10 +172,9 @@ def label_counts(t: Term) -> dict[str, int]:
 def map_labels(t: Term, sub: dict[str, Idx]) -> Term:
     if not sub:
         return t
-    fac = tuple(F(f.kind, tuple(sub.get(i, i) if isinstance(i, str) else i
-                                for i in f.idx)) for f in t.fac)
-    word = tuple(G(g.fam, sub.get(g.idx, g.idx) if isinstance(g.idx, str)
-                   else g.idx) for g in t.word)
+    fac = tuple(F(f.kind, tuple([sub.get(i, i) for i in f.idx]))
+                for f in t.fac)
+    word = tuple(G(g.fam, sub.get(g.idx, g.idx)) for g in t.word)
     return Term(t.coeff, fac, word, t.norm)
 
 
@@ -226,6 +236,8 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
         if f.kind == "riem":
             if f.idx[0] == f.idx[1] or f.idx[2] == f.idx[3]:
                 return "zero"
+            if len(set(f.idx)) == 4:
+                continue  # no pair to contract
             for p in range(4):
                 i = f.idx[p]
                 if isinstance(i, str) and counts.get(i) == 2:
@@ -248,21 +260,18 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
         elif f.kind == "delta":
             i, j = f.idx
             rest = t.fac[:k] + t.fac[k + 1:]
-            if isinstance(i, int) and isinstance(j, int):
-                if i == j:
+            if i == j:
+                if isinstance(i, int):
                     return Term(t.coeff, rest, t.word, t.norm)
-                return "zero"
-            if i == j:  # same symbolic label: trace of the identity
+                # same symbolic label: trace of the identity
                 if counts.get(i) != 2:
                     raise ContractViolation(
                         f"delta({i},{i}) with label count {counts.get(i)}")
                 return Term(t.coeff * S_N, rest, t.word, t.norm)
-            for a, b in ((i, j), (j, i)):
-                if isinstance(a, str) and counts.get(a) == 2:
-                    out = map_labels(
-                        Term(t.coeff, rest, t.word, t.norm),
-                        {a: b})
-                    return out
+            step = _substitute_delta(Term(t.coeff, rest, t.word, t.norm),
+                                     i, j, counts)
+            if step is not None:
+                return step if step == "zero" else step[0]
             # both slots free (or free/concrete): delta is kept
     # paired xi factors with one dummy label: sum_a xi_a^2 = |xi|^2
     # (a contracted x_a x_a pair has no carrier and stays as two factors)
@@ -318,14 +327,39 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
     return None
 
 
+def _substitute_delta(rest: Term, i: Idx, j: Idx, counts):
+    """The delta rule for rest * delta(i, j) with i != j.
+
+    Returns "zero" for two distinct frame indices, None when the delta is
+    kept (neither slot is a dummy), and otherwise (term, a, k): the dummy
+    slot a (i before j) is renamed to the other slot in its one other
+    occurrence, which factor k of rest holds, or the word when k is None.
+    """
+    if isinstance(i, int) and isinstance(j, int):
+        return "zero"
+    for a, b in ((i, j), (j, i)):
+        if isinstance(a, str) and counts.get(a) == 2:
+            fac = rest.fac
+            for k, f in enumerate(fac):
+                if a in f.idx:
+                    f = F(f.kind, tuple([b if x == a else x for x in f.idx]))
+                    return (Term(rest.coeff, fac[:k] + (f,) + fac[k + 1:],
+                                 rest.word, rest.norm), a, k)
+            word = tuple([G(g.fam, b) if g.idx == a else g for g in rest.word])
+            return Term(rest.coeff, fac, word, rest.norm), a, None
+    return None
+
+
 def _factor_facts(t: Term, counts):
     """The factor side of the word sort keys.
 
     Returns each factor's structural key, and a map from every dummy that
     a factor holds to that generator's word key (kind rank, slot,
     structural key).  Both read only the factors and the label counts, so
-    `_reduce` computes them once per factor set and keeps them across word
-    reorders.
+    `_reduce` computes them once per input and per factor-rule output and
+    keeps them across word rewrites; `_refresh_facts` updates them for a
+    factor that took a new label.  The map is read only for dummies paired
+    with the word, which one factor holds.
     """
     skeys = [_structural_key(f, counts) for f in t.fac]
     fmap: dict[str, tuple] = {}
@@ -366,61 +400,136 @@ def _partner_keys(word, counts, fmap):
     return keys
 
 
-def _word_once(t: Term, counts, facts):
-    """One word rewriting step toward normal order, or None if ordered.
+def _order_word(t: Term, counts, facts, out, stack) -> None:
+    """Normal order the word of a term the factor rules leave alone.
 
-    Returns the rewritten terms as (term, label counts, factor facts).  No
-    branch changes the labels' multiset except a contracted equal pair,
-    which drops its label, so the counts travel with every branch.  The
-    factor facts travel with the branches that keep the factors (a
-    reorder, a contracted equal pair) and are None where a delta factor
-    was added.
+    The ordered term goes to `out` with its label counts and factor
+    structural keys; every anticommutator branch goes to `stack` through
+    `_delta_branch`.  Each step rewrites the first adjacent pair that is
+    out of order, as one rule at a time would: a chat before a c swaps with
+    a sign, an equal pair contracts (a dummy pair to -n for c, +n for
+    chat), a monomial tie becomes half its anticommutator and ends the
+    term, and a pair whose partner keys descend swaps with a sign and
+    branches off its anticommutator delta.  A step at position p leaves
+    the pairs before p - 1 as they were, so the scan resumes at p - 1.
+
+    The sign of the swaps is kept as an int and applied once per emitted
+    term.  The label counts travel through the loop, less the label of a
+    contracted dummy pair, and the factor facts hold throughout, since no
+    word rule touches a factor.  The partner keys travel with the swaps: a
+    swap exchanges the two keys unless one of them names a word position
+    (class 3), and a contraction deletes its two keys unless a class-3 key
+    is left; then they are built again.
     """
-    w = t.word
-    keys = _partner_keys(w, counts, facts[1])
-    for p in range(len(w) - 1):
+    w = list(t.word)
+    fmap = facts[1]
+    keys = _partner_keys(w, counts, fmap)
+    coeff, sign, p = t.coeff, 1, 0
+    while p < len(w) - 1:
         g1, g2 = w[p], w[p + 1]
-        if g1.fam == "h" and g2.fam == "c":
-            nw = w[:p] + (g2, g1) + w[p + 2:]
-            return [(Term(-t.coeff, t.fac, nw, t.norm),
-                     counts, facts)]
         if g1.fam != g2.fam:
+            if g1.fam == "h":  # chat c -> -c chat
+                w[p], w[p + 1] = g2, g1
+                sign = -sign
+                if keys[p][1][0] == 3 or keys[p + 1][1][0] == 3:
+                    keys = _partner_keys(w, counts, fmap)
+                else:
+                    keys[p], keys[p + 1] = keys[p + 1], keys[p]
+                p = max(p - 1, 0)
+            else:
+                p += 1
             continue
         if g1.idx == g2.idx:
-            sign = -S_ONE if g1.fam == "c" else S_ONE
-            coeff = t.coeff * sign
-            left = counts
+            if g1.fam == "c":
+                sign = -sign
             if isinstance(g1.idx, str):
                 if counts.get(g1.idx) != 2:
                     raise ContractViolation(
                         f"word label {g1.idx!r} occurs {counts.get(g1.idx)} "
                         "times")
                 coeff = coeff * S_N  # the dummy pair sums to n
-                left = {lab: c for lab, c in counts.items() if lab != g1.idx}
-            nw = w[:p] + w[p + 2:]
-            return [(Term(coeff, t.fac, nw, t.norm),
-                     left, facts)]
-        if keys[p] == keys[p + 1]:
-            cls, part, _ = keys[p][1]
-            if cls == 2 and part[0] in _MONOMIAL_RANKS:
-                # both dummies contract into one symmetric monomial (xi_a xi_b
-                # or x_a x_b), so the pair equals half its anticommutator
-                sign = -S_ONE if g1.fam == "c" else S_ONE
-                return [(Term(t.coeff * sign,
-                              t.fac + (F("delta", (g1.idx, g2.idx)),),
-                              w[:p] + w[p + 2:], t.norm),
-                         counts, None)]
-        if keys[p] > keys[p + 1]:
-            swapped = w[:p] + (g2, g1) + w[p + 2:]
-            contracted = w[:p] + w[p + 2:]
-            return [
-                (Term(-t.coeff, t.fac, swapped, t.norm),
-                 counts, facts),
-                (Term(t.coeff * _ANTICOMMUTATOR[g1.fam],
-                      t.fac + (F("delta", (g1.idx, g2.idx)),),
-                      contracted, t.norm), counts, None),
-            ]
-    return None
+                counts = {lab: c for lab, c in counts.items()
+                          if lab != g1.idx}
+            del w[p:p + 2]
+            del keys[p:p + 2]
+            if any(key[1][0] == 3 for key in keys):
+                keys = _partner_keys(w, counts, fmap)
+            p = max(p - 1, 0)
+            continue
+        k1, k2 = keys[p], keys[p + 1]
+        if k1 == k2 and k1[1][0] == 2 and k1[1][1][0] in _MONOMIAL_RANKS:
+            # both dummies contract into one symmetric monomial (xi_a xi_b
+            # or x_a x_b), so the pair equals half its anticommutator
+            if g1.fam == "c":
+                sign = -sign
+            _delta_branch(coeff if sign > 0 else -coeff, t.fac,
+                          tuple(w[:p] + w[p + 2:]), t.norm,
+                          g1.idx, g2.idx, counts, facts, stack)
+            return
+        if k1 > k2:
+            _delta_branch(coeff * _ANTICOMMUTATOR[g1.fam, sign], t.fac,
+                          tuple(w[:p] + w[p + 2:]), t.norm,
+                          g1.idx, g2.idx, counts, facts, stack)
+            w[p], w[p + 1] = g2, g1
+            sign = -sign
+            if k1[1][0] == 3 or k2[1][0] == 3:
+                keys = _partner_keys(w, counts, fmap)
+            else:
+                keys[p], keys[p + 1] = k2, k1
+            p = max(p - 1, 0)
+            continue
+        p += 1
+    out.append((Term(coeff if sign > 0 else -coeff, t.fac, tuple(w),
+                     t.norm), counts, facts[0]))
+
+
+def _delta_branch(coeff, fac, word, norm, i, j, counts, facts, stack):
+    """Push the term coeff * fac * delta(i, j) * word, with the delta
+    already substituted away by `_substitute_delta`.
+
+    The term it branched from met no factor rule, and the delta is its
+    last factor, so the delta rule is the first to fire.  The label counts
+    travel: a substitution drops the dummy's label.  So do the factor
+    facts.  Where no factor changed they hold as they are: when the
+    dummy's other occurrence is in the word, or when the delta is kept
+    (its labels are no dummies, so it adds a structural key and no partner
+    key).  Where the dummy's other occurrence is in a factor, that factor
+    takes the other label and may now meet a factor rule, so the branch
+    goes back through `_contract_once` and names the factor whose facts
+    `_refresh_facts` must rebuild.
+    """
+    step = _substitute_delta(Term(coeff, fac, word, norm), i, j, counts)
+    if step == "zero":
+        return
+    if step is None:
+        delta = F("delta", (i, j))
+        stack.append((Term(coeff, fac + (delta,), word, norm), counts,
+                      (facts[0] + [_structural_key(delta, counts)], facts[1]),
+                      None))
+        return
+    term, a, k = step
+    left = {lab: c for lab, c in counts.items() if lab != a}
+    stack.append((term, left, facts, k))
+
+
+def _refresh_facts(t: Term, counts, facts, k: int):
+    """The factor facts after factor k took a new label: its structural
+    key, and the partner keys of the dummies it holds, rebuilt.
+
+    No other factor's key changes, since the counts of its labels did not.
+    The partner key of the dropped label stays in the map unread, and so
+    may the entry of a dummy that factor k shares with another factor:
+    partner keys are read only for dummies paired with the word.
+    """
+    f = t.fac[k]
+    skeys = list(facts[0])
+    skeys[k] = skey = _structural_key(f, counts)
+    fmap = dict(facts[1])
+    rank = KIND_RANK[f.kind]
+    for slot, i in enumerate(f.idx):
+        if isinstance(i, str) and counts.get(i) == 2:
+            fmap[i] = (2, (rank, slot), skey)
+    return skeys, fmap
 
 
 def _reduce(t: Term, fold_fields: bool = True
@@ -428,18 +537,21 @@ def _reduce(t: Term, fold_fields: bool = True
     """Rewrite a term until no rule applies; returns each reduced term with
     its label counts and its factors' structural keys.
 
-    The facts travel with a term on the rewrite stack.  The label counts
-    are computed fresh only for the input and for the output of a factor
-    rule (`_contract_once`); the word rules keep the labels.  The factor
-    facts are computed once per factor set: a word reorder or a contracted
-    equal pair keeps the factors and the counts of their labels, and
-    `_contract_once`, which reads nothing else, has already found nothing
-    to do on them.
+    The facts travel with a term on the rewrite stack as (term, counts,
+    facts, stale).  The label counts are computed fresh only for the input
+    and for the output of a factor rule (`_contract_once`); the word rules
+    carry them, less the label of a contracted pair or of a substituted
+    delta slot.  The factor facts are computed in full once per input and
+    per factor-rule output.  A branch whose factors did not change keeps
+    them (stale is None), and `_contract_once`, which reads nothing else,
+    has already found nothing to do on them.  A delta branch that renamed
+    a label inside factor k (stale is k) is checked by `_contract_once`
+    and then rebuilds that factor's facts alone.
     """
     out = []
-    stack = [(t, None, None)]
+    stack = [(t, None, None, None)]
     while stack:
-        cur, counts, facts = stack.pop()
+        cur, counts, facts, stale = stack.pop()
         if cur.coeff.is_zero():
             continue
         if counts is None:
@@ -447,46 +559,31 @@ def _reduce(t: Term, fold_fields: bool = True
             if any(c > 2 for c in counts.values()):
                 bad = [la for la, c in counts.items() if c > 2]
                 raise ContractViolation(f"labels {bad} occur more than twice")
-        if facts is None:
+        if facts is None or stale is not None:
             step = _contract_once(cur, counts, fold_fields)
             if step == "zero":
                 continue
             if step is not None:
-                stack.append((step, None, None))
+                stack.append((step, None, None, None))
                 continue
-            facts = _factor_facts(cur, counts)
-        rewritten = _word_once(cur, counts, facts)
-        if rewritten is None:
-            out.append((cur, counts, facts[0]))
-        else:
-            stack.extend(rewritten)
+            facts = (_factor_facts(cur, counts) if facts is None
+                     else _refresh_facts(cur, counts, facts, stale))
+        _order_word(cur, counts, facts, out, stack)
     return out
-
-
-def _variants(f: F):
-    """The factor's monoterm symmetry variants, each with its sign."""
-    perms = _SYMMETRIES.get(f.kind)
-    if perms is None:
-        return [(f, 1)]
-    return [(F(f.kind, get(f.idx)), s) for get, s in perms]
 
 
 def _structural_key(f: F, counts):
     """Kind rank and slot classes (concrete index, free label, dummy),
     minimal over the symmetry variants, so the key does not depend on the
     slot order a factor arrived in."""
-    cls = []
-    for i in f.idx:
-        if isinstance(i, int):
-            cls.append((0, i, ""))
-        elif counts.get(i) == 1:
-            cls.append((1, 0, i))
-        else:
-            cls.append((2, 0, ""))
-    perms = _SYMMETRIES.get(f.kind)
-    if perms is None:
-        return (KIND_RANK[f.kind], tuple(cls))
-    return (KIND_RANK[f.kind], min(get(cls) for get, _ in perms))
+    cls = tuple([(0, i, "") if isinstance(i, int)
+                 else (1, 0, i) if counts.get(i) == 1 else _DUMMY_CLASS
+                 for i in f.idx])
+    perms = _VARIANTS[f.kind]
+    if len(perms) == 1 or cls.count(cls[0]) == len(cls):
+        return (KIND_RANK[f.kind], cls)
+    return (KIND_RANK[f.kind],
+            min([tuple([cls[p] for p in perm]) for perm, _ in perms]))
 
 
 def _dummy_names(count: int) -> tuple[str, ...]:
@@ -502,7 +599,7 @@ def _finalize(t: Term, counts, skeys):
 
     `counts` and `skeys` are the label counts and factor structural keys
     `_reduce` returned with the term.  The word is taken as `_reduce` left
-    it: `_word_once` found it sorted under partner keys built from these
+    it: `_order_word` found it sorted under partner keys built from these
     same counts, and partner keys do not depend on dummy names, so renaming
     the dummies cannot unsort it.
 
@@ -518,71 +615,100 @@ def _finalize(t: Term, counts, skeys):
     factors and dummy renaming have the same completions; if their signs
     differ, or the complete presentations coincide with opposite signs,
     the term equals its own negative and vanishes.
+
+    Every index a presentation can hold (a frame index, a free label, a
+    canonical dummy name) is ranked once in `idx_key` order, and a partial
+    presentation maps each label it has placed to that rank, so a
+    candidate's factor key is a list of ints.  It is compared with the
+    slot minimum position by position and dropped at the first larger
+    one.
     """
     dummies = {lab for lab, c in counts.items() if c == 2}
-    names = _dummy_names(len(dummies))
+    names = _dummy_names(len(dummies))[:len(dummies)]
+    held = {i for f in t.fac for i in f.idx}.difference(dummies)
+    labels = {i for i in held if isinstance(i, str)}.union(names)
+    # idx_key order: frame indices ascending, then labels as strings
+    order = sorted(held.difference(labels)) + sorted(labels)
+    rank = {i: r for r, i in enumerate(order)}
+    name_rank = [rank[name] for name in names]
+    sub = {i: rank[i] for i in held}
     # canonical names for word dummies come from the word scan alone
-    wmap: dict[str, str] = {}
+    word = []
+    nw = 0
     for g in t.word:
-        if g.idx in dummies and g.idx not in wmap:
-            wmap[g.idx] = names[len(wmap)]
-    renamed_word = tuple(G(g.fam, wmap[g.idx]) if g.idx in dummies else g
-                         for g in t.word)
-    # idx_key of every index a presentation can hold
-    ikey = {name: idx_key(name) for name in names[:len(dummies)]}
-    for f in t.fac:
-        for i in f.idx:
-            if i not in dummies and i not in ikey:
-                ikey[i] = idx_key(i)
+        if g.idx in dummies:
+            r = sub.get(g.idx)
+            if r is None:
+                r = sub[g.idx] = name_rank[nw]
+                nw += 1
+            g = G(g.fam, order[r])
+        word.append(g)
     slots = sorted(range(len(t.fac)), key=skeys.__getitem__)
-    groups = {}
+    groups: dict[tuple, list[int]] = {}
     for k in slots:
         groups.setdefault(skeys[k], []).append(k)
-    variant_lists = [[(vf.idx, s) for vf, s in _variants(f)] for f in t.fac]
     # frontier: (chosen factor bitmask, dummies named so far) ->
-    # (label -> canonical name, sign); every entry has output fac_out
-    frontier = {(0, ()): (wmap, 1)}
+    # (label -> rank, sign); every entry has output fac_out
+    frontier = {(0, ()): (sub, 1)}
     fac_out = []
     for slot in slots:
+        kind = t.fac[slot].kind
+        group = groups[skeys[slot]]
+        perms = _VARIANTS[kind]
         best = None
         cands = []
-        group = groups[skeys[slot]]
         for (used, named), (sub, sign) in frontier.items():
-            base = len(sub)
+            base = nw + len(named)
             for k in group:
                 if used >> k & 1:
                     continue
-                for vidx, s in variant_lists[k]:
+                idx = t.fac[k].idx
+                vals = [sub.get(i) for i in idx]
+                for perm, s in perms:
+                    tied = best is not None
+                    if tied and perm:
+                        r = vals[perm[0]]
+                        if (name_rank[base] if r is None else r) > best[0]:
+                            continue
+                    key = []
                     new = []
-                    nidx = []
-                    for i in vidx:
-                        if i in dummies:
-                            name = sub.get(i)
-                            if name is None:
-                                if i not in new:
-                                    new.append(i)
-                                name = names[base + new.index(i)]
-                            nidx.append(name)
-                        else:
-                            nidx.append(i)
-                    key = tuple([ikey[i] for i in nidx])
-                    if best is None or key < best:
-                        best, best_idx, cands = key, nidx, []
-                    elif key > best:
-                        continue
-                    cands.append((used | 1 << k, named + tuple(new), new,
-                                  sub, sign * s))
+                    for n, pos in enumerate(perm):
+                        r = vals[pos]
+                        if r is None:
+                            i = idx[pos]
+                            if i in new:
+                                r = name_rank[base + new.index(i)]
+                            else:
+                                r = name_rank[base + len(new)]
+                                new.append(i)
+                        if tied:
+                            b = best[n]
+                            if r > b:
+                                break
+                            tied = r == b
+                        key.append(r)
+                    else:
+                        if not tied:
+                            best, cands = key, []
+                        cands.append((used | 1 << k, named + tuple(new), new,
+                                      sub, sign * s))
             if len(cands) > _MAX_FRONTIER:
-                raise NormalizeError("canonical search space too large")
-        fac_out.append(F(t.fac[slot].kind, tuple(best_idx)))
+                raise NormalizeError(
+                    f"canonical search space too large: {len(cands)} "
+                    f"candidates for a {kind} slot, past the limit "
+                    f"{_MAX_FRONTIER}, in a term with factors "
+                    f"{' '.join(f.kind for f in t.fac)} and a word of "
+                    f"length {len(t.word)}")
+        fac_out.append(F(kind, tuple([order[r] for r in best])))
         frontier = {}
         for used, named, new, sub, sign in cands:
             prev = frontier.get((used, named))
             if prev is None:
                 if new:
                     sub = dict(sub)
-                    for i in new:
-                        sub[i] = names[len(sub)]
+                    base = nw + len(named) - len(new)
+                    for q, i in enumerate(new):
+                        sub[i] = name_rank[base + q]
                 frontier[used, named] = (sub, sign)
             elif prev[1] != sign:
                 return None  # t = -t under a symmetry: antisymmetric zero
@@ -590,25 +716,21 @@ def _finalize(t: Term, counts, skeys):
     if len(signs) > 1:
         return None  # the minimum is reached with both signs
     coeff = t.coeff if signs == {1} else -t.coeff
-    return Term(coeff, tuple(fac_out), renamed_word, t.norm)
+    return Term(coeff, tuple(fac_out), tuple(word), t.norm)
 
 
 def normalize(terms: Iterable[Term], *,
               fold_fields: bool = True) -> tuple[Term, ...]:
-    acc: dict[tuple, tuple[Scalar, Term]] = {}
+    # merged by presentation; term_key, which orders the output, is
+    # injective on presentations, so it is built once per merged term
+    acc: dict[tuple, Scalar] = {}
     for t in terms:
         for red in _reduce(t, fold_fields):
             out = _finalize(*red)
             if out is None:
                 continue
-            key = term_key(out)
-            if key in acc:
-                acc[key] = (acc[key][0] + out.coeff, out)
-            else:
-                acc[key] = (out.coeff, out)
-    final = []
-    for key in sorted(acc):
-        coeff, proto = acc[key]
-        if not coeff.is_zero():
-            final.append(Term(coeff, proto.fac, proto.word, proto.norm))
-    return tuple(final)
+            key = out[1:]
+            prev = acc.get(key)
+            acc[key] = out.coeff if prev is None else prev + out.coeff
+    return tuple(sorted((Term(coeff, *key) for key, coeff in acc.items()
+                         if not coeff.is_zero()), key=term_key))

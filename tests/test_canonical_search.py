@@ -7,11 +7,13 @@ vanish.  `terms._finalize` must give the same result on every input.
 
 `reference_normalize` is the driver loop before label counts and factor
 keys travelled with a term: fresh counts and keys for every popped term,
-symmetrization over the xi / x monomial dummies (`_monomial_groups` and
-`_symmetrize`, the pass `normalize` once ran) and a second reduction for
-every reduced term, and a check that the word is still sorted before it is
-finalized.  It runs the module's own rules, and `normalize`, which no
-longer symmetrizes, must give the same result on every input.
+one word rule at a time (`reference_word_once`, with each anticommutator
+delta left to `_contract_once`), symmetrization over the xi / x monomial
+dummies (`_monomial_groups` and `_symmetrize`, the pass `normalize` once
+ran) and a second reduction for every reduced term, and a check that the
+word is still sorted before it is finalized.  It runs the module's factor
+rules and partner keys, and `normalize`, which no longer symmetrizes and
+orders a word in one loop, must give the same result on every input.
 """
 
 import importlib.util
@@ -32,6 +34,12 @@ from wittenres.terms import (F, G, ContractViolation, NormalizeError, Term,
                              term_key)
 
 
+def variants(f):
+    """The factor's monoterm symmetry variants, each with its sign."""
+    return [(F(f.kind, tuple(f.idx[p] for p in perm)), s)
+            for perm, s in terms._VARIANTS[f.kind]]
+
+
 def reference_finalize(t, counts):
     wmap = {}
     for g in t.word:
@@ -43,7 +51,7 @@ def reference_finalize(t, counts):
     skeys = [terms._structural_key(f, counts) for f in t.fac]
     base = sorted(range(len(t.fac)), key=skeys.__getitem__)
     groups = [list(g) for _, g in groupby(base, key=skeys.__getitem__)]
-    variant_lists = [terms._variants(f) for f in t.fac]
+    variant_lists = [variants(f) for f in t.fac]
     best = None
     seen = {}
     for parts in product(*(permutations(g) for g in groups)):
@@ -73,6 +81,39 @@ _LABELS = ("a", "b", "c", "d", "e", "f", "g")
 _CONCRETE = (1, 2)
 
 
+def reference_word_once(t, counts):
+    """One word rewriting step toward normal order, or None if ordered:
+    the rewritten terms, each anticommutator delta appended as a factor."""
+    w = t.word
+    keys = terms._partner_keys(w, counts,
+                               terms._factor_facts(t, counts)[1])
+    for p in range(len(w) - 1):
+        g1, g2 = w[p], w[p + 1]
+        if g1.fam == "h" and g2.fam == "c":
+            nw = w[:p] + (g2, g1) + w[p + 2:]
+            return [Term(-t.coeff, t.fac, nw, t.norm)]
+        if g1.fam != g2.fam:
+            continue
+        sign = -S_ONE if g1.fam == "c" else S_ONE
+        delta = (F("delta", (g1.idx, g2.idx)),)
+        if g1.idx == g2.idx:
+            coeff = t.coeff * sign
+            if isinstance(g1.idx, str):
+                coeff = coeff * terms.S_N
+            return [Term(coeff, t.fac, w[:p] + w[p + 2:], t.norm)]
+        if keys[p] == keys[p + 1]:
+            cls, part, _ = keys[p][1]
+            if cls == 2 and part[0] in terms._MONOMIAL_RANKS:
+                return [Term(t.coeff * sign, t.fac + delta,
+                             w[:p] + w[p + 2:], t.norm)]
+        if keys[p] > keys[p + 1]:
+            return [Term(-t.coeff, t.fac, w[:p] + (g2, g1) + w[p + 2:],
+                         t.norm),
+                    Term(t.coeff * sign * Scalar.of(2), t.fac + delta,
+                         w[:p] + w[p + 2:], t.norm)]
+    return None
+
+
 def reference_reduce(t):
     out = []
     stack = [t]
@@ -89,10 +130,9 @@ def reference_reduce(t):
         if step is not None:
             stack.append(step)
             continue
-        wstep = terms._word_once(cur, counts,
-                                 terms._factor_facts(cur, counts))
+        wstep = reference_word_once(cur, counts)
         if wstep is not None:
-            stack.extend(term for term, _, _ in wstep)
+            stack.extend(wstep)
             continue
         out.append(cur)
     return out
@@ -288,20 +328,80 @@ def test_normalize_matches_reference_on_taylor_terms(monkeypatch):
 
 
 def test_word_reorders_reuse_label_counts(monkeypatch):
-    calls = []
-    original = terms.label_counts
+    calls, fired = [], []
+    counts_of, contract = terms.label_counts, terms._contract_once
 
     def counted(t):
         calls.append(t)
-        return original(t)
+        return counts_of(t)
+
+    def recorded(t, counts, fold_fields=True):
+        step = contract(t, counts, fold_fields)
+        if isinstance(step, Term):
+            fired.append(step)
+        return step
     monkeypatch.setattr(terms, "label_counts", counted)
+    monkeypatch.setattr(terms, "_contract_once", recorded)
     c, h = clifford.c, clifford.chat
     word = (c(4), c(3), c(2), c(1), h(2), h(1))
     got = normalize([word_term(word)])
     # seven transpositions, each with a swapped and a delta branch; the
     # word rules keep the labels, so only the input's counts are computed
-    assert len(calls) == 1
+    assert len(calls) == 1 and fired == []
     assert got == (Term(-S_ONE, (), (c(1), c(2), c(3), c(4), h(1), h(2))),)
+    # anticommutator branches whose delta renames a dummy inside a factor
+    # carry their counts: they put u_a w_a and xi_d xi_d together, the field
+    # fold and the |xi|^2 rule fire on what they left, and counts are
+    # computed for the input and each factor-rule output, never for a branch
+    calls.clear()
+    t = Term(S_ONE, (fct("u", "a"), fct("w", "b"), fct("xi", "d"),
+                     fct("xi", "e")), (c("e"), c("b"), c("d"), c("a")))
+    got = normalize([t])
+    assert {tuple(f.kind for f in step.fac) for step in fired} == {
+        ("u", "w"), ("guw",)}
+    assert sorted(map(repr, calls)) == sorted(map(repr, [t] + fired))
+    monkeypatch.undo()
+    assert got == reference_normalize([t])
+    assert len(got) == 4
+
+
+def _prepass_terms():
+    """The raw difference the taylor_diff benchmark's seed-101 comparison
+    normalizes fold-free before differentiating it."""
+    inputs = bench_workloads().taylor_inputs(101)
+    return inputs.derived + tuple(t._replace(coeff=-t.coeff)
+                                  for t in inputs.printed)
+
+
+def test_finalize_matches_exhaustive_reference_on_taylor_terms():
+    # two Riemann factors and words of up to eight generators, past what
+    # the hypothesis terms reach
+    reduced = [red for t in _prepass_terms()
+               for red in terms._reduce(t, fold_fields=False)]
+    assert len(reduced) == 383
+    assert max(len(t.word) for t, _, _ in reduced) == 8
+    for t, counts, skeys in reduced:
+        want = reference_finalize(t, counts)
+        got = terms._finalize(t, counts, skeys)
+        assert got == (None if want is None else want[1]), t
+
+
+def test_prepass_work_counts(monkeypatch):
+    """Deterministic work counts of the seed-101 prepass: 75 input terms
+    reduce to 383 and merge to 50.  The label counts are computed once per
+    input term (459 times when each delta branch recounted them) and the
+    partner keys once per ordered word (914 times when each rewrite step
+    rebuilt them)."""
+    raw = _prepass_terms()
+    assert len(raw) == 75
+    calls = {}
+    for name in ("label_counts", "_partner_keys"):
+        def counted(*args, _name=name, _original=getattr(terms, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(terms, name, counted)
+    assert len(normalize(raw, fold_fields=False)) == 50
+    assert calls == {"label_counts": 75, "_partner_keys": 383}
 
 
 def _ring(ends):
@@ -328,7 +428,7 @@ def test_four_riemann_ring_is_canonical(ends):
         fresh = [f"r{k}" for k in rng.sample(range(100), len(labels))]
         assert normalize([map_labels(t, dict(zip(labels, fresh)))]) == base
     for k, f in enumerate(t.fac):
-        for vf, s in terms._variants(f):
+        for vf, s in variants(f):
             fac = t.fac[:k] + (vf,) + t.fac[k + 1:]
             coeff = t.coeff if s == 1 else -t.coeff
             assert normalize([Term(coeff, fac)]) == base
@@ -340,7 +440,12 @@ def test_four_riemann_ring_is_canonical(ends):
 
 def test_frontier_guard_raises_typed_error(monkeypatch):
     monkeypatch.setattr(terms, "_MAX_FRONTIER", 4)
-    with pytest.raises(NormalizeError):
+    # the message names the slot, the factor kinds, the word length and
+    # the candidate count
+    with pytest.raises(NormalizeError, match=(
+            r"^canonical search space too large: 32 candidates for a riem "
+            r"slot, past the limit 4, in a term with factors "
+            r"u riem riem riem riem w and a word of length 0$")):
         normalize([_ring(("u", "w"))])
 
 

@@ -156,6 +156,21 @@ def test_class_split_refuses_an_unused_class(monkeypatch):
         evaluate_labels(["I-1"])
 
 
+def test_leaf_jobs_compose_only_origin_terms(monkeypatch):
+    # xi-derivatives and products keep every x factor, so a left term with
+    # one cannot reach the origin and no job hands it to the composition
+    lefts = []
+    summand = residue.composition_summand
+
+    def recorded(p, q, nalpha):
+        lefts.extend(p.terms)
+        return summand(p, q, nalpha)
+    monkeypatch.setattr(residue, "composition_summand", recorded)
+    evaluate_labels(LEDGER)
+    assert lefts
+    assert [t for t in lefts if any(f.kind == "x" for f in t.fac)] == []
+
+
 def test_compose_path_agrees_with_summand_path(ledger):
     assert part2_compose_check() == ledger["S2"]
 

@@ -105,6 +105,25 @@ def test_ratm_fast_paths_match_the_gcd_route():
         assert _pair(RatM(a.num, const)) == _reduced(a.num, const)
 
 
+def test_constant_and_negation_fast_paths_match_the_coefficient_loop():
+    rng = random.Random(13)
+    for _ in range(300):
+        a = _random_poly(rng, rng.randint(0, 3))
+        b = _random_poly(rng, rng.randint(0, 1))  # a constant half the time
+        want = [Fraction(0)] * max(len(a.c) + len(b.c) - 1, 0)
+        for i, x in enumerate(a.c):
+            for j, y in enumerate(b.c):
+                want[i + j] += x * y
+        assert (a * b).c == (b * a).c == PolyM(want).c
+        assert (-a).c == PolyM([-x for x in a.c]).c
+        r, s = _random_ratm(rng), _random_ratm(rng)
+        assert _pair(-r) == _reduced(PolyM([-x for x in r.num.c]), r.den)
+        real = Scalar(r)
+        assert _parts(-real) == (_pair(-r), _pair(R_ZERO))
+        assert _parts(real + Scalar(s)) == (_pair(r + s), _pair(R_ZERO))
+        assert _parts(real + Scalar(s, r)) == (_pair(r + s), _pair(r))
+
+
 def _four_products(x: Scalar, y: Scalar) -> Scalar:
     return Scalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
 
