@@ -113,8 +113,11 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
                 new, new_deg = F(_DERIV[f.kind], (j, f.idx[0])), deg
             else:
                 if f.kind in ("du", "dw", "dv") and strict:
-                    raise NormalizeError("second derivative of a vector "
-                                         "field is not representable")
+                    raise NormalizeError(
+                        f"d_x_terms: d/dx_{j} of {f.kind}"
+                        f"({', '.join(map(str, f.idx))}) is a second "
+                        "derivative of a vector field, which is not "
+                        "representable")
                 continue
             if xmax is None or new_deg <= xmax:
                 fac = t.fac[:k] + (new,) + t.fac[k + 1:]

@@ -29,6 +29,18 @@ normalize() rewrites a sum of terms to a canonical merged form:
     _MAX_FRONTIER partial presentations raises NormalizeError,
   * identical presentations are merged, zero coefficients dropped.
 
+KIND_RANK orders a presentation's factors, and it orders each word
+generator by the kind of the factor it contracts with (`_partner_keys`).
+Any fixed order gives a canonical form, and the reports do not depend on
+which one; the order sets only how much work normal ordering does.  Each
+adjacent same-family pair out of order costs an anticommutator branch,
+which is reduced and canonicalized on its own.  The vector fields rank
+ahead of the curvature because the engine's words put them there:
+`compose(A, B)` and the printed sigma(AB) display write c(u), c(w) and
+chat(V) before the curvature generators.  With the fields first the
+display holds 39 same-family inversions instead of 83 and reduces to 53
+terms instead of 203.
+
 normalize(terms, fold_fields=False) runs every rule but the three field
 folds.  Each remaining rule is an identity pointwise in x, with u, w and v
 read as functions, so its output has the input's value as a function of x
@@ -104,9 +116,13 @@ KIND_ARITY = {
     "du": 2, "dw": 2, "dv": 2,
     "xi": 1, "x": 1,
 }
+# the order of factors in a presentation and of word generators by their
+# factor partner's kind: atoms, then the vector fields and their
+# derivatives, which the engine's words put first, then curvature, delta
+# and the xi / x monomials (see the module docstring)
 KIND_RANK = {k: i for i, k in enumerate(
-    ("scal", "guw", "ricuw", "vsq", "riem", "ric", "delta",
-     "u", "w", "v", "du", "dw", "dv", "xi", "x"))}
+    ("scal", "guw", "ricuw", "vsq", "u", "w", "v", "du", "dw", "dv",
+     "riem", "ric", "delta", "xi", "x"))}
 ATOM_KINDS = ("scal", "guw", "ricuw", "vsq")
 _MONOMIAL_RANKS = (KIND_RANK["xi"], KIND_RANK["x"])
 
@@ -380,7 +396,9 @@ def _partner_keys(word, counts, fmap):
     relabeling and different derivation paths straighten to the same form.
     A pair inside the word is keyed by its first position, so a crossed
     pair is swapped until the partners meet and contract.  The factor slot
-    keys come from `_factor_facts`.
+    keys come from `_factor_facts` and lead with the factor's KIND_RANK,
+    so a generator contracted into a vector field sorts before one
+    contracted into a curvature factor, as the engine's words have them.
     """
     first: dict[Idx, int] = {}
     for p, g in enumerate(word):

@@ -52,6 +52,14 @@ def test_d_x_produces_deltas_and_derivative_atoms():
         d_x_terms([Term(S_ONE, (fct("dw", "a", "b"),))], "j")
 
 
+def test_d_x_strict_error_names_factor_and_label():
+    t = Term(S_ONE, (fct("ric", "a", "b"), fct("du", 2, "b"), fct("x", "a")))
+    with pytest.raises(NormalizeError, match=(
+            r"^d_x_terms: d/dx_l of du\(2, b\) is a second derivative of a "
+            r"vector field, which is not representable$")):
+        d_x_terms([t], "l")
+
+
 def test_d_xi_d_x_commute():
     rng = random.Random(7)
     for _ in range(40):

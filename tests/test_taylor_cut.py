@@ -215,10 +215,26 @@ def test_seeded_inputs_agree_with_fold_after_derivative(workloads, seed):
                                                    pair.printed) is want)
 
 
+def test_seed_sweep_verdicts(workloads):
+    """Over the taylor_diff seeds 101-120 each pair is equal and each
+    doubled control is not.  Any kind rank order gives a canonical form;
+    a term the prepass left short of it would turn an equal pair False."""
+    for seed in range(101, 121):
+        inputs = workloads.taylor_inputs(seed)
+        doubled = workloads.with_control_doubled(inputs)
+        assert terms_equal_taylor(inputs.derived,
+                                  inputs.printed) is True, seed
+        assert terms_equal_taylor(doubled.derived,
+                                  doubled.printed) is False, seed
+
+
 def test_derivatives_see_the_cancelled_difference(workloads, monkeypatch):
     """A count, not a time: the chain's x-derivatives of the seed-101
-    taylor_diff comparison return 12 terms in all (140 when the raw
-    difference is differentiated)."""
+    taylor_diff comparison return at most 12 terms in all.  They return
+    none, since the fold-free prepass cancels the whole difference; the
+    bound is the 12 they returned when curvature ranked ahead of the vector
+    fields in the normal order (140 when the raw difference was
+    differentiated)."""
     inputs = workloads.taylor_inputs(101)
     sizes = []
     original = pdo.d_x_terms
