@@ -238,15 +238,14 @@ def compose(P: PDOSymbol, Q: PDOSymbol,
     return PDOSymbol(comps, exact=False)
 
 
-def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
-                       xorder: int = 2) -> bool:
+def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term]) -> bool:
     """Equality of two symbol term sums as the Taylor data they carry.
 
     Compares the origin values of the sums and of their x-derivatives up to
-    xorder against distinct free slot labels.  This is the faithful reading
-    of x-truncated symbol data, and the free labels pin down factor sectors
-    that pure relabeling cannot (two structurally identical curvature
-    factors, say).
+    order xorder = 2 against distinct free slot labels.  This is the
+    faithful reading of x-truncated symbol data, and the free labels pin
+    down factor sectors that pure relabeling cannot (two structurally
+    identical curvature factors, say).
 
     One derivative chain runs on a - b.  normalize reduces each term on its
     own and merges equal presentations, so differentiating the difference
@@ -262,6 +261,7 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term],
     terms with at most xorder - k x factors, an exact cut: normalize keeps
     each term's x-degree and a derivative lowers it by at most one.
     """
+    xorder = 2
     lab = _fresh_labels((a, b), xorder)
     d = normalize(tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b),
                   fold_fields=False)

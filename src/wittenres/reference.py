@@ -103,19 +103,13 @@ def _coeffs(table: dict) -> dict[str, tuple[Fraction, ...]]:
     return out
 
 
-def expr_coeffs(expr) -> dict[str, tuple[Fraction, ...]]:
-    return {atom: tuple(coeffs)
-            for atom, coeffs in expr.coeff_lists().items() if coeffs}
-
-
 def compare_entry(expr, ref: dict, label: str) -> str:
     """Status of one ledger entry against the stored reference; a label
     the reference does not store is a MISMATCH."""
     if label not in ref["values"]:
         return MISMATCH
-    derived = expr_coeffs(expr)
     stored = _coeffs(ref["values"][label])
-    if derived != stored:
+    if _coeffs(expr.coeff_lists()) != stored:
         return MISMATCH
     printed = ref.get("printed", {}).get(label)
     if printed is not None and _coeffs(printed) != stored:

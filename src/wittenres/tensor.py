@@ -23,10 +23,6 @@ from .terms import ATOM_KINDS, F, Term, normalize, term_key
 class CollectError(Exception):
     """A term survived to collection that is not an invariant atom."""
 
-    def __init__(self, message, leftovers=()):
-        super().__init__(message)
-        self.leftovers = tuple(leftovers)
-
 
 def _bianchi_orbit(t: Term, k: int):
     """The three cyclic variants of the k-th Riemann factor, canonicalized."""
@@ -83,16 +79,12 @@ ATOM_NAMES = {"scal": "s", "guw": "g(u,w)", "ricuw": "Ric(u,w)",
               "vsq": "|V|^2"}
 
 
-def _atom_name(t: Term) -> str:
-    """The printed name of the term's atom, such as "g(u,w)*s"."""
-    for f in t.fac:
-        if f.kind not in ATOM_KINDS:
-            raise CollectError(
-                f"unrecognized factor in collected term: {f}", [t])
-    if t.word:
-        raise CollectError("Clifford word survived to collection", [t])
-    if t.norm != (0, 0):
-        raise CollectError("norm power survived to collection", [t])
+def _atom_name(t: Term) -> str | None:
+    """The printed name of the term's atom, such as "g(u,w)*s", or None
+    when the term holds another factor, a Clifford word or a norm power."""
+    if (t.word or t.norm != (0, 0)
+            or any(f.kind not in ATOM_KINDS for f in t.fac)):
+        return None
     kinds = sorted(f.kind for f in t.fac)
     return "*".join(ATOM_NAMES[k] for k in kinds) or "1"
 
@@ -158,14 +150,13 @@ def collect(terms: Iterable[Term]) -> ScalarInvariantExpr:
 
     Terms with leftover indexed factors (free indices, derivative atoms,
     unrecognized kinds), a Clifford word or a norm power raise CollectError
-    carrying the offenders.
+    naming the first offender.
     """
     entries: dict[str, Scalar] = {}
     bad = []
     for t in terms:
-        try:
-            key = _atom_name(t)
-        except CollectError:
+        key = _atom_name(t)
+        if key is None:
             bad.append(t)
             continue
         s = entries.get(key)
@@ -173,5 +164,5 @@ def collect(terms: Iterable[Term]) -> ScalarInvariantExpr:
     if bad:
         raise CollectError(
             f"{len(bad)} term(s) are not invariant atoms "
-            f"(first: {bad[0].fac} word={bad[0].word})", bad)
+            f"(first: {bad[0].fac} word={bad[0].word})")
     return ScalarInvariantExpr(entries)

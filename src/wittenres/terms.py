@@ -54,17 +54,16 @@ plus a reorder of structurally equal xi (or x) factors; the canonical
 search in `_finalize` maps both to the same presentation, and the partner
 keys that order the word never read dummy names.
 
-Each input term is reduced on its own, and facts about it travel with it
-through `_reduce` instead of being computed again:
+Each input term is reduced on its own, and its label counts travel with
+it through `_reduce` instead of being computed again:
   * the label counts are computed when a term enters and after a factor
     rule fires; a word rewrite carries them, less the label of a
     contracted pair, and so does an anticommutator branch, which
     substitutes its delta away at once (`_substitute_delta`, which the
     delta rule also runs) and drops the substituted label,
   * the factors' structural keys and the partner keys of factor dummies
-    are computed once per input and per factor-rule output; a word
-    rewrite keeps them, and a delta branch that renamed a label inside
-    one factor rebuilds that factor's keys alone,
+    are built in one place, `_factor_facts`, once for each term that
+    meets no factor rule, just before its word is ordered,
   * the word's partner keys are built once per word order: a swap carries
     the two swapped keys, unless one names a word position.
 `_finalize` takes the reduced term with its counts and structural keys and
@@ -347,9 +346,9 @@ def _substitute_delta(rest: Term, i: Idx, j: Idx, counts):
     """The delta rule for rest * delta(i, j) with i != j.
 
     Returns "zero" for two distinct frame indices, None when the delta is
-    kept (neither slot is a dummy), and otherwise (term, a, k): the dummy
+    kept (neither slot is a dummy), and otherwise (term, a): the dummy
     slot a (i before j) is renamed to the other slot in its one other
-    occurrence, which factor k of rest holds, or the word when k is None.
+    occurrence, in a factor of rest or in its word.
     """
     if isinstance(i, int) and isinstance(j, int):
         return "zero"
@@ -360,9 +359,9 @@ def _substitute_delta(rest: Term, i: Idx, j: Idx, counts):
                 if a in f.idx:
                     f = F(f.kind, tuple([b if x == a else x for x in f.idx]))
                     return (Term(rest.coeff, fac[:k] + (f,) + fac[k + 1:],
-                                 rest.word, rest.norm), a, k)
+                                 rest.word, rest.norm), a)
             word = tuple([G(g.fam, b) if g.idx == a else g for g in rest.word])
-            return Term(rest.coeff, fac, word, rest.norm), a, None
+            return Term(rest.coeff, fac, word, rest.norm), a
     return None
 
 
@@ -372,10 +371,9 @@ def _factor_facts(t: Term, counts):
     Returns each factor's structural key, and a map from every dummy that
     a factor holds to that generator's word key (kind rank, slot,
     structural key).  Both read only the factors and the label counts, so
-    `_reduce` computes them once per input and per factor-rule output and
-    keeps them across word rewrites; `_refresh_facts` updates them for a
-    factor that took a new label.  The map is read only for dummies paired
-    with the word, which one factor holds.
+    they hold while `_order_word` orders the word; this is the one place
+    that builds them.  The map is read only for dummies paired with the
+    word, which one factor holds.
     """
     skeys = [_structural_key(f, counts) for f in t.fac]
     fmap: dict[str, tuple] = {}
@@ -482,12 +480,12 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
                 sign = -sign
             _delta_branch(coeff if sign > 0 else -coeff, t.fac,
                           tuple(w[:p] + w[p + 2:]), t.norm,
-                          g1.idx, g2.idx, counts, facts, stack)
+                          g1.idx, g2.idx, counts, stack)
             return
         if k1 > k2:
             _delta_branch(coeff * _ANTICOMMUTATOR[g1.fam, sign], t.fac,
                           tuple(w[:p] + w[p + 2:]), t.norm,
-                          g1.idx, g2.idx, counts, facts, stack)
+                          g1.idx, g2.idx, counts, stack)
             w[p], w[p + 1] = g2, g1
             sign = -sign
             if k1[1][0] == 3 or k2[1][0] == 3:
@@ -501,53 +499,24 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
                      t.norm), counts, facts[0]))
 
 
-def _delta_branch(coeff, fac, word, norm, i, j, counts, facts, stack):
-    """Push the term coeff * fac * delta(i, j) * word, with the delta
-    already substituted away by `_substitute_delta`.
+def _delta_branch(coeff, fac, word, norm, i, j, counts, stack):
+    """Push (term, counts) for coeff * fac * delta(i, j) * word, with the
+    delta already substituted away by `_substitute_delta`.
 
     The term it branched from met no factor rule, and the delta is its
-    last factor, so the delta rule is the first to fire.  The label counts
-    travel: a substitution drops the dummy's label.  So do the factor
-    facts.  Where no factor changed they hold as they are: when the
-    dummy's other occurrence is in the word, or when the delta is kept
-    (its labels are no dummies, so it adds a structural key and no partner
-    key).  Where the dummy's other occurrence is in a factor, that factor
-    takes the other label and may now meet a factor rule, so the branch
-    goes back through `_contract_once` and names the factor whose facts
-    `_refresh_facts` must rebuild.
+    last factor, so the delta rule is the first to fire.  A substitution
+    drops the dummy's label from the counts; a kept delta (its labels are
+    no dummies) holds the two labels the word gave up.
     """
     step = _substitute_delta(Term(coeff, fac, word, norm), i, j, counts)
     if step == "zero":
         return
     if step is None:
-        delta = F("delta", (i, j))
-        stack.append((Term(coeff, fac + (delta,), word, norm), counts,
-                      (facts[0] + [_structural_key(delta, counts)], facts[1]),
-                      None))
+        stack.append((Term(coeff, fac + (F("delta", (i, j)),), word, norm),
+                      counts))
         return
-    term, a, k = step
-    left = {lab: c for lab, c in counts.items() if lab != a}
-    stack.append((term, left, facts, k))
-
-
-def _refresh_facts(t: Term, counts, facts, k: int):
-    """The factor facts after factor k took a new label: its structural
-    key, and the partner keys of the dummies it holds, rebuilt.
-
-    No other factor's key changes, since the counts of its labels did not.
-    The partner key of the dropped label stays in the map unread, and so
-    may the entry of a dummy that factor k shares with another factor:
-    partner keys are read only for dummies paired with the word.
-    """
-    f = t.fac[k]
-    skeys = list(facts[0])
-    skeys[k] = skey = _structural_key(f, counts)
-    fmap = dict(facts[1])
-    rank = KIND_RANK[f.kind]
-    for slot, i in enumerate(f.idx):
-        if isinstance(i, str) and counts.get(i) == 2:
-            fmap[i] = (2, (rank, slot), skey)
-    return skeys, fmap
+    term, a = step
+    stack.append((term, {lab: c for lab, c in counts.items() if lab != a}))
 
 
 def _reduce(t: Term, fold_fields: bool = True
@@ -555,21 +524,17 @@ def _reduce(t: Term, fold_fields: bool = True
     """Rewrite a term until no rule applies; returns each reduced term with
     its label counts and its factors' structural keys.
 
-    The facts travel with a term on the rewrite stack as (term, counts,
-    facts, stale).  The label counts are computed fresh only for the input
-    and for the output of a factor rule (`_contract_once`); the word rules
-    carry them, less the label of a contracted pair or of a substituted
-    delta slot.  The factor facts are computed in full once per input and
-    per factor-rule output.  A branch whose factors did not change keeps
-    them (stale is None), and `_contract_once`, which reads nothing else,
-    has already found nothing to do on them.  A delta branch that renamed
-    a label inside factor k (stale is k) is checked by `_contract_once`
-    and then rebuilds that factor's facts alone.
+    The rewrite stack holds (term, counts).  The label counts are computed
+    fresh only for the input and for the output of a factor rule
+    (`_contract_once`); the word rules carry them, less the label of a
+    contracted pair or of a substituted delta slot.  Every popped term
+    goes through `_contract_once`, and one that meets no factor rule has
+    its word ordered under the facts `_factor_facts` builds for it.
     """
     out = []
-    stack = [(t, None, None, None)]
+    stack = [(t, None)]
     while stack:
-        cur, counts, facts, stale = stack.pop()
+        cur, counts = stack.pop()
         if cur.coeff.is_zero():
             continue
         if counts is None:
@@ -577,16 +542,13 @@ def _reduce(t: Term, fold_fields: bool = True
             if any(c > 2 for c in counts.values()):
                 bad = [la for la, c in counts.items() if c > 2]
                 raise ContractViolation(f"labels {bad} occur more than twice")
-        if facts is None or stale is not None:
-            step = _contract_once(cur, counts, fold_fields)
-            if step == "zero":
-                continue
-            if step is not None:
-                stack.append((step, None, None, None))
-                continue
-            facts = (_factor_facts(cur, counts) if facts is None
-                     else _refresh_facts(cur, counts, facts, stale))
-        _order_word(cur, counts, facts, out, stack)
+        step = _contract_once(cur, counts, fold_fields)
+        if step == "zero":
+            continue
+        if step is not None:
+            stack.append((step, None))
+            continue
+        _order_word(cur, counts, _factor_facts(cur, counts), out, stack)
     return out
 
 

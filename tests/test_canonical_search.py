@@ -243,13 +243,17 @@ def test_finalize_matches_exhaustive_reference(t):
 @given(st.lists(small_terms(vectors=("u", "w", "v", "xi", "x"),
                             max_word=6, fams=("c", "h")),
                 min_size=1, max_size=3))
-# the monomial tie, a crossed word pair, and a tie behind a reorder
+# the monomial tie, a crossed word pair, a tie behind a reorder, and an
+# anticommutator branch that renames a label inside a Riemann factor, which
+# then contracts to Ricci and folds to ricuw
 @example([Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
                (G("h", "a"), G("h", "b")))])
 @example([Term(S_ONE, (fct("u", "c"),), (G("c", "a"), G("c", "c"),
                                         G("c", "b"), G("c", "a")))])
 @example([Term(S_ONE, (fct("x", "a"), fct("x", "b"), fct("ric", "c", 1)),
                (G("c", "c"), G("h", 2), G("c", "b"), G("c", "a")))])
+@example([Term(S_ONE, (fct("riem", "a", "e", "b", "f"), fct("u", "e"),
+                       fct("w", "f")), (G("c", "b"), G("c", "a")))])
 def test_normalize_matches_reference_loop(ts):
     assert normalize(ts) == reference_normalize(ts)
 
@@ -402,23 +406,28 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
 def test_prepass_work_counts(monkeypatch):
     """Deterministic work counts of the seed-101 prepass: 36 input terms
     reduce to 118, and these cancel to nothing, since both sides reach the
-    same normal forms.  The label counts are computed once per input term
-    and the partner keys once per ordered word.
+    same normal forms.  The label counts are computed once per input term,
+    and the factor facts and the partner keys once per ordered word.  While
+    a delta branch patched the facts of the one factor it renamed
+    (`_refresh_facts`), the factor facts were built 36 times in full and
+    patched 82 times.
 
     Under the earlier kind ranks, which put the curvature factors ahead of
     the vector fields, the derived side was 60 terms instead of 21, the 75
-    input terms reduced to 383 and merged to 50, and the two calls ran 75
-    and 383 times (459 and 914 before the facts travelled with a term)."""
+    input terms reduced to 383 and merged to 50, and label_counts and
+    _partner_keys ran 75 and 383 times (459 and 914 before the facts
+    travelled with a term)."""
     raw = _prepass_terms()
     assert len(raw) == 36
     calls = {}
-    for name in ("label_counts", "_partner_keys"):
+    for name in ("label_counts", "_factor_facts", "_partner_keys"):
         def counted(*args, _name=name, _original=getattr(terms, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
         monkeypatch.setattr(terms, name, counted)
     assert normalize(raw, fold_fields=False) == ()
-    assert calls == {"label_counts": 36, "_partner_keys": 118}
+    assert calls == {"label_counts": 36, "_factor_facts": 118,
+                     "_partner_keys": 118}
 
 
 def _ring(ends):
