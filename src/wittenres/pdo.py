@@ -186,54 +186,43 @@ def composition_summand(p: Component, q: Component,
     return tuple(out), _xt_min(p.xtrunc, qx)
 
 
-_ALPHA_CAP = 6
-
-
 def compose(P: PDOSymbol, Q: PDOSymbol,
             targets: Iterable[Order]) -> PDOSymbol:
     """Symbol composition truncated to the requested orders.
 
     sigma(PQ) = sum_alpha (-i)^|a|/a! d_xi^a sigma(P) d_x^a sigma(Q), with
-    |a| forced by homogeneity per component pair.  An order of Q that a
-    pair reaches and Q does not hold raises TruncationError, whether or not
-    the xi-derivative side survives; a vanishing xi-derivative side only
-    short-circuits the check of Q's x-Taylor order in
+    |a| forced by homogeneity per component pair: for a left order p the
+    right order is target - p + |a|, so |a| runs from 0 up to Q's top order
+    at that slope, above which Q vanishes.  A missing order of either factor
+    raises TruncationError: one of Q that a pair reaches, whether or not
+    the xi-derivative side survives, and one of a truncated P that the
+    alpha = 0 pairing with Q's top reaches.  A vanishing xi-derivative side
+    only short-circuits the check of Q's x-Taylor order in
     `composition_summand`.
     """
     comps: dict[Order, Component] = {}
     for target in targets:
-        if not P.exact and P.comps:
-            # a truncated left factor must hold every order the target can
-            # draw on (the alpha = 0 pairing with Q's top already reaches
-            # down to target - q_top)
-            slopes = {o[1] for o in P.comps}
-            if len(slopes) == 1:
-                (sp,) = slopes
-                qs = [o for o in Q.comps if o[1] == target[1] - sp]
-                if qs:
-                    q_top = max(o[0] for o in qs)
-                    p_floor = min(o[0] for o in P.comps)
-                    if target[0] - q_top < p_floor:
-                        raise TruncationError(
-                            f"left factor lacks orders below "
-                            f"{(p_floor, sp)} needed for target {target}")
         acc: list[Term] = []
         xt: int | None = None
-        have = False
         for p_ord in sorted(P.comps, reverse=True):
+            slope = target[1] - p_ord[1]
+            need = target[0] - p_ord[0]
+            q_top = max((o[0] for o in Q.comps if o[1] == slope),
+                        default=need)
+            if not P.exact:
+                # the alpha = 0 pairing with Q's top draws on this order
+                P.component((target[0] - q_top, p_ord[1]))
             pcomp = P.comps[p_ord]
             if not pcomp.terms:
                 continue
-            for nalpha in range(_ALPHA_CAP + 1):
-                q_ord = (target[0] - p_ord[0] + nalpha, target[1] - p_ord[1])
-                qcomp = Q.component(q_ord)
+            for nalpha in range(q_top - need + 1):
+                qcomp = Q.component((need + nalpha, slope))
                 if not qcomp.terms:
                     continue
                 terms, sxt = composition_summand(pcomp, qcomp, nalpha)
                 if terms:
                     acc.extend(terms)
-                    xt = _xt_min(xt, sxt) if have else sxt
-                    have = True
+                    xt = _xt_min(xt, sxt)
         comps[target] = Component(tuple(acc), xt)
     return PDOSymbol(comps, exact=False)
 

@@ -6,23 +6,26 @@ integration, then contraction and collection into invariant atoms.  The
 Einstein functional splits into Part I (the c(u)c(w) inverse-square-reduced
 power) and Part II (the six composition summands of the A B inverse-power
 product).  `LEDGER` is the whole ledger in report order: each leaf label
-names its job (left and right symbol piece, derivative order, class of the
-right piece) and each total lists the labels it sums, so every labeled
-intermediate can be evaluated on its own and diffed against stored
-reference values.  `evaluate_labels` returns a plain dict from label to
-value in ledger order; its "metric" entry is the metric functional,
-exactly -g(u,w) TrId Vol, and its "einstein" entry the Einstein one.
+names its job (left and right symbol piece, derivative order) and each
+total lists the labels it sums, so every labeled intermediate can be
+evaluated on its own and diffed against stored reference values.  Either
+side of a job is a piece's `_BUILD` name, or the key (name, class) for the
+piece's terms of one `_signature` class.  Every xi/x derivative pairing
+of two symbols goes through `pdo.compose` or its `composition_summand`.
+`evaluate_labels` returns a plain dict from label to value in ledger
+order; its "metric" entry is the metric functional, exactly -g(u,w) TrId
+Vol, and its "einstein" entry the Einstein one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import clifford, sphere
 from .operators import (build_laplace_data, cu_cw_symbol, order_zero_pieces,
                         parametrix_symbols, symbol_of_a, symbol_of_b)
-from .pdo import (Component, TruncationError, compose, composition_summand,
-                  origin_terms)
+from .pdo import (Component, PDOSymbol, TruncationError, compose,
+                  composition_summand, origin_terms)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
 from .terms import ContractViolation, NormalizeError, Term, mul_sums
 
@@ -32,7 +35,7 @@ class ResidueError(Exception):
     part, surviving derivative atom)."""
 
 
-def wres_density(terms) -> ScalarInvariantExpr:
+def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
     """Residue density of an order -2m, origin-evaluated term sum, in
     units of TrId*Vol: tr[id] times Vol(S^{2m-1}).
 
@@ -41,7 +44,6 @@ def wres_density(terms) -> ScalarInvariantExpr:
     collection into invariant atoms.  Hard errors on leftover free indices,
     derivative atoms, or imaginary parts.
     """
-    staged = []
     for t in terms:
         if any(f.kind == "x" for f in t.fac):
             raise ResidueError(f"term not evaluated at the origin: {t}")
@@ -49,11 +51,10 @@ def wres_density(terms) -> ScalarInvariantExpr:
         if (t.norm[0] + deg, t.norm[1]) != (0, -2):
             raise ResidueError(
                 f"term is not homogeneous of order -2m: {t}")
-        staged.append(t)
     # the trace's normalization may move xi pairs into the norm; the
     # integration sets every norm power to one
     integrated = []
-    for t in clifford.trace(staged):
+    for t in clifford.trace(terms):
         integrated.extend(sphere.integrate_term(t))
     try:
         return collect(canonicalize(integrated)).check_real()
@@ -64,14 +65,13 @@ def wres_density(terms) -> ScalarInvariantExpr:
 
 class Leaf(NamedTuple):
     """One residue job: Wres of the alpha-th composition summand of a left
-    and a right symbol piece (their plain product when alpha is 0), with
-    the right piece cut down to one `_signature` class when cls is set.
-    The pieces are named in `_BUILD`."""
+    and a right symbol piece (their plain product when alpha is 0).  Each
+    side is a `_BUILD` name, or a key (name, class) for that piece's terms
+    of one `_signature` class."""
 
-    left: str
-    right: str
+    left: str | tuple[str, str]
+    right: str | tuple[str, str]
     alpha: int = 0
-    cls: str | None = None
 
 
 class Total(NamedTuple):
@@ -87,43 +87,45 @@ class Total(NamedTuple):
 # Its xi-contracted curvature lines (I-2, I-3) vanish already at the symbol
 # level by first-slot antisymmetry, so those classes are empty.
 # Part II: the A B product symbol against the full-power parametrix.  II-1
-# is the order-zero product against |xi|^{-2m}, split into the pieces of the
-# factor symbols: the first xi/x derivative pairing of sigma_1(A) with each
-# piece of sigma_0(B) (the vector piece split by which field the derivative
-# hit) plus the plain order-zero product, where only c(u)ch(V)c(w)ch(V)
-# survives at the origin.  II-2 is the order-one product against the wholly
-# x-linear component, II-3 the order-two product against the order -2m-2
-# component, II-4 the first derivative pairing with the order -2m-1
-# component, II-5 and II-6 the first and second pairings with the top one.
+# is the order-zero product against |xi|^{-2m}, split by the piece of
+# sigma_0(B) each term comes from: sigma(A) composed with each piece alone.
+# At the origin the connection pieces keep only their first xi/x derivative
+# pairing with sigma_1(A); the vector piece is split by class into that
+# pairing's dw and dv terms and the plain product, where only
+# c(u)ch(V)c(w)ch(V) survives (class vv).  II-2 is the order-one product
+# against the wholly x-linear component, II-3 the order-two product against
+# the order -2m-2 component, II-4 the first derivative pairing with the
+# order -2m-1 component, II-5 and II-6 the first and second pairings with
+# the top one.
 LEDGER: dict[str, Leaf | Total] = {
-    "I-1": Leaf("cu_cw", "par1_top", 0, "ric"),
-    "I-2": Leaf("cu_cw", "par1_top", 0, "riem20"),
-    "I-3": Leaf("cu_cw", "par1_top", 0, "riem02"),
-    "I-4": Leaf("cu_cw", "par1_top", 0, "riem22"),
-    "I-5": Leaf("cu_cw", "par1_top", 0, "scal"),
-    "I-6": Leaf("cu_cw", "par1_top", 0, "dv"),
-    "I-7": Leaf("cu_cw", "par1_top", 0, "vv"),
+    "I-1": Leaf("cu_cw", ("par1_top", "ric")),
+    "I-2": Leaf("cu_cw", ("par1_top", "riem20")),
+    "I-3": Leaf("cu_cw", ("par1_top", "riem02")),
+    "I-4": Leaf("cu_cw", ("par1_top", "riem22")),
+    "I-5": Leaf("cu_cw", ("par1_top", "scal")),
+    "I-6": Leaf("cu_cw", ("par1_top", "dv")),
+    "I-7": Leaf("cu_cw", ("par1_top", "vv")),
     "S1": Total(("I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7")),
-    "II-1-A": Leaf("a1_conn_c", "par0_top"),
-    "II-1-B": Leaf("a1_conn_h", "par0_top"),
-    "II-1-C": Leaf("a1_dw", "par0_top"),
-    "II-1-D": Leaf("a1_dv", "par0_top"),
-    "II-1-E": Leaf("a0_b0", "par0_top"),
+    "II-1-A": Leaf("ab0_conn_c", "par0_top"),
+    "II-1-B": Leaf("ab0_conn_h", "par0_top"),
+    "II-1-C": Leaf(("ab0_vec", "dw"), "par0_top"),
+    "II-1-D": Leaf(("ab0_vec", "dv"), "par0_top"),
+    "II-1-E": Leaf(("ab0_vec", "vv"), "par0_top"),
     "II-1": Total(("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E"),
                   check=Leaf("ab0", "par0_top")),
     "II-2": Leaf("ab1", "par0_mid"),
-    "II-3-A": Leaf("ab2", "par0_low", 0, "ric"),
-    "II-3-B": Leaf("ab2", "par0_low", 0, "riem20"),
-    "II-3-C": Leaf("ab2", "par0_low", 0, "riem02"),
-    "II-3-D": Leaf("ab2", "par0_low", 0, "riem22"),
-    "II-3-E": Leaf("ab2", "par0_low", 0, "scal"),
-    "II-3-F": Leaf("ab2", "par0_low", 0, "dv"),
-    "II-3-G": Leaf("ab2", "par0_low", 0, "vv"),
+    "II-3-A": Leaf("ab2", ("par0_low", "ric")),
+    "II-3-B": Leaf("ab2", ("par0_low", "riem20")),
+    "II-3-C": Leaf("ab2", ("par0_low", "riem02")),
+    "II-3-D": Leaf("ab2", ("par0_low", "riem22")),
+    "II-3-E": Leaf("ab2", ("par0_low", "scal")),
+    "II-3-F": Leaf("ab2", ("par0_low", "dv")),
+    "II-3-G": Leaf("ab2", ("par0_low", "vv")),
     "II-3": Total(("II-3-A", "II-3-B", "II-3-C", "II-3-D", "II-3-E",
                    "II-3-F", "II-3-G")),
-    "II-4-A": Leaf("ab2", "par0_mid", 1, "ric"),
-    "II-4-B": Leaf("ab2", "par0_mid", 1, "riem20"),
-    "II-4-C": Leaf("ab2", "par0_mid", 1, "riem02"),
+    "II-4-A": Leaf("ab2", ("par0_mid", "ric"), 1),
+    "II-4-B": Leaf("ab2", ("par0_mid", "riem20"), 1),
+    "II-4-C": Leaf("ab2", ("par0_mid", "riem02"), 1),
     "II-4": Total(("II-4-A", "II-4-B", "II-4-C")),
     "II-5": Leaf("ab1", "par0_top", 1),
     "II-6": Leaf("ab2", "par0_top", 2),
@@ -136,13 +138,14 @@ LEDGER: dict[str, Leaf | Total] = {
 # would be lost, so splitting the piece refuses it
 _CLASSES: dict[str, set[str]] = {}
 for _row in LEDGER.values():
-    if isinstance(_row, Leaf) and _row.cls is not None:
-        _CLASSES.setdefault(_row.right, set()).add(_row.cls)
+    if isinstance(_row, Leaf):
+        for _key in (_row.left, _row.right):
+            if isinstance(_key, tuple):
+                _CLASSES.setdefault(_key[0], set()).add(_key[1])
 
 
 def _signature(t: Term) -> str:
-    """The class of a parametrix-side term, by its factor and word
-    signature."""
+    """The class of a term, by its factor and word signature."""
     kinds = {f.kind for f in t.fac}
     if "ric" in kinds:
         return "ric"
@@ -161,23 +164,13 @@ def _signature(t: Term) -> str:
     return "?"
 
 
-def _a1_with(pieces: Pieces, piece: str) -> Component:
-    """sigma_1(A) paired once with one piece of sigma_0(B), at the origin."""
-    b0 = order_zero_pieces("w")[piece]
-    terms, _ = composition_summand(pieces["A"].comps[(1, 0)],
-                                   Component(b0, None), 1)
-    return Component(tuple(origin_terms(terms)), None)
-
-
-def _vector_split(pieces: Pieces) -> tuple[Component, Component]:
-    """The sigma_1(A) pairing with c(w) ch(V), split by the field the
-    derivative hit."""
-    terms = _a1_with(pieces, "vec").terms
-    dw = tuple(t for t in terms if any(f.kind == "dw" for f in t.fac))
-    dv = tuple(t for t in terms if any(f.kind == "dv" for f in t.fac))
-    if len(dw) + len(dv) != len(terms):
-        raise ResidueError("vector-derivative split lost a term in II-1")
-    return Component(dw, None), Component(dv, None)
+def _ab0_with(pieces: Pieces, piece: str) -> Component:
+    """sigma(A) composed with one piece of sigma_0(B), at order zero and at
+    the origin."""
+    b0 = Component(order_zero_pieces("w")[piece], 1)
+    ab0 = compose(pieces["A"], PDOSymbol({(0, 0): b0}, exact=True),
+                  [(0, 0)]).comps[(0, 0)]
+    return Component(tuple(origin_terms(ab0.terms)), ab0.xtrunc)
 
 
 def _origin_product(a: Component, b: Component) -> Component:
@@ -202,13 +195,9 @@ _BUILD = {
     "ab0": lambda p: p["AB"].comps[(0, 0)],
     "ab1": lambda p: p["AB"].comps[(1, 0)],
     "ab2": lambda p: p["AB"].comps[(2, 0)],
-    "a0_b0": lambda p: _origin_product(p["A"].comps[(0, 0)],
-                                       p["B"].comps[(0, 0)]),
-    "a1_conn_c": lambda p: _a1_with(p, "conn_c"),
-    "a1_conn_h": lambda p: _a1_with(p, "conn_h"),
-    "a1_vec": _vector_split,
-    "a1_dw": lambda p: p["a1_vec"][0],
-    "a1_dv": lambda p: p["a1_vec"][1],
+    "ab0_conn_c": lambda p: _ab0_with(p, "conn_c"),
+    "ab0_conn_h": lambda p: _ab0_with(p, "conn_h"),
+    "ab0_vec": lambda p: _ab0_with(p, "vec"),
 }
 
 
@@ -235,11 +224,10 @@ class Pieces(dict):
 
 
 def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
-    """The job's value; a ResidueError on the way names the label."""
+    """The job's value; a typed engine error on the way names the label and
+    keeps its type."""
     try:
-        left = pieces[job.left]
-        right = pieces[job.right if job.cls is None
-                       else (job.right, job.cls)]
+        left, right = pieces[job.left], pieces[job.right]
         if job.alpha:
             # xi-derivatives and products keep every x factor, so a left
             # term with one cannot reach the origin
@@ -247,8 +235,9 @@ def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
             terms, _ = composition_summand(left, right, job.alpha)
             return wres_density(origin_terms(terms))
         return wres_density(_origin_product(left, right).terms)
-    except ResidueError as exc:
-        raise ResidueError(f"{label}: {exc}") from exc
+    except (NormalizeError, TruncationError, ContractViolation,
+            ResidueError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def with_children(labels: Iterable[str]) -> list[str]:

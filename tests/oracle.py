@@ -275,6 +275,24 @@ def part2_compose_check() -> ScalarInvariantExpr:
     return wres_density(origin_terms(full.comps[(0, -2)].terms))
 
 
+def dirac_symbol() -> PDOSymbol:
+    """The symbol of the deformed operator D_V in normal coordinates, with
+    x-linear Taylor data, written out here rather than taken from the
+    package: i c(xi) at order one, and at order zero the two connection
+    words with the connection's x-linear curvature value, plus ch(V)."""
+    top = Term(S_I, (fct("xi", "a"),), (c("a"),))
+    zero = (
+        Term(Scalar.of(1, 8), (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
+             (c("p"), c("s"), c("t"))),
+        Term(Scalar.of(-1, 8),
+             (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
+             (c("p"), chat("s"), chat("t"))),
+        Term(S_ONE, (fct("v", "b"),), (chat("b"),)),
+    )
+    return PDOSymbol({(1, 0): Component((top,), 1),
+                      (0, 0): Component(zero, 1)}, exact=True)
+
+
 def inverse_symbol_reference(power_offset: int) -> PDOSymbol:
     """The printed inverse-power symbol components for the deformed
     operator.

@@ -8,7 +8,9 @@ from wittenres.operators import (build_laplace_data, cu_cw_symbol,
                                  symbol_of_b)
 from wittenres.pdo import compose, origin_terms, terms_equal_taylor
 from wittenres.reference import ab_symbol_reference
-from wittenres.tensor import collect
+from wittenres.residue import Pieces, wres_density
+from wittenres.scalars import S_ONE, Scalar
+from wittenres.tensor import ScalarInvariantExpr, canonicalize, collect
 from wittenres.terms import mul_terms, normalize
 
 
@@ -39,6 +41,23 @@ def test_endomorphism_trace_self_consistency():
     expr = collect(normalize(cl.trace(data.endo)))
     lists = expr.coeff_lists()
     assert set(lists) == {"s", "|V|^2"}
+
+
+def test_parametrix_density_is_gilkey_a2_of_the_operator():
+    # in normal coordinates the connection laplacian's order-zero symbol
+    # vanishes at the origin, so there sigma_0(D_V^2) is the E of
+    # D_V^2 = nabla^* nabla + E; the reduced power's residue density must
+    # then be Gilkey's a_2 density (m - 1)(s/6 - tr E/tr id)
+    sigma = oracle.dirac_symbol()
+    square = compose(sigma, sigma, [(0, 0)]).comps[(0, 0)]
+    tr_e = collect(canonicalize(cl.trace(origin_terms(square.terms))))
+    assert tr_e == ScalarInvariantExpr({"s": Scalar.of(1, 4),
+                                        "|V|^2": S_ONE})
+    a2 = ScalarInvariantExpr({"s": Scalar.of(1, 6)}) - tr_e
+    m_minus_1 = Scalar.poly((-1, 1))
+    want = ScalarInvariantExpr({atom: m_minus_1 * coeff
+                                for atom, coeff in a2.entries.items()})
+    assert wres_density(origin_terms(Pieces()["par1_top"].terms)) == want
 
 
 def test_parametrix_requires_known_power():

@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 from oracle import sums_equal
@@ -10,7 +11,7 @@ from wittenres.operators import (build_laplace_data, cu_cw_symbol,
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            composition_summand, d_x_terms, d_xi_terms,
                            origin_terms, terms_equal_taylor)
-from wittenres.scalars import S_ONE, Scalar
+from wittenres.scalars import S_I, S_ONE, Scalar
 from wittenres.terms import F, NormalizeError, Term, fct, normalize
 
 
@@ -92,6 +93,22 @@ def test_compose_truncation_error_is_explicit():
     ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     with pytest.raises(TruncationError):
         compose(ab, par, [(-1, -2)])  # needs the unknown order -2m-3
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_compose_sums_every_alpha_homogeneity_allows(k):
+    # xi_1^k against x_1^k reaches the origin only through the alpha = k
+    # summand: (-i)^k / k! * k! * k!
+    xi = PDOSymbol({(k, 0): Component((Term(S_ONE, (fct("xi", 1),) * k),),
+                                      None)}, exact=True)
+    x = PDOSymbol({(0, 0): Component((Term(S_ONE, (fct("x", 1),) * k),),
+                                     None)}, exact=True)
+    got = normalize(origin_terms(compose(xi, x, [(0, 0)]).comps[(0, 0)]
+                                 .terms))
+    want = Scalar.of(factorial(k))
+    for _ in range(k):
+        want = want * (-S_I)
+    assert got == (Term(want, ()),)
 
 
 def test_compose_homogeneity_bookkeeping():

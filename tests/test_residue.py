@@ -5,7 +5,7 @@ from oracle import TensorAssignment, at_m, part2_compose_check
 
 from wittenres.operators import (build_laplace_data, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
-from wittenres.pdo import Component, compose
+from wittenres.pdo import Component, TruncationError, compose
 from wittenres import residue, tensor
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
@@ -154,6 +154,72 @@ def test_class_split_refuses_an_unused_class(monkeypatch):
     monkeypatch.setitem(residue._CLASSES, "par1_top", {"ric", "scal"})
     with pytest.raises(ResidueError, match="unclassifiable term"):
         evaluate_labels(["I-1"])
+    # a left-side key: the vector piece's plain product (class vv) must
+    # not be lost either
+    monkeypatch.setitem(residue._CLASSES, "ab0_vec", {"dw", "dv"})
+    with pytest.raises(ResidueError, match="unclassifiable term"):
+        evaluate_labels(["II-1-C"])
+
+
+def test_engine_errors_name_their_label_and_keep_their_type(monkeypatch):
+    # a middle parametrix component without its x-linear data cannot give
+    # II-4's first x-derivative
+    monkeypatch.setitem(
+        residue._BUILD, "par0_mid",
+        lambda p: p["par0"].comps[(-1, -2)]._replace(xtrunc=0))
+    with pytest.raises(TruncationError, match=r"^II-4-A: "):
+        evaluate_labels(["II-4-A"])
+
+
+# the number of terms each job hands to wres_density; a change to how the
+# pieces are built must not move work between jobs unnoticed
+JOB_TERMS = {
+    "I-1": 1, "I-2": 0, "I-3": 0, "I-4": 1, "I-5": 1, "I-6": 1, "I-7": 1,
+    "II-1-A": 2, "II-1-B": 2, "II-1-C": 2, "II-1-D": 2, "II-1-E": 1,
+    "II-1": 9, "II-2": 0,
+    "II-3-A": 1, "II-3-B": 0, "II-3-C": 0, "II-3-D": 1, "II-3-E": 1,
+    "II-3-F": 1, "II-3-G": 1,
+    "II-4-A": 4, "II-4-B": 4, "II-4-C": 4,
+    "II-5": 0, "II-6": 5, "metric": 1,
+}
+
+
+def test_each_job_hands_wres_density_its_pinned_terms(monkeypatch):
+    counts = {}
+    running = []
+    run, density = residue._run, residue.wres_density
+
+    def counted_run(label, job, pieces):
+        running.append(label)
+        try:
+            return run(label, job, pieces)
+        finally:
+            running.pop()
+
+    def counted_density(terms):
+        counts[running[-1]] = counts.get(running[-1], 0) + len(terms)
+        return density(terms)
+    monkeypatch.setattr(residue, "_run", counted_run)
+    monkeypatch.setattr(residue, "wres_density", counted_density)
+    evaluate_labels(LEDGER)
+    assert counts == JOB_TERMS
+
+
+def test_every_leaf_key_names_a_built_piece():
+    for label, row in LEDGER.items():
+        jobs = [row] if isinstance(row, Leaf) else [row.check]
+        for job in filter(None, jobs):
+            for key in (job.left, job.right):
+                name = key[0] if isinstance(key, tuple) else key
+                assert name in residue._BUILD, (label, key)
+
+
+def test_the_full_ledger_builds_every_piece():
+    # a `_BUILD` entry no job reaches is dead code the name-based lint
+    # cannot see
+    pieces = Pieces()
+    evaluate_labels(LEDGER, pieces)
+    assert set(residue._BUILD) <= set(pieces)
 
 
 def test_leaf_jobs_compose_only_origin_terms(monkeypatch):
