@@ -139,7 +139,8 @@ def cmd_verify(args) -> int:
         wanted = [t.strip() for ts in args.term for t in ts.split(",")]
         missing = [t for t in wanted if t not in labels]
         if missing:
-            print(f"unknown term label(s): {', '.join(missing)}",
+            # quoted, so an empty item ("I-1,") is named too
+            print(f"unknown term label(s): {', '.join(map(repr, missing))}",
                   file=sys.stderr)
             return EXIT_USAGE
         labels = wanted

@@ -12,7 +12,7 @@ from itertools import groupby
 from typing import Iterable
 
 from . import sphere
-from .scalars import S_ONE, Scalar
+from .scalars import S_ONE
 from .terms import ContractViolation, F, G, Idx, Term, normalize
 
 Word = tuple[G, ...]
@@ -43,13 +43,14 @@ def c_xi(label: str) -> Term:
     return Term(S_ONE, (F("xi", (label,)),), (c(label),))
 
 
-def scalar_part(w: Word) -> tuple[Term, ...]:
+def scalar_part(w: Word) -> tuple[tuple[int, tuple[F, ...]], ...]:
     """Scalar component of a single-family word as a signed delta sum.
 
-    One term per perfect pairing of the generators (`sphere.pairings`),
-    with one delta per pair and the sign of the pairing; odd words vanish.
-    Each c pair contracts to -delta, each hat pair to +delta.  A pair of
-    two distinct concrete indices is left out, since its delta is zero.
+    One (sign, deltas) pair per perfect pairing of the generators
+    (`sphere.pairings`), with one delta per pair and the sign of the pairing
+    as an int; odd words vanish.  Each c pair contracts to -delta, each hat
+    pair to +delta.  A pair of two distinct concrete indices is left out,
+    since its delta is zero.
     """
     w = tuple(w)
     if len({g.fam for g in w}) > 1:
@@ -57,8 +58,7 @@ def scalar_part(w: Word) -> tuple[Term, ...]:
     if len(w) % 2:
         return ()
     flip = -1 if w and w[0].fam == "c" and len(w) // 2 % 2 else 1
-    return tuple(Term(Scalar.of(sign * flip),
-                      tuple(F("delta", pair) for pair in pairs))
+    return tuple((sign * flip, tuple(F("delta", pair) for pair in pairs))
                  for pairs, sign in sphere.pairings([g.idx for g in w]))
 
 
@@ -111,7 +111,9 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
 
     Words split into their c and hat parts (with the anticommutation sign)
     and each part contracts to its scalar component, so the value is in
-    units of tr[id].  Linear over terms; normalized output.
+    units of tr[id].  Linear over terms; normalized output.  The signs
+    stay ints, so an emitted term's coefficient is the input's, negated at
+    most once.
     """
     out = []
     for t in terms:
@@ -122,9 +124,8 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
         sc_h = scalar_part(hs)
         if not sc_h:
             continue
-        base = Scalar.of(sign) * t.coeff
-        for a in sc_c:
-            for b in sc_h:
-                out.append(Term(base * a.coeff * b.coeff,
-                                t.fac + a.fac + b.fac, (), t.norm))
+        for sa, fa in sc_c:
+            for sb, fb in sc_h:
+                coeff = t.coeff if sign * sa * sb > 0 else -t.coeff
+                out.append(Term(coeff, t.fac + fa + fb, (), t.norm))
     return normalize(out)

@@ -164,10 +164,22 @@ def _signature(t: Term) -> str:
     return "?"
 
 
+def _origin_symbol(symbol: PDOSymbol) -> PDOSymbol:
+    """The symbol's terms without an x factor, exact to x-degree 0.
+
+    As a left factor it gives a composition the same origin terms as the
+    whole symbol: xi-derivatives and products keep every x factor, so a
+    left term with one cannot reach the origin.
+    """
+    return PDOSymbol({order: Component(tuple(origin_terms(comp.terms)), 0)
+                      for order, comp in symbol.comps.items()},
+                     exact=symbol.exact)
+
+
 def _ab0_with(pieces: Pieces, piece: str) -> Component:
     """sigma(A) composed with one piece of sigma_0(B), at order zero and at
     the origin."""
-    b0 = Component(order_zero_pieces("w")[piece], 1)
+    b0 = Component(pieces["B0"][piece], 1)
     ab0 = compose(pieces["A"], PDOSymbol({(0, 0): b0}, exact=True),
                   [(0, 0)]).comps[(0, 0)]
     return Component(tuple(origin_terms(ab0.terms)), ab0.xtrunc)
@@ -184,8 +196,10 @@ _BUILD = {
     "data": lambda p: build_laplace_data(),
     "par0": lambda p: parametrix_symbols(p["data"], 0),
     "par1": lambda p: parametrix_symbols(p["data"], 1),
-    "A": lambda p: symbol_of_a(),
+    # every job reads A B and its pieces at the origin, so A is cut first
+    "A": lambda p: _origin_symbol(symbol_of_a()),
     "B": lambda p: symbol_of_b(),
+    "B0": lambda p: order_zero_pieces("w"),
     "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)]),
     "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
     "par0_top": lambda p: p["par0"].comps[(0, -2)],

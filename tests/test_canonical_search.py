@@ -382,7 +382,7 @@ def test_word_reorders_reuse_label_counts(monkeypatch):
 
 def _prepass_terms(seed=101):
     """The raw difference the taylor_diff benchmark's comparison at `seed`
-    normalizes fold-free before differentiating it."""
+    merges and normalizes fold-free before differentiating it."""
     inputs = bench_workloads().taylor_inputs(seed)
     return inputs.derived + tuple(t._replace(coeff=-t.coeff)
                                   for t in inputs.printed)
@@ -428,6 +428,45 @@ def test_prepass_work_counts(monkeypatch):
     assert normalize(raw, fold_fields=False) == ()
     assert calls == {"label_counts": 36, "_factor_facts": 118,
                      "_partner_keys": 118}
+
+
+def test_merge_prepass_work_counts(monkeypatch):
+    """Deterministic work counts of the seed-101 comparison, which merges
+    equal presentations before it normal orders: the 36 raw terms of the
+    difference give 27 canonical presentations as written, 18 of which
+    survive the merge; these reduce to 30 terms, whose 15 presentations
+    all cancel.  `_finalize` runs 66 times, 36 in the merge and 30 in
+    `normalize`, where `normalize` alone runs it 118 times
+    (`test_prepass_work_counts`)."""
+    raw = _prepass_terms()
+    finalized, merged, reduced = [], [], []
+    finalize, merge, reduce_ = terms._finalize, terms._merge, terms._reduce
+
+    def counted_finalize(*args):
+        finalized.append(args)
+        return finalize(*args)
+
+    def counted_merge(presentations):
+        merged.append(merge(presentations))
+        return merged[-1]
+
+    def counted_reduce(t, fold_fields=True):
+        out = reduce_(t, fold_fields)
+        reduced.extend(out)
+        return out
+    monkeypatch.setattr(terms, "_finalize", counted_finalize)
+    monkeypatch.setattr(terms, "_merge", counted_merge)
+    monkeypatch.setattr(terms, "_reduce", counted_reduce)
+    survivors = terms.merge_presentations(raw)
+    assert (len(raw), len(merged[0]), len(survivors)) == (36, 27, 18)
+    assert normalize(survivors, fold_fields=False) == ()
+    assert (len(reduced), len(merged[1])) == (30, 15)
+    assert len(finalized) == 66
+    # the comparison itself does the same work
+    inputs = bench_workloads().taylor_inputs(101)
+    finalized.clear()
+    assert pdo.terms_equal_taylor(inputs.derived, inputs.printed) is True
+    assert len(finalized) == 66
 
 
 def _ring(ends):

@@ -106,6 +106,15 @@ def test_verify_unknown_term_is_usage_error(capsys):
     assert "unknown term" in err
 
 
+def test_verify_names_an_empty_term_label(capsys):
+    code, out, err = run(capsys, "verify", "--term", "I-1,")
+    assert (code, out) == (2, "")
+    assert err == "unknown term label(s): ''\n"
+    code, _, err = run(capsys, "verify", "--term", "I-99, ", "--term", "II-2")
+    assert code == 2
+    assert err == "unknown term label(s): 'I-99', ''\n"
+
+
 def test_verify_bad_golden_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "golden.json"
     bad.write_text("{\"values\": {\"I-1\": {\"g(u,w)\": [\"x\"]}}, "

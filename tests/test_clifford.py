@@ -50,29 +50,30 @@ def test_normal_order_idempotent():
 
 
 def test_scalar_part_examples():
-    t = one(cl.scalar_part((cl.c("a"), cl.c("b"))))
-    assert t.coeff == Scalar.of(-1)
-    assert t.fac == (F("delta", ("a", "b")),)
+    # (sign, deltas) pairs, the sign an int
+    assert cl.scalar_part((cl.c("a"), cl.c("b"))) == (
+        (-1, (F("delta", ("a", "b")),)),)
     assert cl.scalar_part((cl.c("a"), cl.c("b"), cl.c("c"))) == ()
-    assert one(cl.scalar_part(())).coeff == S_ONE
+    assert cl.scalar_part(()) == ((1, ()),)
     # the quartic expansion: d_rj d_fp - d_rf d_jp + d_rp d_jf
     got = cl.scalar_part((cl.c("r"), cl.c("j"), cl.c("f"), cl.c("p")))
+    assert all(type(sign) is int for sign, _ in got)
     want = [
         Term(S_ONE, (fct("delta", "r", "j"), fct("delta", "f", "p"))),
         Term(Scalar.of(-1), (fct("delta", "r", "f"), fct("delta", "j", "p"))),
         Term(S_ONE, (fct("delta", "r", "p"), fct("delta", "j", "f"))),
     ]
-    assert sums_equal(got, want)
+    assert sums_equal([Term(Scalar.of(sign), fac) for sign, fac in got],
+                      want)
     # pairs of distinct concrete indices are left out as they are built
     got = cl.scalar_part((cl.c(1), cl.c(2), cl.c("a"), cl.c(1)))
-    assert got == (
-        Term(S_ONE, (fct("delta", 1, 1), fct("delta", 2, "a"))),
-    )
+    assert got == ((1, (fct("delta", 1, 1), fct("delta", 2, "a"))),)
 
 
 def test_scalar_part_hat_family_sign():
-    t = one(cl.scalar_part((cl.chat("a"), cl.chat("b"))))
-    assert t.coeff == S_ONE  # +delta for the hat family
+    # +delta for the hat family
+    assert cl.scalar_part((cl.chat("a"), cl.chat("b"))) == (
+        (1, (F("delta", ("a", "b")),)),)
 
 
 def test_scalar_part_rejects_mixed_families():

@@ -6,12 +6,13 @@ from wittenres import clifford as cl
 from wittenres.operators import (build_laplace_data, cu_cw_symbol,
                                  parametrix_symbols, symbol_of_a,
                                  symbol_of_b)
-from wittenres.pdo import compose, origin_terms, terms_equal_taylor
+from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
+                           terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
 from wittenres.residue import Pieces, wres_density
 from wittenres.scalars import S_ONE, Scalar
 from wittenres.tensor import ScalarInvariantExpr, canonicalize, collect
-from wittenres.terms import mul_terms, normalize
+from wittenres.terms import Term, mul_terms, normalize
 
 
 def test_taylor_coefficient_antisymmetry():
@@ -58,6 +59,40 @@ def test_parametrix_density_is_gilkey_a2_of_the_operator():
     want = ScalarInvariantExpr({atom: m_minus_1 * coeff
                                 for atom, coeff in a2.entries.items()})
     assert wres_density(origin_terms(Pieces()["par1_top"].terms)) == want
+
+
+def test_left_identity_at_the_origin():
+    # sigma(Delta) at the origin is |xi|^2 + E: the connection laplacian's
+    # first- and zero-order symbols vanish there in normal coordinates.
+    # The left factor is only xi-differentiated, so its origin value gives
+    # the origin value of Delta o Delta^{-m} = Delta^{-m+1}, as normal
+    # forms, at all three orders and symbolic m
+    data = build_laplace_data()
+    laplace = PDOSymbol({(2, 0): Component((Term(S_ONE, (), (), (2, 0)),),
+                                           None),
+                         (0, 0): Component(data.endo, None)}, exact=True)
+    orders = [(2, -2), (1, -2), (0, -2)]
+    got = compose(laplace, parametrix_symbols(data, 0), orders)
+    want = parametrix_symbols(data, 1)
+    for order, count in zip(orders, (1, 0, 5)):
+        lhs = normalize(origin_terms(got.comps[order].terms))
+        rhs = normalize(origin_terms(want.comps[order].terms))
+        assert len(rhs) == count, order
+        assert lhs == rhs, order
+
+
+def test_left_identity_residue_with_the_derived_operator():
+    # with the derived sigma(D_V) o sigma(D_V) as the left factor, the
+    # normal forms still differ by ROADMAP item 2's two gaps, but the
+    # residue of Delta o Delta^{-m} at order -2m is Wres(Delta^{-m+1})
+    sigma = oracle.dirac_symbol()
+    square = compose(sigma, sigma, [(2, 0), (1, 0), (0, 0)])
+    got = compose(square, parametrix_symbols(build_laplace_data(), 0),
+                  [(0, -2)])
+    m_minus_1 = Scalar.poly((-1, 1))
+    want = ScalarInvariantExpr({"s": -m_minus_1 * Scalar.of(1, 12),
+                                "|V|^2": -m_minus_1})
+    assert wres_density(origin_terms(got.comps[(0, -2)].terms)) == want
 
 
 def test_parametrix_requires_known_power():

@@ -3,17 +3,18 @@ from fractions import Fraction
 import pytest
 from oracle import TensorAssignment, at_m, part2_compose_check
 
-from wittenres.operators import (build_laplace_data, parametrix_symbols,
-                                 symbol_of_a, symbol_of_b)
-from wittenres.pdo import Component, TruncationError, compose
-from wittenres import residue, tensor
+from wittenres.operators import (build_laplace_data, order_zero_pieces,
+                                 parametrix_symbols, symbol_of_a, symbol_of_b)
+from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
+                           origin_terms)
+from wittenres import pdo, residue, tensor
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
                                wres_density)
 from wittenres.scalars import S_I, S_ONE
 from wittenres.tensor import ScalarInvariantExpr
-from wittenres.terms import Term, fct
+from wittenres.terms import Term, fct, normalize
 
 FR = Fraction
 
@@ -299,3 +300,52 @@ def test_everything_is_real(ledger):
     for lab in ledger:
         for coeff in ledger[lab].entries.values():
             assert coeff.is_real()
+
+
+def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
+    """A B and the three II-1 pieces take A cut to its origin terms.  A
+    left term with an x factor keeps it through xi-derivatives and
+    products, so the cut leaves every origin term as it was and saves the
+    products: 22 for A B and 5 for each II-1 piece, where the whole A took
+    30 and 7."""
+    pieces = Pieces()
+    for name in ("A", "B", "B0"):
+        pieces[name]
+    products = []
+    mul = pdo.mul_terms
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(pdo, "mul_terms", counted)
+    counts = {}
+    for name in ("AB", "ab0_conn_c", "ab0_conn_h", "ab0_vec"):
+        products.clear()
+        pieces[name]
+        counts[name] = len(products)
+    assert counts == {"AB": 22, "ab0_conn_c": 5, "ab0_conn_h": 5,
+                      "ab0_vec": 5}
+    monkeypatch.undo()
+    whole = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
+    for order, comp in whole.comps.items():
+        assert (normalize(origin_terms(pieces["AB"].comps[order].terms))
+                == normalize(origin_terms(comp.terms))), order
+    b0 = order_zero_pieces("w")
+    for piece in ("conn_c", "conn_h", "vec"):
+        sym = PDOSymbol({(0, 0): Component(b0[piece], 1)}, exact=True)
+        comp = compose(symbol_of_a(), sym, [(0, 0)]).comps[(0, 0)]
+        assert (normalize(pieces[f"ab0_{piece}"].terms)
+                == normalize(origin_terms(comp.terms))), piece
+
+
+def test_a_full_run_builds_the_order_zero_pieces_once(monkeypatch):
+    # each II-1 piece used to build all three pieces of sigma_0(B)
+    built = []
+    pieces_of = residue.order_zero_pieces
+
+    def counted(field):
+        built.append(field)
+        return pieces_of(field)
+    monkeypatch.setattr(residue, "order_zero_pieces", counted)
+    evaluate_labels(LEDGER)
+    assert built == ["w"]

@@ -14,7 +14,10 @@ a sum's value as a function of x: only the folds u_a w_a -> guw,
 u_a ric_ab w_b -> ricuw and v_a v_a -> vsq turn a field pair into a
 constant, so only they must wait until after the derivative.
 `fold_after_derivative_taylor_equal`, the chain without that pre-pass, is
-the reference the pre-pass must agree with.
+the reference the pre-pass must agree with.  Before it, `merge_presentations`
+sums the raw terms that are equal as written; it keeps values and, since
+`normalize` reduces each term on its own, the normal form of the
+presentations it sums.
 """
 
 import random
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracle import TensorAssignment, sums_equal
-from test_canonical_search import bench_workloads, small_terms
+from test_canonical_search import bench_workloads, small_terms, variants
 
 from wittenres import pdo
 from wittenres.operators import symbol_of_a, symbol_of_b
@@ -31,8 +34,10 @@ from wittenres.pdo import (_fresh_labels, compose, d_x_terms, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (NormalizeError, Term, fct, label_counts,
-                             map_labels, normalize, term_key)
+from wittenres.terms import (ContractViolation, G, NormalizeError, Term,
+                             _finalize, _structural_key, fct, label_counts,
+                             map_labels, merge_presentations, normalize,
+                             term_key)
 
 XORDER = 2
 FIELDS = ("u", "w", "v")
@@ -299,6 +304,91 @@ def test_fold_free_normalize_preserves_values(ts):
 def test_fold_free_normalize_is_normalize_without_field_pairs(ts):
     # one field kind alone, or none, has no pair to fold
     assert normalize(ts, fold_fields=False) == normalize(ts)
+
+
+def presentations(ts) -> list[Term]:
+    """Each term's canonical presentation as written, none merged."""
+    out = []
+    for t in ts:
+        counts = label_counts(t)
+        skeys = [_structural_key(f, counts) for f in t.fac]
+        out.append(_finalize(t, counts, skeys))
+    return [t for t in out if t is not None]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(x_graded_sums(FIELD_WORD_TERMS))
+def test_merge_keeps_the_normal_form_of_the_presentations(ts):
+    """`normalize` reduces each term on its own, so summing equal
+    presentations first changes no normal form.  A presentation may hold
+    a factor in another symmetry variant than its term, and `normalize`'s
+    word order still depends on the variant (ROADMAP item 2), so this
+    compares with the unmerged presentations, not with the terms."""
+    merged = merge_presentations(ts)
+    assert len(merged) <= len(ts)
+    for fold_fields in (True, False):
+        assert (normalize(merged, fold_fields=fold_fields)
+                == normalize(presentations(ts), fold_fields=fold_fields))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(contracted_field_sums())
+def test_merge_preserves_values(ts):
+    # a renamed copy of the first term, so that the merge sums two
+    ts = ts + [map_labels(t, {lab: f"z{lab}" for lab in label_counts(t)})
+               for t in ts[:1]]
+    assign = TensorAssignment(11, 4)
+    merged = merge_presentations(ts)
+    assert len(merged) < len(ts)
+    assert assign.evaluate(merged) == assign.evaluate(ts)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_merge_keeps_the_normal_form_of_a_symmetric_pair():
+    # ric(f,a) c_a c_f and its presentation ric(_d00,_d01) c_d00 c_d01 are
+    # equal, -s each, but the word keys read the raw Ricci slots: normalize
+    # swaps the first word and not the second, 2 ric c c + 4 s against
+    # -2 ric c c
+    t = Term(Scalar.of(-2), (fct("ric", "f", "a"),), (G("c", "a"),
+                                                     G("c", "f")))
+    assert normalize(merge_presentations([t])) == normalize([t])
+
+
+@st.composite
+def negated_copies(draw):
+    """Small terms, and a copy of their negative: each term's dummies get
+    fresh names, its factors are shuffled and one factor takes a symmetry
+    variant with its sign, and the copy's terms are shuffled."""
+    ts = draw(st.lists(FIELD_WORD_TERMS, min_size=1, max_size=3))
+    copy = []
+    for t in ts:
+        dummies = sorted(lab for lab, n in label_counts(t).items() if n == 2)
+        t = map_labels(t, {lab: f"z{k}" for k, lab in enumerate(dummies)})
+        fac = list(draw(st.permutations(t.fac)))
+        coeff = -t.coeff
+        if fac:
+            k = draw(st.integers(0, len(fac) - 1))
+            fac[k], sign = draw(st.sampled_from(variants(fac[k])))
+            coeff = coeff if sign == 1 else -coeff
+        copy.append(Term(coeff, tuple(fac), t.word, t.norm))
+    return ts, draw(st.permutations(copy))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(negated_copies())
+def test_merge_cancels_a_renamed_shuffled_negative(case):
+    ts, copy = case
+    assert merge_presentations(list(ts) + list(copy)) == []
+
+
+def test_merge_refuses_a_label_used_three_times():
+    t = Term(S_ONE, (fct("u", "a"), fct("w", "a")), (G("c", "a"),))
+    with pytest.raises(ContractViolation, match="more than twice"):
+        merge_presentations([t])
 
 
 @pytest.fixture(scope="module")
