@@ -13,7 +13,8 @@ from typing import Iterable
 
 from . import sphere
 from .scalars import S_ONE
-from .terms import ContractViolation, F, G, Idx, Term, normalize
+from .terms import (ContractViolation, F, G, Idx, Term, contract_deltas,
+                    label_counts, normalize)
 
 Word = tuple[G, ...]
 
@@ -114,6 +115,11 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
     units of tr[id].  Linear over terms; normalized output.  The signs
     stay ints, so an emitted term's coefficient is the input's, negated at
     most once.
+
+    `normalize` gets one term per pairing of the word, with no word and
+    with the pairing's deltas already applied (`terms.contract_deltas`):
+    the word's labels move into the deltas one for one, so the input
+    term's label counts serve every pairing.
     """
     out = []
     for t in terms:
@@ -124,8 +130,12 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
         sc_h = scalar_part(hs)
         if not sc_h:
             continue
+        counts = label_counts(t)
         for sa, fa in sc_c:
             for sb, fb in sc_h:
                 coeff = t.coeff if sign * sa * sb > 0 else -t.coeff
-                out.append(Term(coeff, t.fac + fa + fb, (), t.norm))
+                paired = contract_deltas(Term(coeff, t.fac, (), t.norm),
+                                         fa + fb, counts)
+                if paired is not None:
+                    out.append(paired)
     return normalize(out)

@@ -11,12 +11,13 @@ callers take that from a term sum with `origin_terms`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .scalars import S_I, S_ONE, Scalar
-from .terms import (F, Idx, NormalizeError, Term, merge_presentations,
-                    mul_terms, normalize)
+from .terms import (F, Idx, NormalizeError, Term, contract_deltas,
+                    label_counts, merge_presentations, mul_terms, normalize)
 
 Order = tuple[int, int]
 
@@ -25,10 +26,21 @@ class TruncationError(Exception):
     """A composition asked for symbol data outside the stored truncation."""
 
 
-class Component(NamedTuple):
-    terms: tuple[Term, ...]
-    # exact up to this x degree (at least 0); None means exact
-    xtrunc: int | None
+class Component(namedtuple("Component", ("terms", "xtrunc", "d_xi"))):
+    """A component's terms, exact up to x degree xtrunc (at least 0; None
+    means exact).  d_xi holds the xi-derivatives of the terms taken so
+    far, keyed by their slot labels in order, so each is taken once
+    however many right components and targets the component pairs with.
+    A copy made by `_replace` shares it, which holds while the copy keeps
+    the terms; a pickled or copied component starts with an empty one."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[Term, ...], xtrunc: int | None):
+        return super().__new__(cls, terms, xtrunc, {})
+
+    def __getnewargs__(self):
+        return self.terms, self.xtrunc
 
 
 class PDOSymbol:
@@ -65,19 +77,34 @@ class PDOSymbol:
                               f"{sorted(self.comps)}")
 
 
+def x_degree(t: Term) -> int:
+    """The number of x factors of a term."""
+    return sum(1 for f in t.fac if f.kind == "x")
+
+
 def origin_terms(terms: Iterable[Term]) -> list[Term]:
     """The terms that survive at the origin: those without an x factor."""
-    return [t for t in terms if not any(f.kind == "x" for f in t.fac)]
+    return [t for t in terms if not x_degree(t)]
 
 
 def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
-    """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2)."""
+    """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2).
+
+    Each delta is applied before `normalize` (`terms.contract_deltas`).
+    """
     out = []
     for t in terms:
+        counts = label_counts(t)
+        if isinstance(j, str):
+            counts[j] = counts.get(j, 0) + 1
         for k, f in enumerate(t.fac):
             if f.kind == "xi":
-                fac = t.fac[:k] + (F("delta", (f.idx[0], j)),) + t.fac[k + 1:]
-                out.append(Term(t.coeff, fac, t.word, t.norm))
+                rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word,
+                            t.norm)
+                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),),
+                                     counts)
+                if dt is not None:
+                    out.append(dt)
         if t.norm != (0, 0):
             p = Scalar.poly((t.norm[0], t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
@@ -107,7 +134,7 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     """
     out = []
     for t in terms:
-        deg = sum(1 for f in t.fac if f.kind == "x")
+        deg = x_degree(t)
         for k, f in enumerate(t.fac):
             if f.kind == "x":
                 new, new_deg = F("delta", (f.idx[0], j)), deg - 1
@@ -135,7 +162,7 @@ def _xt_min(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _fresh_labels(term_lists, count: int) -> list[str]:
+def _fresh_labels(term_lists, count: int) -> tuple[str, ...]:
     used = set()
     for terms in term_lists:
         for t in terms:
@@ -149,27 +176,40 @@ def _fresh_labels(term_lists, count: int) -> list[str]:
         if cand not in used:
             out.append(cand)
         j += 1
-    return out
+    return tuple(out)
 
 
 # (-i)^a by a mod 4
 _PHASE = (S_ONE, -S_I, -S_ONE, S_I)
 
 
-def composition_summand(p: Component, q: Component,
-                        nalpha: int) -> tuple[tuple[Term, ...], int | None]:
+def composition_summand(p: Component, q: Component, nalpha: int,
+                        xmax: int | None = None
+                        ) -> tuple[tuple[Term, ...], int | None]:
     """One block of the composition expansion:
 
         (-i)^a / a! * sum over a abstract slots of
         (d_xi^a p-terms) * (d_x^a q-terms).
 
     The multi-index sum collapses to an unrestricted sum over slot labels
-    shared between the two halves.
+    shared between the two halves.  Each xi-derivative of p is taken once
+    and kept in `p.d_xi`.
+
+    With xmax set, the right terms that can only make products with more
+    than xmax x factors are left out: before the derivatives those with
+    more than nalpha + xmax, and after derivative k those with more than
+    xmax + nalpha - k (`d_x_terms`' own cut), since an x-derivative lowers
+    the x-degree by at most one and a product keeps every x factor of both
+    sides.  The cut is exact for a caller that keeps only terms of
+    x-degree at most xmax, and the block is exact to that degree at most.
     """
     left = p.terms
     labels = _fresh_labels((p.terms, q.terms), nalpha)
-    for lab in labels:
-        left = d_xi_terms(left, lab)
+    for k in range(1, nalpha + 1):
+        got = p.d_xi.get(labels[:k])
+        if got is None:
+            got = p.d_xi[labels[:k]] = d_xi_terms(left, labels[k - 1])
+        left = got
         if not left:
             return (), None
     qx = None if q.xtrunc is None else q.xtrunc - nalpha
@@ -177,8 +217,11 @@ def composition_summand(p: Component, q: Component,
         raise TruncationError(
             f"{nalpha} x-derivative(s) exceed the stored x-Taylor order")
     right = q.terms
-    for lab in labels:
-        right = d_x_terms(right, lab)
+    if xmax is not None:
+        right = [t for t in right if x_degree(t) <= nalpha + xmax]
+    for k, lab in enumerate(labels, 1):
+        right = d_x_terms(right, lab,
+                          xmax=None if xmax is None else xmax + nalpha - k)
     if nalpha:
         # the prefactor goes on the left factor's terms, not on each product
         pref = _PHASE[nalpha % 4] * Scalar.of(1, factorial(nalpha))
@@ -186,11 +229,11 @@ def composition_summand(p: Component, q: Component,
     out = [mul_terms(a, b) for a in left for b in right]
     # left unnormalized: callers evaluate at the origin first, which is far
     # cheaper than canonicalizing x-heavy products that are about to vanish
-    return tuple(out), _xt_min(p.xtrunc, qx)
+    return tuple(out), _xt_min(_xt_min(p.xtrunc, qx), xmax)
 
 
-def compose(P: PDOSymbol, Q: PDOSymbol,
-            targets: Iterable[Order]) -> PDOSymbol:
+def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
+            xmax: int | None = None) -> PDOSymbol:
     """Symbol composition truncated to the requested orders.
 
     sigma(PQ) = sum_alpha (-i)^|a|/a! d_xi^a sigma(P) d_x^a sigma(Q), with
@@ -201,7 +244,10 @@ def compose(P: PDOSymbol, Q: PDOSymbol,
     the xi-derivative side survives, and one of a truncated P that the
     alpha = 0 pairing with Q's top reaches.  A vanishing xi-derivative side
     only short-circuits the check of Q's x-Taylor order in
-    `composition_summand`.
+    `composition_summand`.  With xmax set, right terms that can only make
+    products with more than xmax x factors are left out (see
+    `composition_summand`), and the components are exact to x-degree xmax
+    at most.
     """
     comps: dict[Order, Component] = {}
     for target in targets:
@@ -222,7 +268,7 @@ def compose(P: PDOSymbol, Q: PDOSymbol,
                 qcomp = Q.component((need + nalpha, slope))
                 if not qcomp.terms:
                     continue
-                terms, sxt = composition_summand(pcomp, qcomp, nalpha)
+                terms, sxt = composition_summand(pcomp, qcomp, nalpha, xmax)
                 if terms:
                     acc.extend(terms)
                     xt = _xt_min(xt, sxt)

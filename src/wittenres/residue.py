@@ -25,7 +25,7 @@ from . import clifford, sphere
 from .operators import (build_laplace_data, cu_cw_symbol, order_zero_pieces,
                         parametrix_symbols, symbol_of_a, symbol_of_b)
 from .pdo import (Component, PDOSymbol, TruncationError, compose,
-                  composition_summand, origin_terms)
+                  composition_summand, origin_terms, x_degree)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
 from .terms import ContractViolation, NormalizeError, Term, mul_sums
 
@@ -180,9 +180,8 @@ def _ab0_with(pieces: Pieces, piece: str) -> Component:
     """sigma(A) composed with one piece of sigma_0(B), at order zero and at
     the origin."""
     b0 = Component(pieces["B0"][piece], 1)
-    ab0 = compose(pieces["A"], PDOSymbol({(0, 0): b0}, exact=True),
-                  [(0, 0)]).comps[(0, 0)]
-    return Component(tuple(origin_terms(ab0.terms)), ab0.xtrunc)
+    return compose(pieces["A"], PDOSymbol({(0, 0): b0}, exact=True),
+                   [(0, 0)], xmax=0).comps[(0, 0)]
 
 
 def _origin_product(a: Component, b: Component) -> Component:
@@ -197,10 +196,12 @@ _BUILD = {
     "par0": lambda p: parametrix_symbols(p["data"], 0),
     "par1": lambda p: parametrix_symbols(p["data"], 1),
     # every job reads A B and its pieces at the origin, so A is cut first
+    # and the products keep no x factor
     "A": lambda p: _origin_symbol(symbol_of_a()),
     "B": lambda p: symbol_of_b(),
     "B0": lambda p: order_zero_pieces("w"),
-    "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)]),
+    "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)],
+                            xmax=0),
     "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
     "par0_top": lambda p: p["par0"].comps[(0, -2)],
     "par0_mid": lambda p: p["par0"].comps[(-1, -2)],
@@ -237,6 +238,15 @@ class Pieces(dict):
         return self[key]
 
 
+def _x_cut(comp: Component, xmax: int) -> Component:
+    """The component's terms with at most xmax x factors; the component
+    itself when that is all of them, so its xi-derivatives are kept."""
+    terms = tuple(t for t in comp.terms if x_degree(t) <= xmax)
+    if len(terms) == len(comp.terms):
+        return comp
+    return Component(terms, comp.xtrunc)
+
+
 def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
     """The job's value; a typed engine error on the way names the label and
     keeps its type."""
@@ -244,9 +254,11 @@ def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
         left, right = pieces[job.left], pieces[job.right]
         if job.alpha:
             # xi-derivatives and products keep every x factor, so a left
-            # term with one cannot reach the origin
-            left = Component(tuple(origin_terms(left.terms)), left.xtrunc)
-            terms, _ = composition_summand(left, right, job.alpha)
+            # term with one cannot reach the origin, and nor can a right
+            # term with more x factors than the alpha x-derivatives remove
+            terms, _ = composition_summand(_x_cut(left, 0),
+                                           _x_cut(right, job.alpha),
+                                           job.alpha)
             return wres_density(origin_terms(terms))
         return wres_density(_origin_product(left, right).terms)
     except (NormalizeError, TruncationError, ContractViolation,

@@ -2,25 +2,39 @@
 
 Every coefficient in the engine lives in Q(i)(m): Gaussian rationals whose
 real and imaginary parts are rational functions of the half-dimension
-symbol m.  All arithmetic is exact (fractions.Fraction underneath); nothing
-here ever touches floating point.
+symbol m.  All arithmetic is exact; nothing here ever touches floating
+point.
 
-Most coefficients are polynomials with a real value, so the arithmetic has
-fast paths for them that give the same reduced (num, den) pairs as the
-general route: a RatM with a constant denominator is reduced without a
-polynomial gcd, sums and products of two polynomials skip the cross
-multiplication by denominators, a product with a constant polynomial
-scales the coefficients in place, a Scalar product with a real factor
-takes two RatM products (one when both are real) instead of four, and a
-sum or negation of real Scalars keeps the zero imaginary part as it is.
-Negation rebuilds nothing it need not: a negated polynomial has no new
-trailing zero and a negated reduced fraction stays reduced.
+A Scalar is held in one of two forms, and every value has exactly one, so
+equal values compare and hash equal:
+  * a polynomial in m, real or not, is held as Python ints: the numerators
+    of its real and its imaginary coefficients over one shared positive
+    denominator, in lowest terms.  Nearly every coefficient the ledger
+    makes is one (the constants, the n = 2m of a trace, the i of a
+    symbol).  Their sums, products and negations are int list operations,
+    kept lowest by one int gcd, and build no Fraction per coefficient and
+    no PolyM or RatM per operand.
+  * any other value, one with a denominator in m such as a cosphere moment
+    1/(n (n+2) ...), is held as two RatM parts, and its arithmetic cancels
+    a polynomial gcd.
+An operation with a value of the second form takes the RatM route, and its
+result goes back to the int form when it is a polynomial.  `re` and `im`
+build the RatM parts of an int-form value when asked, and
+`real_poly_coeffs` gives Fractions.
+
+RatM keeps reduced (num, den) pairs of Fraction polynomials.  A constant
+numerator or denominator has no factor to cancel, so it is reduced without
+a gcd, and a denominator that divides the numerator is found by the first
+division of the Euclid steps; a sum or product of two polynomials skips
+the cross multiplication by denominators, a product with a constant
+polynomial scales the coefficients in place, and a negated reduced
+fraction stays reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 
 class PolyM:
@@ -181,12 +195,18 @@ class RatM:
             self.num, self.den = P_ZERO, P_ONE
             return
         if not _reduced:
-            # a constant denominator has no factor to cancel
-            if den.degree() > 0:
-                g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num, _ = num.divmod(g)
-                    den, _ = den.divmod(g)
+            # a constant numerator or denominator has no factor to cancel
+            if den.degree() > 0 and num.degree() > 0:
+                # the first Euclid step: a denominator that divides the
+                # numerator is the whole gcd
+                quot, rem = num.divmod(den)
+                if not rem:
+                    num, den = quot, P_ONE
+                else:
+                    g = poly_gcd(den, rem)
+                    if g.degree() > 0:
+                        num, _ = num.divmod(g)
+                        den, _ = den.divmod(g)
             lead = den.c[-1]
             if lead != 1:
                 num = num.scale(Fraction(1, 1) / lead)
@@ -253,17 +273,82 @@ class RatM:
 R_ZERO = RatM.const(0)
 
 
-class Scalar:
-    """Element of Q(i)(m): re + i*im with RatM parts."""
+def _conv(a, b) -> list:
+    """The int coefficients of the product of two polynomials."""
+    if not a or not b:
+        return []
+    if len(b) == 1:
+        k = b[0]
+        return [x * k for x in a]
+    if len(a) == 1:
+        k = a[0]
+        return [k * y for y in b]
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+    return c
 
-    __slots__ = ("re", "im")
+
+def _plus(a, b) -> list:
+    """The int coefficients of the sum of two polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for k, y in enumerate(b):
+        c[k] += y
+    return c
+
+
+def _lowest(re: list, im: list, den: int) -> "Scalar":
+    """The polynomial (re + i*im) / den, with int coefficient lists and
+    den > 0, in lowest terms."""
+    while re and not re[-1]:
+        re.pop()
+    while im and not im[-1]:
+        im.pop()
+    if not re and not im:
+        return S_ZERO
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re, im, den = [x // g for x in re], [x // g for x in im], den // g
+    out = object.__new__(Scalar)
+    out.nums, out.inums, out.den, out.parts = tuple(re), tuple(im), den, None
+    return out
+
+
+class Scalar:
+    """Element of Q(i)(m): re + i*im.
+
+    A polynomial in m is held as int numerators over one positive int
+    denominator `den`, in lowest terms: `nums` for the real part and
+    `inums` for the imaginary one, each in ascending powers of m with no
+    trailing zero.  Any other value, one with a denominator in m, is held
+    as `parts` = (re, im), two RatM.  The fields of the other form are
+    None.  Every value has one form, so equal values have equal fields
+    and equal hashes.
+    """
+
+    __slots__ = ("nums", "inums", "den", "parts")
 
     def __init__(self, re: RatM, im: RatM = R_ZERO):
-        self.re, self.im = re, im
+        if re.is_polynomial() and im.is_polynomial():
+            # over the least common denominator the reduced Fractions are
+            # in lowest terms
+            den = lcm(*[x.denominator for x in re.num.c + im.num.c])
+            self.nums, self.inums = (
+                tuple([x.numerator * (den // x.denominator) for x in part.num.c])
+                for part in (re, im))
+            self.den, self.parts = den, None
+        else:
+            self.nums = self.inums = self.den = None
+            self.parts = (re, im)
 
     @staticmethod
     def of(p, q=1) -> "Scalar":
-        return Scalar(RatM.const(Fraction(p, q)))
+        x = Fraction(p, q)
+        return _lowest([x.numerator], [], x.denominator)
 
     @staticmethod
     def poly(coeffs) -> "Scalar":
@@ -273,44 +358,76 @@ class Scalar:
     def imag(x=1) -> "Scalar":
         return Scalar(R_ZERO, RatM.const(Fraction(x)))
 
+    def _part(self, nums) -> RatM:
+        den = self.den
+        return RatM(PolyM._raw(tuple([Fraction(x, den) for x in nums])),
+                    P_ONE, _reduced=True)
+
+    @property
+    def re(self) -> RatM:
+        return self.parts[0] if self.nums is None else self._part(self.nums)
+
+    @property
+    def im(self) -> RatM:
+        return self.parts[1] if self.nums is None else self._part(self.inums)
+
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return self.nums == self.inums == ()
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_real(self) -> bool:
-        return self.im.is_zero()
+        return not self.inums if self.nums is not None \
+            else self.parts[1].is_zero()
 
     def __eq__(self, other):
-        return (isinstance(other, Scalar) and self.re == other.re
-                and self.im == other.im)
+        return (isinstance(other, Scalar) and self.nums == other.nums
+                and self.inums == other.inums and self.den == other.den
+                and self.parts == other.parts)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.nums, self.inums, self.den, self.parts))
 
     def __add__(self, other):
-        if self.im.is_zero() and other.im.is_zero():
-            return Scalar(self.re + other.re)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if self.nums is None or other.nums is None:
+            return Scalar(self.re + other.re, self.im + other.im)
+        a, b, da = self.nums, self.inums, self.den
+        c, d, db = other.nums, other.inums, other.den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a, b = [x * sa for x in a], [x * sa for x in b]
+            c, d = [x * sb for x in c], [x * sb for x in d]
+            da *= sa
+        return _lowest(_plus(a, c), _plus(b, d), da)
 
     def __neg__(self):
-        if self.im.is_zero():  # a real value keeps its zero imaginary part
-            return Scalar(-self.re, self.im)
-        return Scalar(-self.re, -self.im)
+        if self.nums is None:
+            return Scalar(-self.parts[0], -self.parts[1])
+        return _lowest([-x for x in self.nums], [-x for x in self.inums],
+                       self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not other.im:
-            if not self.im:
+        if self.nums is None or other.nums is None:
+            x, y = self.is_real(), other.is_real()
+            if x and y:
                 return Scalar(self.re * other.re)
-            return Scalar(self.re * other.re, self.im * other.re)
-        if not self.im:
-            return Scalar(self.re * other.re, self.re * other.im)
-        return Scalar(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+            if y:
+                return Scalar(self.re * other.re, self.im * other.re)
+            if x:
+                return Scalar(self.re * other.re, self.re * other.im)
+            return Scalar(self.re * other.re - self.im * other.im,
+                          self.re * other.im + self.im * other.re)
+        a, b, c, d = self.nums, self.inums, other.nums, other.inums
+        den = self.den * other.den
+        if not b and not d:
+            return _lowest(_conv(a, c), [], den)
+        return _lowest(_plus(_conv(a, c), [-x for x in _conv(b, d)]),
+                       _plus(_conv(a, d), _conv(b, c)), den)
 
     def __truediv__(self, other):
         n2 = other.re * other.re + other.im * other.im
@@ -321,14 +438,14 @@ class Scalar:
 
     def real_poly_coeffs(self):
         """Ascending Fraction coefficients; requires a real polynomial value."""
-        if not self.im.is_zero():
+        if not self.is_real():
             raise ValueError(f"scalar has imaginary part: {self}")
-        if not self.re.is_polynomial():
+        if self.nums is None:
             raise ValueError(f"scalar is not polynomial in m: {self}")
-        return list(self.re.num.c)
+        return [Fraction(x, self.den) for x in self.nums]
 
     def __str__(self):
-        if self.im.is_zero():
+        if self.is_real():
             return str(self.re)
         if self.re.is_zero():
             return f"i*({self.im})"
@@ -337,6 +454,7 @@ class Scalar:
     __repr__ = __str__
 
 
+S_ZERO = Scalar(R_ZERO)
 S_ONE = Scalar.of(1)
 S_I = Scalar.imag(1)
 S_N = Scalar.poly((0, 2))

@@ -15,7 +15,7 @@ from math import prod
 from typing import Iterable
 
 from .scalars import PolyM, P_ONE, RatM, Scalar
-from .terms import F, Idx, Term
+from .terms import F, Idx, Term, contract_deltas, label_counts
 
 
 def pairings(slots):
@@ -37,11 +37,12 @@ def pairings(slots):
 
 
 def _moment_scalar(k: int) -> Scalar:
-    """1 / (n (n+2) ... (n+2k-2)) with n the symbol 2m."""
+    """1 / (n (n+2) ... (n+2k-2)) with n the symbol 2m, built reduced:
+    2^-k over the monic m (m+1) ... (m+k-1)."""
     den = P_ONE
     for j in range(k):
-        den = den * PolyM((2 * j, 2))
-    return Scalar(RatM(P_ONE, den))
+        den = den * PolyM((j, 1))
+    return Scalar(RatM(PolyM.const(Fraction(1, 2 ** k)), den, _reduced=True))
 
 
 def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:
@@ -78,11 +79,23 @@ def integrate_monomial(indices: Iterable[Idx]) -> tuple[Term, ...]:
 def integrate_term(t: Term) -> tuple[Term, ...]:
     """Replace the xi factors of a term by their integral over the unit
     cosphere, where every norm power is one; x factors must be gone.
+
+    Each pairing's deltas are applied at once (`terms.contract_deltas`):
+    the xi labels move into the deltas one for one, so the term's label
+    counts serve every pairing.
     """
     slots = [f.idx[0] for f in t.fac if f.kind == "xi"]
-    rest = tuple(f for f in t.fac if f.kind != "xi")
+    integral = integrate_monomial(slots)
+    if not integral:
+        return ()
+    # every pairing carries the same moment
+    rest = Term(t.coeff * integral[0].coeff,
+                tuple(f for f in t.fac if f.kind != "xi"), t.word)
+    counts = label_counts(t)
     out = []
-    for p in integrate_monomial(slots):
-        out.append(Term(t.coeff * p.coeff, rest + p.fac, t.word))
+    for p in integral:
+        paired = contract_deltas(rest, p.fac, counts)
+        if paired is not None:
+            out.append(paired)
     return tuple(out)
 

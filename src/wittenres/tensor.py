@@ -17,7 +17,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .scalars import Scalar
-from .terms import ATOM_KINDS, F, Term, normalize, term_key
+from .terms import ATOM_KINDS, F, NormalizeError, Term, normalize, term_key
+
+# rewrite steps after which bianchi_pass gives up
+_MAX_BIANCHI_STEPS = 100000
 
 
 class CollectError(Exception):
@@ -40,14 +43,17 @@ def _bianchi_orbit(t: Term, k: int):
 def bianchi_pass(terms: Iterable[Term]) -> tuple[Term, ...]:
     """Eliminate, per cyclic orbit, the maximal Riemann pattern via
     R_abcd = -R_acdb - R_adbc.  Value preserving; terminates because every
-    rewrite strictly lowers the pattern."""
+    rewrite strictly lowers the pattern.  Past _MAX_BIANCHI_STEPS steps it
+    raises NormalizeError."""
     work = list(terms)
     out = []
-    guard = 0
+    steps = 0
     while work:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("bianchi pass did not terminate")
+        steps += 1
+        if steps > _MAX_BIANCHI_STEPS:
+            raise NormalizeError(
+                f"bianchi_pass did not terminate within {_MAX_BIANCHI_STEPS} "
+                f"rewrite steps ({len(work)} term(s) still pending)")
         t = work.pop()
         ks = [k for k, f in enumerate(t.fac) if f.kind == "riem"]
         rewritten = False

@@ -56,18 +56,29 @@ keys that order the word never read dummy names.
 
 Each input term is reduced on its own, and its label counts travel with
 it through `_reduce` instead of being computed again:
-  * the label counts are computed when a term enters and after a factor
-    rule fires; a word rewrite carries them, less the label of a
-    contracted pair, and so does an anticommutator branch, which
-    substitutes its delta away at once (`_substitute_delta`, which the
-    delta rule also runs) and drops the substituted label,
+  * the label counts are computed once, when a term enters.  Every rule
+    carries them, less the labels it contracts away: each factor rule
+    (Riemann to Ricci, Ricci to scalar, the delta rule, the xi pair and
+    the three field folds), a contracted word pair, and an anticommutator
+    branch, which applies its delta at once (`_substitute_delta`, the one
+    home of the delta rule),
   * the factors' structural keys and the partner keys of factor dummies
     are built in one place, `_factor_facts`, once for each term that
-    meets no factor rule, just before its word is ordered,
+    meets no factor rule, just before its word is ordered; a term without
+    a word needs no partner keys,
   * the word's partner keys are built once per word order: a swap carries
     the two swapped keys, unless one names a word position.
 `_finalize` takes the reduced term with its counts and structural keys and
-trusts its word order.
+trusts its word order; a term with no index and no word is its own
+presentation.
+
+The stages that make deltas apply them before normalize sees the terms:
+`contract_deltas` runs the delta rule on a term times a list of deltas,
+carrying one set of label counts through them.  `clifford.trace` hands
+over each pairing of a word with its deltas applied, and so do
+`pdo.d_xi_terms` for xi_a -> delta(a, j) and `sphere.integrate_term` for
+its cosphere pairings; normalize then has no delta of a dummy left to
+substitute.
 
 merge_presentations(terms) is `_finalize` alone on each term as written:
 no factor rule runs and no word is reordered.  It sums equal presentations
@@ -77,7 +88,7 @@ symmetry variants cancel before normal ordering branches them.
 most terms appear on both sides.  normalize does not run it: its other
 callers (derivatives, products, traces) almost never hold two equal
 presentations, and a merge ahead of every normalize call took the whole
-ledger, evaluated in-process, from 23 to 42 ms (best of 12 on a 2-vCPU
+ledger, evaluated in-process, from 16 to 22 ms (best of 12 on a 2-vCPU
 VM).
 
 normalize is not idempotent yet: a word generator is keyed by the raw slot
@@ -254,10 +265,20 @@ def _riem_pair_sign(p: int, q: int):
     return sign, rest
 
 
+def _without(counts, *labels):
+    """The label counts less the given labels, which they hold."""
+    out = counts.copy()
+    for lab in labels:
+        del out[lab]
+    return out
+
+
 def _contract_once(t: Term, counts, fold_fields: bool = True):
     """Apply one reduction rule. Returns None (no rule fired), 'zero',
-    or a replacement Term.  Without fold_fields the field-atom folds
-    (u_a w_a -> guw, u_a ric_ab w_b -> ricuw, v_a v_a -> vsq) never fire."""
+    or the replacement Term with its label counts: `counts` less the
+    labels the rule contracted away.  Without fold_fields the field-atom
+    folds (u_a w_a -> guw, u_a ric_ab w_b -> ricuw, v_a v_a -> vsq) never
+    fire."""
     for k, f in enumerate(t.fac):
         if f.kind == "riem":
             if f.idx[0] == f.idx[1] or f.idx[2] == f.idx[3]:
@@ -276,28 +297,20 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                             nf = F("ric", (f.idx[rest[0]], f.idx[rest[1]]))
                             coeff = t.coeff if sign == 1 else -t.coeff
                             fac = t.fac[:k] + (nf,) + t.fac[k + 1:]
-                            return Term(coeff, fac, t.word, t.norm)
+                            return (Term(coeff, fac, t.word, t.norm),
+                                    _without(counts, i))
         elif f.kind == "ric":
             i = f.idx[0]
             if (f.idx[1] == i and isinstance(i, str)
                     and counts.get(i) == 2):
                 fac = t.fac[:k] + (F("scal", ()),) + t.fac[k + 1:]
-                return Term(t.coeff, fac, t.word, t.norm)
+                return Term(t.coeff, fac, t.word, t.norm), _without(counts, i)
         elif f.kind == "delta":
-            i, j = f.idx
-            rest = t.fac[:k] + t.fac[k + 1:]
-            if i == j:
-                if isinstance(i, int):
-                    return Term(t.coeff, rest, t.word, t.norm)
-                # same symbolic label: trace of the identity
-                if counts.get(i) != 2:
-                    raise ContractViolation(
-                        f"delta({i},{i}) with label count {counts.get(i)}")
-                return Term(t.coeff * S_N, rest, t.word, t.norm)
-            step = _substitute_delta(Term(t.coeff, rest, t.word, t.norm),
-                                     i, j, counts)
+            step = _substitute_delta(
+                Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word, t.norm),
+                *f.idx, counts)
             if step is not None:
-                return step if step == "zero" else step[0]
+                return step
             # both slots free (or free/concrete): delta is kept
     # paired xi factors with one dummy label: sum_a xi_a^2 = |xi|^2
     # (a contracted x_a x_a pair has no carrier and stays as two factors)
@@ -309,8 +322,9 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                 if i in seen:
                     fac = tuple(ff for n, ff in enumerate(t.fac)
                                 if n not in (seen[i], k))
-                    return Term(t.coeff, fac, t.word,
-                                (t.norm[0] + 2, t.norm[1]))
+                    return (Term(t.coeff, fac, t.word,
+                                 (t.norm[0] + 2, t.norm[1])),
+                            _without(counts, i))
                 seen[i] = k
     if not fold_fields:
         return None
@@ -327,7 +341,8 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                 if t.fac[kw].idx[0] == lu:
                     fac = tuple(ff for n, ff in enumerate(t.fac)
                                 if n not in (ku, kw)) + (F("guw", ()),)
-                    return Term(t.coeff, fac, t.word, t.norm)
+                    return (Term(t.coeff, fac, t.word, t.norm),
+                            _without(counts, lu))
             for kr in by_kind.get("ric", ()):
                 ric = t.fac[kr]
                 if lu not in ric.idx:
@@ -339,7 +354,8 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                     if t.fac[kw].idx[0] == other:
                         fac = tuple(ff for n, ff in enumerate(t.fac)
                                     if n not in (ku, kw, kr)) + (F("ricuw", ()),)
-                        return Term(t.coeff, fac, t.word, t.norm)
+                        return (Term(t.coeff, fac, t.word, t.norm),
+                                _without(counts, lu, other))
     vs = by_kind.get("v", ())
     for a in range(len(vs)):
         la = t.fac[vs[a]].idx[0]
@@ -349,31 +365,71 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
             if t.fac[vs[b]].idx[0] == la:
                 fac = tuple(ff for n, ff in enumerate(t.fac)
                             if n not in (vs[a], vs[b])) + (F("vsq", ()),)
-                return Term(t.coeff, fac, t.word, t.norm)
+                return (Term(t.coeff, fac, t.word, t.norm),
+                        _without(counts, la))
     return None
 
 
 def _substitute_delta(rest: Term, i: Idx, j: Idx, counts):
-    """The delta rule for rest * delta(i, j) with i != j.
+    """The delta rule for rest * delta(i, j); `counts` are the label counts
+    of the product.
 
     Returns "zero" for two distinct frame indices, None when the delta is
-    kept (neither slot is a dummy), and otherwise (term, a): the dummy
-    slot a (i before j) is renamed to the other slot in its one other
-    occurrence, in a factor of rest or in its word.
+    kept (neither slot is a dummy), and otherwise the term with its label
+    counts: delta(i, i) is 1 for a frame index and n for a dummy, and for
+    i != j the dummy slot a (i before j) is renamed to the other slot in
+    its one other occurrence, in a factor of rest or in its word.  The
+    counts lose the contracted dummy.
     """
+    if i == j:
+        if isinstance(i, int):
+            return rest, counts
+        # same symbolic label: trace of the identity
+        if counts.get(i) != 2:
+            raise ContractViolation(
+                f"delta({i},{i}) with label count {counts.get(i)}")
+        return (Term(rest.coeff * S_N, rest.fac, rest.word, rest.norm),
+                _without(counts, i))
     if isinstance(i, int) and isinstance(j, int):
         return "zero"
     for a, b in ((i, j), (j, i)):
         if isinstance(a, str) and counts.get(a) == 2:
-            fac = rest.fac
+            fac, word = rest.fac, rest.word
             for k, f in enumerate(fac):
                 if a in f.idx:
                     f = F(f.kind, tuple([b if x == a else x for x in f.idx]))
-                    return (Term(rest.coeff, fac[:k] + (f,) + fac[k + 1:],
-                                 rest.word, rest.norm), a)
-            word = tuple([G(g.fam, b) if g.idx == a else g for g in rest.word])
-            return Term(rest.coeff, fac, word, rest.norm), a
+                    fac = fac[:k] + (f,) + fac[k + 1:]
+                    break
+            else:
+                word = tuple([G(g.fam, b) if g.idx == a else g for g in word])
+            return Term(rest.coeff, fac, word, rest.norm), _without(counts, a)
     return None
+
+
+def contract_deltas(t: Term, deltas: tuple[F, ...], counts) -> Term | None:
+    """t times the delta factors, each applied by the delta rule
+    (`_substitute_delta`), or None when one of them vanishes.
+
+    `counts` are the label counts of the product, and each substitution
+    carries them.  Each delta is applied with the pending ones still in
+    the term, so a dummy whose other slot is in another delta is renamed
+    there; a delta the rule keeps holds no dummy and is put back at the
+    end.  `normalize` then has no delta of a dummy left to substitute.
+    """
+    cur = Term(t.coeff, t.fac + deltas, t.word, t.norm)
+    kept = ()
+    for _ in deltas:
+        last = cur.fac[-1]
+        rest = Term(cur.coeff, cur.fac[:-1], cur.word, cur.norm)
+        step = _substitute_delta(rest, *last.idx, counts)
+        if step == "zero":
+            return None
+        if step is None:
+            cur, kept = rest, (last,) + kept
+        else:
+            cur, counts = step
+    return Term(cur.coeff, cur.fac + kept, cur.word, cur.norm) if kept \
+        else cur
 
 
 def _factor_facts(t: Term, counts):
@@ -384,9 +440,11 @@ def _factor_facts(t: Term, counts):
     structural key).  Both read only the factors and the label counts, so
     they hold while `_order_word` orders the word; this is the one place
     that builds them.  The map is read only for dummies paired with the
-    word, which one factor holds.
+    word, which one factor holds, so a term without a word gets None.
     """
     skeys = [_structural_key(f, counts) for f in t.fac]
+    if not t.word:
+        return skeys, None
     fmap: dict[str, tuple] = {}
     for f, skey in zip(t.fac, skeys):
         rank = KIND_RANK[f.kind]
@@ -448,6 +506,9 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
     (class 3), and a contraction deletes its two keys unless a class-3 key
     is left; then they are built again.
     """
+    if not t.word:
+        out.append((t, counts, facts[0]))
+        return
     w = list(t.word)
     fmap = facts[1]
     keys = _partner_keys(w, counts, fmap)
@@ -475,8 +536,7 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
                         f"word label {g1.idx!r} occurs {counts.get(g1.idx)} "
                         "times")
                 coeff = coeff * S_N  # the dummy pair sums to n
-                counts = {lab: c for lab, c in counts.items()
-                          if lab != g1.idx}
+                counts = _without(counts, g1.idx)
             del w[p:p + 2]
             del keys[p:p + 2]
             if any(key[1][0] == 3 for key in keys):
@@ -512,7 +572,7 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
 
 def _delta_branch(coeff, fac, word, norm, i, j, counts, stack):
     """Push (term, counts) for coeff * fac * delta(i, j) * word, with the
-    delta already substituted away by `_substitute_delta`.
+    delta already applied by `_substitute_delta`.
 
     The term it branched from met no factor rule, and the delta is its
     last factor, so the delta rule is the first to fire.  A substitution
@@ -526,8 +586,7 @@ def _delta_branch(coeff, fac, word, norm, i, j, counts, stack):
         stack.append((Term(coeff, fac + (F("delta", (i, j)),), word, norm),
                       counts))
         return
-    term, a = step
-    stack.append((term, {lab: c for lab, c in counts.items() if lab != a}))
+    stack.append(step)
 
 
 def _checked_counts(t: Term) -> dict[str, int]:
@@ -545,25 +604,23 @@ def _reduce(t: Term, fold_fields: bool = True
     its label counts and its factors' structural keys.
 
     The rewrite stack holds (term, counts).  The label counts are computed
-    fresh only for the input and for the output of a factor rule
-    (`_contract_once`); the word rules carry them, less the label of a
-    contracted pair or of a substituted delta slot.  Every popped term
-    goes through `_contract_once`, and one that meets no factor rule has
-    its word ordered under the facts `_factor_facts` builds for it.
+    for the input alone; every rule carries them, less the labels it
+    contracts away: a factor rule (`_contract_once`), a contracted word
+    pair, a substituted delta slot.  Every popped term goes through
+    `_contract_once`, and one that meets no factor rule has its word
+    ordered under the facts `_factor_facts` builds for it.
     """
+    if t.coeff.is_zero():
+        return []
     out = []
-    stack = [(t, None)]
+    stack = [(t, _checked_counts(t))]
     while stack:
         cur, counts = stack.pop()
-        if cur.coeff.is_zero():
-            continue
-        if counts is None:
-            counts = _checked_counts(cur)
         step = _contract_once(cur, counts, fold_fields)
         if step == "zero":
             continue
         if step is not None:
-            stack.append((step, None))
+            stack.append(step)
             continue
         _order_word(cur, counts, _factor_facts(cur, counts), out, stack)
     return out
@@ -618,8 +675,12 @@ def _finalize(t: Term, counts, skeys):
     presentation maps each label it has placed to that rank, so a
     candidate's factor key is a list of ints.  It is compared with the
     slot minimum position by position and dropped at the first larger
-    one.
+    one.  A term with no index and no word is its own presentation, with
+    its factors in slot order, and builds none of this.
     """
+    if not t.word and not any(f.idx for f in t.fac):
+        return Term(t.coeff, tuple([t.fac[k] for k in sorted(
+            range(len(t.fac)), key=skeys.__getitem__)]), (), t.norm)
     dummies = {lab for lab, c in counts.items() if c == 2}
     names = _dummy_names(len(dummies))[:len(dummies)]
     held = {i for f in t.fac for i in f.idx}.difference(dummies)

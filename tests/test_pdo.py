@@ -1,3 +1,4 @@
+import copy
 import random
 from math import factorial
 
@@ -10,7 +11,7 @@ from wittenres.operators import (build_laplace_data, cu_cw_symbol,
                                  symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            composition_summand, d_x_terms, d_xi_terms,
-                           origin_terms, terms_equal_taylor)
+                           origin_terms, terms_equal_taylor, x_degree)
 from wittenres.scalars import S_I, S_ONE, Scalar
 from wittenres.terms import F, NormalizeError, Term, fct, normalize
 
@@ -109,6 +110,34 @@ def test_compose_sums_every_alpha_homogeneity_allows(k):
     for _ in range(k):
         want = want * (-S_I)
     assert got == (Term(want, ()),)
+
+
+@pytest.mark.parametrize("xmax", [0, 1])
+def test_compose_xmax_keeps_every_term_up_to_that_x_degree(xmax):
+    # the cut leaves out right terms whose products all carry more than
+    # xmax x factors, so the terms of x-degree at most xmax are unchanged
+    targets = [(2, 0), (1, 0), (0, 0)]
+    whole = compose(symbol_of_a(), symbol_of_b(), targets)
+    cut = compose(symbol_of_a(), symbol_of_b(), targets, xmax=xmax)
+    for order, comp in whole.comps.items():
+        got = cut.comps[order]
+        assert got.xtrunc <= xmax
+        assert (normalize([t for t in got.terms if x_degree(t) <= xmax])
+                == normalize([t for t in comp.terms if x_degree(t) <= xmax]))
+    # B is x-linear, so only xmax = 0 leaves a term out
+    assert (len(cut.comps[(0, 0)].terms), len(whole.comps[(0, 0)].terms)) \
+        == ((11, 21) if xmax == 0 else (21, 21))
+
+
+def test_compose_differentiates_a_left_component_once_per_slot():
+    # sigma_1(A) pairs with both components of B at order zero: the first
+    # xi-derivative serves alpha 1 and 2 alike
+    a = symbol_of_a()
+    compose(a, symbol_of_b(), [(0, 0)])
+    assert sorted(a.comps[(1, 0)].d_xi) == [("_a0",), ("_a0", "_a1")]
+    # a copy keeps the terms and starts with no derivative
+    copied = copy.deepcopy(a.comps[(1, 0)])
+    assert copied.terms == a.comps[(1, 0)].terms and copied.d_xi == {}
 
 
 def test_compose_homogeneity_bookkeeping():

@@ -307,7 +307,9 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
     left term with an x factor keeps it through xi-derivatives and
     products, so the cut leaves every origin term as it was and saves the
     products: 22 for A B and 5 for each II-1 piece, where the whole A took
-    30 and 7."""
+    30 and 7.  With xmax=0 they also leave out each right term whose
+    x-derivatives keep an x factor: 14 products for A B and 2 for each
+    connection piece."""
     pieces = Pieces()
     for name in ("A", "B", "B0"):
         pieces[name]
@@ -323,7 +325,7 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
         products.clear()
         pieces[name]
         counts[name] = len(products)
-    assert counts == {"AB": 22, "ab0_conn_c": 5, "ab0_conn_h": 5,
+    assert counts == {"AB": 14, "ab0_conn_c": 2, "ab0_conn_h": 2,
                       "ab0_vec": 5}
     monkeypatch.undo()
     whole = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
@@ -336,6 +338,53 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
         comp = compose(symbol_of_a(), sym, [(0, 0)]).comps[(0, 0)]
         assert (normalize(pieces[f"ab0_{piece}"].terms)
                 == normalize(origin_terms(comp.terms))), piece
+
+
+def test_ab_keeps_only_the_terms_that_reach_the_origin():
+    # A is cut to its origin terms and A B is composed with xmax=0, so no
+    # product carries an x factor: sigma_0(AB) holds the 9 origin terms of
+    # the 15 it held before the right factor was cut too
+    ab = Pieces()["AB"]
+    for comp in ab.comps.values():
+        assert origin_terms(comp.terms) == list(comp.terms)
+        assert comp.xtrunc == 0
+    assert len(ab.comps[(0, 0)].terms) == 9
+
+
+def test_alpha_jobs_cut_the_right_factor(monkeypatch):
+    # a right term with more x factors than the job's x-derivatives remove
+    # cannot reach the origin: II-5 leaves out par0_top's R x x xi xi term
+    rights = {}
+    summand = residue.composition_summand
+
+    def recorded(p, q, nalpha):
+        rights.setdefault(nalpha, []).extend(q.terms)
+        return summand(p, q, nalpha)
+    monkeypatch.setattr(residue, "composition_summand", recorded)
+    ledger = evaluate_labels(LEDGER)
+    monkeypatch.undo()
+    assert set(rights) == {1, 2}
+    for nalpha, terms in rights.items():
+        assert max(pdo.x_degree(t) for t in terms) <= nalpha
+    assert not any(f.kind == "riem" for t in rights[1] for f in t.fac
+                   if pdo.x_degree(t) == 2)
+    assert ledger == evaluate_labels(LEDGER)
+
+
+def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
+    """Each xi-derivative of a left piece is kept on its component: the
+    full ledger takes 6, where it took 14 when every pairing took its
+    own (sigma_1(A) once 6 times, the derivative of sigma_2(AB) 4
+    times)."""
+    calls = []
+    d_xi = pdo.d_xi_terms
+
+    def counted(terms, j):
+        calls.append(j)
+        return d_xi(terms, j)
+    monkeypatch.setattr(pdo, "d_xi_terms", counted)
+    evaluate_labels(LEDGER)
+    assert len(calls) == 6
 
 
 def test_a_full_run_builds_the_order_zero_pieces_once(monkeypatch):

@@ -4,10 +4,11 @@ from fractions import Fraction
 import oracle
 import pytest
 
+from wittenres import tensor
 from wittenres.scalars import Scalar
 from wittenres.tensor import (CollectError, ScalarInvariantExpr,
                               canonicalize, collect)
-from wittenres.terms import F, Term, fct, normalize
+from wittenres.terms import F, NormalizeError, Term, fct, normalize
 
 
 def T(coeff, *facs):
@@ -123,6 +124,16 @@ def test_first_bianchi_pass_kills_cyclic_sum():
     assign = oracle.TensorAssignment(5, 4)
     assert assign.evaluate(canonicalize(t)) == \
         assign.evaluate(normalize([t]))
+
+
+def test_bianchi_guard_raises_a_typed_error(monkeypatch):
+    # a Riemann factor survives normalize, so canonicalize enters the pass
+    t = T(1, fct("riem", "a", "b", "c", "d"), fct("u", "a"), fct("w", "b"),
+          fct("u", "c"), fct("w", "d"))
+    assert canonicalize(t)
+    monkeypatch.setattr(tensor, "_MAX_BIANCHI_STEPS", 0)
+    with pytest.raises(NormalizeError, match="bianchi_pass"):
+        canonicalize(t)
 
 
 def test_collect_invariants():
