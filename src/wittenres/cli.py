@@ -24,7 +24,7 @@ import sys
 from . import clifford, reference, sphere
 from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
                       with_children)
-from .scalars import PolyM, vol_sphere_value
+from .scalars import PolyM
 from .tensor import ScalarInvariantExpr
 
 EXIT_OK = 0
@@ -104,7 +104,7 @@ def _substitute(value: dict, m: int) -> str:
     """Concrete-dimension rendering with the units substituted: TrId is
     2^(2m) and Vol the volume of S^(2m-1)."""
     trid = 2 ** (2 * m)
-    vol_rat, vol_pi = vol_sphere_value(m)
+    vol_rat, vol_pi = sphere.vol_sphere_value(m)
     bits = []
     for atom, coeffs in sorted(value.items()):
         total = PolyM(coeffs).evaluate(m) * trid * vol_rat

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .clifford import c, c_vec, c_xi, chat, chat_v
-from .pdo import Component, PDOSymbol
+from .pdo import Component, Order, PDOSymbol
 from .scalars import S_I, S_ONE, Scalar
 from .terms import F, Term, fct, mul_terms, normalize
 
@@ -60,8 +60,10 @@ def _with(t: Term, coeff: Scalar, extra: tuple[F, ...],
                 (t.norm[0] + norm[0], t.norm[1] + norm[1]))
 
 
-def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
-    """The three leading symbol components of the inverse power.
+def parametrix_terms(data: LaplaceData, power_offset: int
+                     ) -> dict[Order, tuple[list[Term], int]]:
+    """The three leading symbol components of the inverse power, each as
+    its unnormalized terms and the x-degree they are exact to, by order.
 
     power_offset 0 selects the full -2m power, 1 the -2m+2 power; the
     effective half-dimension is mt = m - power_offset and the components sit
@@ -107,12 +109,16 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
     for t in data.endo:
         low.append(_with(t, -mt, (), n_main))
 
-    comps = {
-        (base, -2): Component(normalize(top), 2),
-        (base - 1, -2): Component(normalize(mid), 1),
-        (base - 2, -2): Component(normalize(low), 0),
-    }
-    return PDOSymbol(comps)
+    return {(base, -2): (top, 2), (base - 1, -2): (mid, 1),
+            (base - 2, -2): (low, 0)}
+
+
+def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
+    """The three leading symbol components of the inverse power
+    (`parametrix_terms`), normalized."""
+    return PDOSymbol({order: Component(normalize(terms), xtrunc)
+                      for order, (terms, xtrunc)
+                      in parametrix_terms(data, power_offset).items()})
 
 
 def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:

@@ -6,7 +6,8 @@ differential operator's at (k, 0).  A component's terms are x-Taylor data
 around the base point, and it records how many x-Taylor orders they are
 exact to; requesting data beyond that raises TruncationError rather than
 returning a silent zero.  A symbol is never replaced by its origin value:
-callers take that from a term sum with `origin_terms`.
+a composition is cut to the origin by `composition_summand`'s xmax=0, and
+any other term sum by `origin_terms`.
 """
 
 from __future__ import annotations
@@ -163,6 +164,8 @@ def _xt_min(a: int | None, b: int | None) -> int | None:
 
 
 def _fresh_labels(term_lists, count: int) -> tuple[str, ...]:
+    if not count:
+        return ()
     used = set()
     for terms in term_lists:
         for t in terms:
@@ -195,13 +198,17 @@ def composition_summand(p: Component, q: Component, nalpha: int,
     shared between the two halves.  Each xi-derivative of p is taken once
     and kept in `p.d_xi`.
 
-    With xmax set, the right terms that can only make products with more
-    than xmax x factors are left out: before the derivatives those with
-    more than nalpha + xmax, and after derivative k those with more than
-    xmax + nalpha - k (`d_x_terms`' own cut), since an x-derivative lowers
-    the x-degree by at most one and a product keeps every x factor of both
-    sides.  The cut is exact for a caller that keeps only terms of
-    x-degree at most xmax, and the block is exact to that degree at most.
+    With xmax set, the terms of both factors that can only make products
+    with more than xmax x factors are left out.  On the left those are
+    the xi-derivative terms with more than xmax, cut after the derivatives
+    so that `p.d_xi` holds those of the whole component.  On the right they
+    are, before the x-derivatives, those with more than nalpha + xmax, and
+    after derivative k those with more than xmax + nalpha - k (`d_x_terms`'
+    own cut).  An xi-derivative keeps every x factor, an x-derivative
+    lowers the x-degree by at most one, and a product keeps every x factor
+    of both sides.  So the cut is exact for a caller that keeps only terms
+    of x-degree at most xmax, and the block is exact to that degree at
+    most; with xmax=0 it is the block at the origin.
     """
     left = p.terms
     labels = _fresh_labels((p.terms, q.terms), nalpha)
@@ -212,6 +219,8 @@ def composition_summand(p: Component, q: Component, nalpha: int,
         left = got
         if not left:
             return (), None
+    if xmax is not None:
+        left = [t for t in left if x_degree(t) <= xmax]
     qx = None if q.xtrunc is None else q.xtrunc - nalpha
     if qx is not None and qx < 0:
         raise TruncationError(
@@ -227,8 +236,9 @@ def composition_summand(p: Component, q: Component, nalpha: int,
         pref = _PHASE[nalpha % 4] * Scalar.of(1, factorial(nalpha))
         left = [Term(t.coeff * pref, t.fac, t.word, t.norm) for t in left]
     out = [mul_terms(a, b) for a in left for b in right]
-    # left unnormalized: callers evaluate at the origin first, which is far
-    # cheaper than canonicalizing x-heavy products that are about to vanish
+    # left unnormalized: callers cut to the origin first (xmax=0 or
+    # `origin_terms`), which is far cheaper than canonicalizing x-heavy
+    # products that are about to vanish
     return tuple(out), _xt_min(_xt_min(p.xtrunc, qx), xmax)
 
 
@@ -244,8 +254,8 @@ def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
     the xi-derivative side survives, and one of a truncated P that the
     alpha = 0 pairing with Q's top reaches.  A vanishing xi-derivative side
     only short-circuits the check of Q's x-Taylor order in
-    `composition_summand`.  With xmax set, right terms that can only make
-    products with more than xmax x factors are left out (see
+    `composition_summand`.  With xmax set, the terms of both factors that
+    can only make products with more than xmax x factors are left out (see
     `composition_summand`), and the components are exact to x-degree xmax
     at most.
     """

@@ -11,7 +11,9 @@ total lists the labels it sums, so every labeled intermediate can be
 evaluated on its own and diffed against stored reference values.  Either
 side of a job is a piece's `_BUILD` name, or the key (name, class) for the
 piece's terms of one `_signature` class.  Every xi/x derivative pairing
-of two symbols goes through `pdo.compose` or its `composition_summand`.
+of two symbols goes through `pdo.compose` or its `composition_summand`,
+and each job is one `composition_summand` of its two sides with xmax=0,
+which cuts both to what reaches the origin: the only origin cut here.
 `evaluate_labels` returns a plain dict from label to value in ledger
 order; its "metric" entry is the metric functional, exactly -g(u,w) TrId
 Vol, and its "einstein" entry the Einstein one.
@@ -22,12 +24,13 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from . import clifford, sphere
-from .operators import (build_laplace_data, cu_cw_symbol, order_zero_pieces,
-                        parametrix_symbols, symbol_of_a, symbol_of_b)
+from .operators import (LaplaceData, build_laplace_data, cu_cw_symbol,
+                        order_zero_pieces, parametrix_symbols,
+                        parametrix_terms, symbol_of_a, symbol_of_b)
 from .pdo import (Component, PDOSymbol, TruncationError, compose,
-                  composition_summand, origin_terms, x_degree)
+                  composition_summand)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
-from .terms import ContractViolation, NormalizeError, Term, mul_sums
+from .terms import ContractViolation, NormalizeError, Term, normalize
 
 
 class ResidueError(Exception):
@@ -164,18 +167,6 @@ def _signature(t: Term) -> str:
     return "?"
 
 
-def _origin_symbol(symbol: PDOSymbol) -> PDOSymbol:
-    """The symbol's terms without an x factor, exact to x-degree 0.
-
-    As a left factor it gives a composition the same origin terms as the
-    whole symbol: xi-derivatives and products keep every x factor, so a
-    left term with one cannot reach the origin.
-    """
-    return PDOSymbol({order: Component(tuple(origin_terms(comp.terms)), 0)
-                      for order, comp in symbol.comps.items()},
-                     exact=symbol.exact)
-
-
 def _ab0_with(pieces: Pieces, piece: str) -> Component:
     """sigma(A) composed with one piece of sigma_0(B), at order zero and at
     the origin."""
@@ -184,20 +175,21 @@ def _ab0_with(pieces: Pieces, piece: str) -> Component:
                    [(0, 0)], xmax=0).comps[(0, 0)]
 
 
-def _origin_product(a: Component, b: Component) -> Component:
-    # a product keeps every x factor, so each side is cut first
-    return Component(mul_sums(origin_terms(a.terms), origin_terms(b.terms)),
-                     None)
+def _par1_top(data: LaplaceData) -> Component:
+    """The order -2m component of the reduced (-2m+2) power, the only one
+    of that power a job reads, so the only one normalized."""
+    terms, xtrunc = parametrix_terms(data, 1)[(0, -2)]
+    return Component(normalize(terms), xtrunc)
 
 
 # how each piece is built from the others
 _BUILD = {
     "data": lambda p: build_laplace_data(),
     "par0": lambda p: parametrix_symbols(p["data"], 0),
-    "par1": lambda p: parametrix_symbols(p["data"], 1),
-    # every job reads A B and its pieces at the origin, so A is cut first
-    # and the products keep no x factor
-    "A": lambda p: _origin_symbol(symbol_of_a()),
+    # every job reads A B and its pieces at the origin, so they are
+    # composed with xmax=0, which drops the terms of A and B that cannot
+    # reach it
+    "A": lambda p: symbol_of_a(),
     "B": lambda p: symbol_of_b(),
     "B0": lambda p: order_zero_pieces("w"),
     "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)],
@@ -206,7 +198,7 @@ _BUILD = {
     "par0_top": lambda p: p["par0"].comps[(0, -2)],
     "par0_mid": lambda p: p["par0"].comps[(-1, -2)],
     "par0_low": lambda p: p["par0"].comps[(-2, -2)],
-    "par1_top": lambda p: p["par1"].comps[(0, -2)],
+    "par1_top": lambda p: _par1_top(p["data"]),
     "ab0": lambda p: p["AB"].comps[(0, 0)],
     "ab1": lambda p: p["AB"].comps[(1, 0)],
     "ab2": lambda p: p["AB"].comps[(2, 0)],
@@ -238,29 +230,13 @@ class Pieces(dict):
         return self[key]
 
 
-def _x_cut(comp: Component, xmax: int) -> Component:
-    """The component's terms with at most xmax x factors; the component
-    itself when that is all of them, so its xi-derivatives are kept."""
-    terms = tuple(t for t in comp.terms if x_degree(t) <= xmax)
-    if len(terms) == len(comp.terms):
-        return comp
-    return Component(terms, comp.xtrunc)
-
-
 def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
     """The job's value; a typed engine error on the way names the label and
     keeps its type."""
     try:
-        left, right = pieces[job.left], pieces[job.right]
-        if job.alpha:
-            # xi-derivatives and products keep every x factor, so a left
-            # term with one cannot reach the origin, and nor can a right
-            # term with more x factors than the alpha x-derivatives remove
-            terms, _ = composition_summand(_x_cut(left, 0),
-                                           _x_cut(right, job.alpha),
-                                           job.alpha)
-            return wres_density(origin_terms(terms))
-        return wres_density(_origin_product(left, right).terms)
+        terms, _ = composition_summand(pieces[job.left], pieces[job.right],
+                                       job.alpha, xmax=0)
+        return wres_density(terms)
     except (NormalizeError, TruncationError, ContractViolation,
             ResidueError) as exc:
         raise type(exc)(f"{label}: {exc}") from exc

@@ -34,7 +34,7 @@ fraction stays reduced.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 
 class PolyM:
@@ -458,10 +458,3 @@ S_ZERO = Scalar(R_ZERO)
 S_ONE = Scalar.of(1)
 S_I = Scalar.imag(1)
 S_N = Scalar.poly((0, 2))
-
-
-def vol_sphere_value(m: int):
-    """Exact Vol(S^{2m-1}) = 2*pi^m/(m-1)! as (rational, pi power)."""
-    if m < 1:
-        raise ValueError(f"half-dimension must be positive, got {m}")
-    return Fraction(2, factorial(m - 1)), m

@@ -5,13 +5,14 @@ perfect pairings of delta products, times Vol(S^{n-1})/(n(n+2)...(n+2k-2)).
 Pairings are enumerated directly, leaving out pairs of two distinct concrete
 indices, whose delta is zero; symbolic degrees here never exceed a handful.
 The same signed enumeration gives `clifford.scalar_part`.
-A monomial in concrete indices alone has the closed form `concrete_moment`.
+A monomial in concrete indices alone has the closed form `concrete_moment`,
+and `vol_sphere_value` gives the volume unit itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Iterable
 
 from .scalars import PolyM, P_ONE, RatM, Scalar
@@ -56,6 +57,13 @@ def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:
         return Fraction(0)
     num = prod(prod(range(e - 1, 0, -2)) for e in exps)
     return Fraction(num, prod(n + 2 * j for j in range(sum(exps) // 2)))
+
+
+def vol_sphere_value(m: int):
+    """Exact Vol(S^{2m-1}) = 2*pi^m/(m-1)! as (rational, pi power)."""
+    if m < 1:
+        raise ValueError(f"half-dimension must be positive, got {m}")
+    return Fraction(2, factorial(m - 1)), m
 
 
 def integrate_monomial(indices: Iterable[Idx]) -> tuple[Term, ...]:

@@ -242,11 +242,6 @@ def mul_terms(a: Term, b: Term) -> Term:
                 (a.norm[0] + b.norm[0], a.norm[1] + b.norm[1]))
 
 
-def mul_sums(aa: Iterable[Term], bb: Iterable[Term]) -> tuple[Term, ...]:
-    bb = tuple(bb)
-    return tuple(mul_terms(a, b) for a in aa for b in bb)
-
-
 # ---------------------------------------------------------------------------
 # reduction rules
 

@@ -15,7 +15,6 @@ from wittenres import reference, sphere
 from wittenres.operators import build_laplace_data, parametrix_symbols
 from wittenres.residue import (LEDGER, Pieces, evaluate_labels,
                                part1_top_norm_exponent)
-from wittenres.scalars import vol_sphere_value
 
 FR = Fraction
 
@@ -41,7 +40,7 @@ def test_criterion_1_metric_functional():
     elapsed = time.time() - t0
     exact = expr.coeff_lists() == {"g(u,w)": [FR(-1)]}
     # with the units substituted at m = 2: -2^{2m} * 2 pi^m / Gamma(m)
-    vol_rat, vol_pi = vol_sphere_value(2)
+    vol_rat, vol_pi = sphere.vol_sphere_value(2)
     subst = at_m(expr.entries["g(u,w)"], 2)[0] * 2 ** 4 * vol_rat
     report(1, "metric functional -g(u,w)*TrId*Vol in "
               f"{elapsed:.2f}s", exact and subst == -32 and vol_pi == 2

@@ -80,7 +80,7 @@ def test_verify_term_evaluates_only_its_job(monkeypatch, capsys):
         counted(module, "composition_summand")
     code, _, _ = run(capsys, "verify", "--term", "I-2")
     assert code == 0
-    assert calls == {"wres_density": 1, "composition_summand": 0}
+    assert calls == {"wres_density": 1, "composition_summand": 1}
 
 
 def test_verify_json_matches_recorded_report(capsys):
@@ -184,16 +184,23 @@ def test_verify_golden_bad_norm_exponent_shape(tmp_path, capsys, norms):
 
 
 def test_verify_builds_each_parametrix_once(monkeypatch, capsys):
-    offsets = []
-    original = residue.parametrix_symbols
+    # the full power as a symbol, and of the reduced power only the terms
+    # of the one component Part I reads
+    offsets = {"parametrix_symbols": [], "parametrix_terms": []}
 
-    def counted(data, offset):
-        offsets.append(offset)
-        return original(data, offset)
-    monkeypatch.setattr(residue, "parametrix_symbols", counted)
+    def counted(name):
+        original = getattr(residue, name)
+
+        def wrapper(data, offset):
+            offsets[name].append(offset)
+            return original(data, offset)
+        monkeypatch.setattr(residue, name, wrapper)
+
+    counted("parametrix_symbols")
+    counted("parametrix_terms")
     code, _, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
-    assert sorted(offsets) == [0, 1]
+    assert offsets == {"parametrix_symbols": [0], "parametrix_terms": [1]}
 
 
 def test_verify_mismatching_golden_exits_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ from oracle import at_m, sums_equal, word_term
 
 from wittenres import clifford as cl
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (ContractViolation, F, Term, fct, mul_sums,
+from wittenres.terms import (ContractViolation, F, Term, fct, mul_terms,
                              normalize)
 
 
@@ -17,17 +17,13 @@ def one(terms):
 
 
 def test_multiply_concatenates_without_reduction():
-    a = (word_term((cl.c(1),)),)
-    prod = mul_sums(a, a)
-    assert len(prod) == 1
-    assert prod[0].word == (cl.c(1), cl.c(1))
+    a = word_term((cl.c(1),))
+    assert mul_terms(a, a).word == (cl.c(1), cl.c(1))
     # identity times p is p
-    ident = (word_term(()),)
-    p = (word_term((cl.c(1), cl.chat(2))),)
-    assert mul_sums(ident, p)[0].word == p[0].word
-    mixed = mul_sums((word_term((cl.c(1),)),),
-                        (word_term((cl.chat(2),)),))
-    assert mixed[0].word == (cl.c(1), cl.chat(2))
+    p = word_term((cl.c(1), cl.chat(2)))
+    assert mul_terms(word_term(()), p).word == p.word
+    mixed = mul_terms(word_term((cl.c(1),)), word_term((cl.chat(2),)))
+    assert mixed.word == (cl.c(1), cl.chat(2))
 
 
 def test_normal_order_contractions():
@@ -83,8 +79,7 @@ def test_scalar_part_rejects_mixed_families():
 
 def test_trace_basic_values():
     # tr[c(u)c(w)] = -g(u,w) tr[id]
-    t = one(cl.trace(mul_sums((cl.c_vec("u", "r"),),
-                                 (cl.c_vec("w", "k"),))))
+    t = one(cl.trace([mul_terms(cl.c_vec("u", "r"), cl.c_vec("w", "k"))]))
     assert t.fac == (F("guw", ()),) and t.coeff == Scalar.of(-1)
     assert cl.trace([word_term((cl.c(1), cl.chat(1)))]) == ()
     ident = one(cl.trace([word_term(())]))
@@ -172,7 +167,8 @@ def test_trace_cyclicity_via_matrix_oracle():
                 total += re * 2 ** n
             return total
 
-        pq, qp = tr_val(mul_sums(p, q)), tr_val(mul_sums(q, p))
+        pq = tr_val([mul_terms(a, b) for a in p for b in q])
+        qp = tr_val([mul_terms(b, a) for a in p for b in q])
         assert pq == qp
         # and both agree with the matrix trace
         mat = sum(int(at_m(a.coeff, 2)[0]) * int(at_m(b.coeff, 2)[0])

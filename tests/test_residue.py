@@ -223,19 +223,53 @@ def test_the_full_ledger_builds_every_piece():
     assert set(residue._BUILD) <= set(pieces)
 
 
-def test_leaf_jobs_compose_only_origin_terms(monkeypatch):
-    # xi-derivatives and products keep every x factor, so a left term with
-    # one cannot reach the origin and no job hands it to the composition
-    lefts = []
+def _jobs():
+    """Every job of the ledger, the total checks included, by label."""
+    for label, row in LEDGER.items():
+        job = row if isinstance(row, Leaf) else row.check
+        if job:
+            yield label, job
+
+
+def test_every_job_is_one_summand_cut_to_the_origin(monkeypatch, ledger):
+    # each job hands its two sides to composition_summand with xmax=0, and
+    # the summand itself leaves out a right term with more x factors than
+    # the job's x-derivatives remove: II-5 drops par0_top's R x x xi xi
+    # term before differentiating it
+    calls = []
     summand = residue.composition_summand
 
-    def recorded(p, q, nalpha):
-        lefts.extend(p.terms)
-        return summand(p, q, nalpha)
+    def recorded(p, q, nalpha, xmax=None):
+        calls.append(xmax)
+        return summand(p, q, nalpha, xmax)
     monkeypatch.setattr(residue, "composition_summand", recorded)
-    evaluate_labels(LEDGER)
-    assert lefts
-    assert [t for t in lefts if any(f.kind == "x" for f in t.fac)] == []
+    pieces = Pieces()
+    assert evaluate_labels(LEDGER, pieces) == ledger
+    assert calls == [0] * len(list(_jobs()))
+
+    differentiated = []
+    d_x = pdo.d_x_terms
+
+    def recorded_d_x(terms, j, strict=True, xmax=None):
+        differentiated.extend(terms)
+        return d_x(terms, j, strict, xmax)
+    monkeypatch.setattr(pdo, "d_x_terms", recorded_d_x)
+    evaluate_labels(["II-5"], pieces)
+    rxx = [t for t in pieces["par0_top"].terms if pdo.x_degree(t) == 2]
+    assert rxx and all(any(f.kind == "riem" for f in t.fac) for t in rxx)
+    assert differentiated
+    assert not [t for t in differentiated if t in rxx]
+
+
+def test_a_cut_summand_is_the_origin_of_the_whole_one():
+    # cutting both factors inside the summand keeps every origin term of
+    # the uncut summand, for every job of the ledger
+    pieces = Pieces()
+    for label, job in _jobs():
+        left, right = pieces[job.left], pieces[job.right]
+        cut, _ = pdo.composition_summand(left, right, job.alpha, xmax=0)
+        whole, _ = pdo.composition_summand(left, right, job.alpha)
+        assert normalize(cut) == normalize(origin_terms(whole)), label
 
 
 def test_compose_path_agrees_with_summand_path(ledger):
@@ -303,13 +337,13 @@ def test_everything_is_real(ledger):
 
 
 def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
-    """A B and the three II-1 pieces take A cut to its origin terms.  A
-    left term with an x factor keeps it through xi-derivatives and
-    products, so the cut leaves every origin term as it was and saves the
-    products: 22 for A B and 5 for each II-1 piece, where the whole A took
-    30 and 7.  With xmax=0 they also leave out each right term whose
-    x-derivatives keep an x factor: 14 products for A B and 2 for each
-    connection piece."""
+    """A B and the three II-1 pieces are composed with xmax=0, which cuts
+    A's xi-derivative terms to their origin terms.  A left term with an x
+    factor keeps it through xi-derivatives and products, so the cut leaves
+    every origin term as it was and saves the products: 22 for A B and 5
+    for each II-1 piece, where the whole A took 30 and 7.  The cut also
+    leaves out each right term whose x-derivatives keep an x factor: 14
+    products for A B and 2 for each connection piece."""
     pieces = Pieces()
     for name in ("A", "B", "B0"):
         pieces[name]
@@ -341,34 +375,14 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
 
 
 def test_ab_keeps_only_the_terms_that_reach_the_origin():
-    # A is cut to its origin terms and A B is composed with xmax=0, so no
-    # product carries an x factor: sigma_0(AB) holds the 9 origin terms of
-    # the 15 it held before the right factor was cut too
+    # A B is composed with xmax=0, which cuts both factors, so no product
+    # carries an x factor: sigma_0(AB) holds the 9 origin terms of the 15
+    # it held when only A was cut
     ab = Pieces()["AB"]
     for comp in ab.comps.values():
         assert origin_terms(comp.terms) == list(comp.terms)
         assert comp.xtrunc == 0
     assert len(ab.comps[(0, 0)].terms) == 9
-
-
-def test_alpha_jobs_cut_the_right_factor(monkeypatch):
-    # a right term with more x factors than the job's x-derivatives remove
-    # cannot reach the origin: II-5 leaves out par0_top's R x x xi xi term
-    rights = {}
-    summand = residue.composition_summand
-
-    def recorded(p, q, nalpha):
-        rights.setdefault(nalpha, []).extend(q.terms)
-        return summand(p, q, nalpha)
-    monkeypatch.setattr(residue, "composition_summand", recorded)
-    ledger = evaluate_labels(LEDGER)
-    monkeypatch.undo()
-    assert set(rights) == {1, 2}
-    for nalpha, terms in rights.items():
-        assert max(pdo.x_degree(t) for t in terms) <= nalpha
-    assert not any(f.kind == "riem" for t in rights[1] for f in t.fac
-                   if pdo.x_degree(t) == 2)
-    assert ledger == evaluate_labels(LEDGER)
 
 
 def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):

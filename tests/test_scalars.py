@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracle import at_m
 
 from wittenres.scalars import (PolyM, R_ZERO, RatM, S_I, S_ONE, Scalar,
-                               poly_gcd, vol_sphere_value)
+                               poly_gcd)
 
 S_ZERO = Scalar.of(0)
 S_M = Scalar.poly((0, 1))
@@ -55,13 +55,6 @@ def test_real_poly_coeffs_guards():
         S_I.real_poly_coeffs()
     with pytest.raises(ValueError):
         Scalar(RatM(PolyM((1,)), PolyM((0, 1)))).real_poly_coeffs()
-
-
-def test_vol_sphere_value():
-    assert vol_sphere_value(2) == (Fraction(2), 2)    # 2 pi^2
-    assert vol_sphere_value(3) == (Fraction(1), 3)    # pi^3
-    with pytest.raises(ValueError):
-        vol_sphere_value(0)
 
 
 # the general route: cross-multiply, cancel an explicit gcd, make the

@@ -6,7 +6,7 @@ import pytest
 from oracle import at_m, sums_equal
 
 from wittenres import clifford, sphere
-from wittenres.scalars import Scalar, vol_sphere_value
+from wittenres.scalars import Scalar
 from wittenres.terms import F, Term, fct, normalize
 
 
@@ -127,8 +127,8 @@ def test_integrate_term_sets_unit_norm():
 
 
 def test_vol_sphere():
-    assert vol_sphere_value(2) == (Fraction(2), 2)
-    assert vol_sphere_value(3) == (Fraction(1), 3)
+    assert sphere.vol_sphere_value(2) == (Fraction(2), 2)    # 2 pi^2
+    assert sphere.vol_sphere_value(3) == (Fraction(1), 3)    # pi^3
     for m in (0, -2):
         with pytest.raises(ValueError):
-            vol_sphere_value(m)
+            sphere.vol_sphere_value(m)
