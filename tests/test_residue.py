@@ -232,10 +232,7 @@ def _jobs():
 
 
 def test_every_job_is_one_summand_cut_to_the_origin(monkeypatch, ledger):
-    # each job hands its two sides to composition_summand with xmax=0, and
-    # the summand itself leaves out a right term with more x factors than
-    # the job's x-derivatives remove: II-5 drops par0_top's R x x xi xi
-    # term before differentiating it
+    # each job hands its two sides to composition_summand with xmax=0
     calls = []
     summand = residue.composition_summand
 
@@ -243,22 +240,67 @@ def test_every_job_is_one_summand_cut_to_the_origin(monkeypatch, ledger):
         calls.append(xmax)
         return summand(p, q, nalpha, xmax)
     monkeypatch.setattr(residue, "composition_summand", recorded)
-    pieces = Pieces()
-    assert evaluate_labels(LEDGER, pieces) == ledger
+    assert evaluate_labels(LEDGER) == ledger
     assert calls == [0] * len(list(_jobs()))
 
-    differentiated = []
-    d_x = pdo.d_x_terms
 
-    def recorded_d_x(terms, j, strict=True, xmax=None):
-        differentiated.extend(terms)
-        return d_x(terms, j, strict, xmax)
-    monkeypatch.setattr(pdo, "d_x_terms", recorded_d_x)
-    evaluate_labels(["II-5"], pieces)
-    rxx = [t for t in pieces["par0_top"].terms if pdo.x_degree(t) == 2]
+def _in_jobs(monkeypatch, name, wrap):
+    """Patch `pdo.<name>` with `wrap(original, nalpha)` while a ledger job's
+    composition_summand runs, the job's alpha passed as nalpha."""
+    summand, original = residue.composition_summand, getattr(pdo, name)
+    current = []
+
+    def job_summand(p, q, nalpha, xmax=None):
+        current.append(nalpha)
+        try:
+            return summand(p, q, nalpha, xmax)
+        finally:
+            current.pop()
+
+    def patched(*args, **kwargs):
+        if current:
+            return wrap(original, current[-1])(*args, **kwargs)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(residue, "composition_summand", job_summand)
+    monkeypatch.setattr(pdo, name, patched)
+
+
+def test_leaf_jobs_compose_only_origin_terms(monkeypatch, ledger):
+    # xi-derivatives and products keep every x factor, so a left term with
+    # one cannot reach the origin and no job multiplies it
+    lefts = []
+
+    def wrap(mul, nalpha):
+        def recorded(a, b):
+            lefts.append(a)
+            return mul(a, b)
+        return recorded
+    _in_jobs(monkeypatch, "mul_terms", wrap)
+    assert evaluate_labels(LEDGER) == ledger
+    assert lefts
+    assert [t for t in lefts if any(f.kind == "x" for f in t.fac)] == []
+
+
+def test_alpha_jobs_cut_the_right_factor(monkeypatch, ledger):
+    # a right term with more x factors than the job's x-derivatives remove
+    # cannot reach the origin: II-5 leaves out par0_top's R x x xi xi term
+    # before differentiating it
+    rights = {}
+
+    def wrap(d_x, nalpha):
+        def recorded(terms, j, strict=True, xmax=None):
+            if xmax == nalpha - 1:  # the first x-derivative of the job
+                rights.setdefault(nalpha, []).extend(terms)
+            return d_x(terms, j, strict, xmax)
+        return recorded
+    _in_jobs(monkeypatch, "d_x_terms", wrap)
+    assert evaluate_labels(LEDGER) == ledger
+    assert set(rights) == {1, 2}
+    for nalpha, terms in rights.items():
+        assert max(pdo.x_degree(t) for t in terms) <= nalpha
+    rxx = [t for t in Pieces()["par0_top"].terms if pdo.x_degree(t) == 2]
     assert rxx and all(any(f.kind == "riem" for f in t.fac) for t in rxx)
-    assert differentiated
-    assert not [t for t in differentiated if t in rxx]
+    assert not [t for t in rights[1] if t in rxx]
 
 
 def test_a_cut_summand_is_the_origin_of_the_whole_one():
