@@ -162,8 +162,7 @@ def cmd_verify(args) -> int:
             "check": "part1-top-norm-exponent",
             "derived": _norm_str(derived),
             "printed": _norm_str(printed),
-            "status": (reference.MATCH if derived == printed
-                       else reference.PAPER_TYPO),
+            "status": reference.compare_norm_exponent(derived, printed),
         })
 
     dim = args.dimension

@@ -55,13 +55,11 @@ class PDOSymbol:
     def __init__(self, comps: dict[Order, Component], exact: bool = False):
         self.comps = dict(comps)
         self.exact = exact
-        for order, comp in self.comps.items():
+        for at, comp in self.comps.items():
             for t in comp.terms:
-                deg = sum(1 for f in t.fac if f.kind == "xi")
-                got = (t.norm[0] + deg, t.norm[1])
-                if got != order:
-                    raise ValueError(
-                        f"term of homogeneity {got} stored at {order}: {t}")
+                if order(t) != at:
+                    raise ValueError(f"term of homogeneity {order(t)} "
+                                     f"stored at {at}: {t}")
 
     def component(self, order: Order) -> Component:
         if order in self.comps:
@@ -76,6 +74,12 @@ class PDOSymbol:
                 return Component((), None)
         raise TruncationError(f"order {order} outside stored truncation "
                               f"{sorted(self.comps)}")
+
+
+def order(t: Term) -> Order:
+    """The order of a term: its |xi| exponent plus its number of xi
+    factors."""
+    return (t.norm[0] + sum(1 for f in t.fac if f.kind == "xi"), t.norm[1])
 
 
 def x_degree(t: Term) -> int:
@@ -169,9 +173,7 @@ def _fresh_labels(term_lists, count: int) -> tuple[str, ...]:
     used = set()
     for terms in term_lists:
         for t in terms:
-            for f in t.fac:
-                used.update(i for i in f.idx if isinstance(i, str))
-            used.update(g.idx for g in t.word if isinstance(g.idx, str))
+            used.update(label_counts(t))
     out = []
     j = 0
     while len(out) < count:
@@ -316,10 +318,11 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term]) -> bool:
     each term's x-degree and a derivative lowers it by at most one.
     """
     xorder = 2
-    lab = _fresh_labels((a, b), xorder)
     d = normalize(merge_presentations(
         tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)),
         fold_fields=False)
+    # the derivative slots need labels fresh only against what is left
+    lab = _fresh_labels((d,), xorder)
     for k in range(xorder + 1):
         if normalize(origin_terms(d)):
             return False

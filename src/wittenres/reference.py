@@ -117,6 +117,13 @@ def compare_entry(expr, ref: dict, label: str) -> str:
     return MATCH
 
 
+def compare_norm_exponent(derived: tuple[int, int],
+                          printed: tuple[int, int]) -> str:
+    """Status of the derived |xi| exponent of the Part I top component
+    against the printed one, which is a PAPER_TYPO where they differ."""
+    return MATCH if derived == printed else PAPER_TYPO
+
+
 def printed_part1_top_norm(ref: dict) -> tuple[int, int]:
     """The printed |xi| exponent of the Part I top component; a validated
     reference that lacks it raises ReferenceFormatError."""

@@ -28,7 +28,7 @@ from .operators import (LaplaceData, build_laplace_data, cu_cw_symbol,
                         order_zero_pieces, parametrix_symbols,
                         parametrix_terms, symbol_of_a, symbol_of_b)
 from .pdo import (Component, PDOSymbol, TruncationError, compose,
-                  composition_summand)
+                  composition_summand, order, x_degree)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
 from .terms import ContractViolation, NormalizeError, Term, normalize
 
@@ -48,10 +48,9 @@ def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
     derivative atoms, or imaginary parts.
     """
     for t in terms:
-        if any(f.kind == "x" for f in t.fac):
+        if x_degree(t):
             raise ResidueError(f"term not evaluated at the origin: {t}")
-        deg = sum(1 for f in t.fac if f.kind == "xi")
-        if (t.norm[0] + deg, t.norm[1]) != (0, -2):
+        if order(t) != (0, -2):
             raise ResidueError(
                 f"term is not homogeneous of order -2m: {t}")
     # the trace's normalization may move xi pairs into the norm; the

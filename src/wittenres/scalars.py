@@ -22,13 +22,13 @@ result goes back to the int form when it is a polynomial.  `re` and `im`
 build the RatM parts of an int-form value when asked, and
 `real_poly_coeffs` gives Fractions.
 
-RatM keeps reduced (num, den) pairs of Fraction polynomials.  A constant
-numerator or denominator has no factor to cancel, so it is reduced without
-a gcd, and a denominator that divides the numerator is found by the first
-division of the Euclid steps; a sum or product of two polynomials skips
-the cross multiplication by denominators, a product with a constant
-polynomial scales the coefficients in place, and a negated reduced
-fraction stays reduced.
+RatM keeps reduced (num, den) pairs of Fraction polynomials, and each of
+its operations has one code path.  The workloads hardly reach it: one
+`verify` ledger builds about fifty RatM and multiplies a dozen, with no RatM
+sum, negation or polynomial gcd, and a Taylor comparison makes no RatM or
+PolyM operation at all.  A constant numerator or denominator has no factor
+to cancel, so it is reduced without a gcd, and a denominator that divides
+the numerator is found by the first division of the Euclid steps.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ class PolyM:
     def const(x) -> "PolyM":
         return PolyM((Fraction(x),))
 
-    @staticmethod
-    def _raw(c: tuple) -> "PolyM":
-        """The polynomial with coefficient tuple c, which must already be
-        Fractions without trailing zeros: no conversion, no strip."""
-        out = object.__new__(PolyM)
-        out.c = c
-        return out
-
     def is_zero(self) -> bool:
         return not self.c
 
@@ -82,7 +74,7 @@ class PolyM:
                       for i in range(n)])
 
     def __neg__(self):
-        return PolyM._raw(tuple([-x for x in self.c]))
+        return PolyM([-x for x in self.c])
 
     def __sub__(self, other):
         return self + (-other)
@@ -90,14 +82,13 @@ class PolyM:
     def __mul__(self, other):
         if not self.c or not other.c:
             return PolyM()
-        # a nonzero constant factor scales each coefficient in place and
-        # keeps the leading one nonzero
+        # a constant factor scales each coefficient in place
         if len(other.c) == 1:
             k = other.c[0]
-            return PolyM._raw(tuple([a * k for a in self.c]))
+            return PolyM([a * k for a in self.c])
         if len(self.c) == 1:
             k = self.c[0]
-            return PolyM._raw(tuple([k * b for b in other.c]))
+            return PolyM([k * b for b in other.c])
         out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
             if a:
@@ -173,7 +164,6 @@ class PolyM:
 
 P_ZERO = PolyM()
 P_ONE = PolyM.const(1)
-_ONE = P_ONE.c
 
 
 def poly_gcd(a: PolyM, b: PolyM) -> PolyM:
@@ -188,38 +178,37 @@ class RatM:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyM, den: PolyM = P_ONE, _reduced=False):
+    def __init__(self, num: PolyM, den: PolyM = P_ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num, self.den = P_ZERO, P_ONE
             return
-        if not _reduced:
-            # a constant numerator or denominator has no factor to cancel
-            if den.degree() > 0 and num.degree() > 0:
-                # the first Euclid step: a denominator that divides the
-                # numerator is the whole gcd
-                quot, rem = num.divmod(den)
-                if not rem:
-                    num, den = quot, P_ONE
-                else:
-                    g = poly_gcd(den, rem)
-                    if g.degree() > 0:
-                        num, _ = num.divmod(g)
-                        den, _ = den.divmod(g)
-            lead = den.c[-1]
-            if lead != 1:
-                num = num.scale(Fraction(1, 1) / lead)
-                den = den.monic()
+        # a constant numerator or denominator has no factor to cancel
+        if den.degree() > 0 and num.degree() > 0:
+            # the first Euclid step: a denominator that divides the
+            # numerator is the whole gcd
+            quot, rem = num.divmod(den)
+            if not rem:
+                num, den = quot, P_ONE
+            else:
+                g = poly_gcd(den, rem)
+                if g.degree() > 0:
+                    num, _ = num.divmod(g)
+                    den, _ = den.divmod(g)
+        lead = den.c[-1]
+        if lead != 1:
+            num = num.scale(Fraction(1, 1) / lead)
+            den = den.monic()
         self.num, self.den = num, den
 
     @staticmethod
     def const(x) -> "RatM":
-        return RatM(PolyM.const(x), P_ONE, _reduced=True)
+        return RatM(PolyM.const(x))
 
     @staticmethod
     def poly(coeffs) -> "RatM":
-        return RatM(PolyM(coeffs), P_ONE, _reduced=True)
+        return RatM(PolyM(coeffs))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -235,23 +224,16 @@ class RatM:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if self.den.c == _ONE and other.den.c == _ONE:
-            return RatM(self.num + other.num, P_ONE, _reduced=True)
         return RatM(self.num * other.den + other.num * self.den,
                     self.den * other.den)
 
     def __neg__(self):
-        # -num/den is reduced and monic when num/den is
-        out = object.__new__(RatM)
-        out.num, out.den = -self.num, self.den
-        return out
+        return RatM(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.den.c == _ONE and other.den.c == _ONE:
-            return RatM(self.num * other.num, P_ONE, _reduced=True)
         return RatM(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -354,14 +336,9 @@ class Scalar:
     def poly(coeffs) -> "Scalar":
         return Scalar(RatM.poly(coeffs))
 
-    @staticmethod
-    def imag(x=1) -> "Scalar":
-        return Scalar(R_ZERO, RatM.const(Fraction(x)))
-
     def _part(self, nums) -> RatM:
         den = self.den
-        return RatM(PolyM._raw(tuple([Fraction(x, den) for x in nums])),
-                    P_ONE, _reduced=True)
+        return RatM(PolyM([Fraction(x, den) for x in nums]))
 
     @property
     def re(self) -> RatM:
@@ -456,5 +433,5 @@ class Scalar:
 
 S_ZERO = Scalar(R_ZERO)
 S_ONE = Scalar.of(1)
-S_I = Scalar.imag(1)
+S_I = _lowest([], [1], 1)
 S_N = Scalar.poly((0, 2))

@@ -38,12 +38,13 @@ def pairings(slots):
 
 
 def _moment_scalar(k: int) -> Scalar:
-    """1 / (n (n+2) ... (n+2k-2)) with n the symbol 2m, built reduced:
-    2^-k over the monic m (m+1) ... (m+k-1)."""
+    """1 / (n (n+2) ... (n+2k-2)) with n the symbol 2m: 2^-k over the
+    monic m (m+1) ... (m+k-1), a constant over a monic polynomial, which
+    RatM takes as it is."""
     den = P_ONE
     for j in range(k):
         den = den * PolyM((j, 1))
-    return Scalar(RatM(PolyM.const(Fraction(1, 2 ** k)), den, _reduced=True))
+    return Scalar(RatM(PolyM.const(Fraction(1, 2 ** k)), den))
 
 
 def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:

@@ -16,10 +16,11 @@ normalize() rewrites a sum of terms to a canonical merged form:
     u_a ric_ab w_b -> ricuw and v_a v_a -> vsq,
   * words are normal ordered (C family before CHAT, indices ascending,
     equal adjacent pairs contracted) with the anticommutator delta branches;
-    two adjacent same-family dummies that both contract into the same
-    symmetric monomial (xi_a xi_b c_a c_b, or the x analogue) tie in the
-    order and are replaced by half their anticommutator: -delta(a,b) for
-    C, +delta(a,b) for CHAT,
+    two adjacent same-family dummies that contract into two one-slot
+    factors of one kind (xi_a xi_b c_a c_b, the x analogue, or a vector
+    field pair such as v_a v_b chat_a chat_b) tie in the order, since the
+    pair is symmetric, and are replaced by half their anticommutator:
+    -delta(a,b) for C, +delta(a,b) for CHAT,
   * dummies are renamed canonically and monoterm tensor symmetries are
     resolved by building the lexicographically minimal presentation slot by
     slot, keeping only partial presentations with the minimal prefix (the
@@ -87,9 +88,8 @@ symmetry variants cancel before normal ordering branches them.
 `pdo.terms_equal_taylor` runs it on the difference of its two sides, where
 most terms appear on both sides.  normalize does not run it: its other
 callers (derivatives, products, traces) almost never hold two equal
-presentations, and a merge ahead of every normalize call took the whole
-ledger, evaluated in-process, from 16 to 22 ms (best of 12 on a 2-vCPU
-VM).
+presentations, so a merge ahead of every normalize call would finalize
+each of their terms twice and cancel almost nothing.
 
 normalize is not idempotent yet: a word generator is keyed by the raw slot
 of its factor partner, and `_finalize` may then pick another symmetry
@@ -145,7 +145,10 @@ KIND_RANK = {k: i for i, k in enumerate(
     ("scal", "guw", "ricuw", "vsq", "u", "w", "v", "du", "dw", "dv",
      "riem", "ric", "delta", "xi", "x"))}
 ATOM_KINDS = ("scal", "guw", "ricuw", "vsq")
-_MONOMIAL_RANKS = (KIND_RANK["xi"], KIND_RANK["x"])
+# the one-slot kinds: two factors of one such kind are one field, or one
+# monomial, at two dummies, so a word pair contracted into them is symmetric
+_ONE_SLOT_RANKS = frozenset(KIND_RANK[kind]
+                            for kind, arity in KIND_ARITY.items() if arity == 1)
 
 # Monoterm symmetry variants: (slot permutation, sign).
 _RIEM_VARIANTS = (
@@ -250,11 +253,10 @@ def _riem_pair_sign(p: int, q: int):
     """Reduction of a dummy pair inside one Riemann factor.
 
     Positions {0,2}->+Ric, {0,3}->-Ric, {1,2}->-Ric, {1,3}->+Ric on the two
-    remaining slots; {0,1} and {2,3} vanish by antisymmetry.
+    remaining slots.  A pair {0,1} or {2,3} vanishes by antisymmetry, and
+    `_contract_once` drops it before it asks.
     """
     pair = (p, q)
-    if pair in ((0, 1), (2, 3)):
-        return None
     sign = {(0, 2): 1, (0, 3): -1, (1, 2): -1, (1, 3): 1}[pair]
     rest = [s for s in range(4) if s not in pair]
     return sign, rest
@@ -285,10 +287,7 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                 if isinstance(i, str) and counts.get(i) == 2:
                     for q in range(p + 1, 4):
                         if f.idx[q] == i:
-                            red = _riem_pair_sign(p, q)
-                            if red is None:
-                                return "zero"
-                            sign, rest = red
+                            sign, rest = _riem_pair_sign(p, q)
                             nf = F("ric", (f.idx[rest[0]], f.idx[rest[1]]))
                             coeff = t.coeff if sign == 1 else -t.coeff
                             fac = t.fac[:k] + (nf,) + t.fac[k + 1:]
@@ -488,7 +487,7 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
     `_delta_branch`.  Each step rewrites the first adjacent pair that is
     out of order, as one rule at a time would: a chat before a c swaps with
     a sign, an equal pair contracts (a dummy pair to -n for c, +n for
-    chat), a monomial tie becomes half its anticommutator and ends the
+    chat), a one-slot tie becomes half its anticommutator and ends the
     term, and a pair whose partner keys descend swaps with a sign and
     branches off its anticommutator delta.  A step at position p leaves
     the pairs before p - 1 as they were, so the scan resumes at p - 1.
@@ -539,9 +538,10 @@ def _order_word(t: Term, counts, facts, out, stack) -> None:
             p = max(p - 1, 0)
             continue
         k1, k2 = keys[p], keys[p + 1]
-        if k1 == k2 and k1[1][0] == 2 and k1[1][1][0] in _MONOMIAL_RANKS:
-            # both dummies contract into one symmetric monomial (xi_a xi_b
-            # or x_a x_b), so the pair equals half its anticommutator
+        if k1 == k2 and k1[1][0] == 2 and k1[1][1][0] in _ONE_SLOT_RANKS:
+            # both dummies contract into two one-slot factors of one kind
+            # (xi_a xi_b, x_a x_b, v_a v_b, ...), a symmetric pair, so the
+            # pair equals half its anticommutator
             if g1.fam == "c":
                 sign = -sign
             _delta_branch(coeff if sign > 0 else -coeff, t.fac,

@@ -103,7 +103,7 @@ def reference_word_once(t, counts):
             return [Term(coeff, t.fac, w[:p] + w[p + 2:], t.norm)]
         if keys[p] == keys[p + 1]:
             cls, part, _ = keys[p][1]
-            if cls == 2 and part[0] in terms._MONOMIAL_RANKS:
+            if cls == 2 and part[0] in terms._ONE_SLOT_RANKS:
                 return [Term(t.coeff * sign, t.fac + delta,
                              w[:p] + w[p + 2:], t.norm)]
         if keys[p] > keys[p + 1]:
@@ -408,7 +408,10 @@ def test_prepass_work_counts(monkeypatch):
     """Deterministic work counts of the seed-101 prepass: 36 input terms
     reduce to 118, and these cancel to nothing, since both sides reach the
     same normal forms.  The label counts are computed once per input term,
-    and the factor facts and the partner keys once per ordered word.  While
+    and the factor facts and the partner keys once per ordered word: 120
+    words, since the `c(u) chat(V) c(w) chat(V)` term of each side ends in
+    a chat pair contracted into the two V factors, a one-slot tie, whose
+    half-anticommutator branch is one more word to order.  While
     a delta branch patched the facts of the one factor it renamed
     (`_refresh_facts`), the factor facts were built 36 times in full and
     patched 82 times.
@@ -427,8 +430,8 @@ def test_prepass_work_counts(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(terms, name, counted)
     assert normalize(raw, fold_fields=False) == ()
-    assert calls == {"label_counts": 36, "_factor_facts": 118,
-                     "_partner_keys": 118}
+    assert calls == {"label_counts": 36, "_factor_facts": 120,
+                     "_partner_keys": 120}
 
 
 def test_merge_prepass_work_counts(monkeypatch):

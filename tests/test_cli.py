@@ -140,7 +140,11 @@ def _golden(coeff: str, extra: str = "") -> bytes:
     b'{"units": "TrId*Vol\xff"}',       # not UTF-8
     _golden('"1"', ', "notes": ["x"]'),  # notes not an object
     _golden("0.5"),                      # a float coefficient
-], ids=["exponent", "digits", "nesting", "encoding", "notes", "float"])
+    _golden('"1/0"'),                    # a zero denominator
+    b'{"units": "TrId*Vol", "values": {"I-2": ["1"]}}',
+    b'{"units": "TrId*Vol", "values": {"I-2": {"g(u,w)": "1"}}}',
+], ids=["exponent", "digits", "nesting", "encoding", "notes", "float",
+        "zero-denominator", "entry-type", "coefficient-list-type"])
 def test_verify_malformed_golden_exits_two_promptly(tmp_path, capsys,
                                                     content):
     path = tmp_path / "golden.json"
@@ -339,6 +343,19 @@ def test_query_sphere_conflicting_dimensions(capsys):
                  ["2", "--dimension", "4"]):
         code, out, _ = run(capsys, "query", "sphere", *argv)
         assert (code, out.strip()) == (0, "(1/4) * Vol(S^3)")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["2,0@x=4"], "parse error at position 4: expected n=<even>, got 'x=4'"),
+    (["@n=3"], "parse error at position 3: dimension must be even and "
+               "positive, got 3"),
+    (["2,0"], "parse error: sphere query needs a dimension (append "
+              "@n=<even> or pass --dimension)"),
+    (["1,1,1@n=2"], "parse error: 3 exponents for dimension 2"),
+], ids=["not-n", "odd", "missing", "too-many"])
+def test_query_sphere_refuses_a_bad_dimension(capsys, argv, err):
+    code, out, got = run(capsys, "query", "sphere", *argv)
+    assert (code, out, got) == (2, "", err + "\n")
 
 
 def test_bad_dimension_flag(capsys):

@@ -83,7 +83,8 @@ def test_left_identity_at_the_origin():
 
 def test_left_identity_residue_with_the_derived_operator():
     # with the derived sigma(D_V) o sigma(D_V) as the left factor, the
-    # normal forms still differ by ROADMAP item 2's two gaps, but the
+    # normal forms still differ by ROADMAP item 2's one open gap
+    # (-1/8 R_abcd c_a c_b c_c c_d is left unreduced against s/4), but the
     # residue of Delta o Delta^{-m} at order -2m is Wres(Delta^{-m+1})
     sigma = oracle.dirac_symbol()
     square = compose(sigma, sigma, [(2, 0), (1, 0), (0, 0)])

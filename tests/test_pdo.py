@@ -79,6 +79,15 @@ def _identity_symbol():
                      exact=True)
 
 
+def test_symbol_refuses_a_term_at_the_wrong_order():
+    # xi_a |xi|^-2 is of order (-1, 0)
+    t = Term(S_ONE, (fct("xi", "a"),), (), (-2, 0))
+    assert PDOSymbol({(-1, 0): Component((t,), None)}).comps
+    with pytest.raises(ValueError, match=r"homogeneity \(-1, 0\) stored at "
+                                         r"\(-2, 0\)"):
+        PDOSymbol({(-2, 0): Component((t,), None)})
+
+
 def test_compose_identity():
     par = parametrix_symbols(build_laplace_data(), 0)
     out = compose(par, _identity_symbol(), [(0, -2), (-1, -2), (-2, -2)])

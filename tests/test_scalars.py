@@ -59,7 +59,7 @@ def test_real_poly_coeffs_guards():
 
 # the general route: cross-multiply, cancel an explicit gcd, make the
 # denominator monic; it never goes through RatM.__init__
-def _reduced(num: PolyM, den: PolyM):
+def _gcd_route(num: PolyM, den: PolyM):
     if num.is_zero():
         return (), (Fraction(1),)
     g = poly_gcd(num, den)
@@ -80,7 +80,7 @@ def _random_ratm(rng):
         else PolyM((1,))
     if den.is_zero():
         den = PolyM((1,))
-    return RatM(*map(PolyM, _reduced(num, den)), _reduced=True)
+    return RatM(*map(PolyM, _gcd_route(num, den)))
 
 
 def _pair(r: RatM):
@@ -91,13 +91,13 @@ def test_ratm_fast_paths_match_the_gcd_route():
     rng = random.Random(11)
     for _ in range(400):
         a, b = _random_ratm(rng), _random_ratm(rng)
-        assert _pair(a + b) == _reduced(a.num * b.den + b.num * a.den,
-                                        a.den * b.den)
-        assert _pair(a - b) == _reduced(a.num * b.den - b.num * a.den,
-                                        a.den * b.den)
-        assert _pair(a * b) == _reduced(a.num * b.num, a.den * b.den)
+        assert _pair(a + b) == _gcd_route(a.num * b.den + b.num * a.den,
+                                          a.den * b.den)
+        assert _pair(a - b) == _gcd_route(a.num * b.den - b.num * a.den,
+                                          a.den * b.den)
+        assert _pair(a * b) == _gcd_route(a.num * b.num, a.den * b.den)
         const = PolyM((Fraction(rng.randint(1, 5), rng.randint(1, 3)),))
-        assert _pair(RatM(a.num, const)) == _reduced(a.num, const)
+        assert _pair(RatM(a.num, const)) == _gcd_route(a.num, const)
 
 
 def test_constant_and_negation_fast_paths_match_the_coefficient_loop():
@@ -112,7 +112,7 @@ def test_constant_and_negation_fast_paths_match_the_coefficient_loop():
         assert (a * b).c == (b * a).c == PolyM(want).c
         assert (-a).c == PolyM([-x for x in a.c]).c
         r, s = _random_ratm(rng), _random_ratm(rng)
-        assert _pair(-r) == _reduced(PolyM([-x for x in r.num.c]), r.den)
+        assert _pair(-r) == _gcd_route(PolyM([-x for x in r.num.c]), r.den)
         real = Scalar(r)
         assert _parts(-real) == (_pair(-r), _pair(R_ZERO))
         assert _parts(real + Scalar(s)) == (_pair(r + s), _pair(R_ZERO))

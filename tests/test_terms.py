@@ -3,8 +3,8 @@ from oracle import sums_equal
 
 from wittenres import clifford as cl
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (ContractViolation, Term, fct, label_counts,
-                             mul_terms, normalize)
+from wittenres.terms import (ContractViolation, Term, contract_deltas, fct,
+                             label_counts, mul_terms, normalize)
 
 
 def test_mul_renames_dummies_apart():
@@ -56,6 +56,41 @@ def test_symmetric_monomial_coefficient_antisymmetry_cancels():
     t3 = Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
               (cl.chat("a"), cl.chat("b")))
     assert normalize([t3]) == (Term(S_ONE, (), (), (2, 0)),)
+
+
+def test_one_slot_field_pair_ties_like_a_monomial():
+    # chat(V)^2 = |V|^2: v_a v_b chat_a chat_b contracts one symmetric pair
+    vv = Term(S_ONE, (fct("v", "a"), fct("v", "b")),
+              (cl.chat("a"), cl.chat("b")))
+    assert normalize([vv]) == (Term(S_ONE, (fct("vsq"),)),)
+    # so does u_a u_b c_a c_b, to -u_a u_a for the C family
+    uu = Term(S_ONE, (fct("u", "a"), fct("u", "b")), (cl.c("a"), cl.c("b")))
+    assert normalize([uu]) == (
+        Term(-S_ONE, (fct("u", "_d00"), fct("u", "_d00"))),)
+    # u_a w_b is no symmetric pair, so its word stays as it is
+    uw = Term(S_ONE, (fct("u", "a"), fct("w", "b")), (cl.c("a"), cl.c("b")))
+    assert normalize([uw]) == (
+        Term(S_ONE, (fct("u", "_d00"), fct("w", "_d01")),
+             (cl.c("_d00"), cl.c("_d01"))),)
+
+
+def test_contract_deltas_keeps_a_delta_of_two_free_labels():
+    # delta(a, b) renames the dummy a; delta(f, g) holds no dummy, so it is
+    # put back, after the factors
+    t = Term(S_ONE, (fct("u", "a"),))
+    deltas = (fct("delta", "f", "g"), fct("delta", "a", "b"))
+    counts = label_counts(Term(S_ONE, t.fac + deltas))
+    assert contract_deltas(t, deltas, counts) == Term(
+        S_ONE, (fct("u", "b"), fct("delta", "f", "g")))
+
+
+def test_self_delta_of_a_label_used_three_times_is_rejected():
+    # delta(a, a) against a third use of a is no trace of the identity
+    t = Term(S_ONE, (fct("u", "a"),))
+    deltas = (fct("delta", "a", "a"),)
+    counts = label_counts(Term(S_ONE, t.fac + deltas))
+    with pytest.raises(ContractViolation, match="label count 3"):
+        contract_deltas(t, deltas, counts)
 
 
 def test_word_internal_tie_contracts_inner_pair():
