@@ -5,8 +5,8 @@ against the stored reference ledger, and reports MATCH / PAPER_TYPO /
 MISMATCH per label (exit 0 only when nothing mismatches).  `--functional`
 selects a functional's label and every label it sums over, `--term` a list
 of labels; either way only those labels and their children are computed.
-The report's "bianchi" key is always "on": the first-Bianchi pass of
-`tensor.canonicalize` is not optional.
+The report's "bianchi" key is always "on": first Bianchi is a rule of
+`terms.normalize`, not an option.
 `wittenres query` evaluates one-off traces and sphere integrals from a tiny
 expression grammar.  A concrete `--dimension` of either subcommand is an
 even integer from 4 to `QUERY_LIMIT`; under it a trace word's indices lie

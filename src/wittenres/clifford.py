@@ -3,7 +3,8 @@
 The c family squares to -1 on unit frame vectors, the hat family to +1, and
 the families anticommute.  Words carry tensor-valued coefficients through
 the shared Term type; vector-argument generators are always expanded at
-construction into component factor times frame generator.
+construction into component factor times frame generator, and every
+generator a constructor makes is a block of its own (see `terms`).
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable
 
-from . import sphere
 from .scalars import S_ONE
 from .terms import (ContractViolation, F, G, Idx, Term, contract_deltas,
-                    label_counts, normalize)
+                    label_counts, normalize, wick)
 
 Word = tuple[G, ...]
 
@@ -42,25 +42,6 @@ def chat_v(label: str) -> Term:
 def c_xi(label: str) -> Term:
     """c(xi) expanded: xi-component factor times frame generator."""
     return Term(S_ONE, (F("xi", (label,)),), (c(label),))
-
-
-def scalar_part(w: Word) -> tuple[tuple[int, tuple[F, ...]], ...]:
-    """Scalar component of a single-family word as a signed delta sum.
-
-    One (sign, deltas) pair per perfect pairing of the generators
-    (`sphere.pairings`), with one delta per pair and the sign of the pairing
-    as an int; odd words vanish.  Each c pair contracts to -delta, each hat
-    pair to +delta.  A pair of two distinct concrete indices is left out,
-    since its delta is zero.
-    """
-    w = tuple(w)
-    if len({g.fam for g in w}) > 1:
-        raise ContractViolation("scalar_part requires a single-family word")
-    if len(w) % 2:
-        return ()
-    flip = -1 if w and w[0].fam == "c" and len(w) // 2 % 2 else 1
-    return tuple((sign * flip, tuple(F("delta", pair) for pair in pairs))
-                 for pairs, sign in sphere.pairings([g.idx for g in w]))
 
 
 def concrete_trace(word: Word) -> int:
@@ -94,48 +75,32 @@ def concrete_trace(word: Word) -> int:
     return sign
 
 
-def _family_split(word: Word):
-    """Move every c generator left of every hat generator, counting sign."""
-    cs, hs, swaps = [], [], 0
-    for g in word:
-        if g.fam == "c":
-            swaps += len(hs)
-            cs.append(g)
-        else:
-            hs.append(g)
-    sign = -1 if swaps % 2 else 1
-    return tuple(cs), tuple(hs), sign
-
-
 def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
-    """Fiberwise trace over the exterior bundle.
+    """Fiberwise trace over the exterior bundle, in units of tr[id].
 
-    Words split into their c and hat parts (with the anticommutation sign)
-    and each part contracts to its scalar component, so the value is in
-    units of tr[id].  Linear over terms; normalized output.  The signs
-    stay ints, so an emitted term's coefficient is the input's, negated at
-    most once.
+    In the block basis only a word's wordless part has a trace: a block of
+    distinct generators, or a C block times a CHAT block, is traceless.  So
+    the trace of a term is the sum over the full pairings of its word
+    (`terms.wick` with full=True), where every generator pairs with one of
+    its family from another block.  Linear over terms; normalized output.
+    The signs stay ints, so an emitted term's coefficient is the input's,
+    negated at most once.
 
-    `normalize` gets one term per pairing of the word, with no word and
-    with the pairing's deltas already applied (`terms.contract_deltas`):
-    the word's labels move into the deltas one for one, so the input
-    term's label counts serve every pairing.
+    `normalize` gets one term per pairing, with no word and with the
+    pairing's deltas already applied (`terms.contract_deltas`): the word's
+    labels move into the deltas one for one, so the input term's label
+    counts serve every pairing.
     """
     out = []
     for t in terms:
-        cs, hs, sign = _family_split(t.word)
-        sc_c = scalar_part(cs)
-        if not sc_c:
-            continue
-        sc_h = scalar_part(hs)
-        if not sc_h:
+        pairings = wick(t.word, full=True)
+        if not pairings:
             continue
         counts = label_counts(t)
-        for sa, fa in sc_c:
-            for sb, fb in sc_h:
-                coeff = t.coeff if sign * sa * sb > 0 else -t.coeff
-                paired = contract_deltas(Term(coeff, t.fac, (), t.norm),
-                                         fa + fb, counts)
-                if paired is not None:
-                    out.append(paired)
+        for sign, deltas, _ in pairings:
+            paired = contract_deltas(
+                Term(t.coeff if sign > 0 else -t.coeff, t.fac, (), t.norm),
+                deltas, counts)
+            if paired is not None:
+                out.append(paired[0])
     return normalize(out)

@@ -144,11 +144,13 @@ def _first_order_symbol(field: str) -> PDOSymbol:
     top = Term(top.coeff * S_I, top.fac, top.word, top.norm)
     pieces = order_zero_pieces(field)
     # x-linear Taylor data only: no x^2 terms of the coframe, the
-    # connection or the fields
+    # connection or the fields.  The terms stay as written: normalizing
+    # would expand each Clifford product into its blocks and double the
+    # products downstream
     comps = {
-        (1, 0): Component(normalize([top]), 1),
-        (0, 0): Component(normalize(pieces["conn_c"] + pieces["conn_h"]
-                                    + pieces["vec"]), 1),
+        (1, 0): Component((top,), 1),
+        (0, 0): Component(pieces["conn_c"] + pieces["conn_h"]
+                          + pieces["vec"], 1),
     }
     return PDOSymbol(comps, exact=True)
 
@@ -166,4 +168,4 @@ def symbol_of_b() -> PDOSymbol:
 def cu_cw_symbol() -> PDOSymbol:
     """Multiplication operator c(u) c(w): a single order-zero component."""
     t = mul_terms(c_vec("u", "r"), c_vec("w", "k"))
-    return PDOSymbol({(0, 0): Component(normalize([t]), None)}, exact=True)
+    return PDOSymbol({(0, 0): Component((t,), None)}, exact=True)

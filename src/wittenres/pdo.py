@@ -95,7 +95,10 @@ def origin_terms(terms: Iterable[Term]) -> list[Term]:
 def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
     """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2).
 
-    Each delta is applied before `normalize` (`terms.contract_deltas`).
+    Each delta is applied at once (`terms.contract_deltas`).  Equal terms
+    are merged as written (`terms.merge_presentations`), not normalized:
+    normalizing would expand each Clifford product into its blocks, and
+    the caller normalizes what it keeps.
     """
     out = []
     for t in terms:
@@ -109,12 +112,12 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
                 dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),),
                                      counts)
                 if dt is not None:
-                    out.append(dt)
+                    out.append(dt[0])
         if t.norm != (0, 0):
             p = Scalar.poly((t.norm[0], t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
                             (t.norm[0] - 2, t.norm[1])))
-    return normalize(out)
+    return tuple(merge_presentations(out))
 
 
 _DERIV = {"u": "du", "w": "dw", "v": "dv"}
@@ -122,41 +125,53 @@ _DERIV = {"u": "du", "w": "dw", "v": "dv"}
 
 def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
               xmax: int | None = None) -> tuple[Term, ...]:
-    """Termwise x-derivative, normalized.
+    """Termwise x-derivative.
 
-    Coordinate factors differentiate to deltas; vector-field components
-    produce first-derivative atoms.  Curvature data is a Taylor coefficient
-    at the base point and is constant.  Second derivatives of vector fields
-    are not representable and raise in strict mode; non-strict mode treats
-    the derivative atoms as carried constants (used when diffing the Taylor
-    sectors two symbols actually store).  The result is normalized, and that
-    is part of its meaning: normalizing folds contracted field pairs such as
-    u_a w_a into the constant atoms (`guw`, `ricuw`, `vsq`), so a further
-    derivative treats them as constants.
+    Coordinate factors differentiate to deltas, applied at once
+    (`terms.contract_deltas`); vector-field components produce
+    first-derivative atoms.  Curvature data is a Taylor coefficient at the
+    base point and is constant, and so are the folded atoms `guw`,
+    `ricuw` and `vsq`: a caller that differentiates again normalizes first
+    where a contracted field pair should count as one of them (see
+    `terms_equal_taylor`).  Second derivatives of vector fields are not
+    representable and raise in strict mode; non-strict mode treats the
+    derivative atoms as carried constants (used when diffing the Taylor
+    sectors two symbols actually store).  Like `d_xi_terms`, it merges
+    equal terms as written and does not normalize.
 
     With xmax set, derivative terms with more than xmax x factors are
-    dropped before normalizing (every input term is still checked).
+    dropped (every input term is still checked).
     """
     out = []
     for t in terms:
         deg = x_degree(t)
+        counts = None
         for k, f in enumerate(t.fac):
             if f.kind == "x":
-                new, new_deg = F("delta", (f.idx[0], j)), deg - 1
+                if xmax is not None and deg - 1 > xmax:
+                    continue
+                if counts is None:
+                    counts = label_counts(t)
+                    if isinstance(j, str):
+                        counts[j] = counts.get(j, 0) + 1
+                rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word,
+                            t.norm)
+                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),),
+                                     counts)
+                if dt is not None:
+                    out.append(dt[0])
             elif f.kind in _DERIV:
-                new, new_deg = F(_DERIV[f.kind], (j, f.idx[0])), deg
-            else:
-                if f.kind in ("du", "dw", "dv") and strict:
-                    raise NormalizeError(
-                        f"d_x_terms: d/dx_{j} of {f.kind}"
-                        f"({', '.join(map(str, f.idx))}) is a second "
-                        "derivative of a vector field, which is not "
-                        "representable")
-                continue
-            if xmax is None or new_deg <= xmax:
-                fac = t.fac[:k] + (new,) + t.fac[k + 1:]
-                out.append(Term(t.coeff, fac, t.word, t.norm))
-    return normalize(out)
+                if xmax is None or deg <= xmax:
+                    fac = (t.fac[:k] + (F(_DERIV[f.kind], (j, f.idx[0])),)
+                           + t.fac[k + 1:])
+                    out.append(Term(t.coeff, fac, t.word, t.norm))
+            elif f.kind in ("du", "dw", "dv") and strict:
+                raise NormalizeError(
+                    f"d_x_terms: d/dx_{j} of {f.kind}"
+                    f"({', '.join(map(str, f.idx))}) is a second "
+                    "derivative of a vector field, which is not "
+                    "representable")
+    return tuple(merge_presentations(out))
 
 
 def _xt_min(a: int | None, b: int | None) -> int | None:
@@ -197,8 +212,11 @@ def composition_summand(p: Component, q: Component, nalpha: int,
         (d_xi^a p-terms) * (d_x^a q-terms).
 
     The multi-index sum collapses to an unrestricted sum over slot labels
-    shared between the two halves.  Each xi-derivative of p is taken once
-    and kept in `p.d_xi`.
+    shared between the two halves.  The x-derivative side is built first:
+    when it is empty, no xi-derivative is taken.  Each xi-derivative of p
+    is taken once and kept in `p.d_xi`.  A q whose stored x-Taylor order
+    is below nalpha raises TruncationError, but only when the
+    xi-derivative side does not vanish.
 
     With xmax set, the terms of both factors that can only make products
     with more than xmax x factors are left out.  On the left those are
@@ -212,8 +230,19 @@ def composition_summand(p: Component, q: Component, nalpha: int,
     of x-degree at most xmax, and the block is exact to that degree at
     most; with xmax=0 it is the block at the origin.
     """
-    left = p.terms
     labels = _fresh_labels((p.terms, q.terms), nalpha)
+    qx = None if q.xtrunc is None else q.xtrunc - nalpha
+    right = None
+    if qx is None or qx >= 0:
+        right = q.terms
+        if xmax is not None:
+            right = [t for t in right if x_degree(t) <= nalpha + xmax]
+        for k, lab in enumerate(labels, 1):
+            right = d_x_terms(right, lab,
+                              xmax=None if xmax is None else xmax + nalpha - k)
+        if not right:
+            return (), None
+    left = p.terms
     for k in range(1, nalpha + 1):
         got = p.d_xi.get(labels[:k])
         if got is None:
@@ -221,18 +250,11 @@ def composition_summand(p: Component, q: Component, nalpha: int,
         left = got
         if not left:
             return (), None
-    if xmax is not None:
-        left = [t for t in left if x_degree(t) <= xmax]
-    qx = None if q.xtrunc is None else q.xtrunc - nalpha
-    if qx is not None and qx < 0:
+    if right is None:
         raise TruncationError(
             f"{nalpha} x-derivative(s) exceed the stored x-Taylor order")
-    right = q.terms
     if xmax is not None:
-        right = [t for t in right if x_degree(t) <= nalpha + xmax]
-    for k, lab in enumerate(labels, 1):
-        right = d_x_terms(right, lab,
-                          xmax=None if xmax is None else xmax + nalpha - k)
+        left = [t for t in left if x_degree(t) <= xmax]
     if nalpha:
         # the prefactor goes on the left factor's terms, not on each product
         pref = _PHASE[nalpha % 4] * Scalar.of(1, factorial(nalpha))
@@ -302,31 +324,32 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term]) -> bool:
     equals differencing the derivatives.  The difference first goes
     through `merge_presentations`: a term written on both sides, up to
     dummy names, factor order and symmetry variants, cancels before any
-    word is normal ordered (on the sigma_0(AB) display, 36 raw terms leave
-    18 instead of branching into 118).  The merge keeps the value of every
-    term, so a True verdict still means that a - b vanishes up to x-order 2.
-    Then the difference is normalized with fold_fields=False: every rule
-    but the field folds is an identity pointwise in x, so the rest of what
-    the two sides share cancels before anything is differentiated, and the
-    inputs are still differentiated before any field fold, so u_a w_a
-    folds into guw only where d_x_terms says.  Every later derivative
-    takes d_x_terms' own normalized output.
-    The origin part is normalized at each step, not just tested for
-    emptiness: normalize is not idempotent yet, and a second pass can
-    cancel terms a first pass left.  Derivative k (from one) keeps only
-    terms with at most xorder - k x factors, an exact cut: normalize keeps
-    each term's x-degree and a derivative lowers it by at most one.
+    word is expanded (on the sigma_0(AB) display, whose derived side keeps
+    its Clifford products as written, all 30 raw terms cancel).  The merge
+    keeps the value of every term, so a True verdict still means that
+    a - b vanishes up to x-order 2.  Then the difference is normalized with
+    fold_fields=False: every rule but the field folds is an identity
+    pointwise in x, so the rest of what the two sides share cancels before
+    anything is differentiated, and the inputs are still differentiated
+    before any field fold, so u_a w_a folds into guw only after the first
+    derivative.  Its origin part is normalized again, to fold it.  Every
+    derivative is normalized, which folds it, so its origin part is a
+    normal form and is only tested for emptiness.  Derivative k (from one)
+    keeps only terms with at most xorder - k x factors, an exact cut:
+    normalize keeps each term's x-degree and a derivative lowers it by at
+    most one.
     """
     xorder = 2
     d = normalize(merge_presentations(
         tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)),
         fold_fields=False)
+    if normalize(origin_terms(d)):
+        return False
     # the derivative slots need labels fresh only against what is left
     lab = _fresh_labels((d,), xorder)
-    for k in range(xorder + 1):
-        if normalize(origin_terms(d)):
+    for k in range(xorder):
+        d = normalize(d_x_terms(d, lab[k], strict=False,
+                                xmax=xorder - k - 1))
+        if origin_terms(d):
             return False
-        if k < xorder:
-            d = d_x_terms(d, lab[k], strict=False, xmax=xorder - k - 1)
     return True
-

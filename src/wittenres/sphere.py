@@ -4,7 +4,6 @@ A monomial xi_{g1}...xi_{g2k} integrates to the sum over all (2k-1)!!
 perfect pairings of delta products, times Vol(S^{n-1})/(n(n+2)...(n+2k-2)).
 Pairings are enumerated directly, leaving out pairs of two distinct concrete
 indices, whose delta is zero; symbolic degrees here never exceed a handful.
-The same signed enumeration gives `clifford.scalar_part`.
 A monomial in concrete indices alone has the closed form `concrete_moment`,
 and `vol_sphere_value` gives the volume unit itself.
 """
@@ -105,6 +104,6 @@ def integrate_term(t: Term) -> tuple[Term, ...]:
     for p in integral:
         paired = contract_deltas(rest, p.fac, counts)
         if paired is not None:
-            out.append(paired)
+            out.append(paired[0])
     return tuple(out)
 

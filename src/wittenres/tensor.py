@@ -4,11 +4,8 @@ Delta contraction and the curvature self-contractions are rules of
 terms.normalize.
 
 Sign conventions fixed here: Ric_ab = sum_l R_lalb and s = sum_a Ric_aa.
-`canonicalize` is normalize followed, whenever a Riemann factor survives,
-by the first-Bianchi pass, which rewrites Riemann terms whose canonical
-pattern is maximal in its three-term cyclic orbit.  No sum the ledger
-produces keeps a Riemann factor past normalize, so there the pass is never
-entered.
+First Bianchi is a rule of terms.normalize too, so `canonicalize` is
+normalize.
 """
 
 from __future__ import annotations
@@ -17,68 +14,24 @@ from fractions import Fraction
 from typing import Iterable
 
 from .scalars import Scalar
-from .terms import ATOM_KINDS, F, NormalizeError, Term, normalize, term_key
-
-# rewrite steps after which bianchi_pass gives up
-_MAX_BIANCHI_STEPS = 100000
-
+from .terms import ATOM_KINDS, Term, normalize
 
 class CollectError(Exception):
     """A term survived to collection that is not an invariant atom."""
 
 
-def _bianchi_orbit(t: Term, k: int):
-    """The three cyclic variants of the k-th Riemann factor, canonicalized."""
-    f = t.fac[k]
-    a, b, c, d = f.idx
-    variants = ((a, b, c, d), (a, c, d, b), (a, d, b, c))
-    out = []
-    for idx in variants:
-        nt = Term(t.coeff, t.fac[:k] + (F("riem", idx),) + t.fac[k + 1:],
-                  t.word, t.norm)
-        out.append(normalize([nt]))
-    return out
-
-
 def bianchi_pass(terms: Iterable[Term]) -> tuple[Term, ...]:
-    """Eliminate, per cyclic orbit, the maximal Riemann pattern via
-    R_abcd = -R_acdb - R_adbc.  Value preserving; terminates because every
-    rewrite strictly lowers the pattern.  Past _MAX_BIANCHI_STEPS steps it
-    raises NormalizeError."""
-    work = list(terms)
-    out = []
-    steps = 0
-    while work:
-        steps += 1
-        if steps > _MAX_BIANCHI_STEPS:
-            raise NormalizeError(
-                f"bianchi_pass did not terminate within {_MAX_BIANCHI_STEPS} "
-                f"rewrite steps ({len(work)} term(s) still pending)")
-        t = work.pop()
-        ks = [k for k, f in enumerate(t.fac) if f.kind == "riem"]
-        rewritten = False
-        for k in ks:
-            orig, cyc1, cyc2 = _bianchi_orbit(t, k)
-            keys = [tuple(term_key(x) for x in branch)
-                    for branch in (orig, cyc1, cyc2)]
-            if (len(orig) == 1 and keys[0] > keys[1] and keys[0] > keys[2]):
-                for branch in (cyc1, cyc2):
-                    work.extend(Term(-x.coeff, x.fac, x.word, x.norm)
-                                for x in branch)
-                rewritten = True
-                break
-        if not rewritten:
-            out.append(t)
-    return normalize(out)
+    """The canonical form of the terms under first Bianchi, which is a rule
+    of `terms.normalize` (`terms._first_bianchi`).  The name stays because
+    the benchmark in `bench/` traces it."""
+    return normalize(terms)
 
 
 def canonicalize(terms: Term | Iterable[Term]) -> tuple[Term, ...]:
+    """`normalize` of a term or a sum of terms."""
     if isinstance(terms, Term):
         terms = [terms]
-    out = normalize(terms)
-    if any(f.kind == "riem" for t in out for f in t.fac):
-        out = bianchi_pass(out)
-    return out
+    return normalize(terms)
 
 
 ATOM_NAMES = {"scal": "s", "guw": "g(u,w)", "ricuw": "Ric(u,w)",

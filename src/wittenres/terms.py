@@ -1,11 +1,18 @@
 """Shared exact term algebra.
 
 A Term couples a Q(i)(m) coefficient with a multiset of indexed tensor
-factors, an ordered word in the two Clifford generator families and a
-power of |xi|.  Index labels are either concrete frame indices (int,
-1-based) or symbolic labels (str).  A symbolic label occurring exactly twice
-in a term is a dummy summed over 1..n; a label occurring once is free.
-Labels starting with "_" are reserved for generated names.
+factors, a word in the two Clifford generator families and a power of
+|xi|.  Index labels are either concrete frame indices (int, 1-based) or
+symbolic labels (str).  A symbolic label occurring exactly twice in a term
+is a dummy summed over 1..n; a label occurring once is free.  Labels
+starting with "_" are reserved for generated names.
+
+A word is a product of blocks.  A generator whose `wedge` flag is set is
+antisymmetrized with the one before it, in one block; a block is the
+antisymmetrized product of its generators, the image of their exterior
+product under Chevalley's quantization map (Berline, Getzler & Vergne,
+*Heat Kernels and Dirac Operators*, ch. 3).  The constructors make every
+generator its own block, so a word of them is the plain Clifford product.
 
 normalize() rewrites a sum of terms to a canonical merged form:
   * deltas with a dummy slot are substituted away (delta(a,a) -> n = 2m),
@@ -14,93 +21,74 @@ normalize() rewrites a sum of terms to a canonical merged form:
     has no carrier and is kept as two x factors,
   * contracted field pairs fold into the atoms u_a w_a -> guw,
     u_a ric_ab w_b -> ricuw and v_a v_a -> vsq,
-  * words are normal ordered (C family before CHAT, indices ascending,
-    equal adjacent pairs contracted) with the anticommutator delta branches;
-    two adjacent same-family dummies that contract into two one-slot
-    factors of one kind (xi_a xi_b c_a c_b, the x analogue, or a vector
-    field pair such as v_a v_b chat_a chat_b) tie in the order, since the
-    pair is symmetric, and are replaced by half their anticommutator:
-    -delta(a,b) for C, +delta(a,b) for CHAT,
+  * a word of more than one block per family is expanded by Wick's
+    theorem (`wick`): a sum over the partial pairings of generators of one
+    family from two different blocks, each pair contracting to -delta for
+    C and +delta for CHAT, times the unpaired rest as one C block and one
+    CHAT block,
+  * a block vanishes when it holds a label twice, two slots of a symmetric
+    factor (ric, delta), two one-slot factors of one kind (two xi, two x,
+    two v, ...) or three slots of one Riemann factor (first Bianchi,
+    R_a[bcd] = 0); two slots of one Riemann factor that are not one of its
+    antisymmetric pairs become half the pair form, since
+    R_abcd - R_cbad = R_acbd (`_block_rules`),
   * dummies are renamed canonically and monoterm tensor symmetries are
     resolved by building the lexicographically minimal presentation slot by
     slot, keeping only partial presentations with the minimal prefix (the
     double-coset idea of Manssur, Portugal & Svaiter, IJMPC 13 (2002), and
-    of xPerm, CPC 179 (2008)); a term equal to its own negative is dropped
-    as an antisymmetric zero, and a search whose frontier passes
+    of xPerm, CPC 179 (2008)); each block is then sorted under the
+    labelling with the sign of the sort, a term equal to its own negative
+    is dropped as an antisymmetric zero, and a search whose frontier passes
     _MAX_FRONTIER partial presentations raises NormalizeError,
-  * identical presentations are merged, zero coefficients dropped.
+  * identical presentations are merged, and a Riemann factor with no two
+    dummies in one block is settled by first Bianchi: the greatest
+    presentation of its cyclic orbit is written through the others
+    (`_first_bianchi`); zero coefficients are dropped.
 
-KIND_RANK orders a presentation's factors, and it orders each word
-generator by the kind of the factor it contracts with (`_partner_keys`).
-Any fixed order gives a canonical form, and the reports do not depend on
-which one; the order sets only how much work normal ordering does.  Each
-adjacent same-family pair out of order costs an anticommutator branch,
-which is reduced and canonicalized on its own.  The vector fields rank
-ahead of the curvature because the engine's words put them there:
-`compose(A, B)` and the printed sigma(AB) display write c(u), c(w) and
-chat(V) before the curvature generators.  With the fields first the
-display holds 39 same-family inversions instead of 83 and reduces to 53
-terms instead of 203.
+The blocks of a normal form are a basis of the Clifford algebra over the
+tensor coefficients, and the rules leave each coefficient in one form, so
+equal values reach identical normal forms and a normal form is its own
+normal form.  KIND_RANK orders the factors of a presentation; any fixed
+order gives a canonical form.
 
 normalize(terms, fold_fields=False) runs every rule but the three field
 folds.  Each remaining rule is an identity pointwise in x, with u, w and v
 read as functions, so its output has the input's value as a function of x
 and may be x-differentiated in its place; the folds are the only rules
 that turn a field pair into a constant atom, and a fold may only run after
-the derivative (see `pdo.d_x_terms`).
+the derivative (see `pdo.terms_equal_taylor`).
 
-The xi / x monomial dummies need no symmetrization pass.  Permuting them
-while the monomial slots keep their labels is a relabelling of the dummies
-plus a reorder of structurally equal xi (or x) factors; the canonical
-search in `_finalize` maps both to the same presentation, and the partner
-keys that order the word never read dummy names.
-
-Each input term is reduced on its own, and its label counts travel with
-it through `_reduce` instead of being computed again:
-  * the label counts are computed once, when a term enters.  Every rule
-    carries them, less the labels it contracts away: each factor rule
-    (Riemann to Ricci, Ricci to scalar, the delta rule, the xi pair and
-    the three field folds), a contracted word pair, and an anticommutator
-    branch, which applies its delta at once (`_substitute_delta`, the one
-    home of the delta rule),
-  * the factors' structural keys and the partner keys of factor dummies
-    are built in one place, `_factor_facts`, once for each term that
-    meets no factor rule, just before its word is ordered; a term without
-    a word needs no partner keys,
-  * the word's partner keys are built once per word order: a swap carries
-    the two swapped keys, unless one names a word position.
-`_finalize` takes the reduced term with its counts and structural keys and
-trusts its word order; a term with no index and no word is its own
-presentation.
+Each input term is reduced on its own, and its label counts are computed
+once, when it enters.  Every rule carries them, less the labels it
+contracts away, and a pairing of the expansion carries them through its
+deltas.  `_finalize` takes the reduced term with its counts.
 
 The stages that make deltas apply them before normalize sees the terms:
 `contract_deltas` runs the delta rule on a term times a list of deltas,
 carrying one set of label counts through them.  `clifford.trace` hands
-over each pairing of a word with its deltas applied, and so do
-`pdo.d_xi_terms` for xi_a -> delta(a, j) and `sphere.integrate_term` for
-its cosphere pairings; normalize then has no delta of a dummy left to
-substitute.
+over each full pairing of a word with its deltas applied, and so do
+`pdo.d_xi_terms` for xi_a -> delta(a, j), `pdo.d_x_terms` for
+x_a -> delta(a, j) and `sphere.integrate_term` for its cosphere pairings;
+normalize then has no delta of a dummy left to substitute.
 
 merge_presentations(terms) is `_finalize` alone on each term as written:
-no factor rule runs and no word is reordered.  It sums equal presentations
+no factor rule runs and no word is expanded.  It sums equal presentations
 and drops zeros, so terms equal up to dummy names, factor order and
-symmetry variants cancel before normal ordering branches them.
+symmetry variants cancel before the expansion branches them.
 `pdo.terms_equal_taylor` runs it on the difference of its two sides, where
-most terms appear on both sides.  normalize does not run it: its other
-callers (derivatives, products, traces) almost never hold two equal
-presentations, so a merge ahead of every normalize call would finalize
-each of their terms twice and cancel almost nothing.
-
-normalize is not idempotent yet: a word generator is keyed by the raw slot
-of its factor partner, and `_finalize` may then pick another symmetry
-variant of that factor, so a second pass can reorder the word again.
+most terms appear on both sides, and the x- and xi-derivatives of `pdo`
+merge their terms with it rather than normalize them, which would expand
+the products of the symbols into blocks.  normalize does not run it: its
+callers almost never hold two equal presentations, so a merge ahead of
+every normalize call would finalize each of their terms twice and cancel
+almost nothing.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .scalars import S_N, Scalar
+from .scalars import S_N, S_ONE, Scalar
 
 Idx = int | str
 
@@ -113,6 +101,7 @@ class F(NamedTuple):
 class G(NamedTuple):
     fam: str  # 'c' or 'h' (hat family)
     idx: Idx
+    wedge: bool = False  # in one block with the generator before it
 
 
 class Term(NamedTuple):
@@ -137,18 +126,12 @@ KIND_ARITY = {
     "du": 2, "dw": 2, "dv": 2,
     "xi": 1, "x": 1,
 }
-# the order of factors in a presentation and of word generators by their
-# factor partner's kind: atoms, then the vector fields and their
-# derivatives, which the engine's words put first, then curvature, delta
-# and the xi / x monomials (see the module docstring)
+# the order of factors in a presentation: atoms, then the vector fields and
+# their derivatives, then curvature, delta and the xi / x monomials
 KIND_RANK = {k: i for i, k in enumerate(
     ("scal", "guw", "ricuw", "vsq", "u", "w", "v", "du", "dw", "dv",
      "riem", "ric", "delta", "xi", "x"))}
 ATOM_KINDS = ("scal", "guw", "ricuw", "vsq")
-# the one-slot kinds: two factors of one such kind are one field, or one
-# monomial, at two dummies, so a word pair contracted into them is symmetric
-_ONE_SLOT_RANKS = frozenset(KIND_RANK[kind]
-                            for kind, arity in KIND_ARITY.items() if arity == 1)
 
 # Monoterm symmetry variants: (slot permutation, sign).
 _RIEM_VARIANTS = (
@@ -163,13 +146,13 @@ _VARIANTS = {kind: ((tuple(range(arity)), 1),)
              for kind, arity in KIND_ARITY.items()}
 _VARIANTS.update(riem=_RIEM_VARIANTS, ric=_SYM2_VARIANTS,
                  delta=_SYM2_VARIANTS)
+# a dummy pair inside one Riemann factor, by its two slots: the sign of
+# the Ricci factor it contracts to and that factor's two slots (a pair
+# {0,1} or {2,3} vanishes by antisymmetry, before this is read)
+_RIEM_TRACE = {(0, 2): (1, (1, 3)), (0, 3): (-1, (1, 2)),
+               (1, 2): (-1, (0, 3)), (1, 3): (1, (0, 2))}
 _DUMMY_CLASS = (2, 0, "")
 _MAX_FRONTIER = 200000
-# g_a g_b + g_b g_a = -2 delta(a,b) for the C family, +2 delta(a,b) for
-# CHAT; keyed by family and by the sign the word's swaps have built up
-_ANTICOMMUTATOR = {("c", 1): Scalar.of(-2), ("c", -1): Scalar.of(2),
-                   ("h", 1): Scalar.of(2), ("h", -1): Scalar.of(-2)}
-_DUMMY_NAMES = tuple(f"_d{k:02d}" for k in range(100))
 
 
 def fct(kind: str, *idx: Idx) -> F:
@@ -214,7 +197,7 @@ def map_labels(t: Term, sub: dict[str, Idx]) -> Term:
         return t
     fac = tuple(F(f.kind, tuple([sub.get(i, i) for i in f.idx]))
                 for f in t.fac)
-    word = tuple(G(g.fam, sub.get(g.idx, g.idx)) for g in t.word)
+    word = tuple(G(g.fam, sub.get(g.idx, g.idx), g.wedge) for g in t.word)
     return Term(t.coeff, fac, word, t.norm)
 
 
@@ -249,19 +232,6 @@ def mul_terms(a: Term, b: Term) -> Term:
 # reduction rules
 
 
-def _riem_pair_sign(p: int, q: int):
-    """Reduction of a dummy pair inside one Riemann factor.
-
-    Positions {0,2}->+Ric, {0,3}->-Ric, {1,2}->-Ric, {1,3}->+Ric on the two
-    remaining slots.  A pair {0,1} or {2,3} vanishes by antisymmetry, and
-    `_contract_once` drops it before it asks.
-    """
-    pair = (p, q)
-    sign = {(0, 2): 1, (0, 3): -1, (1, 2): -1, (1, 3): 1}[pair]
-    rest = [s for s in range(4) if s not in pair]
-    return sign, rest
-
-
 def _without(counts, *labels):
     """The label counts less the given labels, which they hold."""
     out = counts.copy()
@@ -287,7 +257,7 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                 if isinstance(i, str) and counts.get(i) == 2:
                     for q in range(p + 1, 4):
                         if f.idx[q] == i:
-                            sign, rest = _riem_pair_sign(p, q)
+                            sign, rest = _RIEM_TRACE[p, q]
                             nf = F("ric", (f.idx[rest[0]], f.idx[rest[1]]))
                             coeff = t.coeff if sign == 1 else -t.coeff
                             fac = t.fac[:k] + (nf,) + t.fac[k + 1:]
@@ -395,14 +365,16 @@ def _substitute_delta(rest: Term, i: Idx, j: Idx, counts):
                     fac = fac[:k] + (f,) + fac[k + 1:]
                     break
             else:
-                word = tuple([G(g.fam, b) if g.idx == a else g for g in word])
+                word = tuple([g._replace(idx=b) if g.idx == a else g
+                              for g in word])
             return Term(rest.coeff, fac, word, rest.norm), _without(counts, a)
     return None
 
 
-def contract_deltas(t: Term, deltas: tuple[F, ...], counts) -> Term | None:
+def contract_deltas(t: Term, deltas: tuple[F, ...], counts):
     """t times the delta factors, each applied by the delta rule
-    (`_substitute_delta`), or None when one of them vanishes.
+    (`_substitute_delta`), with its label counts, or None when one of the
+    deltas vanishes.
 
     `counts` are the label counts of the product, and each substitution
     carries them.  Each delta is applied with the pending ones still in
@@ -422,166 +394,116 @@ def contract_deltas(t: Term, deltas: tuple[F, ...], counts) -> Term | None:
             cur, kept = rest, (last,) + kept
         else:
             cur, counts = step
-    return Term(cur.coeff, cur.fac + kept, cur.word, cur.norm) if kept \
-        else cur
+    if kept:
+        cur = Term(cur.coeff, cur.fac + kept, cur.word, cur.norm)
+    return cur, counts
 
 
-def _factor_facts(t: Term, counts):
-    """The factor side of the word sort keys.
+# ---------------------------------------------------------------------------
+# the exterior basis of the words
 
-    Returns each factor's structural key, and a map from every dummy that
-    a factor holds to that generator's word key (kind rank, slot,
-    structural key).  Both read only the factors and the label counts, so
-    they hold while `_order_word` orders the word; this is the one place
-    that builds them.  The map is read only for dummies paired with the
-    word, which one factor holds, so a term without a word gets None.
+
+def wick(word: tuple[G, ...], full: bool = False):
+    """The word in the block basis, by Wick's theorem: a list of
+    (sign, deltas, rest), one per partial pairing of the generators.
+
+    A pair joins two generators of one family from two different blocks
+    (never two of one block) and contracts to half their anticommutator:
+    -delta for C, +delta for CHAT, with the -1 kept in the int sign.  A
+    pair of two distinct frame indices is left out, since its delta is
+    zero.  The sign also holds that of the permutation that brings each
+    pair together, which is (-1) to the number of generators still
+    unpaired between its two ends, and that of moving the unpaired C
+    generators ahead of the unpaired CHAT ones.  rest is those generators
+    as one C block and one CHAT block, in word order; with full=True only
+    the full pairings are listed, whose rest is empty.
     """
-    skeys = [_structural_key(f, counts) for f in t.fac]
-    if not t.word:
-        return skeys, None
-    fmap: dict[str, tuple] = {}
-    for f, skey in zip(t.fac, skeys):
-        rank = KIND_RANK[f.kind]
-        for slot, i in enumerate(f.idx):
-            if isinstance(i, str) and counts.get(i) == 2:
-                fmap[i] = (2, (rank, slot), skey)
-    return skeys, fmap
-
-
-def _partner_keys(word, counts, fmap):
-    """Intrinsic sort keys for the word generators.
-
-    A generator's index is ordered by what it contracts against (a concrete
-    frame index, a free label, a factor slot, or another word position),
-    never by the arbitrary dummy name, so normal ordering is stable under
-    relabeling and different derivation paths straighten to the same form.
-    A pair inside the word is keyed by its first position, so a crossed
-    pair is swapped until the partners meet and contract.  The factor slot
-    keys come from `_factor_facts` and lead with the factor's KIND_RANK,
-    so a generator contracted into a vector field sorts before one
-    contracted into a curvature factor, as the engine's words have them.
-    """
-    first: dict[Idx, int] = {}
-    for p, g in enumerate(word):
-        first.setdefault(g.idx, p)
-    keys = []
+    blocks = []
     for g in word:
-        fam = 0 if g.fam == "c" else 1
-        i = g.idx
-        if isinstance(i, int):
-            keys.append((fam, (0, (i,), ())))
-        elif counts.get(i) == 1:
-            keys.append((fam, (1, (0,), (i,))))
-        elif i in fmap:
-            keys.append((fam, fmap[i]))
-        else:
-            keys.append((fam, (3, (first[i],), ())))  # paired in the word
-    return keys
+        blocks.append(len(blocks) if not blocks or not g.wedge
+                      else blocks[-1])
+    out = []
 
-
-def _order_word(t: Term, counts, facts, out, stack) -> None:
-    """Normal order the word of a term the factor rules leave alone.
-
-    The ordered term goes to `out` with its label counts and factor
-    structural keys; every anticommutator branch goes to `stack` through
-    `_delta_branch`.  Each step rewrites the first adjacent pair that is
-    out of order, as one rule at a time would: a chat before a c swaps with
-    a sign, an equal pair contracts (a dummy pair to -n for c, +n for
-    chat), a one-slot tie becomes half its anticommutator and ends the
-    term, and a pair whose partner keys descend swaps with a sign and
-    branches off its anticommutator delta.  A step at position p leaves
-    the pairs before p - 1 as they were, so the scan resumes at p - 1.
-
-    The sign of the swaps is kept as an int and applied once per emitted
-    term.  The label counts travel through the loop, less the label of a
-    contracted dummy pair, and the factor facts hold throughout, since no
-    word rule touches a factor.  The partner keys travel with the swaps: a
-    swap exchanges the two keys unless one of them names a word position
-    (class 3), and a contraction deletes its two keys unless a class-3 key
-    is left; then they are built again.
-    """
-    if not t.word:
-        out.append((t, counts, facts[0]))
-        return
-    w = list(t.word)
-    fmap = facts[1]
-    keys = _partner_keys(w, counts, fmap)
-    coeff, sign, p = t.coeff, 1, 0
-    while p < len(w) - 1:
-        g1, g2 = w[p], w[p + 1]
-        if g1.fam != g2.fam:
-            if g1.fam == "h":  # chat c -> -c chat
-                w[p], w[p + 1] = g2, g1
-                sign = -sign
-                if keys[p][1][0] == 3 or keys[p + 1][1][0] == 3:
-                    keys = _partner_keys(w, counts, fmap)
-                else:
-                    keys[p], keys[p + 1] = keys[p + 1], keys[p]
-                p = max(p - 1, 0)
-            else:
-                p += 1
-            continue
-        if g1.idx == g2.idx:
-            if g1.fam == "c":
-                sign = -sign
-            if isinstance(g1.idx, str):
-                if counts.get(g1.idx) != 2:
-                    raise ContractViolation(
-                        f"word label {g1.idx!r} occurs {counts.get(g1.idx)} "
-                        "times")
-                coeff = coeff * S_N  # the dummy pair sums to n
-                counts = _without(counts, g1.idx)
-            del w[p:p + 2]
-            del keys[p:p + 2]
-            if any(key[1][0] == 3 for key in keys):
-                keys = _partner_keys(w, counts, fmap)
-            p = max(p - 1, 0)
-            continue
-        k1, k2 = keys[p], keys[p + 1]
-        if k1 == k2 and k1[1][0] == 2 and k1[1][1][0] in _ONE_SLOT_RANKS:
-            # both dummies contract into two one-slot factors of one kind
-            # (xi_a xi_b, x_a x_b, v_a v_b, ...), a symmetric pair, so the
-            # pair equals half its anticommutator
-            if g1.fam == "c":
-                sign = -sign
-            _delta_branch(coeff if sign > 0 else -coeff, t.fac,
-                          tuple(w[:p] + w[p + 2:]), t.norm,
-                          g1.idx, g2.idx, counts, stack)
+    def pair(todo, sign, deltas, cs, hs):
+        if not todo:
+            out.append((sign, deltas, cs + hs))
             return
-        if k1 > k2:
-            _delta_branch(coeff * _ANTICOMMUTATOR[g1.fam, sign], t.fac,
-                          tuple(w[:p] + w[p + 2:]), t.norm,
-                          g1.idx, g2.idx, counts, stack)
-            w[p], w[p + 1] = g2, g1
-            sign = -sign
-            if k1[1][0] == 3 or k2[1][0] == 3:
-                keys = _partner_keys(w, counts, fmap)
-            else:
-                keys[p], keys[p + 1] = k2, k1
-            p = max(p - 1, 0)
-            continue
-        p += 1
-    out.append((Term(coeff if sign > 0 else -coeff, t.fac, tuple(w),
-                     t.norm), counts, facts[0]))
+        p, todo = todo[0], todo[1:]
+        g = word[p]
+        if not full and g.fam == "c":  # ahead of the CHATs before it
+            pair(todo, -sign if len(hs) % 2 else sign, deltas,
+                 cs + (G("c", g.idx, bool(cs)),), hs)
+        elif not full:
+            pair(todo, sign, deltas, cs, hs + (G("h", g.idx, bool(hs)),))
+        for k, q in enumerate(todo):
+            h = word[q]
+            if (h.fam != g.fam or blocks[q] == blocks[p]
+                    or isinstance(g.idx, int) and isinstance(h.idx, int)
+                    and g.idx != h.idx):
+                continue
+            pair(todo[:k] + todo[k + 1:],
+                 -sign if (k % 2) != (g.fam == "c") else sign,
+                 deltas + (F("delta", (g.idx, h.idx)),), cs, hs)
+
+    pair(tuple(range(len(word))), 1, (), (), ())
+    return out
 
 
-def _delta_branch(coeff, fac, word, norm, i, j, counts, stack):
-    """Push (term, counts) for coeff * fac * delta(i, j) * word, with the
-    delta already applied by `_substitute_delta`.
+def _expanded(word: tuple[G, ...]) -> bool:
+    """Whether the word is one C block and then one CHAT block, either of
+    them possibly absent: the words `wick` leaves."""
+    prev = None
+    for g in word:
+        if g.wedge != (g.fam == prev) or prev == "h" and g.fam == "c":
+            return False
+        prev = g.fam
+    return True
 
-    The term it branched from met no factor rule, and the delta is its
-    last factor, so the delta rule is the first to fire.  A substitution
-    drops the dummy's label from the counts; a kept delta (its labels are
-    no dummies) holds the two labels the word gave up.
+
+def _block_rules(t: Term, counts) -> Term | None:
+    """The zero rules of the two blocks of an expanded term, or None when
+    the term vanishes.
+
+    A block is antisymmetric in its labels, so it vanishes with a label
+    held twice, with two dummies into the slots of one symmetric factor
+    (ric, delta) or into two one-slot factors of one kind, and with three
+    dummies into one Riemann factor, whose antisymmetric part in three
+    slots is zero by first Bianchi.  Two dummies into a Riemann factor
+    that are not one of its antisymmetric slot pairs become half the pair
+    form: R_abcd with a and c in one block is 1/2 R_acbd there.  The rule
+    takes the variant of the factor with the two slots at 0 and 2 first,
+    and it leaves the factor's other two slots a pair, so the other block
+    finds them settled.
     """
-    step = _substitute_delta(Term(coeff, fac, word, norm), i, j, counts)
-    if step == "zero":
-        return
-    if step is None:
-        stack.append((Term(coeff, fac + (F("delta", (i, j)),), word, norm),
-                      counts))
-        return
-    stack.append(step)
+    held = {i: k for k, f in enumerate(t.fac) for i in f.idx
+            if counts.get(i) == 2}
+    coeff, fac = t.coeff, list(t.fac)
+    for fam in ("c", "h"):
+        labels = [g.idx for g in t.word if g.fam == fam]
+        if len(set(labels)) < len(labels):
+            return None
+        slots: dict[int, list[int]] = {}
+        for i in labels:
+            if i in held:
+                k = held[i]
+                slots.setdefault(k, []).append(fac[k].idx.index(i))
+        one_slot = [fac[k].kind for k in slots
+                    if KIND_ARITY[fac[k].kind] == 1]
+        if len(set(one_slot)) < len(one_slot):
+            return None
+        for k, ss in slots.items():
+            f = fac[k]
+            if len(ss) > 2 or len(ss) == 2 and f.kind in ("ric", "delta"):
+                return None
+            if f.kind == "riem" and sorted(ss) in ([0, 2], [0, 3], [1, 2],
+                                                  [1, 3]):
+                p, q = sorted(ss)
+                (perm, sign), = [v for v in _RIEM_VARIANTS
+                                 if v[0][0] == p and v[0][2] == q]
+                fac[k] = F("riem", (f.idx[p], f.idx[q], f.idx[perm[1]],
+                                    f.idx[perm[3]]))
+                coeff = coeff * Scalar.of(sign, 2)
+    return Term(coeff, tuple(fac), t.word, t.norm)
 
 
 def _checked_counts(t: Term) -> dict[str, int]:
@@ -593,17 +515,17 @@ def _checked_counts(t: Term) -> dict[str, int]:
     return counts
 
 
-def _reduce(t: Term, fold_fields: bool = True
-            ) -> list[tuple[Term, dict, list]]:
+def _reduce(t: Term, fold_fields: bool = True) -> list[tuple[Term, dict]]:
     """Rewrite a term until no rule applies; returns each reduced term with
-    its label counts and its factors' structural keys.
+    its label counts.
 
     The rewrite stack holds (term, counts).  The label counts are computed
-    for the input alone; every rule carries them, less the labels it
-    contracts away: a factor rule (`_contract_once`), a contracted word
-    pair, a substituted delta slot.  Every popped term goes through
-    `_contract_once`, and one that meets no factor rule has its word
-    ordered under the facts `_factor_facts` builds for it.
+    for the input alone; every factor rule (`_contract_once`) carries them,
+    less the labels it contracts away.  A popped term that meets no factor
+    rule and holds more than one block of a family is expanded (`wick`),
+    and each pairing goes back on the stack with its deltas applied
+    (`contract_deltas`, which carries the counts too).  A term with an
+    expanded word goes through the block rules and out.
     """
     if t.coeff.is_zero():
         return []
@@ -617,7 +539,17 @@ def _reduce(t: Term, fold_fields: bool = True
         if step is not None:
             stack.append(step)
             continue
-        _order_word(cur, counts, _factor_facts(cur, counts), out, stack)
+        if not _expanded(cur.word):
+            for sign, deltas, rest in wick(cur.word):
+                paired = contract_deltas(
+                    Term(cur.coeff if sign > 0 else -cur.coeff, cur.fac,
+                         rest, cur.norm), deltas, counts)
+                if paired is not None:
+                    stack.append(paired)
+            continue
+        cur = _block_rules(cur, counts)
+        if cur is not None:
+            out.append((cur, counts))
     return out
 
 
@@ -635,35 +567,65 @@ def _structural_key(f: F, counts):
             min([tuple([cls[p] for p in perm]) for perm, _ in perms]))
 
 
-def _dummy_names(count: int) -> tuple[str, ...]:
-    """The canonical dummy names _d00, _d01, ..., enough for count."""
-    if count <= len(_DUMMY_NAMES):
-        return _DUMMY_NAMES
-    return tuple(f"_d{k:02d}" for k in range(count))
+def _word_presentation(word, sub, spare):
+    """The word under a labelling, as (family, rank) pairs, and the sign of
+    sorting each block.
+
+    `sub` maps each label a factor holds, and each frame index and free
+    label, to its rank; a dummy held only by the word takes the next rank
+    of `spare` where it first occurs.
+    """
+    extra: dict[Idx, int] = {}
+    out, sign, block = [], 1, []
+    for g in word + (None,):
+        if block and (g is None or not g.wedge):
+            for a in range(len(block)):
+                for b in range(a + 1, len(block)):
+                    if block[a] > block[b]:
+                        sign = -sign
+            out.extend(sorted(block))
+            block = []
+        if g is None:
+            break
+        r = sub.get(g.idx)
+        if r is None:
+            r = extra.get(g.idx)
+            if r is None:
+                r = extra[g.idx] = spare[len(extra)]
+        block.append((g.fam, r))
+    return tuple(out), sign
 
 
-def _finalize(t: Term, counts, skeys):
+def _finalize(t: Term, counts):
     """Canonical minimal presentation of a reduced term, or None when the
     term vanishes by antisymmetry.
 
-    `counts` and `skeys` are the label counts and factor structural keys
-    `_reduce` returned with the term.  The word is taken as `_reduce` left
-    it: `_order_word` found it sorted under partner keys built from these
-    same counts, and partner keys do not depend on dummy names, so renaming
-    the dummies cannot unsort it.
+    `counts` are the label counts `_reduce` returned with the term.
 
-    The factors are sorted into slots by structural key; a presentation
-    fills each slot with a distinct factor of that slot's key, in one of its
-    symmetry variants, and names dummies in first-seen order after the word
-    dummies.  The canonical presentation is the one whose factor keys are
-    lexicographically minimal.  It is built slot by slot: a frontier holds
-    the partial presentations whose output so far equals the minimal
-    prefix, and each slot keeps only the extensions with the minimal factor
-    key, since names are assigned in traversal order and a larger prefix
-    can never complete to the minimum.  Entries with the same chosen
-    factors and dummy renaming have the same completions; if their signs
-    differ, or the complete presentations coincide with opposite signs,
-    the term equals its own negative and vanishes.
+    A block of one generator keeps its place in the word, so the dummies
+    of those blocks are named first, in word order, with no search; the
+    factors they reach are then ranked before the search, which keeps its
+    frontier small (a raw word is all such blocks).  The factors are
+    sorted into slots by structural key; a presentation fills each slot
+    with a distinct factor of that slot's key, in one of its symmetry
+    variants, and names its dummies in first-seen order.  The canonical
+    presentation is the one whose factor keys are
+    lexicographically minimal, and among those the one whose word is.  It
+    is built slot by slot: a frontier holds the partial presentations whose
+    output so far equals the minimal prefix, and each slot keeps only the
+    extensions with the minimal factor key, since names are assigned in
+    traversal order and a larger prefix can never complete to the minimum.
+    Entries with the same chosen factors and dummy renaming have the same
+    completions; if their signs differ, the term equals its own negative
+    and vanishes.
+
+    Each complete entry then presents the word: the dummies only the word
+    holds take the names after the factors' in first-seen order, and each
+    block is sorted with the sign of its sort (`_word_presentation`).  In
+    a term from `_reduce` such a dummy joins its C block to its CHAT
+    block, so which of them takes which name changes both sorts alike.
+    The least word is taken; if it is reached with both signs, the term
+    vanishes.
 
     Every index a presentation can hold (a frame index, a free label, a
     canonical dummy name) is ranked once in `idx_key` order, and a partial
@@ -673,29 +635,27 @@ def _finalize(t: Term, counts, skeys):
     one.  A term with no index and no word is its own presentation, with
     its factors in slot order, and builds none of this.
     """
+    skeys = [_structural_key(f, counts) for f in t.fac]
     if not t.word and not any(f.idx for f in t.fac):
         return Term(t.coeff, tuple([t.fac[k] for k in sorted(
             range(len(t.fac)), key=skeys.__getitem__)]), (), t.norm)
     dummies = {lab for lab, c in counts.items() if c == 2}
-    names = _dummy_names(len(dummies))[:len(dummies)]
-    held = {i for f in t.fac for i in f.idx}.difference(dummies)
+    names = [f"_d{k:02d}" for k in range(len(dummies))]
+    held = {i for f in t.fac for i in f.idx}
+    held.update([g.idx for g in t.word])
+    held.difference_update(dummies)
     labels = {i for i in held if isinstance(i, str)}.union(names)
     # idx_key order: frame indices ascending, then labels as strings
     order = sorted(held.difference(labels)) + sorted(labels)
     rank = {i: r for r, i in enumerate(order)}
     name_rank = [rank[name] for name in names]
     sub = {i: rank[i] for i in held}
-    # canonical names for word dummies come from the word scan alone
-    word = []
     nw = 0
-    for g in t.word:
-        if g.idx in dummies:
-            r = sub.get(g.idx)
-            if r is None:
-                r = sub[g.idx] = name_rank[nw]
-                nw += 1
-            g = G(g.fam, order[r])
-        word.append(g)
+    for p, g in enumerate(t.word):
+        if (g.idx in dummies and g.idx not in sub and not g.wedge
+                and (p + 1 == len(t.word) or not t.word[p + 1].wedge)):
+            sub[g.idx] = name_rank[nw]
+            nw += 1
     slots = sorted(range(len(t.fac)), key=skeys.__getitem__)
     groups: dict[tuple, list[int]] = {}
     for k in slots:
@@ -765,11 +725,69 @@ def _finalize(t: Term, counts, skeys):
                 frontier[used, named] = (sub, sign)
             elif prev[1] != sign:
                 return None  # t = -t under a symmetry: antisymmetric zero
-    signs = {sign for _, sign in frontier.values()}
+    word_min, signs = None, set()
+    for (_, named), (sub, sign) in frontier.items():
+        word, wsign = _word_presentation(t.word, sub,
+                                         name_rank[nw + len(named):])
+        if word_min is None or word < word_min:
+            word_min, signs = word, set()
+        if word == word_min:
+            signs.add(sign * wsign)
     if len(signs) > 1:
         return None  # the minimum is reached with both signs
     coeff = t.coeff if signs == {1} else -t.coeff
-    return Term(coeff, tuple(fac_out), tuple(word), t.norm)
+    return Term(coeff, tuple(fac_out),
+                tuple(G(fam, order[r], g.wedge)
+                      for (fam, r), g in zip(word_min, t.word)), t.norm)
+
+
+def _first_bianchi(t: Term) -> list[Term]:
+    """A presentation as presentations none of which is the greatest of its
+    first-Bianchi relation.
+
+    A Riemann factor with no two dummies in one block (the block rules
+    settle the others) satisfies R_abcd = -R_acdb - R_adbc.  With the
+    term's coefficient set to one, the two cyclic variants are finalized
+    and equal presentations summed, which gives P = sum_K n_K P_K with
+    integer n_K.  When P itself has the greatest presentation among those
+    with n_K != 0, it is replaced by sum_K n_K P_K / (1 - n_P), each
+    presentation smaller than P (a variant that vanishes by antisymmetry
+    drops out; with 1 - n_P = 0 the relation does not hold P).  A term
+    with one such factor is then final, since the relation of a smaller
+    presentation of the orbit does not end in it; with more factors the
+    new terms are rewritten in turn.  Every rewrite lowers the
+    presentation, so the rewriting ends, and the choice reads only
+    canonical presentations, so equal values end alike.
+    """
+    if all(f.kind != "riem" for f in t.fac):
+        return [t]
+    counts = label_counts(t)
+    blocks = [{g.idx for g in t.word if g.fam == fam and counts.get(g.idx)}
+              for fam in ("c", "h")]
+    riems = [k for k, f in enumerate(t.fac) if f.kind == "riem"
+             and all(len(b.intersection(f.idx)) < 2 for b in blocks)]
+    if not riems:
+        return [t]
+    key = term_key(t)
+    for k in riems:
+        a, b, c, d = t.fac[k].idx
+        rel: dict[tuple, int] = {}
+        for idx in ((a, c, d, b), (a, d, b, c)):
+            f = F("riem", idx)
+            p = _finalize(Term(-S_ONE, t.fac[:k] + (f,) + t.fac[k + 1:],
+                               t.word, t.norm), counts)
+            if p is not None:
+                rel[p[1:]] = rel.get(p[1:], 0) + (1 if p.coeff == S_ONE
+                                                  else -1)
+        own = 1 - rel.pop(t[1:], 0)
+        rest = {q: n for q, n in rel.items() if n}
+        if own and all(term_key(Term(S_ONE, *q)) < key for q in rest):
+            out = [Term(t.coeff * Scalar.of(n, own), *q)
+                   for q, n in rest.items()]
+            if len(riems) == 1:
+                return out
+            return [q for p in out for q in _first_bianchi(p)]
+    return [t]
 
 
 def _merge(presentations: Iterable[Term | None]) -> dict[tuple, Scalar]:
@@ -790,26 +808,24 @@ def merge_presentations(terms: Iterable[Term]) -> list[Term]:
     order and monoterm symmetry variants.
 
     Each term gets its canonical presentation from `_finalize` as it
-    stands: no factor rule runs and no word is reordered, so the word is
-    only renamed.  Equal presentations are summed and zero coefficients
-    dropped.  Every presentation has the value of its term, so the result
-    has the value of the input; two terms this leaves apart still meet in
-    `normalize`.
+    stands: no factor rule runs and no word is expanded, so the word is
+    only renamed and each of its blocks sorted.  Equal presentations are
+    summed and zero coefficients dropped.  Every presentation has the
+    value of its term, so the result has the value of the input; two terms
+    this leaves apart still meet in `normalize`.
     """
-    def presentation(t):
-        counts = _checked_counts(t)
-        return _finalize(t, counts,
-                         [_structural_key(f, counts) for f in t.fac])
-    acc = _merge(map(presentation, terms))
+    acc = _merge(_finalize(t, _checked_counts(t)) for t in terms)
     return [Term(coeff, *key) for key, coeff in acc.items()
             if not coeff.is_zero()]
 
 
 def normalize(terms: Iterable[Term], *,
               fold_fields: bool = True) -> tuple[Term, ...]:
-    # term_key, which orders the output, is injective on presentations, so
-    # it is built once per merged term
     acc = _merge(_finalize(*red) for t in terms
                  for red in _reduce(t, fold_fields))
+    acc = _merge(p for key, coeff in acc.items() if not coeff.is_zero()
+                 for p in _first_bianchi(Term(coeff, *key)))
+    # term_key, which orders the output, is injective on presentations, so
+    # it is built once per merged term
     return tuple(sorted((Term(coeff, *key) for key, coeff in acc.items()
                          if not coeff.is_zero()), key=term_key))

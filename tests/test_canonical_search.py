@@ -1,24 +1,27 @@
-"""The normalize kernel against the loops it replaced.
+"""The normalize kernel against slower loops that reach the same forms.
 
 `reference_finalize` enumerates every ordering of structurally equal factors
-times every symmetry variant of every factor, and keeps the lexicographically
-least presentation; a presentation reached with both signs makes the term
-vanish.  `terms._finalize` must give the same result on every input.
+times every symmetry variant of every factor, names the dummies as
+`terms._finalize` does (those of one-generator blocks first, in word order,
+then the factors' in traversal order, then the word's own), sorts each block
+with its sign and keeps the least presentation; a presentation reached with
+both signs makes the term vanish.  `terms._finalize` must give the same
+result on every input.
 
-`reference_normalize` is the driver loop before label counts and factor
-keys travelled with a term: fresh counts and keys for every popped term,
-one word rule at a time (`reference_word_once`, with each anticommutator
-delta left to `_contract_once`), symmetrization over the xi / x monomial
-dummies (`_monomial_groups` and `_symmetrize`, the pass `normalize` once
-ran) and a second reduction for every reduced term, and a check that the
-word is still sorted before it is finalized.  It runs the module's factor
-rules and partner keys, and `normalize`, which no longer symmetrizes and
-orders a word in one loop, must give the same result on every input.
+`reference_normalize` is a rewrite loop with fresh label counts for every
+popped term and one factor rule at a time, which expands a word by another
+route than `terms.wick`: it multiplies the generators onto the block basis
+one at a time (`reference_expand`), where a generator times a block is
+their wedge plus its contraction with each generator of the block.  It runs
+the module's factor rules, block rules, `_finalize` and first-Bianchi
+rewrite, and `normalize`, which expands each word by its partial pairings
+and carries the label counts through every rule, must give the same result
+on every input.
 """
 
 import importlib.util
 import random
-from itertools import chain, groupby, permutations, product
+from itertools import groupby, permutations, product
 from math import prod
 from pathlib import Path
 
@@ -30,8 +33,8 @@ from hypothesis import strategies as st
 from wittenres import clifford, pdo, terms
 from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import (F, G, ContractViolation, NormalizeError, Term,
-                             fct, label_counts, map_labels, normalize,
-                             term_key)
+                             fct, idx_key, label_counts, map_labels,
+                             normalize, term_key)
 
 
 def variants(f):
@@ -40,14 +43,42 @@ def variants(f):
             for perm, s in terms._VARIANTS[f.kind]]
 
 
+def _blocks(word):
+    """The word's blocks as lists of positions."""
+    out = []
+    for p, g in enumerate(word):
+        if g.wedge and out:
+            out[-1].append(p)
+        else:
+            out.append([p])
+    return out
+
+
+def _present_word(word, sub):
+    """The word with its labels renamed by sub and each block sorted, with
+    the sign of the sorting."""
+    out, sign = [], 1
+    for block in _blocks(word):
+        gens = [(word[p].fam, sub.get(word[p].idx, word[p].idx))
+                for p in block]
+        keys = [(fam, idx_key(i)) for fam, i in gens]
+        for a in range(len(keys)):
+            for b in range(a + 1, len(keys)):
+                if keys[a] > keys[b]:
+                    sign = -sign
+        for n, (fam, i) in enumerate(sorted(
+                gens, key=lambda g: (g[0], idx_key(g[1])))):
+            out.append(G(fam, i, n > 0))
+    return tuple(out), sign
+
+
 def reference_finalize(t, counts):
+    dummy = {i for i, c in counts.items() if c == 2}
     wmap = {}
-    for g in t.word:
-        if (isinstance(g.idx, str) and counts.get(g.idx) == 2
-                and g.idx not in wmap):
+    for block in _blocks(t.word):
+        g = t.word[block[0]]
+        if len(block) == 1 and g.idx in dummy and g.idx not in wmap:
             wmap[g.idx] = f"_d{len(wmap):02d}"
-    word = tuple(G(g.fam, wmap.get(g.idx, g.idx)) if isinstance(g.idx, str)
-                 else g for g in t.word)
     skeys = [terms._structural_key(f, counts) for f in t.fac]
     base = sorted(range(len(t.fac)), key=skeys.__getitem__)
     groups = [list(g) for _, g in groupby(base, key=skeys.__getitem__)]
@@ -64,16 +95,20 @@ def reference_finalize(t, counts):
                 vf = choice[k][0]
                 fac.append(F(vf.kind, tuple(
                     sub.setdefault(i, f"_d{len(sub):02d}")
-                    if isinstance(i, str) and counts.get(i) == 2 else i
-                    for i in vf.idx)))
-            fac = tuple(fac)
-            if seen.setdefault(fac, sign) != sign:
+                    if i in dummy else i for i in vf.idx)))
+            for g in t.word:
+                if g.idx in dummy:
+                    sub.setdefault(g.idx, f"_d{len(sub):02d}")
+            word, wsign = _present_word(t.word, sub)
+            pres = (tuple(fac), word)
+            if seen.setdefault(pres, sign * wsign) != sign * wsign:
                 return None
-            key = tuple(terms.factor_key(f) for f in fac)
+            key = (tuple(terms.factor_key(f) for f in fac),
+                   tuple(terms.gen_key(g) for g in word))
             if best is None or key < best[0]:
-                best = (key, fac, sign)
+                best = (key, pres, sign * wsign)
     coeff = t.coeff if best[2] == 1 else -t.coeff
-    return "done", Term(coeff, best[1], word, t.norm)
+    return Term(coeff, best[1][0], best[1][1], t.norm)
 
 
 # each symbolic label is drawn at most twice: once it is free, twice a dummy
@@ -81,61 +116,132 @@ _LABELS = ("a", "b", "c", "d", "e", "f", "g")
 _CONCRETE = (1, 2)
 
 
-def reference_word_once(t, counts):
-    """One word rewriting step toward normal order, or None if ordered:
-    the rewritten terms, each anticommutator delta appended as a factor."""
-    w = t.word
-    keys = terms._partner_keys(w, counts,
-                               terms._factor_facts(t, counts)[1])
-    for p in range(len(w) - 1):
-        g1, g2 = w[p], w[p + 1]
-        if g1.fam == "h" and g2.fam == "c":
-            nw = w[:p] + (g2, g1) + w[p + 2:]
-            return [Term(-t.coeff, t.fac, nw, t.norm)]
-        if g1.fam != g2.fam:
-            continue
-        sign = -S_ONE if g1.fam == "c" else S_ONE
-        delta = (F("delta", (g1.idx, g2.idx)),)
-        if g1.idx == g2.idx:
-            coeff = t.coeff * sign
-            if isinstance(g1.idx, str):
-                coeff = coeff * terms.S_N
-            return [Term(coeff, t.fac, w[:p] + w[p + 2:], t.norm)]
-        if keys[p] == keys[p + 1]:
-            cls, part, _ = keys[p][1]
-            if cls == 2 and part[0] in terms._ONE_SLOT_RANKS:
-                return [Term(t.coeff * sign, t.fac + delta,
-                             w[:p] + w[p + 2:], t.norm)]
-        if keys[p] > keys[p + 1]:
-            return [Term(-t.coeff, t.fac, w[:p] + (g2, g1) + w[p + 2:],
-                         t.norm),
-                    Term(t.coeff * sign * Scalar.of(2), t.fac + delta,
-                         w[:p] + w[p + 2:], t.norm)]
-    return None
+def reference_expand(t):
+    """The term with its word on the block basis: the generators multiplied
+    on one at a time from the left, onto a C block and a CHAT block.  A
+    generator times a block is their wedge plus, for each generator of the
+    block of its family, the signed contraction: -delta for C, +delta for
+    CHAT, the delta appended to the factors."""
+    assert all(not g.wedge for g in t.word)
+    # (sign, deltas, C labels, CHAT labels); the word is read right to left
+    out = [(1, (), (), ())]
+    for g in reversed(t.word):
+        nxt = []
+        for sign, deltas, cs, hs in out:
+            own = cs if g.fam == "c" else hs
+            # past the C block first when g is a CHAT
+            s = -sign if g.fam == "h" and len(cs) % 2 else sign
+            for j, i in enumerate(own):
+                if isinstance(i, int) and isinstance(g.idx, int) \
+                        and i != g.idx:
+                    continue
+                rest = own[:j] + own[j + 1:]
+                # g meets own[j] past the j generators before it
+                c = (-s if j % 2 else s) * (-1 if g.fam == "c" else 1)
+                new = deltas + (F("delta", (g.idx, i)),)
+                nxt.append((c, new, rest, hs) if g.fam == "c"
+                           else (c, new, cs, rest))
+            wedge = (g.idx,) + own
+            nxt.append((s, deltas, wedge, hs) if g.fam == "c"
+                       else (s, deltas, cs, wedge))
+        out = nxt
+    return [Term(t.coeff if sign > 0 else -t.coeff, t.fac + deltas,
+                 tuple(G("c", i, n > 0) for n, i in enumerate(cs))
+                 + tuple(G("h", i, n > 0) for n, i in enumerate(hs)),
+                 t.norm)
+            for sign, deltas, cs, hs in out]
 
 
-def reference_reduce(t):
-    out = []
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if cur.coeff.is_zero():
+def reference_normalize(terms_in):
+    acc = {}
+    for t in terms_in:
+        stack = [t]
+        while stack:
+            cur = stack.pop()
+            if cur.coeff.is_zero():
+                continue
+            counts = label_counts(cur)
+            if any(c > 2 for c in counts.values()):
+                raise ContractViolation("a label occurs more than twice")
+            step = terms._contract_once(cur, counts)
+            if step == "zero":
+                continue
+            if step is not None:
+                stack.append(step[0])  # its counts are taken afresh
+                continue
+            if not terms._expanded(cur.word):
+                stack.extend(reference_expand(cur))
+                continue
+            cur = terms._block_rules(cur, counts)
+            if cur is None:
+                continue
+            out = terms._finalize(cur, counts)
+            if out is not None:
+                acc[out[1:]] = acc.get(out[1:], Scalar.of(0)) + out.coeff
+    final = {}
+    for key, coeff in acc.items():
+        if coeff.is_zero():
             continue
-        counts = label_counts(cur)
-        if any(c > 2 for c in counts.values()):
-            raise ContractViolation("a label occurs more than twice")
-        step = terms._contract_once(cur, counts)
-        if step == "zero":
-            continue
-        if step is not None:
-            stack.append(step[0])  # its counts are taken afresh
-            continue
-        wstep = reference_word_once(cur, counts)
-        if wstep is not None:
-            stack.extend(wstep)
-            continue
-        out.append(cur)
-    return out
+        for out in terms._first_bianchi(Term(coeff, *key)):
+            final[out[1:]] = final.get(out[1:], Scalar.of(0)) + out.coeff
+    return tuple(sorted((Term(c, *k) for k, c in final.items()
+                         if not c.is_zero()), key=term_key))
+
+
+@st.composite
+def small_terms(draw, vectors=("u", "w", "xi"), max_word=2, fams=("c",),
+                blocks=False):
+    """A term of a few factors and a word; with blocks, a generator after
+    the first may be wedged onto the one before it."""
+    kinds = (["riem"] * draw(st.integers(0, 2))
+             + draw(st.lists(st.sampled_from(("ric", "delta")), max_size=2))
+             + draw(st.lists(st.sampled_from(vectors), max_size=3)))
+    left = dict.fromkeys(_LABELS, 2)
+
+    def label():
+        # a label drawn once is offered twice more, so most become dummies
+        pool = ([lab for lab, n in left.items() if n]
+                + [lab for lab, n in left.items() if n == 1] * 2
+                + list(_CONCRETE))
+        lab = draw(st.sampled_from(pool))
+        if isinstance(lab, str):
+            left[lab] -= 1
+        return lab
+
+    fac = tuple(fct(kind, *(label() for _ in range(terms.KIND_ARITY[kind])))
+                for kind in draw(st.permutations(kinds)))
+    word = tuple(G(draw(st.sampled_from(fams)), label(),
+                   blocks and n > 0 and draw(st.booleans()))
+                 for n in range(draw(st.integers(0, max_word))))
+    return Term(S_ONE, fac, word)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_terms(max_word=4, fams=("c", "h"), blocks=True))
+def test_finalize_matches_exhaustive_reference(t):
+    counts = label_counts(t)
+    assert terms._finalize(t, counts) == reference_finalize(t, counts)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(small_terms(vectors=("u", "w", "v", "xi", "x"),
+                            max_word=6, fams=("c", "h")),
+                min_size=1, max_size=3))
+# a symmetric pair in one block, a crossed word pair, a pair inside the
+# word beside two monomials, and a pairing that renames a label inside a
+# Riemann factor, which then contracts to Ricci and folds to ricuw
+@example([Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
+               (G("h", "a"), G("h", "b")))])
+@example([Term(S_ONE, (fct("u", "c"),), (G("c", "a"), G("c", "c"),
+                                        G("c", "b"), G("c", "a")))])
+@example([Term(S_ONE, (fct("x", "a"), fct("x", "b"), fct("ric", "c", 1)),
+               (G("c", "c"), G("h", 2), G("c", "b"), G("c", "a")))])
+@example([Term(S_ONE, (fct("riem", "a", "e", "b", "f"), fct("u", "e"),
+                       fct("w", "f")), (G("c", "b"), G("c", "a")))])
+def test_normalize_matches_reference_loop(ts):
+    assert normalize(ts) == reference_normalize(ts)
 
 
 def _monomial_groups(t: Term, counts) -> list[list[str]]:
@@ -155,107 +261,21 @@ def _monomial_groups(t: Term, counts) -> list[list[str]]:
 
 
 def _symmetrize(t: Term, groups) -> list[Term]:
-    """Average over permutations of each group of dummy xi (and x) monomial
-    labels; the monomials are symmetric so this is value preserving.  The
-    monomial slots keep their labels and every other occurrence moves."""
+    """Every permutation copy of each group of dummy xi (and x) monomial
+    labels: the monomial slots keep their labels and every other
+    occurrence moves."""
     labs = [lab for group in groups for lab in group]
     slots = [k for k, f in enumerate(t.fac)
              if f.kind in ("xi", "x") and f.idx[0] in labs]
-    perms = list(product(*(permutations(group) for group in groups)))
-    inv = Scalar.of(1, len(perms))
     out = []
-    for parts in perms:
-        moved = map_labels(t, dict(zip(labs, chain.from_iterable(parts))))
+    for parts in product(*(permutations(group) for group in groups)):
+        moved = map_labels(t, dict(zip(labs, [lab for part in parts
+                                              for lab in part])))
         fac = list(moved.fac)
         for k in slots:
             fac[k] = t.fac[k]
-        out.append(Term(t.coeff * inv, tuple(fac), moved.word,
-                        t.norm))
+        out.append(Term(t.coeff, tuple(fac), moved.word, t.norm))
     return out
-
-
-def reference_normalize(terms_in):
-    acc = {}
-    work = [(t, False) for t in terms_in]
-    while work:
-        t, symmetrized = work.pop()
-        if t.coeff.is_zero():
-            continue
-        reduced = reference_reduce(t)
-        if not symmetrized:
-            for r in reduced:
-                groups = _monomial_groups(r, label_counts(r))
-                work.extend((s, True) for s in _symmetrize(r, groups))
-            continue
-        for r in reduced:
-            counts = label_counts(r)
-            skeys, fmap = terms._factor_facts(r, counts)
-            keys = terms._partner_keys(r.word, counts, fmap)
-            # the old loop relabelled and requeued an unsorted word here
-            assert keys == sorted(keys), r
-            out = terms._finalize(r, counts, skeys)
-            if out is not None:
-                key = term_key(out)
-                prev = acc.get(key)
-                acc[key] = out if prev is None else out._replace(
-                    coeff=prev.coeff + out.coeff)
-    return tuple(acc[key] for key in sorted(acc)
-                 if not acc[key].coeff.is_zero())
-
-
-@st.composite
-def small_terms(draw, vectors=("u", "w", "xi"), max_word=2, fams=("c",)):
-    kinds = (["riem"] * draw(st.integers(0, 2))
-             + draw(st.lists(st.sampled_from(("ric", "delta")), max_size=2))
-             + draw(st.lists(st.sampled_from(vectors), max_size=3)))
-    left = dict.fromkeys(_LABELS, 2)
-
-    def label():
-        # a label drawn once is offered twice more, so most become dummies
-        pool = ([lab for lab, n in left.items() if n]
-                + [lab for lab, n in left.items() if n == 1] * 2
-                + list(_CONCRETE))
-        lab = draw(st.sampled_from(pool))
-        if isinstance(lab, str):
-            left[lab] -= 1
-        return lab
-
-    fac = tuple(fct(kind, *(label() for _ in range(terms.KIND_ARITY[kind])))
-                for kind in draw(st.permutations(kinds)))
-    word = tuple(G(draw(st.sampled_from(fams)), label())
-                 for _ in range(draw(st.integers(0, max_word))))
-    return Term(S_ONE, fac, word)
-
-
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much])
-@given(small_terms())
-def test_finalize_matches_exhaustive_reference(t):
-    counts = label_counts(t)
-    skeys = [terms._structural_key(f, counts) for f in t.fac]
-    got = terms._finalize(t, counts, skeys)
-    want = reference_finalize(t, counts)
-    assert got == (None if want is None else want[1])
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(small_terms(vectors=("u", "w", "v", "xi", "x"),
-                            max_word=6, fams=("c", "h")),
-                min_size=1, max_size=3))
-# the monomial tie, a crossed word pair, a tie behind a reorder, and an
-# anticommutator branch that renames a label inside a Riemann factor, which
-# then contracts to Ricci and folds to ricuw
-@example([Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
-               (G("h", "a"), G("h", "b")))])
-@example([Term(S_ONE, (fct("u", "c"),), (G("c", "a"), G("c", "c"),
-                                        G("c", "b"), G("c", "a")))])
-@example([Term(S_ONE, (fct("x", "a"), fct("x", "b"), fct("ric", "c", 1)),
-               (G("c", "c"), G("h", 2), G("c", "b"), G("c", "a")))])
-@example([Term(S_ONE, (fct("riem", "a", "e", "b", "f"), fct("u", "e"),
-                       fct("w", "f")), (G("c", "b"), G("c", "a")))])
-def test_normalize_matches_reference_loop(ts):
-    assert normalize(ts) == reference_normalize(ts)
 
 
 @st.composite
@@ -283,16 +303,16 @@ def monomial_terms(draw):
 @given(monomial_terms())
 def test_each_monomial_permutation_normalizes_alike(t):
     """Why `normalize` needs no symmetrization pass: every permutation copy
-    of a reduced term's monomial dummies, at the term's own coefficient,
-    already has the term's normal form."""
+    of a reduced term's monomial dummies already has the term's normal
+    form."""
     checked = 0
-    for r, counts, _ in terms._reduce(t):
+    for r, counts in terms._reduce(t):
         groups = _monomial_groups(r, counts)
         if not groups:
             continue
         want = normalize([r])
         for copy in _symmetrize(r, groups):
-            assert normalize([copy._replace(coeff=r.coeff)]) == want, copy
+            assert normalize([copy]) == want, copy
             checked += 1
     assume(checked)
 
@@ -311,35 +331,20 @@ def bench_workloads():
 _TAYLOR_SEEDS = range(101, 105)
 
 
-def _first_derivative_raw_terms(monkeypatch, seed):
-    """The raw terms that x-differentiating the raw difference of the
-    taylor_diff benchmark's comparison at `seed` hands to normalize (the
-    comparison itself now cancels the difference first)."""
-    inputs = bench_workloads().taylor_inputs(seed)
-    a, b = inputs.derived, inputs.printed
-    d = a + tuple(t._replace(coeff=-t.coeff) for t in b)
-    seen = []
-
-    def recorded(ts):
-        seen.append(tuple(ts))
-        return normalize(seen[-1])
-    monkeypatch.setattr(pdo, "normalize", recorded)
-    pdo.d_x_terms(d, pdo._fresh_labels((a, b), 1)[0], strict=False, xmax=1)
-    monkeypatch.undo()
-    (raw,) = seen
-    return raw
-
-
-def test_normalize_matches_reference_on_taylor_terms(monkeypatch):
-    # 92 raw terms a seed; one seed gave 182 under the earlier kind ranks
-    # (curvature ahead of the vector fields), so four seeds keep the sweep
-    # at least as wide
+def test_normalize_matches_reference_on_taylor_terms():
+    # each side of the taylor_diff comparison, 15 raw terms with words of
+    # up to eight generators and two Riemann factors, normalized on its
+    # own: both loops reach the same 70 terms from either side, which
+    # have one value
     checked = 0
     for seed in _TAYLOR_SEEDS:
-        raw = _first_derivative_raw_terms(monkeypatch, seed)
-        assert normalize(raw) == reference_normalize(raw), seed
-        checked += len(raw)
-    assert checked == 368
+        inputs = bench_workloads().taylor_inputs(seed)
+        want = normalize(inputs.derived)
+        assert len(want) == 70
+        assert normalize(inputs.printed) == want
+        assert reference_normalize(inputs.derived) == want, seed
+        checked += len(inputs.derived)
+    assert checked == 60
 
 
 def test_word_reorders_reuse_label_counts(monkeypatch):
@@ -360,22 +365,24 @@ def test_word_reorders_reuse_label_counts(monkeypatch):
     c, h = clifford.c, clifford.chat
     word = (c(4), c(3), c(2), c(1), h(2), h(1))
     got = normalize([word_term(word)])
-    # seven transpositions, each with a swapped and a delta branch; the
-    # word rules keep the labels, so only the input's counts are computed
+    # distinct frame indices never pair, so the word is one sorted block
+    # per family, with the sign of the sort; the expansion keeps the
+    # labels, so only the input's counts are computed
     assert len(calls) == 1 and fired == []
-    assert got == (Term(-S_ONE, (), (c(1), c(2), c(3), c(4), h(1), h(2))),)
-    # anticommutator branches whose delta renames a dummy inside a factor
-    # carry their counts: they put u_a w_a and xi_d xi_d together, the field
-    # fold and the |xi|^2 rule fire on what they left, and the factor rules
-    # carry the counts too, so they are computed for the input alone (3
-    # times while each of the 2 factor-rule outputs was counted afresh)
+    assert got == (Term(-S_ONE, (), (G("c", 1), G("c", 2, True),
+                                      G("c", 3, True), G("c", 4, True),
+                                      G("h", 1), G("h", 2, True))),)
+    # pairings whose delta renames a dummy inside a factor carry their
+    # counts: they put u_a w_a and xi_d xi_d together, the field fold and
+    # the |xi|^2 rule fire on what they left, and the factor rules carry
+    # the counts too, so they are computed for the input alone
     calls.clear()
     t = Term(S_ONE, (fct("u", "a"), fct("w", "b"), fct("xi", "d"),
                      fct("xi", "e")), (c("e"), c("b"), c("d"), c("a")))
     got = normalize([t])
     assert {tuple(f.kind for f in step.fac) for step in fired} == {
-        ("u", "w"), ("guw",)}
-    assert len(fired) == 2 and calls == [t]
+        ("u", "w"), ("xi", "xi", "guw"), ("guw",)}
+    assert calls == [t]
     monkeypatch.undo()
     assert got == reference_normalize([t])
     assert len(got) == 4
@@ -391,60 +398,58 @@ def _prepass_terms(seed=101):
 
 def test_finalize_matches_exhaustive_reference_on_taylor_terms():
     # two Riemann factors and words of up to eight generators, past what
-    # the hypothesis terms reach; 118 reduced terms a seed, where one seed
-    # gave 383 under the earlier kind ranks, so four seeds keep the sweep
-    # at least as wide
-    reduced = [red for seed in _TAYLOR_SEEDS for t in _prepass_terms(seed)
+    # the hypothesis terms reach: the raw terms as `merge_presentations`
+    # finalizes them, 30 a seed, and the reduced terms of each display
+    # term with no x factor, 58 a seed, with their blocks
+    raw = [t for seed in _TAYLOR_SEEDS for t in _prepass_terms(seed)]
+    reduced = [red for seed in _TAYLOR_SEEDS
+               for t in bench_workloads().taylor_inputs(seed).printed
+               if not pdo.x_degree(t)
                for red in terms._reduce(t, fold_fields=False)]
-    assert len(reduced) == 472
-    assert max(len(t.word) for t, _, _ in reduced) == 8
-    for t, counts, skeys in reduced:
-        want = reference_finalize(t, counts)
-        got = terms._finalize(t, counts, skeys)
-        assert got == (None if want is None else want[1]), t
+    assert (len(raw), len(reduced)) == (120, 232)
+    assert max(len(t.word) for t in raw) == 8
+    assert any(g.wedge for t, _ in reduced for g in t.word)
+    for t, counts in [(t, label_counts(t)) for t in raw] + reduced:
+        assert terms._finalize(t, counts) == reference_finalize(t, counts), t
 
 
 def test_prepass_work_counts(monkeypatch):
-    """Deterministic work counts of the seed-101 prepass: 36 input terms
-    reduce to 118, and these cancel to nothing, since both sides reach the
-    same normal forms.  The label counts are computed once per input term,
-    and the factor facts and the partner keys once per ordered word: 120
-    words, since the `c(u) chat(V) c(w) chat(V)` term of each side ends in
-    a chat pair contracted into the two V factors, a one-slot tie, whose
-    half-anticommutator branch is one more word to order.  While
-    a delta branch patched the facts of the one factor it renamed
-    (`_refresh_facts`), the factor facts were built 36 times in full and
-    patched 82 times.
+    """Deterministic work counts of normalizing the seed-101 raw difference
+    fold-free, without the merge of equal presentations that the
+    comparison runs first: its 30 input terms are expanded on the block
+    basis, and what they leave cancels to nothing, since both sides reach
+    the same normal forms.  The label counts are computed once per input
+    term and every word is expanded once (`wick`); the pairings leave 2092
+    terms for the block rules, and the 1936 those keep are finalized.
 
-    Under the earlier kind ranks, which put the curvature factors ahead of
-    the vector fields, the derived side was 60 terms instead of 21, the 75
-    input terms reduced to 383 and merged to 50, and label_counts and
-    _partner_keys ran 75 and 383 times (459 and 914 before the facts
-    travelled with a term)."""
+    Before the block basis this pinned the partner keys that ordered the
+    words: 36 input terms reduced to 118, and the factor facts and the
+    partner keys were built 120 times each."""
     raw = _prepass_terms()
-    assert len(raw) == 36
+    assert len(raw) == 30
     calls = {}
-    for name in ("label_counts", "_factor_facts", "_partner_keys"):
+    for name in ("label_counts", "wick", "_block_rules", "_finalize"):
         def counted(*args, _name=name, _original=getattr(terms, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
         monkeypatch.setattr(terms, name, counted)
     assert normalize(raw, fold_fields=False) == ()
-    assert calls == {"label_counts": 36, "_factor_facts": 120,
-                     "_partner_keys": 120}
+    assert calls == {"label_counts": 30, "wick": 30, "_block_rules": 2092,
+                     "_finalize": 1936}
 
 
 def test_merge_prepass_work_counts(monkeypatch):
     """Deterministic work counts of the seed-101 comparison, which merges
-    equal presentations before it normal orders: the 36 raw terms of the
-    difference give 27 canonical presentations as written, 18 of which
-    survive the merge; these reduce to 30 terms, whose 15 presentations
-    all cancel.  `_finalize` runs 66 times, 36 in the merge and 30 in
-    `normalize`, where `normalize` alone runs it 118 times
-    (`test_prepass_work_counts`)."""
+    equal presentations before it normalizes: the 30 raw terms of the
+    difference give 15 canonical presentations as written, and all of them
+    cancel, since the derived side keeps its Clifford products as written,
+    as the display does.  `_finalize` runs 30 times, all in the merge,
+    where `normalize` alone runs it 1936 times (`test_prepass_work_counts`).
+    While normalize ordered words by partner keys, the 36 raw terms gave 27
+    presentations, 18 survived, and `_finalize` ran 66 times."""
     raw = _prepass_terms()
-    finalized, merged, reduced = [], [], []
-    finalize, merge, reduce_ = terms._finalize, terms._merge, terms._reduce
+    finalized, merged = [], []
+    finalize, merge = terms._finalize, terms._merge
 
     def counted_finalize(*args):
         finalized.append(args)
@@ -453,24 +458,16 @@ def test_merge_prepass_work_counts(monkeypatch):
     def counted_merge(presentations):
         merged.append(merge(presentations))
         return merged[-1]
-
-    def counted_reduce(t, fold_fields=True):
-        out = reduce_(t, fold_fields)
-        reduced.extend(out)
-        return out
     monkeypatch.setattr(terms, "_finalize", counted_finalize)
     monkeypatch.setattr(terms, "_merge", counted_merge)
-    monkeypatch.setattr(terms, "_reduce", counted_reduce)
     survivors = terms.merge_presentations(raw)
-    assert (len(raw), len(merged[0]), len(survivors)) == (36, 27, 18)
-    assert normalize(survivors, fold_fields=False) == ()
-    assert (len(reduced), len(merged[1])) == (30, 15)
-    assert len(finalized) == 66
+    assert (len(raw), len(merged[0]), len(survivors)) == (30, 15, 0)
+    assert len(finalized) == 30
     # the comparison itself does the same work
     inputs = bench_workloads().taylor_inputs(101)
     finalized.clear()
     assert pdo.terms_equal_taylor(inputs.derived, inputs.printed) is True
-    assert len(finalized) == 66
+    assert len(finalized) == 30
 
 
 def _ring(ends):
@@ -521,10 +518,9 @@ def test_frontier_guard_raises_typed_error(monkeypatch):
         normalize([_ring(("x", "x"))])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_normalize_is_idempotent_on_curvature_word():
-    # the output's word is unsorted under its own partner keys, so a second
-    # pass still rewrites it
+    # a normal form is its own normal form: the block c_e ^ c_b keeps its
+    # sorted order under the output's own labels
     t = Term(S_ONE, (fct("ric", "c", "b"), fct("u", "a"),
                      fct("ric", "e", "d")),
              (clifford.c("e"), clifford.c("b")))

@@ -7,8 +7,8 @@ from oracle import at_m, sums_equal, word_term
 
 from wittenres import clifford as cl
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (ContractViolation, F, Term, fct, mul_terms,
-                             normalize)
+from wittenres.terms import (ContractViolation, F, G, Term, fct, mul_terms,
+                             normalize, wick)
 
 
 def one(terms):
@@ -45,14 +45,19 @@ def test_normal_order_idempotent():
         assert once == again
 
 
+def scalar_part(word):
+    """The scalar part of a word: its full pairings as (sign, deltas)."""
+    return tuple((sign, deltas) for sign, deltas, _ in wick(word, full=True))
+
+
 def test_scalar_part_examples():
     # (sign, deltas) pairs, the sign an int
-    assert cl.scalar_part((cl.c("a"), cl.c("b"))) == (
+    assert scalar_part((cl.c("a"), cl.c("b"))) == (
         (-1, (F("delta", ("a", "b")),)),)
-    assert cl.scalar_part((cl.c("a"), cl.c("b"), cl.c("c"))) == ()
-    assert cl.scalar_part(()) == ((1, ()),)
+    assert scalar_part((cl.c("a"), cl.c("b"), cl.c("c"))) == ()
+    assert scalar_part(()) == ((1, ()),)
     # the quartic expansion: d_rj d_fp - d_rf d_jp + d_rp d_jf
-    got = cl.scalar_part((cl.c("r"), cl.c("j"), cl.c("f"), cl.c("p")))
+    got = scalar_part((cl.c("r"), cl.c("j"), cl.c("f"), cl.c("p")))
     assert all(type(sign) is int for sign, _ in got)
     want = [
         Term(S_ONE, (fct("delta", "r", "j"), fct("delta", "f", "p"))),
@@ -62,19 +67,25 @@ def test_scalar_part_examples():
     assert sums_equal([Term(Scalar.of(sign), fac) for sign, fac in got],
                       want)
     # pairs of distinct concrete indices are left out as they are built
-    got = cl.scalar_part((cl.c(1), cl.c(2), cl.c("a"), cl.c(1)))
+    got = scalar_part((cl.c(1), cl.c(2), cl.c("a"), cl.c(1)))
     assert got == ((1, (fct("delta", 1, 1), fct("delta", 2, "a"))),)
+    # two generators of one block never pair, so a block has no scalar part
+    assert scalar_part((cl.c("a"), G("c", "b", True))) == ()
 
 
 def test_scalar_part_hat_family_sign():
     # +delta for the hat family
-    assert cl.scalar_part((cl.chat("a"), cl.chat("b"))) == (
+    assert scalar_part((cl.chat("a"), cl.chat("b"))) == (
         (1, (F("delta", ("a", "b")),)),)
 
 
-def test_scalar_part_rejects_mixed_families():
-    with pytest.raises(ContractViolation):
-        cl.scalar_part((cl.c(1), cl.chat(1)))
+def test_scalar_part_never_pairs_across_families():
+    # a c and a chat anticommute, so they never pair
+    assert scalar_part((cl.c(1), cl.chat(1))) == ()
+    # c_a chat_b c_c chat_d = -c_a c_c chat_b chat_d = +delta_ac delta_bd
+    assert scalar_part((cl.c("a"), cl.chat("b"), cl.c("c"),
+                        cl.chat("d"))) == (
+        (1, (fct("delta", "a", "c"), fct("delta", "b", "d"))),)
 
 
 def test_trace_basic_values():

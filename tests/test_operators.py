@@ -83,13 +83,17 @@ def test_left_identity_at_the_origin():
 
 def test_left_identity_residue_with_the_derived_operator():
     # with the derived sigma(D_V) o sigma(D_V) as the left factor, the
-    # normal forms still differ by ROADMAP item 2's one open gap
-    # (-1/8 R_abcd c_a c_b c_c c_d is left unreduced against s/4), but the
-    # residue of Delta o Delta^{-m} at order -2m is Wres(Delta^{-m+1})
+    # origin part of Delta o Delta^{-m} at order -2m has the normal form of
+    # Delta^{-m+1}'s: the -1/8 R_abcd c_a c_b c_c c_d of the square is the
+    # s/4 of the endomorphism.  And its residue is Wres(Delta^{-m+1})
     sigma = oracle.dirac_symbol()
     square = compose(sigma, sigma, [(2, 0), (1, 0), (0, 0)])
-    got = compose(square, parametrix_symbols(build_laplace_data(), 0),
-                  [(0, -2)])
+    data = build_laplace_data()
+    assert (normalize(origin_terms(square.comps[(0, 0)].terms))
+            == normalize(data.endo))
+    got = compose(square, parametrix_symbols(data, 0), [(0, -2)])
+    assert (normalize(origin_terms(got.comps[(0, -2)].terms))
+            == normalize(parametrix_symbols(data, 1).comps[(0, -2)].terms))
     m_minus_1 = Scalar.poly((-1, 1))
     want = ScalarInvariantExpr({"s": -m_minus_1 * Scalar.of(1, 12),
                                 "|V|^2": -m_minus_1})

@@ -7,7 +7,7 @@ from wittenres.operators import (build_laplace_data, order_zero_pieces,
                                  parametrix_symbols, symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            origin_terms)
-from wittenres import pdo, residue, tensor
+from wittenres import pdo, residue
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
@@ -173,15 +173,19 @@ def test_engine_errors_name_their_label_and_keep_their_type(monkeypatch):
 
 
 # the number of terms each job hands to wres_density; a change to how the
-# pieces are built must not move work between jobs unnoticed
+# pieces are built must not move work between jobs unnoticed.  sigma(A),
+# sigma(B) and their xi- and x-derivatives keep their Clifford products as
+# written, where normal ordering them had split c(u) c_j into two terms:
+# II-1-A to II-1-D went from 2 to 1, II-1 (their check) from 9 to 5, each
+# II-4 from 4 to 2 and II-6 from 5 to 2
 JOB_TERMS = {
     "I-1": 1, "I-2": 0, "I-3": 0, "I-4": 1, "I-5": 1, "I-6": 1, "I-7": 1,
-    "II-1-A": 2, "II-1-B": 2, "II-1-C": 2, "II-1-D": 2, "II-1-E": 1,
-    "II-1": 9, "II-2": 0,
+    "II-1-A": 1, "II-1-B": 1, "II-1-C": 1, "II-1-D": 1, "II-1-E": 1,
+    "II-1": 5, "II-2": 0,
     "II-3-A": 1, "II-3-B": 0, "II-3-C": 0, "II-3-D": 1, "II-3-E": 1,
     "II-3-F": 1, "II-3-G": 1,
-    "II-4-A": 4, "II-4-B": 4, "II-4-C": 4,
-    "II-5": 0, "II-6": 5, "metric": 1,
+    "II-4-A": 2, "II-4-B": 2, "II-4-C": 2,
+    "II-5": 0, "II-6": 2, "metric": 1,
 }
 
 
@@ -344,10 +348,19 @@ def test_field_free_run_gives_hodge_density(ledger):
 
 
 def test_ledger_never_enters_the_bianchi_pass(ledger, monkeypatch):
-    def refuse(terms):
-        raise AssertionError("a Riemann factor survived normalize")
-    monkeypatch.setattr(tensor, "bianchi_pass", refuse)
+    # first Bianchi is a rule of normalize, and no sum a job canonicalizes
+    # keeps a Riemann factor for it to act on
+    seen = []
+    canonicalize = residue.canonicalize
+
+    def recorded(terms):
+        out = canonicalize(terms)
+        seen.extend(out)
+        return out
+    monkeypatch.setattr(residue, "canonicalize", recorded)
     led = evaluate_labels(LEDGER)
+    assert seen
+    assert not any(f.kind == "riem" for t in seen for f in t.fac)
     for lab in ledger:
         assert led[lab] == ledger[lab], lab
 
@@ -384,8 +397,10 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
     factor keeps it through xi-derivatives and products, so the cut leaves
     every origin term as it was and saves the products: 22 for A B and 5
     for each II-1 piece, where the whole A took 30 and 7.  The cut also
-    leaves out each right term whose x-derivatives keep an x factor: 14
-    products for A B and 2 for each connection piece."""
+    leaves out each right term whose x-derivatives keep an x factor: 9
+    products for A B and 1 for each connection piece (14 and 2 while
+    sigma(A) and its xi-derivatives were normal ordered, which split
+    c(u) c(xi) and c(u) c_j into two terms each)."""
     pieces = Pieces()
     for name in ("A", "B", "B0"):
         pieces[name]
@@ -401,8 +416,8 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
         products.clear()
         pieces[name]
         counts[name] = len(products)
-    assert counts == {"AB": 14, "ab0_conn_c": 2, "ab0_conn_h": 2,
-                      "ab0_vec": 5}
+    assert counts == {"AB": 9, "ab0_conn_c": 1, "ab0_conn_h": 1,
+                      "ab0_vec": 3}
     monkeypatch.undo()
     whole = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     for order, comp in whole.comps.items():
@@ -418,20 +433,23 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
 
 def test_ab_keeps_only_the_terms_that_reach_the_origin():
     # A B is composed with xmax=0, which cuts both factors, so no product
-    # carries an x factor: sigma_0(AB) holds the 9 origin terms of the 15
-    # it held when only A was cut
+    # carries an x factor: sigma_0(AB) holds 5 origin terms (9 of the 15
+    # it held when only A was cut, while the left factor's Clifford
+    # products were normal ordered into two terms each)
     ab = Pieces()["AB"]
     for comp in ab.comps.values():
         assert origin_terms(comp.terms) == list(comp.terms)
         assert comp.xtrunc == 0
-    assert len(ab.comps[(0, 0)].terms) == 9
+    assert len(ab.comps[(0, 0)].terms) == 5
 
 
 def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
     """Each xi-derivative of a left piece is kept on its component: the
-    full ledger takes 6, where it took 14 when every pairing took its
+    full ledger takes 5, where it took 14 when every pairing took its
     own (sigma_1(A) once 6 times, the derivative of sigma_2(AB) 4
-    times)."""
+    times).  It took 6 while II-5 differentiated sigma_1(AB) against a
+    right side whose x-derivative is empty at the origin; the x side is
+    now built first."""
     calls = []
     d_xi = pdo.d_xi_terms
 
@@ -440,7 +458,7 @@ def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
         return d_xi(terms, j)
     monkeypatch.setattr(pdo, "d_xi_terms", counted)
     evaluate_labels(LEDGER)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_a_full_run_builds_the_order_zero_pieces_once(monkeypatch):

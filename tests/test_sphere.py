@@ -7,7 +7,7 @@ from oracle import at_m, sums_equal
 
 from wittenres import clifford, sphere
 from wittenres.scalars import Scalar
-from wittenres.terms import F, Term, fct, normalize
+from wittenres.terms import F, Term, fct, normalize, wick
 
 
 def total(terms, n):
@@ -112,8 +112,8 @@ def test_pruned_pairings_equal_the_full_enumeration(slots):
     signed = [Term(Scalar.of(sign * flip),
                    tuple(fct("delta", a, b) for a, b in pairing))
               for pairing, sign in _all_pairings(slots)]
-    got = [Term(Scalar.of(sign), fac) for sign, fac
-           in clifford.scalar_part([clifford.c(i) for i in slots])]
+    got = [Term(Scalar.of(sign), fac) for sign, fac, _
+           in wick(tuple(clifford.c(i) for i in slots), full=True)]
     assert len(got) < len(signed)
     assert normalize(got) == normalize(signed)
 

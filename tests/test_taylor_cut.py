@@ -35,7 +35,7 @@ from wittenres.pdo import (_fresh_labels, compose, d_x_terms, origin_terms,
 from wittenres.reference import ab_symbol_reference
 from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import (ContractViolation, G, NormalizeError, Term,
-                             _finalize, _structural_key, fct, label_counts,
+                             _finalize, fct, label_counts,
                              map_labels, merge_presentations, normalize,
                              term_key)
 
@@ -310,9 +310,7 @@ def presentations(ts) -> list[Term]:
     """Each term's canonical presentation as written, none merged."""
     out = []
     for t in ts:
-        counts = label_counts(t)
-        skeys = [_structural_key(f, counts) for f in t.fac]
-        out.append(_finalize(t, counts, skeys))
+        out.append(_finalize(t, label_counts(t)))
     return [t for t in out if t is not None]
 
 
@@ -321,15 +319,15 @@ def presentations(ts) -> list[Term]:
 @given(x_graded_sums(FIELD_WORD_TERMS))
 def test_merge_keeps_the_normal_form_of_the_presentations(ts):
     """`normalize` reduces each term on its own, so summing equal
-    presentations first changes no normal form.  A presentation may hold
-    a factor in another symmetry variant than its term, and `normalize`'s
-    word order still depends on the variant (ROADMAP item 2), so this
-    compares with the unmerged presentations, not with the terms."""
+    presentations first changes no normal form: neither that of the
+    unmerged presentations nor, since a presentation has its term's
+    value, that of the terms."""
     merged = merge_presentations(ts)
     assert len(merged) <= len(ts)
     for fold_fields in (True, False):
         assert (normalize(merged, fold_fields=fold_fields)
-                == normalize(presentations(ts), fold_fields=fold_fields))
+                == normalize(presentations(ts), fold_fields=fold_fields)
+                == normalize(ts, fold_fields=fold_fields))
 
 
 @settings(max_examples=50, deadline=None,
@@ -346,15 +344,14 @@ def test_merge_preserves_values(ts):
     assert assign.evaluate(merged) == assign.evaluate(ts)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_merge_keeps_the_normal_form_of_a_symmetric_pair():
     # ric(f,a) c_a c_f and its presentation ric(_d00,_d01) c_d00 c_d01 are
-    # equal, -s each, but the word keys read the raw Ricci slots: normalize
-    # swaps the first word and not the second, 2 ric c c + 4 s against
-    # -2 ric c c
+    # equal, 2 s each: the block c_a ^ c_f of a symmetric pair vanishes and
+    # the pairing gives -delta_af
     t = Term(Scalar.of(-2), (fct("ric", "f", "a"),), (G("c", "a"),
                                                      G("c", "f")))
-    assert normalize(merge_presentations([t])) == normalize([t])
+    assert normalize(merge_presentations([t])) == normalize([t]) == (
+        Term(Scalar.of(2), (fct("scal"),)),)
 
 
 @st.composite

@@ -3,8 +3,8 @@ from oracle import sums_equal
 
 from wittenres import clifford as cl
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (ContractViolation, Term, contract_deltas, fct,
-                             label_counts, mul_terms, normalize)
+from wittenres.terms import (ContractViolation, G, Term, contract_deltas,
+                             fct, label_counts, mul_terms, normalize)
 
 
 def test_mul_renames_dummies_apart():
@@ -59,7 +59,8 @@ def test_symmetric_monomial_coefficient_antisymmetry_cancels():
 
 
 def test_one_slot_field_pair_ties_like_a_monomial():
-    # chat(V)^2 = |V|^2: v_a v_b chat_a chat_b contracts one symmetric pair
+    # chat(V)^2 = |V|^2: the block chat_a ^ chat_b of v_a v_b chat_a chat_b
+    # holds a symmetric pair and vanishes, and the pairing gives v_a v_a
     vv = Term(S_ONE, (fct("v", "a"), fct("v", "b")),
               (cl.chat("a"), cl.chat("b")))
     assert normalize([vv]) == (Term(S_ONE, (fct("vsq"),)),)
@@ -67,11 +68,13 @@ def test_one_slot_field_pair_ties_like_a_monomial():
     uu = Term(S_ONE, (fct("u", "a"), fct("u", "b")), (cl.c("a"), cl.c("b")))
     assert normalize([uu]) == (
         Term(-S_ONE, (fct("u", "_d00"), fct("u", "_d00"))),)
-    # u_a w_b is no symmetric pair, so its word stays as it is
+    # u_a w_b is no symmetric pair, so its block stays beside the pairing:
+    # c(u) c(w) = c(u) ^ c(w) - g(u,w)
     uw = Term(S_ONE, (fct("u", "a"), fct("w", "b")), (cl.c("a"), cl.c("b")))
     assert normalize([uw]) == (
+        Term(-S_ONE, (fct("guw"),)),
         Term(S_ONE, (fct("u", "_d00"), fct("w", "_d01")),
-             (cl.c("_d00"), cl.c("_d01"))),)
+             (G("c", "_d00"), G("c", "_d01", True))))
 
 
 def test_contract_deltas_keeps_a_delta_of_two_free_labels():
@@ -80,8 +83,9 @@ def test_contract_deltas_keeps_a_delta_of_two_free_labels():
     t = Term(S_ONE, (fct("u", "a"),))
     deltas = (fct("delta", "f", "g"), fct("delta", "a", "b"))
     counts = label_counts(Term(S_ONE, t.fac + deltas))
-    assert contract_deltas(t, deltas, counts) == Term(
-        S_ONE, (fct("u", "b"), fct("delta", "f", "g")))
+    assert contract_deltas(t, deltas, counts) == (
+        Term(S_ONE, (fct("u", "b"), fct("delta", "f", "g"))),
+        {"b": 1, "f": 1, "g": 1})
 
 
 def test_self_delta_of_a_label_used_three_times_is_rejected():
@@ -126,3 +130,15 @@ def test_antisymmetric_zero_detection():
     t = Term(S_ONE, (fct("riem", "a", "b", "t", "t2"), fct("xi", "a"),
                      fct("xi", "b"), fct("u", "t"), fct("w", "t2")))
     assert normalize([t]) == ()
+
+
+def test_curvature_quartic_is_a_quarter_of_the_scalar_curvature():
+    # -1/8 R_abcd c_a c_b c_c c_d = s/4: its block of four Riemann slots
+    # vanishes by first Bianchi, and so does every block of two slots of
+    # one Riemann pair, so only the double pairings (a,c)(b,d) and
+    # (a,d)(b,c) are left, and each gives s/8
+    word = (cl.c("a"), cl.c("b"), cl.c("c"), cl.c("d"))
+    quartic = Term(Scalar.of(-1, 8), (fct("riem", "a", "b", "c", "d"),),
+                   word)
+    assert normalize([quartic]) == normalize(
+        [Term(Scalar.of(1, 4), (fct("scal"),))])
