@@ -420,11 +420,7 @@ def test_prepass_work_counts(monkeypatch):
     basis, and what they leave cancels to nothing, since both sides reach
     the same normal forms.  The label counts are computed once per input
     term and every word is expanded once (`wick`); the pairings leave 2092
-    terms for the block rules, and the 1936 those keep are finalized.
-
-    Before the block basis this pinned the partner keys that ordered the
-    words: 36 input terms reduced to 118, and the factor facts and the
-    partner keys were built 120 times each."""
+    terms for the block rules, and the 1936 those keep are finalized."""
     raw = _prepass_terms()
     assert len(raw) == 30
     calls = {}
@@ -445,8 +441,7 @@ def test_merge_prepass_work_counts(monkeypatch):
     cancel, since the derived side keeps its Clifford products as written,
     as the display does.  `_finalize` runs 30 times, all in the merge,
     where `normalize` alone runs it 1936 times (`test_prepass_work_counts`).
-    While normalize ordered words by partner keys, the 36 raw terms gave 27
-    presentations, 18 survived, and `_finalize` ran 66 times."""
+    """
     raw = _prepass_terms()
     finalized, merged = [], []
     finalize, merge = terms._finalize, terms._merge

@@ -134,9 +134,7 @@ def test_compose_xmax_keeps_every_term_up_to_that_x_degree(xmax):
         assert got.xtrunc <= xmax
         assert (normalize([t for t in got.terms if x_degree(t) <= xmax])
                 == normalize([t for t in comp.terms if x_degree(t) <= xmax]))
-    # A and B are x-linear, so only xmax = 0 leaves a term out (9 of 21
-    # while the Clifford products of A and of its xi-derivatives were
-    # normal ordered into two terms each)
+    # A and B are x-linear, so only xmax = 0 leaves a term out
     assert (len(cut.comps[(0, 0)].terms), len(whole.comps[(0, 0)].terms)) \
         == ((5, 15) if xmax == 0 else (15, 15))
 

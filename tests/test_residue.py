@@ -173,11 +173,7 @@ def test_engine_errors_name_their_label_and_keep_their_type(monkeypatch):
 
 
 # the number of terms each job hands to wres_density; a change to how the
-# pieces are built must not move work between jobs unnoticed.  sigma(A),
-# sigma(B) and their xi- and x-derivatives keep their Clifford products as
-# written, where normal ordering them had split c(u) c_j into two terms:
-# II-1-A to II-1-D went from 2 to 1, II-1 (their check) from 9 to 5, each
-# II-4 from 4 to 2 and II-6 from 5 to 2
+# pieces are built must not move work between jobs unnoticed
 JOB_TERMS = {
     "I-1": 1, "I-2": 0, "I-3": 0, "I-4": 1, "I-5": 1, "I-6": 1, "I-7": 1,
     "II-1-A": 1, "II-1-B": 1, "II-1-C": 1, "II-1-D": 1, "II-1-E": 1,
@@ -398,9 +394,7 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
     every origin term as it was and saves the products: 22 for A B and 5
     for each II-1 piece, where the whole A took 30 and 7.  The cut also
     leaves out each right term whose x-derivatives keep an x factor: 9
-    products for A B and 1 for each connection piece (14 and 2 while
-    sigma(A) and its xi-derivatives were normal ordered, which split
-    c(u) c(xi) and c(u) c_j into two terms each)."""
+    products for A B and 1 for each connection piece."""
     pieces = Pieces()
     for name in ("A", "B", "B0"):
         pieces[name]
@@ -433,9 +427,7 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
 
 def test_ab_keeps_only_the_terms_that_reach_the_origin():
     # A B is composed with xmax=0, which cuts both factors, so no product
-    # carries an x factor: sigma_0(AB) holds 5 origin terms (9 of the 15
-    # it held when only A was cut, while the left factor's Clifford
-    # products were normal ordered into two terms each)
+    # carries an x factor: sigma_0(AB) holds 5 origin terms
     ab = Pieces()["AB"]
     for comp in ab.comps.values():
         assert origin_terms(comp.terms) == list(comp.terms)
@@ -447,9 +439,8 @@ def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
     """Each xi-derivative of a left piece is kept on its component: the
     full ledger takes 5, where it took 14 when every pairing took its
     own (sigma_1(A) once 6 times, the derivative of sigma_2(AB) 4
-    times).  It took 6 while II-5 differentiated sigma_1(AB) against a
-    right side whose x-derivative is empty at the origin; the x side is
-    now built first."""
+    times).  II-5 takes none: the x side is built first, and its right
+    side's x-derivative is empty at the origin."""
     calls = []
     d_xi = pdo.d_xi_terms
 
