@@ -50,13 +50,18 @@ def _clifford_relation(t: Term, p: int) -> list[Term]:
 
 
 def _delta_insertion(t: Term, k: int, s: int) -> list[Term]:
-    """The label at slot s of factor k moved to a fresh label z, and
-    delta(z, label) put beside it."""
-    f = t.fac[k]
-    idx = list(f.idx)
-    old, idx[s] = idx[s], "z_ins"
-    fac = t.fac[:k] + (F(f.kind, tuple(idx)),) + t.fac[k + 1:]
-    return [Term(t.coeff, fac + (F("delta", ("z_ins", old)),), t.word,
+    """The label at slot s of factor k (of the word's generator s when k
+    is None) moved to a fresh label z, and delta(z, label) put beside
+    it."""
+    fac, word = t.fac, t.word
+    if k is None:
+        old = word[s].idx
+        word = word[:s] + (word[s]._replace(idx="z_ins"),) + word[s + 1:]
+    else:
+        idx = list(fac[k].idx)
+        old, idx[s] = idx[s], "z_ins"
+        fac = fac[:k] + (F(fac[k].kind, tuple(idx)),) + fac[k + 1:]
+    return [Term(t.coeff, fac + (F("delta", ("z_ins", old)),), word,
                  t.norm)]
 
 
@@ -80,7 +85,9 @@ def equal_pairs(draw):
     if len(t.word) > 1:
         kinds.append("clifford")
     if any(f.idx for f in t.fac):
-        kinds += ["variant", "delta"]
+        kinds.append("variant")
+    if any(f.idx for f in t.fac) or t.word:
+        kinds.append("delta")
     if any(f.kind == "riem" for f in t.fac):
         kinds.append("bianchi")
     kind = draw(st.sampled_from(kinds))
@@ -97,9 +104,11 @@ def equal_pairs(draw):
         new = [Term(t.coeff if sign == 1 else -t.coeff,
                     t.fac[:k] + (f,) + t.fac[k + 1:], t.word, t.norm)]
     elif kind == "delta":
-        k = draw(st.sampled_from([k for k, f in enumerate(t.fac) if f.idx]))
+        k = draw(st.sampled_from([k for k, f in enumerate(t.fac) if f.idx]
+                                 + [None] * bool(t.word)))
         new = _delta_insertion(t, k, draw(st.integers(
-            0, KIND_ARITY[t.fac[k].kind] - 1)))
+            0, (len(t.word) if k is None else KIND_ARITY[t.fac[k].kind])
+            - 1)))
     else:
         k = draw(st.sampled_from([k for k, f in enumerate(t.fac)
                                   if f.kind == "riem"]))
