@@ -33,15 +33,12 @@ class Component(namedtuple("Component", ("terms", "xtrunc", "d_xi"))):
     far, keyed by their slot labels in order, so each is taken once
     however many right components and targets the component pairs with.
     A copy made by `_replace` shares it, which holds while the copy keeps
-    the terms; a pickled or copied component starts with an empty one."""
+    the terms."""
 
     __slots__ = ()
 
     def __new__(cls, terms: tuple[Term, ...], xtrunc: int | None):
         return super().__new__(cls, terms, xtrunc, {})
-
-    def __getnewargs__(self):
-        return self.terms, self.xtrunc
 
 
 class PDOSymbol:
@@ -96,9 +93,11 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
     """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2).
 
     Each delta is applied at once (`terms.contract_deltas`).  Equal terms
-    are merged as written (`terms.merge_presentations`), not normalized:
-    normalizing would expand each Clifford product into its blocks, and
-    the caller normalizes what it keeps.
+    are merged as written (`terms.merge_presentations`): a power of one
+    factor differentiates to one equal term per factor, so unmerged the
+    a-th derivative of xi_1^k would hold k!/(k-a)! copies of one term.
+    They are not normalized: normalizing would expand each Clifford
+    product into its blocks, and the caller normalizes what it keeps.
     """
     out = []
     for t in terms:
@@ -137,7 +136,8 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     representable and raise in strict mode; non-strict mode treats the
     derivative atoms as carried constants (used when diffing the Taylor
     sectors two symbols actually store).  Like `d_xi_terms`, it merges
-    equal terms as written and does not normalize.
+    equal terms as written, so that a power x_1^k does not grow into
+    factorially many copies of one term, and does not normalize.
 
     With xmax set, derivative terms with more than xmax x factors are
     dropped (every input term is still checked).
@@ -322,27 +322,20 @@ def terms_equal_taylor(a: Iterable[Term], b: Iterable[Term]) -> bool:
     One derivative chain runs on a - b.  normalize reduces each term on its
     own and merges equal presentations, so differentiating the difference
     equals differencing the derivatives.  The difference first goes
-    through `merge_presentations`: a term written on both sides, up to
-    dummy names, factor order and symmetry variants, cancels before any
-    word is expanded (on the sigma_0(AB) display, whose derived side keeps
-    its Clifford products as written, all 30 raw terms cancel).  The merge
-    keeps the value of every term, so a True verdict still means that
-    a - b vanishes up to x-order 2.  Then the difference is normalized with
-    fold_fields=False: every rule but the field folds is an identity
-    pointwise in x, so the rest of what the two sides share cancels before
-    anything is differentiated, and the inputs are still differentiated
-    before any field fold, so u_a w_a folds into guw only after the first
-    derivative.  Its origin part is normalized again, to fold it.  Every
-    derivative is normalized, which folds it, so its origin part is a
-    normal form and is only tested for emptiness.  Derivative k (from one)
-    keeps only terms with at most xorder - k x factors, an exact cut:
-    normalize keeps each term's x-degree and a derivative lowers it by at
-    most one.
+    through `merge_presentations`, which keeps the value of every term: a
+    term written on both sides, up to dummy names, factor order and
+    symmetry variants, cancels before any word is expanded (on the
+    sigma_0(AB) display all 30 raw terms cancel).  Only its origin part is
+    normalized before the first derivative, so u_a w_a folds into guw only
+    after it.  Every derivative is normalized, which folds it, so its
+    origin part is a normal form and is only tested for emptiness.
+    Derivative k (from one) keeps only terms with at most xorder - k x
+    factors, an exact cut: normalize keeps each term's x-degree and a
+    derivative lowers it by at most one.
     """
     xorder = 2
-    d = normalize(merge_presentations(
-        tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)),
-        fold_fields=False)
+    d = merge_presentations(
+        tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b))
     if normalize(origin_terms(d)):
         return False
     # the derivative slots need labels fresh only against what is left

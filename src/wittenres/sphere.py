@@ -19,21 +19,18 @@ from .terms import F, Idx, Term, contract_deltas, label_counts
 
 
 def pairings(slots):
-    """Perfect pairings of the slots, each with its sign as a permutation.
-
-    Pairing the first slot with slot j contributes (-1)^(j-1).  A pair of
-    two distinct concrete indices is left out, since its delta is zero.
-    """
+    """Perfect pairings of the slots.  A pair of two distinct concrete
+    indices is left out, since its delta is zero."""
     if not slots:
-        yield (), 1
+        yield ()
         return
     first = slots[0]
     for j in range(1, len(slots)):
         if (isinstance(first, int) and isinstance(slots[j], int)
                 and first != slots[j]):
             continue
-        for tail, sign in pairings(slots[1:j] + slots[j + 1:]):
-            yield ((first, slots[j]),) + tail, sign if j % 2 else -sign
+        for tail in pairings(slots[1:j] + slots[j + 1:]):
+            yield ((first, slots[j]),) + tail
 
 
 def _moment_scalar(k: int) -> Scalar:
@@ -78,7 +75,7 @@ def integrate_monomial(indices: Iterable[Idx]) -> tuple[Term, ...]:
     k = len(slots) // 2
     pref = _moment_scalar(k)
     out = []
-    for pairing, _ in pairings(slots):
+    for pairing in pairings(slots):
         fac = tuple(F("delta", (a, b)) for a, b in pairing)
         out.append(Term(pref, fac))
     return tuple(out)

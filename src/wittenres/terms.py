@@ -51,13 +51,6 @@ equal values reach identical normal forms and a normal form is its own
 normal form.  KIND_RANK orders the factors of a presentation; any fixed
 order gives a canonical form.
 
-normalize(terms, fold_fields=False) runs every rule but the three field
-folds.  Each remaining rule is an identity pointwise in x, with u, w and v
-read as functions, so its output has the input's value as a function of x
-and may be x-differentiated in its place; the folds are the only rules
-that turn a field pair into a constant atom, and a fold may only run after
-the derivative (see `pdo.terms_equal_taylor`).
-
 Each input term is reduced on its own, and its label counts are computed
 once, when it enters.  Every rule carries them, less the labels it
 contracts away, and a pairing of the expansion carries them through its
@@ -240,12 +233,10 @@ def _without(counts, *labels):
     return out
 
 
-def _contract_once(t: Term, counts, fold_fields: bool = True):
+def _contract_once(t: Term, counts):
     """Apply one reduction rule. Returns None (no rule fired), 'zero',
     or the replacement Term with its label counts: `counts` less the
-    labels the rule contracted away.  Without fold_fields the field-atom
-    folds (u_a w_a -> guw, u_a ric_ab w_b -> ricuw, v_a v_a -> vsq) never
-    fire."""
+    labels the rule contracted away."""
     for k, f in enumerate(t.fac):
         if f.kind == "riem":
             if f.idx[0] == f.idx[1] or f.idx[2] == f.idx[3]:
@@ -290,8 +281,6 @@ def _contract_once(t: Term, counts, fold_fields: bool = True):
                                  (t.norm[0] + 2, t.norm[1])),
                             _without(counts, i))
                 seen[i] = k
-    if not fold_fields:
-        return None
     # atom recognition on fully contracted pieces
     by_kind: dict[str, list[int]] = {}
     for k, f in enumerate(t.fac):
@@ -515,7 +504,7 @@ def _checked_counts(t: Term) -> dict[str, int]:
     return counts
 
 
-def _reduce(t: Term, fold_fields: bool = True) -> list[tuple[Term, dict]]:
+def _reduce(t: Term) -> list[tuple[Term, dict]]:
     """Rewrite a term until no rule applies; returns each reduced term with
     its label counts.
 
@@ -533,7 +522,7 @@ def _reduce(t: Term, fold_fields: bool = True) -> list[tuple[Term, dict]]:
     stack = [(t, _checked_counts(t))]
     while stack:
         cur, counts = stack.pop()
-        step = _contract_once(cur, counts, fold_fields)
+        step = _contract_once(cur, counts)
         if step == "zero":
             continue
         if step is not None:
@@ -819,10 +808,8 @@ def merge_presentations(terms: Iterable[Term]) -> list[Term]:
             if not coeff.is_zero()]
 
 
-def normalize(terms: Iterable[Term], *,
-              fold_fields: bool = True) -> tuple[Term, ...]:
-    acc = _merge(_finalize(*red) for t in terms
-                 for red in _reduce(t, fold_fields))
+def normalize(terms: Iterable[Term]) -> tuple[Term, ...]:
+    acc = _merge(_finalize(*red) for t in terms for red in _reduce(t))
     acc = _merge(p for key, coeff in acc.items() if not coeff.is_zero()
                  for p in _first_bianchi(Term(coeff, *key)))
     # term_key, which orders the output, is injective on presentations, so

@@ -355,8 +355,8 @@ def test_word_reorders_reuse_label_counts(monkeypatch):
         calls.append(t)
         return counts_of(t)
 
-    def recorded(t, counts, fold_fields=True):
-        step = contract(t, counts, fold_fields)
+    def recorded(t, counts):
+        step = contract(t, counts)
         if step not in (None, "zero"):
             fired.append(step[0])
         return step
@@ -390,7 +390,7 @@ def test_word_reorders_reuse_label_counts(monkeypatch):
 
 def _prepass_terms(seed=101):
     """The raw difference the taylor_diff benchmark's comparison at `seed`
-    merges and normalizes fold-free before differentiating it."""
+    merges (`merge_presentations`) before differentiating it."""
     inputs = bench_workloads().taylor_inputs(seed)
     return inputs.derived + tuple(t._replace(coeff=-t.coeff)
                                   for t in inputs.printed)
@@ -405,7 +405,7 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
     reduced = [red for seed in _TAYLOR_SEEDS
                for t in bench_workloads().taylor_inputs(seed).printed
                if not pdo.x_degree(t)
-               for red in terms._reduce(t, fold_fields=False)]
+               for red in terms._reduce(t)]
     assert (len(raw), len(reduced)) == (120, 232)
     assert max(len(t.word) for t in raw) == 8
     assert any(g.wedge for t, _ in reduced for g in t.word)
@@ -415,8 +415,8 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
 
 def test_prepass_work_counts(monkeypatch):
     """Deterministic work counts of normalizing the seed-101 raw difference
-    fold-free, without the merge of equal presentations that the
-    comparison runs first: its 30 input terms are expanded on the block
+    as it stands, without the merge of equal presentations that the
+    comparison runs instead: its 30 input terms are expanded on the block
     basis, and what they leave cancels to nothing, since both sides reach
     the same normal forms.  The label counts are computed once per input
     term and every word is expanded once (`wick`); the pairings leave 2092
@@ -429,7 +429,7 @@ def test_prepass_work_counts(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _original(*args)
         monkeypatch.setattr(terms, name, counted)
-    assert normalize(raw, fold_fields=False) == ()
+    assert normalize(raw) == ()
     assert calls == {"label_counts": 30, "wick": 30, "_block_rules": 2092,
                      "_finalize": 1936}
 

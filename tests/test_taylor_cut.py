@@ -1,34 +1,33 @@
 """`pdo.terms_equal_taylor` against the loops it replaced.
 
 It runs one derivative chain on the difference of its two sides, cut by
-x-degree, and canonicalizes the raw difference with the field folds off
-before the first derivative.  The chain rests on three invariants of
-`normalize`.  It is split linear: each input term is reduced on its own
-and equal presentations are merged, so normalizing a sum equals merging
-the normalized parts, and differentiating a difference equals differencing
-the derivatives.  It keeps each term's number of x factors, so normalizing
+x-degree, after `merge_presentations` has summed the raw terms that are
+equal as written.  The chain rests on two invariants of `normalize`.  It
+is split linear: each input term is reduced on its own and equal
+presentations are merged, so normalizing a sum equals merging the
+normalized parts, and differentiating a difference equals differencing the
+derivatives.  It keeps each term's number of x factors, so normalizing
 commutes with grading by x-degree; a derivative lowers the x-degree by at
 most one, so after derivative k a term with more than xorder - k x factors
-cannot reach an origin comparison.  And with `fold_fields=False` it keeps
-a sum's value as a function of x: only the folds u_a w_a -> guw,
-u_a ric_ab w_b -> ricuw and v_a v_a -> vsq turn a field pair into a
-constant, so only they must wait until after the derivative.
-`fold_after_derivative_taylor_equal`, the chain without that pre-pass, is
-the reference the pre-pass must agree with.  Before it, `merge_presentations`
-sums the raw terms that are equal as written; it keeps values and, since
+cannot reach an origin comparison.  The merge keeps values and, since
 `normalize` reduces each term on its own, the normal form of the
-presentations it sums.
+presentations it sums.  Nothing but the origin part of the difference is
+normalized before the first derivative, so the folds u_a w_a -> guw,
+u_a ric_ab w_b -> ricuw and v_a v_a -> vsq, which turn a field pair into
+a constant, run only after it.  `two_chain_taylor_equal`, one chain per
+side, and `fold_after_derivative_taylor_equal`, one chain that normalizes
+only its origin parts, are the references it must agree with.
 """
 
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracle import TensorAssignment, sums_equal
 from test_canonical_search import bench_workloads, small_terms, variants
 
-from wittenres import pdo
+from wittenres import pdo, terms
 from wittenres.operators import symbol_of_a, symbol_of_b
 from wittenres.pdo import (_fresh_labels, compose, d_x_terms, origin_terms,
                            terms_equal_taylor)
@@ -112,9 +111,9 @@ def two_chain_taylor_equal(a, b, xorder=XORDER) -> bool:
 
 
 def fold_after_derivative_taylor_equal(a, b, xorder=XORDER) -> bool:
-    """The one-chain comparison without the fold-free pre-pass: the raw
-    difference is differentiated, and canonicalized only inside
-    `d_x_terms`."""
+    """The one-chain comparison without the merge or any normalize between
+    the derivatives: the raw difference is differentiated, and only its
+    origin parts are normalized."""
     lab = _fresh_labels((a, b), xorder)
     d = tuple(a) + tuple(t._replace(coeff=-t.coeff) for t in b)
     for k in range(xorder + 1):
@@ -197,12 +196,14 @@ def test_raw_inputs_are_differentiated_first():
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(equal_copies(x_graded_sums(FIELD_WORD_TERMS)))
-def test_fold_free_prepass_agrees_with_fold_after_derivative(case):
-    terms, copy, changed = case
-    assert terms_equal_taylor(terms, copy) is True
-    assert fold_after_derivative_taylor_equal(terms, copy) is True
-    assert (terms_equal_taylor(terms, changed)
-            is fold_after_derivative_taylor_equal(terms, changed))
+def test_one_chain_agrees_with_two_chains_on_field_words(case):
+    # field pairs under Clifford words: the two chains differentiate them
+    # before any fold, an independent route to the same verdicts
+    ts, copy, changed = case
+    assert terms_equal_taylor(ts, copy) is True
+    assert two_chain_taylor_equal(ts, copy) is True
+    assert (terms_equal_taylor(ts, changed)
+            is two_chain_taylor_equal(ts, changed))
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +224,7 @@ def test_seeded_inputs_agree_with_fold_after_derivative(workloads, seed):
 def test_seed_sweep_verdicts(workloads):
     """Over the taylor_diff seeds 101-120 each pair is equal and each
     doubled control is not.  Any kind rank order gives a canonical form;
-    a term the prepass left short of it would turn an equal pair False."""
+    a term normalize left short of it would turn an equal pair False."""
     for seed in range(101, 121):
         inputs = workloads.taylor_inputs(seed)
         doubled = workloads.with_control_doubled(inputs)
@@ -236,10 +237,9 @@ def test_seed_sweep_verdicts(workloads):
 def test_derivatives_see_the_cancelled_difference(workloads, monkeypatch):
     """A count, not a time: the chain's x-derivatives of the seed-101
     taylor_diff comparison return at most 12 terms in all.  They return
-    none, since the fold-free prepass cancels the whole difference; the
-    bound is the 12 they returned when curvature ranked ahead of the vector
-    fields in the normal order (140 when the raw difference was
-    differentiated)."""
+    none, since the merge cancels the whole difference; the bound is the
+    12 they returned when curvature ranked ahead of the vector fields in
+    the normal order (140 when the raw difference was differentiated)."""
     inputs = workloads.taylor_inputs(101)
     sizes = []
     original = pdo.d_x_terms
@@ -254,16 +254,34 @@ def test_derivatives_see_the_cancelled_difference(workloads, monkeypatch):
     assert sum(sizes) <= 12
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(FIELD_WORD_TERMS, min_size=1, max_size=3))
-@example([Term(S_ONE, (fct("u", "a"), fct("ric", "a", "b"), fct("w", "b"),
-                       fct("v", "c"), fct("v", "c")))])
-def test_fold_free_normalize_keeps_field_pairs(ts):
-    unfolded = normalize(ts, fold_fields=False)
-    assert not any(f.kind in ("guw", "ricuw", "vsq")
-                   for t in unfolded for f in t.fac)
-    assert sums_equal(normalize(unfolded), normalize(ts))
+def test_doubled_control_normalizes_only_the_origin_part(workloads,
+                                                         monkeypatch):
+    """A count: on the seed-101 doubled control the merge leaves one term
+    of the difference, the doubled u v w v, which has no x factor.  Before
+    the first derivative only the origin part of the merged difference is
+    normalized: that one term, in one `_reduce` call (3 when the whole
+    difference was normalized first).  It survives, so nothing is
+    differentiated."""
+    doubled = workloads.with_control_doubled(workloads.taylor_inputs(101))
+    sizes, reduced = [], []
+    normalize_, reduce_ = pdo.normalize, terms._reduce
+
+    def counted_normalize(ts):
+        ts = list(ts)
+        sizes.append(len(ts))
+        return normalize_(ts)
+
+    def counted_reduce(t):
+        reduced.append(t)
+        return reduce_(t)
+
+    def differentiated(*args, **kwargs):
+        raise AssertionError("the origin part alone decides")
+    monkeypatch.setattr(pdo, "normalize", counted_normalize)
+    monkeypatch.setattr(terms, "_reduce", counted_reduce)
+    monkeypatch.setattr(pdo, "d_x_terms", differentiated)
+    assert terms_equal_taylor(doubled.derived, doubled.printed) is False
+    assert (sizes, len(reduced)) == ([1], 1)
 
 
 @st.composite
@@ -287,23 +305,9 @@ def contracted_field_sums(draw):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 @given(contracted_field_sums())
-def test_fold_free_normalize_preserves_values(ts):
+def test_normalize_preserves_values_of_contracted_fields(ts):
     assign = TensorAssignment(11, 4)
-    want = assign.evaluate(ts)
-    unfolded = normalize(ts, fold_fields=False)
-    assert assign.evaluate(unfolded) == want
-    assert assign.evaluate(normalize(unfolded)) == want
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(((), ("u",), ("w",))).flatmap(
-    lambda field: st.lists(small_terms(vectors=field + ("xi", "x"),
-                                       max_word=4, fams=("c", "h")),
-                           min_size=1, max_size=3)))
-def test_fold_free_normalize_is_normalize_without_field_pairs(ts):
-    # one field kind alone, or none, has no pair to fold
-    assert normalize(ts, fold_fields=False) == normalize(ts)
+    assert assign.evaluate(normalize(ts)) == assign.evaluate(ts)
 
 
 def presentations(ts) -> list[Term]:
@@ -324,10 +328,7 @@ def test_merge_keeps_the_normal_form_of_the_presentations(ts):
     value, that of the terms."""
     merged = merge_presentations(ts)
     assert len(merged) <= len(ts)
-    for fold_fields in (True, False):
-        assert (normalize(merged, fold_fields=fold_fields)
-                == normalize(presentations(ts), fold_fields=fold_fields)
-                == normalize(ts, fold_fields=fold_fields))
+    assert normalize(merged) == normalize(presentations(ts)) == normalize(ts)
 
 
 @settings(max_examples=50, deadline=None,
