@@ -39,11 +39,6 @@ def chat_v(label: str) -> Term:
     return Term(S_ONE, (F("v", (label,)),), (chat(label),))
 
 
-def c_xi(label: str) -> Term:
-    """c(xi) expanded: xi-component factor times frame generator."""
-    return Term(S_ONE, (F("xi", (label,)),), (c(label),))
-
-
 def concrete_trace(word: Word) -> int:
     """tr(word) / tr(id) for a word in concrete indices: 1, -1 or 0.
 

@@ -1,10 +1,11 @@
 """Concrete symbol data for the deformed de Rham operator.
 
-Builds the Laplace-type data (the x-linear Taylor coefficient T_ab of the
-first-order connection term, and the endomorphism), the three leading
-inverse-power symbol components for the generalized laplacian, and the
-order-one symbols of the left/right vector-field contractions A = c(u) D and
-B = c(w) D.
+`dirac_symbol` states sigma(D_V) once.  Derived from it: the order-one
+symbols of A = c(u) D_V and B = c(w) D_V and the pieces of sigma_0(B),
+which are c(u) or c(w) times its terms, and the endomorphism E of
+D_V^2 = nabla^* nabla + E.  Transcribed: T_ab, the x-linear Taylor
+coefficient of the laplacian's first-order term, and the three leading
+inverse-power components, written generically in T_ab and E.
 
 Normal coordinates throughout: the connection matrix vanishes at the base
 point and its first Taylor coefficient is half a Riemann component, so
@@ -17,21 +18,37 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .clifford import c, c_vec, c_xi, chat, chat_v
-from .pdo import Component, Order, PDOSymbol
+from .clifford import c, c_vec, chat, chat_v
+from .pdo import Component, Order, PDOSymbol, compose
 from .scalars import S_I, S_ONE, Scalar
 from .terms import F, Term, fct, mul_terms, normalize
 
 
+def dirac_symbol() -> PDOSymbol:
+    """sigma(D_V): i c(xi) at order one; at order zero the two connection
+    words, with omega's x-linear curvature value, and chat(V).  x-linear
+    Taylor data only, kept as written: normalizing would expand each
+    Clifford product into its blocks and double the products downstream."""
+    top = Term(S_I, (fct("xi", "f"),), (c("f"),))
+    conn = (fct("riem", "l", "p", "t", "s"), fct("x", "l"))
+    zero = (Term(Scalar.of(1, 8), conn, (c("p"), c("s"), c("t"))),
+            Term(Scalar.of(-1, 8), conn, (c("p"), chat("s"), chat("t"))),
+            chat_v("b"))
+    return PDOSymbol({(1, 0): Component((top,), 1),
+                      (0, 0): Component(zero, 1)}, exact=True)
+
+
 class LaplaceData(NamedTuple):
-    """Witten-deformation data entering the inverse-symbol construction."""
+    """The data of D_V^2 = nabla^* nabla + E the inverse symbols use."""
     t_ab: Callable[[str, str], tuple[Term, ...]]
     endo: tuple[Term, ...]
 
 
 def build_laplace_data() -> LaplaceData:
-    """T_ab = -1/8 R_bats c_s c_t + 1/8 R_bats ch_s ch_t, and the
-    endomorphism 1/8 R_ijkl ch_i ch_j c_k c_l + s/4 + c_i ch(dV_i) + |V|^2.
+    """T_ab = -1/8 R_bats c_s c_t + 1/8 R_bats ch_s ch_t, transcribed, and
+    E = sigma_0(D_V o D_V) at the base point, where the connection
+    laplacian's order-zero symbol vanishes in normal coordinates.  E
+    normalizes to 1/8 R_ijkl ch_i ch_j c_k c_l + s/4 + c_i ch(dV_i) + |V|^2.
 
     T_a = 0 in normal coordinates, so it is not stored.
     """
@@ -44,13 +61,8 @@ def build_laplace_data() -> LaplaceData:
                  (chat("s"), chat("t"))),
         )
 
-    endo = (
-        Term(Scalar.of(1, 8), (fct("riem", "i", "j", "k", "l"),),
-             (chat("i"), chat("j"), c("k"), c("l"))),
-        Term(Scalar.of(1, 4), (fct("scal"),)),
-        Term(S_ONE, (fct("dv", "i", "b"),), (c("i"), chat("b"))),
-        Term(S_ONE, (fct("vsq"),)),
-    )
+    d = dirac_symbol()
+    endo = normalize(compose(d, d, [(0, 0)], xmax=0).comps[(0, 0)].terms)
     return LaplaceData(t_ab, endo)
 
 
@@ -121,47 +133,30 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
                       in parametrix_terms(data, power_offset).items()})
 
 
-def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:
-    """The three pieces of the order-zero symbol of c(field) D: the two
-    connection words (with the x-linear curvature value of omega
-    substituted) and c(field) chat(V)."""
-    vec = c_vec(field, "r")
-    conn_c = Term(Scalar.of(1, 8),
-                  (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
-                  (c("p"), c("s"), c("t")))
-    conn_h = Term(Scalar.of(-1, 8),
-                  (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
-                  (c("p"), chat("s"), chat("t")))
-    return {
-        "conn_c": (mul_terms(vec, conn_c),),
-        "conn_h": (mul_terms(vec, conn_h),),
-        "vec": (mul_terms(vec, chat_v("b")),),
-    }
-
-
 def _first_order_symbol(field: str) -> PDOSymbol:
-    top = mul_terms(c_vec(field, "r"), c_xi("f"))
-    top = Term(top.coeff * S_I, top.fac, top.word, top.norm)
-    pieces = order_zero_pieces(field)
-    # x-linear Taylor data only: no x^2 terms of the coframe, the
-    # connection or the fields.  The terms stay as written: normalizing
-    # would expand each Clifford product into its blocks and double the
-    # products downstream
-    comps = {
-        (1, 0): Component((top,), 1),
-        (0, 0): Component(pieces["conn_c"] + pieces["conn_h"]
-                          + pieces["vec"], 1),
-    }
-    return PDOSymbol(comps, exact=True)
+    """c(field) times sigma(D_V), component by component."""
+    vec = c_vec(field, "r")
+    return PDOSymbol({order: Component(tuple(mul_terms(vec, t)
+                                             for t in comp.terms),
+                                       comp.xtrunc)
+                      for order, comp in dirac_symbol().comps.items()},
+                     exact=True)
+
+
+def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:
+    """The three pieces of the order-zero symbol of c(field) D_V: c(field)
+    times each connection word and times chat(V)."""
+    zero = _first_order_symbol(field).comps[(0, 0)].terms
+    return {name: (t,) for name, t in zip(("conn_c", "conn_h", "vec"), zero)}
 
 
 def symbol_of_a() -> PDOSymbol:
-    """sigma(c(u) D): i c(u) c(xi) at order one plus the order-zero part."""
+    """sigma(c(u) D_V)."""
     return _first_order_symbol("u")
 
 
 def symbol_of_b() -> PDOSymbol:
-    """sigma(c(w) D): i c(w) c(xi) at order one plus the order-zero part."""
+    """sigma(c(w) D_V)."""
     return _first_order_symbol("w")
 
 

@@ -218,6 +218,10 @@ def composition_summand(p: Component, q: Component, nalpha: int,
     is below nalpha raises TruncationError, but only when the
     xi-derivative side does not vanish.
 
+    It returns the block's terms and the x-degree they are exact to (None:
+    exact), a vanishing block too: an empty x side is zero to the degree
+    both factors are exact to (q's less nalpha), an empty xi side to p's.
+
     With xmax set, the terms of both factors that can only make products
     with more than xmax x factors are left out.  On the left those are
     the xi-derivative terms with more than xmax, cut after the derivatives
@@ -241,7 +245,7 @@ def composition_summand(p: Component, q: Component, nalpha: int,
             right = d_x_terms(right, lab,
                               xmax=None if xmax is None else xmax + nalpha - k)
         if not right:
-            return (), None
+            return (), _xt_min(_xt_min(p.xtrunc, qx), xmax)
     left = p.terms
     for k in range(1, nalpha + 1):
         got = p.d_xi.get(labels[:k])
@@ -249,7 +253,7 @@ def composition_summand(p: Component, q: Component, nalpha: int,
             got = p.d_xi[labels[:k]] = d_xi_terms(left, labels[k - 1])
         left = got
         if not left:
-            return (), None
+            return (), _xt_min(p.xtrunc, xmax)
     if right is None:
         raise TruncationError(
             f"{nalpha} x-derivative(s) exceed the stored x-Taylor order")
@@ -278,10 +282,11 @@ def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
     the xi-derivative side survives, and one of a truncated P that the
     alpha = 0 pairing with Q's top reaches.  A vanishing xi-derivative side
     only short-circuits the check of Q's x-Taylor order in
-    `composition_summand`.  With xmax set, the terms of both factors that
-    can only make products with more than xmax x factors are left out (see
-    `composition_summand`), and the components are exact to x-degree xmax
-    at most.
+    `composition_summand`.  A component is exact to the least x-degree of
+    the summands it runs, vanishing ones included.  With xmax set, the
+    terms of both factors that can only make products with more than xmax
+    x factors are left out (see `composition_summand`), and the components
+    are exact to x-degree xmax at most.
     """
     comps: dict[Order, Component] = {}
     for target in targets:
@@ -303,9 +308,8 @@ def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
                 if not qcomp.terms:
                     continue
                 terms, sxt = composition_summand(pcomp, qcomp, nalpha, xmax)
-                if terms:
-                    acc.extend(terms)
-                    xt = _xt_min(xt, sxt)
+                acc.extend(terms)
+                xt = _xt_min(xt, sxt)
         comps[target] = Component(tuple(acc), xt)
     return PDOSymbol(comps, exact=False)
 

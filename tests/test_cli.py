@@ -65,13 +65,18 @@ def test_verify_term_filter(capsys):
 
 
 def test_verify_term_evaluates_only_its_job(monkeypatch, capsys):
-    calls = {"wres_density": 0, "composition_summand": 0}
+    # one ledger job: one density of one summand.  The summands pdo runs
+    # are the four of sigma_0(D_V o D_V), from which the job's parametrix
+    # takes the endomorphism
+    calls = {}
 
     def counted(module, name):
         original = getattr(module, name)
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
+        calls[key] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -80,7 +85,9 @@ def test_verify_term_evaluates_only_its_job(monkeypatch, capsys):
         counted(module, "composition_summand")
     code, _, _ = run(capsys, "verify", "--term", "I-2")
     assert code == 0
-    assert calls == {"wres_density": 1, "composition_summand": 1}
+    assert calls == {"residue.wres_density": 1,
+                     "residue.composition_summand": 1,
+                     "pdo.composition_summand": 4}
 
 
 def test_verify_json_matches_recorded_report(capsys):

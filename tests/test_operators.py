@@ -4,8 +4,8 @@ from oracle import at_m, inverse_symbol_reference, sums_equal
 
 from wittenres import clifford as cl
 from wittenres.operators import (build_laplace_data, cu_cw_symbol,
-                                 parametrix_symbols, symbol_of_a,
-                                 symbol_of_b)
+                                 dirac_symbol, parametrix_symbols,
+                                 symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
@@ -26,6 +26,8 @@ def test_taylor_coefficient_antisymmetry():
 
 
 def test_endomorphism_scalar_piece():
+    # the endomorphism is derived from sigma_0(D_V o D_V), whose
+    # -1/8 R_abcd c_a c_b c_c c_d normalizes to Lichnerowicz's s/4
     data = build_laplace_data()
     scal_terms = [t for t in data.endo if not t.word]
     expr = collect(normalize(scal_terms))
@@ -83,17 +85,26 @@ def test_left_identity_at_the_origin():
 
 def test_left_identity_residue_with_the_derived_operator():
     # with the derived sigma(D_V) o sigma(D_V) as the left factor, the
-    # origin part of Delta o Delta^{-m} at order -2m has the normal form of
-    # Delta^{-m+1}'s: the -1/8 R_abcd c_a c_b c_c c_d of the square is the
-    # s/4 of the endomorphism.  And its residue is Wres(Delta^{-m+1})
-    sigma = oracle.dirac_symbol()
+    # origin part of Delta o Delta^{-m} has the normal form of
+    # Delta^{-m+1}'s at all three orders: at order -2m the
+    # -1/8 R_abcd c_a c_b c_c c_d of the square is the s/4 of the
+    # endomorphism.  And its residue is Wres(Delta^{-m+1}).  The package
+    # states sigma(D_V) as the oracle transcribes it
+    sigma, stated = oracle.dirac_symbol(), dirac_symbol()
+    assert stated.comps.keys() == sigma.comps.keys() and all(
+        sums_equal(stated.comps[order].terms, comp.terms)
+        and stated.comps[order].xtrunc == comp.xtrunc
+        for order, comp in sigma.comps.items())
     square = compose(sigma, sigma, [(2, 0), (1, 0), (0, 0)])
     data = build_laplace_data()
-    assert (normalize(origin_terms(square.comps[(0, 0)].terms))
-            == normalize(data.endo))
-    got = compose(square, parametrix_symbols(data, 0), [(0, -2)])
-    assert (normalize(origin_terms(got.comps[(0, -2)].terms))
-            == normalize(parametrix_symbols(data, 1).comps[(0, -2)].terms))
+    assert normalize(origin_terms(square.comps[(0, 0)].terms)) == data.endo
+    orders = [(2, -2), (1, -2), (0, -2)]
+    got = compose(square, parametrix_symbols(data, 0), orders)
+    want = parametrix_symbols(data, 1)
+    for order, count in zip(orders, (1, 0, 5)):
+        rhs = normalize(origin_terms(want.comps[order].terms))
+        assert len(rhs) == count, order
+        assert normalize(origin_terms(got.comps[order].terms)) == rhs, order
     m_minus_1 = Scalar.poly((-1, 1))
     want = ScalarInvariantExpr({"s": -m_minus_1 * Scalar.of(1, 12),
                                 "|V|^2": -m_minus_1})

@@ -6,8 +6,8 @@ from oracle import sums_equal
 
 from wittenres import clifford as cl
 from wittenres.operators import (build_laplace_data, cu_cw_symbol,
-                                 parametrix_symbols, symbol_of_a,
-                                 symbol_of_b)
+                                 dirac_symbol, parametrix_symbols,
+                                 symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            composition_summand, d_x_terms, d_xi_terms,
                            origin_terms, terms_equal_taylor, x_degree)
@@ -191,6 +191,23 @@ def test_first_order_symbols_keep_x_linear_data_only():
         assert x_derivative_at_origin(sym.comps[(0, 0)], 1)
         with pytest.raises(TruncationError):
             x_derivative_at_origin(sym.comps[(0, 0)], 2)
+
+
+def test_a_vanishing_summand_keeps_its_truncation_bound():
+    # sigma_1(D_V) is exact only to x-degree one, so the alpha = 1 pairing
+    # of sigma_1 with itself is empty only at the origin: its x side is
+    # d_x of data known to degree one.  sigma_1(D_V o D_V) holds no
+    # x-linear data, and asking for it must raise
+    d = dirac_symbol()
+    one, zero = d.comps[(1, 0)], d.comps[(0, 0)]
+    assert composition_summand(one, one, 1) == ((), 0)
+    # an empty xi side is zero as far as the left factor's data reaches
+    assert composition_summand(zero, zero, 1) == ((), 1)
+    square = compose(d, d, [(2, 0), (1, 0), (0, 0)])
+    assert ({order: comp.xtrunc for order, comp in square.comps.items()}
+            == {(2, 0): 1, (1, 0): 0, (0, 0): 0})
+    with pytest.raises(TruncationError):
+        x_derivative_at_origin(square.comps[(1, 0)], 1)
 
 
 def test_associativity_random_symbols_concrete():

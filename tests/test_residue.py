@@ -437,10 +437,14 @@ def test_ab_keeps_only_the_terms_that_reach_the_origin():
 
 def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
     """Each xi-derivative of a left piece is kept on its component: the
-    full ledger takes 5, where it took 14 when every pairing took its
+    full ledger takes 7, where it took 14 when every pairing took its
     own (sigma_1(A) once 6 times, the derivative of sigma_2(AB) 4
-    times).  II-5 takes none: the x side is built first, and its right
-    side's x-derivative is empty at the origin."""
+    times).  Two of the 7 are sigma_1(D_V)'s first and second, taken
+    when the endomorphism is derived from sigma_0(D_V o D_V); the second
+    is empty, and is taken because sigma_1(D_V) is exact only to
+    x-degree one, so the x side of that block is unknown.  II-5 takes
+    none: the x side is built first, and its right side's x-derivative
+    is empty at the origin."""
     calls = []
     d_xi = pdo.d_xi_terms
 
@@ -449,7 +453,7 @@ def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
         return d_xi(terms, j)
     monkeypatch.setattr(pdo, "d_xi_terms", counted)
     evaluate_labels(LEDGER)
-    assert len(calls) == 5
+    assert len(calls) == 7
 
 
 def test_a_full_run_builds_the_order_zero_pieces_once(monkeypatch):
