@@ -1,11 +1,11 @@
 """Concrete symbol data for the deformed de Rham operator.
 
 `dirac_symbol` states sigma(D_V) once.  Derived from it: the order-one
-symbols of A = c(u) D_V and B = c(w) D_V and the pieces of sigma_0(B),
-which are c(u) or c(w) times its terms, and the endomorphism E of
-D_V^2 = nabla^* nabla + E.  Transcribed: T_ab, the x-linear Taylor
-coefficient of the laplacian's first-order term, and the three leading
-inverse-power components, written generically in T_ab and E.
+symbols of A = c(u) D_V and B = c(w) D_V, which are c(u) or c(w) times its
+terms, and the endomorphism E of D_V^2 = nabla^* nabla + E.  Transcribed:
+T_ab, the x-linear Taylor coefficient of the laplacian's first-order term,
+and the three leading inverse-power components, written generically in
+T_ab and E.
 
 Normal coordinates throughout: the connection matrix vanishes at the base
 point and its first Taylor coefficient is half a Riemann component, so
@@ -141,13 +141,6 @@ def _first_order_symbol(field: str) -> PDOSymbol:
                                        comp.xtrunc)
                       for order, comp in dirac_symbol().comps.items()},
                      exact=True)
-
-
-def order_zero_pieces(field: str) -> dict[str, tuple[Term, ...]]:
-    """The three pieces of the order-zero symbol of c(field) D_V: c(field)
-    times each connection word and times chat(V)."""
-    zero = _first_order_symbol(field).comps[(0, 0)].terms
-    return {name: (t,) for name, t in zip(("conn_c", "conn_h", "vec"), zero)}
 
 
 def symbol_of_a() -> PDOSymbol:

@@ -10,7 +10,8 @@ names its job (left and right symbol piece, derivative order) and each
 total lists the labels it sums, so every labeled intermediate can be
 evaluated on its own and diffed against stored reference values.  Either
 side of a job is a piece's `_BUILD` name, or the key (name, class) for the
-piece's terms of one `_signature` class.  Every xi/x derivative pairing
+piece's terms of one `_signature` class; every sub-term split is such a
+class split, II-1's of sigma_0(AB) included.  Every xi/x derivative pairing
 of two symbols goes through `pdo.compose` or its `composition_summand`,
 and each job is one `composition_summand` of its two sides with xmax=0,
 which cuts both to what reaches the origin: the only origin cut here.
@@ -25,10 +26,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import clifford, sphere
 from .operators import (LaplaceData, build_laplace_data, cu_cw_symbol,
-                        order_zero_pieces, parametrix_symbols,
-                        parametrix_terms, symbol_of_a, symbol_of_b)
-from .pdo import (Component, PDOSymbol, TruncationError, compose,
-                  composition_summand, order, x_degree)
+                        parametrix_symbols, parametrix_terms, symbol_of_a,
+                        symbol_of_b)
+from .pdo import (Component, TruncationError, compose, composition_summand,
+                  order, x_degree)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
 from .terms import ContractViolation, NormalizeError, Term, normalize
 
@@ -89,12 +90,12 @@ class Total(NamedTuple):
 # Its xi-contracted curvature lines (I-2, I-3) vanish already at the symbol
 # level by first-slot antisymmetry, so those classes are empty.
 # Part II: the A B product symbol against the full-power parametrix.  II-1
-# is the order-zero product against |xi|^{-2m}, split by the piece of
-# sigma_0(B) each term comes from: sigma(A) composed with each piece alone.
-# At the origin the connection pieces keep only their first xi/x derivative
-# pairing with sigma_1(A); the vector piece is split by class into that
-# pairing's dw and dv terms and the plain product, where only
-# c(u)ch(V)c(w)ch(V) survives (class vv).  II-2 is the order-one product
+# is the order-zero product against |xi|^{-2m}, split by class.  At the
+# origin sigma_0(AB) holds one term of each: the c-word and chat-word
+# connection terms (riem60, riem42), which come from the first xi/x
+# derivative pairing of sigma_1(A) with the connection words of sigma_0(B),
+# and three from its chat(V) term: that pairing's dw and dv terms and the
+# plain product c(u)ch(V)c(w)ch(V) (vv).  II-2 is the order-one product
 # against the wholly x-linear component, II-3 the order-two product against
 # the order -2m-2 component, II-4 the first derivative pairing with the
 # order -2m-1 component, II-5 and II-6 the first and second pairings with
@@ -108,11 +109,11 @@ LEDGER: dict[str, Leaf | Total] = {
     "I-6": Leaf("cu_cw", ("par1_top", "dv")),
     "I-7": Leaf("cu_cw", ("par1_top", "vv")),
     "S1": Total(("I-1", "I-2", "I-3", "I-4", "I-5", "I-6", "I-7")),
-    "II-1-A": Leaf("ab0_conn_c", "par0_top"),
-    "II-1-B": Leaf("ab0_conn_h", "par0_top"),
-    "II-1-C": Leaf(("ab0_vec", "dw"), "par0_top"),
-    "II-1-D": Leaf(("ab0_vec", "dv"), "par0_top"),
-    "II-1-E": Leaf(("ab0_vec", "vv"), "par0_top"),
+    "II-1-A": Leaf(("ab0", "riem60"), "par0_top"),
+    "II-1-B": Leaf(("ab0", "riem42"), "par0_top"),
+    "II-1-C": Leaf(("ab0", "dw"), "par0_top"),
+    "II-1-D": Leaf(("ab0", "dv"), "par0_top"),
+    "II-1-E": Leaf(("ab0", "vv"), "par0_top"),
     "II-1": Total(("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E"),
                   check=Leaf("ab0", "par0_top")),
     "II-2": Leaf("ab1", "par0_mid"),
@@ -166,14 +167,6 @@ def _signature(t: Term) -> str:
     return "?"
 
 
-def _ab0_with(pieces: Pieces, piece: str) -> Component:
-    """sigma(A) composed with one piece of sigma_0(B), at order zero and at
-    the origin."""
-    b0 = Component(pieces["B0"][piece], 1)
-    return compose(pieces["A"], PDOSymbol({(0, 0): b0}, exact=True),
-                   [(0, 0)], xmax=0).comps[(0, 0)]
-
-
 def _par1_top(data: LaplaceData) -> Component:
     """The order -2m component of the reduced (-2m+2) power, the only one
     of that power a job reads, so the only one normalized."""
@@ -185,12 +178,10 @@ def _par1_top(data: LaplaceData) -> Component:
 _BUILD = {
     "data": lambda p: build_laplace_data(),
     "par0": lambda p: parametrix_symbols(p["data"], 0),
-    # every job reads A B and its pieces at the origin, so they are
-    # composed with xmax=0, which drops the terms of A and B that cannot
-    # reach it
+    # every job reads A B at the origin, so it is composed with xmax=0,
+    # which drops the terms of A and B that cannot reach it
     "A": lambda p: symbol_of_a(),
     "B": lambda p: symbol_of_b(),
-    "B0": lambda p: order_zero_pieces("w"),
     "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)],
                             xmax=0),
     "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
@@ -201,9 +192,6 @@ _BUILD = {
     "ab0": lambda p: p["AB"].comps[(0, 0)],
     "ab1": lambda p: p["AB"].comps[(1, 0)],
     "ab2": lambda p: p["AB"].comps[(2, 0)],
-    "ab0_conn_c": lambda p: _ab0_with(p, "conn_c"),
-    "ab0_conn_h": lambda p: _ab0_with(p, "conn_h"),
-    "ab0_vec": lambda p: _ab0_with(p, "vec"),
 }
 
 

@@ -388,7 +388,7 @@ def test_word_reorders_reuse_label_counts(monkeypatch):
     assert len(got) == 4
 
 
-def _prepass_terms(seed=101):
+def _raw_difference(seed=101):
     """The raw difference the taylor_diff benchmark's comparison at `seed`
     merges (`merge_presentations`) before differentiating it."""
     inputs = bench_workloads().taylor_inputs(seed)
@@ -401,7 +401,7 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
     # the hypothesis terms reach: the raw terms as `merge_presentations`
     # finalizes them, 30 a seed, and the reduced terms of each display
     # term with no x factor, 58 a seed, with their blocks
-    raw = [t for seed in _TAYLOR_SEEDS for t in _prepass_terms(seed)]
+    raw = [t for seed in _TAYLOR_SEEDS for t in _raw_difference(seed)]
     reduced = [red for seed in _TAYLOR_SEEDS
                for t in bench_workloads().taylor_inputs(seed).printed
                if not pdo.x_degree(t)
@@ -413,7 +413,7 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
         assert terms._finalize(t, counts) == reference_finalize(t, counts), t
 
 
-def test_prepass_work_counts(monkeypatch):
+def test_normalize_work_counts_on_the_raw_difference(monkeypatch):
     """Deterministic work counts of normalizing the seed-101 raw difference
     as it stands, without the merge of equal presentations that the
     comparison runs instead: its 30 input terms are expanded on the block
@@ -421,7 +421,7 @@ def test_prepass_work_counts(monkeypatch):
     the same normal forms.  The label counts are computed once per input
     term and every word is expanded once (`wick`); the pairings leave 2092
     terms for the block rules, and the 1936 those keep are finalized."""
-    raw = _prepass_terms()
+    raw = _raw_difference()
     assert len(raw) == 30
     calls = {}
     for name in ("label_counts", "wick", "_block_rules", "_finalize"):
@@ -434,15 +434,16 @@ def test_prepass_work_counts(monkeypatch):
                      "_finalize": 1936}
 
 
-def test_merge_prepass_work_counts(monkeypatch):
+def test_merge_work_counts_on_the_raw_difference(monkeypatch):
     """Deterministic work counts of the seed-101 comparison, which merges
     equal presentations before it normalizes: the 30 raw terms of the
     difference give 15 canonical presentations as written, and all of them
     cancel, since the derived side keeps its Clifford products as written,
     as the display does.  `_finalize` runs 30 times, all in the merge,
-    where `normalize` alone runs it 1936 times (`test_prepass_work_counts`).
+    where `normalize` alone runs it 1936 times
+    (`test_normalize_work_counts_on_the_raw_difference`).
     """
-    raw = _prepass_terms()
+    raw = _raw_difference()
     finalized, merged = [], []
     finalize, merge = terms._finalize, terms._merge
 

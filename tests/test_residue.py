@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from oracle import TensorAssignment, at_m, part2_compose_check
 
-from wittenres.operators import (build_laplace_data, order_zero_pieces,
-                                 parametrix_symbols, symbol_of_a, symbol_of_b)
+from wittenres.operators import (build_laplace_data, parametrix_symbols,
+                                 symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            origin_terms)
-from wittenres import pdo, residue
+from wittenres import operators, pdo, residue
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
@@ -155,9 +155,10 @@ def test_class_split_refuses_an_unused_class(monkeypatch):
     monkeypatch.setitem(residue._CLASSES, "par1_top", {"ric", "scal"})
     with pytest.raises(ResidueError, match="unclassifiable term"):
         evaluate_labels(["I-1"])
-    # a left-side key: the vector piece's plain product (class vv) must
-    # not be lost either
-    monkeypatch.setitem(residue._CLASSES, "ab0_vec", {"dw", "dv"})
+    # a left-side key: sigma_0(AB)'s plain product (class vv) must not be
+    # lost either
+    monkeypatch.setitem(residue._CLASSES, "ab0",
+                        residue._CLASSES["ab0"] - {"vv"})
     with pytest.raises(ResidueError, match="unclassifiable term"):
         evaluate_labels(["II-1-C"])
 
@@ -388,15 +389,16 @@ def test_everything_is_real(ledger):
 
 
 def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
-    """A B and the three II-1 pieces are composed with xmax=0, which cuts
-    A's xi-derivative terms to their origin terms.  A left term with an x
-    factor keeps it through xi-derivatives and products, so the cut leaves
-    every origin term as it was and saves the products: 22 for A B and 5
-    for each II-1 piece, where the whole A took 30 and 7.  The cut also
-    leaves out each right term whose x-derivatives keep an x factor: 9
-    products for A B and 1 for each connection piece."""
+    """A B is composed with xmax=0, which cuts both factors to what reaches
+    the origin: a left term with an x factor keeps it through
+    xi-derivatives and products, and so does a right term whose
+    x-derivatives keep one.  The cut leaves every origin term as it was,
+    in 9 products.  Each class of sigma_0(AB) that II-1 reads is sigma(A)
+    composed with one term of sigma_0(B): the c-word and chat-word
+    connection terms give riem60 and riem42, the chat(V) term dw, dv and
+    vv."""
     pieces = Pieces()
-    for name in ("A", "B", "B0"):
+    for name in ("A", "B"):
         pieces[name]
     products = []
     mul = pdo.mul_terms
@@ -405,24 +407,21 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
         products.append((a, b))
         return mul(a, b)
     monkeypatch.setattr(pdo, "mul_terms", counted)
-    counts = {}
-    for name in ("AB", "ab0_conn_c", "ab0_conn_h", "ab0_vec"):
-        products.clear()
-        pieces[name]
-        counts[name] = len(products)
-    assert counts == {"AB": 9, "ab0_conn_c": 1, "ab0_conn_h": 1,
-                      "ab0_vec": 3}
+    pieces["AB"]
+    assert len(products) == 9
     monkeypatch.undo()
     whole = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     for order, comp in whole.comps.items():
         assert (normalize(origin_terms(pieces["AB"].comps[order].terms))
                 == normalize(origin_terms(comp.terms))), order
-    b0 = order_zero_pieces("w")
-    for piece in ("conn_c", "conn_h", "vec"):
-        sym = PDOSymbol({(0, 0): Component(b0[piece], 1)}, exact=True)
+    b0 = symbol_of_b().comps[(0, 0)].terms
+    for t, classes in zip(b0, (("riem60",), ("riem42",),
+                               ("dw", "dv", "vv"))):
+        sym = PDOSymbol({(0, 0): Component((t,), 1)}, exact=True)
         comp = compose(symbol_of_a(), sym, [(0, 0)]).comps[(0, 0)]
-        assert (normalize(pieces[f"ab0_{piece}"].terms)
-                == normalize(origin_terms(comp.terms))), piece
+        split = [u for cls in classes for u in pieces["ab0", cls].terms]
+        assert (normalize(split)
+                == normalize(origin_terms(comp.terms))), classes
 
 
 def test_ab_keeps_only_the_terms_that_reach_the_origin():
@@ -456,14 +455,23 @@ def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
     assert len(calls) == 7
 
 
-def test_a_full_run_builds_the_order_zero_pieces_once(monkeypatch):
-    # each II-1 piece used to build all three pieces of sigma_0(B)
-    built = []
-    pieces_of = residue.order_zero_pieces
+def test_a_full_run_composes_two_symbols(monkeypatch):
+    """A full run composes D_V with itself, for the endomorphism, and A
+    with B; every job is one summand of two pieces.  The summands are the
+    4 of sigma_0(D_V o D_V), the 8 of A B and the 27 jobs: 26 leaves and
+    II-1's check against the whole sigma_0(AB)."""
+    calls = {"compose": 0, "composition_summand": 0}
 
-    def counted(field):
-        built.append(field)
-        return pieces_of(field)
-    monkeypatch.setattr(residue, "order_zero_pieces", counted)
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    for module in (operators, residue):
+        counted(module, "compose")
+    for module in (pdo, residue):
+        counted(module, "composition_summand")
     evaluate_labels(LEDGER)
-    assert built == ["w"]
+    assert calls == {"compose": 2, "composition_summand": 39}
