@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .scalars import S_ONE
 from .terms import (ContractViolation, F, G, Idx, Term, contract_deltas,
-                    label_counts, normalize, wick)
+                    label_counts, wick)
 
 Word = tuple[G, ...]
 
@@ -77,14 +77,12 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
     distinct generators, or a C block times a CHAT block, is traceless.  So
     the trace of a term is the sum over the full pairings of its word
     (`terms.wick` with full=True), where every generator pairs with one of
-    its family from another block.  Linear over terms; normalized output.
-    The signs stay ints, so an emitted term's coefficient is the input's,
-    negated at most once.
-
-    `normalize` gets one term per pairing, with no word and with the
-    pairing's deltas already applied (`terms.contract_deltas`): the word's
-    labels move into the deltas one for one, so the input term's label
-    counts serve every pairing.
+    its family from another block.  Linear over terms and not normalized:
+    one wordless term per full pairing, with the pairing's deltas already
+    applied (`terms.contract_deltas`), and its callers normalize.  The
+    word's labels move into the deltas one for one, so the input term's
+    label counts serve every pairing.  The signs stay ints, so an emitted
+    term's coefficient is the input's, negated at most once.
     """
     out = []
     for t in terms:
@@ -98,4 +96,4 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
                 deltas, counts)
             if paired is not None:
                 out.append(paired[0])
-    return normalize(out)
+    return tuple(out)

@@ -1,8 +1,9 @@
 """Noncommutative-residue densities and the labeled term ledger.
 
 The density of Wres(P) at the base point is the cosphere integral of the
-fiber trace of the order -2m symbol component: trace, then monomial
-integration, then contraction and collection into invariant atoms.  The
+fiber trace of the order -2m symbol component.  Both are linear sums over
+perfect pairings with their deltas applied, so they commute: cosphere
+integration, trace, one canonical form, collection into atoms.  The
 Einstein functional splits into Part I (the c(u)c(w) inverse-square-reduced
 power) and Part II (the six composition summands of the A B inverse-power
 product).  `LEDGER` is the whole ledger in report order: each leaf label
@@ -43,10 +44,12 @@ def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
     """Residue density of an order -2m, origin-evaluated term sum, in
     units of TrId*Vol: tr[id] times Vol(S^{2m-1}).
 
-    Pipeline: fiber trace, cosphere monomial integration on the unit
-    sphere (norm powers become one), delta contraction and canonical form,
-    collection into invariant atoms.  Hard errors on leftover free indices,
-    derivative atoms, or imaginary parts.
+    Pipeline: integration, fiber trace, one canonical form.  Cosphere
+    monomial integration on the unit sphere keeps the word and moves the
+    xi labels into deltas (norm powers become one); the fiber trace sums
+    the full pairings of each word; a single `canonicalize` and the
+    collection into invariant atoms follow.  Hard errors on leftover free
+    indices, derivative atoms, or imaginary parts.
     """
     for t in terms:
         if x_degree(t):
@@ -54,13 +57,10 @@ def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
         if order(t) != (0, -2):
             raise ResidueError(
                 f"term is not homogeneous of order -2m: {t}")
-    # the trace's normalization may move xi pairs into the norm; the
-    # integration sets every norm power to one
-    integrated = []
-    for t in clifford.trace(terms):
-        integrated.extend(sphere.integrate_term(t))
+    traced = clifford.trace(
+        [u for t in terms for u in sphere.integrate_term(t)])
     try:
-        return collect(canonicalize(integrated)).check_real()
+        return collect(canonicalize(traced)).check_real()
     except (NormalizeError, ContractViolation, CollectError, TruncationError,
             ValueError) as exc:
         raise ResidueError(str(exc)) from exc

@@ -62,7 +62,9 @@ carrying one set of label counts through them.  `clifford.trace` hands
 over each full pairing of a word with its deltas applied, and so do
 `pdo.d_xi_terms` for xi_a -> delta(a, j), `pdo.d_x_terms` for
 x_a -> delta(a, j) and `sphere.integrate_term` for its cosphere pairings;
-normalize then has no delta of a dummy left to substitute.
+normalize then has no delta of a dummy left to substitute.  None of these
+stages normalizes, so they chain: a residue density integrates, traces
+and then normalizes once.
 
 merge_presentations(terms) is `_finalize` alone on each term as written:
 no factor rule runs and no word is expanded.  It sums equal presentations

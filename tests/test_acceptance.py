@@ -15,6 +15,7 @@ from wittenres import reference, sphere
 from wittenres.operators import build_laplace_data, parametrix_symbols
 from wittenres.residue import (LEDGER, Pieces, evaluate_labels,
                                part1_top_norm_exponent)
+from wittenres.terms import normalize
 
 FR = Fraction
 
@@ -114,7 +115,8 @@ def test_criterion_6_trace_oracle():
             word = tuple((cl.c if rng.random() < 0.5 else cl.chat)
                          (rng.randint(1, n))
                          for _ in range(rng.randint(0, 8)))
-            sym = cl.trace([oracle.word_term(word)])
+            sym = normalize(cl.trace([oracle.word_term(word)]))
+            ok = ok and len(sym) <= 1
             if sym:
                 re, im = at_m(sym[0].coeff, FR(n, 2))
                 val = re * 2 ** n

@@ -90,10 +90,11 @@ def test_scalar_part_never_pairs_across_families():
 
 def test_trace_basic_values():
     # tr[c(u)c(w)] = -g(u,w) tr[id]
-    t = one(cl.trace([mul_terms(cl.c_vec("u", "r"), cl.c_vec("w", "k"))]))
+    t = one(normalize(cl.trace([mul_terms(cl.c_vec("u", "r"),
+                                          cl.c_vec("w", "k"))])))
     assert t.fac == (F("guw", ()),) and t.coeff == Scalar.of(-1)
-    assert cl.trace([word_term((cl.c(1), cl.chat(1)))]) == ()
-    ident = one(cl.trace([word_term(())]))
+    assert normalize(cl.trace([word_term((cl.c(1), cl.chat(1)))])) == ()
+    ident = one(normalize(cl.trace([word_term(())])))
     assert ident.coeff == S_ONE
     # with m substituted, tr[id] = 2^(2m) is applied by the caller: 16 at m=2
     re, im = at_m(ident.coeff, 2)
@@ -112,7 +113,7 @@ def test_trace_six_c_generators_against_curvature():
                  fct("w", "k")),
                 (cl.c("r"), cl.c("j"), cl.c("k"), cl.c("p"), cl.c("s"),
                  cl.c("t")))
-    got = {(t.fac, str(t.coeff)) for t in cl.trace([base])}
+    got = {(t.fac, str(t.coeff)) for t in normalize(cl.trace([base]))}
     want = {
         ((F("scal", ()), F("guw", ())), "1/4"),
         ((F("ricuw", ()),), "-1/2"),
@@ -128,7 +129,7 @@ def test_trace_matches_matrix_oracle_randomized():
             word = tuple((cl.c if rng.random() < 0.5 else cl.chat)
                          (rng.randint(1, n))
                          for _ in range(rng.randint(0, 8)))
-            sym = cl.trace([word_term(word)])
+            sym = normalize(cl.trace([word_term(word)]))
             if not sym:
                 val = Fraction(0)
             else:

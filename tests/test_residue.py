@@ -7,7 +7,7 @@ from wittenres.operators import (build_laplace_data, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            origin_terms)
-from wittenres import operators, pdo, residue
+from wittenres import clifford, operators, pdo, residue, tensor
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
@@ -475,3 +475,28 @@ def test_a_full_run_composes_two_symbols(monkeypatch):
         counted(module, "composition_summand")
     evaluate_labels(LEDGER)
     assert calls == {"compose": 2, "composition_summand": 39}
+
+
+def test_each_job_normalizes_once(monkeypatch):
+    """A full run normalizes the endomorphism, the three parametrix
+    components (operators) and par1_top (residue) once each, and each of the
+    27 jobs once, in `tensor.canonicalize`: the fiber trace hands its
+    pairings over as they are."""
+    calls = {}
+
+    def counted(module):
+        name = module.__name__.rsplit(".", 1)[1]
+        calls[name] = 0
+        original = getattr(module, "normalize", None)
+        if original is None:
+            return
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "normalize", wrapper)
+    for module in (clifford, operators, pdo, residue, tensor):
+        counted(module)
+    evaluate_labels(LEDGER)
+    assert calls == {"clifford": 0, "operators": 4, "pdo": 0, "residue": 1,
+                     "tensor": 27}

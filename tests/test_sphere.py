@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import oracle
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from oracle import at_m, sums_equal
+from test_canonical_search import small_terms
 
 from wittenres import clifford, sphere
 from wittenres.scalars import Scalar
@@ -124,6 +127,22 @@ def test_integrate_term_sets_unit_norm():
     got = sphere.integrate_term(t)
     assert got == sphere.integrate_term(t._replace(norm=(0, 0)))
     assert got and all(x.norm == (0, 0) for x in got)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(small_terms(vectors=("u", "w", "v", "xi"), max_word=6,
+                            fams=("c", "h"), blocks=True),
+                min_size=1, max_size=3))
+def test_integration_and_trace_commute(x):
+    """Both stages are linear sums over pairings with their deltas applied,
+    so integrating before the fiber trace gives the normal form that the
+    trace's normal form, integrated, gives."""
+    integrated_first = [u for t in x for u in sphere.integrate_term(t)]
+    traced_first = normalize(clifford.trace(x))
+    assert (normalize(clifford.trace(integrated_first))
+            == normalize([u for t in traced_first
+                          for u in sphere.integrate_term(t)]))
 
 
 def test_vol_sphere():
