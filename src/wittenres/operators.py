@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .clifford import c, c_vec, chat, chat_v
-from .pdo import Component, Order, PDOSymbol, compose
+from .pdo import Component, PDOSymbol, compose
 from .scalars import S_I, S_ONE, Scalar
 from .terms import F, Term, fct, mul_terms, normalize
 
@@ -72,15 +72,15 @@ def _with(t: Term, coeff: Scalar, extra: tuple[F, ...],
                 (t.norm[0] + norm[0], t.norm[1] + norm[1]))
 
 
-def parametrix_terms(data: LaplaceData, power_offset: int
-                     ) -> dict[Order, tuple[list[Term], int]]:
-    """The three leading symbol components of the inverse power, each as
-    its unnormalized terms and the x-degree they are exact to, by order.
+def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
+    """The three leading symbol components of the inverse power, each
+    exact to the x-degree it is stored with.
 
     power_offset 0 selects the full -2m power, 1 the -2m+2 power; the
     effective half-dimension is mt = m - power_offset and the components sit
     at orders -2mt, -2mt-1, -2mt-2.  Every norm exponent is derived from the
-    homogeneity bookkeeping, not copied.
+    homogeneity bookkeeping, not copied.  The terms are kept as written:
+    a caller normalizes the components it reads.
     """
     if power_offset not in (0, 1):
         raise ValueError(f"power_offset must be 0 or 1, got {power_offset}")
@@ -121,16 +121,9 @@ def parametrix_terms(data: LaplaceData, power_offset: int
     for t in data.endo:
         low.append(_with(t, -mt, (), n_main))
 
-    return {(base, -2): (top, 2), (base - 1, -2): (mid, 1),
-            (base - 2, -2): (low, 0)}
-
-
-def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
-    """The three leading symbol components of the inverse power
-    (`parametrix_terms`), normalized."""
-    return PDOSymbol({order: Component(normalize(terms), xtrunc)
-                      for order, (terms, xtrunc)
-                      in parametrix_terms(data, power_offset).items()})
+    return PDOSymbol({(base, -2): Component(tuple(top), 2),
+                      (base - 1, -2): Component(tuple(mid), 1),
+                      (base - 2, -2): Component(tuple(low), 0)})
 
 
 def _first_order_symbol(field: str) -> PDOSymbol:

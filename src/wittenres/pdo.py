@@ -12,9 +12,8 @@ any other term sum by `origin_terms`.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import factorial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .scalars import S_I, S_ONE, Scalar
 from .terms import (F, Idx, NormalizeError, Term, contract_deltas,
@@ -27,18 +26,12 @@ class TruncationError(Exception):
     """A composition asked for symbol data outside the stored truncation."""
 
 
-class Component(namedtuple("Component", ("terms", "xtrunc", "d_xi"))):
+class Component(NamedTuple):
     """A component's terms, exact up to x degree xtrunc (at least 0; None
-    means exact).  d_xi holds the xi-derivatives of the terms taken so
-    far, keyed by their slot labels in order, so each is taken once
-    however many right components and targets the component pairs with.
-    A copy made by `_replace` shares it, which holds while the copy keeps
-    the terms."""
+    means exact)."""
 
-    __slots__ = ()
-
-    def __new__(cls, terms: tuple[Term, ...], xtrunc: int | None):
-        return super().__new__(cls, terms, xtrunc, {})
+    terms: tuple[Term, ...]
+    xtrunc: int | None
 
 
 class PDOSymbol:
@@ -213,10 +206,10 @@ def composition_summand(p: Component, q: Component, nalpha: int,
 
     The multi-index sum collapses to an unrestricted sum over slot labels
     shared between the two halves.  The x-derivative side is built first:
-    when it is empty, no xi-derivative is taken.  Each xi-derivative of p
-    is taken once and kept in `p.d_xi`.  A q whose stored x-Taylor order
-    is below nalpha raises TruncationError, but only when the
-    xi-derivative side does not vanish.
+    when it is empty, no xi-derivative is taken; otherwise p's are taken
+    here, for this block alone.  A q whose stored x-Taylor order is below
+    nalpha raises TruncationError, but only when the xi-derivative side
+    does not vanish.
 
     It returns the block's terms and the x-degree they are exact to (None:
     exact), a vanishing block too: an empty x side is zero to the degree
@@ -224,11 +217,10 @@ def composition_summand(p: Component, q: Component, nalpha: int,
 
     With xmax set, the terms of both factors that can only make products
     with more than xmax x factors are left out.  On the left those are
-    the xi-derivative terms with more than xmax, cut after the derivatives
-    so that `p.d_xi` holds those of the whole component.  On the right they
-    are, before the x-derivatives, those with more than nalpha + xmax, and
-    after derivative k those with more than xmax + nalpha - k (`d_x_terms`'
-    own cut).  An xi-derivative keeps every x factor, an x-derivative
+    the xi-derivative terms with more than xmax.  On the right they are,
+    before the x-derivatives, those with more than nalpha + xmax, and after
+    derivative k those with more than xmax + nalpha - k (`d_x_terms`' own
+    cut).  An xi-derivative keeps every x factor, an x-derivative
     lowers the x-degree by at most one, and a product keeps every x factor
     of both sides.  So the cut is exact for a caller that keeps only terms
     of x-degree at most xmax, and the block is exact to that degree at
@@ -247,11 +239,8 @@ def composition_summand(p: Component, q: Component, nalpha: int,
         if not right:
             return (), _xt_min(_xt_min(p.xtrunc, qx), xmax)
     left = p.terms
-    for k in range(1, nalpha + 1):
-        got = p.d_xi.get(labels[:k])
-        if got is None:
-            got = p.d_xi[labels[:k]] = d_xi_terms(left, labels[k - 1])
-        left = got
+    for lab in labels:
+        left = d_xi_terms(left, lab)
         if not left:
             return (), _xt_min(p.xtrunc, xmax)
     if right is None:

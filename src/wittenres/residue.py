@@ -6,19 +6,21 @@ perfect pairings with their deltas applied, so they commute: cosphere
 integration, trace, one canonical form, collection into atoms.  The
 Einstein functional splits into Part I (the c(u)c(w) inverse-square-reduced
 power) and Part II (the six composition summands of the A B inverse-power
-product).  `LEDGER` is the whole ledger in report order: each leaf label
-names its job (left and right symbol piece, derivative order) and each
-total lists the labels it sums, so every labeled intermediate can be
-evaluated on its own and diffed against stored reference values.  Either
-side of a job is a piece's `_BUILD` name, or the key (name, class) for the
-piece's terms of one `_signature` class; every sub-term split is such a
-class split, II-1's of sigma_0(AB) included.  Every xi/x derivative pairing
-of two symbols goes through `pdo.compose` or its `composition_summand`,
-and each job is one `composition_summand` of its two sides with xmax=0,
-which cuts both to what reaches the origin: the only origin cut here.
-`evaluate_labels` returns a plain dict from label to value in ledger
-order; its "metric" entry is the metric functional, exactly -g(u,w) TrId
-Vol, and its "einstein" entry the Einstein one.
+product).  `LEDGER` is the whole ledger in report order, each label defined
+once: a leaf label is one residue job (left and right symbol piece,
+derivative order) and a total is the plain sum of the labels it lists, so
+every labeled intermediate can be evaluated on its own and diffed against
+stored reference values.  Either side of a job is a piece's `_BUILD` name,
+or the key (name, class) for the piece's terms of one `_signature` class;
+every sub-term split is such a class split, and the tests, not the run,
+check each split against its whole pieces.  The pieces are plain values
+built once each; the parametrix components are normalized when first read.
+Every xi/x derivative pairing of two symbols goes through `pdo.compose` or
+its `composition_summand`, and each job is one `composition_summand` of its
+two sides with xmax=0, which cuts both to what reaches the origin: the only
+origin cut here.  `evaluate_labels` returns a plain dict from label to
+value in ledger order; its "metric" entry is the metric functional, exactly
+-g(u,w) TrId Vol, and its "einstein" entry the Einstein one.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from . import clifford, sphere
-from .operators import (LaplaceData, build_laplace_data, cu_cw_symbol,
-                        parametrix_symbols, parametrix_terms, symbol_of_a,
-                        symbol_of_b)
+from .operators import (build_laplace_data, cu_cw_symbol, parametrix_symbols,
+                        symbol_of_a, symbol_of_b)
 from .pdo import (Component, TruncationError, compose, composition_summand,
                   order, x_degree)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
@@ -78,14 +79,14 @@ class Leaf(NamedTuple):
 
 
 class Total(NamedTuple):
-    """The sum of the labels in children; check, when set, is a job whose
-    value the sum must equal."""
+    """The plain sum of the labels in children, which are defined before
+    it."""
 
     children: tuple[str, ...]
-    check: Leaf | None = None
 
 
-# The whole ledger in report order; a total follows the labels it sums.
+# The whole ledger in report order: a leaf is one job, a total the plain
+# sum of the labels before it that it lists.
 # Part I: c(u) c(w) against the order -2m component of the reduced power.
 # Its xi-contracted curvature lines (I-2, I-3) vanish already at the symbol
 # level by first-slot antisymmetry, so those classes are empty.
@@ -114,8 +115,7 @@ LEDGER: dict[str, Leaf | Total] = {
     "II-1-C": Leaf(("ab0", "dw"), "par0_top"),
     "II-1-D": Leaf(("ab0", "dv"), "par0_top"),
     "II-1-E": Leaf(("ab0", "vv"), "par0_top"),
-    "II-1": Total(("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E"),
-                  check=Leaf("ab0", "par0_top")),
+    "II-1": Total(("II-1-A", "II-1-B", "II-1-C", "II-1-D", "II-1-E")),
     "II-2": Leaf("ab1", "par0_mid"),
     "II-3-A": Leaf("ab2", ("par0_low", "ric")),
     "II-3-B": Leaf("ab2", ("par0_low", "riem20")),
@@ -148,8 +148,11 @@ for _row in LEDGER.values():
 
 
 def _signature(t: Term) -> str:
-    """The class of a term, by its factor and word signature."""
+    """The class of a term, by its factor and word signature.  A term with
+    both a dv and a dw factor has none."""
     kinds = {f.kind for f in t.fac}
+    if {"dv", "dw"} <= kinds:
+        return "?"
     if "ric" in kinds:
         return "ric"
     if "scal" in kinds:
@@ -167,16 +170,15 @@ def _signature(t: Term) -> str:
     return "?"
 
 
-def _par1_top(data: LaplaceData) -> Component:
-    """The order -2m component of the reduced (-2m+2) power, the only one
-    of that power a job reads, so the only one normalized."""
-    terms, xtrunc = parametrix_terms(data, 1)[(0, -2)]
-    return Component(normalize(terms), xtrunc)
+def _normalized(comp: Component) -> Component:
+    return Component(normalize(comp.terms), comp.xtrunc)
 
 
 # how each piece is built from the others
 _BUILD = {
     "data": lambda p: build_laplace_data(),
+    # the parametrix components are written out unnormalized; each one a
+    # job reads is normalized here, once
     "par0": lambda p: parametrix_symbols(p["data"], 0),
     # every job reads A B at the origin, so it is composed with xmax=0,
     # which drops the terms of A and B that cannot reach it
@@ -185,10 +187,11 @@ _BUILD = {
     "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)],
                             xmax=0),
     "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
-    "par0_top": lambda p: p["par0"].comps[(0, -2)],
-    "par0_mid": lambda p: p["par0"].comps[(-1, -2)],
-    "par0_low": lambda p: p["par0"].comps[(-2, -2)],
-    "par1_top": lambda p: _par1_top(p["data"]),
+    "par0_top": lambda p: _normalized(p["par0"].comps[(0, -2)]),
+    "par0_mid": lambda p: _normalized(p["par0"].comps[(-1, -2)]),
+    "par0_low": lambda p: _normalized(p["par0"].comps[(-2, -2)]),
+    "par1_top": lambda p: _normalized(
+        parametrix_symbols(p["data"], 1).comps[(0, -2)]),
     "ab0": lambda p: p["AB"].comps[(0, 0)],
     "ab1": lambda p: p["AB"].comps[(1, 0)],
     "ab2": lambda p: p["AB"].comps[(2, 0)],
@@ -251,8 +254,7 @@ def evaluate_labels(labels: Iterable[str],
 
     The jobs share the symbol pieces in `pieces` (a fresh `Pieces` by
     default); a caller that passes its own can reuse the pieces
-    afterwards.  A total is the ScalarInvariantExpr sum of its children, and
-    its check job, if any, must give the same value.
+    afterwards.  A total is the ScalarInvariantExpr sum of its children.
     """
     if pieces is None:
         pieces = Pieces()
@@ -265,10 +267,6 @@ def evaluate_labels(labels: Iterable[str],
         total = ScalarInvariantExpr()
         for child in row.children:
             total = total + led[child]
-        if (row.check
-                and not (_run(label, row.check, pieces) - total).is_zero()):
-            raise ResidueError(f"{label} sub-term split disagrees with "
-                               f"{row.check.left} times {row.check.right}")
         led[label] = total
     return led
 

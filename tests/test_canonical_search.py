@@ -31,6 +31,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wittenres import clifford, pdo, terms
+from wittenres.residue import LEDGER, evaluate_labels
 from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import (F, G, ContractViolation, NormalizeError, Term,
                              fct, idx_key, label_counts, map_labels,
@@ -512,6 +513,17 @@ def test_frontier_guard_raises_typed_error(monkeypatch):
             r"slot, past the limit 4, in a term with factors "
             r"x riem riem riem riem x and a word of length 0$")):
         normalize([_ring(("x", "x"))])
+
+
+def test_the_ledger_frontier_peaks_at_eight_in_its_first_job(monkeypatch):
+    # the guard's limit sits far above what the ledger needs: its largest
+    # frontier is 8 candidates, first met in I-1, and one less refuses it
+    monkeypatch.setattr(terms, "_MAX_FRONTIER", 8)
+    evaluate_labels(LEDGER)
+    monkeypatch.setattr(terms, "_MAX_FRONTIER", 7)
+    with pytest.raises(NormalizeError, match=(
+            r"^I-1: canonical search space too large: 8 candidates")):
+        evaluate_labels(LEDGER)
 
 
 def test_normalize_is_idempotent_on_curvature_word():

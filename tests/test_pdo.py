@@ -138,14 +138,6 @@ def test_compose_xmax_keeps_every_term_up_to_that_x_degree(xmax):
         == ((5, 15) if xmax == 0 else (15, 15))
 
 
-def test_compose_differentiates_a_left_component_once_per_slot():
-    # sigma_1(A) pairs with both components of B at order zero: the first
-    # xi-derivative serves alpha 1 and 2 alike
-    a = symbol_of_a()
-    compose(a, symbol_of_b(), [(0, 0)])
-    assert sorted(a.comps[(1, 0)].d_xi) == [("_a0",), ("_a0", "_a1")]
-
-
 def test_compose_homogeneity_bookkeeping():
     ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     for order, comp in ab.comps.items():

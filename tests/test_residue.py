@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from oracle import TensorAssignment, at_m, part2_compose_check
 
-from wittenres.operators import (build_laplace_data, parametrix_symbols,
-                                 symbol_of_a, symbol_of_b)
+from wittenres.operators import (build_laplace_data, cu_cw_symbol,
+                                 parametrix_symbols, symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            origin_terms)
 from wittenres import clifford, operators, pdo, residue, tensor
@@ -12,9 +12,9 @@ from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
                                wres_density)
-from wittenres.scalars import S_I, S_ONE
-from wittenres.tensor import ScalarInvariantExpr
-from wittenres.terms import Term, fct, normalize
+from wittenres.scalars import S_I, S_ONE, Scalar
+from wittenres.tensor import ScalarInvariantExpr, canonicalize, collect
+from wittenres.terms import Term, fct, mul_terms, normalize
 
 FR = Fraction
 
@@ -133,12 +133,50 @@ def test_selected_labels_match_the_full_ledger(ledger):
         assert led[lab] == ledger[lab], lab
 
 
-def test_total_check_guards_the_split(monkeypatch):
-    row = LEDGER["II-1"]
-    monkeypatch.setitem(LEDGER, "II-1",
-                        row._replace(check=Leaf("cu_cw", "par0_top")))
-    with pytest.raises(ResidueError, match="II-1 sub-term split"):
-        evaluate_labels(["II-1"])
+def _piece(key):
+    return key[0] if isinstance(key, tuple) else key
+
+
+def test_each_class_split_sums_to_the_job_of_its_whole_pieces(ledger):
+    # the leaves of one split share their pieces and alpha; each group is
+    # the children of one total, and its sum is the one job of the unsplit
+    # pieces, so no class is lost or counted twice
+    groups = {}
+    for label, row in LEDGER.items():
+        if isinstance(row, Leaf) and (isinstance(row.left, tuple)
+                                      or isinstance(row.right, tuple)):
+            key = (_piece(row.left), _piece(row.right), row.alpha)
+            groups.setdefault(key, []).append(label)
+    assert groups == {
+        ("cu_cw", "par1_top", 0): list(LEDGER["S1"].children),
+        ("ab0", "par0_top", 0): list(LEDGER["II-1"].children),
+        ("ab2", "par0_low", 0): list(LEDGER["II-3"].children),
+        ("ab2", "par0_mid", 1): list(LEDGER["II-4"].children),
+    }
+    pieces = Pieces()
+    for (left, right, alpha), labels in groups.items():
+        terms, _ = pdo.composition_summand(pieces[left], pieces[right],
+                                           alpha, xmax=0)
+        acc = ScalarInvariantExpr()
+        for label in labels:
+            acc = acc + ledger[label]
+        assert acc == wres_density(terms), labels
+
+
+def test_part_one_is_the_smeared_gilkey_a2(ledger):
+    # Wres(c(u)c(w) Delta^{-m+1}) is (m - 1) times the a_2 density smeared
+    # with c(u)c(w), tr(c(u)c(w)(s/6 - E))/tr id (Branson & Gilkey, Comm.
+    # PDE 15 (1990); Gilkey (1995) section 4.8), for every m
+    cu_cw = cu_cw_symbol().comps[(0, 0)].terms[0]
+    a2 = [Term(Scalar.of(1, 6), (fct("scal"),))]
+    a2 += [t._replace(coeff=-t.coeff) for t in build_laplace_data().endo]
+    smeared = collect(canonicalize(clifford.trace(
+        [mul_terms(cu_cw, t) for t in a2])))
+    assert coeffs(smeared) == {"g(u,w)*s": [FR(1, 12)],
+                               "g(u,w)*|V|^2": [FR(1)]}
+    m_minus_1 = Scalar.poly((-1, 1))
+    assert ledger["S1"] == ScalarInvariantExpr(
+        {atom: m_minus_1 * c for atom, c in smeared.entries.items()})
 
 
 def test_residue_error_names_its_label(monkeypatch):
@@ -163,6 +201,18 @@ def test_class_split_refuses_an_unused_class(monkeypatch):
         evaluate_labels(["II-1-C"])
 
 
+def test_class_split_refuses_a_term_with_both_field_derivatives(
+        monkeypatch):
+    # ab0 has a dv and a dw class; a term with both factors is in neither,
+    # so the order in which `_signature` tests them cannot decide its class
+    both = Term(S_ONE, (fct("dv", "a", "b"), fct("dw", "a", "b")), (),
+                (0, 0))
+    monkeypatch.setitem(residue._BUILD, "ab0",
+                        lambda p: Component((both,), 0))
+    with pytest.raises(ResidueError, match="unclassifiable term in ab0"):
+        evaluate_labels(["II-1-C"])
+
+
 def test_engine_errors_name_their_label_and_keep_their_type(monkeypatch):
     # a middle parametrix component without its x-linear data cannot give
     # II-4's first x-derivative
@@ -178,7 +228,7 @@ def test_engine_errors_name_their_label_and_keep_their_type(monkeypatch):
 JOB_TERMS = {
     "I-1": 1, "I-2": 0, "I-3": 0, "I-4": 1, "I-5": 1, "I-6": 1, "I-7": 1,
     "II-1-A": 1, "II-1-B": 1, "II-1-C": 1, "II-1-D": 1, "II-1-E": 1,
-    "II-1": 5, "II-2": 0,
+    "II-2": 0,
     "II-3-A": 1, "II-3-B": 0, "II-3-C": 0, "II-3-D": 1, "II-3-E": 1,
     "II-3-F": 1, "II-3-G": 1,
     "II-4-A": 2, "II-4-B": 2, "II-4-C": 2,
@@ -207,13 +257,25 @@ def test_each_job_hands_wres_density_its_pinned_terms(monkeypatch):
     assert counts == JOB_TERMS
 
 
+def test_a_full_run_runs_one_job_per_leaf(monkeypatch):
+    # a total is a plain sum, so a label defined a second time, as a job
+    # beside its children, would show as one more density than leaves
+    calls = []
+    density = residue.wres_density
+
+    def counted(terms):
+        calls.append(len(terms))
+        return density(terms)
+    monkeypatch.setattr(residue, "wres_density", counted)
+    evaluate_labels(LEDGER)
+    leaves = [row for row in LEDGER.values() if isinstance(row, Leaf)]
+    assert len(calls) == len(leaves) == 26
+
+
 def test_every_leaf_key_names_a_built_piece():
-    for label, row in LEDGER.items():
-        jobs = [row] if isinstance(row, Leaf) else [row.check]
-        for job in filter(None, jobs):
-            for key in (job.left, job.right):
-                name = key[0] if isinstance(key, tuple) else key
-                assert name in residue._BUILD, (label, key)
+    for label, job in _jobs():
+        for key in (job.left, job.right):
+            assert _piece(key) in residue._BUILD, (label, key)
 
 
 def test_the_full_ledger_builds_every_piece():
@@ -225,11 +287,9 @@ def test_the_full_ledger_builds_every_piece():
 
 
 def _jobs():
-    """Every job of the ledger, the total checks included, by label."""
-    for label, row in LEDGER.items():
-        job = row if isinstance(row, Leaf) else row.check
-        if job:
-            yield label, job
+    """Every job of the ledger, by label."""
+    return [(label, row) for label, row in LEDGER.items()
+            if isinstance(row, Leaf)]
 
 
 def test_every_job_is_one_summand_cut_to_the_origin(monkeypatch, ledger):
@@ -242,7 +302,7 @@ def test_every_job_is_one_summand_cut_to_the_origin(monkeypatch, ledger):
         return summand(p, q, nalpha, xmax)
     monkeypatch.setattr(residue, "composition_summand", recorded)
     assert evaluate_labels(LEDGER) == ledger
-    assert calls == [0] * len(list(_jobs()))
+    assert calls == [0] * len(_jobs())
 
 
 def _in_jobs(monkeypatch, name, wrap):
@@ -434,16 +494,17 @@ def test_ab_keeps_only_the_terms_that_reach_the_origin():
     assert len(ab.comps[(0, 0)].terms) == 5
 
 
-def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
-    """Each xi-derivative of a left piece is kept on its component: the
-    full ledger takes 7, where it took 14 when every pairing took its
-    own (sigma_1(A) once 6 times, the derivative of sigma_2(AB) 4
-    times).  Two of the 7 are sigma_1(D_V)'s first and second, taken
-    when the endomorphism is derived from sigma_0(D_V o D_V); the second
-    is empty, and is taken because sigma_1(D_V) is exact only to
-    x-degree one, so the x side of that block is unknown.  II-5 takes
-    none: the x side is built first, and its right side's x-derivative
-    is empty at the origin."""
+def test_each_summand_takes_its_own_xi_derivatives(monkeypatch):
+    """Every composition summand differentiates its left piece itself: the
+    full ledger takes 13 xi-derivatives.  Three derive the endomorphism
+    from sigma_0(D_V o D_V): sigma_1(D_V)'s first for alpha 1, and its
+    first and second for alpha 2; the second is empty, and is taken
+    because sigma_1(D_V) is exact only to x-degree one, so the x side of
+    that block is unknown.  Five compose A B: sigma_1(A)'s first three
+    times and its second once, and sigma_0(A)'s first, which is empty.
+    Five are jobs: sigma_2(AB)'s first for each of II-4-A, B and C, and
+    its first and second for II-6.  II-5 takes none: the x side is built
+    first, and its right side's x-derivative is empty at the origin."""
     calls = []
     d_xi = pdo.d_xi_terms
 
@@ -452,14 +513,14 @@ def test_a_full_run_differentiates_each_left_piece_once(monkeypatch):
         return d_xi(terms, j)
     monkeypatch.setattr(pdo, "d_xi_terms", counted)
     evaluate_labels(LEDGER)
-    assert len(calls) == 7
+    assert len(calls) == 13
 
 
 def test_a_full_run_composes_two_symbols(monkeypatch):
     """A full run composes D_V with itself, for the endomorphism, and A
     with B; every job is one summand of two pieces.  The summands are the
-    4 of sigma_0(D_V o D_V), the 8 of A B and the 27 jobs: 26 leaves and
-    II-1's check against the whole sigma_0(AB)."""
+    4 of sigma_0(D_V o D_V), the 8 of A B and the 26 jobs, one per
+    leaf."""
     calls = {"compose": 0, "composition_summand": 0}
 
     def counted(module, name):
@@ -474,14 +535,15 @@ def test_a_full_run_composes_two_symbols(monkeypatch):
     for module in (pdo, residue):
         counted(module, "composition_summand")
     evaluate_labels(LEDGER)
-    assert calls == {"compose": 2, "composition_summand": 39}
+    assert calls == {"compose": 2, "composition_summand": 38}
 
 
 def test_each_job_normalizes_once(monkeypatch):
-    """A full run normalizes the endomorphism, the three parametrix
-    components (operators) and par1_top (residue) once each, and each of the
-    27 jobs once, in `tensor.canonicalize`: the fiber trace hands its
-    pairings over as they are."""
+    """A full run normalizes the endomorphism (operators) and the four
+    parametrix components the jobs read, par0_top, par0_mid, par0_low and
+    par1_top (residue), once each, and each of the 26 jobs once, in
+    `tensor.canonicalize`: the fiber trace hands its pairings over as they
+    are."""
     calls = {}
 
     def counted(module):
@@ -498,5 +560,5 @@ def test_each_job_normalizes_once(monkeypatch):
     for module in (clifford, operators, pdo, residue, tensor):
         counted(module)
     evaluate_labels(LEDGER)
-    assert calls == {"clifford": 0, "operators": 4, "pdo": 0, "residue": 1,
-                     "tensor": 27}
+    assert calls == {"clifford": 0, "operators": 1, "pdo": 0, "residue": 4,
+                     "tensor": 26}
