@@ -13,8 +13,7 @@ from itertools import groupby
 from typing import Iterable
 
 from .scalars import S_ONE
-from .terms import (ContractViolation, F, G, Idx, Term, contract_deltas,
-                    label_counts, wick)
+from .terms import ContractViolation, F, G, Idx, Term, contract_deltas, wick
 
 Word = tuple[G, ...]
 
@@ -80,20 +79,17 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
     its family from another block.  Linear over terms and not normalized:
     one wordless term per full pairing, with the pairing's deltas already
     applied (`terms.contract_deltas`), and its callers normalize.  The
-    word's labels move into the deltas one for one, so the input term's
-    label counts serve every pairing.  The signs stay ints, so an emitted
-    term's coefficient is the input's, negated at most once.
+    word's labels move into the deltas one for one, so a pairing holds a
+    label as often as the input term, which must hold none more than
+    twice.  The signs stay ints, so an emitted term's coefficient is the
+    input's, negated at most once.
     """
     out = []
     for t in terms:
-        pairings = wick(t.word, full=True)
-        if not pairings:
-            continue
-        counts = label_counts(t)
-        for sign, deltas, _ in pairings:
+        for sign, deltas, _ in wick(t.word, full=True):
             paired = contract_deltas(
                 Term(t.coeff if sign > 0 else -t.coeff, t.fac, (), t.norm),
-                deltas, counts)
+                deltas)
             if paired is not None:
-                out.append(paired[0])
+                out.append(paired)
     return tuple(out)

@@ -85,26 +85,24 @@ def origin_terms(terms: Iterable[Term]) -> list[Term]:
 def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
     """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2).
 
-    Each delta is applied at once (`terms.contract_deltas`).  Equal terms
-    are merged as written (`terms.merge_presentations`): a power of one
-    factor differentiates to one equal term per factor, so unmerged the
-    a-th derivative of xi_1^k would hold k!/(k-a)! copies of one term.
+    Each delta is applied at once (`terms.contract_deltas`); a symbolic j
+    is one more use of that label, so a term may hold it at most once, and
+    then it is a dummy of the result.  Equal terms are merged as written
+    (`terms.merge_presentations`): a power of one factor differentiates to
+    one equal term per factor, so unmerged the a-th derivative of xi_1^k
+    would hold k!/(k-a)! copies of one term.
     They are not normalized: normalizing would expand each Clifford
     product into its blocks, and the caller normalizes what it keeps.
     """
     out = []
     for t in terms:
-        counts = label_counts(t)
-        if isinstance(j, str):
-            counts[j] = counts.get(j, 0) + 1
         for k, f in enumerate(t.fac):
             if f.kind == "xi":
                 rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word,
                             t.norm)
-                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),),
-                                     counts)
+                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),))
                 if dt is not None:
-                    out.append(dt[0])
+                    out.append(dt)
         if t.norm != (0, 0):
             p = Scalar.poly((t.norm[0], t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
@@ -120,14 +118,14 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     """Termwise x-derivative.
 
     Coordinate factors differentiate to deltas, applied at once
-    (`terms.contract_deltas`); vector-field components produce
-    first-derivative atoms.  Curvature data is a Taylor coefficient at the
-    base point and is constant, and so are the folded atoms `guw`,
-    `ricuw` and `vsq`: a caller that differentiates again normalizes first
-    where a contracted field pair should count as one of them (see
-    `terms_equal_taylor`).  Second derivatives of vector fields are not
-    representable and raise in strict mode; non-strict mode treats the
-    derivative atoms as carried constants (used when diffing the Taylor
+    (`terms.contract_deltas`), with j as in `d_xi_terms`; vector-field
+    components produce first-derivative atoms.  Curvature data is a Taylor
+    coefficient at the base point and is constant, and so are the folded
+    atoms `guw`, `ricuw` and `vsq`: a caller that differentiates again
+    normalizes first where a contracted field pair should count as one of
+    them (see `terms_equal_taylor`).  Second derivatives of vector fields
+    are not representable and raise in strict mode; non-strict mode treats
+    the derivative atoms as carried constants (used when diffing the Taylor
     sectors two symbols actually store).  Like `d_xi_terms`, it merges
     equal terms as written, so that a power x_1^k does not grow into
     factorially many copies of one term, and does not normalize.
@@ -138,21 +136,15 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     out = []
     for t in terms:
         deg = x_degree(t)
-        counts = None
         for k, f in enumerate(t.fac):
             if f.kind == "x":
                 if xmax is not None and deg - 1 > xmax:
                     continue
-                if counts is None:
-                    counts = label_counts(t)
-                    if isinstance(j, str):
-                        counts[j] = counts.get(j, 0) + 1
                 rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word,
                             t.norm)
-                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),),
-                                     counts)
+                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),))
                 if dt is not None:
-                    out.append(dt[0])
+                    out.append(dt)
             elif f.kind in _DERIV:
                 if xmax is None or deg <= xmax:
                     fac = (t.fac[:k] + (F(_DERIV[f.kind], (j, f.idx[0])),)

@@ -15,7 +15,7 @@ from math import factorial, prod
 from typing import Iterable
 
 from .scalars import PolyM, P_ONE, RatM, Scalar
-from .terms import F, Idx, Term, contract_deltas, label_counts
+from .terms import F, Idx, Term, contract_deltas
 
 
 def pairings(slots):
@@ -86,8 +86,8 @@ def integrate_term(t: Term) -> tuple[Term, ...]:
     cosphere, where every norm power is one; x factors must be gone.
 
     Each pairing's deltas are applied at once (`terms.contract_deltas`):
-    the xi labels move into the deltas one for one, so the term's label
-    counts serve every pairing.
+    the xi labels move into the deltas one for one, so a pairing holds a
+    label as often as the term, which must hold none more than twice.
     """
     slots = [f.idx[0] for f in t.fac if f.kind == "xi"]
     integral = integrate_monomial(slots)
@@ -96,11 +96,10 @@ def integrate_term(t: Term) -> tuple[Term, ...]:
     # every pairing carries the same moment
     rest = Term(t.coeff * integral[0].coeff,
                 tuple(f for f in t.fac if f.kind != "xi"), t.word)
-    counts = label_counts(t)
     out = []
     for p in integral:
-        paired = contract_deltas(rest, p.fac, counts)
+        paired = contract_deltas(rest, p.fac)
         if paired is not None:
-            out.append(paired[0])
+            out.append(paired)
     return tuple(out)
 

@@ -51,20 +51,20 @@ equal values reach identical normal forms and a normal form is its own
 normal form.  KIND_RANK orders the factors of a presentation; any fixed
 order gives a canonical form.
 
-Each input term is reduced on its own, and its label counts are computed
-once, when it enters.  Every rule carries them, less the labels it
-contracts away, and a pairing of the expansion carries them through its
-deltas.  `_finalize` takes the reduced term with its counts.
+The rules hold one precondition: no label occurs more than twice.  It is
+checked where a term enters normalize, merge_presentations and
+`_finalize`, and no rule breaks it.  Each rule finds a contraction by
+finding both occurrences of a label, which are then all of them, so a
+term's dummies are read off the term and no rule carries label counts.
 
 The stages that make deltas apply them before normalize sees the terms:
-`contract_deltas` runs the delta rule on a term times a list of deltas,
-carrying one set of label counts through them.  `clifford.trace` hands
-over each full pairing of a word with its deltas applied, and so do
-`pdo.d_xi_terms` for xi_a -> delta(a, j), `pdo.d_x_terms` for
-x_a -> delta(a, j) and `sphere.integrate_term` for its cosphere pairings;
-normalize then has no delta of a dummy left to substitute.  None of these
-stages normalizes, so they chain: a residue density integrates, traces
-and then normalizes once.
+`contract_deltas` runs the delta rule on a term times a list of deltas.
+`clifford.trace` hands over each full pairing of a word with its deltas
+applied, and so do `pdo.d_xi_terms` for xi_a -> delta(a, j),
+`pdo.d_x_terms` for x_a -> delta(a, j) and `sphere.integrate_term` for
+its cosphere pairings; normalize then has no delta of a dummy left to
+substitute.  None of these stages normalizes, so they chain: a residue
+density integrates, traces and then normalizes once.
 
 merge_presentations(terms) is `_finalize` alone on each term as written:
 no factor rule runs and no word is expanded.  It sums equal presentations
@@ -202,9 +202,8 @@ def mul_terms(a: Term, b: Term) -> Term:
     ca, cb = label_counts(a), label_counts(b)
     used = set(ca) | set(cb)
     fresh = 0
-
-    def rename(counts):
-        nonlocal fresh
+    subs = []
+    for counts in (ca, cb):
         sub = {}
         for lab, c in counts.items():
             if c == 2:
@@ -215,10 +214,8 @@ def mul_terms(a: Term, b: Term) -> Term:
                 fresh += 1
             elif c > 2:
                 raise ContractViolation(f"label {lab!r} occurs {c} times")
-        return sub
-
-    a = map_labels(a, rename(ca))
-    b = map_labels(b, rename(cb))
+        subs.append(sub)
+    a, b = map_labels(a, subs[0]), map_labels(b, subs[1])
     return Term(a.coeff * b.coeff, a.fac + b.fac, a.word + b.word,
                 (a.norm[0] + b.norm[0], a.norm[1] + b.norm[1]))
 
@@ -227,18 +224,10 @@ def mul_terms(a: Term, b: Term) -> Term:
 # reduction rules
 
 
-def _without(counts, *labels):
-    """The label counts less the given labels, which they hold."""
-    out = counts.copy()
-    for lab in labels:
-        del out[lab]
-    return out
-
-
-def _contract_once(t: Term, counts):
-    """Apply one reduction rule. Returns None (no rule fired), 'zero',
-    or the replacement Term with its label counts: `counts` less the
-    labels the rule contracted away."""
+def _contract_once(t: Term):
+    """Apply one reduction rule. Returns None (no rule fired), 'zero', or
+    the replacement Term.  A symbolic label found twice is a dummy, since
+    no label occurs more than twice."""
     for k, f in enumerate(t.fac):
         if f.kind == "riem":
             if f.idx[0] == f.idx[1] or f.idx[2] == f.idx[3]:
@@ -247,25 +236,23 @@ def _contract_once(t: Term, counts):
                 continue  # no pair to contract
             for p in range(4):
                 i = f.idx[p]
-                if isinstance(i, str) and counts.get(i) == 2:
+                if isinstance(i, str):
                     for q in range(p + 1, 4):
                         if f.idx[q] == i:
                             sign, rest = _RIEM_TRACE[p, q]
                             nf = F("ric", (f.idx[rest[0]], f.idx[rest[1]]))
                             coeff = t.coeff if sign == 1 else -t.coeff
                             fac = t.fac[:k] + (nf,) + t.fac[k + 1:]
-                            return (Term(coeff, fac, t.word, t.norm),
-                                    _without(counts, i))
+                            return Term(coeff, fac, t.word, t.norm)
         elif f.kind == "ric":
             i = f.idx[0]
-            if (f.idx[1] == i and isinstance(i, str)
-                    and counts.get(i) == 2):
+            if f.idx[1] == i and isinstance(i, str):
                 fac = t.fac[:k] + (F("scal", ()),) + t.fac[k + 1:]
-                return Term(t.coeff, fac, t.word, t.norm), _without(counts, i)
+                return Term(t.coeff, fac, t.word, t.norm)
         elif f.kind == "delta":
             step = _substitute_delta(
                 Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word, t.norm),
-                *f.idx, counts)
+                *f.idx)
             if step is not None:
                 return step
             # both slots free (or free/concrete): delta is kept
@@ -275,13 +262,12 @@ def _contract_once(t: Term, counts):
     for k, f in enumerate(t.fac):
         if f.kind == "xi":
             i = f.idx[0]
-            if isinstance(i, str) and counts.get(i) == 2:
+            if isinstance(i, str):
                 if i in seen:
                     fac = tuple(ff for n, ff in enumerate(t.fac)
                                 if n not in (seen[i], k))
-                    return (Term(t.coeff, fac, t.word,
-                                 (t.norm[0] + 2, t.norm[1])),
-                            _without(counts, i))
+                    return Term(t.coeff, fac, t.word,
+                                (t.norm[0] + 2, t.norm[1]))
                 seen[i] = k
     # atom recognition on fully contracted pieces
     by_kind: dict[str, list[int]] = {}
@@ -290,104 +276,97 @@ def _contract_once(t: Term, counts):
     if "u" in by_kind and "w" in by_kind:
         for ku in by_kind["u"]:
             lu = t.fac[ku].idx[0]
-            if not (isinstance(lu, str) and counts.get(lu) == 2):
+            if not isinstance(lu, str):
                 continue
             for kw in by_kind["w"]:
                 if t.fac[kw].idx[0] == lu:
                     fac = tuple(ff for n, ff in enumerate(t.fac)
                                 if n not in (ku, kw)) + (F("guw", ()),)
-                    return (Term(t.coeff, fac, t.word, t.norm),
-                            _without(counts, lu))
+                    return Term(t.coeff, fac, t.word, t.norm)
             for kr in by_kind.get("ric", ()):
                 ric = t.fac[kr]
                 if lu not in ric.idx:
                     continue
                 other = ric.idx[1] if ric.idx[0] == lu else ric.idx[0]
-                if not (isinstance(other, str) and counts.get(other) == 2):
+                if not isinstance(other, str):
                     continue
                 for kw in by_kind["w"]:
                     if t.fac[kw].idx[0] == other:
                         fac = tuple(ff for n, ff in enumerate(t.fac)
                                     if n not in (ku, kw, kr)) + (F("ricuw", ()),)
-                        return (Term(t.coeff, fac, t.word, t.norm),
-                                _without(counts, lu, other))
+                        return Term(t.coeff, fac, t.word, t.norm)
     vs = by_kind.get("v", ())
     for a in range(len(vs)):
         la = t.fac[vs[a]].idx[0]
-        if not (isinstance(la, str) and counts.get(la) == 2):
+        if not isinstance(la, str):
             continue
         for b in range(a + 1, len(vs)):
             if t.fac[vs[b]].idx[0] == la:
                 fac = tuple(ff for n, ff in enumerate(t.fac)
                             if n not in (vs[a], vs[b])) + (F("vsq", ()),)
-                return (Term(t.coeff, fac, t.word, t.norm),
-                        _without(counts, la))
+                return Term(t.coeff, fac, t.word, t.norm)
     return None
 
 
-def _substitute_delta(rest: Term, i: Idx, j: Idx, counts):
-    """The delta rule for rest * delta(i, j); `counts` are the label counts
-    of the product.
-
-    Returns "zero" for two distinct frame indices, None when the delta is
-    kept (neither slot is a dummy), and otherwise the term with its label
-    counts: delta(i, i) is 1 for a frame index and n for a dummy, and for
-    i != j the dummy slot a (i before j) is renamed to the other slot in
-    its one other occurrence, in a factor of rest or in its word.  The
-    counts lose the contracted dummy.
+def _substitute_delta(rest: Term, i: Idx, j: Idx):
+    """The delta rule for rest * delta(i, j), which holds no label more
+    than twice: "zero" for two distinct frame indices, None when the delta
+    is kept (neither slot is a dummy), and otherwise the term.  delta(i, i)
+    is 1 for a frame index and n for a dummy, and raises ContractViolation
+    when rest holds i too.  For i != j, a slot a (i before j) whose other
+    occurrence rest holds, in a factor or else in the word, is a dummy and
+    is renamed there to the other slot.
     """
     if i == j:
         if isinstance(i, int):
-            return rest, counts
+            return rest
         # same symbolic label: trace of the identity
-        if counts.get(i) != 2:
-            raise ContractViolation(
-                f"delta({i},{i}) with label count {counts.get(i)}")
-        return (Term(rest.coeff * S_N, rest.fac, rest.word, rest.norm),
-                _without(counts, i))
+        if (any(i in f.idx for f in rest.fac)
+                or any(g.idx == i for g in rest.word)):
+            raise ContractViolation(f"delta({i},{i}) with a third use of {i}")
+        return Term(rest.coeff * S_N, rest.fac, rest.word, rest.norm)
     if isinstance(i, int) and isinstance(j, int):
         return "zero"
     for a, b in ((i, j), (j, i)):
-        if isinstance(a, str) and counts.get(a) == 2:
-            fac, word = rest.fac, rest.word
-            for k, f in enumerate(fac):
-                if a in f.idx:
-                    f = F(f.kind, tuple([b if x == a else x for x in f.idx]))
-                    fac = fac[:k] + (f,) + fac[k + 1:]
-                    break
-            else:
-                word = tuple([g._replace(idx=b) if g.idx == a else g
-                              for g in word])
-            return Term(rest.coeff, fac, word, rest.norm), _without(counts, a)
+        if not isinstance(a, str):
+            continue
+        for k, f in enumerate(rest.fac):
+            if a in f.idx:
+                f = F(f.kind, tuple([b if x == a else x for x in f.idx]))
+                return Term(rest.coeff, rest.fac[:k] + (f,) + rest.fac[k + 1:],
+                            rest.word, rest.norm)
+        for p, g in enumerate(rest.word):
+            if g.idx == a:
+                word = rest.word[:p] + (g._replace(idx=b),) + rest.word[p + 1:]
+                return Term(rest.coeff, rest.fac, word, rest.norm)
     return None
 
 
-def contract_deltas(t: Term, deltas: tuple[F, ...], counts):
+def contract_deltas(t: Term, deltas: tuple[F, ...]) -> Term | None:
     """t times the delta factors, each applied by the delta rule
-    (`_substitute_delta`), with its label counts, or None when one of the
-    deltas vanishes.
+    (`_substitute_delta`), or None when one of the deltas vanishes.
 
-    `counts` are the label counts of the product, and each substitution
-    carries them.  Each delta is applied with the pending ones still in
-    the term, so a dummy whose other slot is in another delta is renamed
-    there; a delta the rule keeps holds no dummy and is put back at the
-    end.  `normalize` then has no delta of a dummy left to substitute.
+    The product must hold no label more than twice.  Each delta is applied
+    with the pending ones still in the term, so a dummy whose other slot
+    is in another delta is renamed there; a delta the rule keeps holds no
+    dummy and is put back at the end.  `normalize` then has no delta of a
+    dummy left to substitute.
     """
     cur = Term(t.coeff, t.fac + deltas, t.word, t.norm)
     kept = ()
     for _ in deltas:
         last = cur.fac[-1]
         rest = Term(cur.coeff, cur.fac[:-1], cur.word, cur.norm)
-        step = _substitute_delta(rest, *last.idx, counts)
+        step = _substitute_delta(rest, *last.idx)
         if step == "zero":
             return None
         if step is None:
             cur, kept = rest, (last,) + kept
         else:
-            cur, counts = step
+            cur = step
     if kept:
         cur = Term(cur.coeff, cur.fac + kept, cur.word, cur.norm)
-    return cur, counts
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +430,7 @@ def _expanded(word: tuple[G, ...]) -> bool:
     return True
 
 
-def _block_rules(t: Term, counts) -> Term | None:
+def _block_rules(t: Term) -> Term | None:
     """The zero rules of the two blocks of an expanded term, or None when
     the term vanishes.
 
@@ -466,8 +445,9 @@ def _block_rules(t: Term, counts) -> Term | None:
     and it leaves the factor's other two slots a pair, so the other block
     finds them settled.
     """
+    # a symbolic label of the word that a factor holds is a dummy
     held = {i: k for k, f in enumerate(t.fac) for i in f.idx
-            if counts.get(i) == 2}
+            if isinstance(i, str)}
     coeff, fac = t.coeff, list(t.fac)
     for fam in ("c", "h"):
         labels = [g.idx for g in t.word if g.fam == fam]
@@ -506,25 +486,24 @@ def _checked_counts(t: Term) -> dict[str, int]:
     return counts
 
 
-def _reduce(t: Term) -> list[tuple[Term, dict]]:
-    """Rewrite a term until no rule applies; returns each reduced term with
-    its label counts.
+def _reduce(t: Term) -> list[Term]:
+    """Rewrite a term until no rule applies; returns the reduced terms.
 
-    The rewrite stack holds (term, counts).  The label counts are computed
-    for the input alone; every factor rule (`_contract_once`) carries them,
-    less the labels it contracts away.  A popped term that meets no factor
-    rule and holds more than one block of a family is expanded (`wick`),
-    and each pairing goes back on the stack with its deltas applied
-    (`contract_deltas`, which carries the counts too).  A term with an
-    expanded word goes through the block rules and out.
+    The input is checked to hold no label more than twice, which no rule
+    changes.  A popped term that meets no factor rule (`_contract_once`)
+    and holds more than one block of a family is expanded (`wick`), and
+    each pairing goes back on the stack with its deltas applied
+    (`contract_deltas`).  A term with an expanded word goes through the
+    block rules and out.
     """
     if t.coeff.is_zero():
         return []
+    _checked_counts(t)
     out = []
-    stack = [(t, _checked_counts(t))]
+    stack = [t]
     while stack:
-        cur, counts = stack.pop()
-        step = _contract_once(cur, counts)
+        cur = stack.pop()
+        step = _contract_once(cur)
         if step == "zero":
             continue
         if step is not None:
@@ -534,22 +513,22 @@ def _reduce(t: Term) -> list[tuple[Term, dict]]:
             for sign, deltas, rest in wick(cur.word):
                 paired = contract_deltas(
                     Term(cur.coeff if sign > 0 else -cur.coeff, cur.fac,
-                         rest, cur.norm), deltas, counts)
+                         rest, cur.norm), deltas)
                 if paired is not None:
                     stack.append(paired)
             continue
-        cur = _block_rules(cur, counts)
+        cur = _block_rules(cur)
         if cur is not None:
-            out.append((cur, counts))
+            out.append(cur)
     return out
 
 
-def _structural_key(f: F, counts):
+def _structural_key(f: F, dummies):
     """Kind rank and slot classes (concrete index, free label, dummy),
     minimal over the symmetry variants, so the key does not depend on the
     slot order a factor arrived in."""
     cls = tuple([(0, i, "") if isinstance(i, int)
-                 else (1, 0, i) if counts.get(i) == 1 else _DUMMY_CLASS
+                 else _DUMMY_CLASS if i in dummies else (1, 0, i)
                  for i in f.idx])
     perms = _VARIANTS[f.kind]
     if len(perms) == 1 or cls.count(cls[0]) == len(cls):
@@ -587,11 +566,10 @@ def _word_presentation(word, sub, spare):
     return tuple(out), sign
 
 
-def _finalize(t: Term, counts):
+def _finalize(t: Term):
     """Canonical minimal presentation of a reduced term, or None when the
-    term vanishes by antisymmetry.
-
-    `counts` are the label counts `_reduce` returned with the term.
+    term vanishes by antisymmetry.  Its labels are counted once: one used
+    more than twice raises, and one used twice is a dummy.
 
     A block of one generator keeps its place in the word, so the dummies
     of those blocks are named first, in word order, with no search; the
@@ -626,11 +604,11 @@ def _finalize(t: Term, counts):
     one.  A term with no index and no word is its own presentation, with
     its factors in slot order, and builds none of this.
     """
-    skeys = [_structural_key(f, counts) for f in t.fac]
+    dummies = {lab for lab, c in _checked_counts(t).items() if c == 2}
+    skeys = [_structural_key(f, dummies) for f in t.fac]
     if not t.word and not any(f.idx for f in t.fac):
         return Term(t.coeff, tuple([t.fac[k] for k in sorted(
             range(len(t.fac)), key=skeys.__getitem__)]), (), t.norm)
-    dummies = {lab for lab, c in counts.items() if c == 2}
     names = [f"_d{k:02d}" for k in range(len(dummies))]
     held = {i for f in t.fac for i in f.idx}
     held.update([g.idx for g in t.word])
@@ -752,8 +730,8 @@ def _first_bianchi(t: Term) -> list[Term]:
     """
     if all(f.kind != "riem" for f in t.fac):
         return [t]
-    counts = label_counts(t)
-    blocks = [{g.idx for g in t.word if g.fam == fam and counts.get(g.idx)}
+    blocks = [{g.idx for g in t.word
+               if g.fam == fam and isinstance(g.idx, str)}
               for fam in ("c", "h")]
     riems = [k for k, f in enumerate(t.fac) if f.kind == "riem"
              and all(len(b.intersection(f.idx)) < 2 for b in blocks)]
@@ -766,7 +744,7 @@ def _first_bianchi(t: Term) -> list[Term]:
         for idx in ((a, c, d, b), (a, d, b, c)):
             f = F("riem", idx)
             p = _finalize(Term(-S_ONE, t.fac[:k] + (f,) + t.fac[k + 1:],
-                               t.word, t.norm), counts)
+                               t.word, t.norm))
             if p is not None:
                 rel[p[1:]] = rel.get(p[1:], 0) + (1 if p.coeff == S_ONE
                                                   else -1)
@@ -805,13 +783,13 @@ def merge_presentations(terms: Iterable[Term]) -> list[Term]:
     value of its term, so the result has the value of the input; two terms
     this leaves apart still meet in `normalize`.
     """
-    acc = _merge(_finalize(t, _checked_counts(t)) for t in terms)
+    acc = _merge(_finalize(t) for t in terms)
     return [Term(coeff, *key) for key, coeff in acc.items()
             if not coeff.is_zero()]
 
 
 def normalize(terms: Iterable[Term]) -> tuple[Term, ...]:
-    acc = _merge(_finalize(*red) for t in terms for red in _reduce(t))
+    acc = _merge(_finalize(red) for t in terms for red in _reduce(t))
     acc = _merge(p for key, coeff in acc.items() if not coeff.is_zero()
                  for p in _first_bianchi(Term(coeff, *key)))
     # term_key, which orders the output, is injective on presentations, so

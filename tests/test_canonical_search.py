@@ -8,15 +8,15 @@ with its sign and keeps the least presentation; a presentation reached with
 both signs makes the term vanish.  `terms._finalize` must give the same
 result on every input.
 
-`reference_normalize` is a rewrite loop with fresh label counts for every
-popped term and one factor rule at a time, which expands a word by another
-route than `terms.wick`: it multiplies the generators onto the block basis
-one at a time (`reference_expand`), where a generator times a block is
-their wedge plus its contraction with each generator of the block.  It runs
-the module's factor rules, block rules, `_finalize` and first-Bianchi
-rewrite, and `normalize`, which expands each word by its partial pairings
-and carries the label counts through every rule, must give the same result
-on every input.
+`reference_normalize` is a rewrite loop that checks the label counts of
+every popped term and applies one factor rule at a time, and it expands a
+word by another route than `terms.wick`: it multiplies the generators onto
+the block basis one at a time (`reference_expand`), where a generator times
+a block is their wedge plus its contraction with each generator of the
+block.  It runs the module's factor rules, block rules, `_finalize` and
+first-Bianchi rewrite, and `normalize`, which expands each word by its
+partial pairings with their deltas applied at once and checks the counts
+of its input terms alone, must give the same result on every input.
 """
 
 import importlib.util
@@ -73,14 +73,14 @@ def _present_word(word, sub):
     return tuple(out), sign
 
 
-def reference_finalize(t, counts):
-    dummy = {i for i, c in counts.items() if c == 2}
+def reference_finalize(t):
+    dummy = {i for i, c in label_counts(t).items() if c == 2}
     wmap = {}
     for block in _blocks(t.word):
         g = t.word[block[0]]
         if len(block) == 1 and g.idx in dummy and g.idx not in wmap:
             wmap[g.idx] = f"_d{len(wmap):02d}"
-    skeys = [terms._structural_key(f, counts) for f in t.fac]
+    skeys = [terms._structural_key(f, dummy) for f in t.fac]
     base = sorted(range(len(t.fac)), key=skeys.__getitem__)
     groups = [list(g) for _, g in groupby(base, key=skeys.__getitem__)]
     variant_lists = [variants(f) for f in t.fac]
@@ -161,22 +161,21 @@ def reference_normalize(terms_in):
             cur = stack.pop()
             if cur.coeff.is_zero():
                 continue
-            counts = label_counts(cur)
-            if any(c > 2 for c in counts.values()):
+            if any(c > 2 for c in label_counts(cur).values()):
                 raise ContractViolation("a label occurs more than twice")
-            step = terms._contract_once(cur, counts)
+            step = terms._contract_once(cur)
             if step == "zero":
                 continue
             if step is not None:
-                stack.append(step[0])  # its counts are taken afresh
+                stack.append(step)
                 continue
             if not terms._expanded(cur.word):
                 stack.extend(reference_expand(cur))
                 continue
-            cur = terms._block_rules(cur, counts)
+            cur = terms._block_rules(cur)
             if cur is None:
                 continue
-            out = terms._finalize(cur, counts)
+            out = terms._finalize(cur)
             if out is not None:
                 acc[out[1:]] = acc.get(out[1:], Scalar.of(0)) + out.coeff
     final = {}
@@ -221,8 +220,7 @@ def small_terms(draw, vectors=("u", "w", "xi"), max_word=2, fams=("c",),
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(small_terms(max_word=4, fams=("c", "h"), blocks=True))
 def test_finalize_matches_exhaustive_reference(t):
-    counts = label_counts(t)
-    assert terms._finalize(t, counts) == reference_finalize(t, counts)
+    assert terms._finalize(t) == reference_finalize(t)
 
 
 @settings(max_examples=200, deadline=None,
@@ -245,10 +243,11 @@ def test_normalize_matches_reference_loop(ts):
     assert normalize(ts) == reference_normalize(ts)
 
 
-def _monomial_groups(t: Term, counts) -> list[list[str]]:
+def _monomial_groups(t: Term) -> list[list[str]]:
     """The dummy labels `_symmetrize` permutes: one list per monomial kind
     with at least two of them.  Labels paired with themselves (x_a x_a) or
     shared with the other kind are left out."""
+    counts = label_counts(t)
     groups = []
     for kind, other in (("xi", "x"), ("x", "xi")):
         cross = {f.idx[0] for f in t.fac if f.kind == other}
@@ -307,8 +306,8 @@ def test_each_monomial_permutation_normalizes_alike(t):
     of a reduced term's monomial dummies already has the term's normal
     form."""
     checked = 0
-    for r, counts in terms._reduce(t):
-        groups = _monomial_groups(r, counts)
+    for r in terms._reduce(t):
+        groups = _monomial_groups(r)
         if not groups:
             continue
         want = normalize([r])
@@ -348,43 +347,20 @@ def test_normalize_matches_reference_on_taylor_terms():
     assert checked == 60
 
 
-def test_word_reorders_reuse_label_counts(monkeypatch):
-    calls, fired = [], []
-    counts_of, contract = terms.label_counts, terms._contract_once
-
-    def counted(t):
-        calls.append(t)
-        return counts_of(t)
-
-    def recorded(t, counts):
-        step = contract(t, counts)
-        if step not in (None, "zero"):
-            fired.append(step[0])
-        return step
-    monkeypatch.setattr(terms, "label_counts", counted)
-    monkeypatch.setattr(terms, "_contract_once", recorded)
+def test_word_expansion_sorts_blocks_and_renames_into_factors():
     c, h = clifford.c, clifford.chat
     word = (c(4), c(3), c(2), c(1), h(2), h(1))
-    got = normalize([word_term(word)])
     # distinct frame indices never pair, so the word is one sorted block
-    # per family, with the sign of the sort; the expansion keeps the
-    # labels, so only the input's counts are computed
-    assert len(calls) == 1 and fired == []
-    assert got == (Term(-S_ONE, (), (G("c", 1), G("c", 2, True),
-                                      G("c", 3, True), G("c", 4, True),
-                                      G("h", 1), G("h", 2, True))),)
-    # pairings whose delta renames a dummy inside a factor carry their
-    # counts: they put u_a w_a and xi_d xi_d together, the field fold and
-    # the |xi|^2 rule fire on what they left, and the factor rules carry
-    # the counts too, so they are computed for the input alone
-    calls.clear()
+    # per family, with the sign of the sort
+    assert normalize([word_term(word)]) == (
+        Term(-S_ONE, (), (G("c", 1), G("c", 2, True), G("c", 3, True),
+                          G("c", 4, True), G("h", 1), G("h", 2, True))),)
+    # pairings whose delta renames a dummy inside a factor put u_a w_a and
+    # xi_d xi_d together, and the field fold and the |xi|^2 rule fire on
+    # what they leave
     t = Term(S_ONE, (fct("u", "a"), fct("w", "b"), fct("xi", "d"),
                      fct("xi", "e")), (c("e"), c("b"), c("d"), c("a")))
     got = normalize([t])
-    assert {tuple(f.kind for f in step.fac) for step in fired} == {
-        ("u", "w"), ("xi", "xi", "guw"), ("guw",)}
-    assert calls == [t]
-    monkeypatch.undo()
     assert got == reference_normalize([t])
     assert len(got) == 4
 
@@ -409,9 +385,9 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
                for red in terms._reduce(t)]
     assert (len(raw), len(reduced)) == (120, 232)
     assert max(len(t.word) for t in raw) == 8
-    assert any(g.wedge for t, _ in reduced for g in t.word)
-    for t, counts in [(t, label_counts(t)) for t in raw] + reduced:
-        assert terms._finalize(t, counts) == reference_finalize(t, counts), t
+    assert any(g.wedge for t in reduced for g in t.word)
+    for t in raw + reduced:
+        assert terms._finalize(t) == reference_finalize(t), t
 
 
 def test_normalize_work_counts_on_the_raw_difference(monkeypatch):
@@ -419,9 +395,11 @@ def test_normalize_work_counts_on_the_raw_difference(monkeypatch):
     as it stands, without the merge of equal presentations that the
     comparison runs instead: its 30 input terms are expanded on the block
     basis, and what they leave cancels to nothing, since both sides reach
-    the same normal forms.  The label counts are computed once per input
-    term and every word is expanded once (`wick`); the pairings leave 2092
-    terms for the block rules, and the 1936 those keep are finalized."""
+    the same normal forms.  Every word is expanded once (`wick`); the
+    pairings leave 2092 terms for the block rules, and the 1936 those keep
+    are finalized.  The label counts are computed once per input term, to
+    check it, and once per finalized term, whose dummies they name: no
+    rule between the two carries them."""
     raw = _raw_difference()
     assert len(raw) == 30
     calls = {}
@@ -431,7 +409,7 @@ def test_normalize_work_counts_on_the_raw_difference(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(terms, name, counted)
     assert normalize(raw) == ()
-    assert calls == {"label_counts": 30, "wick": 30, "_block_rules": 2092,
+    assert calls == {"label_counts": 1966, "wick": 30, "_block_rules": 2092,
                      "_finalize": 1936}
 
 

@@ -314,7 +314,7 @@ def presentations(ts) -> list[Term]:
     """Each term's canonical presentation as written, none merged."""
     out = []
     for t in ts:
-        out.append(_finalize(t, label_counts(t)))
+        out.append(_finalize(t))
     return [t for t in out if t is not None]
 
 

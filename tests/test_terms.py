@@ -82,19 +82,18 @@ def test_contract_deltas_keeps_a_delta_of_two_free_labels():
     # put back, after the factors
     t = Term(S_ONE, (fct("u", "a"),))
     deltas = (fct("delta", "f", "g"), fct("delta", "a", "b"))
-    counts = label_counts(Term(S_ONE, t.fac + deltas))
-    assert contract_deltas(t, deltas, counts) == (
-        Term(S_ONE, (fct("u", "b"), fct("delta", "f", "g"))),
-        {"b": 1, "f": 1, "g": 1})
+    assert contract_deltas(t, deltas) == Term(
+        S_ONE, (fct("u", "b"), fct("delta", "f", "g")))
 
 
 def test_self_delta_of_a_label_used_three_times_is_rejected():
-    # delta(a, a) against a third use of a is no trace of the identity
-    t = Term(S_ONE, (fct("u", "a"),))
+    # delta(a, a) against a third use of a is no trace of the identity,
+    # whether the third use is in a factor or in the word
     deltas = (fct("delta", "a", "a"),)
-    counts = label_counts(Term(S_ONE, t.fac + deltas))
-    with pytest.raises(ContractViolation, match="label count 3"):
-        contract_deltas(t, deltas, counts)
+    for t in (Term(S_ONE, (fct("u", "a"),)),
+              Term(S_ONE, (), (cl.c("a"),))):
+        with pytest.raises(ContractViolation, match="third use of a"):
+            contract_deltas(t, deltas)
 
 
 def test_word_internal_tie_contracts_inner_pair():
