@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
     dim = args.dimension
     report = {
         "schema": "wittenres-report/1",
-        "units": ref.get("units", "TrId*Vol"),
+        "units": ref["units"],
         "dimension": dim,
         "bianchi": "on",
         "entries": entries,

@@ -13,7 +13,7 @@ from itertools import groupby
 from typing import Iterable
 
 from .scalars import S_ONE
-from .terms import ContractViolation, F, G, Idx, Term, contract_deltas, wick
+from .terms import ContractViolation, F, G, Idx, Term, paired_terms
 
 Word = tuple[G, ...]
 
@@ -74,22 +74,14 @@ def trace(terms: Iterable[Term]) -> tuple[Term, ...]:
 
     In the block basis only a word's wordless part has a trace: a block of
     distinct generators, or a C block times a CHAT block, is traceless.  So
-    the trace of a term is the sum over the full pairings of its word
-    (`terms.wick` with full=True), where every generator pairs with one of
-    its family from another block.  Linear over terms and not normalized:
-    one wordless term per full pairing, with the pairing's deltas already
-    applied (`terms.contract_deltas`), and its callers normalize.  The
+    the trace of a term is the sum over the full pairings of its word,
+    where every generator pairs with one of its family from another block:
+    `terms.paired_terms` with full=True.  Linear over terms and not
+    normalized: one wordless term per full pairing that does not vanish,
+    with its sign and deltas applied, and its callers normalize.  The
     word's labels move into the deltas one for one, so a pairing holds a
     label as often as the input term, which must hold none more than
     twice.  The signs stay ints, so an emitted term's coefficient is the
     input's, negated at most once.
     """
-    out = []
-    for t in terms:
-        for sign, deltas, _ in wick(t.word, full=True):
-            paired = contract_deltas(
-                Term(t.coeff if sign > 0 else -t.coeff, t.fac, (), t.norm),
-                deltas)
-            if paired is not None:
-                out.append(paired)
-    return tuple(out)
+    return tuple([p for t in terms for p in paired_terms(t, full=True)])

@@ -15,17 +15,19 @@ product under Chevalley's quantization map (Berline, Getzler & Vergne,
 generator its own block, so a word of them is the plain Clifford product.
 
 normalize() rewrites a sum of terms to a canonical merged form:
-  * deltas with a dummy slot are substituted away (delta(a,a) -> n = 2m),
-  * Riemann/Ricci self-contractions reduce to Ricci / scalar curvature,
-  * a contracted xi_a xi_a pair becomes |xi|^2; a contracted x_a x_a pair
-    has no carrier and is kept as two x factors,
-  * contracted field pairs fold into the atoms u_a w_a -> guw,
-    u_a ric_ab w_b -> ricuw and v_a v_a -> vsq,
+  * an input term's deltas are applied on entry (`contract_deltas`): one
+    with a dummy slot is substituted away (delta(a,a) -> n = 2m),
+  * Riemann/Ricci self-contractions reduce to Ricci / scalar curvature
+    (`_RIEM_PAIR`),
+  * contracted pairs of one-slot factors fold (`_PAIR_FOLDS`): xi_a xi_a
+    -> |xi|^2, u_a w_a -> guw, v_a v_a -> vsq; an x_a x_a pair has no
+    carrier and is kept, and u_a ric_ab w_b folds to ricuw,
   * a word of more than one block per family is expanded by Wick's
     theorem (`wick`): a sum over the partial pairings of generators of one
     family from two different blocks, each pair contracting to -delta for
     C and +delta for CHAT, times the unpaired rest as one C block and one
-    CHAT block,
+    CHAT block, with the pairing's deltas applied (`paired_terms`), so no
+    rule after the entry makes a delta that holds a dummy,
   * a block vanishes when it holds a label twice, two slots of a symmetric
     factor (ric, delta), two one-slot factors of one kind (two xi, two x,
     two v, ...) or three slots of one Riemann factor (first Bianchi,
@@ -57,14 +59,13 @@ checked where a term enters normalize, merge_presentations and
 finding both occurrences of a label, which are then all of them, so a
 term's dummies are read off the term and no rule carries label counts.
 
-The stages that make deltas apply them before normalize sees the terms:
-`contract_deltas` runs the delta rule on a term times a list of deltas.
-`clifford.trace` hands over each full pairing of a word with its deltas
-applied, and so do `pdo.d_xi_terms` for xi_a -> delta(a, j),
-`pdo.d_x_terms` for x_a -> delta(a, j) and `sphere.integrate_term` for
-its cosphere pairings; normalize then has no delta of a dummy left to
-substitute.  None of these stages normalizes, so they chain: a residue
-density integrates, traces and then normalizes once.
+The stages that make deltas apply them as they make them, through
+`contract_deltas`: `clifford.trace` hands over each full pairing of a word
+(`paired_terms`), `pdo.d_xi_terms` applies xi_a -> delta(a, j),
+`pdo.d_x_terms` x_a -> delta(a, j) and `sphere.integrate_term` its
+cosphere pairings.  None of these stages normalizes, so they chain: a
+residue density integrates, traces and then normalizes once, and
+normalize applies whatever deltas its input still holds on entry.
 
 merge_presentations(terms) is `_finalize` alone on each term as written:
 no factor rule runs and no word is expanded.  It sums equal presentations
@@ -141,11 +142,16 @@ _VARIANTS = {kind: ((tuple(range(arity)), 1),)
              for kind, arity in KIND_ARITY.items()}
 _VARIANTS.update(riem=_RIEM_VARIANTS, ric=_SYM2_VARIANTS,
                  delta=_SYM2_VARIANTS)
-# a dummy pair inside one Riemann factor, by its two slots: the sign of
-# the Ricci factor it contracts to and that factor's two slots (a pair
-# {0,1} or {2,3} vanishes by antisymmetry, before this is read)
-_RIEM_TRACE = {(0, 2): (1, (1, 3)), (0, 3): (-1, (1, 2)),
-               (1, 2): (-1, (0, 3)), (1, 3): (1, (0, 2))}
+# two slots p < q of a Riemann factor -> the variant that brings them to
+# slots 0 and 2, which the Ricci trace and the block rules' pair form read
+# (a pair {0,1} or {2,3} vanishes by antisymmetry, before this is read)
+_RIEM_PAIR = {(perm[0], perm[2]): (perm, sign)
+              for perm, sign in _RIEM_VARIANTS}
+# a dummy joining two one-slot factors, by their kinds in factor order ->
+# the atoms the pair folds to and the step of the |xi| exponent
+_PAIR_FOLDS = {("xi", "xi"): ((), 2), ("v", "v"): ((F("vsq", ()),), 0),
+               ("u", "w"): ((F("guw", ()),), 0),
+               ("w", "u"): ((F("guw", ()),), 0)}
 _DUMMY_CLASS = (2, 0, "")
 _MAX_FRONTIER = 200000
 
@@ -228,6 +234,7 @@ def _contract_once(t: Term):
     """Apply one reduction rule. Returns None (no rule fired), 'zero', or
     the replacement Term.  A symbolic label found twice is a dummy, since
     no label occurs more than twice."""
+    rics = []
     for k, f in enumerate(t.fac):
         if f.kind == "riem":
             if f.idx[0] == f.idx[1] or f.idx[2] == f.idx[3]:
@@ -239,8 +246,8 @@ def _contract_once(t: Term):
                 if isinstance(i, str):
                     for q in range(p + 1, 4):
                         if f.idx[q] == i:
-                            sign, rest = _RIEM_TRACE[p, q]
-                            nf = F("ric", (f.idx[rest[0]], f.idx[rest[1]]))
+                            perm, sign = _RIEM_PAIR[p, q]
+                            nf = F("ric", (f.idx[perm[1]], f.idx[perm[3]]))
                             coeff = t.coeff if sign == 1 else -t.coeff
                             fac = t.fac[:k] + (nf,) + t.fac[k + 1:]
                             return Term(coeff, fac, t.word, t.norm)
@@ -249,121 +256,82 @@ def _contract_once(t: Term):
             if f.idx[1] == i and isinstance(i, str):
                 fac = t.fac[:k] + (F("scal", ()),) + t.fac[k + 1:]
                 return Term(t.coeff, fac, t.word, t.norm)
-        elif f.kind == "delta":
-            step = _substitute_delta(
-                Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word, t.norm),
-                *f.idx)
-            if step is not None:
-                return step
-            # both slots free (or free/concrete): delta is kept
-    # paired xi factors with one dummy label: sum_a xi_a^2 = |xi|^2
-    # (a contracted x_a x_a pair has no carrier and stays as two factors)
-    seen: dict[Idx, int] = {}
+            rics.append(k)
+    # one scan over the one-slot factors: a label held twice folds its pair
+    # by _PAIR_FOLDS, and each keeps its first factor for the Ricci fold
+    once: dict[Idx, int] = {}
     for k, f in enumerate(t.fac):
-        if f.kind == "xi":
+        if KIND_ARITY[f.kind] == 1 and isinstance(f.idx[0], str):
             i = f.idx[0]
-            if isinstance(i, str):
-                if i in seen:
-                    fac = tuple(ff for n, ff in enumerate(t.fac)
-                                if n not in (seen[i], k))
-                    return Term(t.coeff, fac, t.word,
-                                (t.norm[0] + 2, t.norm[1]))
-                seen[i] = k
-    # atom recognition on fully contracted pieces
-    by_kind: dict[str, list[int]] = {}
-    for k, f in enumerate(t.fac):
-        by_kind.setdefault(f.kind, []).append(k)
-    if "u" in by_kind and "w" in by_kind:
-        for ku in by_kind["u"]:
-            lu = t.fac[ku].idx[0]
-            if not isinstance(lu, str):
+            if i not in once:
+                once[i] = k
                 continue
-            for kw in by_kind["w"]:
-                if t.fac[kw].idx[0] == lu:
-                    fac = tuple(ff for n, ff in enumerate(t.fac)
-                                if n not in (ku, kw)) + (F("guw", ()),)
-                    return Term(t.coeff, fac, t.word, t.norm)
-            for kr in by_kind.get("ric", ()):
-                ric = t.fac[kr]
-                if lu not in ric.idx:
-                    continue
-                other = ric.idx[1] if ric.idx[0] == lu else ric.idx[0]
-                if not isinstance(other, str):
-                    continue
-                for kw in by_kind["w"]:
-                    if t.fac[kw].idx[0] == other:
-                        fac = tuple(ff for n, ff in enumerate(t.fac)
-                                    if n not in (ku, kw, kr)) + (F("ricuw", ()),)
-                        return Term(t.coeff, fac, t.word, t.norm)
-    vs = by_kind.get("v", ())
-    for a in range(len(vs)):
-        la = t.fac[vs[a]].idx[0]
-        if not isinstance(la, str):
-            continue
-        for b in range(a + 1, len(vs)):
-            if t.fac[vs[b]].idx[0] == la:
+            fold = _PAIR_FOLDS.get((t.fac[once[i]].kind, f.kind))
+            if fold is not None:
+                atoms, dn = fold
                 fac = tuple(ff for n, ff in enumerate(t.fac)
-                            if n not in (vs[a], vs[b])) + (F("vsq", ()),)
-                return Term(t.coeff, fac, t.word, t.norm)
-    return None
-
-
-def _substitute_delta(rest: Term, i: Idx, j: Idx):
-    """The delta rule for rest * delta(i, j), which holds no label more
-    than twice: "zero" for two distinct frame indices, None when the delta
-    is kept (neither slot is a dummy), and otherwise the term.  delta(i, i)
-    is 1 for a frame index and n for a dummy, and raises ContractViolation
-    when rest holds i too.  For i != j, a slot a (i before j) whose other
-    occurrence rest holds, in a factor or else in the word, is a dummy and
-    is renamed there to the other slot.
-    """
-    if i == j:
-        if isinstance(i, int):
-            return rest
-        # same symbolic label: trace of the identity
-        if (any(i in f.idx for f in rest.fac)
-                or any(g.idx == i for g in rest.word)):
-            raise ContractViolation(f"delta({i},{i}) with a third use of {i}")
-        return Term(rest.coeff * S_N, rest.fac, rest.word, rest.norm)
-    if isinstance(i, int) and isinstance(j, int):
-        return "zero"
-    for a, b in ((i, j), (j, i)):
-        if not isinstance(a, str):
-            continue
-        for k, f in enumerate(rest.fac):
-            if a in f.idx:
-                f = F(f.kind, tuple([b if x == a else x for x in f.idx]))
-                return Term(rest.coeff, rest.fac[:k] + (f,) + rest.fac[k + 1:],
-                            rest.word, rest.norm)
-        for p, g in enumerate(rest.word):
-            if g.idx == a:
-                word = rest.word[:p] + (g._replace(idx=b),) + rest.word[p + 1:]
-                return Term(rest.coeff, rest.fac, word, rest.norm)
+                            if n not in (once[i], k)) + atoms
+                return Term(t.coeff, fac, t.word,
+                            (t.norm[0] + dn, t.norm[1]))
+    # u_a ric_ab w_b -> ricuw, in either orientation of the Ricci factor
+    for kr in rics:
+        a, b = t.fac[kr].idx
+        if a in once and b in once:
+            if {t.fac[once[a]].kind, t.fac[once[b]].kind} == {"u", "w"}:
+                fac = tuple(ff for n, ff in enumerate(t.fac)
+                            if n not in (once[a], once[b], kr))
+                return Term(t.coeff, fac + (F("ricuw", ()),), t.word, t.norm)
     return None
 
 
 def contract_deltas(t: Term, deltas: tuple[F, ...]) -> Term | None:
-    """t times the delta factors, each applied by the delta rule
-    (`_substitute_delta`), or None when one of the deltas vanishes.
+    """t times the delta factors, each applied by the delta rule, or None
+    when one of them vanishes: the one place a delta factor is applied.
 
     The product must hold no label more than twice.  Each delta is applied
-    with the pending ones still in the term, so a dummy whose other slot
-    is in another delta is renamed there; a delta the rule keeps holds no
-    dummy and is put back at the end.  `normalize` then has no delta of a
-    dummy left to substitute.
+    with the pending ones still in the term.  delta(i, j) of two distinct
+    frame indices is zero; delta(i, i) is 1 for a frame index and n for a
+    dummy, and raises ContractViolation when the rest holds i too.  For
+    i != j, a slot a (i before j) that the rest holds, in a factor or else
+    in the word, is a dummy and is renamed there to the other slot.  A
+    delta with neither slot a dummy is kept and put back at the end.
     """
     cur = Term(t.coeff, t.fac + deltas, t.word, t.norm)
     kept = ()
     for _ in deltas:
-        last = cur.fac[-1]
-        rest = Term(cur.coeff, cur.fac[:-1], cur.word, cur.norm)
-        step = _substitute_delta(rest, *last.idx)
-        if step == "zero":
+        last, coeff, fac, word = cur.fac[-1], cur.coeff, cur.fac[:-1], cur.word
+        i, j = last.idx
+        if i == j:
+            if isinstance(i, str):  # trace of the identity
+                if (any(i in f.idx for f in fac)
+                        or any(g.idx == i for g in word)):
+                    raise ContractViolation(
+                        f"delta({i},{i}) with a third use of {i}")
+                coeff = coeff * S_N
+        elif isinstance(i, int) and isinstance(j, int):
             return None
-        if step is None:
-            cur, kept = rest, (last,) + kept
         else:
-            cur = step
+            for a, b in ((i, j), (j, i)):
+                if not isinstance(a, str):
+                    continue
+                for k, f in enumerate(fac):
+                    if a in f.idx:
+                        f = F(f.kind, tuple([b if x == a else x
+                                             for x in f.idx]))
+                        fac = fac[:k] + (f,) + fac[k + 1:]
+                        break
+                else:
+                    for p, g in enumerate(word):
+                        if g.idx == a:
+                            word = (word[:p] + (g._replace(idx=b),)
+                                    + word[p + 1:])
+                            break
+                    else:
+                        continue  # a is free: try the other slot
+                break
+            else:  # neither slot is a dummy
+                kept = (last,) + kept
+        cur = Term(coeff, fac, word, cur.norm)
     if kept:
         cur = Term(cur.coeff, cur.fac + kept, cur.word, cur.norm)
     return cur
@@ -469,36 +437,48 @@ def _block_rules(t: Term) -> Term | None:
             if f.kind == "riem" and sorted(ss) in ([0, 2], [0, 3], [1, 2],
                                                   [1, 3]):
                 p, q = sorted(ss)
-                (perm, sign), = [v for v in _RIEM_VARIANTS
-                                 if v[0][0] == p and v[0][2] == q]
+                perm, sign = _RIEM_PAIR[p, q]
                 fac[k] = F("riem", (f.idx[p], f.idx[q], f.idx[perm[1]],
                                     f.idx[perm[3]]))
                 coeff = coeff * Scalar.of(sign, 2)
     return Term(coeff, tuple(fac), t.word, t.norm)
 
 
-def _checked_counts(t: Term) -> dict[str, int]:
-    """The label counts of a term; a label used more than twice raises."""
-    counts = label_counts(t)
-    if any(c > 2 for c in counts.values()):
-        bad = [la for la, c in counts.items() if c > 2]
-        raise ContractViolation(f"labels {bad} occur more than twice")
-    return counts
+def paired_terms(t: Term, full: bool = False) -> list[Term]:
+    """t with its word in the block basis (`wick`): one term per pairing
+    that does not vanish, with the pairing's sign and its deltas applied
+    (`contract_deltas`) and the unpaired rest as its word."""
+    out = []
+    for sign, deltas, rest in wick(t.word, full):
+        paired = contract_deltas(
+            Term(t.coeff if sign > 0 else -t.coeff, t.fac, rest, t.norm),
+            deltas)
+        if paired is not None:
+            out.append(paired)
+    return out
 
 
 def _reduce(t: Term) -> list[Term]:
     """Rewrite a term until no rule applies; returns the reduced terms.
 
     The input is checked to hold no label more than twice, which no rule
-    changes.  A popped term that meets no factor rule (`_contract_once`)
-    and holds more than one block of a family is expanded (`wick`), and
-    each pairing goes back on the stack with its deltas applied
-    (`contract_deltas`).  A term with an expanded word goes through the
-    block rules and out.
+    changes, and its deltas are applied on entry (`contract_deltas`).  A
+    popped term that meets no factor rule (`_contract_once`) and holds
+    more than one block of a family is expanded, and each pairing goes
+    back on the stack (`paired_terms`).  A term with an expanded word goes
+    through the block rules and out.
     """
     if t.coeff.is_zero():
         return []
-    _checked_counts(t)
+    bad = [la for la, c in label_counts(t).items() if c > 2]
+    if bad:
+        raise ContractViolation(f"labels {bad} occur more than twice")
+    deltas = tuple([f for f in t.fac if f.kind == "delta"])
+    if deltas:
+        t = contract_deltas(Term(t.coeff, tuple([
+            f for f in t.fac if f.kind != "delta"]), t.word, t.norm), deltas)
+        if t is None:
+            return []
     out = []
     stack = [t]
     while stack:
@@ -510,12 +490,7 @@ def _reduce(t: Term) -> list[Term]:
             stack.append(step)
             continue
         if not _expanded(cur.word):
-            for sign, deltas, rest in wick(cur.word):
-                paired = contract_deltas(
-                    Term(cur.coeff if sign > 0 else -cur.coeff, cur.fac,
-                         rest, cur.norm), deltas)
-                if paired is not None:
-                    stack.append(paired)
+            stack.extend(paired_terms(cur))
             continue
         cur = _block_rules(cur)
         if cur is not None:
@@ -604,15 +579,25 @@ def _finalize(t: Term):
     one.  A term with no index and no word is its own presentation, with
     its factors in slot order, and builds none of this.
     """
-    dummies = {lab for lab, c in _checked_counts(t).items() if c == 2}
+    counts: dict[Idx, int] = {}
+    for f in t.fac:
+        for i in f.idx:
+            counts[i] = counts.get(i, 0) + 1
+    for g in t.word:
+        counts[g.idx] = counts.get(g.idx, 0) + 1
+    dummies, held = set(), set()
+    for i, c in counts.items():
+        if c == 2 and isinstance(i, str):
+            dummies.add(i)
+        elif c < 3 or isinstance(i, int):
+            held.add(i)
+        else:
+            raise ContractViolation(f"label {i!r} occurs more than twice")
     skeys = [_structural_key(f, dummies) for f in t.fac]
     if not t.word and not any(f.idx for f in t.fac):
         return Term(t.coeff, tuple([t.fac[k] for k in sorted(
             range(len(t.fac)), key=skeys.__getitem__)]), (), t.norm)
     names = [f"_d{k:02d}" for k in range(len(dummies))]
-    held = {i for f in t.fac for i in f.idx}
-    held.update([g.idx for g in t.word])
-    held.difference_update(dummies)
     labels = {i for i in held if isinstance(i, str)}.union(names)
     # idx_key order: frame indices ascending, then labels as strings
     order = sorted(held.difference(labels)) + sorted(labels)
