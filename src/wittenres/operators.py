@@ -1,11 +1,12 @@
 """Concrete symbol data for the deformed de Rham operator.
 
-`dirac_symbol` states sigma(D_V) once.  Derived from it: the order-one
-symbols of A = c(u) D_V and B = c(w) D_V, which are c(u) or c(w) times its
-terms, and the endomorphism E of D_V^2 = nabla^* nabla + E.  Transcribed:
-T_ab, the x-linear Taylor coefficient of the laplacian's first-order term,
-and the three leading inverse-power components, written generically in
-T_ab and E.
+`dirac_symbol` states sigma(D_V) once, and `_connection` its connection
+term.  Derived from them: the order-one symbols of A = c(u) D_V and
+B = c(w) D_V, which are c(u) or c(w) times its terms; the endomorphism E
+of D_V^2 = nabla^* nabla + E; and T_ab, the x-linear Taylor coefficient of
+the laplacian's first-order term, the connection term negated
+(T_ab x_b = -omega_a(x)).  Transcribed: the three leading inverse-power
+components, written generically in T_ab and E.
 
 Normal coordinates throughout: the connection matrix vanishes at the base
 point and its first Taylor coefficient is half a Riemann component, so
@@ -24,16 +25,22 @@ from .scalars import S_I, S_ONE, Scalar
 from .terms import F, Term, fct, mul_terms, normalize
 
 
+def _connection(a: str, x: str) -> tuple[Term, ...]:
+    """The connection term omega_a(x) of sigma_0(D_V) without its factor
+    x_x: 1/8 R_xats c_s c_t - 1/8 R_xats ch_s ch_t."""
+    riem = (fct("riem", x, a, "t", "s"),)
+    return (Term(Scalar.of(1, 8), riem, (c("s"), c("t"))),
+            Term(Scalar.of(-1, 8), riem, (chat("s"), chat("t"))))
+
+
 def dirac_symbol() -> PDOSymbol:
-    """sigma(D_V): i c(xi) at order one; at order zero the two connection
-    words, with omega's x-linear curvature value, and chat(V).  x-linear
-    Taylor data only, kept as written: normalizing would expand each
-    Clifford product into its blocks and double the products downstream."""
+    """sigma(D_V): i c(xi) at order one; at order zero c(e_p) omega_p(x),
+    the two connection words, and chat(V).  x-linear Taylor data only, kept
+    as written: normalizing would expand each Clifford product into its
+    blocks and double the products downstream."""
     top = Term(S_I, (fct("xi", "f"),), (c("f"),))
-    conn = (fct("riem", "l", "p", "t", "s"), fct("x", "l"))
-    zero = (Term(Scalar.of(1, 8), conn, (c("p"), c("s"), c("t"))),
-            Term(Scalar.of(-1, 8), conn, (c("p"), chat("s"), chat("t"))),
-            chat_v("b"))
+    zero = tuple(Term(t.coeff, t.fac + (fct("x", "l"),), (c("p"),) + t.word)
+                 for t in _connection("p", "l")) + (chat_v("b"),)
     return PDOSymbol({(1, 0): Component((top,), 1),
                       (0, 0): Component(zero, 1)}, exact=True)
 
@@ -45,7 +52,7 @@ class LaplaceData(NamedTuple):
 
 
 def build_laplace_data() -> LaplaceData:
-    """T_ab = -1/8 R_bats c_s c_t + 1/8 R_bats ch_s ch_t, transcribed, and
+    """T_ab, the connection term `_connection(a, b)` negated, and
     E = sigma_0(D_V o D_V) at the base point, where the connection
     laplacian's order-zero symbol vanishes in normal coordinates.  E
     normalizes to 1/8 R_ijkl ch_i ch_j c_k c_l + s/4 + c_i ch(dV_i) + |V|^2.
@@ -54,12 +61,7 @@ def build_laplace_data() -> LaplaceData:
     """
 
     def t_ab(a: str, b: str) -> tuple[Term, ...]:
-        return (
-            Term(Scalar.of(-1, 8), (fct("riem", b, a, "t", "s"),),
-                 (c("s"), c("t"))),
-            Term(Scalar.of(1, 8), (fct("riem", b, a, "t", "s"),),
-                 (chat("s"), chat("t"))),
-        )
+        return tuple(Term(-t.coeff, t.fac, t.word) for t in _connection(a, b))
 
     d = dirac_symbol()
     endo = normalize(compose(d, d, [(0, 0)], xmax=0).comps[(0, 0)].terms)

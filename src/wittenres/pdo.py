@@ -150,7 +150,7 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
                     fac = (t.fac[:k] + (F(_DERIV[f.kind], (j, f.idx[0])),)
                            + t.fac[k + 1:])
                     out.append(Term(t.coeff, fac, t.word, t.norm))
-            elif f.kind in ("du", "dw", "dv") and strict:
+            elif f.kind in _DERIV.values() and strict:
                 raise NormalizeError(
                     f"d_x_terms: d/dx_{j} of {f.kind}"
                     f"({', '.join(map(str, f.idx))}) is a second "

@@ -33,7 +33,8 @@ from .operators import (build_laplace_data, cu_cw_symbol, parametrix_symbols,
 from .pdo import (Component, TruncationError, compose, composition_summand,
                   order, x_degree)
 from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
-from .terms import ContractViolation, NormalizeError, Term, normalize
+from .terms import (ContractViolation, NormalizeError, Term, check_labels,
+                    normalize)
 
 
 class ResidueError(Exception):
@@ -45,22 +46,23 @@ def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
     """Residue density of an order -2m, origin-evaluated term sum, in
     units of TrId*Vol: tr[id] times Vol(S^{2m-1}).
 
-    Pipeline: integration, fiber trace, one canonical form.  Cosphere
-    monomial integration on the unit sphere keeps the word and moves the
-    xi labels into deltas (norm powers become one); the fiber trace sums
-    the full pairings of each word; a single `canonicalize` and the
-    collection into invariant atoms follow.  Hard errors on leftover free
-    indices, derivative atoms, or imaginary parts.
+    Pipeline: integration over the unit cosphere keeps the word and moves
+    the xi labels into deltas (norm powers become one); the fiber trace
+    sums the full pairings of each word; one `canonicalize` and the
+    collection into invariant atoms follow.  Hard errors on a label held
+    more than twice (`check_labels`: integration and trace trust it
+    absent), leftover free indices, derivative atoms or imaginary parts.
     """
-    for t in terms:
-        if x_degree(t):
-            raise ResidueError(f"term not evaluated at the origin: {t}")
-        if order(t) != (0, -2):
-            raise ResidueError(
-                f"term is not homogeneous of order -2m: {t}")
-    traced = clifford.trace(
-        [u for t in terms for u in sphere.integrate_term(t)])
     try:
+        for t in terms:
+            if x_degree(t):
+                raise ResidueError(f"term not evaluated at the origin: {t}")
+            if order(t) != (0, -2):
+                raise ResidueError(
+                    f"term is not homogeneous of order -2m: {t}")
+            check_labels(t)
+        traced = clifford.trace(
+            [u for t in terms for u in sphere.integrate_term(t)])
         return collect(canonicalize(traced)).check_real()
     except (NormalizeError, ContractViolation, CollectError, TruncationError,
             ValueError) as exc:

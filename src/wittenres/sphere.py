@@ -2,10 +2,12 @@
 
 A monomial xi_{g1}...xi_{g2k} integrates to the sum over all (2k-1)!!
 perfect pairings of delta products, times Vol(S^{n-1})/(n(n+2)...(n+2k-2)).
-Pairings are enumerated directly, leaving out pairs of two distinct concrete
-indices, whose delta is zero; symbolic degrees here never exceed a handful.
-A monomial in concrete indices alone has the closed form `concrete_moment`,
-and `vol_sphere_value` gives the volume unit itself.
+`integrate_term` applies this to the xi factors of a term: it enumerates
+the pairings directly, leaving out pairs of two distinct concrete indices,
+whose delta is zero, and puts the moment `_moment_scalar` into the
+coefficient once; symbolic degrees here never exceed a handful.  A monomial
+in concrete indices alone has the closed form `concrete_moment`, and
+`vol_sphere_value` gives the volume unit itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import factorial, prod
 from typing import Iterable
 
 from .scalars import PolyM, P_ONE, RatM, Scalar
-from .terms import F, Idx, Term, contract_deltas
+from .terms import F, Term, contract_deltas
 
 
 def pairings(slots):
@@ -63,43 +65,24 @@ def vol_sphere_value(m: int):
     return Fraction(2, factorial(m - 1)), m
 
 
-def integrate_monomial(indices: Iterable[Idx]) -> tuple[Term, ...]:
-    """Integral of the xi-monomial with the given index slots over
-    S^{2m-1}, in units of its volume.
-
-    Returns delta-pairing terms; odd length integrates to zero.
-    """
-    slots = list(indices)
-    if len(slots) % 2:
-        return ()
-    k = len(slots) // 2
-    pref = _moment_scalar(k)
-    out = []
-    for pairing in pairings(slots):
-        fac = tuple(F("delta", (a, b)) for a, b in pairing)
-        out.append(Term(pref, fac))
-    return tuple(out)
-
-
 def integrate_term(t: Term) -> tuple[Term, ...]:
     """Replace the xi factors of a term by their integral over the unit
-    cosphere, where every norm power is one; x factors must be gone.
+    cosphere, in units of its volume, where every norm power is one; x
+    factors must be gone.  An odd number of xi factors integrates to zero.
 
     Each pairing's deltas are applied at once (`terms.contract_deltas`):
     the xi labels move into the deltas one for one, so a pairing holds a
     label as often as the term, which must hold none more than twice.
     """
     slots = [f.idx[0] for f in t.fac if f.kind == "xi"]
-    integral = integrate_monomial(slots)
-    if not integral:
+    if len(slots) % 2:
         return ()
     # every pairing carries the same moment
-    rest = Term(t.coeff * integral[0].coeff,
+    rest = Term(t.coeff * _moment_scalar(len(slots) // 2),
                 tuple(f for f in t.fac if f.kind != "xi"), t.word)
     out = []
-    for p in integral:
-        paired = contract_deltas(rest, p.fac)
+    for pairing in pairings(slots):
+        paired = contract_deltas(rest, tuple(F("delta", p) for p in pairing))
         if paired is not None:
             out.append(paired)
     return tuple(out)
-

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .scalars import Scalar
-from .terms import ATOM_KINDS, Term, normalize
+from .terms import Term, normalize
 
 class CollectError(Exception):
     """A term survived to collection that is not an invariant atom."""
@@ -27,10 +27,9 @@ def bianchi_pass(terms: Iterable[Term]) -> tuple[Term, ...]:
     return normalize(terms)
 
 
-def canonicalize(terms: Term | Iterable[Term]) -> tuple[Term, ...]:
-    """`normalize` of a term or a sum of terms."""
-    if isinstance(terms, Term):
-        terms = [terms]
+def canonicalize(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """`normalize` of a sum of terms; a single term is passed as a sum of
+    one."""
     return normalize(terms)
 
 
@@ -42,7 +41,7 @@ def _atom_name(t: Term) -> str | None:
     """The printed name of the term's atom, such as "g(u,w)*s", or None
     when the term holds another factor, a Clifford word or a norm power."""
     if (t.word or t.norm != (0, 0)
-            or any(f.kind not in ATOM_KINDS for f in t.fac)):
+            or any(f.kind not in ATOM_NAMES for f in t.fac)):
         return None
     kinds = sorted(f.kind for f in t.fac)
     return "*".join(ATOM_NAMES[k] for k in kinds) or "1"

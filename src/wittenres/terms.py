@@ -127,7 +127,6 @@ KIND_ARITY = {
 KIND_RANK = {k: i for i, k in enumerate(
     ("scal", "guw", "ricuw", "vsq", "u", "w", "v", "du", "dw", "dv",
      "riem", "ric", "delta", "xi", "x"))}
-ATOM_KINDS = ("scal", "guw", "ricuw", "vsq")
 
 # Monoterm symmetry variants: (slot permutation, sign).
 _RIEM_VARIANTS = (
@@ -191,6 +190,13 @@ def label_counts(t: Term) -> dict[str, int]:
         if isinstance(g.idx, str):
             counts[g.idx] = counts.get(g.idx, 0) + 1
     return counts
+
+
+def check_labels(t: Term) -> None:
+    """Raise ContractViolation if a label of t occurs more than twice."""
+    for label, n in label_counts(t).items():
+        if n > 2:
+            raise ContractViolation(f"label {label!r} occurs more than twice")
 
 
 def map_labels(t: Term, sub: dict[str, Idx]) -> Term:
@@ -470,9 +476,7 @@ def _reduce(t: Term) -> list[Term]:
     """
     if t.coeff.is_zero():
         return []
-    bad = [la for la, c in label_counts(t).items() if c > 2]
-    if bad:
-        raise ContractViolation(f"labels {bad} occur more than twice")
+    check_labels(t)
     deltas = tuple([f for f in t.fac if f.kind == "delta"])
     if deltas:
         t = contract_deltas(Term(t.coeff, tuple([

@@ -9,6 +9,7 @@ from fractions import Fraction
 import oracle
 import pytest
 from oracle import TensorAssignment, at_m
+from test_sphere import xi_integral
 
 from wittenres import clifford as cl
 from wittenres import reference, sphere
@@ -142,10 +143,13 @@ def test_criterion_7_sphere_oracle():
                 indices = []
                 for slot, e in enumerate(vec, start=1):
                     indices.extend([slot] * e)
+                # pairs of two distinct concrete indices are never built
+                assert all(a == b for pairing in sphere.pairings(indices)
+                           for a, b in pairing)
                 got = FR(0)
-                for t in sphere.integrate_monomial(indices):
-                    # pairs of distinct concrete indices are never built
-                    assert all(f.idx[0] == f.idx[1] for f in t.fac)
+                for t in xi_integral(indices):
+                    # each delta, of equal concrete indices, is one
+                    assert t.fac == ()
                     re, im = at_m(t.coeff, FR(n, 2))
                     assert im == 0
                     got += re

@@ -10,9 +10,9 @@ from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
 from wittenres.residue import Pieces, wres_density
-from wittenres.scalars import S_ONE, Scalar
+from wittenres.scalars import S_I, S_ONE, Scalar
 from wittenres.tensor import ScalarInvariantExpr, canonicalize, collect
-from wittenres.terms import Term, mul_terms, normalize
+from wittenres.terms import Term, fct, mul_terms, normalize
 
 
 def test_taylor_coefficient_antisymmetry():
@@ -23,6 +23,44 @@ def test_taylor_coefficient_antisymmetry():
     # and the instantiated coefficient tensors agree with that sign
     assign = oracle.TensorAssignment(3, 4)
     assert assign.riem[(2, 1, 4, 3)] == -assign.riem[(1, 2, 4, 3)]
+
+
+def _mid_component_checks(frame):
+    """Give sigma(D_V) the order-one frame term i frame R_akjl x_k x_l xi_j
+    c_a, exact to x-degree 2 (in normal coordinates
+    e_a = d_a + (1/6) R_akjl x^k x^l d_j, so frame = 1/6).  Whether the
+    x-linear part of sigma_1(D_V o D_V) is then 2i T_ab x_b xi_a
+    + (2/3) i Ric_ak x_k xi_a, and whether each parametrix's middle
+    component is -mt times it at |xi|^(2 off - 2, -2)."""
+    d = dirac_symbol()
+    (top,) = d.comps[(1, 0)].terms
+    bent = Term(frame * S_I, (fct("riem", "a", "k", "j", "l"), fct("x", "k"),
+                              fct("x", "l"), fct("xi", "j")), (cl.c("a"),))
+    d = PDOSymbol({(1, 0): Component((top, bent), 2),
+                   (0, 0): d.comps[(0, 0)]}, exact=True)
+    derived = normalize(compose(d, d, [(1, 0)], xmax=1).comps[(1, 0)].terms)
+    data = build_laplace_data()
+    stated = [Term(t.coeff * Scalar.of(2) * S_I,
+                   t.fac + (fct("x", "b"), fct("xi", "a")), t.word)
+              for t in data.t_ab("a", "b")]
+    stated.append(Term(Scalar.of(2, 3) * S_I, (fct("ric", "a", "k"),
+                                               fct("x", "k"), fct("xi", "a"))))
+    checks = [derived == normalize(stated)]
+    for off in (0, 1):
+        mid = parametrix_symbols(data, off).comps[(2 * off - 1, -2)].terms
+        mt = Scalar.poly((-off, 1))
+        want = [Term(-mt * t.coeff, t.fac, t.word, (2 * off - 2, -2))
+                for t in derived]
+        checks.append(normalize(mid) == normalize(want))
+    return checks
+
+
+def test_connection_coefficient_and_middle_component_are_derived():
+    # T_ab and the parametrix's order -2mt-1 component follow from sigma(D_V)
+    # once its order-one part carries the frame's x^2 term; with the wrong
+    # sign of that term, neither holds
+    assert _mid_component_checks(Scalar.of(1, 6)) == [True, True, True]
+    assert _mid_component_checks(Scalar.of(-1, 6)) == [False, False, False]
 
 
 def test_endomorphism_scalar_piece():

@@ -14,7 +14,8 @@ from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                wres_density)
 from wittenres.scalars import S_I, S_ONE, Scalar
 from wittenres.tensor import ScalarInvariantExpr, canonicalize, collect
-from wittenres.terms import Term, fct, mul_terms, normalize
+from wittenres.terms import (ContractViolation, Term, fct, mul_terms,
+                             normalize)
 
 FR = Fraction
 
@@ -39,6 +40,18 @@ def test_wres_density_zero_and_guards():
         wres_density([Term(S_I, (), (), (0, -2))])
     with pytest.raises(ResidueError):  # surviving derivative atom
         wres_density([Term(S_ONE, (fct("dw", "a", "a"),), (), (0, -2))])
+
+
+def test_wres_density_refuses_a_label_held_three_times():
+    # integration and the fiber trace trust that no label occurs more than
+    # twice; unchecked, this term's density would come out as zero
+    t = Term(S_ONE, (fct("u", "a"), fct("w", "a")),
+             (clifford.c("a"), clifford.c("b"), clifford.chat("b")), (0, -2))
+    with pytest.raises(ContractViolation):
+        normalize([t])
+    with pytest.raises(ResidueError,
+                       match="label 'a' occurs more than twice"):
+        wres_density([t])
 
 
 def test_wres_density_reproduces_order_zero_block():

@@ -27,8 +27,8 @@ def test_contract_deltas_substitution():
     (out,) = normalize([T(1, fct("delta", "a", "b"), fct("ric", "b", "c"))])
     assert out.fac == (fct("ric", "a", "c"),)
     # u_a w_b delta_ab collapses to the g(u,w) atom after canonicalization
-    got = canonicalize(T(1, fct("delta", "a", "b"), fct("u", "a"),
-                         fct("w", "b")))
+    got = canonicalize([T(1, fct("delta", "a", "b"), fct("u", "a"),
+                          fct("w", "b"))])
     assert len(got) == 1 and got[0].fac == (F("guw", ()),)
 
 
@@ -39,11 +39,11 @@ def test_contract_deltas_concrete():
 
 
 def test_canonicalize_riemann_contractions():
-    assert canonicalize(T(1, fct("riem", "a", "a", "t", "s"))) == ()
-    got = canonicalize(T(1, fct("riem", "l", "a", "l", "b"), fct("u", "a"),
-                         fct("w", "b")))
+    assert canonicalize([T(1, fct("riem", "a", "a", "t", "s"))]) == ()
+    got = canonicalize([T(1, fct("riem", "l", "a", "l", "b"), fct("u", "a"),
+                          fct("w", "b"))])
     assert [t.fac for t in got] == [(F("ricuw", ()),)]
-    got = canonicalize(T(1, fct("riem", "j", "p", "j", "p")))
+    got = canonicalize([T(1, fct("riem", "j", "p", "j", "p"))])
     assert [t.fac for t in got] == [(F("scal", ()),)]
     assert str(got[0].coeff) == "1"
 
@@ -65,10 +65,10 @@ def test_canonicalize_idempotent_and_odd():
             facs.append(F(kind, tuple(pool[:need])))
             del pool[:need]
         t = Term(Scalar.of(rng.randint(1, 5)), tuple(facs))
-        once = canonicalize(t)
+        once = canonicalize([t])
         again = canonicalize(once)
         assert once == again
-        neg = canonicalize(Term(-t.coeff, t.fac))
+        neg = canonicalize([Term(-t.coeff, t.fac)])
         assert normalize(list(once) + list(neg)) == ()
 
 
@@ -100,7 +100,7 @@ def test_canonicalize_value_preserved_random_instantiation():
                  tuple(facs))
         try:
             before = assign.evaluate([t])
-            after = assign.evaluate(canonicalize(t))
+            after = assign.evaluate(canonicalize([t]))
         except ValueError:
             continue
         assert before == after, t
@@ -138,7 +138,7 @@ def test_first_bianchi_pass_kills_cyclic_sum():
     # the rewrite preserves values on contracted input
     t = T(1, fct("riem", "a", "b", "c", "d"), fct("u", "a"), fct("xi", "b"),
           fct("w", "c"), fct("xi", "d"))
-    assert assign.evaluate(canonicalize(t)) == assign.evaluate([t])
+    assert assign.evaluate(canonicalize([t])) == assign.evaluate([t])
 
 
 def test_collect_invariants():
