@@ -3,21 +3,21 @@
 `dirac_symbol` states sigma(D_V) once, and `_connection` its connection
 term.  Derived from them: the order-one symbols of A = c(u) D_V and
 B = c(w) D_V, which are c(u) or c(w) times its terms; the endomorphism E
-of D_V^2 = nabla^* nabla + E; and T_ab, the x-linear Taylor coefficient of
-the laplacian's first-order term, the connection term negated
-(T_ab x_b = -omega_a(x)).  Transcribed: the three leading inverse-power
-components, written generically in T_ab and E.
+of D_V^2 = nabla^* nabla + E (`endomorphism`); and T_ab (`t_ab`), the
+x-linear Taylor coefficient of the laplacian's first-order term, the
+connection term negated (T_ab x_b = -omega_a(x)).  Transcribed: the three
+leading inverse-power components, written generically in T_ab and E.
 
 Normal coordinates throughout: the connection matrix vanishes at the base
 point and its first Taylor coefficient is half a Riemann component, so
 omega_st(e_p) = -<grad_p e_s, e_t> expands as -(1/2) R_lpts x^l.  The
-first-order term's value T_a at the base point is therefore zero, and every
-T_a product of the inverse-symbol recursion drops out.
+first-order term's value T_a at the base point is therefore zero, and so
+is its trace T_aa, which holds R_aats, zero by antisymmetry in the first
+slot pair.  Neither is stored, and every T_a or T_aa term of the
+inverse-symbol recursion drops out.
 """
 
 from __future__ import annotations
-
-from typing import Callable, NamedTuple
 
 from .clifford import c, c_vec, chat, chat_v
 from .pdo import Component, PDOSymbol, compose
@@ -45,27 +45,21 @@ def dirac_symbol() -> PDOSymbol:
                       (0, 0): Component(zero, 1)}, exact=True)
 
 
-class LaplaceData(NamedTuple):
-    """The data of D_V^2 = nabla^* nabla + E the inverse symbols use."""
-    t_ab: Callable[[str, str], tuple[Term, ...]]
-    endo: tuple[Term, ...]
+def t_ab(a: str, b: str) -> tuple[Term, ...]:
+    """T_ab, the x-linear Taylor coefficient of the laplacian's first-order
+    term: the connection term `_connection(a, b)` negated.  Its trace
+    T_aa holds R_aats, zero by first-pair antisymmetry, so the inverse
+    symbols have no T_aa term."""
+    return tuple(Term(-t.coeff, t.fac, t.word) for t in _connection(a, b))
 
 
-def build_laplace_data() -> LaplaceData:
-    """T_ab, the connection term `_connection(a, b)` negated, and
-    E = sigma_0(D_V o D_V) at the base point, where the connection
+def endomorphism() -> tuple[Term, ...]:
+    """E = sigma_0(D_V o D_V) at the base point, where the connection
     laplacian's order-zero symbol vanishes in normal coordinates.  E
     normalizes to 1/8 R_ijkl ch_i ch_j c_k c_l + s/4 + c_i ch(dV_i) + |V|^2.
-
-    T_a = 0 in normal coordinates, so it is not stored.
     """
-
-    def t_ab(a: str, b: str) -> tuple[Term, ...]:
-        return tuple(Term(-t.coeff, t.fac, t.word) for t in _connection(a, b))
-
     d = dirac_symbol()
-    endo = normalize(compose(d, d, [(0, 0)], xmax=0).comps[(0, 0)].terms)
-    return LaplaceData(t_ab, endo)
+    return normalize(compose(d, d, [(0, 0)], xmax=0).comps[(0, 0)].terms)
 
 
 def _with(t: Term, coeff: Scalar, extra: tuple[F, ...],
@@ -74,9 +68,11 @@ def _with(t: Term, coeff: Scalar, extra: tuple[F, ...],
                 (t.norm[0] + norm[0], t.norm[1] + norm[1]))
 
 
-def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
+def parametrix_symbols(endo: tuple[Term, ...],
+                       power_offset: int) -> PDOSymbol:
     """The three leading symbol components of the inverse power, each
-    exact to the x-degree it is stored with.
+    exact to the x-degree it is stored with, written in `t_ab` and the
+    endomorphism endo (`endomorphism()`).
 
     power_offset 0 selects the full -2m power, 1 the -2m+2 power; the
     effective half-dimension is mt = m - power_offset and the components sit
@@ -106,7 +102,7 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
              (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
              n_main),
     ]
-    for t in data.t_ab("a", "b"):
+    for t in t_ab("a", "b"):
         mid.append(_with(t, Scalar.of(-2) * mt * S_I,
                          (fct("x", "b"), fct("xi", "a")), n_main))
 
@@ -115,12 +111,10 @@ def parametrix_symbols(data: LaplaceData, power_offset: int) -> PDOSymbol:
              (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
              n_low),
     ]
-    for t in data.t_ab("a", "b"):
+    for t in t_ab("a", "b"):
         low.append(_with(t, Scalar.of(2) * mt * mt1,
                          (fct("xi", "a"), fct("xi", "b")), n_low))
-    for t in data.t_ab("a", "a"):
-        low.append(_with(t, -mt, (), n_main))
-    for t in data.endo:
+    for t in endo:
         low.append(_with(t, -mt, (), n_main))
 
     return PDOSymbol({(base, -2): Component(tuple(top), 2),
@@ -148,7 +142,7 @@ def symbol_of_b() -> PDOSymbol:
     return _first_order_symbol("w")
 
 
-def cu_cw_symbol() -> PDOSymbol:
-    """Multiplication operator c(u) c(w): a single order-zero component."""
-    t = mul_terms(c_vec("u", "r"), c_vec("w", "k"))
-    return PDOSymbol({(0, 0): Component((t,), None)}, exact=True)
+def cu_cw_symbol() -> Component:
+    """Multiplication operator c(u) c(w): its one order-zero component,
+    exact."""
+    return Component((mul_terms(c_vec("u", "r"), c_vec("w", "k")),), None)

@@ -82,6 +82,16 @@ def origin_terms(terms: Iterable[Term]) -> list[Term]:
     return [t for t in terms if not x_degree(t)]
 
 
+def _d_coordinate(out: list[Term], t: Term, k: int, j: Idx) -> None:
+    """Append to out the derivative by j of t's one-slot factor k, an xi
+    or an x: the factor goes and d y_a / d y_j = delta(a, j) is applied
+    (`terms.contract_deltas`); nothing when that delta vanishes."""
+    rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word, t.norm)
+    dt = contract_deltas(rest, (F("delta", (t.fac[k].idx[0], j)),))
+    if dt is not None:
+        out.append(dt)
+
+
 def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
     """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2).
 
@@ -98,11 +108,7 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
     for t in terms:
         for k, f in enumerate(t.fac):
             if f.kind == "xi":
-                rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word,
-                            t.norm)
-                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),))
-                if dt is not None:
-                    out.append(dt)
+                _d_coordinate(out, t, k, j)
         if t.norm != (0, 0):
             p = Scalar.poly((t.norm[0], t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
@@ -138,13 +144,8 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
         deg = x_degree(t)
         for k, f in enumerate(t.fac):
             if f.kind == "x":
-                if xmax is not None and deg - 1 > xmax:
-                    continue
-                rest = Term(t.coeff, t.fac[:k] + t.fac[k + 1:], t.word,
-                            t.norm)
-                dt = contract_deltas(rest, (F("delta", (f.idx[0], j)),))
-                if dt is not None:
-                    out.append(dt)
+                if xmax is None or deg - 1 <= xmax:
+                    _d_coordinate(out, t, k, j)
             elif f.kind in _DERIV:
                 if xmax is None or deg <= xmax:
                     fac = (t.fac[:k] + (F(_DERIV[f.kind], (j, f.idx[0])),)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from . import clifford, sphere
-from .operators import (build_laplace_data, cu_cw_symbol, parametrix_symbols,
+from .operators import (cu_cw_symbol, endomorphism, parametrix_symbols,
                         symbol_of_a, symbol_of_b)
 from .pdo import (Component, TruncationError, compose, composition_summand,
                   order, x_degree)
@@ -178,22 +178,22 @@ def _normalized(comp: Component) -> Component:
 
 # how each piece is built from the others
 _BUILD = {
-    "data": lambda p: build_laplace_data(),
+    "endo": lambda p: endomorphism(),
     # the parametrix components are written out unnormalized; each one a
     # job reads is normalized here, once
-    "par0": lambda p: parametrix_symbols(p["data"], 0),
+    "par0": lambda p: parametrix_symbols(p["endo"], 0),
     # every job reads A B at the origin, so it is composed with xmax=0,
     # which drops the terms of A and B that cannot reach it
     "A": lambda p: symbol_of_a(),
     "B": lambda p: symbol_of_b(),
     "AB": lambda p: compose(p["A"], p["B"], [(2, 0), (1, 0), (0, 0)],
                             xmax=0),
-    "cu_cw": lambda p: cu_cw_symbol().comps[(0, 0)],
+    "cu_cw": lambda p: cu_cw_symbol(),
     "par0_top": lambda p: _normalized(p["par0"].comps[(0, -2)]),
     "par0_mid": lambda p: _normalized(p["par0"].comps[(-1, -2)]),
     "par0_low": lambda p: _normalized(p["par0"].comps[(-2, -2)]),
     "par1_top": lambda p: _normalized(
-        parametrix_symbols(p["data"], 1).comps[(0, -2)]),
+        parametrix_symbols(p["endo"], 1).comps[(0, -2)]),
     "ab0": lambda p: p["AB"].comps[(0, 0)],
     "ab1": lambda p: p["AB"].comps[(1, 0)],
     "ab2": lambda p: p["AB"].comps[(2, 0)],

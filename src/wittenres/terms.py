@@ -115,18 +115,14 @@ class NormalizeError(Exception):
     """Normalization could not complete."""
 
 
-KIND_ARITY = {
-    "scal": 0, "guw": 0, "ricuw": 0, "vsq": 0,
-    "delta": 2, "ric": 2, "riem": 4,
-    "u": 1, "w": 1, "v": 1,
-    "du": 2, "dw": 2, "dv": 2,
-    "xi": 1, "x": 1,
-}
-# the order of factors in a presentation: atoms, then the vector fields and
-# their derivatives, then curvature, delta and the xi / x monomials
-KIND_RANK = {k: i for i, k in enumerate(
-    ("scal", "guw", "ricuw", "vsq", "u", "w", "v", "du", "dw", "dv",
-     "riem", "ric", "delta", "xi", "x"))}
+# every factor kind with its number of index slots, in the order of factors
+# in a presentation: atoms, then the vector fields and their derivatives,
+# then curvature, delta and the xi / x monomials
+_KINDS = (("scal", 0), ("guw", 0), ("ricuw", 0), ("vsq", 0),
+          ("u", 1), ("w", 1), ("v", 1), ("du", 2), ("dw", 2), ("dv", 2),
+          ("riem", 4), ("ric", 2), ("delta", 2), ("xi", 1), ("x", 1))
+KIND_ARITY = dict(_KINDS)
+KIND_RANK = {kind: rank for rank, (kind, _) in enumerate(_KINDS)}
 
 # Monoterm symmetry variants: (slot permutation, sign).
 _RIEM_VARIANTS = (
@@ -141,9 +137,10 @@ _VARIANTS = {kind: ((tuple(range(arity)), 1),)
              for kind, arity in KIND_ARITY.items()}
 _VARIANTS.update(riem=_RIEM_VARIANTS, ric=_SYM2_VARIANTS,
                  delta=_SYM2_VARIANTS)
-# two slots p < q of a Riemann factor -> the variant that brings them to
-# slots 0 and 2, which the Ricci trace and the block rules' pair form read
-# (a pair {0,1} or {2,3} vanishes by antisymmetry, before this is read)
+# two slots (p, q) of a Riemann factor -> the variant that brings them to
+# slots 0 and 2, which the Ricci trace and the block rules' pair form read;
+# the keys hold every pair but {0,1} and {2,3}, which vanish by
+# antisymmetry before this is read
 _RIEM_PAIR = {(perm[0], perm[2]): (perm, sign)
               for perm, sign in _RIEM_VARIANTS}
 # a dummy joining two one-slot factors, by their kinds in factor order ->
@@ -438,12 +435,12 @@ def _block_rules(t: Term) -> Term | None:
             return None
         for k, ss in slots.items():
             f = fac[k]
-            if len(ss) > 2 or len(ss) == 2 and f.kind in ("ric", "delta"):
+            if (len(ss) > 2 or len(ss) == 2
+                    and _VARIANTS[f.kind] is _SYM2_VARIANTS):
                 return None
-            if f.kind == "riem" and sorted(ss) in ([0, 2], [0, 3], [1, 2],
-                                                  [1, 3]):
-                p, q = sorted(ss)
-                perm, sign = _RIEM_PAIR[p, q]
+            if f.kind == "riem" and (pq := tuple(sorted(ss))) in _RIEM_PAIR:
+                p, q = pq
+                perm, sign = _RIEM_PAIR[pq]
                 fac[k] = F("riem", (f.idx[p], f.idx[q], f.idx[perm[1]],
                                     f.idx[perm[3]]))
                 coeff = coeff * Scalar.of(sign, 2)

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from wittenres.clifford import c, chat
-from wittenres.operators import (build_laplace_data, parametrix_symbols,
+from wittenres.operators import (endomorphism, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import Component, PDOSymbol, compose, origin_terms
 from wittenres.residue import wres_density
@@ -268,8 +268,7 @@ def sums_equal(a, b) -> bool:
 def part2_compose_check() -> ScalarInvariantExpr:
     """Part II evaluated through the general composition machinery instead
     of the six explicit summands; must equal the ledger's S2."""
-    data = build_laplace_data()
-    par0 = parametrix_symbols(data, 0)
+    par0 = parametrix_symbols(endomorphism(), 0)
     ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     full = compose(ab, par0, [(0, -2)])
     return wres_density(origin_terms(full.comps[(0, -2)].terms))

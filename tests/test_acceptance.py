@@ -13,7 +13,7 @@ from test_sphere import xi_integral
 
 from wittenres import clifford as cl
 from wittenres import reference, sphere
-from wittenres.operators import build_laplace_data, parametrix_symbols
+from wittenres.operators import endomorphism, parametrix_symbols
 from wittenres.residue import (LEDGER, Pieces, evaluate_labels,
                                part1_top_norm_exponent)
 from wittenres.terms import normalize
@@ -97,7 +97,7 @@ def test_criterion_4_part_two_ledger(ledger):
 
 def test_criterion_5_symbol_derivation():
     t0 = time.time()
-    eng = parametrix_symbols(build_laplace_data(), 0)
+    eng = parametrix_symbols(endomorphism(), 0)
     tra = oracle.inverse_symbol_reference(0)
     ok = all(oracle.sums_equal(eng.comps[o].terms, comp.terms)
              for o, comp in tra.comps.items())

@@ -398,7 +398,7 @@ def test_finalize_matches_exhaustive_reference_on_taylor_terms():
         assert terms._finalize(t) == reference_finalize(t), t
 
 
-def test_normalize_work_counts_on_the_raw_difference(monkeypatch):
+def test_normalize_work_counts_on_the_raw_difference(record_calls):
     """Deterministic work counts of normalizing the seed-101 raw difference
     as it stands, without the merge of equal presentations that the
     comparison runs instead: its 30 input terms are expanded on the block
@@ -411,18 +411,15 @@ def test_normalize_work_counts_on_the_raw_difference(monkeypatch):
     rule between the two carries them."""
     raw = _raw_difference()
     assert len(raw) == 30
-    calls = {}
-    for name in ("label_counts", "wick", "_block_rules", "_finalize"):
-        def counted(*args, _name=name, _original=getattr(terms, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args)
-        monkeypatch.setattr(terms, name, counted)
+    calls = {name: record_calls(name, terms)
+             for name in ("label_counts", "wick", "_block_rules", "_finalize")}
     assert normalize(raw) == ()
-    assert calls == {"label_counts": 30, "wick": 30, "_block_rules": 2092,
-                     "_finalize": 1936}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "label_counts": 30, "wick": 30, "_block_rules": 2092,
+        "_finalize": 1936}
 
 
-def test_merge_work_counts_on_the_raw_difference(monkeypatch):
+def test_merge_work_counts_on_the_raw_difference(record_calls):
     """Deterministic work counts of the seed-101 comparison, which merges
     equal presentations before it normalizes: the 30 raw terms of the
     difference give 15 canonical presentations as written, and all of them
@@ -432,18 +429,8 @@ def test_merge_work_counts_on_the_raw_difference(monkeypatch):
     (`test_normalize_work_counts_on_the_raw_difference`).
     """
     raw = _raw_difference()
-    finalized, merged = [], []
-    finalize, merge = terms._finalize, terms._merge
-
-    def counted_finalize(*args):
-        finalized.append(args)
-        return finalize(*args)
-
-    def counted_merge(presentations):
-        merged.append(merge(presentations))
-        return merged[-1]
-    monkeypatch.setattr(terms, "_finalize", counted_finalize)
-    monkeypatch.setattr(terms, "_merge", counted_merge)
+    finalized = record_calls("_finalize", terms)
+    merged = record_calls("_merge", terms, value=lambda args, result: result)
     survivors = terms.merge_presentations(raw)
     assert (len(raw), len(merged[0]), len(survivors)) == (30, 15, 0)
     assert len(finalized) == 30

@@ -64,30 +64,16 @@ def test_verify_term_filter(capsys):
     assert entry_lines[0].split()[:2] == ["I-2", "0"]
 
 
-def test_verify_term_evaluates_only_its_job(monkeypatch, capsys):
+def test_verify_term_evaluates_only_its_job(record_calls, capsys):
     # one ledger job: one density of one summand.  The summands pdo runs
     # are the four of sigma_0(D_V o D_V), from which the job's parametrix
     # takes the endomorphism
-    calls = {}
-
-    def counted(module, name):
-        original = getattr(module, name)
-        key = f"{module.__name__.rpartition('.')[2]}.{name}"
-        calls[key] = 0
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(residue, "wres_density")
-    for module in (residue, pdo):
-        counted(module, "composition_summand")
+    densities = record_calls("wres_density", residue)
+    jobs = record_calls("composition_summand", residue)
+    summands = record_calls("composition_summand", pdo)
     code, _, _ = run(capsys, "verify", "--term", "I-2")
     assert code == 0
-    assert calls == {"residue.wres_density": 1,
-                     "residue.composition_summand": 1,
-                     "pdo.composition_summand": 4}
+    assert (len(densities), len(jobs), len(summands)) == (1, 1, 4)
 
 
 def test_verify_json_matches_recorded_report(capsys):
@@ -194,16 +180,11 @@ def test_verify_golden_bad_norm_exponent_shape(tmp_path, capsys, norms):
     assert "golden file error" in err
 
 
-def test_verify_builds_each_parametrix_once(monkeypatch, capsys):
+def test_verify_builds_each_parametrix_once(record_calls, capsys):
     # the full power for Part II and the reduced power for Part I, each
     # once however many components and jobs read it
-    offsets = []
-    original = residue.parametrix_symbols
-
-    def counted(data, offset):
-        offsets.append(offset)
-        return original(data, offset)
-    monkeypatch.setattr(residue, "parametrix_symbols", counted)
+    offsets = record_calls("parametrix_symbols", residue,
+                           value=lambda args, result: args[1])
     code, _, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
     assert sorted(offsets) == [0, 1]

@@ -3,9 +3,9 @@ import pytest
 from oracle import at_m, inverse_symbol_reference, sums_equal
 
 from wittenres import clifford as cl
-from wittenres.operators import (build_laplace_data, cu_cw_symbol,
-                                 dirac_symbol, parametrix_symbols,
-                                 symbol_of_a, symbol_of_b)
+from wittenres.operators import (cu_cw_symbol, dirac_symbol, endomorphism,
+                                 parametrix_symbols, symbol_of_a,
+                                 symbol_of_b, t_ab)
 from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
@@ -16,10 +16,11 @@ from wittenres.terms import Term, fct, mul_terms, normalize
 
 
 def test_taylor_coefficient_antisymmetry():
-    data = build_laplace_data()
     # T_ab + T_ba = 0 by the first-pair antisymmetry of the curvature
-    both = list(data.t_ab("a", "b")) + list(data.t_ab("b", "a"))
+    both = list(t_ab("a", "b")) + list(t_ab("b", "a"))
     assert normalize(both) == ()
+    # so the trace T_aa vanishes, and the parametrix has no T_aa term
+    assert normalize(t_ab("a", "a")) == ()
     # and the instantiated coefficient tensors agree with that sign
     assign = oracle.TensorAssignment(3, 4)
     assert assign.riem[(2, 1, 4, 3)] == -assign.riem[(1, 2, 4, 3)]
@@ -39,15 +40,15 @@ def _mid_component_checks(frame):
     d = PDOSymbol({(1, 0): Component((top, bent), 2),
                    (0, 0): d.comps[(0, 0)]}, exact=True)
     derived = normalize(compose(d, d, [(1, 0)], xmax=1).comps[(1, 0)].terms)
-    data = build_laplace_data()
+    endo = endomorphism()
     stated = [Term(t.coeff * Scalar.of(2) * S_I,
                    t.fac + (fct("x", "b"), fct("xi", "a")), t.word)
-              for t in data.t_ab("a", "b")]
+              for t in t_ab("a", "b")]
     stated.append(Term(Scalar.of(2, 3) * S_I, (fct("ric", "a", "k"),
                                                fct("x", "k"), fct("xi", "a"))))
     checks = [derived == normalize(stated)]
     for off in (0, 1):
-        mid = parametrix_symbols(data, off).comps[(2 * off - 1, -2)].terms
+        mid = parametrix_symbols(endo, off).comps[(2 * off - 1, -2)].terms
         mt = Scalar.poly((-off, 1))
         want = [Term(-mt * t.coeff, t.fac, t.word, (2 * off - 2, -2))
                 for t in derived]
@@ -66,8 +67,7 @@ def test_connection_coefficient_and_middle_component_are_derived():
 def test_endomorphism_scalar_piece():
     # the endomorphism is derived from sigma_0(D_V o D_V), whose
     # -1/8 R_abcd c_a c_b c_c c_d normalizes to Lichnerowicz's s/4
-    data = build_laplace_data()
-    scal_terms = [t for t in data.endo if not t.word]
+    scal_terms = [t for t in endomorphism() if not t.word]
     expr = collect(normalize(scal_terms))
     assert expr.coeff_lists() == {
         "s": [__import__("fractions").Fraction(1, 4)],
@@ -78,8 +78,7 @@ def test_endomorphism_scalar_piece():
 def test_endomorphism_trace_self_consistency():
     # tr E = (s/4 + |V|^2) tr[id]: the curvature quartic and the mixed
     # derivative word die in the trace
-    data = build_laplace_data()
-    expr = collect(normalize(cl.trace(data.endo)))
+    expr = collect(normalize(cl.trace(endomorphism())))
     lists = expr.coeff_lists()
     assert set(lists) == {"s", "|V|^2"}
 
@@ -107,13 +106,13 @@ def test_left_identity_at_the_origin():
     # The left factor is only xi-differentiated, so its origin value gives
     # the origin value of Delta o Delta^{-m} = Delta^{-m+1}, as normal
     # forms, at all three orders and symbolic m
-    data = build_laplace_data()
+    endo = endomorphism()
     laplace = PDOSymbol({(2, 0): Component((Term(S_ONE, (), (), (2, 0)),),
                                            None),
-                         (0, 0): Component(data.endo, None)}, exact=True)
+                         (0, 0): Component(endo, None)}, exact=True)
     orders = [(2, -2), (1, -2), (0, -2)]
-    got = compose(laplace, parametrix_symbols(data, 0), orders)
-    want = parametrix_symbols(data, 1)
+    got = compose(laplace, parametrix_symbols(endo, 0), orders)
+    want = parametrix_symbols(endo, 1)
     for order, count in zip(orders, (1, 0, 5)):
         lhs = normalize(origin_terms(got.comps[order].terms))
         rhs = normalize(origin_terms(want.comps[order].terms))
@@ -134,11 +133,11 @@ def test_left_identity_residue_with_the_derived_operator():
         and stated.comps[order].xtrunc == comp.xtrunc
         for order, comp in sigma.comps.items())
     square = compose(sigma, sigma, [(2, 0), (1, 0), (0, 0)])
-    data = build_laplace_data()
-    assert normalize(origin_terms(square.comps[(0, 0)].terms)) == data.endo
+    endo = endomorphism()
+    assert normalize(origin_terms(square.comps[(0, 0)].terms)) == endo
     orders = [(2, -2), (1, -2), (0, -2)]
-    got = compose(square, parametrix_symbols(data, 0), orders)
-    want = parametrix_symbols(data, 1)
+    got = compose(square, parametrix_symbols(endo, 0), orders)
+    want = parametrix_symbols(endo, 1)
     for order, count in zip(orders, (1, 0, 5)):
         rhs = normalize(origin_terms(want.comps[order].terms))
         assert len(rhs) == count, order
@@ -150,13 +149,12 @@ def test_left_identity_residue_with_the_derived_operator():
 
 
 def test_parametrix_requires_known_power():
-    data = build_laplace_data()
     with pytest.raises(ValueError):
-        parametrix_symbols(data, 2)
+        parametrix_symbols(endomorphism(), 2)
 
 
 def test_parametrix_top_component():
-    par = parametrix_symbols(build_laplace_data(), 0)
+    par = parametrix_symbols(endomorphism(), 0)
     ref = inverse_symbol_reference(0)
     assert sums_equal(par.comps[(0, -2)].terms, ref.comps[(0, -2)].terms)
 
@@ -164,9 +162,9 @@ def test_parametrix_top_component():
 def test_derived_inverse_symbols_match_printed_display():
     # substituting the deformation data into the generic components must
     # reproduce the printed deformation-specific display term for term
-    data = build_laplace_data()
+    endo = endomorphism()
     for off in (0, 1):
-        eng = parametrix_symbols(data, off)
+        eng = parametrix_symbols(endo, off)
         ref = inverse_symbol_reference(off)
         for order, comp in ref.comps.items():
             assert sums_equal(eng.comps[order].terms, comp.terms), \
@@ -204,4 +202,6 @@ def test_product_symbol_order_zero_matches_printed_display_slow():
 
 def test_cu_cw_symbol_is_multiplication_operator():
     uw = cu_cw_symbol()
-    assert uw.exact and list(uw.comps) == [(0, 0)]
+    assert uw.xtrunc is None
+    (t,) = uw.terms
+    assert {f.kind for f in t.fac} == {"u", "w"} and t.norm == (0, 0)

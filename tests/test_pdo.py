@@ -5,8 +5,8 @@ import pytest
 from oracle import sums_equal
 
 from wittenres import clifford as cl
-from wittenres.operators import (build_laplace_data, cu_cw_symbol,
-                                 dirac_symbol, parametrix_symbols,
+from wittenres.operators import (cu_cw_symbol, dirac_symbol,
+                                 endomorphism, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            composition_summand, d_x_terms, d_xi_terms,
@@ -88,7 +88,7 @@ def test_symbol_refuses_a_term_at_the_wrong_order():
 
 
 def test_compose_identity():
-    par = parametrix_symbols(build_laplace_data(), 0)
+    par = parametrix_symbols(endomorphism(), 0)
     out = compose(par, _identity_symbol(), [(0, -2), (-1, -2), (-2, -2)])
     for order in out.comps:
         assert sums_equal(out.comps[order].terms, par.comps[order].terms)
@@ -98,7 +98,7 @@ def test_compose_identity():
 
 
 def test_compose_truncation_error_is_explicit():
-    par = parametrix_symbols(build_laplace_data(), 0)
+    par = parametrix_symbols(endomorphism(), 0)
     ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0), (1, 0), (0, 0)])
     with pytest.raises(TruncationError):
         compose(ab, par, [(-1, -2)])  # needs the unknown order -2m-3
@@ -157,7 +157,7 @@ def x_derivative_at_origin(comp, nalpha):
 
 
 def test_evaluate_at_origin_ordering():
-    par = parametrix_symbols(build_laplace_data(), 0)
+    par = parametrix_symbols(endomorphism(), 0)
     # differentiate then evaluate retains the linear Taylor coefficient
     at0 = x_derivative_at_origin(par.comps[(-1, -2)], 1)
     assert any(f.kind == "ric" for t in at0 for f in t.fac)
@@ -166,7 +166,7 @@ def test_evaluate_at_origin_ordering():
 
 
 def test_evaluate_guards_truncation():
-    par = parametrix_symbols(build_laplace_data(), 0)
+    par = parametrix_symbols(endomorphism(), 0)
     # the order -2m-2 component is exact only at x-degree zero, so its
     # value is gone after one x-derivative
     with pytest.raises(TruncationError):
@@ -241,7 +241,6 @@ def test_associativity_random_symbols_concrete():
 
 def test_uw_symbol_shape():
     uw = cu_cw_symbol()
-    ((order, comp),) = uw.comps.items()
-    assert order == (0, 0)
-    (t,) = comp.terms
-    assert {f.kind for f in t.fac} == {"u", "w"}
+    assert uw.xtrunc is None
+    (t,) = uw.terms
+    assert {f.kind for f in t.fac} == {"u", "w"} and t.norm == (0, 0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from oracle import TensorAssignment, at_m, part2_compose_check
 
-from wittenres.operators import (build_laplace_data, cu_cw_symbol,
+from wittenres.operators import (cu_cw_symbol, endomorphism,
                                  parametrix_symbols, symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            origin_terms)
@@ -170,9 +170,9 @@ def test_part_one_is_the_smeared_gilkey_a2(ledger):
     # Wres(c(u)c(w) Delta^{-m+1}) is (m - 1) times the a_2 density smeared
     # with c(u)c(w), tr(c(u)c(w)(s/6 - E))/tr id (Branson & Gilkey, Comm.
     # PDE 15 (1990); Gilkey (1995) section 4.8), for every m
-    cu_cw = cu_cw_symbol().comps[(0, 0)].terms[0]
+    (cu_cw,) = cu_cw_symbol().terms
     a2 = [Term(Scalar.of(1, 6), (fct("scal"),))]
-    a2 += [t._replace(coeff=-t.coeff) for t in build_laplace_data().endo]
+    a2 += [t._replace(coeff=-t.coeff) for t in endomorphism()]
     smeared = collect(canonicalize(clifford.trace(
         [mul_terms(cu_cw, t) for t in a2])))
     assert coeffs(smeared) == {"g(u,w)*s": [FR(1, 12)],
@@ -260,16 +260,10 @@ def test_each_job_hands_wres_density_its_pinned_terms(monkeypatch):
     assert counts == JOB_TERMS
 
 
-def test_a_full_run_runs_one_job_per_leaf(monkeypatch):
+def test_a_full_run_runs_one_job_per_leaf(record_calls):
     # a total is a plain sum, so a label defined a second time, as a job
     # beside its children, would show as one more density than leaves
-    calls = []
-    density = residue.wres_density
-
-    def counted(terms):
-        calls.append(len(terms))
-        return density(terms)
-    monkeypatch.setattr(residue, "wres_density", counted)
+    calls = record_calls("wres_density", residue)
     evaluate_labels(LEDGER)
     leaves = [row for row in LEDGER.values() if isinstance(row, Leaf)]
     assert len(calls) == len(leaves) == 26
@@ -384,8 +378,7 @@ def test_compose_path_agrees_with_summand_path(ledger):
 
 def test_associativity_through_the_residue(ledger):
     # group the product the other way: A (B D^{-2m}) instead of (A B) D^{-2m}
-    data = build_laplace_data()
-    par0 = parametrix_symbols(data, 0)
+    par0 = parametrix_symbols(endomorphism(), 0)
     bp = compose(symbol_of_b(), par0, [(1, -2), (0, -2), (-1, -2)])
     full = compose(symbol_of_a(), bp, [(0, -2)])
     terms = [t for t in full.comps[(0, -2)].terms
@@ -451,7 +444,8 @@ def test_everything_is_real(ledger):
             assert coeff.is_real()
 
 
-def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
+def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch,
+                                                           record_calls):
     """A B is composed with xmax=0, which cuts both factors to what reaches
     the origin: a left term with an x factor keeps it through
     xi-derivatives and products, and so does a right term whose
@@ -463,13 +457,7 @@ def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch):
     pieces = Pieces()
     for name in ("A", "B"):
         pieces[name]
-    products = []
-    mul = pdo.mul_terms
-
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
-    monkeypatch.setattr(pdo, "mul_terms", counted)
+    products = record_calls("mul_terms", pdo)
     pieces["AB"]
     assert len(products) == 9
     monkeypatch.undo()
@@ -497,7 +485,7 @@ def test_ab_keeps_only_the_terms_that_reach_the_origin():
     assert len(ab.comps[(0, 0)].terms) == 5
 
 
-def test_each_summand_takes_its_own_xi_derivatives(monkeypatch):
+def test_each_summand_takes_its_own_xi_derivatives(record_calls):
     """Every composition summand differentiates its left piece itself: the
     full ledger takes 13 xi-derivatives.  Three derive the endomorphism
     from sigma_0(D_V o D_V): sigma_1(D_V)'s first for alpha 1, and its
@@ -508,60 +496,32 @@ def test_each_summand_takes_its_own_xi_derivatives(monkeypatch):
     Five are jobs: sigma_2(AB)'s first for each of II-4-A, B and C, and
     its first and second for II-6.  II-5 takes none: the x side is built
     first, and its right side's x-derivative is empty at the origin."""
-    calls = []
-    d_xi = pdo.d_xi_terms
-
-    def counted(terms, j):
-        calls.append(j)
-        return d_xi(terms, j)
-    monkeypatch.setattr(pdo, "d_xi_terms", counted)
+    calls = record_calls("d_xi_terms", pdo)
     evaluate_labels(LEDGER)
     assert len(calls) == 13
 
 
-def test_a_full_run_composes_two_symbols(monkeypatch):
+def test_a_full_run_composes_two_symbols(record_calls):
     """A full run composes D_V with itself, for the endomorphism, and A
     with B; every job is one summand of two pieces.  The summands are the
     4 of sigma_0(D_V o D_V), the 8 of A B and the 26 jobs, one per
     leaf."""
-    calls = {"compose": 0, "composition_summand": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-    for module in (operators, residue):
-        counted(module, "compose")
-    for module in (pdo, residue):
-        counted(module, "composition_summand")
+    composed = record_calls("compose", operators, residue)
+    summands = record_calls("composition_summand", pdo, residue)
     evaluate_labels(LEDGER)
-    assert calls == {"compose": 2, "composition_summand": 38}
+    assert (len(composed), len(summands)) == (2, 38)
 
 
-def test_each_job_normalizes_once(monkeypatch):
+def test_each_job_normalizes_once(record_calls):
     """A full run normalizes the endomorphism (operators) and the four
     parametrix components the jobs read, par0_top, par0_mid, par0_low and
     par1_top (residue), once each, and each of the 26 jobs once, in
     `tensor.canonicalize`: the fiber trace hands its pairings over as they
     are."""
-    calls = {}
-
-    def counted(module):
-        name = module.__name__.rsplit(".", 1)[1]
-        calls[name] = 0
-        original = getattr(module, "normalize", None)
-        if original is None:
-            return
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, "normalize", wrapper)
-    for module in (clifford, operators, pdo, residue, tensor):
-        counted(module)
+    assert not hasattr(clifford, "normalize")
+    calls = {module.__name__.rsplit(".", 1)[1]:
+             record_calls("normalize", module)
+             for module in (operators, pdo, residue, tensor)}
     evaluate_labels(LEDGER)
-    assert calls == {"clifford": 0, "operators": 1, "pdo": 0, "residue": 4,
-                     "tensor": 26}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "operators": 1, "pdo": 0, "residue": 4, "tensor": 26}

@@ -234,21 +234,15 @@ def test_seed_sweep_verdicts(workloads):
                                   doubled.printed) is False, seed
 
 
-def test_derivatives_see_the_cancelled_difference(workloads, monkeypatch):
+def test_derivatives_see_the_cancelled_difference(workloads, record_calls):
     """A count, not a time: the chain's x-derivatives of the seed-101
     taylor_diff comparison return at most 12 terms in all.  They return
     none, since the merge cancels the whole difference; the bound is the
     12 they returned when curvature ranked ahead of the vector fields in
     the normal order (140 when the raw difference was differentiated)."""
     inputs = workloads.taylor_inputs(101)
-    sizes = []
-    original = pdo.d_x_terms
-
-    def counted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        sizes.append(len(out))
-        return out
-    monkeypatch.setattr(pdo, "d_x_terms", counted)
+    sizes = record_calls("d_x_terms", pdo,
+                         value=lambda args, result: len(result))
     assert terms_equal_taylor(inputs.derived, inputs.printed) is True
     assert len(sizes) == XORDER
     assert sum(sizes) <= 12

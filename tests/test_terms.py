@@ -2,9 +2,12 @@ import pytest
 from oracle import sums_equal
 
 from wittenres import clifford as cl
+from wittenres import pdo, terms
 from wittenres.scalars import S_ONE, Scalar
-from wittenres.terms import (ContractViolation, G, Term, contract_deltas,
-                             fct, label_counts, mul_terms, normalize)
+from wittenres.tensor import ATOM_NAMES
+from wittenres.terms import (KIND_ARITY, KIND_RANK, ContractViolation, G,
+                             Term, contract_deltas, fct, label_counts,
+                             mul_terms, normalize)
 
 
 def test_mul_renames_dummies_apart():
@@ -141,3 +144,28 @@ def test_curvature_quartic_is_a_quarter_of_the_scalar_curvature():
                    word)
     assert normalize([quartic]) == normalize(
         [Term(Scalar.of(1, 4), (fct("scal"),))])
+
+
+def test_every_kind_a_table_names_is_in_the_kind_table():
+    # the kinds pdo differentiates, tensor names as atoms and normalize
+    # folds in pairs, each with the arity its use needs
+    uses = ([(kind, 1) for kind in pdo._DERIV]
+            + [(kind, 2) for kind in pdo._DERIV.values()]
+            + [(kind, 0) for kind in ATOM_NAMES]
+            + [(kind, 1) for pair in terms._PAIR_FOLDS for kind in pair]
+            + [(f.kind, 0) for atoms, _ in terms._PAIR_FOLDS.values()
+               for f in atoms])
+    for kind, arity in uses:
+        assert KIND_ARITY.get(kind) == arity, kind
+    # and the presentation order ranks every kind once
+    assert sorted(KIND_RANK) == sorted(KIND_ARITY)
+    assert sorted(KIND_RANK.values()) == list(range(len(KIND_ARITY)))
+
+
+def test_block_rules_drop_a_symmetric_factor_in_one_block():
+    # a block is antisymmetric and ric_ab, delta_ab are symmetric, so a term
+    # with both slots in one block is zero before any canonical search
+    for kind in ("ric", "delta"):
+        t = Term(S_ONE, (fct(kind, "a", "b"),), (G("c", "a"),
+                                                 G("c", "b", True)))
+        assert terms._block_rules(t) is None, kind
