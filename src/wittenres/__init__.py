@@ -2,16 +2,17 @@
 functionals for the Witten deformation on even-dimensional manifolds.
 
 `evaluate_labels` evaluates ledger labels (and every label they sum over)
-into a dict of exact `ScalarInvariantExpr` values in ledger order;
-`wres_density` is the residue density of one term sum.  The `wittenres`
-command (`wittenres.cli`) diffs the labels against the stored reference.
+into a dict from label to value in ledger order; `wres_density` is the
+residue density of one term sum.  A value is what the report prints: a
+dict from invariant atom name, such as "g(u,w)*s", to its real polynomial
+in m (`scalars.PolyM`), in units of TrId*Vol, with no zero atom.  The
+`wittenres` command (`wittenres.cli`) diffs the labels against the stored
+reference.
 """
 
 from .residue import evaluate_labels, wres_density
-from .tensor import ScalarInvariantExpr
 
 __all__ = [
-    "ScalarInvariantExpr",
     "evaluate_labels",
     "wres_density",
 ]

@@ -25,7 +25,6 @@ from . import clifford, reference, sphere
 from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
                       with_children)
 from .scalars import PolyM
-from .tensor import ScalarInvariantExpr
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -63,9 +62,8 @@ class QueryError(Exception):
 # ledger evaluation and report rendering
 
 
-def _expr_json(expr: ScalarInvariantExpr) -> dict:
-    return {atom: [str(c) for c in coeffs]
-            for atom, coeffs in expr.coeff_lists().items()}
+def _expr_json(value: dict[str, PolyM]) -> dict:
+    return {atom: [str(c) for c in p.c] for atom, p in value.items()}
 
 
 def evaluate_ledger(labels: list[str], ref: dict,

@@ -1,12 +1,16 @@
 """Stored reference values and the literal A B product-symbol display.
 
 The golden ledger records the published per-label values (with the two
-documented corrections noted).  Comparison statuses: MATCH (derived equals
-the stored and printed value), PAPER_TYPO (derived equals the stored value
-while the printed line differs), MISMATCH (derived disagrees with the stored
-value).  `ab_symbol_reference` transcribes the printed A B product-symbol
-display verbatim; the package never calls it, and it stays here because the
-benchmark's `taylor_diff` workload diffs the derived symbol against it.
+documented corrections noted), each as {atom: coefficient list}, the list
+ascending in m.  `compare_entry` reads the stored and printed tables as
+ledger values, {atom: PolyM} with no zero atom, so a trailing zero
+coefficient or an atom written as zero changes no status.  Comparison
+statuses: MATCH (derived equals the stored and printed value), PAPER_TYPO
+(derived equals the stored value while the printed line differs), MISMATCH
+(derived disagrees with the stored value).  `ab_symbol_reference`
+transcribes the printed A B product-symbol display verbatim; the package
+never calls it, and it stays here because the benchmark's `taylor_diff`
+workload diffs the derived symbol against it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .clifford import c, chat
-from .scalars import S_I, S_ONE, Scalar
+from .scalars import S_I, S_ONE, PolyM, Scalar
 from .terms import Term, fct
 
 MATCH = "MATCH"
@@ -92,27 +96,23 @@ def validate_reference(ref) -> None:
                 "integers")
 
 
-def _coeffs(table: dict) -> dict[str, tuple[Fraction, ...]]:
-    out = {}
-    for atom, coeffs in table.items():
-        fr = [Fraction(x) for x in coeffs]
-        while fr and fr[-1] == 0:
-            fr.pop()
-        if fr:
-            out[atom] = tuple(fr)
-    return out
+def _polys(table: dict) -> dict[str, PolyM]:
+    """A stored table as a ledger value: {atom: PolyM}, no zero atom."""
+    return {atom: p for atom, coeffs in table.items()
+            if (p := PolyM(coeffs)).c}
 
 
-def compare_entry(expr, ref: dict, label: str) -> str:
-    """Status of one ledger entry against the stored reference; a label
-    the reference does not store is a MISMATCH."""
+def compare_entry(value: dict[str, PolyM], ref: dict, label: str) -> str:
+    """Status of one ledger value ({atom: PolyM}, no zero atom) against
+    the stored reference; a label the reference does not store is a
+    MISMATCH."""
     if label not in ref["values"]:
         return MISMATCH
-    stored = _coeffs(ref["values"][label])
-    if _coeffs(expr.coeff_lists()) != stored:
+    stored = _polys(ref["values"][label])
+    if value != stored:
         return MISMATCH
     printed = ref.get("printed", {}).get(label)
-    if printed is not None and _coeffs(printed) != stored:
+    if printed is not None and _polys(printed) != stored:
         return PAPER_TYPO
     return MATCH
 

@@ -18,9 +18,11 @@ built once each; the parametrix components are normalized when first read.
 Every xi/x derivative pairing of two symbols goes through `pdo.compose` or
 its `composition_summand`, and each job is one `composition_summand` of its
 two sides with xmax=0, which cuts both to what reaches the origin: the only
-origin cut here.  `evaluate_labels` returns a plain dict from label to
-value in ledger order; its "metric" entry is the metric functional, exactly
--g(u,w) TrId Vol, and its "einstein" entry the Einstein one.
+origin cut here.  A value is what the report prints, {atom name: real
+polynomial in m (`PolyM`)} in units of TrId*Vol with no zero atom, and
+`evaluate_labels` returns a plain dict from label to value in ledger order;
+its "metric" entry is the metric functional, exactly -g(u,w), and its
+"einstein" entry the Einstein one.
 """
 
 from __future__ import annotations
@@ -32,26 +34,30 @@ from .operators import (cu_cw_symbol, endomorphism, parametrix_symbols,
                         symbol_of_a, symbol_of_b)
 from .pdo import (Component, TruncationError, compose, composition_summand,
                   order, x_degree)
-from .tensor import CollectError, ScalarInvariantExpr, canonicalize, collect
+from .scalars import PolyM
+from .tensor import CollectError, canonicalize, collect
 from .terms import (ContractViolation, NormalizeError, Term, check_labels,
                     normalize)
 
 
 class ResidueError(Exception):
-    """A density violated the residue contracts (free index, imaginary
-    part, surviving derivative atom)."""
+    """A density violated the residue contracts (free index, surviving
+    derivative atom, a value that is not a real polynomial in m)."""
 
 
-def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
+def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
     """Residue density of an order -2m, origin-evaluated term sum, in
-    units of TrId*Vol: tr[id] times Vol(S^{2m-1}).
+    units of TrId*Vol: tr[id] times Vol(S^{2m-1}), as a dict from atom
+    name to its real polynomial in m, with no zero atom.
 
     Pipeline: integration over the unit cosphere keeps the word and moves
     the xi labels into deltas (norm powers become one); the fiber trace
     sums the full pairings of each word; one `canonicalize` and the
-    collection into invariant atoms follow.  Hard errors on a label held
+    collection into invariant atoms follow.  ResidueError on a label held
     more than twice (`check_labels`: integration and trace trust it
-    absent), leftover free indices, derivative atoms or imaginary parts.
+    absent), leftover free indices, derivative atoms, or an atom that is
+    not a real polynomial in m; a NormalizeError of the canonical form
+    passes through with its type.
     """
     try:
         for t in terms:
@@ -63,9 +69,8 @@ def wres_density(terms: Sequence[Term]) -> ScalarInvariantExpr:
             check_labels(t)
         traced = clifford.trace(
             [u for t in terms for u in sphere.integrate_term(t)])
-        return collect(canonicalize(traced)).check_real()
-    except (NormalizeError, ContractViolation, CollectError, TruncationError,
-            ValueError) as exc:
+        return collect(canonicalize(traced))
+    except (ContractViolation, CollectError, ValueError) as exc:
         raise ResidueError(str(exc)) from exc
 
 
@@ -222,7 +227,7 @@ class Pieces(dict):
         return self[key]
 
 
-def _run(label: str, job: Leaf, pieces: Pieces) -> ScalarInvariantExpr:
+def _run(label: str, job: Leaf, pieces: Pieces) -> dict[str, PolyM]:
     """The job's value; a typed engine error on the way names the label and
     keeps its type."""
     try:
@@ -250,26 +255,29 @@ def with_children(labels: Iterable[str]) -> list[str]:
 
 def evaluate_labels(labels: Iterable[str],
                     pieces: Pieces | None = None
-                    ) -> dict[str, ScalarInvariantExpr]:
+                    ) -> dict[str, dict[str, PolyM]]:
     """Evaluate the labels and every label they sum over, as a dict from
-    label to value in ledger order (the order of `with_children`).
+    label to value in ledger order (the order of `with_children`).  A
+    value maps atom name to its real polynomial in m, with no zero atom.
 
     The jobs share the symbol pieces in `pieces` (a fresh `Pieces` by
     default); a caller that passes its own can reuse the pieces
-    afterwards.  A total is the ScalarInvariantExpr sum of its children.
+    afterwards.  A total adds its children's polynomials atom by atom and
+    leaves out the atoms that cancel.
     """
     if pieces is None:
         pieces = Pieces()
-    led: dict[str, ScalarInvariantExpr] = {}
+    led: dict[str, dict[str, PolyM]] = {}
     for label in with_children(labels):
         row = LEDGER[label]
         if isinstance(row, Leaf):
             led[label] = _run(label, row, pieces)
             continue
-        total = ScalarInvariantExpr()
+        total: dict[str, PolyM] = {}
         for child in row.children:
-            total = total + led[child]
-        led[label] = total
+            for atom, p in led[child].items():
+                total[atom] = total[atom] + p if atom in total else p
+        led[label] = {atom: p for atom, p in total.items() if p.c}
     return led
 
 

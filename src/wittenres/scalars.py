@@ -19,8 +19,8 @@ equal values compare and hash equal:
     a polynomial gcd.
 An operation with a value of the second form takes the RatM route, and its
 result goes back to the int form when it is a polynomial.  `re` and `im`
-build the RatM parts of an int-form value when asked, and
-`real_poly_coeffs` gives Fractions.
+build the RatM parts of an int-form value when asked, and `real_poly`
+gives a real polynomial value as the PolyM the report prints.
 
 RatM keeps reduced (num, den) pairs of Fraction polynomials, and each of
 its operations has one code path.  The workloads hardly reach it: one
@@ -413,13 +413,14 @@ class Scalar:
         return Scalar((self.re * other.re + self.im * other.im) / n2,
                       (self.im * other.re - self.re * other.im) / n2)
 
-    def real_poly_coeffs(self):
-        """Ascending Fraction coefficients; requires a real polynomial value."""
+    def real_poly(self) -> PolyM:
+        """The value as a PolyM; ValueError unless it is a real polynomial
+        in m."""
         if not self.is_real():
             raise ValueError(f"scalar has imaginary part: {self}")
         if self.nums is None:
             raise ValueError(f"scalar is not polynomial in m: {self}")
-        return [Fraction(x, self.den) for x in self.nums]
+        return PolyM([Fraction(x, self.den) for x in self.nums])
 
     def __str__(self):
         if self.is_real():

@@ -1,5 +1,9 @@
 """Abstract-index tensor terms: canonical form and collection.
 
+`collect` turns a canonical sum of fully contracted terms into the value
+the report prints: a plain dict from invariant atom name, such as
+"g(u,w)*s", to its real polynomial in m (`PolyM`), with no zero atom.
+
 Delta contraction and the curvature self-contractions are rules of
 terms.normalize.
 
@@ -10,11 +14,11 @@ normalize.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-from .scalars import Scalar
+from .scalars import PolyM, Scalar
 from .terms import Term, normalize
+
 
 class CollectError(Exception):
     """A term survived to collection that is not an invariant atom."""
@@ -47,68 +51,14 @@ def _atom_name(t: Term) -> str | None:
     return "*".join(ATOM_NAMES[k] for k in kinds) or "1"
 
 
-class ScalarInvariantExpr:
-    """Exact expression over the fully contracted invariant atoms, keyed
-    by atom name."""
-
-    def __init__(self, entries: dict | None = None):
-        self.entries: dict[str, Scalar] = {}
-        for k, v in (entries or {}).items():
-            if not v.is_zero():
-                self.entries[k] = v
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return ScalarInvariantExpr(out)
-
-    def __sub__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            out[k] = -v if s is None else s - v
-        return ScalarInvariantExpr(out)
-
-    def __eq__(self, other):
-        return (isinstance(other, ScalarInvariantExpr)
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def check_real(self):
-        for k, v in self.entries.items():
-            if not v.is_real():
-                raise ValueError(f"imaginary part survived in {k}: {v}")
-        return self
-
-    def coeff_lists(self) -> dict[str, list[Fraction]]:
-        """Atom name -> ascending polynomial-in-m coefficients (exact)."""
-        return {k: v.real_poly_coeffs()
-                for k, v in sorted(self.entries.items())}
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        bits = []
-        for k, v in sorted(self.entries.items()):
-            bits.append(f"({v}) * {k}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def collect(terms: Iterable[Term]) -> ScalarInvariantExpr:
-    """Group fully contracted canonical terms by invariant atom.
+def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
+    """Group fully contracted canonical terms by invariant atom, each
+    atom's coefficients summed into one PolyM, zero atoms left out.
 
     Terms with leftover indexed factors (free indices, derivative atoms,
     unrecognized kinds), a Clifford word or a norm power raise CollectError
-    naming the first offender.
+    naming the first offender; an atom whose sum is not a real polynomial
+    in m raises ValueError (`Scalar.real_poly`).
     """
     entries: dict[str, Scalar] = {}
     bad = []
@@ -123,4 +73,5 @@ def collect(terms: Iterable[Term]) -> ScalarInvariantExpr:
         raise CollectError(
             f"{len(bad)} term(s) are not invariant atoms "
             f"(first: {bad[0].fac} word={bad[0].word})")
-    return ScalarInvariantExpr(entries)
+    return {key: s.real_poly() for key, s in entries.items()
+            if not s.is_zero()}

@@ -23,8 +23,7 @@ from wittenres.operators import (endomorphism, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import Component, PDOSymbol, compose, origin_terms
 from wittenres.residue import wres_density
-from wittenres.scalars import S_I, S_ONE, Scalar
-from wittenres.tensor import ScalarInvariantExpr
+from wittenres.scalars import S_I, S_ONE, PolyM, Scalar
 from wittenres.terms import Term, fct, normalize
 
 
@@ -265,7 +264,17 @@ def sums_equal(a, b) -> bool:
     return not normalize(diff)
 
 
-def part2_compose_check() -> ScalarInvariantExpr:
+def value_sum(*values: dict[str, PolyM]) -> dict[str, PolyM]:
+    """The atom-wise sum of ledger values ({atom: PolyM}), with the atoms
+    that cancel left out."""
+    acc: dict[str, PolyM] = {}
+    for value in values:
+        for atom, p in value.items():
+            acc[atom] = acc.get(atom, PolyM()) + p
+    return {atom: p for atom, p in acc.items() if p.c}
+
+
+def part2_compose_check() -> dict[str, PolyM]:
     """Part II evaluated through the general composition machinery instead
     of the six explicit summands; must equal the ledger's S2."""
     par0 = parametrix_symbols(endomorphism(), 0)

@@ -16,9 +16,15 @@ from wittenres import reference, sphere
 from wittenres.operators import endomorphism, parametrix_symbols
 from wittenres.residue import (LEDGER, Pieces, evaluate_labels,
                                part1_top_norm_exponent)
+from wittenres.scalars import PolyM
 from wittenres.terms import normalize
 
 FR = Fraction
+
+
+def P(*coeffs):
+    """The polynomial in m with these ascending coefficients."""
+    return PolyM(coeffs)
 
 
 def report(num, name, ok):
@@ -40,10 +46,10 @@ def test_criterion_1_metric_functional():
     t0 = time.time()
     expr = evaluate_labels(["metric"])["metric"]
     elapsed = time.time() - t0
-    exact = expr.coeff_lists() == {"g(u,w)": [FR(-1)]}
+    exact = expr == {"g(u,w)": P(-1)}
     # with the units substituted at m = 2: -2^{2m} * 2 pi^m / Gamma(m)
     vol_rat, vol_pi = sphere.vol_sphere_value(2)
-    subst = at_m(expr.entries["g(u,w)"], 2)[0] * 2 ** 4 * vol_rat
+    subst = expr["g(u,w)"].evaluate(2) * 2 ** 4 * vol_rat
     report(1, "metric functional -g(u,w)*TrId*Vol in "
               f"{elapsed:.2f}s", exact and subst == -32 and vol_pi == 2
            and elapsed < 1.0)
@@ -53,45 +59,45 @@ def test_criterion_2_einstein_functional():
     t0 = time.time()
     led = evaluate_labels(LEDGER)
     elapsed = time.time() - t0
-    ok = led["einstein"].coeff_lists() == {
-        "g(u,w)*s": [FR(1, 12)],
-        "Ric(u,w)": [FR(-1, 6)],
-        "g(u,w)*|V|^2": [FR(1)],
+    ok = led["einstein"] == {
+        "g(u,w)*s": P(FR(1, 12)),
+        "Ric(u,w)": P(FR(-1, 6)),
+        "g(u,w)*|V|^2": P(1),
     }
-    ok = ok and led["einstein"] == led["S1"] + led["S2"]
+    ok = ok and led["einstein"] == oracle.value_sum(led["S1"], led["S2"])
     report(2, f"einstein functional total in {elapsed:.1f}s",
            ok and elapsed < 120.0)
 
 
 def test_criterion_3_part_one_ledger(ledger):
     want = {
-        "I-1": {"g(u,w)*s": [FR(1, 6), FR(-1, 6)]},
+        "I-1": {"g(u,w)*s": P(FR(1, 6), FR(-1, 6))},
         "I-2": {}, "I-3": {}, "I-4": {}, "I-6": {},
-        "I-5": {"g(u,w)*s": [FR(-1, 4), FR(1, 4)]},
-        "I-7": {"g(u,w)*|V|^2": [FR(-1), FR(1)]},
-        "S1": {"g(u,w)*s": [FR(-1, 12), FR(1, 12)],
-               "g(u,w)*|V|^2": [FR(-1), FR(1)]},
+        "I-5": {"g(u,w)*s": P(FR(-1, 4), FR(1, 4))},
+        "I-7": {"g(u,w)*|V|^2": P(-1, 1)},
+        "S1": {"g(u,w)*s": P(FR(-1, 12), FR(1, 12)),
+               "g(u,w)*|V|^2": P(-1, 1)},
     }
-    ok = all(ledger[lab].coeff_lists() == exp for lab, exp in want.items())
+    ok = all(ledger[lab] == exp for lab, exp in want.items())
     report(3, "part I ledger", ok)
 
 
 def test_criterion_4_part_two_ledger(ledger):
     want = {
-        "II-1": {"g(u,w)*s": [FR(1, 4)], "Ric(u,w)": [FR(-1, 2)],
-                 "g(u,w)*|V|^2": [FR(1)]},
+        "II-1": {"g(u,w)*s": P(FR(1, 4)), "Ric(u,w)": P(FR(-1, 2)),
+                 "g(u,w)*|V|^2": P(1)},
         "II-2": {},
-        "II-3": {"g(u,w)*s": [FR(1, 4), FR(-1, 12)],
-                 "Ric(u,w)": [FR(-1, 3)],
-                 "g(u,w)*|V|^2": [FR(1), FR(-1)]},
-        "II-4": {"g(u,w)*s": [FR(-2, 3)], "Ric(u,w)": [FR(4, 3)]},
+        "II-3": {"g(u,w)*s": P(FR(1, 4), FR(-1, 12)),
+                 "Ric(u,w)": P(FR(-1, 3)),
+                 "g(u,w)*|V|^2": P(1, -1)},
+        "II-4": {"g(u,w)*s": P(FR(-2, 3)), "Ric(u,w)": P(FR(4, 3))},
         "II-5": {},
-        "II-6": {"g(u,w)*s": [FR(1, 3)], "Ric(u,w)": [FR(-2, 3)]},
-        "S2": {"g(u,w)*s": [FR(1, 6), FR(-1, 12)],
-               "Ric(u,w)": [FR(-1, 6)],
-               "g(u,w)*|V|^2": [FR(2), FR(-1)]},
+        "II-6": {"g(u,w)*s": P(FR(1, 3)), "Ric(u,w)": P(FR(-2, 3))},
+        "S2": {"g(u,w)*s": P(FR(1, 6), FR(-1, 12)),
+               "Ric(u,w)": P(FR(-1, 6)),
+               "g(u,w)*|V|^2": P(2, -1)},
     }
-    ok = all(ledger[lab].coeff_lists() == exp for lab, exp in want.items())
+    ok = all(ledger[lab] == exp for lab, exp in want.items())
     report(4, "part II ledger", ok)
 
 
@@ -160,8 +166,7 @@ def test_criterion_7_sphere_oracle():
 
 def test_criterion_8_typo_detection(ledger, ref):
     status = reference.compare_entry(ledger["II-3-E"], ref, "II-3-E")
-    value_ok = ledger["II-3-E"].coeff_lists() == {
-        "g(u,w)*s": [FR(1, 4), FR(-1, 4)]}
+    value_ok = ledger["II-3-E"] == {"g(u,w)*s": P(FR(1, 4), FR(-1, 4))}
     total_ok = reference.compare_entry(ledger["II-3"], ref, "II-3") == \
         reference.MATCH
     derived = part1_top_norm_exponent(Pieces()["par1_top"])
@@ -176,18 +181,19 @@ def test_criterion_8_typo_detection(ledger, ref):
 def test_criterion_9_degeneracies(ledger):
     # V enters only through |V|^2 atoms: without them the Einstein value
     # is the Hodge density, and the V-only labels hold nothing else
-    hodge = {atom: c for atom, c in ledger["einstein"].coeff_lists().items()
+    hodge = {atom: p for atom, p in ledger["einstein"].items()
              if "|V|^2" not in atom} == {
-        "g(u,w)*s": [FR(1, 12)], "Ric(u,w)": [FR(-1, 6)],
-    } and all(list(ledger[lab].coeff_lists()) == ["g(u,w)*|V|^2"]
+        "g(u,w)*s": P(FR(1, 12)), "Ric(u,w)": P(FR(-1, 6)),
+    } and all(list(ledger[lab]) == ["g(u,w)*|V|^2"]
               for lab in ("I-7", "II-1-E", "II-3-G"))
     assign = TensorAssignment(77, 4)
     u = assign.vec["u"]
     assign.vec["w"] = {1: u[2], 2: -u[1], 3: u[4], 4: -u[3]}
     guw = sum(assign.vec["u"][a] * assign.vec["w"][a] for a in range(1, 5))
     ortho = guw == 0
-    real = all(c.is_real()
+    # every coefficient is a real polynomial in m by its type
+    real = all(isinstance(c, PolyM)
                for lab in ledger
-               for c in ledger[lab].entries.values())
+               for c in ledger[lab].values())
     report(9, "degeneracies (V=0 Hodge density, orthogonal fields, reality)",
            hodge and ortho and real)

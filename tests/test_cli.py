@@ -6,7 +6,7 @@ from pathlib import Path
 import oracle
 import pytest
 
-from wittenres import pdo, residue
+from wittenres import pdo, reference, residue
 from wittenres.cli import canonical_json, main
 
 EXPECTED_REPORT = Path(__file__).parents[1] / "bench" / "expected_report.json"
@@ -201,6 +201,25 @@ def test_verify_mismatching_golden_exits_one(tmp_path, capsys):
                        "--golden", str(path))
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_verify_reads_zero_padded_golden_values_as_the_packaged_ones(
+        tmp_path, capsys):
+    # a trailing zero coefficient and an atom written as zero change no
+    # value, so neither changes a status or a byte of the report
+    golden = reference.load_reference()
+    golden["values"] = {
+        label: {atom: coeffs + ["0"] for atom, coeffs in atoms.items()}
+        or {"g(u,w)": ["0"]}
+        for label, atoms in golden["values"].items()}
+    assert any(atoms == {"g(u,w)": ["0"]}
+               for atoms in golden["values"].values())
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    code, out, _ = run(capsys, "verify", "--format", "json",
+                       "--golden", str(path))
+    assert code == 0
+    assert out == EXPECTED_REPORT.read_text(encoding="utf-8")
 
 
 def test_latex_and_text_agree_on_coefficients(capsys):

@@ -8,8 +8,8 @@ spells it (the benchmark wraps functions by name).  Uses in `tests/` do not
 count, so a name only the tests reach belongs in `tests/`, and an import
 alone is not a use.  Methods are matched by name alone, so a method is kept
 alive by any use of a same-named attribute, but not by one inside a
-same-named method: `RatM.evaluate` calling `self.den.evaluate` keeps no
-`evaluate` alive.
+same-named method: `RatM.is_zero` calling `self.num.is_zero` keeps no
+`is_zero` alive.
 
 Every name a module of `src/` or `tests/` imports must be used in that
 module, and the package imports nothing outside the standard library.

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import oracle
 import pytest
 from oracle import at_m, inverse_symbol_reference, sums_equal
@@ -10,8 +12,8 @@ from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
                            terms_equal_taylor)
 from wittenres.reference import ab_symbol_reference
 from wittenres.residue import Pieces, wres_density
-from wittenres.scalars import S_I, S_ONE, Scalar
-from wittenres.tensor import ScalarInvariantExpr, canonicalize, collect
+from wittenres.scalars import S_I, S_ONE, PolyM, Scalar
+from wittenres.tensor import canonicalize, collect
 from wittenres.terms import Term, fct, mul_terms, normalize
 
 
@@ -69,18 +71,14 @@ def test_endomorphism_scalar_piece():
     # -1/8 R_abcd c_a c_b c_c c_d normalizes to Lichnerowicz's s/4
     scal_terms = [t for t in endomorphism() if not t.word]
     expr = collect(normalize(scal_terms))
-    assert expr.coeff_lists() == {
-        "s": [__import__("fractions").Fraction(1, 4)],
-        "|V|^2": [__import__("fractions").Fraction(1)],
-    }
+    assert expr == {"s": PolyM([Fraction(1, 4)]), "|V|^2": PolyM([1])}
 
 
 def test_endomorphism_trace_self_consistency():
     # tr E = (s/4 + |V|^2) tr[id]: the curvature quartic and the mixed
     # derivative word die in the trace
     expr = collect(normalize(cl.trace(endomorphism())))
-    lists = expr.coeff_lists()
-    assert set(lists) == {"s", "|V|^2"}
+    assert set(expr) == {"s", "|V|^2"}
 
 
 def test_parametrix_density_is_gilkey_a2_of_the_operator():
@@ -91,12 +89,11 @@ def test_parametrix_density_is_gilkey_a2_of_the_operator():
     sigma = oracle.dirac_symbol()
     square = compose(sigma, sigma, [(0, 0)]).comps[(0, 0)]
     tr_e = collect(canonicalize(cl.trace(origin_terms(square.terms))))
-    assert tr_e == ScalarInvariantExpr({"s": Scalar.of(1, 4),
-                                        "|V|^2": S_ONE})
-    a2 = ScalarInvariantExpr({"s": Scalar.of(1, 6)}) - tr_e
-    m_minus_1 = Scalar.poly((-1, 1))
-    want = ScalarInvariantExpr({atom: m_minus_1 * coeff
-                                for atom, coeff in a2.entries.items()})
+    assert tr_e == {"s": PolyM([Fraction(1, 4)]), "|V|^2": PolyM([1])}
+    a2 = oracle.value_sum({"s": PolyM([Fraction(1, 6)])},
+                          {atom: -p for atom, p in tr_e.items()})
+    m_minus_1 = PolyM([-1, 1])
+    want = {atom: m_minus_1 * p for atom, p in a2.items()}
     assert wres_density(origin_terms(Pieces()["par1_top"].terms)) == want
 
 
@@ -142,9 +139,9 @@ def test_left_identity_residue_with_the_derived_operator():
         rhs = normalize(origin_terms(want.comps[order].terms))
         assert len(rhs) == count, order
         assert normalize(origin_terms(got.comps[order].terms)) == rhs, order
-    m_minus_1 = Scalar.poly((-1, 1))
-    want = ScalarInvariantExpr({"s": -m_minus_1 * Scalar.of(1, 12),
-                                "|V|^2": -m_minus_1})
+    m_minus_1 = PolyM([-1, 1])
+    want = {"s": -m_minus_1 * PolyM([Fraction(1, 12)]),
+            "|V|^2": -m_minus_1}
     assert wres_density(origin_terms(got.comps[(0, -2)].terms)) == want
 
 

@@ -6,9 +6,8 @@ import oracle
 import pytest
 
 from wittenres import tensor
-from wittenres.scalars import S_ONE, Scalar
-from wittenres.tensor import (CollectError, ScalarInvariantExpr,
-                              canonicalize, collect)
+from wittenres.scalars import S_ONE, PolyM, Scalar
+from wittenres.tensor import CollectError, canonicalize, collect
 from wittenres.terms import F, G, Term, fct, normalize
 
 
@@ -147,15 +146,15 @@ def test_collect_invariants():
         T(Scalar.of(-1, 2), fct("ricuw")),
         T(1, fct("vsq"), fct("guw")),
     ]))
-    assert e.coeff_lists() == {
-        "g(u,w)*s": [Fraction(1, 4)],
-        "Ric(u,w)": [Fraction(-1, 2)],
-        "g(u,w)*|V|^2": [Fraction(1)],
+    assert e == {
+        "g(u,w)*s": PolyM([Fraction(1, 4)]),
+        "Ric(u,w)": PolyM([Fraction(-1, 2)]),
+        "g(u,w)*|V|^2": PolyM([1]),
     }
-    assert collect([]).is_zero()
+    assert collect([]) == {}
     x = T(1, fct("guw"))
     y = T(-1, fct("guw"))
-    assert collect(normalize([x, y])).is_zero()
+    assert collect(normalize([x, y])) == {}
 
 
 def test_collect_rejects_leftovers():
@@ -174,9 +173,8 @@ def test_collect_rejects_a_leftover_norm_power():
 
 
 def test_expr_algebra():
-    a = collect([T(1, fct("guw"))])
-    b = collect([T(-1, fct("guw"))])
-    assert (a + b).is_zero()
-    assert a - a == ScalarInvariantExpr()
-    assert list(a.entries) == ["g(u,w)"]
-    assert oracle.at_m(a.entries["g(u,w)"], 2) == (Fraction(1), Fraction(0))
+    # terms that cancel leave no atom behind, not a zero one
+    got = collect([T(1, fct("guw")), T(Scalar.poly((0, 2)), fct("ricuw")),
+                   T(-1, fct("guw")), T(Scalar.of(1, 3), fct("ricuw"))])
+    assert got == {"Ric(u,w)": PolyM([Fraction(1, 3), 2])}
+    assert got["Ric(u,w)"].evaluate(2) == Fraction(13, 3)
