@@ -1,12 +1,13 @@
 """Batch command-line driver.
 
 `wittenres verify` evaluates ledger labels in this process, diffs each
-against the stored reference ledger, and reports MATCH / PAPER_TYPO /
-MISMATCH per label (exit 0 only when nothing mismatches).  `--functional`
-selects a functional's label and every label it sums over, `--term` a list
-of labels; either way only those labels and their children are computed.
-The report's "bianchi" key is always "on": first Bianchi is a rule of
-`terms.normalize`, not an option.
+against the reference ledger as `reference.validate_reference` parsed it,
+and reports MATCH / PAPER_TYPO / MISMATCH per label (exit 0 only when
+nothing mismatches); each format renders the values ({atom: PolyM}).
+`--functional` selects a functional's label and every label it sums over,
+`--term` a list of labels; either way only those labels and their children
+are computed.  The report's "bianchi" key is always "on": first Bianchi is
+a rule of `terms.normalize`, not an option.
 `wittenres query` evaluates one-off traces and sphere integrals from a tiny
 expression grammar.  A concrete `--dimension` of either subcommand is an
 even integer from 4 to `QUERY_LIMIT`; under it a trace word's indices lie
@@ -24,7 +25,6 @@ import sys
 from . import clifford, reference, sphere
 from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
                       with_children)
-from .scalars import PolyM
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -62,22 +62,18 @@ class QueryError(Exception):
 # ledger evaluation and report rendering
 
 
-def _expr_json(value: dict[str, PolyM]) -> dict:
-    return {atom: [str(c) for c in p.c] for atom, p in value.items()}
-
-
-def evaluate_ledger(labels: list[str], ref: dict,
+def evaluate_ledger(labels: list[str], ref: dict, tables: dict,
                     pieces: Pieces) -> dict[str, dict]:
-    """Report entries for the labels, in ledger order: the value as
-    {atom -> coefficient list}, its status against the reference, and the
-    stored note and printed value if any.  The symbol pieces built on the
-    way stay in `pieces`."""
+    """Report entries for the labels, in ledger order: the engine's value
+    ({atom: PolyM}), its status against the `tables` parsed from `ref`, and
+    the note and printed table that `ref` stores, as written, if any.  The
+    symbol pieces built on the way stay in `pieces`."""
     entries = {}
     for lab, value in evaluate_labels(labels, pieces).items():
         if lab not in labels:
             continue
-        entry = {"value": _expr_json(value),
-                 "status": reference.compare_entry(value, ref, lab)}
+        entry = {"value": value,
+                 "status": reference.compare_entry(value, tables, lab)}
         note = ref.get("notes", {}).get(lab)
         if note:
             entry["note"] = note
@@ -92,9 +88,9 @@ def _entry_str(value: dict, latex=False) -> str:
     if not value:
         return "0"
     bits = []
-    for atom, coeffs in sorted(value.items()):
+    for atom, p in sorted(value.items()):
         shown = atom if not latex else atom.replace("|V|^2", "|V|^{2}")
-        bits.append(f"({PolyM(coeffs).render(latex)}) {shown}")
+        bits.append(f"({p.render(latex)}) {shown}")
     return " + ".join(bits)
 
 
@@ -104,35 +100,40 @@ def _substitute(value: dict, m: int) -> str:
     trid = 2 ** (2 * m)
     vol_rat, vol_pi = sphere.vol_sphere_value(m)
     bits = []
-    for atom, coeffs in sorted(value.items()):
-        total = PolyM(coeffs).evaluate(m) * trid * vol_rat
+    for atom, p in sorted(value.items()):
+        total = p.evaluate(m) * trid * vol_rat
         bits.append(f"({total})*pi^{vol_pi} {atom}")
     return " + ".join(bits) if bits else "0"
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # the one place a PolyM becomes strings: its coefficients, ascending
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      default=lambda p: [str(c) for c in p.c]) + "\n"
 
 
 def cmd_verify(args) -> int:
-    if args.golden:
-        try:
+    # the Part I norm-exponent diagnostic runs with the Einstein ledger
+    diagnose = args.functional != "metric" and not args.term
+    try:
+        if args.golden:
             with open(args.golden, encoding="utf-8") as fh:
                 ref = json.load(fh)
-            reference.validate_reference(ref)
-        except (OSError, ValueError, RecursionError,
-                reference.ReferenceFormatError) as exc:
-            # ValueError covers malformed JSON, bytes that are not UTF-8
-            # and integers past the interpreter's digit limit
-            print(f"golden file error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        ref = reference.load_reference()
+        else:
+            ref = reference.load_reference()
+        tables = reference.validate_reference(ref)
+        if diagnose:
+            printed = reference.printed_part1_top_norm(ref)
+    except (OSError, ValueError, RecursionError,
+            reference.ReferenceFormatError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past the interpreter's digit limit
+        print(f"golden file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     tops = (("metric", "einstein") if args.functional == "both"
             else (args.functional,))
     labels = with_children(tops)
-    wanted = None
     if args.term:
         wanted = [t.strip() for ts in args.term for t in ts.split(",")]
         missing = [t for t in wanted if t not in labels]
@@ -142,15 +143,8 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         labels = wanted
-    diagnose = args.functional != "metric" and not wanted
-    if diagnose:
-        try:
-            printed = reference.printed_part1_top_norm(ref)
-        except reference.ReferenceFormatError as exc:
-            print(f"golden file error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     pieces = Pieces()
-    entries = evaluate_ledger(labels, ref, pieces)
+    entries = evaluate_ledger(labels, ref, tables, pieces)
 
     diagnostics = []
     if diagnose:

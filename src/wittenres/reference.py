@@ -2,15 +2,16 @@
 
 The golden ledger records the published per-label values (with the two
 documented corrections noted), each as {atom: coefficient list}, the list
-ascending in m.  `compare_entry` reads the stored and printed tables as
-ledger values, {atom: PolyM} with no zero atom, so a trailing zero
-coefficient or an atom written as zero changes no status.  Comparison
-statuses: MATCH (derived equals the stored and printed value), PAPER_TYPO
-(derived equals the stored value while the printed line differs), MISMATCH
-(derived disagrees with the stored value).  `ab_symbol_reference`
-transcribes the printed A B product-symbol display verbatim; the package
-never calls it, and it stays here because the benchmark's `taylor_diff`
-workload diffs the derived symbol against it.
+ascending in m.  `validate_reference` is the one place a stored coefficient
+is parsed: it reads the stored and printed tables as ledger values, {atom:
+PolyM} with no zero atom, so a trailing zero coefficient or an atom written
+as zero changes no status.  `compare_entry` diffs against those.  Statuses:
+MATCH (derived equals the stored and printed value), PAPER_TYPO (derived
+equals the stored value while the printed line differs), MISMATCH (derived
+disagrees with the stored value).  `ab_symbol_reference` transcribes the
+printed A B product-symbol display verbatim; the package never calls it,
+and it stays here because the benchmark's `taylor_diff` workload diffs the
+derived symbol against it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ MISMATCH = "MISMATCH"
 
 
 def load_reference() -> dict:
+    """The packaged reference ledger as its JSON object, unchecked."""
     with resources.files("wittenres.data").joinpath(
             "reference_ledger.json").open("r", encoding="utf-8") as fh:
-        ref = json.load(fh)
-    validate_reference(ref)
-    return ref
+        return json.load(fh)
 
 
 class ReferenceFormatError(Exception):
@@ -46,40 +46,46 @@ class ReferenceFormatError(Exception):
 _COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _check_coeff(x, where: str) -> None:
+def _coeff(x, where: str) -> Fraction:
     # a bad value can be any length; the message shows 40 characters
     if not (type(x) is int or isinstance(x, str) and _COEFF.fullmatch(x)):
         raise ReferenceFormatError(
             f"bad coefficient {x!r:.40} in {where}: expected an integer or "
             f"a string such as \"-1/6\"")
     try:
-        Fraction(x)
+        return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise ReferenceFormatError(
             f"bad coefficient {x!r:.40} in {where}") from exc
 
 
-def validate_reference(ref) -> None:
+def validate_reference(ref) -> dict[str, dict[str, dict[str, PolyM]]]:
+    """The checked ledger's "values" and "printed" tables, each as {label:
+    {atom: PolyM}}; ReferenceFormatError names what is malformed."""
     if not isinstance(ref, dict):
         raise ReferenceFormatError("reference file must be a JSON object")
     if ref.get("units") != "TrId*Vol":
         raise ReferenceFormatError("reference units must be 'TrId*Vol'")
+    if "values" not in ref:
+        raise ReferenceFormatError("reference file lacks a values table")
+    tables = {}
     for section in ("values", "printed"):
         table = ref.get(section, {})
         if not isinstance(table, dict):
             raise ReferenceFormatError(f"{section} must be an object")
+        parsed = tables[section] = {}
         for label, atoms in table.items():
             if not isinstance(atoms, dict):
                 raise ReferenceFormatError(
                     f"{section}[{label}] must map atoms to coefficient lists")
+            value = parsed[label] = {}
             for atom, coeffs in atoms.items():
                 if not isinstance(coeffs, list):
                     raise ReferenceFormatError(
                         f"{section}[{label}][{atom}] must be a list")
-                for x in coeffs:
-                    _check_coeff(x, f"{label}/{atom}")
-    if "values" not in ref:
-        raise ReferenceFormatError("reference file lacks a values table")
+                p = PolyM([_coeff(x, f"{label}/{atom}") for x in coeffs])
+                if p.c:
+                    value[atom] = p
     notes = ref.get("notes", {})
     if not (isinstance(notes, dict)
             and all(isinstance(n, str) for n in notes.values())):
@@ -94,25 +100,18 @@ def validate_reference(ref) -> None:
             raise ReferenceFormatError(
                 "printed_norm_exponents[part1-top] must be a list of two "
                 "integers")
+    return tables
 
 
-def _polys(table: dict) -> dict[str, PolyM]:
-    """A stored table as a ledger value: {atom: PolyM}, no zero atom."""
-    return {atom: p for atom, coeffs in table.items()
-            if (p := PolyM(coeffs)).c}
-
-
-def compare_entry(value: dict[str, PolyM], ref: dict, label: str) -> str:
+def compare_entry(value: dict[str, PolyM], tables: dict, label: str) -> str:
     """Status of one ledger value ({atom: PolyM}, no zero atom) against
-    the stored reference; a label the reference does not store is a
-    MISMATCH."""
-    if label not in ref["values"]:
+    the tables `validate_reference` returned; a label the reference does
+    not store is a MISMATCH."""
+    stored = tables["values"].get(label)
+    if stored is None or value != stored:
         return MISMATCH
-    stored = _polys(ref["values"][label])
-    if value != stored:
-        return MISMATCH
-    printed = ref.get("printed", {}).get(label)
-    if printed is not None and _polys(printed) != stored:
+    printed = tables["printed"].get(label)
+    if printed is not None and printed != stored:
         return PAPER_TYPO
     return MATCH
 

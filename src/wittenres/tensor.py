@@ -58,7 +58,7 @@ def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
     Terms with leftover indexed factors (free indices, derivative atoms,
     unrecognized kinds), a Clifford word or a norm power raise CollectError
     naming the first offender; an atom whose sum is not a real polynomial
-    in m raises ValueError (`Scalar.real_poly`).
+    in m raises ValueError (`Scalar.real_poly`) naming the atom.
     """
     entries: dict[str, Scalar] = {}
     bad = []
@@ -73,5 +73,11 @@ def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
         raise CollectError(
             f"{len(bad)} term(s) are not invariant atoms "
             f"(first: {bad[0].fac} word={bad[0].word})")
-    return {key: s.real_poly() for key, s in entries.items()
-            if not s.is_zero()}
+    value = {}
+    for key, s in entries.items():
+        if not s.is_zero():
+            try:
+                value[key] = s.real_poly()
+            except ValueError as exc:
+                raise ValueError(f"atom {key!r}: {exc}") from exc
+    return value

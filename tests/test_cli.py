@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import oracle
@@ -93,6 +94,31 @@ def test_verify_report_matches_recorded(capsys, argv, recorded):
     assert out == (DATA / recorded).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "json"], [], ["--format", "latex"], ["--dimension", "6"],
+], ids=["json", "text", "latex", "dimension6"])
+def test_verify_parses_each_stored_coefficient_once(capsys, monkeypatch,
+                                                     argv):
+    # every report is rendered from the ledger's PolyM values, so the only
+    # strings that become a Fraction are the stored coefficients, once each
+    ref = reference.load_reference()
+    stored = sum(len(coeffs) for table in (ref["values"], ref["printed"])
+                 for atoms in table.values() for coeffs in atoms.values())
+    parses = []
+    original = Fraction.__new__
+
+    def counted(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str):
+            parses.append(numerator)
+        return original(cls, numerator, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    code, _, _ = run(capsys, "verify", *argv)
+    monkeypatch.undo()
+    assert code == 0
+    assert len(parses) == stored == 45
+
+
 def test_verify_unknown_term_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--term", "I-99")
     assert code == 2
@@ -134,10 +160,12 @@ def _golden(coeff: str, extra: str = "") -> bytes:
     _golden('"1"', ', "notes": ["x"]'),  # notes not an object
     _golden("0.5"),                      # a float coefficient
     _golden('"1/0"'),                    # a zero denominator
+    _golden('"1"', ', "printed": {"I-2": {"g(u,w)": ["1/0"]}}'),
     b'{"units": "TrId*Vol", "values": {"I-2": ["1"]}}',
     b'{"units": "TrId*Vol", "values": {"I-2": {"g(u,w)": "1"}}}',
 ], ids=["exponent", "digits", "nesting", "encoding", "notes", "float",
-        "zero-denominator", "entry-type", "coefficient-list-type"])
+        "zero-denominator", "printed-zero-denominator", "entry-type",
+        "coefficient-list-type"])
 def test_verify_malformed_golden_exits_two_promptly(tmp_path, capsys,
                                                     content):
     path = tmp_path / "golden.json"

@@ -13,11 +13,18 @@ same-named method: `RatM.is_zero` calling `self.num.is_zero` keeps no
 
 Every name a module of `src/` or `tests/` imports must be used in that
 module, and the package imports nothing outside the standard library.
+
+A call trace over the command-line paths lists the functions of `src/`
+that no `wittenres` run enters; the list must equal `NEVER_ENTERED`, which
+gives each one's reason to stay.
 """
 
 import ast
+import inspect
 import sys
 from pathlib import Path
+
+from wittenres.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wittenres"
@@ -130,3 +137,117 @@ def test_package_imports_only_the_standard_library():
                            for top in tops
                            if top not in sys.stdlib_module_names)
     assert outside == []
+
+
+# The CLI paths the trace below follows: every report format, a concrete
+# dimension, each way of choosing labels, a mismatching and a malformed
+# golden file, the usage errors, and each query kind with its error paths.
+VERIFY_RUNS = (
+    [], ["--format", "json"], ["--format", "latex"], ["--dimension", "6"],
+    ["--term", "I-1,II-3-E"], ["--functional", "metric"],
+    ["--functional", "metric", "--golden", "{mismatching}"],
+    ["--golden", "{malformed}"], ["--term", "I-99"], ["--dimension", "5"],
+)
+QUERY_RUNS = (
+    ["trace", "c1 c2 c1 c2", "--dimension", "4"], ["trace", "c1 chat1"],
+    ["trace", "c1 q2"], ["trace", "c1 c5", "--dimension", "4"],
+    ["sphere", "2,0,0,0@n=4"], ["sphere", "2", "--dimension", "4"],
+    ["sphere", "2,x@n=4"], ["sphere", "2,0"],
+    ["sphere", "2@n=4", "--dimension", "6"],
+)
+
+BENCH_WRAPS = "bench/verdict.py wraps it by name (ROADMAP item 16)"
+RATIONAL = ("only a Scalar or RatM with a denominator in m reaches it, and "
+            "every CLI value is a polynomial in m")
+HASH = "__hash__ must agree with __eq__"
+PRINTED = "reprs and error messages print it"
+TRUTH = "its truth value agrees with is_zero, which src/ calls instead"
+
+# The functions of src/wittenres that no CLI path above enters, each with
+# the reason it stays.
+NEVER_ENTERED = {
+    "pdo.terms_equal_taylor": "bench/ runs it as the taylor_diff workload; "
+                              "ROADMAP item 5 would run it in verify",
+    "pdo.origin_terms": "only terms_equal_taylor calls it",
+    "reference.ab_symbol_reference": "bench/workloads.py diffs the derived "
+                                     "A B symbol against it (item 5)",
+    "tensor.bianchi_pass": BENCH_WRAPS,
+    "scalars.poly_gcd": f"{BENCH_WRAPS}; {RATIONAL}",
+    "scalars.PolyM.monic": RATIONAL,
+    "scalars.PolyM.scale": RATIONAL,
+    "scalars.PolyM.__neg__": "a bench-wrapped RatM method calls it",
+    "scalars.PolyM.__sub__": "a bench-wrapped RatM method calls it",
+    "scalars.PolyM.__hash__": HASH,
+    "scalars.PolyM.__str__": PRINTED,
+    "scalars.RatM.const": "it runs once, at import, to build R_ZERO",
+    "scalars.RatM.__add__": BENCH_WRAPS,
+    "scalars.RatM.__neg__": BENCH_WRAPS,
+    "scalars.RatM.__sub__": BENCH_WRAPS,
+    "scalars.RatM.__truediv__": BENCH_WRAPS,
+    "scalars.RatM.__eq__": "Scalar.__eq__ compares RatM parts with it; "
+                           "no CLI path compares two such Scalars",
+    "scalars.RatM.__hash__": HASH,
+    "scalars.RatM.__bool__": TRUTH,
+    "scalars.RatM.__str__": PRINTED,
+    "scalars.Scalar.im": RATIONAL,
+    "scalars.Scalar.__sub__": BENCH_WRAPS,
+    "scalars.Scalar.__truediv__": BENCH_WRAPS,
+    "scalars.Scalar.__hash__": HASH,
+    "scalars.Scalar.__bool__": TRUTH,
+    "scalars.Scalar.__str__": PRINTED,
+}
+
+
+def _functions():
+    """`module.qualname` of every function and method that src/wittenres
+    defines, at any depth, leaving out comprehensions and lambdas."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "wittenres" if path.stem == "__init__" else path.stem
+        stack = [compile(path.read_text(encoding="utf-8"), str(path),
+                         "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts
+                         if isinstance(c, type(code)))
+            # a class body or a module has no optimized locals
+            if (code.co_flags & inspect.CO_OPTIMIZED
+                    and not code.co_name.startswith("<")):
+                names.add(f"{module}.{code.co_qualname}")
+    return names
+
+
+def test_the_cli_enters_every_function_but_the_listed_ones(tmp_path,
+                                                           capsys):
+    mismatching = tmp_path / "mismatching.json"
+    mismatching.write_text('{"units": "TrId*Vol", "values": '
+                           '{"metric": {"g(u,w)": ["-2"]}}}')
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"units": "TrId*Vol", "values": '
+                         '{"I-1": {"g(u,w)": ["x"]}}}')
+    runs = [["verify", *(a.format(mismatching=mismatching,
+                                  malformed=malformed) for a in argv)]
+            for argv in VERIFY_RUNS]
+    runs += [["query", *argv] for argv in QUERY_RUNS]
+    entered = set()
+
+    def record(frame, event, arg):
+        # a global tracer sees call events; returning None traces no
+        # line of the frame
+        module = frame.f_globals.get("__name__", "")
+        if module == "wittenres" or module.startswith("wittenres."):
+            entered.add(f"{module.rpartition('.')[2]}."
+                        f"{frame.f_code.co_qualname}")
+
+    previous = sys.gettrace()
+    sys.settrace(record)
+    try:
+        for argv in runs:
+            try:
+                main(argv)
+            except SystemExit:  # argparse's usage error
+                pass
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert sorted(_functions() - entered) == sorted(NEVER_ENTERED)

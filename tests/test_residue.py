@@ -49,6 +49,10 @@ def test_wres_density_refuses_a_density_that_is_not_polynomial():
     with pytest.raises(ResidueError, match="not polynomial"):
         wres_density([Term(S_ONE, (fct("xi", 1), fct("xi", 1)), (),
                            (-2, -2))])
+    # the error names the atom that carries it
+    with pytest.raises(ResidueError, match="atom 's': .*not polynomial"):
+        wres_density([Term(S_ONE, (fct("scal"), fct("xi", 1), fct("xi", 1)),
+                           (), (-2, -2))])
 
 
 def test_wres_density_refuses_a_label_held_three_times():
