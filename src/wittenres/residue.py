@@ -51,14 +51,18 @@ def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
     name to its real polynomial in m, with no zero atom.
 
     Pipeline: integration over the unit cosphere keeps the word and moves
-    the xi labels into deltas (norm powers become one); the fiber trace
-    sums the full pairings of each word; one `canonicalize` and the
-    collection into invariant atoms follow.  ResidueError on a label held
-    more than twice (`check_labels`: integration and trace trust it
-    absent), leftover free indices, derivative atoms, or an atom that is
-    not a real polynomial in m; a NormalizeError of the canonical form
-    passes through with its type.
+    the xi labels into deltas (norm powers become one), in units of
+    Vol / moment_denominator(k) for the largest xi-pair count k among the
+    terms; the fiber trace sums the full pairings of each word; one
+    `canonicalize` and the collection into invariant atoms follow; last,
+    each atom's polynomial is divided by moment_denominator(k), exactly.
+    ResidueError on a label held more than twice (`check_labels`:
+    integration and trace trust it absent), leftover free indices,
+    derivative atoms, an atom that is not real, or one whose division
+    leaves a remainder (a density that is not polynomial in m); a
+    NormalizeError of the canonical form passes through with its type.
     """
+    k = 0
     try:
         for t in terms:
             if x_degree(t):
@@ -67,11 +71,22 @@ def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
                 raise ResidueError(
                     f"term is not homogeneous of order -2m: {t}")
             check_labels(t)
+            k = max(k, sum(1 for f in t.fac if f.kind == "xi") // 2)
         traced = clifford.trace(
-            [u for t in terms for u in sphere.integrate_term(t)])
-        return collect(canonicalize(traced))
+            [u for t in terms for u in sphere.integrate_term(t, k)])
+        value = collect(canonicalize(traced))
     except (ContractViolation, CollectError, ValueError) as exc:
         raise ResidueError(str(exc)) from exc
+    den = sphere.moment_denominator(k)
+    density = {}
+    for atom, p in value.items():
+        quot, rem = p.divmod(den)
+        if rem:
+            raise ResidueError(
+                f"atom {atom!r}: density is not polynomial in m: "
+                f"({p})/({den})")
+        density[atom] = quot
+    return density
 
 
 class Leaf(NamedTuple):

@@ -1,34 +1,24 @@
 """Exact coefficient arithmetic.
 
-Every coefficient in the engine lives in Q(i)(m): Gaussian rationals whose
-real and imaginary parts are rational functions of the half-dimension
-symbol m.  All arithmetic is exact; nothing here ever touches floating
-point.
+Every coefficient in the engine is a Gaussian polynomial in the
+half-dimension symbol m, an element of Q(i)[m].  All arithmetic is exact;
+nothing here ever touches floating point.
 
-A Scalar is held in one of two forms, and every value has exactly one, so
-equal values compare and hash equal:
-  * a polynomial in m, real or not, is held as Python ints: the numerators
-    of its real and its imaginary coefficients over one shared positive
-    denominator, in lowest terms.  Nearly every coefficient the ledger
-    makes is one (the constants, the n = 2m of a trace, the i of a
-    symbol).  Their sums, products and negations are int list operations,
-    kept lowest by one int gcd, and build no Fraction per coefficient and
-    no PolyM or RatM per operand.
-  * any other value, one with a denominator in m such as a cosphere moment
-    1/(n (n+2) ...), is held as two RatM parts, and its arithmetic cancels
-    a polynomial gcd.
-An operation with a value of the second form takes the RatM route, and its
-result goes back to the int form when it is a polynomial.  `re` and `im`
-build the RatM parts of an int-form value when asked, and `real_poly`
-gives a real polynomial value as the PolyM the report prints.
+A Scalar holds Python ints: the numerators of its real and its imaginary
+coefficients over one shared positive denominator, in lowest terms, so
+equal values compare and hash equal.  Sums, products and negations are int
+list operations, kept lowest by one int gcd, and build no Fraction per
+coefficient and no PolyM per operand.  The one denominator in m the engine
+meets, the cosphere moment n (n+2) ... (n+2k-2), never enters a
+coefficient: `sphere.integrate_term` counts pairings in units of the volume
+over that polynomial, and `residue.wres_density` divides each density by it
+once (`PolyM.divmod`).  `real_poly` gives a real value as the PolyM the
+report prints.
 
-RatM keeps reduced (num, den) pairs of Fraction polynomials, and each of
-its operations has one code path.  The workloads hardly reach it: one
-`verify` ledger builds about fifty RatM and multiplies a dozen, with no RatM
-sum, negation or polynomial gcd, and a Taylor comparison makes no RatM or
-PolyM operation at all.  A constant numerator or denominator has no factor
-to cancel, so it is reduced without a gcd, and a denominator that divides
-the numerator is found by the first division of the Euclid steps.
+PolyM, a polynomial in m with Fraction coefficients, carries the ledger
+values, their sums and that one division.  RatM, a rational function of m,
+and `poly_gcd` stay only because the benchmark in `bench/` wraps them by
+name: nothing in the package builds a RatM.
 """
 
 from __future__ import annotations
@@ -47,10 +37,6 @@ class PolyM:
         while c and c[-1] == 0:
             c.pop()
         self.c = tuple(c)
-
-    @staticmethod
-    def const(x) -> "PolyM":
-        return PolyM((Fraction(x),))
 
     def is_zero(self) -> bool:
         return not self.c
@@ -163,10 +149,12 @@ class PolyM:
 
 
 P_ZERO = PolyM()
-P_ONE = PolyM.const(1)
+P_ONE = PolyM((1,))
 
 
 def poly_gcd(a: PolyM, b: PolyM) -> PolyM:
+    """The monic gcd of two polynomials.  Only RatM calls it; it stays
+    while `bench/verdict.py` wraps it by name."""
     while b.c:
         _, r = a.divmod(b)
         a, b = b, r
@@ -174,7 +162,12 @@ def poly_gcd(a: PolyM, b: PolyM) -> PolyM:
 
 
 class RatM:
-    """Rational function in m: num/den, den monic and gcd-free."""
+    """Rational function in m: num/den, den monic and gcd-free.
+
+    Nothing in the package builds one.  It stays, with its operators, while
+    `bench/verdict.py` wraps them by name and `tests/test_bench_contract.py`
+    checks that they exist.
+    """
 
     __slots__ = ("num", "den")
 
@@ -201,14 +194,6 @@ class RatM:
             num = num.scale(Fraction(1, 1) / lead)
             den = den.monic()
         self.num, self.den = num, den
-
-    @staticmethod
-    def const(x) -> "RatM":
-        return RatM(PolyM.const(x))
-
-    @staticmethod
-    def poly(coeffs) -> "RatM":
-        return RatM(PolyM(coeffs))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -241,18 +226,12 @@ class RatM:
             raise ZeroDivisionError("division by zero rational function")
         return RatM(self.num * other.den, self.den * other.num)
 
-    def is_polynomial(self) -> bool:
-        return self.den == P_ONE
-
     def __str__(self):
         if self.den == P_ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-R_ZERO = RatM.const(0)
 
 
 def _conv(a, b) -> list:
@@ -284,8 +263,8 @@ def _plus(a, b) -> list:
 
 
 def _lowest(re: list, im: list, den: int) -> "Scalar":
-    """The polynomial (re + i*im) / den, with int coefficient lists and
-    den > 0, in lowest terms."""
+    """The Scalar (re + i*im) / den, from int coefficient lists that it may
+    trim and den > 0, in lowest terms."""
     while re and not re[-1]:
         re.pop()
     while im and not im[-1]:
@@ -296,36 +275,20 @@ def _lowest(re: list, im: list, den: int) -> "Scalar":
     if g != 1:
         re, im, den = [x // g for x in re], [x // g for x in im], den // g
     out = object.__new__(Scalar)
-    out.nums, out.inums, out.den, out.parts = tuple(re), tuple(im), den, None
+    out.nums, out.inums, out.den = tuple(re), tuple(im), den
     return out
 
 
 class Scalar:
-    """Element of Q(i)(m): re + i*im.
+    """Element of Q(i)[m], re + i*im with re and im real polynomials in m.
 
-    A polynomial in m is held as int numerators over one positive int
-    denominator `den`, in lowest terms: `nums` for the real part and
-    `inums` for the imaginary one, each in ascending powers of m with no
-    trailing zero.  Any other value, one with a denominator in m, is held
-    as `parts` = (re, im), two RatM.  The fields of the other form are
-    None.  Every value has one form, so equal values have equal fields
-    and equal hashes.
+    It is held as int numerators over one positive int denominator `den`,
+    in lowest terms: `nums` for the real part and `inums` for the imaginary
+    one, each in ascending powers of m with no trailing zero.  Every value
+    has one form, so equal values have equal fields and equal hashes.
     """
 
-    __slots__ = ("nums", "inums", "den", "parts")
-
-    def __init__(self, re: RatM, im: RatM = R_ZERO):
-        if re.is_polynomial() and im.is_polynomial():
-            # over the least common denominator the reduced Fractions are
-            # in lowest terms
-            den = lcm(*[x.denominator for x in re.num.c + im.num.c])
-            self.nums, self.inums = (
-                tuple([x.numerator * (den // x.denominator) for x in part.num.c])
-                for part in (re, im))
-            self.den, self.parts = den, None
-        else:
-            self.nums = self.inums = self.den = None
-            self.parts = (re, im)
+    __slots__ = ("nums", "inums", "den")
 
     @staticmethod
     def of(p, q=1) -> "Scalar":
@@ -334,19 +297,12 @@ class Scalar:
 
     @staticmethod
     def poly(coeffs) -> "Scalar":
-        return Scalar(RatM.poly(coeffs))
-
-    def _part(self, nums) -> RatM:
-        den = self.den
-        return RatM(PolyM([Fraction(x, den) for x in nums]))
-
-    @property
-    def re(self) -> RatM:
-        return self.parts[0] if self.nums is None else self._part(self.nums)
-
-    @property
-    def im(self) -> RatM:
-        return self.parts[1] if self.nums is None else self._part(self.inums)
+        """The real polynomial with these rational coefficients, in
+        ascending powers of m."""
+        c = [Fraction(x) for x in coeffs]
+        den = lcm(*[x.denominator for x in c])
+        return _lowest([x.numerator * (den // x.denominator) for x in c], [],
+                       den)
 
     def is_zero(self) -> bool:
         return self.nums == self.inums == ()
@@ -355,20 +311,16 @@ class Scalar:
         return not self.is_zero()
 
     def is_real(self) -> bool:
-        return not self.inums if self.nums is not None \
-            else self.parts[1].is_zero()
+        return not self.inums
 
     def __eq__(self, other):
         return (isinstance(other, Scalar) and self.nums == other.nums
-                and self.inums == other.inums and self.den == other.den
-                and self.parts == other.parts)
+                and self.inums == other.inums and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.nums, self.inums, self.den, self.parts))
+        return hash((self.nums, self.inums, self.den))
 
     def __add__(self, other):
-        if self.nums is None or other.nums is None:
-            return Scalar(self.re + other.re, self.im + other.im)
         a, b, da = self.nums, self.inums, self.den
         c, d, db = other.nums, other.inums, other.den
         if da != db:
@@ -380,8 +332,6 @@ class Scalar:
         return _lowest(_plus(a, c), _plus(b, d), da)
 
     def __neg__(self):
-        if self.nums is None:
-            return Scalar(-self.parts[0], -self.parts[1])
         return _lowest([-x for x in self.nums], [-x for x in self.inums],
                        self.den)
 
@@ -389,16 +339,6 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if self.nums is None or other.nums is None:
-            x, y = self.is_real(), other.is_real()
-            if x and y:
-                return Scalar(self.re * other.re)
-            if y:
-                return Scalar(self.re * other.re, self.im * other.re)
-            if x:
-                return Scalar(self.re * other.re, self.re * other.im)
-            return Scalar(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
         a, b, c, d = self.nums, self.inums, other.nums, other.inums
         den = self.den * other.den
         if not b and not d:
@@ -407,32 +347,39 @@ class Scalar:
                        _plus(_conv(a, d), _conv(b, c)), den)
 
     def __truediv__(self, other):
-        n2 = other.re * other.re + other.im * other.im
-        if n2.is_zero():
+        """The quotient by a nonzero constant, real or not.  ValueError for
+        a divisor in m, whose quotient would leave Q(i)[m]."""
+        if len(other.nums) > 1 or len(other.inums) > 1:
+            raise ValueError(f"division by a polynomial in m: {other}")
+        if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar((self.re * other.re + self.im * other.im) / n2,
-                      (self.im * other.re - self.re * other.im) / n2)
+        a, b, d = (other.nums or (0,))[0], (other.inums or (0,))[0], other.den
+        # 1 / ((a + i b) / d) = d (a - i b) / (a^2 + b^2)
+        return self * _lowest([d * a], [-d * b], a * a + b * b)
+
+    def _poly(self, nums) -> PolyM:
+        return PolyM([Fraction(x, self.den) for x in nums])
 
     def real_poly(self) -> PolyM:
-        """The value as a PolyM; ValueError unless it is a real polynomial
-        in m."""
+        """The value as a PolyM; ValueError unless it is real."""
         if not self.is_real():
             raise ValueError(f"scalar has imaginary part: {self}")
-        if self.nums is None:
-            raise ValueError(f"scalar is not polynomial in m: {self}")
-        return PolyM([Fraction(x, self.den) for x in self.nums])
+        return self._poly(self.nums)
 
     def __str__(self):
-        if self.is_real():
-            return str(self.re)
-        if self.re.is_zero():
-            return f"i*({self.im})"
-        return f"({self.re}) + i*({self.im})"
+        re, im = self._poly(self.nums), self._poly(self.inums)
+        if not im:
+            return str(re)
+        if not re:
+            return f"i*({im})"
+        return f"({re}) + i*({im})"
 
     __repr__ = __str__
 
 
-S_ZERO = Scalar(R_ZERO)
+# the one zero, which `_lowest` returns, so it is built by hand
+S_ZERO = object.__new__(Scalar)
+S_ZERO.nums, S_ZERO.inums, S_ZERO.den = (), (), 1
 S_ONE = Scalar.of(1)
 S_I = _lowest([], [1], 1)
 S_N = Scalar.poly((0, 2))

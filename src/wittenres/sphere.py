@@ -2,12 +2,15 @@
 
 A monomial xi_{g1}...xi_{g2k} integrates to the sum over all (2k-1)!!
 perfect pairings of delta products, times Vol(S^{n-1})/(n(n+2)...(n+2k-2)).
-`integrate_term` applies this to the xi factors of a term: it enumerates
-the pairings directly, leaving out pairs of two distinct concrete indices,
-whose delta is zero, and puts the moment `_moment_scalar` into the
-coefficient once; symbolic degrees here never exceed a handful.  A monomial
-in concrete indices alone has the closed form `concrete_moment`, and
-`vol_sphere_value` gives the volume unit itself.
+Those denominators are Pochhammer products in n = 2m, and
+`moment_denominator` gives them as polynomials.  `integrate_term` applies
+the rule to the xi factors of a term in units of Vol/moment_denominator(k),
+for a k its caller fixes: it enumerates the pairings directly, leaving out
+pairs of two distinct concrete indices, whose delta is zero, and multiplies
+a term with fewer than k xi pairs by the missing factors, so no coefficient
+gets a denominator in m; symbolic degrees here never exceed a handful.  A
+monomial in concrete indices alone has the closed form `concrete_moment`,
+and `vol_sphere_value` gives the volume unit itself.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
-from .scalars import PolyM, P_ONE, RatM, Scalar
+from .scalars import PolyM, P_ONE, Scalar
 from .terms import F, Term, contract_deltas
 
 
@@ -35,14 +38,14 @@ def pairings(slots):
             yield ((first, slots[j]),) + tail
 
 
-def _moment_scalar(k: int) -> Scalar:
-    """1 / (n (n+2) ... (n+2k-2)) with n the symbol 2m: 2^-k over the
-    monic m (m+1) ... (m+k-1), a constant over a monic polynomial, which
-    RatM takes as it is."""
+def moment_denominator(k: int, j: int = 0) -> PolyM:
+    """(n+2j) (n+2j+2) ... (n+2k-2) with n the symbol 2m: for j = 0 the
+    denominator n (n+2) ... (n+2k-2) of a degree-2k moment, and otherwise
+    its quotient by the degree-2j one."""
     den = P_ONE
-    for j in range(k):
-        den = den * PolyM((j, 1))
-    return Scalar(RatM(PolyM.const(Fraction(1, 2 ** k)), den))
+    for i in range(j, k):
+        den = den * PolyM((2 * i, 2))
+    return den
 
 
 def concrete_moment(exponents: Iterable[int], n: int) -> Fraction:
@@ -65,10 +68,12 @@ def vol_sphere_value(m: int):
     return Fraction(2, factorial(m - 1)), m
 
 
-def integrate_term(t: Term) -> tuple[Term, ...]:
+def integrate_term(t: Term, k: int) -> tuple[Term, ...]:
     """Replace the xi factors of a term by their integral over the unit
-    cosphere, in units of its volume, where every norm power is one; x
-    factors must be gone.  An odd number of xi factors integrates to zero.
+    cosphere, in units of Vol / moment_denominator(k), where every norm
+    power is one; x factors must be gone.  An odd number of xi factors
+    integrates to zero, and a term with j < k xi pairs takes the factor
+    moment_denominator(k, j).  ValueError for more than 2k xi factors.
 
     Each pairing's deltas are applied at once (`terms.contract_deltas`):
     the xi labels move into the deltas one for one, so a pairing holds a
@@ -77,9 +82,14 @@ def integrate_term(t: Term) -> tuple[Term, ...]:
     slots = [f.idx[0] for f in t.fac if f.kind == "xi"]
     if len(slots) % 2:
         return ()
-    # every pairing carries the same moment
-    rest = Term(t.coeff * _moment_scalar(len(slots) // 2),
-                tuple(f for f in t.fac if f.kind != "xi"), t.word)
+    j = len(slots) // 2
+    if j > k:
+        raise ValueError(f"{len(slots)} xi factors exceed the moment of "
+                         f"degree {2 * k}: {t}")
+    # every pairing carries the same weight
+    coeff = t.coeff if j == k else t.coeff * Scalar.poly(
+        moment_denominator(k, j).c)
+    rest = Term(coeff, tuple(f for f in t.fac if f.kind != "xi"), t.word)
     out = []
     for pairing in pairings(slots):
         paired = contract_deltas(rest, tuple(F("delta", p) for p in pairing))

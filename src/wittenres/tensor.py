@@ -57,8 +57,10 @@ def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
 
     Terms with leftover indexed factors (free indices, derivative atoms,
     unrecognized kinds), a Clifford word or a norm power raise CollectError
-    naming the first offender; an atom whose sum is not a real polynomial
-    in m raises ValueError (`Scalar.real_poly`) naming the atom.
+    naming the first offender; an atom whose sum is not real raises
+    ValueError (`Scalar.real_poly`) naming the atom.  The division by the
+    cosphere moment, and with it the check that a density is polynomial in
+    m, is `residue.wres_density`'s.
     """
     entries: dict[str, Scalar] = {}
     bad = []

@@ -1,6 +1,6 @@
 """Shared exact term algebra.
 
-A Term couples a Q(i)(m) coefficient with a multiset of indexed tensor
+A Term couples a Q(i)[m] coefficient with a multiset of indexed tensor
 factors, a word in the two Clifford generator families and a power of
 |xi|.  Index labels are either concrete frame indices (int, 1-based) or
 symbolic labels (str).  A symbolic label occurring exactly twice in a term

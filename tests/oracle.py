@@ -130,9 +130,10 @@ def sphere_integral_exact(exponents, n: int) -> Fraction:
 
 
 def at_m(s: Scalar, m) -> tuple[Fraction, Fraction]:
-    """(re, im) of an exact scalar at the half-dimension m, each part
-    evaluated through `PolyM.evaluate`."""
-    return tuple(r.num.evaluate(m) / r.den.evaluate(m) for r in (s.re, s.im))
+    """(re, im) of an exact scalar at the half-dimension m, each part read
+    off the int form and evaluated through `PolyM.evaluate`."""
+    return tuple(PolyM([Fraction(x, s.den) for x in nums]).evaluate(m)
+                 for nums in (s.nums, s.inums))
 
 
 class TensorAssignment:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import oracle
 import pytest
 from oracle import TensorAssignment, at_m
-from test_sphere import xi_integral
+from test_sphere import evaluated
 
 from wittenres import clifford as cl
 from wittenres import reference, sphere
@@ -153,12 +153,10 @@ def test_criterion_7_sphere_oracle():
                 assert all(a == b for pairing in sphere.pairings(indices)
                            for a, b in pairing)
                 got = FR(0)
-                for t in xi_integral(indices):
+                for value, t in evaluated(indices, n):
                     # each delta, of equal concrete indices, is one
                     assert t.fac == ()
-                    re, im = at_m(t.coeff, FR(n, 2))
-                    assert im == 0
-                    got += re
+                    got += value
                 ok = ok and got == oracle.sphere_integral_exact(vec, n)
                 checked += 1
     report(7, f"{checked} sphere monomials equal the Gamma oracle", ok)

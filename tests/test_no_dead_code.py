@@ -157,8 +157,9 @@ QUERY_RUNS = (
 )
 
 BENCH_WRAPS = "bench/verdict.py wraps it by name (ROADMAP item 16)"
-RATIONAL = ("only a Scalar or RatM with a denominator in m reaches it, and "
-            "every CLI value is a polynomial in m")
+RATM = ("RatM is bench-only: bench/verdict.py wraps its operators by name, "
+        "and nothing in src/ builds one (ROADMAP item 16)")
+RATM_CALLS = "only the bench-only RatM and poly_gcd call it"
 HASH = "__hash__ must agree with __eq__"
 PRINTED = "reprs and error messages print it"
 TRUTH = "its truth value agrees with is_zero, which src/ calls instead"
@@ -172,26 +173,28 @@ NEVER_ENTERED = {
     "reference.ab_symbol_reference": "bench/workloads.py diffs the derived "
                                      "A B symbol against it (item 5)",
     "tensor.bianchi_pass": BENCH_WRAPS,
-    "scalars.poly_gcd": f"{BENCH_WRAPS}; {RATIONAL}",
-    "scalars.PolyM.monic": RATIONAL,
-    "scalars.PolyM.scale": RATIONAL,
-    "scalars.PolyM.__neg__": "a bench-wrapped RatM method calls it",
-    "scalars.PolyM.__sub__": "a bench-wrapped RatM method calls it",
+    "scalars.poly_gcd": f"{BENCH_WRAPS}; only RatM calls it",
+    "scalars.PolyM.degree": RATM_CALLS,
+    "scalars.PolyM.is_zero": RATM_CALLS,
+    "scalars.PolyM.monic": RATM_CALLS,
+    "scalars.PolyM.scale": RATM_CALLS,
+    "scalars.PolyM.__neg__": RATM_CALLS,
+    "scalars.PolyM.__sub__": RATM_CALLS,
     "scalars.PolyM.__hash__": HASH,
     "scalars.PolyM.__str__": PRINTED,
-    "scalars.RatM.const": "it runs once, at import, to build R_ZERO",
-    "scalars.RatM.__add__": BENCH_WRAPS,
-    "scalars.RatM.__neg__": BENCH_WRAPS,
-    "scalars.RatM.__sub__": BENCH_WRAPS,
-    "scalars.RatM.__truediv__": BENCH_WRAPS,
-    "scalars.RatM.__eq__": "Scalar.__eq__ compares RatM parts with it; "
-                           "no CLI path compares two such Scalars",
-    "scalars.RatM.__hash__": HASH,
-    "scalars.RatM.__bool__": TRUTH,
-    "scalars.RatM.__str__": PRINTED,
-    "scalars.Scalar.im": RATIONAL,
+    "scalars.RatM.__init__": RATM,
+    "scalars.RatM.is_zero": RATM,
+    "scalars.RatM.__add__": RATM,
+    "scalars.RatM.__neg__": RATM,
+    "scalars.RatM.__sub__": RATM,
+    "scalars.RatM.__mul__": RATM,
+    "scalars.RatM.__truediv__": RATM,
+    "scalars.RatM.__eq__": RATM,
+    "scalars.RatM.__hash__": RATM,
+    "scalars.RatM.__bool__": RATM,
+    "scalars.RatM.__str__": RATM,
     "scalars.Scalar.__sub__": BENCH_WRAPS,
-    "scalars.Scalar.__truediv__": BENCH_WRAPS,
+    "scalars.Scalar.__truediv__": f"{BENCH_WRAPS}; no src/ path divides",
     "scalars.Scalar.__hash__": HASH,
     "scalars.Scalar.__bool__": TRUTH,
     "scalars.Scalar.__str__": PRINTED,

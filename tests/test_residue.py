@@ -55,6 +55,22 @@ def test_wres_density_refuses_a_density_that_is_not_polynomial():
                            (), (-2, -2))])
 
 
+def test_wres_density_of_mixed_xi_degrees_is_the_sum_of_its_parts():
+    # every ledger job holds one xi degree; here 3 s, m Ric(xi, xi) and
+    # m(m+1) s |xi|^4 share one density, the first two weighted by the
+    # moment factors they lack: 3 s + m s/n + m(m+1) s, with n = 2m
+    m = Scalar.poly((0, 1))
+    terms = [
+        Term(Scalar.of(3), (fct("scal"),), (), (0, -2)),
+        Term(m, (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
+             (-2, -2)),
+        Term(m * Scalar.poly((1, 1)),
+             (fct("scal"), *(fct("xi", i) for i in "aabb")), (), (-4, -2)),
+    ]
+    parts = value_sum(*(wres_density([t]) for t in terms))
+    assert wres_density(terms) == parts == {"s": P(FR(7, 2), 1, 1)}
+
+
 def test_wres_density_refuses_a_label_held_three_times():
     # integration and the fiber trace trust that no label occurs more than
     # twice; unchecked, this term's density would come out as zero

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import at_m
 
-from wittenres.scalars import (PolyM, R_ZERO, RatM, S_I, S_ONE, Scalar,
-                               poly_gcd)
+from wittenres.scalars import P_ONE, PolyM, RatM, S_I, S_ONE, Scalar, poly_gcd
 
 S_ZERO = Scalar.of(0)
 S_M = Scalar.poly((0, 1))
@@ -27,16 +26,16 @@ def test_poly_divmod_and_gcd_cancellation():
     num = PolyM((0, 1, 1))
     den = PolyM((0, 4, 4))
     r = RatM(num, den)
-    assert r == RatM.const(Fraction(1, 4))
-    assert r.is_polynomial()
+    assert r == RatM(PolyM((Fraction(1, 4),)))
+    assert r.den == P_ONE
 
 
 def test_rational_function_ops():
     r = RatM(PolyM((1,)), PolyM((0, 2)))   # 1/(2m)
-    s = r * RatM.poly((0, 2))              # times 2m
-    assert s == RatM.const(1)
-    assert at_m(Scalar(r), 2) == (Fraction(1, 4), Fraction(0))
-    assert not RatM(PolyM((1, 1)), PolyM((0, 1))).is_polynomial()
+    s = r * RatM(PolyM((0, 2)))            # times 2m
+    assert s == RatM(P_ONE)
+    assert r.num.evaluate(2) / r.den.evaluate(2) == Fraction(1, 4)
+    assert RatM(PolyM((1, 1)), PolyM((0, 1))).den != P_ONE
 
 
 def test_scalar_complex_ops():
@@ -53,8 +52,6 @@ def test_real_poly_guards():
     assert Scalar.poly((1, -2)).real_poly() == PolyM((1, -2))
     with pytest.raises(ValueError):
         S_I.real_poly()
-    with pytest.raises(ValueError):
-        Scalar(RatM(PolyM((1,)), PolyM((0, 1)))).real_poly()
 
 
 # the general route: cross-multiply, cancel an explicit gcd, make the
@@ -111,42 +108,42 @@ def test_constant_and_negation_fast_paths_match_the_coefficient_loop():
                 want[i + j] += x * y
         assert (a * b).c == (b * a).c == PolyM(want).c
         assert (-a).c == PolyM([-x for x in a.c]).c
-        r, s = _random_ratm(rng), _random_ratm(rng)
+        r = _random_ratm(rng)
         assert _pair(-r) == _gcd_route(PolyM([-x for x in r.num.c]), r.den)
-        real = Scalar(r)
-        assert _parts(-real) == (_pair(-r), _pair(R_ZERO))
-        assert _parts(real + Scalar(s)) == (_pair(r + s), _pair(R_ZERO))
-        assert _parts(real + Scalar(s, r)) == (_pair(r + s), _pair(r))
+
+
+def _split(z: Scalar):
+    """The real and the imaginary part of z, each as a real Scalar."""
+    return tuple(Scalar.poly([Fraction(x, z.den) for x in nums])
+                 for nums in (z.nums, z.inums))
 
 
 def _four_products(x: Scalar, y: Scalar) -> Scalar:
-    return Scalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
-
-
-def _parts(z: Scalar):
-    return _pair(z.re), _pair(z.im)
+    (a, b), (c, d) = _split(x), _split(y)
+    return (a * c - b * d) + S_I * (a * d + b * c)
 
 
 def test_scalar_product_fast_paths_match_four_products():
     rng = random.Random(5)
     for _ in range(200):
-        re1, im1, re2, im2 = (_random_ratm(rng) for _ in range(4))
-        real1, real2 = Scalar(re1), Scalar(re2)
-        cases = [(real1, real2), (real1, Scalar(re2, im2)),
-                 (Scalar(re1, im1), real2), (Scalar(re1, im1),
-                                             Scalar(re2, im2)),
-                 (real1, S_ZERO), (S_ZERO, Scalar(re2, im2)),
-                 (Scalar(R_ZERO, im1), Scalar(R_ZERO, im2))]
+        re1, im1, re2, im2 = (
+            Scalar.poly(_random_poly(rng, rng.randint(0, 2)).c)
+            for _ in range(4))
+        cases = [(re1, re2), (re1, re2 + S_I * im2), (re1 + S_I * im1, re2),
+                 (re1 + S_I * im1, re2 + S_I * im2),
+                 (re1, S_ZERO), (S_ZERO, re2 + S_I * im2),
+                 (S_I * im1, S_I * im2)]
         for x, y in cases:
-            assert _parts(x * y) == _parts(_four_products(x, y))
-        zero = Scalar(re1, im1) - Scalar(re1, im1)
-        assert _parts(zero) == (_pair(R_ZERO), _pair(R_ZERO))
+            got, want = x * y, _four_products(x, y)
+            assert got == want and hash(got) == hash(want)
+        zero = (re1 + S_I * im1) - (re1 + S_I * im1)
+        assert (zero.nums, zero.inums, zero.den) == ((), (), 1)
 
 
-# Reference arithmetic in Q(i)(m): a value is (p, q, r), three lists of
-# Fraction coefficients in ascending powers of m standing for (p + i q) / r.
-# Nothing is reduced, so the kernel's int and RatM forms are checked against
-# plain cross multiplication.
+# Reference arithmetic in Q(i)[m]: a value is (p, q, r), three lists of
+# Fraction coefficients in ascending powers of m standing for (p + i q) / r,
+# with r a nonzero constant.  Nothing is reduced, so the kernel's int form
+# is checked against plain cross multiplication.
 def _strip(a):
     a = list(a)
     while a and a[-1] == 0:
@@ -195,21 +192,19 @@ def _ref_is_zero(x):
     return not _strip(x[0]) and not _strip(x[1])
 
 
-def _ratm(num, den):
-    return RatM(PolyM(num), PolyM(den))
-
-
 def _agrees(s: Scalar, x) -> bool:
-    """s equals (p + i q) / r: p b == a r and q d == c r for s = a/b + i c/d."""
+    """s equals (p + i q) / r: p d == a r and q d == b r for
+    s = (a + i b) / d."""
     p, q, r = x
-    return all(_strip(_pmul(ref, part.den.c)) == _strip(_pmul(part.num.c, r))
-               for ref, part in ((p, s.re), (q, s.im)))
+    return all(_strip(_pmul(ref, [s.den])) == _strip(_pmul(list(nums), r))
+               for ref, nums in ((p, s.nums), (q, s.inums)))
 
 
 def _old_str(x) -> str:
-    """The rendering Scalar had before it held ints: RatM parts reduced by
-    the gcd route."""
-    re, im = _ratm(x[0], x[2]), _ratm(x[1], x[2])
+    """The rendering Scalar had when it held RatM parts: each part as its
+    reduced polynomial."""
+    (r,) = _strip(x[2])
+    re, im = (PolyM([c / r for c in part]) for part in x[:2])
     if im.is_zero():
         return str(re)
     if re.is_zero():
@@ -223,28 +218,36 @@ _POLY = st.lists(_COEFF, max_size=3)
 _VALUES = st.one_of(
     st.tuples(_POLY, st.just([]), st.just(UNIT)),  # real polynomial
     st.tuples(_POLY, _POLY, st.just(UNIT)),  # complex polynomial
-    st.tuples(_POLY, _POLY, _POLY.filter(lambda c: any(c))),  # rational
+    # a complex polynomial over a constant
+    st.tuples(_POLY, _POLY, st.lists(_COEFF.filter(bool), min_size=1,
+                                     max_size=1)),
 )
 
 
 def _both_ways(x):
-    """The kernel value of x built from its RatM parts, and again by
-    arithmetic on polynomial scalars."""
-    p, q, r = x
-    direct = Scalar(_ratm(p, r), _ratm(q, r))
-    built = (Scalar.poly(p) + S_I * Scalar.poly(q)) / Scalar.poly(r)
+    """The kernel value of x built from its parts' own coefficients, and
+    again by arithmetic on polynomial scalars."""
+    p, q, (r,) = x
+    direct = (Scalar.poly([c / r for c in p])
+              + S_I * Scalar.poly([c / r for c in q]))
+    built = (Scalar.poly(p) + S_I * Scalar.poly(q)) / Scalar.of(r)
     return direct, built
+
+
+def _is_constant(x):
+    return len(_strip(x[0])) <= 1 and len(_strip(x[1])) <= 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(_VALUES, _VALUES)
-# division by an imaginary and by a real constant, and by m
+# division by an imaginary and by a real constant, by m and by zero
 @example(([Fraction(1), Fraction(2)], [Fraction(3)], UNIT),
          ([], [Fraction(-2, 3)], UNIT))
-@example(([Fraction(1)], [Fraction(1, 2)], [Fraction(0), Fraction(1)]),
+@example(([Fraction(1)], [Fraction(1, 2)], [Fraction(3)]),
          ([Fraction(-5, 2)], [], UNIT))
-@example(([Fraction(1)], [], [Fraction(1), Fraction(1)]),
+@example(([Fraction(1)], [], [Fraction(2)]),
          ([Fraction(0), Fraction(1)], [], UNIT))
+@example(([Fraction(1)], [], UNIT), ([], [], [Fraction(2)]))
 def test_scalar_kernel_matches_fraction_reference(x, y):
     sx, bx = _both_ways(x)
     sy, _ = _both_ways(y)
@@ -257,7 +260,13 @@ def test_scalar_kernel_matches_fraction_reference(x, y):
                                                  x[2])),
                (sx - sy, _ref_add(x, (_pneg(y[0]), _pneg(y[1]), y[2]))),
                (sx * sy, _ref_mul(x, y))]
-    if not _ref_is_zero(y):
+    if _ref_is_zero(y):
+        with pytest.raises(ZeroDivisionError):
+            sx / sy
+    elif not _is_constant(y):  # the quotient would leave Q(i)[m]
+        with pytest.raises(ValueError):
+            sx / sy
+    else:
         results.append((sx / sy, _ref_div(x, y)))
         back = sx / sy * sy
         assert back == sx and hash(back) == hash(sx)

@@ -13,50 +13,73 @@ from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import F, Term, fct, normalize, wick
 
 
-def xi_integral(indices):
-    """The cosphere integral of the xi-monomial with these index slots,
-    in units of Vol(S^{2m-1})."""
+def xi_integral(indices, k=None):
+    """The cosphere integral of the xi-monomial with these index slots, in
+    units of Vol(S^{2m-1}) / moment_denominator(k), with k half the number
+    of slots unless given."""
     return sphere.integrate_term(
-        Term(S_ONE, tuple(fct("xi", i) for i in indices)))
+        Term(S_ONE, tuple(fct("xi", i) for i in indices)),
+        len(indices) // 2 if k is None else k)
 
 
-def total(terms, n):
-    """Exact rational multiple of Vol for concrete-index pairing output."""
-    out = Fraction(0)
-    for t in terms:
-        if all(f.idx[0] == f.idx[1] for f in t.fac):
-            re, im = at_m(t.coeff, Fraction(n, 2))
-            assert im == 0
-            out += re
+def evaluated(indices, n):
+    """(value, term) for each term of `xi_integral` of the slots, its value
+    the coefficient at m = n/2 as a rational multiple of Vol(S^{n-1})."""
+    m = Fraction(n, 2)
+    den = sphere.moment_denominator(len(indices) // 2).evaluate(m)
+    out = []
+    for t in xi_integral(indices):
+        re, im = at_m(t.coeff, m)
+        assert im == 0
+        out.append((re / den, t))
     return out
 
 
-def at_n(terms, n):
-    """The terms with each coefficient evaluated at m = n/2."""
-    return [t._replace(coeff=Scalar.of(at_m(t.coeff, Fraction(n, 2))[0]))
-            for t in terms]
+def at_n(indices, n):
+    """`xi_integral` of the slots with each coefficient evaluated at
+    m = n/2, in units of Vol(S^{n-1})."""
+    return [t._replace(coeff=Scalar.of(v)) for v, t in evaluated(indices, n)]
+
+
+def total(indices, n):
+    """Exact rational multiple of Vol for concrete-index pairing output."""
+    return sum((v for v, t in evaluated(indices, n)
+                if all(f.idx[0] == f.idx[1] for f in t.fac)), Fraction(0))
 
 
 def test_two_and_four_slot_formulas_symbolic():
-    from wittenres.scalars import PolyM, P_ONE, RatM
+    from wittenres.scalars import PolyM
     two = xi_integral(["g1", "g2"])
     assert len(two) == 1
     t = two[0]
     assert t.fac == (F("delta", ("g1", "g2")),)
-    assert t.coeff == Scalar(RatM(P_ONE, PolyM((0, 2))))  # 1/n
+    # 1/n with n = 2m
+    assert t.coeff == S_ONE and sphere.moment_denominator(1) == PolyM((0, 2))
     four = xi_integral(["g1", "g2", "g3", "g4"])
     assert len(four) == 3  # the three pairings
-    for t in four:
-        # 1/(n(n+2)) with n = 2m
-        assert t.coeff == Scalar(RatM(P_ONE, PolyM((0, 4, 4))))
+    # 1/(n(n+2))
+    assert all(t.coeff == S_ONE for t in four)
+    assert sphere.moment_denominator(2) == PolyM((0, 4, 4))
+    # in the units of a degree-4 moment the degree-2 one, 1/n, is
+    # (n+2)/(n(n+2))
+    assert sphere.moment_denominator(2, 1) == PolyM((2, 2))
+    assert xi_integral(["g1", "g2"], 2) == (t._replace(coeff=Scalar.poly(
+        (2, 2))),)
+
+
+def test_integrate_term_refuses_more_xi_factors_than_its_moment():
+    # with no factor left for the missing pairs, the units would silently
+    # be wrong
+    with pytest.raises(ValueError, match="4 xi factors exceed"):
+        xi_integral(["a", "b", "a", "b"], 1)
+    assert xi_integral(["a", "b", "c"], 1) == ()  # odd: zero for every k
 
 
 def test_odd_vanishes_and_degree_four_concrete():
     assert xi_integral([1, 1, 1]) == ()
     # x_1^4 over S^3 integrates to Vol/8
-    assert total(xi_integral([1, 1, 1, 1]), 4) == \
-        Fraction(1, 8)
-    assert total(xi_integral([1, 1]), 4) == Fraction(1, 4)
+    assert total([1, 1, 1, 1], 4) == Fraction(1, 8)
+    assert total([1, 1], 4) == Fraction(1, 4)
 
 
 def test_permutation_invariance():
@@ -71,12 +94,12 @@ def test_recursion_cross_check():
     for n in (4, 6):
         for k in (1, 2, 3):
             labs = [f"g{i}" for i in range(2 * k)]
-            direct = normalize(at_n(xi_integral(labs), n))
+            direct = normalize(at_n(labs, n))
             rec = []
             pref = Scalar.of(1, 2 * (k - 1) + n)
             for j in range(1, 2 * k):
                 rest = labs[1:j] + labs[j + 1:]
-                for t in at_n(xi_integral(rest), n):
+                for t in at_n(rest, n):
                     rec.append(Term(t.coeff * pref,
                                     (fct("delta", labs[0], labs[j]),)
                                     + t.fac, (), t.norm))
@@ -91,7 +114,7 @@ def test_pairing_matches_gamma_oracle_spot():
             indices = []
             for slot, e in enumerate(exps, start=1):
                 indices.extend([slot] * e)
-            got = total(xi_integral(indices), n)
+            got = total(indices, n)
             assert got == oracle.sphere_integral_exact(exps, n)
             assert sphere.concrete_moment(exps, n) == got
 
@@ -112,8 +135,7 @@ def _all_pairings(slots):
 ])
 def test_pruned_pairings_equal_the_full_enumeration(slots):
     pruned = xi_integral(slots)
-    full = [Term(sphere._moment_scalar(len(slots) // 2),
-                 tuple(fct("delta", a, b) for a, b in pairing))
+    full = [Term(S_ONE, tuple(fct("delta", a, b) for a, b in pairing))
             for pairing, _ in _all_pairings(slots)]
     # pairs of two distinct concrete indices are never built
     assert len(list(sphere.pairings(slots))) < len(full)
@@ -132,8 +154,8 @@ def test_pruned_pairings_equal_the_full_enumeration(slots):
 def test_integrate_term_sets_unit_norm():
     # on the unit cosphere |xi|^2 is one, so a norm power integrates away
     t = Term(Scalar.of(1), (fct("xi", "a"), fct("xi", "a")), (), (2, 0))
-    got = sphere.integrate_term(t)
-    assert got == sphere.integrate_term(t._replace(norm=(0, 0)))
+    got = sphere.integrate_term(t, 1)
+    assert got == sphere.integrate_term(t._replace(norm=(0, 0)), 1)
     assert got and all(x.norm == (0, 0) for x in got)
 
 
@@ -146,11 +168,12 @@ def test_integration_and_trace_commute(x):
     """Both stages are linear sums over pairings with their deltas applied,
     so integrating before the fiber trace gives the normal form that the
     trace's normal form, integrated, gives."""
-    integrated_first = [u for t in x for u in sphere.integrate_term(t)]
+    k = max(sum(1 for f in t.fac if f.kind == "xi") // 2 for t in x)
+    integrated_first = [u for t in x for u in sphere.integrate_term(t, k)]
     traced_first = normalize(clifford.trace(x))
     assert (normalize(clifford.trace(integrated_first))
             == normalize([u for t in traced_first
-                          for u in sphere.integrate_term(t)]))
+                          for u in sphere.integrate_term(t, k)]))
 
 
 def test_vol_sphere():
