@@ -29,6 +29,7 @@ from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout, as `| head` does
 
 # The largest trace word length, total sphere degree and dimension a query
 # accepts, and the largest concrete dimension of either subcommand.  Every
@@ -339,7 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = None  # no traceback, and nothing to flush at exit
+        return EXIT_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from typing import Iterable, NamedTuple
 
 from .scalars import S_I, S_ONE, Scalar
 from .terms import (F, Idx, NormalizeError, Term, contract_deltas,
-                    label_counts, merge_presentations, mul_terms, normalize)
+                    label_counts, merge_equal, merge_presentations, mul_terms,
+                    normalize)
 
 Order = tuple[int, int]
 
@@ -97,12 +98,12 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
 
     Each delta is applied at once (`terms.contract_deltas`); a symbolic j
     is one more use of that label, so a term may hold it at most once, and
-    then it is a dummy of the result.  Equal terms are merged as written
-    (`terms.merge_presentations`): a power of one factor differentiates to
-    one equal term per factor, so unmerged the a-th derivative of xi_1^k
-    would hold k!/(k-a)! copies of one term.
-    They are not normalized: normalizing would expand each Clifford
-    product into its blocks, and the caller normalizes what it keeps.
+    then it is a dummy of the result.  Terms equal as written are summed
+    (`terms.merge_equal`): a concrete power xi_1^k differentiates into k
+    copies of one term as written, so unmerged its a-th derivative would
+    hold k!/(k-a)! of them.  No canonical search runs and nothing is
+    normalized, which would expand each Clifford product into its blocks:
+    the caller normalizes what it keeps.
     """
     out = []
     for t in terms:
@@ -113,7 +114,7 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
             p = Scalar.poly((t.norm[0], t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
                             (t.norm[0] - 2, t.norm[1])))
-    return tuple(merge_presentations(out))
+    return tuple(merge_equal(out))
 
 
 _DERIV = {"u": "du", "w": "dw", "v": "dv"}
@@ -132,9 +133,8 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     them (see `terms_equal_taylor`).  Second derivatives of vector fields
     are not representable and raise in strict mode; non-strict mode treats
     the derivative atoms as carried constants (used when diffing the Taylor
-    sectors two symbols actually store).  Like `d_xi_terms`, it merges
-    equal terms as written, so that a power x_1^k does not grow into
-    factorially many copies of one term, and does not normalize.
+    sectors two symbols actually store).  Like `d_xi_terms`, it sums the
+    terms equal as written, x_1^k's k copies, and does not normalize.
 
     With xmax set, derivative terms with more than xmax x factors are
     dropped (every input term is still checked).
@@ -157,7 +157,7 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
                     f"({', '.join(map(str, f.idx))}) is a second "
                     "derivative of a vector field, which is not "
                     "representable")
-    return tuple(merge_presentations(out))
+    return tuple(merge_equal(out))
 
 
 def _xt_min(a: int | None, b: int | None) -> int | None:

@@ -67,17 +67,15 @@ cosphere pairings.  None of these stages normalizes, so they chain: a
 residue density integrates, traces and then normalizes once, and
 normalize applies whatever deltas its input still holds on entry.
 
-merge_presentations(terms) is `_finalize` alone on each term as written:
-no factor rule runs and no word is expanded.  It sums equal presentations
-and drops zeros, so terms equal up to dummy names, factor order and
-symmetry variants cancel before the expansion branches them.
-`pdo.terms_equal_taylor` runs it on the difference of its two sides, where
-most terms appear on both sides, and the x- and xi-derivatives of `pdo`
-merge their terms with it rather than normalize them, which would expand
-the products of the symbols into blocks.  normalize does not run it: its
-callers almost never hold two equal presentations, so a merge ahead of
-every normalize call would finalize each of their terms twice and cancel
-almost nothing.
+merge_presentations(terms) is `_finalize` alone on each term as written,
+then `merge_equal`: no factor rule runs and no word is expanded, and terms
+equal up to dummy names, factor order and symmetry variants cancel before
+the expansion branches them.  `pdo.terms_equal_taylor` runs it on the
+difference of its two sides, where most terms appear on both sides.  The
+derivatives of `pdo` run `merge_equal` alone: a concrete power
+differentiates into copies equal as written, and a search would merge
+almost nothing more.  normalize does not run merge_presentations: its
+callers almost never hold two equal presentations.
 """
 
 from __future__ import annotations
@@ -745,17 +743,18 @@ def _first_bianchi(t: Term) -> list[Term]:
     return [t]
 
 
-def _merge(presentations: Iterable[Term | None]) -> dict[tuple, Scalar]:
-    """Sum the coefficients of equal presentations, keyed by everything but
-    the coefficient; a None (an antisymmetric zero) is skipped."""
+def merge_equal(terms: Iterable[Term | None]) -> list[Term]:
+    """The terms with those equal in everything but the coefficient summed,
+    in first-seen order; a None (an antisymmetric zero) is skipped and a
+    zero sum dropped."""
     acc: dict[tuple, Scalar] = {}
-    for out in presentations:
-        if out is None:
-            continue
-        key = out[1:]
-        prev = acc.get(key)
-        acc[key] = out.coeff if prev is None else prev + out.coeff
-    return acc
+    for t in terms:
+        if t is not None:
+            key = t[1:]
+            prev = acc.get(key)
+            acc[key] = t.coeff if prev is None else prev + t.coeff
+    return [Term(coeff, *key) for key, coeff in acc.items()
+            if not coeff.is_zero()]
 
 
 def merge_presentations(terms: Iterable[Term]) -> list[Term]:
@@ -763,22 +762,13 @@ def merge_presentations(terms: Iterable[Term]) -> list[Term]:
     order and monoterm symmetry variants.
 
     Each term gets its canonical presentation from `_finalize` as it
-    stands: no factor rule runs and no word is expanded, so the word is
-    only renamed and each of its blocks sorted.  Equal presentations are
-    summed and zero coefficients dropped.  Every presentation has the
-    value of its term, so the result has the value of the input; two terms
-    this leaves apart still meet in `normalize`.
+    stands, which has its value: the word is only renamed and each of its
+    blocks sorted.  Two terms this leaves apart still meet in `normalize`.
     """
-    acc = _merge(_finalize(t) for t in terms)
-    return [Term(coeff, *key) for key, coeff in acc.items()
-            if not coeff.is_zero()]
+    return merge_equal(_finalize(t) for t in terms)
 
 
 def normalize(terms: Iterable[Term]) -> tuple[Term, ...]:
-    acc = _merge(_finalize(red) for t in terms for red in _reduce(t))
-    acc = _merge(p for key, coeff in acc.items() if not coeff.is_zero()
-                 for p in _first_bianchi(Term(coeff, *key)))
-    # term_key, which orders the output, is injective on presentations, so
-    # it is built once per merged term
-    return tuple(sorted((Term(coeff, *key) for key, coeff in acc.items()
-                         if not coeff.is_zero()), key=term_key))
+    merged = merge_equal(_finalize(red) for t in terms for red in _reduce(t))
+    merged = merge_equal(p for t in merged for p in _first_bianchi(t))
+    return tuple(sorted(merged, key=term_key))

@@ -423,17 +423,20 @@ def test_merge_work_counts_on_the_raw_difference(record_calls):
     """Deterministic work counts of the seed-101 comparison, which merges
     equal presentations before it normalizes: the 30 raw terms of the
     difference give 15 canonical presentations as written, and all of them
-    cancel, since the derived side keeps its Clifford products as written,
-    as the display does.  `_finalize` runs 30 times, all in the merge,
-    where `normalize` alone runs it 1936 times
+    cancel in one `merge_equal` call, since the derived side keeps its
+    Clifford products as written, as the display does.  `_finalize` runs
+    30 times, all in the merge, where `normalize` alone runs it 1936 times
     (`test_normalize_work_counts_on_the_raw_difference`).
     """
     raw = _raw_difference()
-    finalized = record_calls("_finalize", terms)
-    merged = record_calls("_merge", terms, value=lambda args, result: result)
+    finalized = record_calls("_finalize", terms,
+                             value=lambda args, result: result)
+    merged = record_calls("merge_equal", terms,
+                          value=lambda args, result: result)
     survivors = terms.merge_presentations(raw)
-    assert (len(raw), len(merged[0]), len(survivors)) == (30, 15, 0)
-    assert len(finalized) == 30
+    presentations = {p[1:] for p in finalized if p is not None}
+    assert (len(raw), len(presentations), len(survivors)) == (30, 15, 0)
+    assert len(finalized) == 30 and merged == [[]]
     # the comparison itself does the same work
     inputs = bench_workloads().taylor_inputs(101)
     finalized.clear()

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,8 @@ import oracle
 import pytest
 
 from wittenres import pdo, reference, residue
-from wittenres.cli import canonical_json, main
+from wittenres.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
+                           canonical_json, main)
 
 EXPECTED_REPORT = Path(__file__).parents[1] / "bench" / "expected_report.json"
 DATA = Path(__file__).parent / "data"
@@ -414,3 +416,33 @@ def test_dimension_flag_is_bounded(capsys, argv, dim):
     assert exc.value.code == 2
     assert f"dimension {dim} is above 1000" in capsys.readouterr().err
 
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as after `wittenres verify | head`:
+    a flush fails, and so does every write unless the stream buffers."""
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv", [["verify", "--term", "I-1"],
+                                  ["verify", "--format", "json"],
+                                  ["query", "trace", "c1 c2 c1 c2"]])
+def test_a_closed_stdout_ends_without_a_traceback(capsys, monkeypatch, argv,
+                                                  buffered):
+    # the status is neither a verdict nor a usage error, and no stdout is
+    # left for the interpreter to flush, and fail on, at exit
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(buffered))
+    assert main(argv) == EXIT_PIPE
+    assert EXIT_PIPE not in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE)
+    assert sys.stdout is None
+    assert capsys.readouterr().err == ""

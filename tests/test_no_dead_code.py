@@ -170,6 +170,8 @@ NEVER_ENTERED = {
     "pdo.terms_equal_taylor": "bench/ runs it as the taylor_diff workload; "
                               "ROADMAP item 5 would run it in verify",
     "pdo.origin_terms": "only terms_equal_taylor calls it",
+    "terms.merge_presentations": "only pdo.terms_equal_taylor calls it "
+                                 "(bench taylor_diff, item 5)",
     "reference.ab_symbol_reference": "bench/workloads.py diffs the derived "
                                      "A B symbol against it (item 5)",
     "tensor.bianchi_pass": BENCH_WRAPS,

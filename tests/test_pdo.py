@@ -39,6 +39,19 @@ def test_d_xi_on_words():
     assert sums_equal(got, want)
 
 
+def test_a_concrete_power_differentiates_to_one_term():
+    # xi_1^k and x_1^k differentiate into k copies of one term as written,
+    # which the derivatives sum; unmerged, the chain of k derivatives that
+    # test_compose_sums_every_alpha_homogeneity_allows takes would build
+    # k! copies
+    for k in range(1, 11):
+        for kind, d in (("xi", d_xi_terms), ("x", d_x_terms)):
+            power = Term(S_ONE, (fct(kind, 1),) * k)
+            assert d([power], 1) == (
+                Term(Scalar.of(k), (fct(kind, 1),) * (k - 1)),)
+            assert len(d([power], "j")) == 1
+
+
 def test_d_x_produces_deltas_and_derivative_atoms():
     t = Term(S_ONE, (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")))
     # x_k -> delta(k, j) contracts into ric(a, j); the output's dummies

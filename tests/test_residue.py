@@ -7,7 +7,7 @@ from wittenres.operators import (cu_cw_symbol, endomorphism,
                                  parametrix_symbols, symbol_of_a, symbol_of_b)
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            origin_terms)
-from wittenres import clifford, operators, pdo, residue, tensor
+from wittenres import clifford, operators, pdo, residue, tensor, terms
 from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
@@ -268,7 +268,11 @@ def test_a_normalize_error_of_the_density_keeps_its_type(monkeypatch):
 
 
 # the number of terms each job hands to wres_density; a change to how the
-# pieces are built must not move work between jobs unnoticed
+# pieces are built must not move work between jobs unnoticed.  The x- and
+# xi-derivatives merge only terms equal as written, so II-6's two
+# x-derivatives of par0_top's R x x term keep two terms that are equal up
+# to dummy names and the Riemann pair symmetry, and its normalize merges
+# them
 JOB_TERMS = {
     "I-1": 1, "I-2": 0, "I-3": 0, "I-4": 1, "I-5": 1, "I-6": 1, "I-7": 1,
     "II-1-A": 1, "II-1-B": 1, "II-1-C": 1, "II-1-D": 1, "II-1-E": 1,
@@ -276,7 +280,7 @@ JOB_TERMS = {
     "II-3-A": 1, "II-3-B": 0, "II-3-C": 0, "II-3-D": 1, "II-3-E": 1,
     "II-3-F": 1, "II-3-G": 1,
     "II-4-A": 2, "II-4-B": 2, "II-4-C": 2,
-    "II-5": 0, "II-6": 2, "metric": 1,
+    "II-5": 0, "II-6": 4, "metric": 1,
 }
 
 
@@ -541,6 +545,24 @@ def test_each_summand_takes_its_own_xi_derivatives(record_calls):
     calls = record_calls("d_xi_terms", pdo)
     evaluate_labels(LEDGER)
     assert len(calls) == 13
+
+
+def test_the_derivatives_run_no_canonical_search(record_calls):
+    """A composition summand's x- and xi-derivatives sum only the terms
+    equal as written (`terms.merge_equal`), so no canonical presentation
+    is built before the density normalizes: not for the ledger's A B
+    pieces at alpha 1 and 2, nor for an x-derivative of par0_mid.  The
+    pieces are built first, since building one normalizes it."""
+    pieces = Pieces()
+    jobs = [(pieces[left], pieces[right], alpha)
+            for left in ("ab1", "ab2")
+            for right, alpha in (("par0_mid", 1), ("par0_top", 2))]
+    finalized = record_calls("_finalize", terms)
+    sizes = [len(pdo.composition_summand(p, q, alpha, xmax=0)[0])
+             for p, q, alpha in jobs]
+    assert len(pdo.d_x_terms(pieces["par0_mid"].terms, "_j")) == 3
+    assert finalized == []
+    assert sizes == [9, 0, 6, 4]
 
 
 def test_a_full_run_composes_two_symbols(record_calls):
