@@ -29,7 +29,7 @@ from .residue import (Pieces, evaluate_labels, part1_top_norm_exponent,
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout, as `| head` does
+EXIT_PIPE = 141  # 128 + SIGPIPE: a reader closed stdout or stderr
 
 # The largest trace word length, total sphere degree and dimension a query
 # accepts, and the largest concrete dimension of either subcommand.  Every
@@ -311,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wittenres",
         description="Exact verification of the metric and Einstein "
-                    "spectral functionals for the Witten deformation.")
+                    "spectral functionals for the Witten deformation.",
+        epilog=f"exit status: {EXIT_OK} pass, {EXIT_MISMATCH} mismatch, "
+               f"{EXIT_USAGE} usage error, {EXIT_PIPE} output closed")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the pipeline and diff against "
@@ -339,12 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:  # argparse's help and usage errors exit through here
+            sys.stdout.flush()
+            sys.stderr.flush()
         status = args.fn(args)
         sys.stdout.flush()
     except BrokenPipeError:
-        sys.stdout = None  # no traceback, and nothing to flush at exit
+        # drop each closed stream, which would fail the flush at exit (120)
+        for name in ("stdout", "stderr"):
+            try:
+                getattr(sys, name).flush()
+            except OSError:
+                setattr(sys, name, None)
         return EXIT_PIPE
     return status
 

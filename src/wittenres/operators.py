@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .clifford import c, c_vec, chat, chat_v
 from .pdo import Component, PDOSymbol, compose
-from .scalars import S_I, S_ONE, Scalar
+from .scalars import S_ONE, Scalar
 from .terms import F, Term, fct, mul_terms, normalize
 
 
@@ -34,11 +34,11 @@ def _connection(a: str, x: str) -> tuple[Term, ...]:
 
 
 def dirac_symbol() -> PDOSymbol:
-    """sigma(D_V): i c(xi) at order one; at order zero c(e_p) omega_p(x),
-    the two connection words, and chat(V).  x-linear Taylor data only, kept
-    as written: normalizing would expand each Clifford product into its
-    blocks and double the products downstream."""
-    top = Term(S_I, (fct("xi", "f"),), (c("f"),))
+    """sigma(D_V): c(eta) = i c(xi) at order one (see `terms`); at order
+    zero c(e_p) omega_p(x), the two connection words, and chat(V).  x-linear
+    Taylor data only, kept as written: normalizing would expand each
+    Clifford product into its blocks and double the products downstream."""
+    top = Term(S_ONE, (fct("xi", "f"),), (c("f"),))
     zero = tuple(Term(t.coeff, t.fac + (fct("x", "l"),), (c("p"),) + t.word)
                  for t in _connection("p", "l")) + (chat_v("b"),)
     return PDOSymbol({(1, 0): Component((top,), 1),
@@ -90,29 +90,29 @@ def parametrix_symbols(endo: tuple[Term, ...],
     n_low = (base - 4, -2)                  # |xi|^(-2mt-4)
 
     top = [
-        Term(S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
+        Term(-S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
              (), n_main),
-        Term(Scalar.of(-1, 3) * mt,
+        Term(Scalar.of(1, 3) * mt,
              (fct("riem", "a", "j", "b", "k"), fct("x", "j"), fct("x", "k"),
               fct("xi", "a"), fct("xi", "b")), (), n_main),
     ]
 
     mid = [
-        Term(Scalar.of(-2, 3) * mt * S_I,
+        Term(Scalar.of(-2, 3) * mt,
              (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
              n_main),
     ]
     for t in t_ab("a", "b"):
-        mid.append(_with(t, Scalar.of(-2) * mt * S_I,
+        mid.append(_with(t, Scalar.of(-2) * mt,
                          (fct("x", "b"), fct("xi", "a")), n_main))
 
     low = [
-        Term(Scalar.of(1, 3) * mt * mt1,
+        Term(Scalar.of(-1, 3) * mt * mt1,
              (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
              n_low),
     ]
     for t in t_ab("a", "b"):
-        low.append(_with(t, Scalar.of(2) * mt * mt1,
+        low.append(_with(t, Scalar.of(-2) * mt * mt1,
                          (fct("xi", "a"), fct("xi", "b")), n_low))
     for t in endo:
         low.append(_with(t, -mt, (), n_main))

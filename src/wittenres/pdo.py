@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, NamedTuple
 
-from .scalars import S_I, S_ONE, Scalar
+from .scalars import Scalar
 from .terms import (F, Idx, NormalizeError, Term, contract_deltas,
                     label_counts, merge_equal, merge_presentations, mul_terms,
                     normalize)
@@ -94,7 +94,8 @@ def _d_coordinate(out: list[Term], t: Term, k: int, j: Idx) -> None:
 
 
 def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
-    """Termwise xi-derivative: xi_a -> delta(a,j), |xi|^p -> p xi_j |xi|^(p-2).
+    """Termwise d/d eta_j (see `terms`): xi_a -> delta(a,j), and
+    |xi|^p -> -p xi_j |xi|^(p-2), since |xi|^2 = -eta_a eta_a.
 
     Each delta is applied at once (`terms.contract_deltas`); a symbolic j
     is one more use of that label, so a term may hold it at most once, and
@@ -111,7 +112,7 @@ def d_xi_terms(terms: Iterable[Term], j: Idx) -> tuple[Term, ...]:
             if f.kind == "xi":
                 _d_coordinate(out, t, k, j)
         if t.norm != (0, 0):
-            p = Scalar.poly((t.norm[0], t.norm[1]))
+            p = Scalar.poly((-t.norm[0], -t.norm[1]))
             out.append(Term(t.coeff * p, t.fac + (F("xi", (j,)),), t.word,
                             (t.norm[0] - 2, t.norm[1])))
     return tuple(merge_equal(out))
@@ -185,17 +186,13 @@ def _fresh_labels(term_lists, count: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-# (-i)^a by a mod 4
-_PHASE = (S_ONE, -S_I, -S_ONE, S_I)
-
-
 def composition_summand(p: Component, q: Component, nalpha: int,
                         xmax: int | None = None
                         ) -> tuple[tuple[Term, ...], int | None]:
-    """One block of the composition expansion:
+    """One block of the composition expansion, in eta = i xi (see `terms`):
 
-        (-i)^a / a! * sum over a abstract slots of
-        (d_xi^a p-terms) * (d_x^a q-terms).
+        1 / a! * sum over a abstract slots of
+        (d_eta^a p-terms) * (d_x^a q-terms).
 
     The multi-index sum collapses to an unrestricted sum over slot labels
     shared between the two halves.  The x-derivative side is built first:
@@ -243,7 +240,7 @@ def composition_summand(p: Component, q: Component, nalpha: int,
         left = [t for t in left if x_degree(t) <= xmax]
     if nalpha:
         # the prefactor goes on the left factor's terms, not on each product
-        pref = _PHASE[nalpha % 4] * Scalar.of(1, factorial(nalpha))
+        pref = Scalar.of(1, factorial(nalpha))
         left = [Term(t.coeff * pref, t.fac, t.word, t.norm) for t in left]
     out = [mul_terms(a, b) for a in left for b in right]
     # left unnormalized: callers cut to the origin first (xmax=0 or
@@ -256,7 +253,7 @@ def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
             xmax: int | None = None) -> PDOSymbol:
     """Symbol composition truncated to the requested orders.
 
-    sigma(PQ) = sum_alpha (-i)^|a|/a! d_xi^a sigma(P) d_x^a sigma(Q), with
+    sigma(PQ) = sum_alpha 1/a! d_eta^a sigma(P) d_x^a sigma(Q), with
     |a| forced by homogeneity per component pair: for a left order p the
     right order is target - p + |a|, so |a| runs from 0 up to Q's top order
     at that slope, above which Q vanishes.  A missing order of either factor

@@ -9,9 +9,9 @@ as zero changes no status.  `compare_entry` diffs against those.  Statuses:
 MATCH (derived equals the stored and printed value), PAPER_TYPO (derived
 equals the stored value while the printed line differs), MISMATCH (derived
 disagrees with the stored value).  `ab_symbol_reference` transcribes the
-printed A B product-symbol display verbatim; the package never calls it,
-and it stays here because the benchmark's `taylor_diff` workload diffs the
-derived symbol against it.
+printed A B product-symbol display verbatim, with its powers of i; the
+package never calls it, and it stays here because the benchmark's
+`taylor_diff` workload diffs the derived symbol against it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .clifford import c, chat
-from .scalars import S_I, S_ONE, PolyM, Scalar
+from .scalars import S_ONE, PolyM, Scalar
 from .terms import Term, fct
 
 MATCH = "MATCH"
@@ -139,9 +139,28 @@ def printed_part1_top_norm(ref: dict) -> tuple[int, int]:
 # literal transcription of the printed A B display
 
 
+class DisplayParityError(Exception):
+    """A printed term whose power of i and xi count differ in parity."""
+
+
+def eta_form(printed) -> tuple[Term, ...]:
+    """A display printed in xi, in eta = i xi (see `terms`): a row (p,
+    coeff, fac, word[, norm]) is i^p Term(coeff, fac, word, norm), whose k
+    xi factors read xi_a = -i eta_a, so it is i^(p-k) times that Term.
+    DisplayParityError names a term with p - k odd: a typo."""
+    out = []
+    for p, *fields in printed:
+        t = Term(*fields)
+        k = sum(1 for f in t.fac if f.kind == "xi")
+        if (p - k) % 2:
+            raise DisplayParityError(f"i^{p} with {k} xi factor(s): {t}")
+        out.append(t if (p - k) % 4 == 0 else t._replace(coeff=-t.coeff))
+    return tuple(out)
+
+
 def ab_symbol_reference() -> dict[tuple[int, int], tuple[Term, ...]]:
     """The printed product-symbol displays for A B, with the connection
-    coefficient's x-linear value substituted.
+    coefficient's x-linear value substituted, converted by `eta_form`.
 
     Two slips in the printed order-zero display are corrected to the forms
     its own later use fixes: the two vector-derivative lines have their
@@ -149,63 +168,61 @@ def ab_symbol_reference() -> dict[tuple[int, int], tuple[Term, ...]]:
     """
     u, w, v = fct("u", "r"), fct("w", "k"), fct("v", "b")
     xi_f, xi_g = fct("xi", "f"), fct("xi", "g")
+    dw = fct("dw", "j", "g")
     riem = fct("riem", "l", "p", "t", "s")
     xl = fct("x", "l")
     riem2 = fct("riem", "e", "q", "z", "y")
     xe = fct("x", "e")
 
     sigma2 = (
-        Term(-S_ONE, (u, xi_f, w, xi_g),
-             (c("r"), c("f"), c("k"), c("g"))),
+        (0, -S_ONE, (u, xi_f, w, xi_g), (c("r"), c("f"), c("k"), c("g"))),
     )
     sigma1 = (
-        Term(Scalar.of(1, 8) * S_I, (u, xi_f, w, riem, xl),
-             (c("r"), c("f"), c("k"), c("p"), c("s"), c("t"))),
-        Term(Scalar.of(-1, 8) * S_I, (u, xi_f, w, riem, xl),
-             (c("r"), c("f"), c("k"), c("p"), chat("s"), chat("t"))),
-        Term(Scalar.of(1, 8) * S_I, (u, riem, xl, w, xi_f),
-             (c("r"), c("p"), c("s"), c("t"), c("k"), c("f"))),
-        Term(Scalar.of(-1, 8) * S_I, (u, riem, xl, w, xi_f),
-             (c("r"), c("p"), chat("s"), chat("t"), c("k"), c("f"))),
-        Term(S_I, (u, xi_f, w, v), (c("r"), c("f"), c("k"), chat("b"))),
-        Term(S_I, (u, v, w, xi_f), (c("r"), chat("b"), c("k"), c("f"))),
-        Term(S_I, (u, fct("dw", "j", "g"), xi_f),
-             (c("r"), c("j"), c("g"), c("f"))),
+        (1, Scalar.of(1, 8), (u, xi_f, w, riem, xl),
+         (c("r"), c("f"), c("k"), c("p"), c("s"), c("t"))),
+        (1, Scalar.of(-1, 8), (u, xi_f, w, riem, xl),
+         (c("r"), c("f"), c("k"), c("p"), chat("s"), chat("t"))),
+        (1, Scalar.of(1, 8), (u, riem, xl, w, xi_f),
+         (c("r"), c("p"), c("s"), c("t"), c("k"), c("f"))),
+        (1, Scalar.of(-1, 8), (u, riem, xl, w, xi_f),
+         (c("r"), c("p"), chat("s"), chat("t"), c("k"), c("f"))),
+        (1, S_ONE, (u, xi_f, w, v), (c("r"), c("f"), c("k"), chat("b"))),
+        (1, S_ONE, (u, v, w, xi_f), (c("r"), chat("b"), c("k"), c("f"))),
+        (1, S_ONE, (u, dw, xi_f), (c("r"), c("j"), c("g"), c("f"))),
     )
     sigma0 = (
-        Term(Scalar.of(1, 64), (u, riem, xl, w, riem2, xe),
-             (c("r"), c("p"), c("s"), c("t"),
-              c("k"), c("q"), c("y"), c("z"))),
-        Term(Scalar.of(-1, 64), (u, riem, xl, w, riem2, xe),
-             (c("r"), c("p"), c("s"), c("t"),
-              c("k"), c("q"), chat("y"), chat("z"))),
-        Term(Scalar.of(-1, 64), (u, riem2, xe, w, riem, xl),
-             (c("r"), c("q"), chat("y"), chat("z"),
-              c("k"), c("p"), c("s"), c("t"))),
-        Term(Scalar.of(1, 64), (u, riem, xl, w, riem2, xe),
-             (c("r"), c("p"), chat("s"), chat("t"),
-              c("k"), c("q"), chat("y"), chat("z"))),
-        Term(Scalar.of(1, 8), (u, riem, xl, w, v),
-             (c("r"), c("p"), c("s"), c("t"), c("k"), chat("b"))),
-        Term(Scalar.of(-1, 8), (u, riem, xl, w, v),
-             (c("r"), c("p"), chat("s"), chat("t"), c("k"), chat("b"))),
-        Term(Scalar.of(1, 8), (u, v, w, riem2, xe),
-             (c("r"), chat("b"), c("k"), c("q"), c("y"), c("z"))),
-        Term(Scalar.of(-1, 8), (u, v, w, riem2, xe),
-             (c("r"), chat("b"), c("k"), c("q"), chat("y"), chat("z"))),
-        Term(Scalar.of(1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
-             (c("r"), c("j"), c("k"), c("p"), c("s"), c("t"))),
-        Term(Scalar.of(-1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
-             (c("r"), c("j"), c("k"), c("p"), chat("s"), chat("t"))),
-        Term(Scalar.of(1, 8), (u, riem, xl, fct("dw", "j", "g")),
-             (c("r"), c("j"), c("g"), c("p"), c("s"), c("t"))),
-        Term(Scalar.of(-1, 8), (u, riem, xl, fct("dw", "j", "g")),
-             (c("r"), c("j"), c("g"), c("p"), chat("s"), chat("t"))),
-        Term(S_ONE, (u, fct("dw", "j", "g"), v),
-             (c("r"), c("j"), c("g"), chat("b"))),
-        Term(S_ONE, (u, fct("dv", "j", "b"), w),
-             (c("r"), c("j"), c("k"), chat("b"))),
-        Term(S_ONE, (u, v, w, fct("v", "b2")),
-             (c("r"), chat("b"), c("k"), chat("b2"))),
+        (0, Scalar.of(1, 64), (u, riem, xl, w, riem2, xe),
+         (c("r"), c("p"), c("s"), c("t"), c("k"), c("q"), c("y"), c("z"))),
+        (0, Scalar.of(-1, 64), (u, riem, xl, w, riem2, xe),
+         (c("r"), c("p"), c("s"), c("t"),
+          c("k"), c("q"), chat("y"), chat("z"))),
+        (0, Scalar.of(-1, 64), (u, riem2, xe, w, riem, xl),
+         (c("r"), c("q"), chat("y"), chat("z"),
+          c("k"), c("p"), c("s"), c("t"))),
+        (0, Scalar.of(1, 64), (u, riem, xl, w, riem2, xe),
+         (c("r"), c("p"), chat("s"), chat("t"),
+          c("k"), c("q"), chat("y"), chat("z"))),
+        (0, Scalar.of(1, 8), (u, riem, xl, w, v),
+         (c("r"), c("p"), c("s"), c("t"), c("k"), chat("b"))),
+        (0, Scalar.of(-1, 8), (u, riem, xl, w, v),
+         (c("r"), c("p"), chat("s"), chat("t"), c("k"), chat("b"))),
+        (0, Scalar.of(1, 8), (u, v, w, riem2, xe),
+         (c("r"), chat("b"), c("k"), c("q"), c("y"), c("z"))),
+        (0, Scalar.of(-1, 8), (u, v, w, riem2, xe),
+         (c("r"), chat("b"), c("k"), c("q"), chat("y"), chat("z"))),
+        (0, Scalar.of(1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
+         (c("r"), c("j"), c("k"), c("p"), c("s"), c("t"))),
+        (0, Scalar.of(-1, 8), (u, fct("riem", "j", "p", "t", "s"), w),
+         (c("r"), c("j"), c("k"), c("p"), chat("s"), chat("t"))),
+        (0, Scalar.of(1, 8), (u, riem, xl, dw),
+         (c("r"), c("j"), c("g"), c("p"), c("s"), c("t"))),
+        (0, Scalar.of(-1, 8), (u, riem, xl, dw),
+         (c("r"), c("j"), c("g"), c("p"), chat("s"), chat("t"))),
+        (0, S_ONE, (u, dw, v), (c("r"), c("j"), c("g"), chat("b"))),
+        (0, S_ONE, (u, fct("dv", "j", "b"), w),
+         (c("r"), c("j"), c("k"), chat("b"))),
+        (0, S_ONE, (u, v, w, fct("v", "b2")),
+         (c("r"), chat("b"), c("k"), chat("b2"))),
     )
-    return {(2, 0): sigma2, (1, 0): sigma1, (0, 0): sigma0}
+    return {(2, 0): eta_form(sigma2), (1, 0): eta_form(sigma1),
+            (0, 0): eta_form(sigma0)}

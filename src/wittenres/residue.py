@@ -42,7 +42,7 @@ from .terms import (ContractViolation, NormalizeError, Term, check_labels,
 
 class ResidueError(Exception):
     """A density violated the residue contracts (free index, surviving
-    derivative atom, a value that is not a real polynomial in m)."""
+    derivative atom, a value that is not a polynomial in m)."""
 
 
 def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
@@ -58,9 +58,9 @@ def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
     each atom's polynomial is divided by moment_denominator(k), exactly.
     ResidueError on a label held more than twice (`check_labels`:
     integration and trace trust it absent), leftover free indices,
-    derivative atoms, an atom that is not real, or one whose division
-    leaves a remainder (a density that is not polynomial in m); a
-    NormalizeError of the canonical form passes through with its type.
+    derivative atoms, or an atom whose division leaves a remainder (a
+    density that is not polynomial in m); a NormalizeError of the
+    canonical form passes through with its type.
     """
     k = 0
     try:

@@ -1,19 +1,19 @@
 """Exact coefficient arithmetic.
 
-Every coefficient in the engine is a Gaussian polynomial in the
-half-dimension symbol m, an element of Q(i)[m].  All arithmetic is exact;
-nothing here ever touches floating point.
+Every coefficient in the engine is a rational polynomial in the
+half-dimension symbol m, an element of Q[m]: symbols are written in eta =
+i xi (see `terms`), so none carries a power of i.  All arithmetic is
+exact; nothing here ever touches floating point.
 
-A Scalar holds Python ints: the numerators of its real and its imaginary
-coefficients over one shared positive denominator, in lowest terms, so
-equal values compare and hash equal.  Sums, products and negations are int
-list operations, kept lowest by one int gcd, and build no Fraction per
-coefficient and no PolyM per operand.  The one denominator in m the engine
-meets, the cosphere moment n (n+2) ... (n+2k-2), never enters a
-coefficient: `sphere.integrate_term` counts pairings in units of the volume
-over that polynomial, and `residue.wres_density` divides each density by it
-once (`PolyM.divmod`).  `real_poly` gives a real value as the PolyM the
-report prints.
+A Scalar holds Python ints: the numerators of its coefficients over one
+positive denominator, in lowest terms, so equal values compare and hash
+equal.  Sums, products and negations are int list operations, kept lowest
+by one int gcd, and build no Fraction per coefficient and no PolyM per
+operand.  The one denominator in m the engine meets, the cosphere moment
+n (n+2) ... (n+2k-2), never enters a coefficient: `sphere.integrate_term`
+counts pairings in units of the volume over that polynomial, and
+`residue.wres_density` divides each density by it once (`PolyM.divmod`).
+`real_poly` gives the value as the PolyM the report prints.
 
 PolyM, a polynomial in m with Fraction coefficients, carries the ledger
 values, their sums and that one division.  RatM, a rational function of m,
@@ -262,124 +262,95 @@ def _plus(a, b) -> list:
     return c
 
 
-def _lowest(re: list, im: list, den: int) -> "Scalar":
-    """The Scalar (re + i*im) / den, from int coefficient lists that it may
-    trim and den > 0, in lowest terms."""
-    while re and not re[-1]:
-        re.pop()
-    while im and not im[-1]:
-        im.pop()
-    if not re and not im:
+def _lowest(nums: list, den: int) -> "Scalar":
+    """The Scalar nums / den in lowest terms (den > 0; nums is trimmed)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
         return S_ZERO
-    g = gcd(den, *re, *im)
+    g = gcd(den, *nums)
     if g != 1:
-        re, im, den = [x // g for x in re], [x // g for x in im], den // g
+        nums, den = [x // g for x in nums], den // g
     out = object.__new__(Scalar)
-    out.nums, out.inums, out.den = tuple(re), tuple(im), den
+    out.nums, out.den = tuple(nums), den
     return out
 
 
 class Scalar:
-    """Element of Q(i)[m], re + i*im with re and im real polynomials in m.
+    """Element of Q[m], a polynomial in m with rational coefficients.
 
-    It is held as int numerators over one positive int denominator `den`,
-    in lowest terms: `nums` for the real part and `inums` for the imaginary
-    one, each in ascending powers of m with no trailing zero.  Every value
-    has one form, so equal values have equal fields and equal hashes.
+    It is held as int numerators `nums`, in ascending powers of m with no
+    trailing zero, over one positive int denominator `den`, in lowest
+    terms.  Every value has one form, so equal values have equal fields and
+    equal hashes.
     """
 
-    __slots__ = ("nums", "inums", "den")
+    __slots__ = ("nums", "den")
 
     @staticmethod
     def of(p, q=1) -> "Scalar":
         x = Fraction(p, q)
-        return _lowest([x.numerator], [], x.denominator)
+        return _lowest([x.numerator], x.denominator)
 
     @staticmethod
     def poly(coeffs) -> "Scalar":
-        """The real polynomial with these rational coefficients, in
-        ascending powers of m."""
+        """The polynomial with these rational coefficients, ascending in m."""
         c = [Fraction(x) for x in coeffs]
         den = lcm(*[x.denominator for x in c])
-        return _lowest([x.numerator * (den // x.denominator) for x in c], [],
-                       den)
+        return _lowest([x.numerator * (den // x.denominator) for x in c], den)
 
     def is_zero(self) -> bool:
-        return self.nums == self.inums == ()
+        return not self.nums
 
     def __bool__(self):
         return not self.is_zero()
 
-    def is_real(self) -> bool:
-        return not self.inums
-
     def __eq__(self, other):
         return (isinstance(other, Scalar) and self.nums == other.nums
-                and self.inums == other.inums and self.den == other.den)
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.nums, self.inums, self.den))
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
-        a, b, da = self.nums, self.inums, self.den
-        c, d, db = other.nums, other.inums, other.den
+        a, c, da, db = self.nums, other.nums, self.den, other.den
         if da != db:
             g = gcd(da, db)
             sa, sb = db // g, da // g
-            a, b = [x * sa for x in a], [x * sa for x in b]
-            c, d = [x * sb for x in c], [x * sb for x in d]
+            a, c = [x * sa for x in a], [x * sb for x in c]
             da *= sa
-        return _lowest(_plus(a, c), _plus(b, d), da)
+        return _lowest(_plus(a, c), da)
 
     def __neg__(self):
-        return _lowest([-x for x in self.nums], [-x for x in self.inums],
-                       self.den)
+        return _lowest([-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b, c, d = self.nums, self.inums, other.nums, other.inums
-        den = self.den * other.den
-        if not b and not d:
-            return _lowest(_conv(a, c), [], den)
-        return _lowest(_plus(_conv(a, c), [-x for x in _conv(b, d)]),
-                       _plus(_conv(a, d), _conv(b, c)), den)
+        return _lowest(_conv(self.nums, other.nums), self.den * other.den)
 
     def __truediv__(self, other):
-        """The quotient by a nonzero constant, real or not.  ValueError for
-        a divisor in m, whose quotient would leave Q(i)[m]."""
-        if len(other.nums) > 1 or len(other.inums) > 1:
+        """The quotient by a nonzero constant.  ValueError for a divisor in
+        m, whose quotient would leave Q[m]."""
+        if len(other.nums) > 1:
             raise ValueError(f"division by a polynomial in m: {other}")
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        a, b, d = (other.nums or (0,))[0], (other.inums or (0,))[0], other.den
-        # 1 / ((a + i b) / d) = d (a - i b) / (a^2 + b^2)
-        return self * _lowest([d * a], [-d * b], a * a + b * b)
-
-    def _poly(self, nums) -> PolyM:
-        return PolyM([Fraction(x, self.den) for x in nums])
+        return self * Scalar.of(other.den, other.nums[0])
 
     def real_poly(self) -> PolyM:
-        """The value as a PolyM; ValueError unless it is real."""
-        if not self.is_real():
-            raise ValueError(f"scalar has imaginary part: {self}")
-        return self._poly(self.nums)
+        """The value as a PolyM."""
+        return PolyM([Fraction(x, self.den) for x in self.nums])
 
     def __str__(self):
-        re, im = self._poly(self.nums), self._poly(self.inums)
-        if not im:
-            return str(re)
-        if not re:
-            return f"i*({im})"
-        return f"({re}) + i*({im})"
+        return str(self.real_poly())
 
     __repr__ = __str__
 
 
 # the one zero, which `_lowest` returns, so it is built by hand
 S_ZERO = object.__new__(Scalar)
-S_ZERO.nums, S_ZERO.inums, S_ZERO.den = (), (), 1
+S_ZERO.nums, S_ZERO.den = (), 1
 S_ONE = Scalar.of(1)
-S_I = _lowest([], [1], 1)
 S_N = Scalar.poly((0, 2))

@@ -71,9 +71,10 @@ def vol_sphere_value(m: int):
 def integrate_term(t: Term, k: int) -> tuple[Term, ...]:
     """Replace the xi factors of a term by their integral over the unit
     cosphere, in units of Vol / moment_denominator(k), where every norm
-    power is one; x factors must be gone.  An odd number of xi factors
-    integrates to zero, and a term with j < k xi pairs takes the factor
-    moment_denominator(k, j).  ValueError for more than 2k xi factors.
+    power is one and eta^e = (-1)^j xi^e for |e| = 2j (see `terms`); x
+    factors must be gone.  An odd number of xi factors integrates to zero,
+    and a term with j < k xi pairs takes moment_denominator(k, j).
+    ValueError for more than 2k xi factors.
 
     Each pairing's deltas are applied at once (`terms.contract_deltas`):
     the xi labels move into the deltas one for one, so a pairing holds a
@@ -87,8 +88,9 @@ def integrate_term(t: Term, k: int) -> tuple[Term, ...]:
         raise ValueError(f"{len(slots)} xi factors exceed the moment of "
                          f"degree {2 * k}: {t}")
     # every pairing carries the same weight
-    coeff = t.coeff if j == k else t.coeff * Scalar.poly(
-        moment_denominator(k, j).c)
+    coeff = t.coeff if j % 2 == 0 else -t.coeff
+    if j < k:
+        coeff = coeff * Scalar.poly(moment_denominator(k, j).c)
     rest = Term(coeff, tuple(f for f in t.fac if f.kind != "xi"), t.word)
     out = []
     for pairing in pairings(slots):

@@ -57,10 +57,9 @@ def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
 
     Terms with leftover indexed factors (free indices, derivative atoms,
     unrecognized kinds), a Clifford word or a norm power raise CollectError
-    naming the first offender; an atom whose sum is not real raises
-    ValueError (`Scalar.real_poly`) naming the atom.  The division by the
-    cosphere moment, and with it the check that a density is polynomial in
-    m, is `residue.wres_density`'s.
+    naming the first offender.  The division by the cosphere moment, and
+    with it the check that a density is polynomial in m, is
+    `residue.wres_density`'s.
     """
     entries: dict[str, Scalar] = {}
     bad = []
@@ -75,11 +74,5 @@ def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
         raise CollectError(
             f"{len(bad)} term(s) are not invariant atoms "
             f"(first: {bad[0].fac} word={bad[0].word})")
-    value = {}
-    for key, s in entries.items():
-        if not s.is_zero():
-            try:
-                value[key] = s.real_poly()
-            except ValueError as exc:
-                raise ValueError(f"atom {key!r}: {exc}") from exc
-    return value
+    return {key: s.real_poly() for key, s in entries.items()
+            if not s.is_zero()}

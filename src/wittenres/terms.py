@@ -1,6 +1,6 @@
 """Shared exact term algebra.
 
-A Term couples a Q(i)[m] coefficient with a multiset of indexed tensor
+A Term couples a Q[m] coefficient with a multiset of indexed tensor
 factors, a word in the two Clifford generator families and a power of
 |xi|.  Index labels are either concrete frame indices (int, 1-based) or
 symbolic labels (str).  A symbolic label occurring exactly twice in a term
@@ -14,13 +14,21 @@ product under Chevalley's quantization map (Berline, Getzler & Vergne,
 *Heat Kernels and Dirac Operators*, ch. 3).  The constructors make every
 generator its own block, so a word of them is the plain Clifford product.
 
+Symbols are written in eta = i xi (Gilkey, *Invariance Theory, the Heat
+Equation, and the Atiyah-Singer Index Theorem*, 1995): a factor of kind
+"xi" is a component eta_a and a norm a power of |xi|, with |xi|^2 =
+-eta_a eta_a, so every coefficient is rational.  Each rule this fixes is
+stated where it acts: `operators.dirac_symbol`, `pdo.composition_summand`,
+`pdo.d_xi_terms`, `_PAIR_FOLDS` and `sphere.integrate_term`.  The paper's
+displays, printed in xi with i, are converted by `reference.eta_form`.
+
 normalize() rewrites a sum of terms to a canonical merged form:
   * an input term's deltas are applied on entry (`contract_deltas`): one
     with a dummy slot is substituted away (delta(a,a) -> n = 2m),
   * Riemann/Ricci self-contractions reduce to Ricci / scalar curvature
     (`_RIEM_PAIR`),
   * contracted pairs of one-slot factors fold (`_PAIR_FOLDS`): xi_a xi_a
-    -> |xi|^2, u_a w_a -> guw, v_a v_a -> vsq; an x_a x_a pair has no
+    -> -|xi|^2, u_a w_a -> guw, v_a v_a -> vsq; an x_a x_a pair has no
     carrier and is kept, and u_a ric_ab w_b folds to ricuw,
   * a word of more than one block per family is expanded by Wick's
     theorem (`wick`): a sum over the partial pairings of generators of one
@@ -142,7 +150,7 @@ _VARIANTS.update(riem=_RIEM_VARIANTS, ric=_SYM2_VARIANTS,
 _RIEM_PAIR = {(perm[0], perm[2]): (perm, sign)
               for perm, sign in _RIEM_VARIANTS}
 # a dummy joining two one-slot factors, by their kinds in factor order ->
-# the atoms the pair folds to and the step of the |xi| exponent
+# the atoms it folds to and its |xi| step; a step negates: eta.eta = -|xi|^2
 _PAIR_FOLDS = {("xi", "xi"): ((), 2), ("v", "v"): ((F("vsq", ()),), 0),
                ("u", "w"): ((F("guw", ()),), 0),
                ("w", "u"): ((F("guw", ()),), 0)}
@@ -272,7 +280,7 @@ def _contract_once(t: Term):
                 atoms, dn = fold
                 fac = tuple(ff for n, ff in enumerate(t.fac)
                             if n not in (once[i], k)) + atoms
-                return Term(t.coeff, fac, t.word,
+                return Term(-t.coeff if dn else t.coeff, fac, t.word,
                             (t.norm[0] + dn, t.norm[1]))
     # u_a ric_ab w_b -> ricuw, in either orientation of the Ricci factor
     for kr in rics:

@@ -22,8 +22,9 @@ from wittenres.clifford import c, chat
 from wittenres.operators import (endomorphism, parametrix_symbols,
                                  symbol_of_a, symbol_of_b)
 from wittenres.pdo import Component, PDOSymbol, compose, origin_terms
+from wittenres.reference import eta_form
 from wittenres.residue import wres_density
-from wittenres.scalars import S_I, S_ONE, PolyM, Scalar
+from wittenres.scalars import S_ONE, PolyM, Scalar
 from wittenres.terms import Term, fct, normalize
 
 
@@ -129,11 +130,10 @@ def sphere_integral_exact(exponents, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def at_m(s: Scalar, m) -> tuple[Fraction, Fraction]:
-    """(re, im) of an exact scalar at the half-dimension m, each part read
-    off the int form and evaluated through `PolyM.evaluate`."""
-    return tuple(PolyM([Fraction(x, s.den) for x in nums]).evaluate(m)
-                 for nums in (s.nums, s.inums))
+def at_m(s: Scalar, m) -> Fraction:
+    """An exact scalar at the half-dimension m, read off the int form and
+    evaluated through `PolyM.evaluate`."""
+    return PolyM([Fraction(x, s.den) for x in s.nums]).evaluate(m)
 
 
 class TensorAssignment:
@@ -202,12 +202,12 @@ class TensorAssignment:
             return sum(v * v for v in self.vec["v"].values())
         raise ValueError(f"no numeric value for factor kind {f.kind!r}")
 
-    def evaluate(self, terms) -> tuple[Fraction, Fraction]:
-        """Exact numeric value of a wordless term sum at m = n/2."""
+    def evaluate(self, terms) -> Fraction:
+        """Exact numeric value of a wordless term sum at m = n/2.  The xi
+        values are those of eta = i xi, so |xi|^2 = -eta.eta."""
         m = Fraction(self.n, 2)
-        xi_sq = sum(v * v for v in self.xi.values())
-        re = Fraction(0)
-        im = Fraction(0)
+        xi_sq = -sum(v * v for v in self.xi.values())
+        value = Fraction(0)
         for t in terms:
             if t.word:
                 raise ValueError("numeric evaluation is for tensor terms")
@@ -225,7 +225,6 @@ class TensorAssignment:
             if npow.denominator != 1 or int(npow) % 2:
                 raise ValueError("odd norm power has no rational value")
             nval = xi_sq ** (int(npow) // 2)
-            cre, cim = at_m(t.coeff, m)
             total = Fraction(0)
             assign = dict.fromkeys(labels, 1)
 
@@ -244,9 +243,8 @@ class TensorAssignment:
                     assign[labels[k]] = v
                     full(k + 1)
             full(0)
-            re += cre * nval * total
-            im += cim * nval * total
-        return re, im
+            value += at_m(t.coeff, m) * nval * total
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +286,9 @@ def dirac_symbol() -> PDOSymbol:
     """The symbol of the deformed operator D_V in normal coordinates, with
     x-linear Taylor data, written out here rather than taken from the
     package: i c(xi) at order one, and at order zero the two connection
-    words with the connection's x-linear curvature value, plus ch(V)."""
-    top = Term(S_I, (fct("xi", "a"),), (c("a"),))
+    words with the connection's x-linear curvature value, plus ch(V).  It
+    is stated in xi and converted to eta = i xi by `reference.eta_form`."""
+    top = eta_form([(1, S_ONE, (fct("xi", "a"),), (c("a"),))])
     zero = (
         Term(Scalar.of(1, 8), (fct("riem", "l", "p", "t", "s"), fct("x", "l")),
              (c("p"), c("s"), c("t"))),
@@ -298,13 +297,14 @@ def dirac_symbol() -> PDOSymbol:
              (c("p"), chat("s"), chat("t"))),
         Term(S_ONE, (fct("v", "b"),), (chat("b"),)),
     )
-    return PDOSymbol({(1, 0): Component((top,), 1),
+    return PDOSymbol({(1, 0): Component(top, 1),
                       (0, 0): Component(zero, 1)}, exact=True)
 
 
 def inverse_symbol_reference(power_offset: int) -> PDOSymbol:
     """The printed inverse-power symbol components for the deformed
-    operator.
+    operator, each term transcribed as printed, in xi with its power of i,
+    and converted to eta = i xi by `reference.eta_form`.
 
     power_offset 0 is the full-power display (three components);
     power_offset 1 is the reduced-power order -2m display, with the norm
@@ -320,40 +320,38 @@ def inverse_symbol_reference(power_offset: int) -> PDOSymbol:
     n_main = (base - 2, -2)
     n_low = (base - 4, -2)
 
-    sig_top = Component((
-        Term(S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
-             (), n_main),
-        Term(Scalar.of(-1, 3) * mt,
-             (fct("riem", "a", "j", "b", "k"), fct("x", "j"), fct("x", "k"),
-              fct("xi", "a"), fct("xi", "b")), (), n_main),
-    ), 2)
-    sig_mid = Component((
-        Term(Scalar.of(-2, 3) * mt * S_I,
-             (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (),
-             n_main),
-        Term(Scalar.of(1, 4) * mt * S_I,
-             (fct("riem", "b", "a", "t", "s"), fct("x", "b"),
-              fct("xi", "a")), (c("s"), c("t")), n_main),
-        Term(Scalar.of(-1, 4) * mt * S_I,
-             (fct("riem", "b", "a", "t", "s"), fct("x", "b"),
-              fct("xi", "a")), (chat("s"), chat("t")), n_main),
-    ), 1)
-    sig_low = Component((
-        Term(Scalar.of(1, 3) * mt * mt1,
-             (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
-             n_low),
-        Term(Scalar.of(-1, 4) * mt * mt1,
-             (fct("riem", "b", "a", "t", "s"), fct("xi", "a"),
-              fct("xi", "b")), (c("s"), c("t")), n_low),
-        Term(Scalar.of(1, 4) * mt * mt1,
-             (fct("riem", "b", "a", "t", "s"), fct("xi", "a"),
-              fct("xi", "b")), (chat("s"), chat("t")), n_low),
-        Term(Scalar.of(-1, 8) * mt, (fct("riem", "i", "j", "k", "l"),),
-             (chat("i"), chat("j"), c("k"), c("l")), n_main),
-        Term(Scalar.of(-1, 4) * mt, (fct("scal"),), (), n_main),
-        Term(-mt, (fct("dv", "i", "b"),), (c("i"), chat("b")), n_main),
-        Term(-mt, (fct("vsq"),), (), n_main),
-    ), 0)
+    sig_top = Component(eta_form((
+        (0, S_ONE, (fct("delta", "a", "b"), fct("xi", "a"), fct("xi", "b")),
+         (), n_main),
+        (0, Scalar.of(-1, 3) * mt,
+         (fct("riem", "a", "j", "b", "k"), fct("x", "j"), fct("x", "k"),
+          fct("xi", "a"), fct("xi", "b")), (), n_main),
+    )), 2)
+    sig_mid = Component(eta_form((
+        (1, Scalar.of(-2, 3) * mt,
+         (fct("ric", "a", "k"), fct("x", "k"), fct("xi", "a")), (), n_main),
+        (1, Scalar.of(1, 4) * mt,
+         (fct("riem", "b", "a", "t", "s"), fct("x", "b"), fct("xi", "a")),
+         (c("s"), c("t")), n_main),
+        (1, Scalar.of(-1, 4) * mt,
+         (fct("riem", "b", "a", "t", "s"), fct("x", "b"), fct("xi", "a")),
+         (chat("s"), chat("t")), n_main),
+    )), 1)
+    sig_low = Component(eta_form((
+        (0, Scalar.of(1, 3) * mt * mt1,
+         (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (), n_low),
+        (0, Scalar.of(-1, 4) * mt * mt1,
+         (fct("riem", "b", "a", "t", "s"), fct("xi", "a"), fct("xi", "b")),
+         (c("s"), c("t")), n_low),
+        (0, Scalar.of(1, 4) * mt * mt1,
+         (fct("riem", "b", "a", "t", "s"), fct("xi", "a"), fct("xi", "b")),
+         (chat("s"), chat("t")), n_low),
+        (0, Scalar.of(-1, 8) * mt, (fct("riem", "i", "j", "k", "l"),),
+         (chat("i"), chat("j"), c("k"), c("l")), n_main),
+        (0, Scalar.of(-1, 4) * mt, (fct("scal"),), (), n_main),
+        (0, -mt, (fct("dv", "i", "b"),), (c("i"), chat("b")), n_main),
+        (0, -mt, (fct("vsq"),), (), n_main),
+    )), 0)
     if power_offset == 0:
         comps = {(base, -2): sig_top, (base - 1, -2): sig_mid,
                  (base - 2, -2): sig_low}

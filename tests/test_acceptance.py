@@ -125,9 +125,7 @@ def test_criterion_6_trace_oracle():
             sym = normalize(cl.trace([oracle.word_term(word)]))
             ok = ok and len(sym) <= 1
             if sym:
-                re, im = at_m(sym[0].coeff, FR(n, 2))
-                val = re * 2 ** n
-                ok = ok and im == 0
+                val = at_m(sym[0].coeff, FR(n, 2)) * 2 ** n
             else:
                 val = FR(0)
             ok = ok and val == rep.word_trace(word)

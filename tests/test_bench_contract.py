@@ -60,3 +60,21 @@ def test_bench_imports_resolve(name):
                 assert hasattr(owner, alias.name), (node.module, alias.name)
                 found += 1
     assert found
+
+
+def test_the_taylor_control_fails_after_the_display_conversion():
+    # the taylor_diff workload diffs the derived order-zero symbol against
+    # the printed display, which `reference.eta_form` has converted: the
+    # seeded inputs still agree, and the control with one printed
+    # coefficient doubled still does not
+    import sys
+    from wittenres.pdo import terms_equal_taylor
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    inputs = workloads.taylor_inputs(100)
+    assert terms_equal_taylor(inputs.derived, inputs.printed)
+    control = workloads.with_control_doubled(inputs)
+    assert not terms_equal_taylor(control.derived, control.printed)

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ from wittenres.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
                            canonical_json, main)
 
 EXPECTED_REPORT = Path(__file__).parents[1] / "bench" / "expected_report.json"
+SRC = Path(__file__).parents[1] / "src"
 DATA = Path(__file__).parent / "data"
 
 
@@ -446,3 +449,69 @@ def test_a_closed_stdout_ends_without_a_traceback(capsys, monkeypatch, argv,
     assert EXIT_PIPE not in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE)
     assert sys.stdout is None
     assert capsys.readouterr().err == ""
+
+
+def _run_with_a_closed(stream, argv):
+    """Run `python -m wittenres.cli` in a fresh interpreter, with
+    PYTHONUNBUFFERED unset so stdout is block-buffered, and with `stream`
+    a pipe whose reader has already gone.  The exit status and what the
+    other stream printed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read, write = os.pipe()
+    os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+               stream: write}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wittenres.cli", *argv],
+                              env=env, timeout=120, **streams)
+    finally:
+        os.close(write)
+    return (proc.returncode,
+            (proc.stdout if stream == "stderr" else proc.stderr).decode())
+
+
+# (closed stream, argv, status, what the other stream prints): the help,
+# a usage error from argparse, and the verify path, where a golden file
+# that cannot be read is the usage error
+CLOSED_STREAM_CASES = [
+    ("stdout", ["verify", "--help"], EXIT_PIPE, ""),
+    ("stdout", ["--help"], EXIT_PIPE, ""),
+    ("stdout", ["verify", "--dimension", "5"], EXIT_USAGE,
+     "concrete dimension must be even"),
+    ("stdout", ["verify", "--format", "json"], EXIT_PIPE, ""),
+    ("stderr", ["verify", "--help"], EXIT_OK, "--golden GOLDEN"),
+    ("stderr", ["verify", "--dimension", "5"], EXIT_PIPE, ""),
+    ("stderr", ["verify", "--golden", "{missing}"], EXIT_PIPE, ""),
+    ("stderr", ["verify", "--functional", "metric", "--format", "json"],
+     EXIT_OK, '"status": "pass"'),
+]
+
+
+@pytest.mark.parametrize(
+    "stream, argv, status, printed", CLOSED_STREAM_CASES,
+    ids=[f"{case[0]}-{'-'.join(case[1])}" for case in CLOSED_STREAM_CASES])
+def test_a_closed_stream_ends_with_a_documented_status(tmp_path, stream,
+                                                       argv, status, printed):
+    # a stream closed before the output reaches it, at a write or at the
+    # interpreter's flush at exit, ends in EXIT_PIPE with nothing printed,
+    # not in `Exception ignored ... BrokenPipeError` and status 120
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    code, other = _run_with_a_closed(stream, argv)
+    assert code == status
+    assert "Exception ignored" not in other and "Traceback" not in other
+    if printed:
+        assert printed in other
+    else:
+        assert other == ""
+
+
+def test_help_lists_every_exit_status(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    epilog = " ".join(capsys.readouterr().out.split("exit status:")[1].split())
+    assert epilog == (f"{EXIT_OK} pass, {EXIT_MISMATCH} mismatch, "
+                      f"{EXIT_USAGE} usage error, "
+                      f"{EXIT_PIPE} output closed")

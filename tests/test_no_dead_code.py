@@ -174,6 +174,8 @@ NEVER_ENTERED = {
                                  "(bench taylor_diff, item 5)",
     "reference.ab_symbol_reference": "bench/workloads.py diffs the derived "
                                      "A B symbol against it (item 5)",
+    "reference.eta_form": "only ab_symbol_reference calls it in src/; the "
+                          "tests convert their printed displays with it",
     "tensor.bianchi_pass": BENCH_WRAPS,
     "scalars.poly_gcd": f"{BENCH_WRAPS}; only RatM calls it",
     "scalars.PolyM.degree": RATM_CALLS,

@@ -10,9 +10,10 @@ from wittenres.operators import (cu_cw_symbol, dirac_symbol, endomorphism,
                                  symbol_of_b, t_ab)
 from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
                            terms_equal_taylor)
-from wittenres.reference import ab_symbol_reference
+from wittenres.reference import (DisplayParityError, ab_symbol_reference,
+                                 eta_form)
 from wittenres.residue import Pieces, wres_density
-from wittenres.scalars import S_I, S_ONE, PolyM, Scalar
+from wittenres.scalars import S_ONE, PolyM, Scalar
 from wittenres.tensor import canonicalize, collect
 from wittenres.terms import Term, fct, mul_terms, normalize
 
@@ -34,20 +35,21 @@ def _mid_component_checks(frame):
     e_a = d_a + (1/6) R_akjl x^k x^l d_j, so frame = 1/6).  Whether the
     x-linear part of sigma_1(D_V o D_V) is then 2i T_ab x_b xi_a
     + (2/3) i Ric_ak x_k xi_a, and whether each parametrix's middle
-    component is -mt times it at |xi|^(2 off - 2, -2)."""
+    component is -mt times it at |xi|^(2 off - 2, -2).  Each term has one
+    xi factor, so in eta = i xi it drops its i."""
     d = dirac_symbol()
     (top,) = d.comps[(1, 0)].terms
-    bent = Term(frame * S_I, (fct("riem", "a", "k", "j", "l"), fct("x", "k"),
-                              fct("x", "l"), fct("xi", "j")), (cl.c("a"),))
+    bent = Term(frame, (fct("riem", "a", "k", "j", "l"), fct("x", "k"),
+                        fct("x", "l"), fct("xi", "j")), (cl.c("a"),))
     d = PDOSymbol({(1, 0): Component((top, bent), 2),
                    (0, 0): d.comps[(0, 0)]}, exact=True)
     derived = normalize(compose(d, d, [(1, 0)], xmax=1).comps[(1, 0)].terms)
     endo = endomorphism()
-    stated = [Term(t.coeff * Scalar.of(2) * S_I,
+    stated = [Term(t.coeff * Scalar.of(2),
                    t.fac + (fct("x", "b"), fct("xi", "a")), t.word)
               for t in t_ab("a", "b")]
-    stated.append(Term(Scalar.of(2, 3) * S_I, (fct("ric", "a", "k"),
-                                               fct("x", "k"), fct("xi", "a"))))
+    stated.append(Term(Scalar.of(2, 3), (fct("ric", "a", "k"),
+                                         fct("x", "k"), fct("xi", "a"))))
     checks = [derived == normalize(stated)]
     for off in (0, 1):
         mid = parametrix_symbols(endo, off).comps[(2 * off - 1, -2)].terms
@@ -178,8 +180,7 @@ def test_first_order_symbol():
     a = symbol_of_a()
     (t,) = a.comps[(1, 0)].terms
     assert {f.kind for f in t.fac} == {"u", "xi"}
-    re, im = at_m(t.coeff, 2)
-    assert re == 0 and im == 1  # i c(u) c(xi)
+    assert at_m(t.coeff, 2) == 1  # c(u) c(eta) = i c(u) c(xi)
 
 
 def test_product_symbol_matches_printed_display():
@@ -187,6 +188,46 @@ def test_product_symbol_matches_printed_display():
     ref = ab_symbol_reference()
     for order in ((2, 0), (1, 0)):
         assert terms_equal_taylor(ab.comps[order].terms, ref[order]), order
+
+
+def test_eta_form_converts_each_printed_power_of_i():
+    # i^p t with k xi factors is i^(p-k) t in eta = i xi
+    xi_a, xi_b = fct("xi", "a"), fct("xi", "b")
+    printed = [(1, S_ONE, (xi_a,), (cl.c("a"),)),         # i c(xi)
+               (0, S_ONE, (xi_a, xi_b), (), (-2, -2)),     # xi_a xi_b |xi|^..
+               (2, Scalar.of(3), (), ()),                  # 3 i^2
+               (3, Scalar.of(1, 2), (xi_a,), ()),          # i^3 xi_a / 2
+               (-1, S_ONE, (xi_a,), ())]                   # xi_a / i
+    assert eta_form(printed) == (
+        Term(S_ONE, (xi_a,), (cl.c("a"),)),
+        Term(-S_ONE, (xi_a, xi_b), (), (-2, -2)),
+        Term(Scalar.of(-3), ()),
+        Term(Scalar.of(-1, 2), (xi_a,)),
+        Term(-S_ONE, (xi_a,)))
+
+
+@pytest.mark.parametrize("power", [0, 2, -1])
+def test_eta_form_refuses_a_power_of_i_of_the_wrong_parity(power):
+    # c(xi) with an even power of i, or xi_a xi_b with an odd one, is
+    # imaginary in eta: a typo in the display, named by the error
+    xi = (fct("xi", "a"), fct("xi", "b"))[:1 + power % 2]
+    bad = (power, Scalar.of(1, 8), xi, (cl.c("a"),))
+    with pytest.raises(DisplayParityError) as exc:
+        eta_form([(1, S_ONE, (fct("xi", "f"),), ()), bad])
+    assert f"i^{power} with" in str(exc.value)
+    assert str(Term(*bad[1:])) in str(exc.value)
+
+
+def test_an_unconverted_display_fails_the_taylor_comparison():
+    # the converted A B displays hold the derived symbol; the same
+    # transcriptions read with every power of i dropped do not, at order
+    # two, where c(u) c(xi) c(w) c(xi) is printed with -1, which is +1 in
+    # eta
+    ab = compose(symbol_of_a(), symbol_of_b(), [(2, 0)])
+    (printed,) = ab_symbol_reference()[(2, 0)]
+    assert terms_equal_taylor(ab.comps[(2, 0)].terms, (printed,))
+    raw = printed._replace(coeff=-printed.coeff)
+    assert not terms_equal_taylor(ab.comps[(2, 0)].terms, (raw,))
 
 
 def test_product_symbol_order_zero_matches_printed_display_slow():

@@ -11,16 +11,18 @@ from wittenres.operators import (cu_cw_symbol, dirac_symbol,
 from wittenres.pdo import (Component, PDOSymbol, TruncationError, compose,
                            composition_summand, d_x_terms, d_xi_terms,
                            origin_terms, terms_equal_taylor, x_degree)
-from wittenres.scalars import S_I, S_ONE, Scalar
+from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import F, NormalizeError, Term, fct, normalize
 
 
 def test_d_xi_norm_power():
+    # d_eta |xi|^-2 = 2 eta_j |xi|^-4, since |xi|^2 = -eta.eta: the xi form
+    # d_xi |xi|^-2 = -2 xi_j |xi|^-4 with d_eta = -i d_xi and xi_j = -i eta_j
     t = Term(S_ONE, (), (), (-2, 0))
     (out,) = d_xi_terms([t], "j")
     assert out.norm == (-4, 0)
     assert out.fac == (F("xi", ("j",)),)
-    assert out.coeff == Scalar.of(-2)
+    assert out.coeff == Scalar.of(2)
     assert d_xi_terms([Term(S_ONE, (fct("scal"),))], "j") == ()
 
 
@@ -119,18 +121,16 @@ def test_compose_truncation_error_is_explicit():
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_compose_sums_every_alpha_homogeneity_allows(k):
-    # xi_1^k against x_1^k reaches the origin only through the alpha = k
-    # summand: (-i)^k / k! * k! * k!
+    # eta_1^k against x_1^k reaches the origin only through the alpha = k
+    # summand: 1 / k! * k! * k!  (in xi, xi_1^k = (-i)^k eta_1^k gives
+    # (-i)^k k!)
     xi = PDOSymbol({(k, 0): Component((Term(S_ONE, (fct("xi", 1),) * k),),
                                       None)}, exact=True)
     x = PDOSymbol({(0, 0): Component((Term(S_ONE, (fct("x", 1),) * k),),
                                      None)}, exact=True)
     got = normalize(origin_terms(compose(xi, x, [(0, 0)]).comps[(0, 0)]
                                  .terms))
-    want = Scalar.of(factorial(k))
-    for _ in range(k):
-        want = want * (-S_I)
-    assert got == (Term(want, ()),)
+    assert got == (Term(Scalar.of(factorial(k)), ()),)
 
 
 @pytest.mark.parametrize("xmax", [0, 1])

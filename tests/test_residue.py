@@ -12,7 +12,7 @@ from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
                                wres_density)
-from wittenres.scalars import S_I, S_ONE, PolyM, Scalar
+from wittenres.scalars import S_ONE, PolyM, Scalar
 from wittenres.tensor import canonicalize, collect
 from wittenres.terms import (ContractViolation, NormalizeError, Term, fct,
                              mul_terms, normalize)
@@ -37,8 +37,6 @@ def test_wres_density_zero_and_guards():
                            (-1, -2))])
     with pytest.raises(ResidueError):  # wrong homogeneity
         wres_density([Term(S_ONE, (), (), (-1, -2))])
-    with pytest.raises(ResidueError):  # imaginary density
-        wres_density([Term(S_I, (), (), (0, -2))])
     with pytest.raises(ResidueError):  # surviving derivative atom
         wres_density([Term(S_ONE, (fct("dw", "a", "a"),), (), (0, -2))])
 
@@ -58,11 +56,12 @@ def test_wres_density_refuses_a_density_that_is_not_polynomial():
 def test_wres_density_of_mixed_xi_degrees_is_the_sum_of_its_parts():
     # every ledger job holds one xi degree; here 3 s, m Ric(xi, xi) and
     # m(m+1) s |xi|^4 share one density, the first two weighted by the
-    # moment factors they lack: 3 s + m s/n + m(m+1) s, with n = 2m
+    # moment factors they lack: 3 s + m s/n + m(m+1) s, with n = 2m.  In
+    # eta = i xi the middle term is -m Ric(eta, eta)
     m = Scalar.poly((0, 1))
     terms = [
         Term(Scalar.of(3), (fct("scal"),), (), (0, -2)),
-        Term(m, (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
+        Term(-m, (fct("ric", "a", "b"), fct("xi", "a"), fct("xi", "b")), (),
              (-2, -2)),
         Term(m * Scalar.poly((1, 1)),
              (fct("scal"), *(fct("xi", i) for i in "aabb")), (), (-4, -2)),
@@ -482,9 +481,9 @@ def test_orthogonal_fields_kill_metric_atoms(ledger):
 
 
 def test_everything_is_real(ledger):
-    # every coefficient is a nonzero real polynomial in m; realness is
-    # enforced where a density is collected (the imaginary case of
-    # test_wres_density_zero_and_guards)
+    # every coefficient is a nonzero real polynomial in m: the report path
+    # holds PolyM values, and a Scalar has no imaginary part
+    # (test_scalars.test_scalar_has_no_imaginary_half)
     for lab in ledger:
         for coeff in ledger[lab].values():
             assert isinstance(coeff, PolyM) and coeff.c, lab

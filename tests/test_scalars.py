@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import at_m
 
-from wittenres.scalars import P_ONE, PolyM, RatM, S_I, S_ONE, Scalar, poly_gcd
+from wittenres.scalars import P_ONE, PolyM, RatM, Scalar, poly_gcd
 
 S_ZERO = Scalar.of(0)
 S_M = Scalar.poly((0, 1))
@@ -38,20 +38,15 @@ def test_rational_function_ops():
     assert RatM(PolyM((1, 1)), PolyM((0, 1))).den != P_ONE
 
 
-def test_scalar_complex_ops():
-    z = S_I * S_I
-    assert z == Scalar.of(-1)
-    w = (S_ONE + S_I) * (S_ONE - S_I)
-    assert w == Scalar.of(2)
-    q = S_I / S_I
-    assert q == S_ONE
-    assert at_m(S_M * S_M, 3) == (Fraction(9), Fraction(0))
+def test_scalar_has_no_imaginary_half():
+    # symbols are written in eta = i xi, so a coefficient is an element of
+    # Q[m]: its numerators and one denominator, and nothing more
+    assert Scalar.__slots__ == ("nums", "den")
+    assert at_m(S_M * S_M, 3) == Fraction(9)
 
 
 def test_real_poly_guards():
     assert Scalar.poly((1, -2)).real_poly() == PolyM((1, -2))
-    with pytest.raises(ValueError):
-        S_I.real_poly()
 
 
 # the general route: cross-multiply, cancel an explicit gcd, make the
@@ -112,38 +107,10 @@ def test_constant_and_negation_fast_paths_match_the_coefficient_loop():
         assert _pair(-r) == _gcd_route(PolyM([-x for x in r.num.c]), r.den)
 
 
-def _split(z: Scalar):
-    """The real and the imaginary part of z, each as a real Scalar."""
-    return tuple(Scalar.poly([Fraction(x, z.den) for x in nums])
-                 for nums in (z.nums, z.inums))
-
-
-def _four_products(x: Scalar, y: Scalar) -> Scalar:
-    (a, b), (c, d) = _split(x), _split(y)
-    return (a * c - b * d) + S_I * (a * d + b * c)
-
-
-def test_scalar_product_fast_paths_match_four_products():
-    rng = random.Random(5)
-    for _ in range(200):
-        re1, im1, re2, im2 = (
-            Scalar.poly(_random_poly(rng, rng.randint(0, 2)).c)
-            for _ in range(4))
-        cases = [(re1, re2), (re1, re2 + S_I * im2), (re1 + S_I * im1, re2),
-                 (re1 + S_I * im1, re2 + S_I * im2),
-                 (re1, S_ZERO), (S_ZERO, re2 + S_I * im2),
-                 (S_I * im1, S_I * im2)]
-        for x, y in cases:
-            got, want = x * y, _four_products(x, y)
-            assert got == want and hash(got) == hash(want)
-        zero = (re1 + S_I * im1) - (re1 + S_I * im1)
-        assert (zero.nums, zero.inums, zero.den) == ((), (), 1)
-
-
-# Reference arithmetic in Q(i)[m]: a value is (p, q, r), three lists of
-# Fraction coefficients in ascending powers of m standing for (p + i q) / r,
-# with r a nonzero constant.  Nothing is reduced, so the kernel's int form
-# is checked against plain cross multiplication.
+# Reference arithmetic in Q[m]: a value is (p, r), two lists of Fraction
+# coefficients in ascending powers of m standing for p / r, with r a
+# nonzero constant.  Nothing is reduced, so the kernel's int form is
+# checked against plain cross multiplication.
 def _strip(a):
     a = list(a)
     while a and a[-1] == 0:
@@ -170,84 +137,69 @@ def _pneg(a):
 
 
 def _ref_add(x, y):
-    (p1, q1, r1), (p2, q2, r2) = x, y
-    return (_padd(_pmul(p1, r2), _pmul(p2, r1)),
-            _padd(_pmul(q1, r2), _pmul(q2, r1)), _pmul(r1, r2))
+    (p1, r1), (p2, r2) = x, y
+    return _padd(_pmul(p1, r2), _pmul(p2, r1)), _pmul(r1, r2)
 
 
 def _ref_mul(x, y):
-    (p1, q1, r1), (p2, q2, r2) = x, y
-    return (_padd(_pmul(p1, p2), _pneg(_pmul(q1, q2))),
-            _padd(_pmul(p1, q2), _pmul(q1, p2)), _pmul(r1, r2))
+    (p1, r1), (p2, r2) = x, y
+    return _pmul(p1, p2), _pmul(r1, r2)
 
 
 def _ref_div(x, y):
-    # 1 / ((p + i q) / r) = r (p - i q) / (p^2 + q^2)
-    p, q, r = y
-    return _ref_mul(x, (_pmul(r, p), _pmul(r, _pneg(q)),
-                        _padd(_pmul(p, p), _pmul(q, q))))
+    # 1 / (p / r) = r / p, for a constant p
+    p, r = y
+    return _ref_mul(x, (r, p))
 
 
 def _ref_is_zero(x):
-    return not _strip(x[0]) and not _strip(x[1])
+    return not _strip(x[0])
 
 
 def _agrees(s: Scalar, x) -> bool:
-    """s equals (p + i q) / r: p d == a r and q d == b r for
-    s = (a + i b) / d."""
-    p, q, r = x
-    return all(_strip(_pmul(ref, [s.den])) == _strip(_pmul(list(nums), r))
-               for ref, nums in ((p, s.nums), (q, s.inums)))
+    """s equals p / r: p d == a r for s = a / d."""
+    p, r = x
+    return _strip(_pmul(p, [s.den])) == _strip(_pmul(list(s.nums), r))
 
 
 def _old_str(x) -> str:
-    """The rendering Scalar had when it held RatM parts: each part as its
-    reduced polynomial."""
-    (r,) = _strip(x[2])
-    re, im = (PolyM([c / r for c in part]) for part in x[:2])
-    if im.is_zero():
-        return str(re)
-    if re.is_zero():
-        return f"i*({im})"
-    return f"({re}) + i*({im})"
+    """The rendering Scalar had when it held a RatM: its reduced
+    polynomial."""
+    (r,) = _strip(x[1])
+    return str(PolyM([c / r for c in x[0]]))
 
 
 UNIT = [Fraction(1)]
 _COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 _POLY = st.lists(_COEFF, max_size=3)
 _VALUES = st.one_of(
-    st.tuples(_POLY, st.just([]), st.just(UNIT)),  # real polynomial
-    st.tuples(_POLY, _POLY, st.just(UNIT)),  # complex polynomial
-    # a complex polynomial over a constant
-    st.tuples(_POLY, _POLY, st.lists(_COEFF.filter(bool), min_size=1,
-                                     max_size=1)),
+    st.tuples(_POLY, st.just(UNIT)),  # a polynomial
+    # a polynomial over a constant
+    st.tuples(_POLY, st.lists(_COEFF.filter(bool), min_size=1, max_size=1)),
 )
 
 
 def _both_ways(x):
-    """The kernel value of x built from its parts' own coefficients, and
-    again by arithmetic on polynomial scalars."""
-    p, q, (r,) = x
-    direct = (Scalar.poly([c / r for c in p])
-              + S_I * Scalar.poly([c / r for c in q]))
-    built = (Scalar.poly(p) + S_I * Scalar.poly(q)) / Scalar.of(r)
+    """The kernel value of x built from its own coefficients, and again by
+    arithmetic on polynomial scalars."""
+    p, (r,) = x
+    direct = Scalar.poly([c / r for c in p])
+    built = Scalar.poly(p) / Scalar.of(r)
     return direct, built
 
 
 def _is_constant(x):
-    return len(_strip(x[0])) <= 1 and len(_strip(x[1])) <= 1
+    return len(_strip(x[0])) <= 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(_VALUES, _VALUES)
-# division by an imaginary and by a real constant, by m and by zero
-@example(([Fraction(1), Fraction(2)], [Fraction(3)], UNIT),
-         ([], [Fraction(-2, 3)], UNIT))
-@example(([Fraction(1)], [Fraction(1, 2)], [Fraction(3)]),
-         ([Fraction(-5, 2)], [], UNIT))
-@example(([Fraction(1)], [], [Fraction(2)]),
-         ([Fraction(0), Fraction(1)], [], UNIT))
-@example(([Fraction(1)], [], UNIT), ([], [], [Fraction(2)]))
+# division by a negative and by a positive constant, by m and by zero
+@example(([Fraction(1), Fraction(2)], UNIT), ([Fraction(-2, 3)], UNIT))
+@example(([Fraction(1), Fraction(1, 2)], [Fraction(3)]),
+         ([Fraction(-5, 2)], UNIT))
+@example(([Fraction(1)], [Fraction(2)]), ([Fraction(0), Fraction(1)], UNIT))
+@example(([Fraction(1)], UNIT), ([], [Fraction(2)]))
 def test_scalar_kernel_matches_fraction_reference(x, y):
     sx, bx = _both_ways(x)
     sy, _ = _both_ways(y)
@@ -256,14 +208,13 @@ def test_scalar_kernel_matches_fraction_reference(x, y):
     assert _agrees(sx, x) and _agrees(sy, y)
     assert sx.is_zero() == _ref_is_zero(x)
     assert str(sx) == _old_str(x)
-    results = [(sx + sy, _ref_add(x, y)), (-sx, (_pneg(x[0]), _pneg(x[1]),
-                                                 x[2])),
-               (sx - sy, _ref_add(x, (_pneg(y[0]), _pneg(y[1]), y[2]))),
+    results = [(sx + sy, _ref_add(x, y)), (-sx, (_pneg(x[0]), x[1])),
+               (sx - sy, _ref_add(x, (_pneg(y[0]), y[1]))),
                (sx * sy, _ref_mul(x, y))]
     if _ref_is_zero(y):
         with pytest.raises(ZeroDivisionError):
             sx / sy
-    elif not _is_constant(y):  # the quotient would leave Q(i)[m]
+    elif not _is_constant(y):  # the quotient would leave Q[m]
         with pytest.raises(ValueError):
             sx / sy
     else:
@@ -276,14 +227,13 @@ def test_scalar_kernel_matches_fraction_reference(x, y):
         assert str(got) == _old_str(want)
     assert (sx + sy) == (sy + sx) and hash(sx * sy) == hash(sy * sx)
     assert (sx - sx).is_zero() and hash(sx - sx) == hash(Scalar.of(0))
+    zero = sx - sx
+    assert (zero.nums, zero.den) == ((), 1)
     again = (sx + sy) - sy
     assert again == sx and hash(again) == hash(sx)
     for s in (sx, sx * sy, sx + sy):
-        try:
-            coeffs = s.real_poly().c
-        except ValueError:
-            continue
+        coeffs = s.real_poly().c
         assert all(type(c) is Fraction for c in coeffs)
-        assert _agrees(s, (coeffs, [], UNIT))
-    if not x[1] and x[2] == UNIT:  # a real polynomial
+        assert _agrees(s, (coeffs, UNIT))
+    if x[1] == UNIT:  # a polynomial
         assert list(sx.real_poly().c) == _strip(x[0])

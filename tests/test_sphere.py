@@ -16,9 +16,12 @@ from wittenres.terms import F, Term, fct, normalize, wick
 def xi_integral(indices, k=None):
     """The cosphere integral of the xi-monomial with these index slots, in
     units of Vol(S^{2m-1}) / moment_denominator(k), with k half the number
-    of slots unless given."""
+    of slots unless given.  The package's xi factors are components of
+    eta = i xi, so a monomial of degree 2j is written with the weight
+    (-1)^j = i^(-2j); one of odd degree integrates to zero."""
     return sphere.integrate_term(
-        Term(S_ONE, tuple(fct("xi", i) for i in indices)),
+        Term(Scalar.of((-1) ** (len(indices) // 2)),
+             tuple(fct("xi", i) for i in indices)),
         len(indices) // 2 if k is None else k)
 
 
@@ -29,9 +32,7 @@ def evaluated(indices, n):
     den = sphere.moment_denominator(len(indices) // 2).evaluate(m)
     out = []
     for t in xi_integral(indices):
-        re, im = at_m(t.coeff, m)
-        assert im == 0
-        out.append((re / den, t))
+        out.append((at_m(t.coeff, m) / den, t))
     return out
 
 

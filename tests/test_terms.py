@@ -47,16 +47,17 @@ def test_word_dummy_pair_sums_to_dimension():
 
 
 def test_symmetric_monomial_coefficient_antisymmetry_cancels():
-    # xi_a xi_b c_a c_b reduces to -|xi|^2 regardless of presentation
-    t1 = Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
+    # xi_a xi_b c_a c_b, which is -eta_a eta_b c_a c_b in eta = i xi,
+    # reduces to -|xi|^2 regardless of presentation
+    t1 = Term(-S_ONE, (fct("xi", "a"), fct("xi", "b")),
               (cl.c("a"), cl.c("b")))
-    t2 = Term(S_ONE, (fct("xi", "q"), fct("xi", "p")),
+    t2 = Term(-S_ONE, (fct("xi", "q"), fct("xi", "p")),
               (cl.c("q"), cl.c("p")))
     n1, n2 = normalize([t1]), normalize([t2])
     assert n1 == n2
     assert n1 == (Term(Scalar.of(-1), (), (), (2, 0)),)
     # the hat family anticommutes to +2 delta: xi_a xi_b chat_a chat_b
-    t3 = Term(S_ONE, (fct("xi", "a"), fct("xi", "b")),
+    t3 = Term(-S_ONE, (fct("xi", "a"), fct("xi", "b")),
               (cl.chat("a"), cl.chat("b")))
     assert normalize([t3]) == (Term(S_ONE, (), (), (2, 0)),)
 
