@@ -3,7 +3,7 @@
 `wittenres verify` evaluates ledger labels in this process, diffs each
 against the reference ledger as `reference.validate_reference` parsed it,
 and reports MATCH / PAPER_TYPO / MISMATCH per label (exit 0 only when
-nothing mismatches); each format renders the values ({atom: PolyM}).
+nothing mismatches); each format renders the values ({atom: Scalar}).
 `--functional` selects a functional's label and every label it sums over,
 `--term` a list of labels; either way only those labels and their children
 are computed.  The report's "bianchi" key is always "on": first Bianchi is
@@ -66,7 +66,7 @@ class QueryError(Exception):
 def evaluate_ledger(labels: list[str], ref: dict, tables: dict,
                     pieces: Pieces) -> dict[str, dict]:
     """Report entries for the labels, in ledger order: the engine's value
-    ({atom: PolyM}), its status against the `tables` parsed from `ref`, and
+    ({atom: Scalar}), its status against the `tables` parsed from `ref`, and
     the note and printed table that `ref` stores, as written, if any.  The
     symbol pieces built on the way stay in `pieces`."""
     entries = {}
@@ -108,9 +108,9 @@ def _substitute(value: dict, m: int) -> str:
 
 
 def canonical_json(payload: dict) -> str:
-    # the one place a PolyM becomes strings: its coefficients, ascending
+    # a Scalar is written as its coefficients, ascending
     return json.dumps(payload, sort_keys=True, indent=2,
-                      default=lambda p: [str(c) for c in p.c]) + "\n"
+                      default=lambda p: [str(c) for c in p.coeffs()]) + "\n"
 
 
 def cmd_verify(args) -> int:

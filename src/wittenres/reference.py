@@ -4,7 +4,7 @@ The golden ledger records the published per-label values (with the two
 documented corrections noted), each as {atom: coefficient list}, the list
 ascending in m.  `validate_reference` is the one place a stored coefficient
 is parsed: it reads the stored and printed tables as ledger values, {atom:
-PolyM} with no zero atom, so a trailing zero coefficient or an atom written
+Scalar} with no zero atom, so a trailing zero coefficient or an atom written
 as zero changes no status.  `compare_entry` diffs against those.  Statuses:
 MATCH (derived equals the stored and printed value), PAPER_TYPO (derived
 equals the stored value while the printed line differs), MISMATCH (derived
@@ -22,7 +22,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .clifford import c, chat
-from .scalars import S_ONE, PolyM, Scalar
+from .scalars import S_ONE, Scalar
 from .terms import Term, fct
 
 MATCH = "MATCH"
@@ -59,9 +59,9 @@ def _coeff(x, where: str) -> Fraction:
             f"bad coefficient {x!r:.40} in {where}") from exc
 
 
-def validate_reference(ref) -> dict[str, dict[str, dict[str, PolyM]]]:
+def validate_reference(ref) -> dict[str, dict[str, dict[str, Scalar]]]:
     """The checked ledger's "values" and "printed" tables, each as {label:
-    {atom: PolyM}}; ReferenceFormatError names what is malformed."""
+    {atom: Scalar}}; ReferenceFormatError names what is malformed."""
     if not isinstance(ref, dict):
         raise ReferenceFormatError("reference file must be a JSON object")
     if ref.get("units") != "TrId*Vol":
@@ -83,8 +83,9 @@ def validate_reference(ref) -> dict[str, dict[str, dict[str, PolyM]]]:
                 if not isinstance(coeffs, list):
                     raise ReferenceFormatError(
                         f"{section}[{label}][{atom}] must be a list")
-                p = PolyM([_coeff(x, f"{label}/{atom}") for x in coeffs])
-                if p.c:
+                p = Scalar.poly([_coeff(x, f"{label}/{atom}")
+                                 for x in coeffs])
+                if not p.is_zero():
                     value[atom] = p
     notes = ref.get("notes", {})
     if not (isinstance(notes, dict)
@@ -103,8 +104,8 @@ def validate_reference(ref) -> dict[str, dict[str, dict[str, PolyM]]]:
     return tables
 
 
-def compare_entry(value: dict[str, PolyM], tables: dict, label: str) -> str:
-    """Status of one ledger value ({atom: PolyM}, no zero atom) against
+def compare_entry(value: dict[str, Scalar], tables: dict, label: str) -> str:
+    """Status of one ledger value ({atom: Scalar}, no zero atom) against
     the tables `validate_reference` returned; a label the reference does
     not store is a MISMATCH."""
     stored = tables["values"].get(label)

@@ -19,7 +19,7 @@ Every xi/x derivative pairing of two symbols goes through `pdo.compose` or
 its `composition_summand`, and each job is one `composition_summand` of its
 two sides with xmax=0, which cuts both to what reaches the origin: the only
 origin cut here.  A value is what the report prints, {atom name: real
-polynomial in m (`PolyM`)} in units of TrId*Vol with no zero atom, and
+polynomial in m (a `Scalar`)} in units of TrId*Vol with no zero atom, and
 `evaluate_labels` returns a plain dict from label to value in ledger order;
 its "metric" entry is the metric functional, exactly -g(u,w), and its
 "einstein" entry the Einstein one.
@@ -34,7 +34,7 @@ from .operators import (cu_cw_symbol, endomorphism, parametrix_symbols,
                         symbol_of_a, symbol_of_b)
 from .pdo import (Component, TruncationError, compose, composition_summand,
                   order, x_degree)
-from .scalars import PolyM
+from .scalars import Scalar
 from .tensor import CollectError, canonicalize, collect
 from .terms import (ContractViolation, NormalizeError, Term, check_labels,
                     normalize)
@@ -45,7 +45,7 @@ class ResidueError(Exception):
     derivative atom, a value that is not a polynomial in m)."""
 
 
-def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
+def wres_density(terms: Sequence[Term]) -> dict[str, Scalar]:
     """Residue density of an order -2m, origin-evaluated term sum, in
     units of TrId*Vol: tr[id] times Vol(S^{2m-1}), as a dict from atom
     name to its real polynomial in m, with no zero atom.
@@ -81,7 +81,7 @@ def wres_density(terms: Sequence[Term]) -> dict[str, PolyM]:
     density = {}
     for atom, p in value.items():
         quot, rem = p.divmod(den)
-        if rem:
+        if not rem.is_zero():
             raise ResidueError(
                 f"atom {atom!r}: density is not polynomial in m: "
                 f"({p})/({den})")
@@ -242,7 +242,7 @@ class Pieces(dict):
         return self[key]
 
 
-def _run(label: str, job: Leaf, pieces: Pieces) -> dict[str, PolyM]:
+def _run(label: str, job: Leaf, pieces: Pieces) -> dict[str, Scalar]:
     """The job's value; a typed engine error on the way names the label and
     keeps its type."""
     try:
@@ -270,7 +270,7 @@ def with_children(labels: Iterable[str]) -> list[str]:
 
 def evaluate_labels(labels: Iterable[str],
                     pieces: Pieces | None = None
-                    ) -> dict[str, dict[str, PolyM]]:
+                    ) -> dict[str, dict[str, Scalar]]:
     """Evaluate the labels and every label they sum over, as a dict from
     label to value in ledger order (the order of `with_children`).  A
     value maps atom name to its real polynomial in m, with no zero atom.
@@ -282,17 +282,18 @@ def evaluate_labels(labels: Iterable[str],
     """
     if pieces is None:
         pieces = Pieces()
-    led: dict[str, dict[str, PolyM]] = {}
+    led: dict[str, dict[str, Scalar]] = {}
     for label in with_children(labels):
         row = LEDGER[label]
         if isinstance(row, Leaf):
             led[label] = _run(label, row, pieces)
             continue
-        total: dict[str, PolyM] = {}
+        total: dict[str, Scalar] = {}
         for child in row.children:
             for atom, p in led[child].items():
                 total[atom] = total[atom] + p if atom in total else p
-        led[label] = {atom: p for atom, p in total.items() if p.c}
+        led[label] = {atom: p for atom, p in total.items()
+                      if not p.is_zero()}
     return led
 
 

@@ -1,237 +1,30 @@
 """Exact coefficient arithmetic.
 
-Every coefficient in the engine is a rational polynomial in the
-half-dimension symbol m, an element of Q[m]: symbols are written in eta =
-i xi (see `terms`), so none carries a power of i.  All arithmetic is
+Every coefficient in the engine is a `Scalar`, an element of Q[m], the
+rational polynomials in the half-dimension symbol m: symbols are written in
+eta = i xi (see `terms`), so none carries a power of i.  All arithmetic is
 exact; nothing here ever touches floating point.
 
 A Scalar holds Python ints: the numerators of its coefficients over one
 positive denominator, in lowest terms, so equal values compare and hash
 equal.  Sums, products and negations are int list operations, kept lowest
-by one int gcd, and build no Fraction per coefficient and no PolyM per
-operand.  The one denominator in m the engine meets, the cosphere moment
-n (n+2) ... (n+2k-2), never enters a coefficient: `sphere.integrate_term`
-counts pairings in units of the volume over that polynomial, and
-`residue.wres_density` divides each density by it once (`PolyM.divmod`).
-`real_poly` gives the value as the PolyM the report prints.
+by one int gcd.  The one denominator in m the engine meets, the cosphere
+moment n (n+2) ... (n+2k-2), never enters a coefficient:
+`sphere.integrate_term` counts pairings in units of the volume over that
+polynomial, and `residue.wres_density` divides each density by it once
+(`Scalar.divmod`).  The ledger values, their sums and the stored references
+are Scalars too, and `Scalar.render` is the one place a value becomes the
+text or latex the report prints.
 
-PolyM, a polynomial in m with Fraction coefficients, carries the ledger
-values, their sums and that one division.  RatM, a rational function of m,
-and `poly_gcd` stay only because the benchmark in `bench/` wraps them by
-name: nothing in the package builds a RatM.
+RatM, a rational function of m with Scalar halves, and `poly_gcd` are
+bench-only: they stay because the benchmark in `bench/` wraps them by name
+(ROADMAP item 17 deletes them), and nothing in the package builds a RatM.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-class PolyM:
-    """Univariate polynomial in m, dense ascending coefficient tuple."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyM) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __add__(self, other):
-        a, b = self.c, other.c
-        n = max(len(a), len(b))
-        return PolyM([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
-
-    def __neg__(self):
-        return PolyM([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.c or not other.c:
-            return PolyM()
-        # a constant factor scales each coefficient in place
-        if len(other.c) == 1:
-            k = other.c[0]
-            return PolyM([a * k for a in self.c])
-        if len(self.c) == 1:
-            k = self.c[0]
-            return PolyM([k * b for b in other.c])
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    out[i + j] += a * b
-        return PolyM(out)
-
-    def scale(self, x) -> "PolyM":
-        x = Fraction(x)
-        return PolyM([a * x for a in self.c])
-
-    def evaluate(self, m) -> Fraction:
-        m = Fraction(m)
-        acc = Fraction(0)
-        for a in reversed(self.c):
-            acc = acc * m + a
-        return acc
-
-    def divmod(self, other):
-        if not other.c:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        den = other.c
-        qdeg = len(rem) - len(den)
-        if qdeg < 0:
-            return PolyM(), PolyM(rem)
-        quot = [Fraction(0)] * (qdeg + 1)
-        lead = den[-1]
-        for k in range(qdeg, -1, -1):
-            coef = rem[k + len(den) - 1] / lead
-            quot[k] = coef
-            if coef:
-                for i, d in enumerate(den):
-                    rem[k + i] -= coef * d
-        return PolyM(quot), PolyM(rem)
-
-    def monic(self) -> "PolyM":
-        if not self.c:
-            return self
-        lead = self.c[-1]
-        return PolyM([x / lead for x in self.c])
-
-    def render(self, latex=False) -> str:
-        """Descending powers of m, as text ("2/3*m^2 - 1") or as latex
-        ("\\frac{2}{3} m^{2} - 1")."""
-        parts = []
-        for d in range(len(self.c) - 1, -1, -1):
-            a = self.c[d]
-            if a == 0:
-                continue
-            mag = abs(a)
-            if latex and mag.denominator != 1:
-                mag = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            mono = ("" if d == 0 else "m" if d == 1
-                    else f"m^{{{d}}}" if latex else f"m^{d}")
-            if not mono:
-                body = str(mag)
-            elif abs(a) == 1:
-                body = mono
-            else:
-                body = f"{mag}{' ' if latex else '*'}{mono}"
-            if not parts:
-                parts.append(body if a > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if a > 0 else f"- {body}")
-        return " ".join(parts) or "0"
-
-    def __str__(self):
-        return self.render()
-
-    __repr__ = __str__
-
-
-P_ZERO = PolyM()
-P_ONE = PolyM((1,))
-
-
-def poly_gcd(a: PolyM, b: PolyM) -> PolyM:
-    """The monic gcd of two polynomials.  Only RatM calls it; it stays
-    while `bench/verdict.py` wraps it by name."""
-    while b.c:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if a.c else P_ONE
-
-
-class RatM:
-    """Rational function in m: num/den, den monic and gcd-free.
-
-    Nothing in the package builds one.  It stays, with its operators, while
-    `bench/verdict.py` wraps them by name and `tests/test_bench_contract.py`
-    checks that they exist.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: PolyM, den: PolyM = P_ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = P_ZERO, P_ONE
-            return
-        # a constant numerator or denominator has no factor to cancel
-        if den.degree() > 0 and num.degree() > 0:
-            # the first Euclid step: a denominator that divides the
-            # numerator is the whole gcd
-            quot, rem = num.divmod(den)
-            if not rem:
-                num, den = quot, P_ONE
-            else:
-                g = poly_gcd(den, rem)
-                if g.degree() > 0:
-                    num, _ = num.divmod(g)
-                    den, _ = den.divmod(g)
-        lead = den.c[-1]
-        if lead != 1:
-            num = num.scale(Fraction(1, 1) / lead)
-            den = den.monic()
-        self.num, self.den = num, den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatM) and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RatM(self.num * other.den + other.num * self.den,
-                    self.den * other.den)
-
-    def __neg__(self):
-        return RatM(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RatM(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatM(self.num * other.den, self.den * other.num)
-
-    def __str__(self):
-        if self.den == P_ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
 
 
 def _conv(a, b) -> list:
@@ -339,12 +132,75 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         return self * Scalar.of(other.den, other.nums[0])
 
-    def real_poly(self) -> PolyM:
-        """The value as a PolyM."""
-        return PolyM([Fraction(x, self.den) for x in self.nums])
+    def degree(self) -> int:
+        return len(self.nums) - 1  # -1 for zero
+
+    def divmod(self, other: "Scalar") -> tuple["Scalar", "Scalar"]:
+        """(quot, rem) with self == other * quot + rem and rem of lower
+        degree than other, which must be nonzero.
+
+        Pseudo-division in ints: the dividend's numerators times
+        |lead|^(d+1), for other's leading numerator lead and the degree gap
+        d, leave an exact int quotient at every step.
+        """
+        b = other.nums
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = len(self.nums) - len(b)
+        if d < 0:
+            return S_ZERO, self
+        lead = b[-1]
+        scale = abs(lead) ** (d + 1)
+        rem = [x * scale for x in self.nums]
+        quot = [0] * (d + 1)
+        for k in range(d, -1, -1):
+            coef = quot[k] = rem[k + len(b) - 1] // lead
+            for i, y in enumerate(b):
+                rem[k + i] -= coef * y
+        # scale * nums == quot * b + rem, with self = nums / den and
+        # other = b / other.den
+        den = scale * self.den
+        return _lowest([x * other.den for x in quot], den), _lowest(rem, den)
+
+    def evaluate(self, m) -> Fraction:
+        """The value at the number m."""
+        acc = 0
+        for x in reversed(self.nums):
+            acc = acc * m + x
+        return Fraction(acc, self.den)
+
+    def coeffs(self) -> list[Fraction]:
+        """The rational coefficients, ascending in m; [] for zero."""
+        return [Fraction(x, self.den) for x in self.nums]
+
+    def render(self, latex=False) -> str:
+        """Descending powers of m, as text ("2/3*m^2 - 1") or as latex
+        ("\\frac{2}{3} m^{2} - 1")."""
+        parts = []
+        c = self.coeffs()
+        for d in range(len(c) - 1, -1, -1):
+            a = c[d]
+            if a == 0:
+                continue
+            mag = abs(a)
+            if latex and mag.denominator != 1:
+                mag = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            mono = ("" if d == 0 else "m" if d == 1
+                    else f"m^{{{d}}}" if latex else f"m^{d}")
+            if not mono:
+                body = str(mag)
+            elif abs(a) == 1:
+                body = mono
+            else:
+                body = f"{mag}{' ' if latex else '*'}{mono}"
+            if not parts:
+                parts.append(body if a > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if a > 0 else f"- {body}")
+        return " ".join(parts) or "0"
 
     def __str__(self):
-        return str(self.real_poly())
+        return self.render()
 
     __repr__ = __str__
 
@@ -354,3 +210,86 @@ S_ZERO = object.__new__(Scalar)
 S_ZERO.nums, S_ZERO.den = (), 1
 S_ONE = Scalar.of(1)
 S_N = Scalar.poly((0, 2))
+
+
+# Bench-only below: `bench/verdict.py` wraps poly_gcd and RatM's operators
+# by name, and nothing in the package calls them (ROADMAP item 17).
+
+
+def poly_gcd(a: Scalar, b: Scalar) -> Scalar:
+    """The monic gcd of two polynomials.  Only RatM calls it."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    # times 1 over the leading coefficient
+    return S_ONE if a.is_zero() else a * Scalar.of(a.den, a.nums[-1])
+
+
+class RatM:
+    """Rational function in m: num/den of Scalars, den monic and gcd-free.
+
+    Nothing in the package builds one.  It stays, with its operators, while
+    `bench/verdict.py` wraps them by name and `tests/test_bench_contract.py`
+    checks that they exist.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Scalar, den: Scalar = S_ONE):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            self.num, self.den = S_ZERO, S_ONE
+            return
+        # a constant numerator or denominator has no factor to cancel
+        if den.degree() > 0 and num.degree() > 0:
+            # the first Euclid step: a denominator that divides the
+            # numerator is the whole gcd
+            quot, rem = num.divmod(den)
+            if rem.is_zero():
+                num, den = quot, S_ONE
+            else:
+                g = poly_gcd(den, rem)
+                if g.degree() > 0:
+                    num, _ = num.divmod(g)
+                    den, _ = den.divmod(g)
+        inv = Scalar.of(den.den, den.nums[-1])  # 1 over den's lead
+        self.num, self.den = num * inv, den * inv
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        return (isinstance(other, RatM) and self.num == other.num
+                and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        return RatM(self.num * other.den + other.num * self.den,
+                    self.den * other.den)
+
+    def __neg__(self):
+        return RatM(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RatM(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatM(self.num * other.den, self.den * other.num)
+
+    def __str__(self):
+        if self.den == S_ONE:
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    __repr__ = __str__

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable
 
-from .scalars import PolyM, P_ONE, Scalar
+from .scalars import S_ONE, Scalar
 from .terms import F, Term, contract_deltas
 
 
@@ -38,13 +38,13 @@ def pairings(slots):
             yield ((first, slots[j]),) + tail
 
 
-def moment_denominator(k: int, j: int = 0) -> PolyM:
+def moment_denominator(k: int, j: int = 0) -> Scalar:
     """(n+2j) (n+2j+2) ... (n+2k-2) with n the symbol 2m: for j = 0 the
     denominator n (n+2) ... (n+2k-2) of a degree-2k moment, and otherwise
     its quotient by the degree-2j one."""
-    den = P_ONE
+    den = S_ONE
     for i in range(j, k):
-        den = den * PolyM((2 * i, 2))
+        den = den * Scalar.poly((2 * i, 2))
     return den
 
 
@@ -90,7 +90,7 @@ def integrate_term(t: Term, k: int) -> tuple[Term, ...]:
     # every pairing carries the same weight
     coeff = t.coeff if j % 2 == 0 else -t.coeff
     if j < k:
-        coeff = coeff * Scalar.poly(moment_denominator(k, j).c)
+        coeff = coeff * moment_denominator(k, j)
     rest = Term(coeff, tuple(f for f in t.fac if f.kind != "xi"), t.word)
     out = []
     for pairing in pairings(slots):

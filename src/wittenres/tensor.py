@@ -2,7 +2,7 @@
 
 `collect` turns a canonical sum of fully contracted terms into the value
 the report prints: a plain dict from invariant atom name, such as
-"g(u,w)*s", to its real polynomial in m (`PolyM`), with no zero atom.
+"g(u,w)*s", to its polynomial in m (a `Scalar`), with no zero atom.
 
 Delta contraction and the curvature self-contractions are rules of
 terms.normalize.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .scalars import PolyM, Scalar
+from .scalars import Scalar
 from .terms import Term, normalize
 
 
@@ -51,9 +51,9 @@ def _atom_name(t: Term) -> str | None:
     return "*".join(ATOM_NAMES[k] for k in kinds) or "1"
 
 
-def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
+def collect(terms: Iterable[Term]) -> dict[str, Scalar]:
     """Group fully contracted canonical terms by invariant atom, each
-    atom's coefficients summed into one PolyM, zero atoms left out.
+    atom's coefficients summed into one Scalar, zero atoms left out.
 
     Terms with leftover indexed factors (free indices, derivative atoms,
     unrecognized kinds), a Clifford word or a norm power raise CollectError
@@ -74,5 +74,4 @@ def collect(terms: Iterable[Term]) -> dict[str, PolyM]:
         raise CollectError(
             f"{len(bad)} term(s) are not invariant atoms "
             f"(first: {bad[0].fac} word={bad[0].word})")
-    return {key: s.real_poly() for key, s in entries.items()
-            if not s.is_zero()}
+    return {key: s for key, s in entries.items() if not s.is_zero()}

@@ -24,7 +24,7 @@ from wittenres.operators import (endomorphism, parametrix_symbols,
 from wittenres.pdo import Component, PDOSymbol, compose, origin_terms
 from wittenres.reference import eta_form
 from wittenres.residue import wres_density
-from wittenres.scalars import S_ONE, PolyM, Scalar
+from wittenres.scalars import S_ONE, Scalar
 from wittenres.terms import Term, fct, normalize
 
 
@@ -131,9 +131,10 @@ def sphere_integral_exact(exponents, n: int) -> Fraction:
 
 
 def at_m(s: Scalar, m) -> Fraction:
-    """An exact scalar at the half-dimension m, read off the int form and
-    evaluated through `PolyM.evaluate`."""
-    return PolyM([Fraction(x, s.den) for x in s.nums]).evaluate(m)
+    """An exact scalar at the half-dimension m, read off the int form power
+    by power, without `Scalar.evaluate`."""
+    return sum((Fraction(x, s.den) * Fraction(m) ** k
+                for k, x in enumerate(s.nums)), Fraction(0))
 
 
 class TensorAssignment:
@@ -263,17 +264,17 @@ def sums_equal(a, b) -> bool:
     return not normalize(diff)
 
 
-def value_sum(*values: dict[str, PolyM]) -> dict[str, PolyM]:
-    """The atom-wise sum of ledger values ({atom: PolyM}), with the atoms
+def value_sum(*values: dict[str, Scalar]) -> dict[str, Scalar]:
+    """The atom-wise sum of ledger values ({atom: Scalar}), with the atoms
     that cancel left out."""
-    acc: dict[str, PolyM] = {}
+    acc: dict[str, Scalar] = {}
     for value in values:
         for atom, p in value.items():
-            acc[atom] = acc.get(atom, PolyM()) + p
-    return {atom: p for atom, p in acc.items() if p.c}
+            acc[atom] = acc.get(atom, Scalar.of(0)) + p
+    return {atom: p for atom, p in acc.items() if not p.is_zero()}
 
 
-def part2_compose_check() -> dict[str, PolyM]:
+def part2_compose_check() -> dict[str, Scalar]:
     """Part II evaluated through the general composition machinery instead
     of the six explicit summands; must equal the ledger's S2."""
     par0 = parametrix_symbols(endomorphism(), 0)

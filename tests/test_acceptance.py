@@ -16,7 +16,7 @@ from wittenres import reference, sphere
 from wittenres.operators import endomorphism, parametrix_symbols
 from wittenres.residue import (LEDGER, Pieces, evaluate_labels,
                                part1_top_norm_exponent)
-from wittenres.scalars import PolyM
+from wittenres.scalars import Scalar
 from wittenres.terms import normalize
 
 FR = Fraction
@@ -24,7 +24,7 @@ FR = Fraction
 
 def P(*coeffs):
     """The polynomial in m with these ascending coefficients."""
-    return PolyM(coeffs)
+    return Scalar.poly(coeffs)
 
 
 def report(num, name, ok):
@@ -189,7 +189,7 @@ def test_criterion_9_degeneracies(ledger):
     guw = sum(assign.vec["u"][a] * assign.vec["w"][a] for a in range(1, 5))
     ortho = guw == 0
     # every coefficient is a real polynomial in m by its type
-    real = all(isinstance(c, PolyM)
+    real = all(isinstance(c, Scalar)
                for lab in ledger
                for c in ledger[lab].values())
     report(9, "degeneracies (V=0 Hodge density, orthogonal fields, reality)",

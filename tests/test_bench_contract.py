@@ -48,6 +48,20 @@ def test_wrapped_methods_and_ledger_exist(verdict):
             assert f"__{op}__" in vars(cls), (cls.__name__, op)
 
 
+def test_wrapped_scalar_results_keep_what_bench_reads():
+    # `bench/verdict.py` `_useful_gcd` reads the degree of poly_gcd's
+    # result, and the wrapped RatM operators act on Scalar halves
+    from wittenres.scalars import RatM, Scalar, poly_gcd
+
+    m = Scalar.poly((0, 1))
+    g = poly_gcd(Scalar.poly((0, 1, 1)), Scalar.poly((0, 2)))
+    assert g == m and g.degree() == 1
+    assert poly_gcd(m, Scalar.poly((1, 1))).degree() == 0
+    r = RatM(Scalar.poly((1, 1)), Scalar.poly((0, 2)))
+    for x in (r, r + r, r * r, -r, r - r, r / r):
+        assert type(x.num) is Scalar and type(x.den) is Scalar
+
+
 @pytest.mark.parametrize("name", ["workloads.py", "verdict.py"])
 def test_bench_imports_resolve(name):
     tree = ast.parse((BENCH / name).read_text(encoding="utf-8"))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import oracle
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wittenres import pdo, reference, residue
 from wittenres.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
@@ -27,8 +31,6 @@ def run(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def einstein_json():
-    import io
-    import contextlib
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(["verify", "--functional", "einstein", "--format",
@@ -104,7 +106,7 @@ def test_verify_report_matches_recorded(capsys, argv, recorded):
 ], ids=["json", "text", "latex", "dimension6"])
 def test_verify_parses_each_stored_coefficient_once(capsys, monkeypatch,
                                                      argv):
-    # every report is rendered from the ledger's PolyM values, so the only
+    # every report is rendered from the ledger's Scalar values, so the only
     # strings that become a Fraction are the stored coefficients, once each
     ref = reference.load_reference()
     stored = sum(len(coeffs) for table in (ref["values"], ref["printed"])
@@ -515,3 +517,116 @@ def test_help_lists_every_exit_status(capsys):
     assert epilog == (f"{EXIT_OK} pass, {EXIT_MISMATCH} mismatch, "
                       f"{EXIT_USAGE} usage error, "
                       f"{EXIT_PIPE} output closed")
+
+
+# ---------------------------------------------------------------------------
+# every user surface ends in a documented exit status
+
+GOLDEN_ARG = "<golden>"
+LABELS = list(residue.LEDGER)
+_DIM = st.one_of(
+    st.sampled_from(["symbolic", "4", "6", "1000"]),
+    st.sampled_from(["0", "2", "5", "-4", "1002", "9" * 5000, "abc", "4.0",
+                     " 4", "٤", "+4", "4_0", ""]))
+_TERM = st.one_of(
+    st.sampled_from(LABELS),
+    st.sampled_from(["I-99", "", ",", "metric ", "I-1,II-3-E", "é"]))
+_OPTION = st.one_of(
+    st.tuples(st.just("--dimension"), _DIM),
+    st.tuples(st.just("--format"),
+              st.sampled_from(["json", "text", "latex", "xml"])),
+    st.tuples(st.just("--functional"),
+              st.sampled_from(["metric", "einstein", "both", "all"])),
+    st.tuples(st.just("--term"), _TERM),
+    st.tuples(st.just("--golden"),
+              st.sampled_from(["/nonexistent/golden.json", "."])),
+    st.tuples(st.sampled_from(["--bogus", "-h", "junk", "--term"])),
+)
+# query expressions: trace words, sphere exponents with an optional
+# dimension, and text from the grammar's alphabet plus junk characters
+_INDEX = st.sampled_from(["1", "2", "4", "0", "9", "", "x", "٣", "99999"])
+_WORD = st.lists(st.tuples(st.sampled_from(["c", "chat", "C", "h"]),
+                           _INDEX).map("".join),
+                 max_size=5).map(" ".join)
+_SPHERE = st.tuples(
+    st.lists(st.sampled_from(["0", "1", "2", "4", " 2", "", "x", "-1", "٣",
+                              "2000"]),
+             min_size=1, max_size=5).map(",".join),
+    st.sampled_from(["", "@n=4", "@n=6", "@n=5", "@n=0", "@n=", "@m=4",
+                     "@n=x", "@n=2000", "@"])).map("".join)
+_TEXT = st.text(st.sampled_from("chat0129 ,@n=-_\tx*é٣\x00"), max_size=8)
+_ARGV = st.one_of(
+    # three verify runs in four read the edited golden file
+    st.tuples(st.sampled_from([["verify"]] + 3 * [["verify", "--golden",
+                                                   GOLDEN_ARG]]),
+              st.lists(_OPTION, max_size=2)),
+    st.tuples(st.tuples(st.just("query"), st.sampled_from(["trace",
+                                                           "sphere"]),
+                        st.one_of(_WORD, _SPHERE, _TEXT)).map(list),
+              st.lists(st.tuples(st.just("--dimension"), _DIM),
+                       max_size=1)),
+    st.tuples(st.lists(st.sampled_from(["", "check", "--help", "query",
+                                        "dirac"]),
+                       max_size=2),
+              st.just([])),
+).map(lambda parts: parts[0] + [tok for opt in parts[1] for tok in opt])
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, the root first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+LEDGER_FILE = reference.load_reference()
+# JSON text an edit puts in place of a value: another type, a malformed
+# coefficient, or deep nesting
+_REPLACEMENT = {
+    "type": ["null", "true", "1.5", "7", "[]", "{}", '"x"', '["1"]',
+             '{"g(u,w)": ["1"]}'],
+    "coefficient": ['"1/0"', '"1e5"', "1e5", "0.5", '"1.5"', '""', '"--1"',
+                    '"１"', '"1_0"', '" 1"', '"1/-2"', "9" * 5000,
+                    '"1e6000000"', '"\udcff"'],  # the last is not UTF-8
+    "nesting": ["[" * 60 + "]" * 60, "[" * 5000 + "]" * 5000,
+                '{"a": ' * 5000 + "1" + "}" * 5000],
+}
+_MARK = "<replaced>"
+
+
+@st.composite
+def _golden_text(draw):
+    """The packaged ledger after one random edit, as JSON text: a dropped
+    key or list item, or a value replaced."""
+    doc = json.loads(json.dumps(LEDGER_FILE))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["drop", *_REPLACEMENT]))
+    if kind == "drop":
+        del parent[path[-1]]
+        return json.dumps(doc)
+    parent[path[-1]] = _MARK
+    return json.dumps(doc).replace(json.dumps(_MARK),
+                                   draw(st.sampled_from(_REPLACEMENT[kind])))
+
+
+@settings(max_examples=200, derandomize=True, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGV, _golden_text())
+def test_every_user_input_ends_in_a_documented_status(tmp_path_factory,
+                                                       argv, golden):
+    path = tmp_path_factory.getbasetemp() / "robustness-golden.json"
+    path.write_bytes(golden.encode("utf-8", "surrogateescape"))
+    argv = [str(path) if a == GOLDEN_ARG else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's help and usage errors
+            status = exc.code
+    assert status in (EXIT_OK, EXIT_MISMATCH, EXIT_USAGE), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -178,14 +178,7 @@ NEVER_ENTERED = {
                           "tests convert their printed displays with it",
     "tensor.bianchi_pass": BENCH_WRAPS,
     "scalars.poly_gcd": f"{BENCH_WRAPS}; only RatM calls it",
-    "scalars.PolyM.degree": RATM_CALLS,
-    "scalars.PolyM.is_zero": RATM_CALLS,
-    "scalars.PolyM.monic": RATM_CALLS,
-    "scalars.PolyM.scale": RATM_CALLS,
-    "scalars.PolyM.__neg__": RATM_CALLS,
-    "scalars.PolyM.__sub__": RATM_CALLS,
-    "scalars.PolyM.__hash__": HASH,
-    "scalars.PolyM.__str__": PRINTED,
+    "scalars.Scalar.degree": RATM_CALLS,
     "scalars.RatM.__init__": RATM,
     "scalars.RatM.is_zero": RATM,
     "scalars.RatM.__add__": RATM,

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import oracle
 import pytest
 from oracle import at_m, inverse_symbol_reference, sums_equal
@@ -13,7 +11,7 @@ from wittenres.pdo import (Component, PDOSymbol, compose, origin_terms,
 from wittenres.reference import (DisplayParityError, ab_symbol_reference,
                                  eta_form)
 from wittenres.residue import Pieces, wres_density
-from wittenres.scalars import S_ONE, PolyM, Scalar
+from wittenres.scalars import S_ONE, Scalar
 from wittenres.tensor import canonicalize, collect
 from wittenres.terms import Term, fct, mul_terms, normalize
 
@@ -73,7 +71,7 @@ def test_endomorphism_scalar_piece():
     # -1/8 R_abcd c_a c_b c_c c_d normalizes to Lichnerowicz's s/4
     scal_terms = [t for t in endomorphism() if not t.word]
     expr = collect(normalize(scal_terms))
-    assert expr == {"s": PolyM([Fraction(1, 4)]), "|V|^2": PolyM([1])}
+    assert expr == {"s": Scalar.of(1, 4), "|V|^2": Scalar.of(1)}
 
 
 def test_endomorphism_trace_self_consistency():
@@ -91,10 +89,10 @@ def test_parametrix_density_is_gilkey_a2_of_the_operator():
     sigma = oracle.dirac_symbol()
     square = compose(sigma, sigma, [(0, 0)]).comps[(0, 0)]
     tr_e = collect(canonicalize(cl.trace(origin_terms(square.terms))))
-    assert tr_e == {"s": PolyM([Fraction(1, 4)]), "|V|^2": PolyM([1])}
-    a2 = oracle.value_sum({"s": PolyM([Fraction(1, 6)])},
+    assert tr_e == {"s": Scalar.of(1, 4), "|V|^2": Scalar.of(1)}
+    a2 = oracle.value_sum({"s": Scalar.of(1, 6)},
                           {atom: -p for atom, p in tr_e.items()})
-    m_minus_1 = PolyM([-1, 1])
+    m_minus_1 = Scalar.poly([-1, 1])
     want = {atom: m_minus_1 * p for atom, p in a2.items()}
     assert wres_density(origin_terms(Pieces()["par1_top"].terms)) == want
 
@@ -141,8 +139,8 @@ def test_left_identity_residue_with_the_derived_operator():
         rhs = normalize(origin_terms(want.comps[order].terms))
         assert len(rhs) == count, order
         assert normalize(origin_terms(got.comps[order].terms)) == rhs, order
-    m_minus_1 = PolyM([-1, 1])
-    want = {"s": -m_minus_1 * PolyM([Fraction(1, 12)]),
+    m_minus_1 = Scalar.poly([-1, 1])
+    want = {"s": -m_minus_1 * Scalar.of(1, 12),
             "|V|^2": -m_minus_1}
     assert wres_density(origin_terms(got.comps[(0, -2)].terms)) == want
 

@@ -12,7 +12,7 @@ from wittenres.reference import load_reference
 from wittenres.residue import (LEDGER, Leaf, Pieces, ResidueError, Total,
                                evaluate_labels, part1_top_norm_exponent,
                                wres_density)
-from wittenres.scalars import S_ONE, PolyM, Scalar
+from wittenres.scalars import S_ONE, Scalar
 from wittenres.tensor import canonicalize, collect
 from wittenres.terms import (ContractViolation, NormalizeError, Term, fct,
                              mul_terms, normalize)
@@ -22,7 +22,7 @@ FR = Fraction
 
 def P(*coeffs):
     """The polynomial in m with these ascending coefficients."""
-    return PolyM(coeffs)
+    return Scalar.poly(coeffs)
 
 
 def test_metric_functional_exact():
@@ -482,11 +482,11 @@ def test_orthogonal_fields_kill_metric_atoms(ledger):
 
 def test_everything_is_real(ledger):
     # every coefficient is a nonzero real polynomial in m: the report path
-    # holds PolyM values, and a Scalar has no imaginary part
+    # holds Scalar values, and a Scalar has no imaginary part
     # (test_scalars.test_scalar_has_no_imaginary_half)
     for lab in ledger:
         for coeff in ledger[lab].values():
-            assert isinstance(coeff, PolyM) and coeff.c, lab
+            assert isinstance(coeff, Scalar) and not coeff.is_zero(), lab
 
 
 def test_ab_pieces_are_composed_from_the_origin_terms_of_a(monkeypatch,

@@ -6,36 +6,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import at_m
 
-from wittenres.scalars import P_ONE, PolyM, RatM, Scalar, poly_gcd
+from wittenres.scalars import S_ONE, RatM, Scalar, poly_gcd
+from wittenres.sphere import moment_denominator
 
 S_ZERO = Scalar.of(0)
 S_M = Scalar.poly((0, 1))
 
 
 def test_poly_arithmetic():
-    p = PolyM((1, 2))        # 1 + 2m
-    q = PolyM((0, 0, 3))     # 3m^2
-    assert (p * q).c == (0, 0, 3, 6)
-    assert (p + q).c == (1, 2, 3)
+    p = Scalar.poly((1, 2))        # 1 + 2m
+    q = Scalar.poly((0, 0, 3))     # 3m^2
+    assert (p * q).coeffs() == [0, 0, 3, 6]
+    assert (p + q).coeffs() == [1, 2, 3]
     assert (p - p).is_zero()
     assert p.evaluate(Fraction(5, 2)) == 6
 
 
 def test_poly_divmod_and_gcd_cancellation():
     # m(m+1) / (4m(m+1)) reduces to 1/4
-    num = PolyM((0, 1, 1))
-    den = PolyM((0, 4, 4))
+    num = Scalar.poly((0, 1, 1))
+    den = Scalar.poly((0, 4, 4))
     r = RatM(num, den)
-    assert r == RatM(PolyM((Fraction(1, 4),)))
-    assert r.den == P_ONE
+    assert r == RatM(Scalar.of(1, 4))
+    assert r.den == S_ONE
 
 
 def test_rational_function_ops():
-    r = RatM(PolyM((1,)), PolyM((0, 2)))   # 1/(2m)
-    s = r * RatM(PolyM((0, 2)))            # times 2m
-    assert s == RatM(P_ONE)
+    r = RatM(S_ONE, Scalar.poly((0, 2)))   # 1/(2m)
+    s = r * RatM(Scalar.poly((0, 2)))      # times 2m
+    assert s == RatM(S_ONE)
     assert r.num.evaluate(2) / r.den.evaluate(2) == Fraction(1, 4)
-    assert RatM(PolyM((1, 1)), PolyM((0, 1))).den != P_ONE
+    assert RatM(Scalar.poly((1, 1)), S_M).den != S_ONE
 
 
 def test_scalar_has_no_imaginary_half():
@@ -45,38 +46,36 @@ def test_scalar_has_no_imaginary_half():
     assert at_m(S_M * S_M, 3) == Fraction(9)
 
 
-def test_real_poly_guards():
-    assert Scalar.poly((1, -2)).real_poly() == PolyM((1, -2))
-
-
-# the general route: cross-multiply, cancel an explicit gcd, make the
-# denominator monic; it never goes through RatM.__init__
-def _gcd_route(num: PolyM, den: PolyM):
+# the general route: cross-multiply, cancel an explicit gcd, divide both
+# halves by the denominator's leading coefficient; it never goes through
+# RatM.__init__
+def _gcd_route(num: Scalar, den: Scalar):
     if num.is_zero():
         return (), (Fraction(1),)
     g = poly_gcd(num, den)
     num, _ = num.divmod(g)
     den, _ = den.divmod(g)
-    lead = den.c[-1]
-    return num.scale(1 / lead).c, den.monic().c
+    lead = den.coeffs()[-1]
+    return (tuple(x / lead for x in num.coeffs()),
+            tuple(x / lead for x in den.coeffs()))
 
 
 def _random_poly(rng, degree):
-    return PolyM([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(degree + 1)])
+    return Scalar.poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(degree + 1)])
 
 
 def _random_ratm(rng):
     num = _random_poly(rng, rng.randint(0, 2))
     den = _random_poly(rng, rng.randint(1, 2)) if rng.random() < 0.4 \
-        else PolyM((1,))
+        else S_ONE
     if den.is_zero():
-        den = PolyM((1,))
-    return RatM(*map(PolyM, _gcd_route(num, den)))
+        den = S_ONE
+    return RatM(*map(Scalar.poly, _gcd_route(num, den)))
 
 
 def _pair(r: RatM):
-    return r.num.c, r.den.c
+    return tuple(r.num.coeffs()), tuple(r.den.coeffs())
 
 
 def test_ratm_fast_paths_match_the_gcd_route():
@@ -88,7 +87,7 @@ def test_ratm_fast_paths_match_the_gcd_route():
         assert _pair(a - b) == _gcd_route(a.num * b.den - b.num * a.den,
                                           a.den * b.den)
         assert _pair(a * b) == _gcd_route(a.num * b.num, a.den * b.den)
-        const = PolyM((Fraction(rng.randint(1, 5), rng.randint(1, 3)),))
+        const = Scalar.of(rng.randint(1, 5), rng.randint(1, 3))
         assert _pair(RatM(a.num, const)) == _gcd_route(a.num, const)
 
 
@@ -97,14 +96,16 @@ def test_constant_and_negation_fast_paths_match_the_coefficient_loop():
     for _ in range(300):
         a = _random_poly(rng, rng.randint(0, 3))
         b = _random_poly(rng, rng.randint(0, 1))  # a constant half the time
-        want = [Fraction(0)] * max(len(a.c) + len(b.c) - 1, 0)
-        for i, x in enumerate(a.c):
-            for j, y in enumerate(b.c):
+        ac, bc = a.coeffs(), b.coeffs()
+        want = [Fraction(0)] * max(len(ac) + len(bc) - 1, 0)
+        for i, x in enumerate(ac):
+            for j, y in enumerate(bc):
                 want[i + j] += x * y
-        assert (a * b).c == (b * a).c == PolyM(want).c
-        assert (-a).c == PolyM([-x for x in a.c]).c
+        assert (a * b).coeffs() == (b * a).coeffs() == _strip(want)
+        assert (-a).coeffs() == [-x for x in ac]
         r = _random_ratm(rng)
-        assert _pair(-r) == _gcd_route(PolyM([-x for x in r.num.c]), r.den)
+        assert _pair(-r) == _gcd_route(
+            Scalar.poly([-x for x in r.num.coeffs()]), r.den)
 
 
 # Reference arithmetic in Q[m]: a value is (p, r), two lists of Fraction
@@ -162,11 +163,31 @@ def _agrees(s: Scalar, x) -> bool:
     return _strip(_pmul(p, [s.den])) == _strip(_pmul(list(s.nums), r))
 
 
+def _ref_render(coeffs, latex=False) -> str:
+    """Fraction coefficients, ascending in m, written in descending powers:
+    "2/3*m^2 - 1" as text, "\\frac{2}{3} m^{2} - 1" as latex."""
+    out = []
+    for d in reversed(range(len(coeffs))):
+        a = Fraction(coeffs[d])
+        if not a:
+            continue
+        mag = abs(a)
+        num = (f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+               if latex and mag.denominator > 1 else str(mag))
+        power = ("" if d == 0 else "m" if d == 1
+                 else f"m^{{{d}}}" if latex else f"m^{d}")
+        body = (num if not power else power if mag == 1
+                else f"{num}{' ' if latex else '*'}{power}")
+        sign = "-" if a < 0 else "+"
+        out.append(f"{sign} {body}" if out
+                   else body if a > 0 else f"-{body}")
+    return " ".join(out) or "0"
+
+
 def _old_str(x) -> str:
-    """The rendering Scalar had when it held a RatM: its reduced
-    polynomial."""
+    """The rendering of the reduced polynomial p / r."""
     (r,) = _strip(x[1])
-    return str(PolyM([c / r for c in x[0]]))
+    return _ref_render([c / r for c in x[0]])
 
 
 UNIT = [Fraction(1)]
@@ -232,8 +253,65 @@ def test_scalar_kernel_matches_fraction_reference(x, y):
     again = (sx + sy) - sy
     assert again == sx and hash(again) == hash(sx)
     for s in (sx, sx * sy, sx + sy):
-        coeffs = s.real_poly().c
+        coeffs = s.coeffs()
         assert all(type(c) is Fraction for c in coeffs)
         assert _agrees(s, (coeffs, UNIT))
     if x[1] == UNIT:  # a polynomial
-        assert list(sx.real_poly().c) == _strip(x[0])
+        assert sx.coeffs() == _strip(x[0])
+
+
+def _ref_divmod(p, q):
+    """Long division of Fraction coefficient lists, ascending in m."""
+    rem = list(p)
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + len(q) - 1] / q[-1]
+        for i, y in enumerate(q):
+            rem[k + i] -= c * y
+    return _strip(quot), _strip(rem)
+
+
+def test_divmod_evaluate_and_render_match_a_fraction_reference():
+    rng = random.Random(37)
+    # the cosphere moments have leading coefficient 2^k; the random
+    # divisors have negative and fractional leading coefficients
+    divisors = [moment_denominator(k) for k in range(5)]
+    divisors += [_random_poly(rng, rng.randint(0, 3)) for _ in range(60)]
+    inexact = 0
+    for q in divisors:
+        if q.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                S_ONE.divmod(q)
+            continue
+        for _ in range(8):
+            lower = _random_poly(rng, max(q.degree() - 1, 0))
+            exact = q * _random_poly(rng, rng.randint(0, 3))
+            for p in (lower, exact, _random_poly(rng, rng.randint(0, 6))):
+                quot, rem = p.divmod(q)
+                assert p == q * quot + rem
+                assert rem.degree() < q.degree() or rem.is_zero()
+                assert (quot.coeffs(), rem.coeffs()) == _ref_divmod(
+                    p.coeffs(), q.coeffs())
+                inexact += not rem.is_zero()
+                for m in (0, 2, -3, Fraction(5, 2)):
+                    want = sum((c * Fraction(m) ** k
+                                for k, c in enumerate(p.coeffs())),
+                               Fraction(0))
+                    got = p.evaluate(m)
+                    assert type(got) is Fraction and got == want
+                for latex in (False, True):
+                    assert p.render(latex) == _ref_render(p.coeffs(), latex)
+            assert exact.divmod(q)[1].is_zero()
+    assert inexact > 100
+    # a fractional coefficient, a negative lead, a constant, and zero
+    cases = [((-1, 0, Fraction(2, 3)), "2/3*m^2 - 1",
+              "\\frac{2}{3} m^{2} - 1"),
+             ((1, Fraction(-1, 2), 0, -1), "-m^3 - 1/2*m + 1",
+              "-m^{3} - \\frac{1}{2} m + 1"),
+             ((Fraction(-3, 4),), "-3/4", "-\\frac{3}{4}"),
+             ((0, 1), "m", "m"), ((), "0", "0")]
+    for coeffs, text, latex in cases:
+        s = Scalar.poly(coeffs)
+        assert (str(s), s.render(), s.render(True)) == (text, text, latex)
+        assert s.coeffs() == _strip(coeffs)
+    assert S_ZERO.evaluate(7) == 0 and S_ZERO.degree() == -1

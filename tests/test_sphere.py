@@ -49,21 +49,21 @@ def total(indices, n):
 
 
 def test_two_and_four_slot_formulas_symbolic():
-    from wittenres.scalars import PolyM
     two = xi_integral(["g1", "g2"])
     assert len(two) == 1
     t = two[0]
     assert t.fac == (F("delta", ("g1", "g2")),)
     # 1/n with n = 2m
-    assert t.coeff == S_ONE and sphere.moment_denominator(1) == PolyM((0, 2))
+    assert t.coeff == S_ONE
+    assert sphere.moment_denominator(1) == Scalar.poly((0, 2))
     four = xi_integral(["g1", "g2", "g3", "g4"])
     assert len(four) == 3  # the three pairings
     # 1/(n(n+2))
     assert all(t.coeff == S_ONE for t in four)
-    assert sphere.moment_denominator(2) == PolyM((0, 4, 4))
+    assert sphere.moment_denominator(2) == Scalar.poly((0, 4, 4))
     # in the units of a degree-4 moment the degree-2 one, 1/n, is
     # (n+2)/(n(n+2))
-    assert sphere.moment_denominator(2, 1) == PolyM((2, 2))
+    assert sphere.moment_denominator(2, 1) == Scalar.poly((2, 2))
     assert xi_integral(["g1", "g2"], 2) == (t._replace(coeff=Scalar.poly(
         (2, 2))),)
 
