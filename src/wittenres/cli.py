@@ -122,9 +122,11 @@ def cmd_verify(args) -> int:
                 ref = json.load(fh)
         else:
             ref = reference.load_reference()
-        tables = reference.validate_reference(ref)
-        if diagnose:
-            printed = reference.printed_part1_top_norm(ref)
+        tables, printed = reference.validate_reference(ref)
+        if diagnose and printed is None:
+            raise reference.ReferenceFormatError(
+                "reference lacks printed_norm_exponents[part1-top], which "
+                "the Einstein norm-exponent check needs")
     except (OSError, ValueError, RecursionError,
             reference.ReferenceFormatError) as exc:
         # ValueError covers malformed JSON, bytes that are not UTF-8 and

@@ -19,6 +19,8 @@ inverse-symbol recursion drops out.
 
 from __future__ import annotations
 
+from math import inf
+
 from .clifford import c, c_vec, chat, chat_v
 from .pdo import Component, PDOSymbol, compose
 from .scalars import S_ONE, Scalar
@@ -145,4 +147,4 @@ def symbol_of_b() -> PDOSymbol:
 def cu_cw_symbol() -> Component:
     """Multiplication operator c(u) c(w): its one order-zero component,
     exact."""
-    return Component((mul_terms(c_vec("u", "r"), c_vec("w", "k")),), None)
+    return Component((mul_terms(c_vec("u", "r"), c_vec("w", "k")),), inf)

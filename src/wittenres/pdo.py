@@ -3,16 +3,19 @@
 Orders are affine in the half-dimension symbol: (const, slope) stands for
 const + slope*m, so a parametrix component sits at (c, -2) and a
 differential operator's at (k, 0).  A component's terms are x-Taylor data
-around the base point, and it records how many x-Taylor orders they are
-exact to; requesting data beyond that raises TruncationError rather than
-returning a silent zero.  A symbol is never replaced by its origin value:
-a composition is cut to the origin by `composition_summand`'s xmax=0, and
+around the base point, exact to x-degree xtrunc.  A truncated symbol knows
+only its stored orders; an exact one (a differential operator's) is zero
+at every other order.  Data a symbol does not know, an order or an
+x-degree, raises TruncationError rather than returning a silent zero.
+Every bound is a number: xtrunc, and an x-degree cut xmax, is inf for
+exact terms or no cut.  A symbol is never replaced by its origin value: a
+composition is cut to the origin by `composition_summand`'s xmax=0, and
 any other term sum by `origin_terms`.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, inf
 from typing import Iterable, NamedTuple
 
 from .scalars import Scalar
@@ -28,20 +31,17 @@ class TruncationError(Exception):
 
 
 class Component(NamedTuple):
-    """A component's terms, exact up to x degree xtrunc (at least 0; None
-    means exact)."""
+    """A component's terms and the x-degree xtrunc they are exact to, at
+    least 0 (see the module docstring)."""
 
     terms: tuple[Term, ...]
-    xtrunc: int | None
+    xtrunc: float
 
 
 class PDOSymbol:
-    """Graded collection of homogeneous components.
-
-    exact=True marks finite symbols (differential operators): any absent
-    order is identically zero.  Otherwise absent orders above the top are
-    zero and everything below the lowest stored order is unknown.
-    """
+    """Graded collection of homogeneous components: a differential
+    operator's symbol with exact=True, otherwise a truncated one (see the
+    module docstring)."""
 
     def __init__(self, comps: dict[Order, Component], exact: bool = False):
         self.comps = dict(comps)
@@ -56,13 +56,7 @@ class PDOSymbol:
         if order in self.comps:
             return self.comps[order]
         if self.exact:
-            return Component((), None)
-        slopes = {o[1] for o in self.comps}
-        if len(slopes) == 1:
-            (slope,) = slopes
-            top = max(o[0] for o in self.comps)
-            if order[1] == slope and order[0] > top:
-                return Component((), None)
+            return Component((), inf)
         raise TruncationError(f"order {order} outside stored truncation "
                               f"{sorted(self.comps)}")
 
@@ -122,7 +116,7 @@ _DERIV = {"u": "du", "w": "dw", "v": "dv"}
 
 
 def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
-              xmax: int | None = None) -> tuple[Term, ...]:
+              xmax: float = inf) -> tuple[Term, ...]:
     """Termwise x-derivative.
 
     Coordinate factors differentiate to deltas, applied at once
@@ -137,18 +131,18 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
     sectors two symbols actually store).  Like `d_xi_terms`, it sums the
     terms equal as written, x_1^k's k copies, and does not normalize.
 
-    With xmax set, derivative terms with more than xmax x factors are
-    dropped (every input term is still checked).
+    Derivative terms with more than xmax x factors are dropped (every
+    input term is still checked).
     """
     out = []
     for t in terms:
         deg = x_degree(t)
         for k, f in enumerate(t.fac):
             if f.kind == "x":
-                if xmax is None or deg - 1 <= xmax:
+                if deg - 1 <= xmax:
                     _d_coordinate(out, t, k, j)
             elif f.kind in _DERIV:
-                if xmax is None or deg <= xmax:
+                if deg <= xmax:
                     fac = (t.fac[:k] + (F(_DERIV[f.kind], (j, f.idx[0])),)
                            + t.fac[k + 1:])
                     out.append(Term(t.coeff, fac, t.word, t.norm))
@@ -159,14 +153,6 @@ def d_x_terms(terms: Iterable[Term], j: Idx, strict: bool = True,
                     "derivative of a vector field, which is not "
                     "representable")
     return tuple(merge_equal(out))
-
-
-def _xt_min(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _fresh_labels(term_lists, count: int) -> tuple[str, ...]:
@@ -187,8 +173,8 @@ def _fresh_labels(term_lists, count: int) -> tuple[str, ...]:
 
 
 def composition_summand(p: Component, q: Component, nalpha: int,
-                        xmax: int | None = None
-                        ) -> tuple[tuple[Term, ...], int | None]:
+                        xmax: float = inf
+                        ) -> tuple[tuple[Term, ...], float]:
     """One block of the composition expansion, in eta = i xi (see `terms`):
 
         1 / a! * sum over a abstract slots of
@@ -201,43 +187,39 @@ def composition_summand(p: Component, q: Component, nalpha: int,
     nalpha raises TruncationError, but only when the xi-derivative side
     does not vanish.
 
-    It returns the block's terms and the x-degree they are exact to (None:
+    It returns the block's terms and the x-degree they are exact to (inf:
     exact), a vanishing block too: an empty x side is zero to the degree
     both factors are exact to (q's less nalpha), an empty xi side to p's.
 
-    With xmax set, the terms of both factors that can only make products
-    with more than xmax x factors are left out.  On the left those are
+    The terms of both factors that can only make products with more than
+    xmax x factors are left out (xmax=inf: none).  On the left those are
     the xi-derivative terms with more than xmax.  On the right they are,
     before the x-derivatives, those with more than nalpha + xmax, and after
     derivative k those with more than xmax + nalpha - k (`d_x_terms`' own
-    cut).  An xi-derivative keeps every x factor, an x-derivative
-    lowers the x-degree by at most one, and a product keeps every x factor
-    of both sides.  So the cut is exact for a caller that keeps only terms
-    of x-degree at most xmax, and the block is exact to that degree at
-    most; with xmax=0 it is the block at the origin.
+    cut).  An xi-derivative keeps every x factor, an x-derivative lowers
+    the x-degree by at most one, and a product keeps every x factor of
+    both sides.  So the cut is exact for a caller that keeps only terms of
+    x-degree at most xmax, and the block is exact to that degree at most;
+    with xmax=0 it is the block at the origin.
     """
     labels = _fresh_labels((p.terms, q.terms), nalpha)
-    qx = None if q.xtrunc is None else q.xtrunc - nalpha
+    qx = q.xtrunc - nalpha
     right = None
-    if qx is None or qx >= 0:
-        right = q.terms
-        if xmax is not None:
-            right = [t for t in right if x_degree(t) <= nalpha + xmax]
+    if qx >= 0:
+        right = [t for t in q.terms if x_degree(t) <= nalpha + xmax]
         for k, lab in enumerate(labels, 1):
-            right = d_x_terms(right, lab,
-                              xmax=None if xmax is None else xmax + nalpha - k)
+            right = d_x_terms(right, lab, xmax=xmax + nalpha - k)
         if not right:
-            return (), _xt_min(_xt_min(p.xtrunc, qx), xmax)
+            return (), min(p.xtrunc, qx, xmax)
     left = p.terms
     for lab in labels:
         left = d_xi_terms(left, lab)
         if not left:
-            return (), _xt_min(p.xtrunc, xmax)
+            return (), min(p.xtrunc, xmax)
     if right is None:
         raise TruncationError(
             f"{nalpha} x-derivative(s) exceed the stored x-Taylor order")
-    if xmax is not None:
-        left = [t for t in left if x_degree(t) <= xmax]
+    left = [t for t in left if x_degree(t) <= xmax]
     if nalpha:
         # the prefactor goes on the left factor's terms, not on each product
         pref = Scalar.of(1, factorial(nalpha))
@@ -246,11 +228,11 @@ def composition_summand(p: Component, q: Component, nalpha: int,
     # left unnormalized: callers cut to the origin first (xmax=0 or
     # `origin_terms`), which is far cheaper than canonicalizing x-heavy
     # products that are about to vanish
-    return tuple(out), _xt_min(_xt_min(p.xtrunc, qx), xmax)
+    return tuple(out), min(p.xtrunc, qx, xmax)
 
 
 def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
-            xmax: int | None = None) -> PDOSymbol:
+            xmax: float = inf) -> PDOSymbol:
     """Symbol composition truncated to the requested orders.
 
     sigma(PQ) = sum_alpha 1/a! d_eta^a sigma(P) d_x^a sigma(Q), with
@@ -262,15 +244,15 @@ def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
     alpha = 0 pairing with Q's top reaches.  A vanishing xi-derivative side
     only short-circuits the check of Q's x-Taylor order in
     `composition_summand`.  A component is exact to the least x-degree of
-    the summands it runs, vanishing ones included.  With xmax set, the
-    terms of both factors that can only make products with more than xmax
-    x factors are left out (see `composition_summand`), and the components
-    are exact to x-degree xmax at most.
+    the summands it runs, vanishing ones included.  The terms of both
+    factors that can only make products with more than xmax x factors are
+    left out (see `composition_summand`), and the components are exact to
+    x-degree xmax at most.
     """
     comps: dict[Order, Component] = {}
     for target in targets:
         acc: list[Term] = []
-        xt: int | None = None
+        xt = inf
         for p_ord in sorted(P.comps, reverse=True):
             slope = target[1] - p_ord[1]
             need = target[0] - p_ord[0]
@@ -288,7 +270,7 @@ def compose(P: PDOSymbol, Q: PDOSymbol, targets: Iterable[Order],
                     continue
                 terms, sxt = composition_summand(pcomp, qcomp, nalpha, xmax)
                 acc.extend(terms)
-                xt = _xt_min(xt, sxt)
+                xt = min(xt, sxt)
         comps[target] = Component(tuple(acc), xt)
     return PDOSymbol(comps, exact=False)
 

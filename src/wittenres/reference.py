@@ -3,9 +3,16 @@
 The golden ledger records the published per-label values (with the two
 documented corrections noted), each as {atom: coefficient list}, the list
 ascending in m.  `validate_reference` is the one place a stored coefficient
-is parsed: it reads the stored and printed tables as ledger values, {atom:
-Scalar} with no zero atom, so a trailing zero coefficient or an atom written
-as zero changes no status.  `compare_entry` diffs against those.  Statuses:
+is parsed, and it reads these keys of the JSON object:
+- "units", which must be "TrId*Vol";
+- "values", the stored table, which must be present, and "printed", the
+  printed values it records;
+- "notes", strings by label;
+- "printed_norm_exponents", whose "part1-top" pair is the printed Part I
+  |xi| exponent.
+"schema" is not read.  The tables become ledger values, {atom: Scalar}
+with no zero atom, so a trailing zero coefficient or an atom written as
+zero changes no status.  `compare_entry` diffs against those.  Statuses:
 MATCH (derived equals the stored and printed value), PAPER_TYPO (derived
 equals the stored value while the printed line differs), MISMATCH (derived
 disagrees with the stored value).  `ab_symbol_reference` transcribes the
@@ -59,9 +66,11 @@ def _coeff(x, where: str) -> Fraction:
             f"bad coefficient {x!r:.40} in {where}") from exc
 
 
-def validate_reference(ref) -> dict[str, dict[str, dict[str, Scalar]]]:
+def validate_reference(ref) -> tuple[dict[str, dict[str, dict[str, Scalar]]],
+                                     tuple[int, int] | None]:
     """The checked ledger's "values" and "printed" tables, each as {label:
-    {atom: Scalar}}; ReferenceFormatError names what is malformed."""
+    {atom: Scalar}}, and its printed Part I |xi| exponent, None when it
+    has none; ReferenceFormatError names what is malformed."""
     if not isinstance(ref, dict):
         raise ReferenceFormatError("reference file must be a JSON object")
     if ref.get("units") != "TrId*Vol":
@@ -94,6 +103,7 @@ def validate_reference(ref) -> dict[str, dict[str, dict[str, Scalar]]]:
     norms = ref.get("printed_norm_exponents", {})
     if not isinstance(norms, dict):
         raise ReferenceFormatError("printed_norm_exponents must be an object")
+    pair = None
     if "part1-top" in norms:
         pair = norms["part1-top"]
         if not (isinstance(pair, list) and len(pair) == 2
@@ -101,7 +111,8 @@ def validate_reference(ref) -> dict[str, dict[str, dict[str, Scalar]]]:
             raise ReferenceFormatError(
                 "printed_norm_exponents[part1-top] must be a list of two "
                 "integers")
-    return tables
+        pair = tuple(pair)
+    return tables, pair
 
 
 def compare_entry(value: dict[str, Scalar], tables: dict, label: str) -> str:
@@ -122,18 +133,6 @@ def compare_norm_exponent(derived: tuple[int, int],
     """Status of the derived |xi| exponent of the Part I top component
     against the printed one, which is a PAPER_TYPO where they differ."""
     return MATCH if derived == printed else PAPER_TYPO
-
-
-def printed_part1_top_norm(ref: dict) -> tuple[int, int]:
-    """The printed |xi| exponent of the Part I top component; a validated
-    reference that lacks it raises ReferenceFormatError."""
-    try:
-        c0, c1 = ref["printed_norm_exponents"]["part1-top"]
-    except KeyError:
-        raise ReferenceFormatError(
-            "reference lacks printed_norm_exponents[part1-top], which the "
-            "Einstein norm-exponent check needs") from None
-    return (c0, c1)
 
 
 # ---------------------------------------------------------------------------

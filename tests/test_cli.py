@@ -185,6 +185,19 @@ def test_verify_malformed_golden_exits_two_promptly(tmp_path, capsys,
     assert "golden file error" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[]", "reference file must be a JSON object"),
+    ('{"units": "Vol", "values": {}}', "reference units must be 'TrId*Vol'"),
+], ids=["root-type", "units"])
+def test_verify_golden_of_the_wrong_shape_exits_two(tmp_path, capsys,
+                                                    content, message):
+    path = tmp_path / "golden.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "verify", "--golden", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"golden file error: {message}\n"
+
+
 def test_verify_golden_without_norm_exponent(tmp_path, capsys,
                                              monkeypatch):
     path = tmp_path / "golden.json"
@@ -204,7 +217,8 @@ def test_verify_golden_without_norm_exponent(tmp_path, capsys,
 
 @pytest.mark.parametrize("norms", [{"part1-top": [-4]},
                                    {"part1-top": ["-4", "-2"]},
-                                   {"part1-top": -4}, [[-4, -2]]])
+                                   {"part1-top": -4}, [[-4, -2]],
+                                   {"part1-top": None}])
 def test_verify_golden_bad_norm_exponent_shape(tmp_path, capsys, norms):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps({**METRIC_ONLY,

@@ -182,3 +182,9 @@ def test_trace_cyclicity_via_matrix_oracle():
                   * rep.word_trace(a.word + b.word)
                   for a in p for b in q)
         assert pq == mat
+
+
+def test_c_vec_refuses_an_unknown_field():
+    with pytest.raises(ValueError,
+                       match=r"^unknown c-family vector field 'v'$"):
+        cl.c_vec("v", "a")

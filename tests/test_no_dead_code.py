@@ -167,13 +167,13 @@ TRUTH = "its truth value agrees with is_zero, which src/ calls instead"
 # The functions of src/wittenres that no CLI path above enters, each with
 # the reason it stays.
 NEVER_ENTERED = {
-    "pdo.terms_equal_taylor": "bench/ runs it as the taylor_diff workload; "
-                              "ROADMAP item 5 would run it in verify",
+    "pdo.terms_equal_taylor": "bench/ runs it as the taylor_diff workload "
+                              "until ROADMAP item 19 retires that",
     "pdo.origin_terms": "only terms_equal_taylor calls it",
     "terms.merge_presentations": "only pdo.terms_equal_taylor calls it "
-                                 "(bench taylor_diff, item 5)",
+                                 "(bench taylor_diff, item 19)",
     "reference.ab_symbol_reference": "bench/workloads.py diffs the derived "
-                                     "A B symbol against it (item 5)",
+                                     "A B symbol against it (item 19)",
     "reference.eta_form": "only ab_symbol_reference calls it in src/; the "
                           "tests convert their printed displays with it",
     "tensor.bianchi_pass": BENCH_WRAPS,

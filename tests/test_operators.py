@@ -1,3 +1,5 @@
+from math import inf
+
 import oracle
 import pytest
 from oracle import at_m, inverse_symbol_reference, sums_equal
@@ -105,8 +107,8 @@ def test_left_identity_at_the_origin():
     # forms, at all three orders and symbolic m
     endo = endomorphism()
     laplace = PDOSymbol({(2, 0): Component((Term(S_ONE, (), (), (2, 0)),),
-                                           None),
-                         (0, 0): Component(endo, None)}, exact=True)
+                                           inf),
+                         (0, 0): Component(endo, inf)}, exact=True)
     orders = [(2, -2), (1, -2), (0, -2)]
     got = compose(laplace, parametrix_symbols(endo, 0), orders)
     want = parametrix_symbols(endo, 1)
@@ -238,6 +240,6 @@ def test_product_symbol_order_zero_matches_printed_display_slow():
 
 def test_cu_cw_symbol_is_multiplication_operator():
     uw = cu_cw_symbol()
-    assert uw.xtrunc is None
+    assert uw.xtrunc == inf
     (t,) = uw.terms
     assert {f.kind for f in t.fac} == {"u", "w"} and t.norm == (0, 0)

@@ -1,5 +1,5 @@
 import random
-from math import factorial
+from math import factorial, inf
 
 import pytest
 from oracle import sums_equal
@@ -89,17 +89,28 @@ def test_d_xi_d_x_commute():
 
 
 def _identity_symbol():
-    return PDOSymbol({(0, 0): Component((Term(S_ONE, ()),), None)},
+    return PDOSymbol({(0, 0): Component((Term(S_ONE, ()),), inf)},
                      exact=True)
 
 
 def test_symbol_refuses_a_term_at_the_wrong_order():
     # xi_a |xi|^-2 is of order (-1, 0)
     t = Term(S_ONE, (fct("xi", "a"),), (), (-2, 0))
-    assert PDOSymbol({(-1, 0): Component((t,), None)}).comps
+    assert PDOSymbol({(-1, 0): Component((t,), inf)}).comps
     with pytest.raises(ValueError, match=r"homogeneity \(-1, 0\) stored at "
                                          r"\(-2, 0\)"):
-        PDOSymbol({(-2, 0): Component((t,), None)})
+        PDOSymbol({(-2, 0): Component((t,), inf)})
+
+
+def test_a_truncated_symbol_knows_only_its_stored_orders():
+    # above its top, below its lowest order and at another slope alike;
+    # an exact symbol is zero wherever it stores nothing
+    par = parametrix_symbols(endomorphism(), 0)
+    for order in ((1, -2), (-3, -2), (0, 0)):
+        with pytest.raises(TruncationError, match=r"^order .* outside stored "
+                                                  r"truncation "):
+            par.component(order)
+    assert dirac_symbol().component((2, 0)) == Component((), inf)
 
 
 def test_compose_identity():
@@ -125,9 +136,9 @@ def test_compose_sums_every_alpha_homogeneity_allows(k):
     # summand: 1 / k! * k! * k!  (in xi, xi_1^k = (-i)^k eta_1^k gives
     # (-i)^k k!)
     xi = PDOSymbol({(k, 0): Component((Term(S_ONE, (fct("xi", 1),) * k),),
-                                      None)}, exact=True)
+                                      inf)}, exact=True)
     x = PDOSymbol({(0, 0): Component((Term(S_ONE, (fct("x", 1),) * k),),
-                                     None)}, exact=True)
+                                     inf)}, exact=True)
     got = normalize(origin_terms(compose(xi, x, [(0, 0)]).comps[(0, 0)]
                                  .terms))
     assert got == (Term(Scalar.of(factorial(k)), ()),)
@@ -161,7 +172,7 @@ def test_compose_homogeneity_bookkeeping():
 
 # |xi|^-2 survives every xi-derivative, so composing it with a component
 # takes that component's x-derivatives for real
-XI_SIDE = Component((Term(S_ONE, (), (), (-2, 0)),), None)
+XI_SIDE = Component((Term(S_ONE, (), (), (-2, 0)),), inf)
 
 
 def x_derivative_at_origin(comp, nalpha):
@@ -233,7 +244,7 @@ def test_associativity_random_symbols_concrete():
                              for _ in range(rng.randint(0, 2)))
                 terms.append(Term(Scalar.of(rng.randint(-2, 2)), tuple(fac),
                                   word, (0, 0)))
-            comps[(order, 0)] = Component(normalize(terms), None)
+            comps[(order, 0)] = Component(normalize(terms), inf)
         return PDOSymbol(comps, exact=True)
 
     def as_exact(sym):
@@ -254,6 +265,6 @@ def test_associativity_random_symbols_concrete():
 
 def test_uw_symbol_shape():
     uw = cu_cw_symbol()
-    assert uw.xtrunc is None
+    assert uw.xtrunc == inf
     (t,) = uw.terms
     assert {f.kind for f in t.fac} == {"u", "w"} and t.norm == (0, 0)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import inf
 
 import pytest
 from oracle import TensorAssignment, part2_compose_check, value_sum
@@ -217,7 +218,7 @@ def test_part_one_is_the_smeared_gilkey_a2(ledger):
 def test_residue_error_names_its_label(monkeypatch):
     # an order -1 multiplication operator makes the metric density's
     # product of the wrong homogeneity
-    wrong = Component((Term(S_ONE, (), (), (-1, 0)),), None)
+    wrong = Component((Term(S_ONE, (), (), (-1, 0)),), inf)
     monkeypatch.setitem(residue._BUILD, "cu_cw", lambda p: wrong)
     with pytest.raises(ResidueError, match=r"^metric: term is not "
                                             r"homogeneous of order -2m"):
@@ -234,6 +235,24 @@ def test_class_split_refuses_an_unused_class(monkeypatch):
                         residue._CLASSES["ab0"] - {"vv"})
     with pytest.raises(ResidueError, match="unclassifiable term"):
         evaluate_labels(["II-1-C"])
+
+
+def test_class_split_refuses_a_term_of_no_class(monkeypatch):
+    # a term without curvature, field or field-derivative factors falls
+    # through every class test
+    plain = Term(S_ONE, (), (), (0, 0))
+    monkeypatch.setitem(residue._BUILD, "ab0",
+                        lambda p: Component((plain,), 0))
+    with pytest.raises(ResidueError,
+                       match=r"^II-1-C: unclassifiable term in ab0: "):
+        evaluate_labels(["II-1-C"])
+
+
+def test_part1_top_norm_exponent_needs_a_ricci_term():
+    scalar_only = Term(S_ONE, (fct("scal"),), (), (-2, -2))
+    with pytest.raises(ResidueError, match=r"^missing Ricci term in the "
+                                           r"reduced-power component$"):
+        part1_top_norm_exponent(Component((scalar_only,), inf))
 
 
 def test_class_split_refuses_a_term_with_both_field_derivatives(
@@ -338,7 +357,7 @@ def test_every_job_is_one_summand_cut_to_the_origin(monkeypatch, ledger):
     calls = []
     summand = residue.composition_summand
 
-    def recorded(p, q, nalpha, xmax=None):
+    def recorded(p, q, nalpha, xmax=inf):
         calls.append(xmax)
         return summand(p, q, nalpha, xmax)
     monkeypatch.setattr(residue, "composition_summand", recorded)
@@ -352,7 +371,7 @@ def _in_jobs(monkeypatch, name, wrap):
     summand, original = residue.composition_summand, getattr(pdo, name)
     current = []
 
-    def job_summand(p, q, nalpha, xmax=None):
+    def job_summand(p, q, nalpha, xmax=inf):
         current.append(nalpha)
         try:
             return summand(p, q, nalpha, xmax)
@@ -390,7 +409,7 @@ def test_alpha_jobs_cut_the_right_factor(monkeypatch, ledger):
     rights = {}
 
     def wrap(d_x, nalpha):
-        def recorded(terms, j, strict=True, xmax=None):
+        def recorded(terms, j, strict=True, xmax=inf):
             if xmax == nalpha - 1:  # the first x-derivative of the job
                 rights.setdefault(nalpha, []).extend(terms)
             return d_x(terms, j, strict, xmax)

@@ -315,3 +315,9 @@ def test_divmod_evaluate_and_render_match_a_fraction_reference():
         assert (str(s), s.render(), s.render(True)) == (text, text, latex)
         assert s.coeffs() == _strip(coeffs)
     assert S_ZERO.evaluate(7) == 0 and S_ZERO.degree() == -1
+
+
+def test_truth_value_agrees_with_is_zero():
+    for s in (S_ZERO, Scalar.poly((0, 0)), S_ONE, Scalar.of(-1, 3), S_M,
+              S_M - S_M):
+        assert bool(s) is not s.is_zero()

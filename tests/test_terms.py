@@ -170,3 +170,15 @@ def test_block_rules_drop_a_symmetric_factor_in_one_block():
         t = Term(S_ONE, (fct(kind, "a", "b"),), (G("c", "a"),
                                                  G("c", "b", True)))
         assert terms._block_rules(t) is None, kind
+
+
+def test_fct_refuses_the_wrong_arity():
+    with pytest.raises(ValueError,
+                       match=r"^riem takes 4 indices, got \('a', 'b'\)$"):
+        fct("riem", "a", "b")
+
+
+def test_mul_terms_refuses_a_label_held_three_times():
+    thrice = Term(S_ONE, (fct("u", "a"), fct("w", "a"), fct("v", "a")))
+    with pytest.raises(ContractViolation, match=r"^label 'a' occurs 3 times$"):
+        mul_terms(Term(S_ONE, ()), thrice)
