@@ -475,10 +475,9 @@ def _reduce(t: Term) -> list[Term]:
     popped term that meets no factor rule (`_contract_once`) and holds
     more than one block of a family is expanded, and each pairing goes
     back on the stack (`paired_terms`).  A term with an expanded word goes
-    through the block rules and out.
+    through the block rules and out.  A zero term is not special-cased:
+    it reduces like any other, and the merge drops its zero sum.
     """
-    if t.coeff.is_zero():
-        return []
     check_labels(t)
     deltas = tuple([f for f in t.fac if f.kind == "delta"])
     if deltas:
@@ -579,12 +578,13 @@ def _finalize(t: Term):
     vanishes.
 
     Every index a presentation can hold (a frame index, a free label, a
-    canonical dummy name) is ranked once in `idx_key` order, and a partial
-    presentation maps each label it has placed to that rank, so a
-    candidate's factor key is a list of ints.  It is compared with the
-    slot minimum position by position and dropped at the first larger
-    one.  A term with no index and no word is its own presentation, with
-    its factors in slot order, and builds none of this.
+    canonical dummy name) is ranked once, in the order of `idx_key`, and a
+    partial presentation maps each label it has placed to that rank, so a
+    candidate's factor key is a list of ints.  A candidate whose first
+    position exceeds the slot minimum's is dropped; otherwise its whole
+    key is built and compared with the minimum as a list.  A term with no
+    index and no word is its own presentation, with its factors in slot
+    order, and builds none of this.
     """
     counts: dict[Idx, int] = {}
     for f in t.fac:
@@ -601,13 +601,11 @@ def _finalize(t: Term):
         else:
             raise ContractViolation(f"label {i!r} occurs more than twice")
     skeys = [_structural_key(f, dummies) for f in t.fac]
+    slots = sorted(range(len(t.fac)), key=skeys.__getitem__)
     if not t.word and not any(f.idx for f in t.fac):
-        return Term(t.coeff, tuple([t.fac[k] for k in sorted(
-            range(len(t.fac)), key=skeys.__getitem__)]), (), t.norm)
+        return Term(t.coeff, tuple([t.fac[k] for k in slots]), (), t.norm)
     names = [f"_d{k:02d}" for k in range(len(dummies))]
-    labels = {i for i in held if isinstance(i, str)}.union(names)
-    # idx_key order: frame indices ascending, then labels as strings
-    order = sorted(held.difference(labels)) + sorted(labels)
+    order = sorted(held.union(names), key=idx_key)
     rank = {i: r for r, i in enumerate(order)}
     name_rank = [rank[name] for name in names]
     sub = {i: rank[i] for i in held}
@@ -617,7 +615,6 @@ def _finalize(t: Term):
                 and (p + 1 == len(t.word) or not t.word[p + 1].wedge)):
             sub[g.idx] = name_rank[nw]
             nw += 1
-    slots = sorted(range(len(t.fac)), key=skeys.__getitem__)
     groups: dict[tuple, list[int]] = {}
     for k in slots:
         groups.setdefault(skeys[k], []).append(k)
@@ -627,45 +624,36 @@ def _finalize(t: Term):
     fac_out = []
     for slot in slots:
         kind = t.fac[slot].kind
-        group = groups[skeys[slot]]
-        perms = _VARIANTS[kind]
         best = None
         cands = []
         for (used, named), (sub, sign) in frontier.items():
             base = nw + len(named)
-            for k in group:
+            for k in groups[skeys[slot]]:
                 if used >> k & 1:
                     continue
                 idx = t.fac[k].idx
                 vals = [sub.get(i) for i in idx]
-                for perm, s in perms:
-                    tied = best is not None
-                    if tied and perm:
+                for perm, s in _VARIANTS[kind]:
+                    if best is not None and perm:
                         r = vals[perm[0]]
                         if (name_rank[base] if r is None else r) > best[0]:
                             continue
                     key = []
                     new = []
-                    for n, pos in enumerate(perm):
+                    for pos in perm:
                         r = vals[pos]
                         if r is None:
                             i = idx[pos]
-                            if i in new:
-                                r = name_rank[base + new.index(i)]
-                            else:
-                                r = name_rank[base + len(new)]
+                            if i not in new:
                                 new.append(i)
-                        if tied:
-                            b = best[n]
-                            if r > b:
-                                break
-                            tied = r == b
+                            r = name_rank[base + new.index(i)]
                         key.append(r)
-                    else:
-                        if not tied:
-                            best, cands = key, []
-                        cands.append((used | 1 << k, named + tuple(new), new,
-                                      sub, sign * s))
+                    if best is None or key < best:
+                        best, cands = key, []
+                    elif key > best:
+                        continue
+                    cands.append((used | 1 << k, named + tuple(new), new,
+                                  sub, sign * s))
             if len(cands) > _MAX_FRONTIER:
                 raise NormalizeError(
                     f"canonical search space too large: {len(cands)} "
@@ -680,9 +668,8 @@ def _finalize(t: Term):
             if prev is None:
                 if new:
                     sub = dict(sub)
-                    base = nw + len(named) - len(new)
-                    for q, i in enumerate(new):
-                        sub[i] = name_rank[base + q]
+                    sub.update(zip(
+                        new, name_rank[nw + len(named) - len(new):]))
                 frontier[used, named] = (sub, sign)
             elif prev[1] != sign:
                 return None  # t = -t under a symmetry: antisymmetric zero

@@ -114,8 +114,9 @@ def reference_finalize(t):
     return Term(coeff, best[1][0], best[1][1], t.norm)
 
 
-# each symbolic label is drawn at most twice: once it is free, twice a dummy
-_LABELS = ("a", "b", "c", "d", "e", "f", "g")
+# each symbolic label is drawn at most twice: once it is free, twice a dummy;
+# a free "A" sorts before the generated `_dNN` names, "a"..."g" after them
+_LABELS = ("A", "a", "b", "c", "d", "e", "f", "g")
 _CONCRETE = (1, 2)
 
 
